@@ -40,6 +40,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,11 +50,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eddy"
-	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/sql"
-	"repro/internal/stem"
 	"repro/internal/trace"
 	"repro/internal/tuple"
 )
@@ -278,58 +278,29 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 	if err != nil {
 		return err
 	}
-	pol, err := policy.ByName(policyName, seed)
+	engine, err := core.EngineByName(engineName)
 	if err != nil {
 		return fmt.Errorf("stemsql: %w", err)
 	}
-	ropts := eddy.Options{Policy: pol, Shards: shards}
-	var gov *stem.Governor
-	if memBudget > 0 {
-		if spillDir == "" {
-			spillDir = os.TempDir()
-		}
-		gov, err = stem.NewSpillGovernor(memBudget, stem.AllocByProbes, spillDir)
-		if err != nil {
-			return err
-		}
-		defer gov.Close()
-		ropts.Governor = gov
+	ex, err := core.Build(core.Spec{
+		Q:           bound.Q,
+		Engine:      engine,
+		Policy:      policyName,
+		Seed:        seed,
+		Shards:      shards,
+		Batch:       batch,
+		RowBatches:  rowBatches,
+		MemoryBytes: memBudget,
+		SpillDir:    spillDir,
+		Trace:       explain,
+	})
+	if err != nil {
+		return fmt.Errorf("stemsql: %w", err)
 	}
-	r, err := eddy.NewRouter(bound.Q, ropts)
+	defer ex.Close()
+	outs, err := ex.Run(context.Background(), nil)
 	if err != nil {
 		return err
-	}
-	var outs []eddy.Output
-	var collector *trace.Collector
-	var simEvents uint64
-	switch engineName {
-	case "sim":
-		sim := eddy.NewSim(r)
-		if explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.Attach(sim)
-		}
-		outs, err = sim.Run()
-		simEvents = sim.Events()
-	case "concurrent":
-		eng := eddy.NewConcurrent(r, nil)
-		eng.BatchSize = batch
-		eng.Columnar = !rowBatches
-		if explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.AttachConcurrent(eng)
-		}
-		outs, err = eng.Run()
-	default:
-		return fmt.Errorf("stemsql: unknown engine %q (want sim or concurrent)", engineName)
-	}
-	if err != nil {
-		return err
-	}
-	if gov != nil {
-		if serr := gov.Err(); serr != nil {
-			return fmt.Errorf("stemsql: spill I/O failed: %w", serr)
-		}
 	}
 	// ORDER BY / LIMIT are applied above the eddy.
 	tuples := make([]*tuple.Tuple, len(outs))
@@ -362,15 +333,16 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 	}
 	fmt.Fprintf(w, "-- %d rows", len(tuples))
 	if timing {
-		fmt.Fprintf(w, "; %d routing steps", r.Routed())
-		if engineName == "sim" {
-			fmt.Fprintf(w, "; %d sim events", simEvents)
+		st := ex.Stats()
+		fmt.Fprintf(w, "; %d routing steps", st.RoutingSteps)
+		if engine == core.Sim {
+			fmt.Fprintf(w, "; %d sim events", st.Events)
 		}
 	}
 	fmt.Fprintln(w)
-	if collector != nil {
+	if explain {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, collector.Report())
+		fmt.Fprint(w, ex.Report())
 	}
 	return nil
 }

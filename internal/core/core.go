@@ -1,92 +1,414 @@
-// Package core assembles the paper's primary contribution into one call:
-// given a validated select-project-join query, it instantiates the SteM
-// architecture (Section 2.2 — access modules, selection modules, one SteM
-// per base table, an eddy router under the Table 2 constraints) and executes
-// it on either engine. The building blocks live in internal/stem and
-// internal/eddy; this package is the canonical way to put them together, as
-// used by the public facade, the experiment harness and the CLI.
+// Package core is the one place a bound query becomes a running engine.
+// The paper has no planner: Section 2.2's whole "planning" step is to
+// instantiate one access module per access method, one selection module per
+// selection, one SteM per base table and an eddy over them. Build does that
+// step — policy, router, engine, memory governor and trace collector, from a
+// plain Spec value — and hands back an Exec, which owns the five and is the
+// only thing that knows the order they are installed, reset and torn down
+// in. The public facade (Run, Prepare, Open), the stemsql CLI and the stemsd
+// server each translate their own options into a Spec and call Build; none
+// of them constructs a router, an engine or a governor (a lint test in this
+// package keeps it that way). The experiment harness and the baseline
+// executors drive eddy.Routing directly: they also run non-SteM
+// architectures, which a Spec cannot describe.
 //
-// Choosing an engine: Simulated is the deterministic discrete-event
-// reference — identical output sequences run to run, virtual time, supports
-// deadlines — and is what every figure reproduction and oracle test uses.
-// Threaded is the deployment-shaped goroutine/channel engine on a
-// (compressible) real clock; it honors eddy.Options.Shards by giving each
-// SteM shard its own worker, so it is the engine to use when measuring
-// parallel behaviour. Both run the same modules and the same router, and
-// must produce the same result multiset.
+// Choosing an engine: Sim is the deterministic discrete-event reference —
+// identical output sequences run to run, virtual time, deadlines — and is
+// what every figure reproduction and oracle test uses. Concurrent is the
+// deployment-shaped goroutine/channel engine on a (compressible) real clock;
+// it gives each SteM shard its own worker and is the only engine whose
+// handles are worth pooling. Both run the same modules and the same router,
+// and must produce the same result multiset.
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"os"
 
 	"repro/internal/clock"
 	"repro/internal/eddy"
+	"repro/internal/policy"
 	"repro/internal/query"
+	"repro/internal/stem"
+	"repro/internal/trace"
+	"repro/internal/tuple"
 )
 
 // Engine selects the execution engine.
 type Engine uint8
 
 const (
-	// Simulated runs the deterministic discrete-event engine.
-	Simulated Engine = iota
-	// Threaded runs the goroutine/channel engine.
-	Threaded
+	// Sim is the deterministic discrete-event engine.
+	Sim Engine = iota
+	// Concurrent is the goroutine/channel engine.
+	Concurrent
 )
 
-// Run holds a prepared execution.
-type Run struct {
-	Router *eddy.Router
-	// Engine is the selected engine.
-	Engine Engine
-	// Clock drives the Threaded engine; nil uses a 1000×-compressed real
-	// clock.
-	Clock clock.Clock
-	// Deadline stops the Simulated engine at the given virtual time.
-	Deadline clock.Time
+// EngineByName maps "sim" and "concurrent" to an Engine; it is the single
+// name→engine mapping shared by the CLI flag and the server's per-request
+// override.
+func EngineByName(name string) (Engine, error) {
+	switch name {
+	case "sim":
+		return Sim, nil
+	case "concurrent":
+		return Concurrent, nil
+	default:
+		return 0, fmt.Errorf("unknown engine %q (want concurrent or sim)", name)
+	}
 }
 
-// Prepare validates options and instantiates the module graph.
-func Prepare(q *query.Q, opts eddy.Options, engine Engine) (*Run, error) {
-	r, err := eddy.NewRouter(q, opts)
-	if err != nil {
+// Spec describes one execution: the bound query and every knob that changes
+// the built router or engine. The zero value of every field but Q is the
+// default. Slices indexed by table use the query's FROM positions.
+type Spec struct {
+	Q      *query.Q
+	Engine Engine
+	// Policy is a policy.ByName name; Seed feeds the randomized policies
+	// (0 means 1).
+	Policy string
+	Seed   int64
+	// Shards hash-partitions every SteM (see eddy.Options.Shards).
+	Shards int
+	// Batch caps the Concurrent engine's eddy batches (0 is
+	// eddy.DefaultBatchSize); RowBatches turns its columnar fast path off.
+	Batch      int
+	RowBatches bool
+	// Windows bounds SteM sizes per table (0 = unbounded); nil is none.
+	Windows []int
+	// Shared attaches pre-built shared SteM state per table (nil entries
+	// stay private); nil is none.
+	Shared []*stem.SharedState
+	// ProbeBounce, SkipBuild and SkipBuildTable pass through to the router
+	// (Sections 4.3 and 3.5).
+	ProbeBounce    stem.ProbeBounceMode
+	SkipBuild      bool
+	SkipBuildTable int
+	// MemoryRows > 0 governs all SteMs in the simulator's modeled mode, with
+	// SpillPenalty (default 20ms) as the full-spill probe penalty.
+	// MemoryBytes > 0 turns on real disk spill into a private subdirectory
+	// of SpillDir (default os.TempDir()). The two are mutually exclusive.
+	MemoryRows   int
+	SpillPenalty clock.Duration
+	MemoryBytes  int64
+	SpillDir     string
+	// TimeCompression scales the Concurrent engine's real clock (0 means
+	// 0.001: one virtual second per wall millisecond).
+	TimeCompression float64
+	// Deadline stops the Sim engine at that virtual time; OnEmit observes
+	// every tuple a module hands back to the eddy. Sim only.
+	Deadline clock.Time
+	OnEmit   func(t *tuple.Tuple, at clock.Time)
+	// Trace attaches a collector, which Record and Report read.
+	Trace bool
+}
+
+// Poolable reports whether a cleanly finished handle built from this Spec
+// can be Reset in place and run again: the Concurrent engine without a
+// governor or windows. The simulator is cheap to build and its event heap
+// is not rewindable; governors and windows hold per-run disk and eviction
+// state no Reset reconstructs.
+func (sp *Spec) Poolable() bool {
+	return sp.Engine == Concurrent && sp.MemoryRows == 0 && sp.MemoryBytes == 0 && sp.Windows == nil
+}
+
+// Stats is the one aggregation of a handle's run-level counters. They are
+// cumulative since Build or the last Reset, so after delta rounds they cover
+// the standing query's whole life.
+type Stats struct {
+	RoutingSteps  uint64
+	IndexProbes   uint64
+	Builds        uint64
+	SpilledBuilds uint64
+	ReplayMatches uint64
+	// Events counts simulation events (Sim only).
+	Events uint64
+}
+
+type state uint8
+
+const (
+	fresh state = iota // built or Reset, not yet run
+	clean              // every round so far completed without error
+	dirty              // a round failed or was canceled; may hold stranded batches
+)
+
+// Exec is a built, runnable query. It is not safe for concurrent use: one
+// round at a time.
+type Exec struct {
+	spec Spec
+	comp float64
+	r    *eddy.Router
+	sim  *eddy.Sim
+	eng  *eddy.Concurrent
+	gov  *stem.Governor
+	coll *trace.Collector
+	st   state
+}
+
+// Build validates the Spec and instantiates the module graph, the engine,
+// the governor and the collector. The caller owns the handle and must Close
+// it. Failures to set up the spill directory wrap an *fs.PathError; every
+// other error means the Spec is invalid.
+func Build(sp Spec) (*Exec, error) {
+	e := &Exec{spec: sp}
+	if err := e.build(); err != nil {
 		return nil, err
 	}
-	return &Run{Router: r, Engine: engine}, nil
+	return e, nil
 }
 
-// Execute runs the query to completion and returns the results in emission
-// order, verifying the router never hit a routing dead-end.
-func (r *Run) Execute() ([]eddy.Output, error) {
+func (e *Exec) build() error {
+	sp := &e.spec
+	if sp.MemoryRows > 0 && sp.MemoryBytes > 0 {
+		return errors.New("core: modeled (rows) and real-spill (bytes) memory budgets are mutually exclusive")
+	}
+	seed := sp.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	pol, err := policy.ByName(sp.Policy, seed)
+	if err != nil {
+		return err
+	}
+	ropts := eddy.Options{
+		Policy:         pol,
+		Shards:         sp.Shards,
+		ProbeBounce:    sp.ProbeBounce,
+		SkipBuild:      sp.SkipBuild,
+		SkipBuildTable: sp.SkipBuildTable,
+	}
+	if sp.Windows != nil {
+		ropts.WindowFor = func(t int) int { return sp.Windows[t] }
+	}
+	if sp.Shared != nil {
+		ropts.SharedFor = func(t int) *stem.SharedState { return sp.Shared[t] }
+	}
+	var gov *stem.Governor
+	switch {
+	case sp.MemoryBytes > 0:
+		dir := sp.SpillDir
+		if dir == "" {
+			dir = os.TempDir()
+		}
+		if gov, err = stem.NewSpillGovernor(sp.MemoryBytes, stem.AllocByProbes, dir); err != nil {
+			return err
+		}
+	case sp.MemoryRows > 0:
+		pen := sp.SpillPenalty
+		if pen == 0 {
+			pen = 20 * clock.Millisecond
+		}
+		gov = stem.NewGovernor(sp.MemoryRows, stem.AllocByProbes, pen)
+	}
+	ropts.Governor = gov
+	r, err := eddy.NewRouter(sp.Q, ropts)
+	if err != nil {
+		if gov != nil {
+			gov.Close()
+		}
+		return err
+	}
+	e.r, e.gov, e.sim, e.eng, e.coll = r, gov, nil, nil, nil
+	if sp.Engine == Concurrent {
+		if e.comp = sp.TimeCompression; e.comp == 0 {
+			e.comp = 0.001
+		}
+		e.eng = eddy.NewConcurrent(r, clock.NewReal(e.comp))
+		e.eng.BatchSize = sp.Batch
+		e.eng.Columnar = !sp.RowBatches
+	} else {
+		e.sim = eddy.NewSim(r)
+		e.sim.Deadline = sp.Deadline
+	}
+	if sp.Trace {
+		e.coll = trace.NewCollector(r.Modules())
+	}
+	e.st = fresh
+	return nil
+}
+
+// Poolable reports whether the handle may be kept and Reset in place after a
+// clean run (see Spec.Poolable).
+func (e *Exec) Poolable() bool { return e.spec.Poolable() }
+
+// Shared returns the shared states the router was built against
+// (Spec.Shared), which a pool compares before handing the handle out again.
+func (e *Exec) Shared() []*stem.SharedState { return e.spec.Shared }
+
+// Run executes the query over the tables' current rows to quiescence and
+// returns the results in emission order; onOutput, when non-nil, also
+// streams each result as it is produced (on the eddy goroutine). A nil ctx
+// never cancels. A canceled or failed run returns no results; Stats and
+// Record still describe what it did. Run needs a fresh handle: call Reset
+// between runs.
+func (e *Exec) Run(ctx context.Context, onOutput func(t *tuple.Tuple, at clock.Time)) ([]eddy.Output, error) {
+	if e.st != fresh {
+		return nil, errors.New("core: Run on a used handle (Reset it first)")
+	}
+	return e.round(ctx, nil, false, onOutput)
+}
+
+// RunDelta runs one incremental round over the SteM state every earlier
+// round built: ts (fresh singletons for newly arrived rows) enter the
+// dataflow in place of the scans, and exactly the new join results come
+// back (see eddy.Concurrent.RunDelta for why rounds compose exactly). It
+// needs a handle whose earlier rounds all completed cleanly.
+func (e *Exec) RunDelta(ctx context.Context, ts []*tuple.Tuple, onOutput func(t *tuple.Tuple, at clock.Time)) ([]eddy.Output, error) {
+	if e.st != clean {
+		return nil, errors.New("core: RunDelta needs a handle whose earlier rounds completed cleanly")
+	}
+	if e.eng != nil {
+		e.eng.Reset() // rearms the round-scoped channels; SteM state stays
+	}
+	return e.round(ctx, ts, true, onOutput)
+}
+
+// round installs the hooks, runs one round on whichever engine the handle
+// has, clears the hooks of an engine that may be kept (a pooled handle must
+// not pin its last caller's closures), and checks the invariants every
+// caller needs checked.
+func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutput func(*tuple.Tuple, clock.Time)) ([]eddy.Output, error) {
 	var outs []eddy.Output
 	var err error
-	switch r.Engine {
-	case Threaded:
-		clk := r.Clock
-		if clk == nil {
-			clk = clock.NewReal(0.001)
+	if eng := e.eng; eng != nil {
+		if ctx == nil {
+			ctx = context.Background()
 		}
-		outs, err = eddy.NewConcurrent(r.Router, clk).Run()
-	default:
-		sim := eddy.NewSim(r.Router)
-		sim.Deadline = r.Deadline
-		outs, err = sim.Run()
+		eng.OnOutput = onOutput
+		if e.coll != nil {
+			e.coll.AttachConcurrent(eng)
+		}
+		if delta {
+			outs, err = eng.RunDelta(ctx, ts)
+		} else {
+			outs, err = eng.RunContext(ctx)
+		}
+		eng.OnOutput, eng.OnService = nil, nil
+	} else {
+		sim := e.sim
+		sim.Ctx = ctx
+		sim.OnOutput, sim.OnProcess, sim.OnEmit = onOutput, nil, e.spec.OnEmit
+		if e.coll != nil {
+			e.coll.Attach(sim)
+		}
+		if delta {
+			outs, err = sim.RunDelta(ts)
+		} else {
+			outs, err = sim.Run()
+		}
+	}
+	if err == nil {
+		err = e.check()
 	}
 	if err != nil {
+		// The state is unusable from here on; drop the spill directory now
+		// rather than whenever the caller gets to Close.
+		e.st = dirty
+		e.Close()
 		return nil, err
 	}
-	if n := r.Router.Stuck(); n > 0 {
-		return outs, fmt.Errorf("core: %d tuples had no legal route (internal invariant violation)", n)
-	}
+	e.st = clean
 	return outs, nil
 }
 
-// Execute is the one-call form: prepare and run with default options on the
-// simulated engine.
-func Execute(q *query.Q, opts eddy.Options) ([]eddy.Output, error) {
-	r, err := Prepare(q, opts, Simulated)
-	if err != nil {
-		return nil, err
+// check surfaces what a quiesced engine cannot report through its own
+// error: spill I/O that fell back to memory, a shared state whose probe-time
+// read failed, and tuples the router found no legal move for.
+func (e *Exec) check() error {
+	if e.gov != nil {
+		if err := e.gov.Err(); err != nil {
+			return fmt.Errorf("core: spill I/O failed (results fell back to resident storage): %w", err)
+		}
 	}
-	return r.Execute()
+	for t, ss := range e.spec.Shared {
+		if ss == nil {
+			continue
+		}
+		if err := ss.Err(); err != nil {
+			return fmt.Errorf("core: shared state for %q failed a spill read (results may be incomplete): %w",
+				e.spec.Q.Tables[t].Name, err)
+		}
+	}
+	if n := e.r.Stuck(); n > 0 {
+		return fmt.Errorf("core: internal error — %d tuples had no legal route", n)
+	}
+	return nil
+}
+
+// Reset returns the handle to its just-built state. A Poolable handle whose
+// rounds all completed cleanly is reset in place — SteM dictionaries cleared,
+// inboxes rewound, a fresh clock, collector zeroed, and the routing policy
+// deliberately kept, so what it learned carries into the next run. Any other
+// handle is torn down and built again from its Spec (with a new policy): a
+// canceled run may strand batches mid-flight, and simulator, governor and
+// window state is not rewindable.
+func (e *Exec) Reset() error {
+	switch {
+	case e.st == fresh:
+	case e.st == clean && e.Poolable():
+		e.r.Reset(nil)
+		e.eng.Reset()
+		e.eng.SetClock(clock.NewReal(e.comp))
+		if e.coll != nil {
+			e.coll.Reset()
+		}
+		e.st = fresh
+	default:
+		e.Close()
+		return e.build()
+	}
+	return nil
+}
+
+// Stats aggregates the router's and modules' counters.
+func (e *Exec) Stats() Stats {
+	st := Stats{RoutingSteps: e.r.Routed()}
+	for _, a := range e.r.AMs() {
+		st.IndexProbes += a.Stats().Probes
+	}
+	for _, s := range e.r.SteMs() {
+		ss := s.Stats()
+		st.Builds += ss.Builds
+		st.SpilledBuilds += ss.SpilledBuilds
+		st.ReplayMatches += ss.ReplayMatches
+	}
+	if e.sim != nil {
+		st.Events = e.sim.Events()
+	}
+	return st
+}
+
+// SpillBytes reports the governor's resident and spilled row footprint
+// (zeros when ungoverned or in modeled mode); it is safe to call while a
+// round is running, which is what a server's gauges do.
+func (e *Exec) SpillBytes() (resident, spilled int64) {
+	if e.gov == nil {
+		return 0, 0
+	}
+	return e.gov.BytesStats()
+}
+
+// Record snapshots the collector into wire form, with the policy's learned
+// estimates when explain is set. It needs Spec.Trace.
+func (e *Exec) Record(explain bool) trace.Record {
+	var pol policy.Policy
+	if explain {
+		pol = e.r.Policy()
+	}
+	return e.coll.Record(pol)
+}
+
+// Report renders the collector's per-module report. It needs Spec.Trace.
+func (e *Exec) Report() string { return e.coll.Report() }
+
+// Close removes the spill directory, if any. It is idempotent, and the
+// handle's in-memory counters stay readable afterwards.
+func (e *Exec) Close() error {
+	if e.gov == nil {
+		return nil
+	}
+	return e.gov.Close()
 }

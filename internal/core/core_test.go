@@ -1,7 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/eddy"
@@ -14,63 +19,231 @@ import (
 	"repro/internal/value"
 )
 
-func fixture(t *testing.T) *query.Q {
-	t.Helper()
-	rT := schema.MustTable("R", schema.IntCol("k"), schema.IntCol("a"))
-	sT := schema.MustTable("S", schema.IntCol("x"), schema.IntCol("y"))
-	row := func(a, b int64) tuple.Row { return tuple.Row{value.NewInt(a), value.NewInt(b)} }
-	rData := source.MustTable(rT, []tuple.Row{row(1, 10), row(2, 20)})
-	sData := source.MustTable(sT, []tuple.Row{row(10, 100), row(20, 200)})
-	return query.MustNew([]*schema.Table{rT, sT},
-		[]pred.P{pred.EquiJoin(0, 1, 1, 0)},
-		[]query.AMDecl{
-			{Table: 0, Kind: query.Scan, Data: rData, ScanSpec: source.ScanSpec{InterArrival: clock.Millisecond}},
-			{Table: 1, Kind: query.Scan, Data: sData, ScanSpec: source.ScanSpec{InterArrival: clock.Millisecond}},
-		})
+func row(a, b int64) tuple.Row { return tuple.Row{value.NewInt(a), value.NewInt(b)} }
+
+// fixture is the 3-way join R.a = S.x, S.y = T.key over n/n÷4/n÷16 rows —
+// enough build state to spill under a tiny byte budget and enough simulator
+// events for a canceled context to be noticed. It returns the query and the
+// rows each table starts with.
+func fixture(n int) (*query.Q, [][]tuple.Row) {
+	d, e := n/4, n/16
+	rows := make([][]tuple.Row, 3)
+	for i := 0; i < n; i++ {
+		rows[0] = append(rows[0], row(int64(i), int64(i%d)))
+	}
+	for j := 0; j < d; j++ {
+		rows[1] = append(rows[1], row(int64(j), int64(j%e)))
+	}
+	for k := 0; k < e; k++ {
+		rows[2] = append(rows[2], row(int64(k), int64(k*10)))
+	}
+	tabs := []*schema.Table{
+		schema.MustTable("R", schema.IntCol("key"), schema.IntCol("a")),
+		schema.MustTable("S", schema.IntCol("x"), schema.IntCol("y")),
+		schema.MustTable("T", schema.IntCol("key"), schema.IntCol("c")),
+	}
+	var ams []query.AMDecl
+	for t, tab := range tabs {
+		ams = append(ams, query.AMDecl{Table: t, Kind: query.Scan, Data: source.MustTable(tab, rows[t]),
+			ScanSpec: source.ScanSpec{InterArrival: clock.Microsecond}})
+	}
+	q := query.MustNew(tabs, []pred.P{pred.EquiJoin(0, 1, 1, 0), pred.EquiJoin(1, 1, 2, 0)}, ams)
+	return q, rows
 }
 
-func TestExecuteSimulated(t *testing.T) {
-	q := fixture(t)
-	outs, err := Execute(q, eddy.Options{})
-	if err != nil {
-		t.Fatal(err)
+type insert struct {
+	table int
+	row   tuple.Row
+}
+
+// deltas are three insert rounds, one per table. Every round joins against
+// the snapshot, and rounds 1 and 2 also against rows an earlier round
+// inserted, so each must produce results.
+func deltas(n int) [][]insert {
+	d, e := int64(n/4), int64(n/16)
+	return [][]insert{
+		{{2, row(0, 999)}, {2, row(e, 77)}},              // a second T row for key 0; a key no S references yet
+		{{1, row(0, e)}, {1, row(d, e)}},                 // old R rows reach the new T key; a new S key waits for R
+		{{0, row(int64(n), d)}, {0, row(int64(n)+1, 1)}}, // reaches round 1's S row; reaches the snapshot
 	}
-	got := make(oracle.Result)
+}
+
+func collect(got oracle.Result, outs []eddy.Output) {
 	for _, o := range outs {
 		got[o.T.ResultKey()]++
 	}
-	m, e := oracle.Diff(oracle.Compute(q), got)
-	if len(m) > 0 || len(e) > 0 {
-		t.Errorf("missing=%v extra=%v", m, e)
+}
+
+func mustMatch(t *testing.T, what string, want, got oracle.Result) {
+	t.Helper()
+	if m, e := oracle.Diff(want, got); len(m) > 0 || len(e) > 0 {
+		t.Fatalf("%s: %d missing, %d extra results (want %d distinct)", what, len(m), len(e), len(want))
 	}
 }
 
-func TestExecuteThreaded(t *testing.T) {
-	run, err := Prepare(fixture(t), eddy.Options{}, Threaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run.Clock = clock.NewReal(0.0001)
-	outs, err := run.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 {
-		t.Fatalf("got %d results, want 2", len(outs))
+func settle(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d running, baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-func TestExecuteDeadline(t *testing.T) {
-	run, err := Prepare(fixture(t), eddy.Options{}, Simulated)
-	if err != nil {
-		t.Fatal(err)
+// TestExecMatrix drives the one builder across engine × shards × batch ×
+// governance through every lifecycle a caller uses, comparing each run to
+// the brute-force oracle.
+func TestExecMatrix(t *testing.T) {
+	const n = 160
+	for _, engine := range []Engine{Sim, Concurrent} {
+		for _, shards := range []int{1, 4} {
+			for _, batch := range []int{1, 64} {
+				for _, budget := range []int64{0, 1} {
+					name := fmt.Sprintf("%s/shards%d/batch%d/budget%d", [...]string{"sim", "concurrent"}[engine], shards, batch, budget)
+					t.Run(name, func(t *testing.T) {
+						baseline := runtime.NumGoroutine()
+						dir := t.TempDir()
+						q, rows := fixture(n)
+						want := oracle.Compute(q)
+						ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Shards: shards, Batch: batch,
+							MemoryBytes: budget, SpillDir: dir, TimeCompression: 0.0001, Trace: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := ex.Poolable(), engine == Concurrent && budget == 0; got != want {
+							t.Fatalf("Poolable() = %v, want %v", got, want)
+						}
+						run := func(what string) {
+							t.Helper()
+							streamed := 0
+							outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ })
+							if err != nil {
+								t.Fatalf("%s: %v", what, err)
+							}
+							got := make(oracle.Result)
+							collect(got, outs)
+							mustMatch(t, what, want, got)
+							if streamed != len(outs) {
+								t.Fatalf("%s: hook saw %d results, Run returned %d", what, streamed, len(outs))
+							}
+							st := ex.Stats()
+							if st.RoutingSteps == 0 || st.Builds == 0 {
+								t.Fatalf("%s: empty stats %+v", what, st)
+							}
+							if (st.SpilledBuilds > 0) != (budget > 0) {
+								t.Fatalf("%s: SpilledBuilds = %d under budget %d", what, st.SpilledBuilds, budget)
+							}
+							if rec := ex.Record(true); rec.Results != uint64(len(outs)) || len(rec.Modules) == 0 {
+								t.Fatalf("%s: trace records %d results over %d modules, want %d", what, rec.Results, len(rec.Modules), len(outs))
+							}
+						}
+						reset := func() {
+							t.Helper()
+							if err := ex.Reset(); err != nil {
+								t.Fatal(err)
+							}
+						}
+
+						run("first run")
+						if _, err := ex.Run(context.Background(), nil); err == nil {
+							t.Fatal("second Run without Reset succeeded")
+						}
+						builds := ex.Stats().Builds
+						reset()
+						run("after Reset")
+						if b := ex.Stats().Builds; b != builds {
+							t.Fatalf("Reset carried state over: %d builds, then %d", builds, b)
+						}
+
+						reset()
+						ctx, cancel := context.WithCancel(context.Background())
+						cancel()
+						if _, err := ex.Run(ctx, nil); err == nil {
+							t.Fatal("canceled Run returned no error")
+						}
+						if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+							t.Fatalf("canceled Run left %d spill entries", len(ents))
+						}
+						if _, err := ex.RunDelta(context.Background(), nil, nil); err == nil {
+							t.Fatal("RunDelta after a canceled round succeeded")
+						}
+						reset()
+						run("after canceled run and Reset")
+
+						// Snapshot ∪ deltas equals a batch run over the final rows.
+						reset()
+						got := make(oracle.Result)
+						outs, err := ex.Run(context.Background(), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						collect(got, outs)
+						for i, round := range deltas(n) {
+							var ts []*tuple.Tuple
+							for _, in := range round {
+								ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
+								rows[in.table] = append(rows[in.table], in.row)
+							}
+							outs, err := ex.RunDelta(context.Background(), ts, nil)
+							if err != nil {
+								t.Fatalf("delta round %d: %v", i, err)
+							}
+							if len(outs) == 0 {
+								t.Fatalf("delta round %d produced nothing", i)
+							}
+							collect(got, outs)
+						}
+						mustMatch(t, "snapshot ∪ deltas", oracle.ComputeFromRows(q, rows), got)
+
+						if err := ex.Close(); err != nil {
+							t.Fatal(err)
+						}
+						if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+							t.Fatalf("Close left %d spill entries", len(ents))
+						}
+						settle(t, baseline)
+					})
+				}
+			}
+		}
 	}
-	run.Deadline = clock.Time(clock.Microsecond) // before any scan row
-	outs, err := run.Execute()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestPoolable pins which Specs may be reset in place.
+func TestPoolable(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want bool
+	}{
+		{"concurrent", Spec{Engine: Concurrent}, true},
+		{"sim", Spec{Engine: Sim}, false},
+		{"modeled governor", Spec{Engine: Concurrent, MemoryRows: 10}, false},
+		{"spill governor", Spec{Engine: Concurrent, MemoryBytes: 1 << 20}, false},
+		{"windowed", Spec{Engine: Concurrent, Windows: []int{0, 8}}, false},
 	}
-	if len(outs) != 0 {
-		t.Errorf("deadline run produced %d results", len(outs))
+	for _, tc := range cases {
+		if got := tc.spec.Poolable(); got != tc.want {
+			t.Errorf("%s: Poolable() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestBuildRejects pins the Spec validation Build owns.
+func TestBuildRejects(t *testing.T) {
+	q, _ := fixture(16)
+	for name, sp := range map[string]Spec{
+		"unknown policy": {Q: q, Policy: "warp"},
+		"both budgets":   {Q: q, MemoryRows: 4, MemoryBytes: 4},
+	} {
+		if _, err := Build(sp); err == nil {
+			t.Errorf("%s: Build succeeded", name)
+		}
+	}
+	if _, err := EngineByName("warp"); err == nil {
+		t.Error("EngineByName accepted an unknown engine")
 	}
 }

@@ -1,0 +1,100 @@
+// lint_test.go keeps this package the only query→router→engine assembly: it
+// parses every non-test Go file in the module and fails if one outside the
+// packages allowed to drive the engines directly constructs a router, an
+// engine or a governor. The facade, the CLIs and the server must go through
+// Build.
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// constructors are the calls only an assembly makes, by import path.
+var constructors = map[string][]string{
+	"repro/internal/eddy": {"NewRouter", "NewConcurrent", "NewSim"},
+	"repro/internal/stem": {"NewSpillGovernor", "NewGovernor"},
+}
+
+// assemblers may call them: this package; the engines' own package; the
+// experiment harness and the baseline executors, which also run non-SteM
+// architectures over eddy.Routing; and the benchmark, which times each
+// layer separately.
+var assemblers = []string{"internal/core", "internal/eddy", "internal/experiments", "internal/exec", "bench"}
+
+func TestOnlyCoreAssembles(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			for _, a := range assemblers {
+				if rel == a {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		// The names this file knows the two packages by.
+		banned := map[string][]string{}
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			if names, ok := constructors[ipath]; ok {
+				local := ipath[strings.LastIndex(ipath, "/")+1:]
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				banned[local] = names
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			for _, name := range banned[pkg.Name] {
+				if sel.Sel.Name == name {
+					t.Errorf("%s: calls %s.%s — build a core.Spec and call core.Build instead",
+						fset.Position(call.Pos()), pkg.Name, name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("parsed only %d files; is the walk rooted at the module?", files)
+	}
+}

@@ -1,9 +1,9 @@
-// exec.go executes one statement for one request: parse, bind against a
-// catalog snapshot, build a per-query router and engine, and stream results
-// back as NDJSON while they are produced. Each query gets its own policy,
-// router, and engine (none are safe for cross-query sharing); only the
-// catalog's source tables are shared, and those are immutable once
-// registered.
+// exec.go executes one statement for one request: parse, admit, take the
+// statement's plan entry (bound against a catalog snapshot), take or build
+// an execution handle (internal/core), and stream results back as NDJSON
+// while they are produced. A handle — policy, router, engine — serves one
+// query at a time; only the catalog's source tables and shared SteMs are
+// shared between running queries, and those are immutable.
 package server
 
 import (
@@ -11,18 +11,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/eddy"
-	"repro/internal/policy"
+	"repro/internal/core"
 	"repro/internal/sql"
-	"repro/internal/stem"
 	"repro/internal/trace"
 	"repro/internal/tuple"
 	"repro/internal/value"
@@ -159,12 +158,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, http.StatusBadRequest, fmt.Errorf("no prepared statement %q (PREPARE it first)", st.Name))
 			return
 		}
-		s.runQuery(w, r, req, p.stmt, p.canon)
+		s.runQuery(w, r, &req, p.stmt, p.canon)
 	case *sql.Stmt:
 		// Ad-hoc SELECTs auto-prepare anonymously: the canonical text is the
 		// plan-cache key, so a repeated query reuses its plan without an
 		// explicit PREPARE.
-		s.runQuery(w, r, req, st, st.Canonical())
+		s.runQuery(w, r, &req, st, st.Canonical())
 	}
 }
 
@@ -191,15 +190,128 @@ func (s *Server) handlePrepare(w http.ResponseWriter, st *sql.PrepareStmt) {
 	json.NewEncoder(w).Encode(map[string]any{"prepared": p.name, "sql": p.canon})
 }
 
-// runQuery admits, executes, and streams one SELECT. canon is the
-// statement's canonical text, which keys the plan cache.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req QueryRequest, st *sql.Stmt, canon string) {
-	if req.Subscribe {
-		s.runSubscription(w, r, req, st, canon)
+// knobs are one request's execution settings after the server defaults
+// have been applied — resolved once, for bounded queries and subscriptions
+// alike, and used for the plan key, the core.Spec and the query record.
+type knobs struct {
+	engine     core.Engine
+	engineName string
+	policy     string
+	seed       int64
+	shards     int
+	batch      int
+	// budget is the per-query SteM byte budget; 0 runs ungoverned.
+	budget int64
+}
+
+func (s *Server) resolveKnobs(req *QueryRequest) (knobs, error) {
+	k := knobs{engineName: req.Engine, policy: req.Policy, seed: req.Seed, shards: req.Shards, batch: req.Batch}
+	if k.engineName == "" {
+		k.engineName = "concurrent"
+	}
+	if k.policy == "" {
+		k.policy = s.cfg.Policy
+	}
+	if k.seed == 0 {
+		k.seed = s.cfg.Seed
+	}
+	if k.shards == 0 {
+		k.shards = s.cfg.Shards
+	}
+	if k.batch == 0 {
+		k.batch = s.cfg.BatchSize
+	}
+	var err error
+	if k.engine, err = core.EngineByName(k.engineName); err != nil {
+		return k, userError{err}
+	}
+	// Per-query memory limit: every admitted query runs under its own byte
+	// governor (real disk spill + replay), so MaxInFlight × budget bounds
+	// the server's total SteM footprint. Client requests tighten the server
+	// limit, never exceed it — and never enable disk spill on a server
+	// whose operator left it off (client-controlled disk I/O must be an
+	// operator opt-in).
+	if req.MemBudgetBytes < 0 {
+		return k, userError{fmt.Errorf("mem_budget_bytes must be >= 0, got %d", req.MemBudgetBytes)}
+	}
+	if s.cfg.MemBudgetBytes > 0 {
+		k.budget = req.MemBudgetBytes
+		if k.budget == 0 || k.budget > s.cfg.MemBudgetBytes {
+			k.budget = s.cfg.MemBudgetBytes
+		}
+	}
+	return k, nil
+}
+
+// live is one admitted SELECT — bounded or standing — from admission to its
+// single observed exit: identity, resolved knobs, the cancellation chain,
+// the NDJSON row sink's state, and the statistics the exit reports.
+type live struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	req     *QueryRequest
+	canon   string
+	id      uint64
+	knobs
+
+	ctx context.Context
+	// cancel ends the whole chain; the sink calls it when the client stops
+	// reading, which stops the eddy mid-route.
+	cancel context.CancelCauseFunc
+	start  time.Time
+	stats  execStats
+
+	// out labels the projected columns of each row; buf is the reused row
+	// encoding buffer. started records that bytes went out (the status line
+	// is gone; later errors are reported in-band), sinkErr that a write
+	// failed (nobody is listening any more).
+	out     []sql.OutputCol
+	buf     []byte
+	started bool
+	sinkErr error
+}
+
+// emit streams one result row; it is the engines' output hook. Bounded
+// queries flush every row (first-row latency is the online metric);
+// subscriptions flush once per round.
+func (q *live) emit(t *tuple.Tuple, _ clock.Time) {
+	if q.sinkErr != nil {
 		return
 	}
-	if len(req.Window) > 0 {
-		writeJSONError(w, http.StatusBadRequest, errors.New(`"window" requires "subscribe": true (a bounded query's results would depend on scan interleaving)`))
+	q.buf = appendRowJSON(q.buf[:0], t, q.out)
+	if _, err := q.w.Write(q.buf); err != nil {
+		q.sinkErr = err
+		q.cancel(fmt.Errorf("client write failed: %w", err))
+		return
+	}
+	q.started = true
+	q.stats.Rows++
+	if !q.req.Subscribe {
+		q.flush()
+	}
+}
+
+func (q *live) flush() {
+	if q.flusher != nil && q.sinkErr == nil {
+		q.flusher.Flush()
+	}
+}
+
+// runQuery is the request prologue every SELECT shares, bounded or
+// standing: drain barrier, cancellation chain, session attach, admission.
+// canon is the statement's canonical text, which keys the plan cache.
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequest, st *sql.Stmt, canon string) {
+	var shape string // what is wrong with the request's shape; such requests never take a slot
+	switch {
+	case !req.Subscribe && len(req.Window) > 0:
+		shape = `"window" requires "subscribe": true (a bounded query's results would depend on scan interleaving)`
+	case req.Subscribe && req.Explain:
+		shape = "explain is not supported on subscriptions"
+	case req.Subscribe && req.MemBudgetBytes != 0:
+		shape = "subscriptions run ungoverned; mem_budget_bytes is not supported"
+	}
+	if shape != "" {
+		writeJSONError(w, http.StatusBadRequest, errors.New(shape))
 		return
 	}
 	// Register with the drain barrier first: Shutdown flips draining before
@@ -212,27 +324,33 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req QueryReque
 	defer s.queries.Done()
 
 	// Cancellation chain: client disconnect (request context) → drain
-	// (base context) → session close → per-query deadline. Any of them
-	// cancels qctx, which aborts the admission queue wait or stops the
-	// eddy mid-route. The chain is built and the session attached BEFORE
-	// admission, so the deadline bounds queue time too and a session
-	// DELETE cancels its queued (not just executing) queries.
+	// (base context) → session close → deadline. Any of them cancels qctx,
+	// which aborts the admission queue wait or stops the eddy mid-route.
+	// The chain is built and the session attached BEFORE admission, so the
+	// deadline bounds queue time too and a session DELETE cancels its
+	// queued (not just executing) queries. A bounded query always has a
+	// deadline (the server default, capped); a standing query's life is the
+	// client's to bound, so it gets one only when it asks.
 	qctx, cancel := context.WithCancelCause(r.Context())
 	defer cancel(nil)
 	stopBase := context.AfterFunc(s.baseCtx, func() { cancel(context.Cause(s.baseCtx)) })
 	defer stopBase()
 
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	deadline, what := time.Duration(req.DeadlineMS)*time.Millisecond, "subscription"
+	if !req.Subscribe {
+		what = "query"
+		if deadline <= 0 {
+			deadline = s.cfg.DefaultDeadline
+		}
+		if deadline > s.cfg.MaxDeadline {
+			deadline = s.cfg.MaxDeadline
+		}
 	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
+	if deadline > 0 {
+		var cancelT context.CancelFunc
+		qctx, cancelT = context.WithTimeoutCause(qctx, deadline, fmt.Errorf("%s deadline %v exceeded", what, deadline))
+		defer cancelT()
 	}
-	var cancelT context.CancelFunc
-	qctx, cancelT = context.WithTimeoutCause(qctx, deadline,
-		fmt.Errorf("query deadline %v exceeded", deadline))
-	defer cancelT()
 
 	qid := s.qid.Add(1)
 	if req.Session != "" {
@@ -244,6 +362,9 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req QueryReque
 		defer s.detachQuery(ss, qid)
 	}
 
+	// A subscription holds its execution slot for its whole life:
+	// MaxInFlight bounds queries and live subscribers together, so a
+	// subscriber storm cannot oversubscribe the engine.
 	admitStart := time.Now()
 	if err := s.admit(qctx); err != nil {
 		s.met.reject()
@@ -262,105 +383,104 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req QueryReque
 		return
 	}
 	defer s.release()
-	queueWait := time.Since(admitStart)
-	startWall := time.Now()
+
+	q := &live{w: w, req: req, canon: canon, id: qid, ctx: qctx, cancel: cancel,
+		start: time.Now(), buf: make([]byte, 0, 256)}
+	q.flusher, _ = w.(http.Flusher)
+	q.stats.QueueWait = q.start.Sub(admitStart)
 	if lg := s.cfg.Logger; lg != nil {
 		lg.Debug("query admitted", slog.Uint64("query_id", qid),
-			slog.Float64("queue_ms", float64(queueWait)/float64(time.Millisecond)),
+			slog.Float64("queue_ms", float64(q.stats.QueueWait)/float64(time.Millisecond)),
 			slog.String("session", req.Session), slog.String("sql", canon))
 	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	started := false
-	buf := make([]byte, 0, 256)
-	sink := func(t *tuple.Tuple, out []sql.OutputCol) error {
-		buf = appendRowJSON(buf[:0], t, out)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		started = true
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-
-	var stats execStats
-	var err error
 	if s.cfg.PprofLabels {
 		// pprof labels are inherited by every goroutine the engine spawns,
 		// so CPU profile samples attribute to the query that burned them.
 		pprof.Do(qctx, pprof.Labels("query_id", strconv.FormatUint(qid, 10)), func(ctx context.Context) {
-			stats, err = s.execute(ctx, req, st, canon, sink)
+			q.ctx = ctx
+			s.serve(q, st)
 		})
 	} else {
-		stats, err = s.execute(qctx, req, st, canon, sink)
-	}
-	stats.QueueWait = queueWait
-	if err != nil {
-		cause := err
-		qs := statusError
-		if qctx.Err() != nil {
-			qs = statusCanceled
-			if c := context.Cause(qctx); c != nil {
-				cause = c
-			}
-		}
-		s.finishObserved(qid, req, canon, qs, cause, &stats, startWall)
-		if started {
-			// Mid-stream: the status line is long gone; report in-band.
-			enc.Encode(map[string]string{"error": cause.Error()})
-			return
-		}
-		code := http.StatusInternalServerError
-		switch {
-		case errors.As(err, &userError{}):
-			code = http.StatusBadRequest
-		case qs == statusCanceled && errors.Is(qctx.Err(), context.DeadlineExceeded):
-			code = http.StatusGatewayTimeout
-		case qs == statusCanceled:
-			code = http.StatusServiceUnavailable
-		}
-		writeJSONError(w, code, cause)
-		return
-	}
-	s.finishObserved(qid, req, canon, statusOK, nil, &stats, startWall)
-	fmt.Fprintf(w, `{"done":true,"id":%d,"rows":%d,"elapsed_ms":%g,"queue_ms":%g,"routing_steps":%d,"stem_builds":%d,"index_probes":%d}`+"\n",
-		qid, stats.Rows, float64(stats.Elapsed)/float64(time.Millisecond),
-		float64(queueWait)/float64(time.Millisecond), stats.Routed, stats.Builds, stats.Probes)
-	if req.Explain {
-		enc.Encode(map[string]any{"trace": stats.Trace})
-	}
-	if flusher != nil {
-		flusher.Flush()
+		s.serve(q, st)
 	}
 }
 
+// serve runs an admitted SELECT and is its single observed exit: whatever
+// happens after admission — a bad knob, a bind error, a canceled run, a
+// clean finish — reaches finishObserved exactly once, and then the client
+// hears about it in the one way still open (HTTP status, in-band error
+// line, or done trailer).
+func (s *Server) serve(q *live, st *sql.Stmt) {
+	var reason string
+	var err error
+	if q.knobs, err = s.resolveKnobs(q.req); err == nil {
+		if q.req.Subscribe {
+			reason, err = s.subscribe(q, st)
+		} else {
+			err = s.execute(q, st)
+		}
+	}
+	q.stats.Elapsed = time.Since(q.start)
+	w := q.w
+	if err != nil {
+		cause, qs := err, statusError
+		if q.ctx.Err() != nil {
+			qs = statusCanceled
+			if c := context.Cause(q.ctx); c != nil {
+				cause = c
+			}
+		}
+		s.finishObserved(q, qs, cause)
+		switch {
+		case q.sinkErr != nil:
+			// The connection is gone; there is nobody to report to.
+		case q.started:
+			// Mid-stream: the status line is long gone; report in-band.
+			json.NewEncoder(w).Encode(map[string]string{"error": cause.Error()})
+		default:
+			code := http.StatusInternalServerError
+			switch {
+			case errors.As(err, &userError{}):
+				code = http.StatusBadRequest
+			case qs == statusCanceled && errors.Is(q.ctx.Err(), context.DeadlineExceeded):
+				code = http.StatusGatewayTimeout
+			case qs == statusCanceled:
+				code = http.StatusServiceUnavailable
+			}
+			writeJSONError(w, code, cause)
+		}
+		return
+	}
+	s.finishObserved(q, statusOK, nil)
+	if q.req.Subscribe {
+		fmt.Fprintf(w, `{"done":true,"id":%d,"rows":%d,"reason":%q}`+"\n", q.id, q.stats.Rows, reason)
+	} else {
+		fmt.Fprintf(w, `{"done":true,"id":%d,"rows":%d,"elapsed_ms":%g,"queue_ms":%g,"routing_steps":%d,"stem_builds":%d,"index_probes":%d}`+"\n",
+			q.id, q.stats.Rows, float64(q.stats.Elapsed)/float64(time.Millisecond),
+			float64(q.stats.QueueWait)/float64(time.Millisecond), q.stats.Routed, q.stats.Builds, q.stats.Probes)
+		if q.req.Explain {
+			json.NewEncoder(w).Encode(map[string]any{"trace": q.stats.Trace})
+		}
+	}
+	q.flush()
+}
+
 // finishObserved folds one finished execution into the metrics, the
-// completed-queries ring, and the structured log. It is called exactly once
-// per execution, success or failure.
-func (s *Server) finishObserved(qid uint64, req QueryRequest, canon string, qs queryStatus, cause error, stats *execStats, startWall time.Time) {
+// completed-queries ring, and the structured log.
+func (s *Server) finishObserved(q *live, qs queryStatus, cause error) {
+	stats := &q.stats
 	s.met.finishQuery(qs, stats.Rows, stats.Elapsed, stats.QueueWait, stats.Routed, stats.Builds, stats.Probes)
 	lg := s.cfg.Logger
 	if s.completed == nil && lg == nil {
 		return
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "concurrent"
-	}
-	polName := req.Policy
-	if polName == "" {
-		polName = s.cfg.Policy
-	}
 	rec := queryRecord{
-		ID:           qid,
-		Session:      req.Session,
-		SQL:          canon,
-		Engine:       engine,
-		Policy:       polName,
+		ID:           q.id,
+		Session:      q.req.Session,
+		SQL:          q.canon,
+		Engine:       q.engineName,
+		Policy:       q.policy,
 		Status:       string(qs),
 		Rows:         stats.Rows,
 		QueueMS:      float64(stats.QueueWait) / float64(time.Millisecond),
@@ -371,7 +491,7 @@ func (s *Server) finishObserved(qid uint64, req QueryRequest, canon string, qs q
 		PlanCacheHit: stats.CacheHit,
 		SharedStems:  stats.Shared,
 		Spilled:      stats.Spilled,
-		Start:        startWall,
+		Start:        q.start,
 		Modules:      stats.Trace.Modules,
 	}
 	if cause != nil {
@@ -397,333 +517,141 @@ func (s *Server) beginQuery() bool {
 	return true
 }
 
-// execute binds and runs one SELECT, feeding result rows to sink. Rows
-// stream as the eddy emits them unless the statement has ORDER BY or LIMIT
-// (both are applied above the eddy, so those queries buffer and arrange
-// first). Engine-level statistics are returned even on a canceled run.
+// execute runs one bounded SELECT. Every query takes the same road: a plan
+// entry supplies the bound statement (a cached one, or with the cache off a
+// transient entry used once); shared SteMs are attached iff the query runs
+// ungoverned (a spill governor is per-query state, and attached tables need
+// none); the execution handle comes out of the entry's pool iff the Spec is
+// poolable — concurrent engine, no governor — and is built by core
+// otherwise; and it goes back iff it is poolable and the run was clean.
 //
-// Concurrent-engine queries without a memory budget run through the plan
-// cache (executeCached): the bound statement is reused across executions
-// with the same canonical text and knobs, and router+engine shells are
-// pooled. Sim-engine and governed queries take the fresh-build path — a
-// spill governor is per-query disk state no shell may share.
-func (s *Server) execute(ctx context.Context, req QueryRequest, st *sql.Stmt, canon string, sink func(*tuple.Tuple, []sql.OutputCol) error) (execStats, error) {
-	var stats execStats
-	start := time.Now()
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.cfg.Seed
-	}
-	polName := req.Policy
-	if polName == "" {
-		polName = s.cfg.Policy
-	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.Shards
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = s.cfg.BatchSize
-	}
-	switch req.Engine {
-	case "", "concurrent", "sim":
-	default:
-		return stats, userError{fmt.Errorf("unknown engine %q (want concurrent or sim)", req.Engine)}
-	}
-	// Per-query memory limit: every admitted query runs under its own byte
-	// governor (real disk spill + replay), so MaxInFlight × budget bounds
-	// the server's total SteM footprint. Client requests tighten the server
-	// limit, never exceed it — and never enable disk spill on a server
-	// whose operator left it off (client-controlled disk I/O must be an
-	// operator opt-in).
-	if req.MemBudgetBytes < 0 {
-		return stats, userError{fmt.Errorf("mem_budget_bytes must be >= 0, got %d", req.MemBudgetBytes)}
-	}
-	budget := int64(0)
-	if s.cfg.MemBudgetBytes > 0 {
-		budget = req.MemBudgetBytes
-		if budget == 0 || budget > s.cfg.MemBudgetBytes {
-			budget = s.cfg.MemBudgetBytes
-		}
-	}
-
-	if s.plans != nil && budget == 0 && req.Engine != "sim" {
-		key := planKey{canon: canon, policy: polName, seed: seed, shards: shards, batch: batch}
-		return s.executeCached(ctx, req, st, key, sink, start)
-	}
-
-	pol, err := policy.ByName(polName, seed)
-	if err != nil {
-		return stats, userError{err}
-	}
-	snap := s.cat.Snapshot()
-	bound, err := sql.Bind(st, snap)
-	if err != nil {
-		return stats, userError{err}
-	}
-	ropts := eddy.Options{Policy: pol, Shards: shards}
-	// Catalog-owned shared SteMs: governed queries stay all-private (a
-	// spill governor is per-query state, and attached tables need none),
-	// so attachment is gated on running without a memory budget. The
-	// released-only-after-return defer is safe because both engines leave
-	// zero goroutines behind when RunContext/Run returns.
-	if budget == 0 {
-		shared, err := s.shared.planAttach(st, bound.Q, snap, shards)
-		if err != nil {
-			return stats, err
-		}
-		defer shared.release()
-		if shared != nil {
-			ropts.SharedFor = shared.sharedFor
-			stats.Shared = true
-		}
-	}
-	var gov *stem.Governor
-	if budget > 0 {
-		dir := s.cfg.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		gov, err = stem.NewSpillGovernor(budget, stem.AllocByProbes, dir)
-		if err != nil {
-			return stats, err
-		}
-		// Close removes every spill segment on any exit, including a
-		// session DELETE or deadline canceling the run mid-join.
-		defer gov.Close()
-		defer s.trackGovernor(gov)()
-		ropts.Governor = gov
-	}
-	r, err := eddy.NewRouter(bound.Q, ropts)
-	if err != nil {
-		return stats, userError{err}
-	}
-
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-
-	streaming := len(bound.OrderBy) == 0 && bound.Limit < 0
-	var sinkErr error
-	emit := func(t *tuple.Tuple) {
-		if sinkErr != nil {
-			return
-		}
-		if err := sink(t, bound.Output); err != nil {
-			sinkErr = err
-			cancel(fmt.Errorf("client write failed: %w", err))
-			return
-		}
-		stats.Rows++
-	}
-
-	// The collector rides every execution (GET /queries records carry
-	// module stats); the policy's learned state is snapshotted into the
-	// trace only when the request asked for an explain.
-	coll := trace.NewCollector(r.Modules())
-	var outs []eddy.Output
-	var runErr error
-	switch req.Engine {
-	case "", "concurrent":
-		eng := eddy.NewConcurrent(r, clock.NewReal(s.cfg.TimeCompression))
-		eng.BatchSize = batch
-		eng.Columnar = !s.cfg.RowBatches
-		if streaming {
-			eng.OnOutput = func(t *tuple.Tuple, at clock.Time) { emit(t) }
-		}
-		coll.AttachConcurrent(eng)
-		outs, runErr = eng.RunContext(ctx)
-	case "sim":
-		sim := eddy.NewSim(r)
-		sim.Ctx = ctx
-		if streaming {
-			sim.OnOutput = func(t *tuple.Tuple, at clock.Time) { emit(t) }
-		}
-		coll.Attach(sim)
-		outs, runErr = sim.Run()
-	default:
-		return stats, userError{fmt.Errorf("unknown engine %q (want concurrent or sim)", req.Engine)}
-	}
-
-	stats.Routed = r.Routed()
-	for _, a := range r.AMs() {
-		stats.Probes += a.Stats().Probes
-	}
-	for _, sm := range r.SteMs() {
-		stats.Builds += sm.Stats().Builds
-	}
-	stats.Elapsed = time.Since(start)
-	var tracePol policy.Policy
-	if req.Explain {
-		tracePol = pol
-	}
-	stats.Trace = coll.Record(tracePol)
-	if runErr != nil {
-		return stats, runErr
-	}
-	if gov != nil {
-		if serr := gov.Err(); serr != nil {
-			return stats, fmt.Errorf("spill I/O failed (results fell back to resident storage): %w", serr)
-		}
-		_, sp := gov.BytesStats()
-		stats.Spilled = sp > 0
-	}
-	if sinkErr != nil {
-		return stats, sinkErr
-	}
-	if n := r.Stuck(); n > 0 {
-		return stats, fmt.Errorf("internal error: %d tuples had no legal route", n)
-	}
-	if !streaming {
-		ts := make([]*tuple.Tuple, len(outs))
-		for i, o := range outs {
-			ts[i] = o.T
-		}
-		for _, t := range bound.Arrange(ts) {
-			emit(t)
-		}
-		if sinkErr != nil {
-			return stats, sinkErr
-		}
-	}
-	return stats, nil
-}
-
-// executeCached runs one SELECT through the plan cache: the bound statement
-// is shared across executions keyed by canonical text + knobs + catalog
-// version, and router+engine shells are pooled per entry. The routing policy
-// stays with its shell across executions — the cache key pins its name and
-// seed, so reuse only ever continues the same learner, and what it learned
-// on earlier executions of the statement carries over (a warm plan routes
-// better than a cold one). The clock is installed fresh by the Reset
-// sequence (it anchors a start time); everything else survives reuse
-// untouched because eddy.Concurrent.RunContext leaves zero goroutines and
-// Reset restores the shell to a provably pristine state
-// (internal/eddy/reset_test.go).
-func (s *Server) executeCached(ctx context.Context, req QueryRequest, st *sql.Stmt, key planKey, sink func(*tuple.Tuple, []sql.OutputCol) error, start time.Time) (execStats, error) {
-	var stats execStats
+// A pooled handle keeps its routing policy across executions — the plan key
+// pins its name and seed, so reuse only ever continues the same learner,
+// and a warm plan routes better than a cold one. Everything else is
+// restored by Exec.Reset (internal/eddy/reset_test.go pins that a reset
+// engine is indistinguishable from a fresh one).
+func (s *Server) execute(q *live, st *sql.Stmt) error {
 	snap, version := s.cat.SnapshotVersioned()
-	entry, hit := s.plans.acquire(key, version)
-	if !hit {
-		bound, err := sql.Bind(st, snap)
-		if err != nil {
-			return stats, userError{err}
-		}
-		entry = s.plans.insert(key, version, bound)
+	entry, err := s.planFor(q, st, snap, version)
+	if err != nil {
+		return err
 	}
 	defer entry.unref()
 	bound := entry.bound
-
-	// Shared-SteM attachments are per-execution (the sync.Pool may drop a
-	// shell at any time, so a shell can never own a refcount): attach here,
-	// release after the run has fully unwound. A pooled shell is reusable
-	// only if its router was built against exactly these states — a rebuild
-	// after REGISTER or an eviction changes the pointers and the shell is
-	// discarded in favor of a fresh build.
-	shared, err := s.shared.planAttach(st, bound.Q, snap, key.shards)
-	if err != nil {
-		return stats, err
+	spec := core.Spec{
+		Q:               bound.Q,
+		Engine:          q.engine,
+		Policy:          q.policy,
+		Seed:            q.seed,
+		Shards:          q.shards,
+		Batch:           q.batch,
+		RowBatches:      s.cfg.RowBatches,
+		MemoryBytes:     q.budget,
+		SpillDir:        s.cfg.SpillDir,
+		TimeCompression: s.cfg.TimeCompression,
+		// The collector rides every execution: GET /queries records carry
+		// module stats whether or not the request asked for an explain.
+		Trace: true,
 	}
-	defer shared.release()
-
-	shell := entry.getShell()
-	if shell != nil && !shellSharedMatches(shell.shared, shared) {
-		shell = nil
-	}
-	if shell == nil {
-		pol, err := policy.ByName(key.policy, key.seed)
+	if q.budget == 0 {
+		// Attachments are per-execution (the sync.Pool may drop a handle
+		// at any time, so a handle can never own a refcount): attach here,
+		// release after the run has fully unwound — both engines leave zero
+		// goroutines behind when Run returns.
+		shared, err := s.shared.planAttach(st, bound.Q, snap, q.shards)
 		if err != nil {
-			return stats, userError{err}
+			return err
 		}
-		ropts := eddy.Options{Policy: pol, Shards: key.shards}
+		defer shared.release()
 		if shared != nil {
-			ropts.SharedFor = shared.sharedFor
+			spec.Shared, q.stats.Shared = shared.states, true
 		}
-		r, err := eddy.NewRouter(bound.Q, ropts)
-		if err != nil {
-			return stats, userError{err}
+	}
+
+	var ex *core.Exec
+	if spec.Poolable() {
+		// A pooled handle is reusable only if its router was built against
+		// exactly these shared states: a rebuild after REGISTER or an
+		// eviction yields a new *SharedState a stale router must not probe.
+		if ex, _ = entry.handles.Get().(*core.Exec); ex != nil && !slices.Equal(ex.Shared(), spec.Shared) {
+			ex = nil
 		}
-		shell = &engineShell{
-			r:      r,
-			eng:    eddy.NewConcurrent(r, clock.NewReal(s.cfg.TimeCompression)),
-			coll:   trace.NewCollector(r.Modules()),
-			shared: shared.statesOrNil(),
-		}
+	}
+	if ex != nil {
+		err = ex.Reset()
 	} else {
-		// The Reset sequence restores a pristine shell; the collector joins
-		// it so a pooled execution can never report a predecessor's stats
-		// (eng.Reset also cleared the hooks that fed it).
-		shell.r.Reset(nil)
-		shell.eng.Reset()
-		shell.eng.SetClock(clock.NewReal(s.cfg.TimeCompression))
-		shell.coll.Reset()
+		ex, err = core.Build(spec)
 	}
-	r, eng := shell.r, shell.eng
-	stats.CacheHit = hit
-	stats.Shared = shared != nil
-
-	// Only cleanly completed shells go back in the pool; a canceled or
-	// failed run may leave batches stranded mid-flight, and while Reset
-	// could recover them, pooling only clean shells keeps the invariant
-	// easy to audit. The defer runs after the arrange/emit below, so the
-	// shell is never reusable while its outputs are still being read.
-	clean := false
-	defer func() {
-		if clean {
-			eng.OnOutput = nil
-			eng.OnService = nil
-			entry.putShell(shell)
+	if err != nil {
+		var pe *fs.PathError
+		if errors.As(err, &pe) {
+			return err // the spill directory is the operator's problem, not the request's
 		}
-	}()
+		return userError{err}
+	}
+	if q.budget > 0 {
+		defer s.trackSpill(ex)()
+	}
 
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
+	err = s.stream(q, ex, bound)
+	// Only cleanly completed handles go back in the pool, only once their
+	// outputs have been read, and never into a dead entry (a handle built
+	// against an invalidated plan must not serve a later execution);
+	// everything else is torn down here, which removes a governed query's
+	// spill directory on any exit — including a session DELETE or a
+	// deadline canceling the run mid-join.
+	if err == nil && ex.Poolable() && !entry.dead.Load() {
+		entry.handles.Put(ex)
+	} else {
+		ex.Close()
+	}
+	return err
+}
 
+// planFor returns the referenced plan entry to execute with: the cached one
+// on a hit, else a freshly bound one — published when the cache is on,
+// transient (used once, never listed, accepting no handle back) when it is
+// off.
+func (s *Server) planFor(q *live, st *sql.Stmt, snap sql.MapCatalog, version uint64) (*planEntry, error) {
+	key := planKey{canon: q.canon, policy: q.policy, seed: q.seed, shards: q.shards, batch: q.batch}
+	if s.plans != nil {
+		if entry, hit := s.plans.acquire(key, version); hit {
+			q.stats.CacheHit = true
+			return entry, nil
+		}
+	}
+	bound, err := sql.Bind(st, snap)
+	if err != nil {
+		return nil, userError{err}
+	}
+	if s.plans == nil {
+		entry := &planEntry{key: key, version: version, bound: bound}
+		entry.dead.Store(true)
+		return entry, nil
+	}
+	return s.plans.insert(key, version, bound), nil
+}
+
+// stream runs the handle and feeds result rows to the client. Rows stream
+// as the eddy emits them unless the statement has ORDER BY or LIMIT (both
+// are applied above the eddy, so those queries buffer and arrange first).
+// Engine-level statistics are recorded even on a canceled run.
+func (s *Server) stream(q *live, ex *core.Exec, bound *sql.Bound) error {
+	q.out = bound.Output
 	streaming := len(bound.OrderBy) == 0 && bound.Limit < 0
-	var sinkErr error
-	emit := func(t *tuple.Tuple) {
-		if sinkErr != nil {
-			return
-		}
-		if err := sink(t, bound.Output); err != nil {
-			sinkErr = err
-			cancel(fmt.Errorf("client write failed: %w", err))
-			return
-		}
-		stats.Rows++
-	}
-
-	eng.BatchSize = key.batch
-	eng.Columnar = !s.cfg.RowBatches
+	var onOutput func(*tuple.Tuple, clock.Time)
 	if streaming {
-		eng.OnOutput = func(t *tuple.Tuple, at clock.Time) { emit(t) }
+		onOutput = q.emit
 	}
-	shell.coll.AttachConcurrent(eng)
-	outs, runErr := eng.RunContext(ctx)
-
-	stats.Routed = r.Routed()
-	for _, a := range r.AMs() {
-		stats.Probes += a.Stats().Probes
-	}
-	for _, sm := range r.SteMs() {
-		stats.Builds += sm.Stats().Builds
-	}
-	stats.Elapsed = time.Since(start)
-	var tracePol policy.Policy
-	if req.Explain {
-		tracePol = r.Policy()
-	}
-	stats.Trace = shell.coll.Record(tracePol)
-	stuck := r.Stuck()
-	clean = runErr == nil && stuck == 0
-	if runErr != nil {
-		return stats, runErr
-	}
-	if sinkErr != nil {
-		return stats, sinkErr
-	}
-	if stuck > 0 {
-		return stats, fmt.Errorf("internal error: %d tuples had no legal route", stuck)
+	outs, err := ex.Run(q.ctx, onOutput)
+	st := ex.Stats()
+	q.stats.Routed, q.stats.Builds, q.stats.Probes = st.RoutingSteps, st.Builds, st.IndexProbes
+	q.stats.Spilled = st.SpilledBuilds > 0
+	// The policy's learned state is snapshotted into the trace only when
+	// the request asked for an explain.
+	q.stats.Trace = ex.Record(q.req.Explain)
+	if err != nil {
+		return err
 	}
 	if !streaming {
 		ts := make([]*tuple.Tuple, len(outs))
@@ -731,11 +659,8 @@ func (s *Server) executeCached(ctx context.Context, req QueryRequest, st *sql.St
 			ts[i] = o.T
 		}
 		for _, t := range bound.Arrange(ts) {
-			emit(t)
-		}
-		if sinkErr != nil {
-			return stats, sinkErr
+			q.emit(t, 0)
 		}
 	}
-	return stats, nil
+	return q.sinkErr
 }

@@ -1,15 +1,18 @@
-// plancache.go is the server's bounded plan/router cache: the Prepare half
-// of the Parse → Prepare → Execute split. A cache entry holds a statement
-// bound at a specific catalog version plus a pool of reset-and-reuse
-// router+engine shells, so a hot EXECUTE (or a repeated ad-hoc SELECT, which
+// plancache.go is the server's bounded plan cache: the Prepare half of the
+// Parse → Prepare → Execute split. A cache entry holds a statement bound at
+// a specific catalog version plus a pool of reset-and-reuse execution
+// handles (core.Exec), so a hot EXECUTE (or a repeated ad-hoc SELECT, which
 // auto-prepares under its canonical text) admission-checks and runs without
-// re-parsing, re-binding, or rebuilding the operator graph.
+// re-parsing, re-binding, or rebuilding the operator graph. Every bounded
+// query goes through an entry; only poolable handles — concurrent engine,
+// no memory governor — are kept in its pool, so a sim-engine or governed
+// query reuses the bound statement and builds its handle fresh.
 //
 // Invalidation is lazy and version-driven: REGISTER bumps the catalog
 // version, and a lookup whose snapshot version differs from the entry's
 // marks the entry dead and misses. In-flight executions are unaffected —
-// they hold their own reference to the entry and their own shell, and a
-// dead entry simply stops accepting shells back. The cache is bounded by
+// they hold their own reference to the entry and their own handle, and a
+// dead entry simply stops accepting handles back. The cache is bounded by
 // LRU eviction and exposes hit/miss/invalidation/eviction counters.
 package server
 
@@ -18,10 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/eddy"
 	"repro/internal/sql"
-	"repro/internal/stem"
-	"repro/internal/trace"
 )
 
 // planKey identifies one executable plan shape: the canonical statement
@@ -36,38 +36,20 @@ type planKey struct {
 	batch  int
 }
 
-// engineShell is one reusable router+engine pair. A shell is never shared:
-// an execution takes it from the pool (or builds it fresh), runs, and
-// returns it only after a clean completion — eddy.Concurrent.RunContext
-// guarantees zero surviving goroutines, and the Reset contract (see
-// internal/eddy/reset_test.go) makes a reset shell indistinguishable from a
-// freshly built one.
-type engineShell struct {
-	r   *eddy.Router
-	eng *eddy.Concurrent
-	// coll is the shell's trace collector, pooled with the shell and Reset
-	// before every reuse — the per-execution-stats invariant: a pooled
-	// shell never carries observed statistics across runs. (The routing
-	// policy deliberately does carry its learned state over; the collector
-	// reports a single execution.)
-	coll *trace.Collector
-	// shared records the shared-SteM states (by table position) the router
-	// was built against; executions pointer-compare it with their own
-	// attachments and discard the shell on mismatch, since a REGISTER or an
-	// eviction produces a new state a stale router must not probe. The
-	// shell holds no references — each execution attaches and releases its
-	// own, so a pool entry dropped silently by the GC leaks nothing.
-	shared []*stem.SharedState
-}
-
 // planEntry is one cached plan: the bound statement, the catalog version it
-// was bound at, and the shell pool.
+// was bound at, and a pool of reusable execution handles. A handle is never
+// shared: an execution takes it from the pool (or builds one), runs, and
+// returns it only after a clean completion — core.Exec.Reset (see
+// internal/eddy/reset_test.go) makes a reset handle indistinguishable from a
+// freshly built one, except for the routing policy it deliberately keeps.
+// Pooled handles hold no shared-SteM references — each execution attaches
+// and releases its own — so one dropped silently by the GC leaks nothing.
 type planEntry struct {
 	key     planKey
 	version uint64
 	bound   *sql.Bound
 
-	// dead flips when the entry is invalidated or evicted: shells are no
+	// dead flips when the entry is invalidated or evicted: handles are no
 	// longer accepted back, so a dead entry drains as executions finish.
 	dead atomic.Bool
 	// refs counts in-flight executions using this entry's bound plan.
@@ -75,30 +57,13 @@ type planEntry struct {
 	// hits counts lookups that landed on this entry.
 	hits atomic.Uint64
 
-	shells sync.Pool // of *engineShell
+	handles sync.Pool // of *core.Exec
 
 	elem *list.Element // LRU position; guarded by the cache mutex
 }
 
 // unref drops an execution's reference.
 func (e *planEntry) unref() { e.refs.Add(-1) }
-
-// getShell takes a pooled shell, or nil when the pool is empty (the caller
-// builds one). The shell comes back dirty — the caller resets it with the
-// execution's fresh policy and clock before running.
-func (e *planEntry) getShell() *engineShell {
-	sh, _ := e.shells.Get().(*engineShell)
-	return sh
-}
-
-// putShell returns a shell after a clean run. Dead entries drop it: a shell
-// built against an invalidated plan must never serve a later execution.
-func (e *planEntry) putShell(sh *engineShell) {
-	if e.dead.Load() {
-		return
-	}
-	e.shells.Put(sh)
-}
 
 // planCache is a bounded, LRU-evicting map from plan key to entry.
 type planCache struct {
@@ -149,7 +114,7 @@ func (pc *planCache) acquire(k planKey, version uint64) (*planEntry, bool) {
 // insert publishes a freshly bound plan, returning the entry to execute
 // with (referenced; release with unref). When a concurrent miss already
 // published the same key at the same version, the racing loser adopts the
-// winner's entry so both executions share one shell pool.
+// winner's entry so both executions share one handle pool.
 func (pc *planCache) insert(k planKey, version uint64, bound *sql.Bound) *planEntry {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

@@ -26,8 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sql"
-	"repro/internal/stem"
 )
 
 // Config tunes the server. Zero values take the documented defaults.
@@ -72,9 +72,9 @@ type Config struct {
 	// private os.Root-confined subdirectory, removed when the query ends);
 	// empty defaults to os.TempDir().
 	SpillDir string
-	// PlanCacheSize bounds the prepared-plan/router cache (LRU-evicted).
-	// 0 takes the default of 128; negative disables caching, so every
-	// statement re-binds and rebuilds its engine (the pre-cache behavior).
+	// PlanCacheSize bounds the plan cache (LRU-evicted). 0 takes the default
+	// of 128; negative: entries are transient, nothing is published or
+	// pooled — every statement re-binds and builds its handle.
 	PlanCacheSize int
 	// SharedStems enables catalog-owned shared SteMs: the first query that
 	// joins through a registered table builds its SteM state once, and
@@ -213,12 +213,12 @@ type Server struct {
 	sessions map[string]*session
 	sid      atomic.Uint64
 
-	// govs tracks the live per-query spill governors, so /metrics can gauge
+	// govs tracks the live governed executions, so /metrics can gauge
 	// resident and spilled SteM bytes across the whole server.
 	govMu sync.Mutex
-	govs  map[*stem.Governor]struct{}
+	govs  map[*core.Exec]struct{}
 
-	// plans is the bounded plan/router cache; nil when disabled by config.
+	// plans is the bounded plan cache; nil when disabled by config.
 	plans *planCache
 	// shared is the catalog-owned shared-SteM manager; nil when disabled.
 	shared *sharedStems
@@ -254,7 +254,7 @@ func New(cat *Catalog, cfg Config) *Server {
 		drainCh:    make(chan struct{}),
 		sem:        make(chan struct{}, cfg.MaxInFlight),
 		sessions:   make(map[string]*session),
-		govs:       make(map[*stem.Governor]struct{}),
+		govs:       make(map[*core.Exec]struct{}),
 		prepared:   make(map[string]*preparedStmt),
 	}
 	if cfg.PlanCacheSize > 0 {
@@ -413,25 +413,26 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// trackGovernor registers a query's spill governor for the byte gauges and
-// returns the matching untrack func.
-func (s *Server) trackGovernor(g *stem.Governor) func() {
+// trackSpill registers a governed execution for the byte gauges and returns
+// the matching untrack func.
+func (s *Server) trackSpill(ex *core.Exec) func() {
 	s.govMu.Lock()
-	s.govs[g] = struct{}{}
+	s.govs[ex] = struct{}{}
 	s.govMu.Unlock()
 	return func() {
 		s.govMu.Lock()
-		delete(s.govs, g)
+		delete(s.govs, ex)
 		s.govMu.Unlock()
 	}
 }
 
-// spillBytes sums resident and spilled SteM footprint over live governors.
+// spillBytes sums resident and spilled SteM footprint over live governed
+// executions.
 func (s *Server) spillBytes() (resident, spilled int64) {
 	s.govMu.Lock()
 	defer s.govMu.Unlock()
-	for g := range s.govs {
-		r, sp := g.BytesStats()
+	for ex := range s.govs {
+		r, sp := ex.SpillBytes()
 		resident += r
 		spilled += sp
 	}

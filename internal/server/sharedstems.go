@@ -298,14 +298,6 @@ type sharedPlan struct {
 	entries []*sharedEntry
 }
 
-// sharedFor adapts the plan to eddy.Options.SharedFor.
-func (p *sharedPlan) sharedFor(t int) *stem.SharedState {
-	if p == nil {
-		return nil
-	}
-	return p.states[t]
-}
-
 // release drops the plan's references. Call exactly once per execution,
 // after the engine has unwound (no goroutine may still be probing).
 func (p *sharedPlan) release() {
@@ -315,31 +307,6 @@ func (p *sharedPlan) release() {
 	for _, e := range p.entries {
 		p.m.release(e)
 	}
-}
-
-// statesOrNil returns the per-table states for shell compatibility checks.
-func (p *sharedPlan) statesOrNil() []*stem.SharedState {
-	if p == nil {
-		return nil
-	}
-	return p.states
-}
-
-// shellSharedMatches reports whether a pooled shell's recorded attachments
-// are exactly this execution's: same state pointers at same positions. A
-// rebuild after REGISTER or an eviction yields a different *SharedState, so
-// pointer identity is the staleness test.
-func shellSharedMatches(shell []*stem.SharedState, plan *sharedPlan) bool {
-	want := plan.statesOrNil()
-	if len(shell) != len(want) {
-		return false
-	}
-	for i := range want {
-		if shell[i] != want[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // planAttach decides which of a query's tables can ride catalog-owned

@@ -595,7 +595,11 @@ func TestInsertEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestSubscribeRejections pins the subscription validation surface.
+// TestSubscribeRejections pins the subscription validation surface: every
+// case is a 400, and the ones raised after admission (observed) are
+// accounted like any other failed query — the error counter and the
+// completed-queries ring each move by exactly one — while request-shape
+// rejections never take a slot and leave both alone.
 func TestSubscribeRejections(t *testing.T) {
 	cat := memCatalog(t, time.Millisecond)
 	if err := cat.AddIndex("u", "p", time.Millisecond); err != nil {
@@ -604,24 +608,40 @@ func TestSubscribeRejections(t *testing.T) {
 	_, ts, client := newTestServer(t, cat, Config{})
 
 	cases := []struct {
-		name string
-		body map[string]any
+		name     string
+		body     map[string]any
+		observed bool
 	}{
-		{"order by", map[string]any{"sql": "SELECT r.key FROM r, s WHERE r.a = s.x ORDER BY r.key", "subscribe": true}},
-		{"limit", map[string]any{"sql": "SELECT r.key FROM r, s WHERE r.a = s.x LIMIT 3", "subscribe": true}},
-		{"register", map[string]any{"sql": "REGISTER TABLE z FROM 'z.csv'", "subscribe": true}},
-		{"insert", map[string]any{"sql": "INSERT INTO r VALUES (1, 2)", "subscribe": true}},
-		{"explain", map[string]any{"sql": threeWayJoin, "subscribe": true, "explain": true}},
-		{"mem budget", map[string]any{"sql": threeWayJoin, "subscribe": true, "mem_budget_bytes": 1 << 20}},
-		{"bad engine", map[string]any{"sql": threeWayJoin, "subscribe": true, "engine": "warp"}},
-		{"indexed table", map[string]any{"sql": "SELECT s.x, u.q FROM s, u WHERE s.y = u.p", "subscribe": true}},
-		{"window without subscribe", map[string]any{"sql": threeWayJoin, "window": map[string]int{"r": 2}}},
-		{"window unknown table", map[string]any{"sql": threeWayJoin, "subscribe": true, "window": map[string]int{"zz": 2}}},
-		{"window non-positive", map[string]any{"sql": threeWayJoin, "subscribe": true, "window": map[string]int{"r": 0}}},
+		{"order by", map[string]any{"sql": "SELECT r.key FROM r, s WHERE r.a = s.x ORDER BY r.key", "subscribe": true}, true},
+		{"limit", map[string]any{"sql": "SELECT r.key FROM r, s WHERE r.a = s.x LIMIT 3", "subscribe": true}, true},
+		{"register", map[string]any{"sql": "REGISTER TABLE z FROM 'z.csv'", "subscribe": true}, false},
+		{"insert", map[string]any{"sql": "INSERT INTO r VALUES (1, 2)", "subscribe": true}, false},
+		{"explain", map[string]any{"sql": threeWayJoin, "subscribe": true, "explain": true}, false},
+		{"mem budget", map[string]any{"sql": threeWayJoin, "subscribe": true, "mem_budget_bytes": 1 << 20}, false},
+		{"bad engine", map[string]any{"sql": threeWayJoin, "subscribe": true, "engine": "warp"}, true},
+		{"bad policy", map[string]any{"sql": threeWayJoin, "subscribe": true, "policy": "warp"}, true},
+		{"unknown table", map[string]any{"sql": "SELECT zz.k FROM zz", "subscribe": true}, true},
+		{"indexed table", map[string]any{"sql": "SELECT s.x, u.q FROM s, u WHERE s.y = u.p", "subscribe": true}, true},
+		{"window without subscribe", map[string]any{"sql": threeWayJoin, "window": map[string]int{"r": 2}}, false},
+		{"window unknown table", map[string]any{"sql": threeWayJoin, "subscribe": true, "window": map[string]int{"zz": 2}}, true},
+		{"window non-positive", map[string]any{"sql": threeWayJoin, "subscribe": true, "window": map[string]int{"r": 0}}, true},
 	}
+	const errCounter = `stemsd_queries_total{status="error"}`
 	for _, tc := range cases {
+		errsBefore := metricGauge(t, client, ts.URL, errCounter)
+		ringBefore := len(fetchQueries(t, client, ts.URL, ""))
 		if res := postQuery(t, client, ts.URL, tc.body); res.status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, res.status)
+		}
+		want := 0
+		if tc.observed {
+			want = 1
+		}
+		if got := int(metricGauge(t, client, ts.URL, errCounter) - errsBefore); got != want {
+			t.Errorf("%s: error counter moved by %d, want %d", tc.name, got, want)
+		}
+		if got := len(fetchQueries(t, client, ts.URL, "")) - ringBefore; got != want {
+			t.Errorf("%s: completed ring grew by %d, want %d", tc.name, got, want)
 		}
 	}
 }

@@ -1,21 +1,18 @@
 // prepared.go is the facade's prepare-once-execute-many surface, mirroring
-// the stemsd server's plan cache: the query is validated, its module graph
-// built, and the concurrent engine constructed a single time; each Run
-// resets the shell (dictionaries cleared in place, inboxes rewound, zero
-// goroutines left behind — see internal/eddy/reset_test.go) instead of
-// rebuilding it, so hot repeated queries pay near-zero setup.
+// the stemsd server's plan cache: the query is validated and its execution
+// handle built (internal/core) a single time; each Run resets the handle in
+// place (dictionaries cleared, inboxes rewound, zero goroutines left behind
+// — see internal/eddy/reset_test.go) instead of rebuilding it, so hot
+// repeated queries pay near-zero setup.
 package stems
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/clock"
-	"repro/internal/eddy"
-	"repro/internal/policy"
+	"repro/internal/core"
 	"repro/internal/query"
-	"repro/internal/stem"
 	"repro/internal/tuple"
 )
 
@@ -23,13 +20,11 @@ import (
 // policy persists across executions, so what it learned on earlier runs
 // carries over — a warm Prepared routes better than a cold one. A Prepared
 // is not safe for concurrent use: executions must be serial (the server
-// pools multiple shells per plan for parallelism; here, Prepare twice).
+// pools multiple handles per plan for parallelism; here, Prepare twice).
 type Prepared struct {
 	iq   *query.Q
-	r    *eddy.Router
-	eng  *eddy.Concurrent
-	opts Options
-	ran  bool
+	ex   *core.Exec
+	hook func(*tuple.Tuple, clock.Time) // Options.OnResult, adapted; may be nil
 }
 
 // Prepare builds the query's module graph and concurrent engine for
@@ -55,43 +50,15 @@ func (q *Query) Prepare(opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var pol policy.Policy
-	switch opts.Policy {
-	case Fixed:
-		pol = policy.NewFixed()
-	case Lottery:
-		pol = policy.NewLottery(seed)
-	default:
-		pol = policy.NewBenefitCost(seed)
-	}
-	ropts := eddy.Options{Policy: pol, Shards: opts.Shards}
-	if opts.BounceForIndexChoice {
-		ropts.ProbeBounce = stem.BounceIfIndexAM
-	}
-	if opts.SkipBuildTable != "" {
-		ti, ok := q.order[opts.SkipBuildTable]
-		if !ok {
-			return nil, fmt.Errorf("stems: SkipBuildTable %q unknown", opts.SkipBuildTable)
-		}
-		ropts.SkipBuild = true
-		ropts.SkipBuildTable = ti
-	}
-	r, err := eddy.NewRouter(iq, ropts)
+	spec, err := q.spec(iq, opts)
 	if err != nil {
 		return nil, err
 	}
-	comp := opts.TimeCompression
-	if comp == 0 {
-		comp = 0.001
+	ex, err := core.Build(spec)
+	if err != nil {
+		return nil, err
 	}
-	eng := eddy.NewConcurrent(r, clock.NewReal(comp))
-	eng.BatchSize = opts.BatchSize
-	eng.Columnar = !opts.RowBatches
-	return &Prepared{iq: iq, r: r, eng: eng, opts: opts}, nil
+	return &Prepared{iq: iq, ex: ex, hook: rowHook(iq, opts.OnResult)}, nil
 }
 
 // Run executes the prepared query and collects all results.
@@ -100,91 +67,16 @@ func (p *Prepared) Run() (*Result, error) {
 }
 
 // RunContext is Run under a cancellation context. After a canceled or
-// failed run the shell is rebuilt from scratch on the next call (a stopped
-// run may strand batches mid-flight; only clean completions are reused),
-// so an error never poisons the Prepared.
+// failed run the handle rebuilds itself from the same options on the next
+// call (a stopped run may strand batches mid-flight; only clean completions
+// are reset in place), so an error never poisons the Prepared.
 func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
-	if p.ran {
-		p.r.Reset(nil)
-		p.eng.Reset()
-		comp := p.opts.TimeCompression
-		if comp == 0 {
-			comp = 0.001
-		}
-		p.eng.SetClock(clock.NewReal(comp))
-	}
-	p.ran = true
-	if p.opts.OnResult != nil {
-		p.eng.OnOutput = func(t *tuple.Tuple, at clock.Time) {
-			p.opts.OnResult(Row{At: time.Duration(at), q: p.iq, t: t})
-		}
-	}
-	outs, err := p.eng.RunContext(ctx)
-	p.eng.OnOutput = nil
-	if err != nil {
-		p.rebuild()
+	if err := p.ex.Reset(); err != nil {
 		return nil, err
 	}
-	if n := p.r.Stuck(); n > 0 {
-		p.rebuild()
-		return nil, fmt.Errorf("stems: internal error — %d tuples had no legal route", n)
-	}
-
-	res := &Result{}
-	for _, o := range outs {
-		res.Rows = append(res.Rows, Row{At: time.Duration(o.At), q: p.iq, t: o.T})
-		if time.Duration(o.At) > res.Stats.Duration {
-			res.Stats.Duration = time.Duration(o.At)
-		}
-	}
-	res.Stats.RoutingSteps = p.r.Routed()
-	for _, a := range p.r.AMs() {
-		res.Stats.IndexProbes += a.Stats().Probes
-	}
-	for _, s := range p.r.SteMs() {
-		st := s.Stats()
-		res.Stats.SteMBuilds += st.Builds
-		res.Stats.SpilledBuilds += st.SpilledBuilds
-		res.Stats.ReplayMatches += st.ReplayMatches
-	}
-	return res, nil
-}
-
-// rebuild replaces the router and engine after a dirty run, keeping the
-// Prepared usable. Errors are deferred to the next RunContext, which will
-// fail identically at NewRouter if the query became unbuildable (it cannot:
-// the query is immutable once prepared, so rebuild always succeeds).
-func (p *Prepared) rebuild() {
-	seed := p.opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var pol policy.Policy
-	switch p.opts.Policy {
-	case Fixed:
-		pol = policy.NewFixed()
-	case Lottery:
-		pol = policy.NewLottery(seed)
-	default:
-		pol = policy.NewBenefitCost(seed)
-	}
-	ropts := eddy.Options{Policy: pol, Shards: p.opts.Shards}
-	if p.opts.BounceForIndexChoice {
-		ropts.ProbeBounce = stem.BounceIfIndexAM
-	}
-	r, err := eddy.NewRouter(p.iq, ropts)
+	outs, err := p.ex.Run(ctx, p.hook)
 	if err != nil {
-		// Unreachable (the graph built once already); keep the old shell,
-		// which Reset can still scrub for a retry.
-		return
+		return nil, err
 	}
-	comp := p.opts.TimeCompression
-	if comp == 0 {
-		comp = 0.001
-	}
-	p.r = r
-	p.eng = eddy.NewConcurrent(r, clock.NewReal(comp))
-	p.eng.BatchSize = p.opts.BatchSize
-	p.eng.Columnar = !p.opts.RowBatches
-	p.ran = false
+	return newResult(p.iq, p.ex.Stats(), outs), nil
 }

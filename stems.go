@@ -28,20 +28,18 @@ package stems
 import (
 	"context"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/eddy"
-	"repro/internal/policy"
 	"repro/internal/pred"
 	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/source"
 	"repro/internal/stem"
-	"repro/internal/trace"
 	"repro/internal/tuple"
 	"repro/internal/value"
 )
@@ -71,13 +69,13 @@ func Ints(names ...string) []Col {
 }
 
 // Engine selects the execution engine.
-type Engine int
+type Engine = core.Engine
 
 const (
 	// Sim is the deterministic discrete-event simulator (default).
-	Sim Engine = iota
+	Sim = core.Sim
 	// Concurrent runs a goroutine per module worker over channels.
-	Concurrent
+	Concurrent = core.Concurrent
 )
 
 // Policy selects the routing policy.
@@ -559,183 +557,131 @@ func (q *Query) Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	ropts := eddy.Options{Policy: newPolicy(opts.Policy, seed), Shards: opts.Shards}
-	if opts.BounceForIndexChoice {
-		ropts.ProbeBounce = stem.BounceIfIndexAM
-	}
-	if opts.SkipBuildTable != "" {
-		ti, ok := q.order[opts.SkipBuildTable]
-		if !ok {
-			return nil, fmt.Errorf("stems: SkipBuildTable %q unknown", opts.SkipBuildTable)
-		}
-		ropts.SkipBuild = true
-		ropts.SkipBuildTable = ti
-	}
-	var spillGov *stem.Governor
-	switch {
-	case opts.MemoryBudgetBytes > 0:
-		if opts.MemoryBudget > 0 {
-			return nil, fmt.Errorf("stems: MemoryBudget (modeled) and MemoryBudgetBytes (real spill) are mutually exclusive")
-		}
-		dir := opts.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		g, err := stem.NewSpillGovernor(opts.MemoryBudgetBytes, stem.AllocByProbes, dir)
-		if err != nil {
-			return nil, err
-		}
-		spillGov = g
-		defer spillGov.Close()
-		ropts.Governor = spillGov
-	case opts.MemoryBudget > 0:
-		pen := opts.SpillPenalty
-		if pen == 0 {
-			pen = 20 * time.Millisecond
-		}
-		ropts.Governor = stem.NewGovernor(opts.MemoryBudget, stem.AllocByProbes, clock.Duration(pen))
-	}
-	if len(opts.Window) > 0 {
-		wins := make([]int, len(q.tables))
-		for name, w := range opts.Window {
-			ti, ok := q.order[name]
-			if !ok {
-				return nil, fmt.Errorf("stems: Window table %q unknown", name)
-			}
-			wins[ti] = w
-		}
-		ropts.WindowFor = func(t int) int { return wins[t] }
-	}
-	if len(opts.Shared) > 0 {
-		states := make([]*stem.SharedState, len(q.tables))
-		for name, ss := range opts.Shared {
-			ti, ok := q.order[name]
-			if !ok {
-				return nil, fmt.Errorf("stems: Shared table %q unknown", name)
-			}
-			if ss == nil || ss.inner == nil {
-				return nil, fmt.Errorf("stems: Shared state for %q is nil", name)
-			}
-			states[ti] = ss.inner
-		}
-		ropts.SharedFor = func(t int) *stem.SharedState { return states[t] }
-	}
-	r, err := eddy.NewRouter(iq, ropts)
+	spec, err := q.spec(iq, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	var outs []eddy.Output
-	var collector *trace.Collector
-	switch opts.Engine {
-	case Concurrent:
-		if opts.OnPartial != nil {
-			return nil, fmt.Errorf("stems: OnPartial requires the simulation engine")
-		}
-		comp := opts.TimeCompression
-		if comp == 0 {
-			comp = 0.001
-		}
-		eng := eddy.NewConcurrent(r, clock.NewReal(comp))
-		eng.BatchSize = opts.BatchSize
-		eng.Columnar = !opts.RowBatches
-		if opts.OnResult != nil {
-			eng.OnOutput = func(t *tuple.Tuple, at clock.Time) {
-				opts.OnResult(Row{At: time.Duration(at), q: iq, t: t})
-			}
-		}
-		if opts.Explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.AttachConcurrent(eng)
-		}
-		ctx := opts.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		outs, err = eng.RunContext(ctx)
-	default:
-		sim := eddy.NewSim(r)
-		sim.Deadline = clock.Time(opts.Deadline)
-		sim.Ctx = opts.Context
-		if opts.OnResult != nil {
-			sim.OnOutput = func(t *tuple.Tuple, at clock.Time) {
-				opts.OnResult(Row{At: time.Duration(at), q: iq, t: t})
-			}
-		}
-		if opts.OnPartial != nil {
-			all := iq.AllTables()
-			sim.OnEmit = func(t *tuple.Tuple, at clock.Time) {
-				if t.EOT == nil && !t.Seed && t.Span.Count() >= 2 && t.Span != all {
-					opts.OnPartial(Row{At: time.Duration(at), q: iq, t: t})
-				}
-			}
-		}
-		if opts.Explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.Attach(sim)
-		}
-		outs, err = sim.Run()
-	}
+	ex, err := core.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spillGov != nil {
-		if serr := spillGov.Err(); serr != nil {
-			return nil, fmt.Errorf("stems: spill I/O failed (results fell back to resident storage): %w", serr)
-		}
+	defer ex.Close()
+	outs, err := ex.Run(opts.Context, rowHook(iq, opts.OnResult))
+	if err != nil {
+		return nil, err
 	}
-	for name, ss := range opts.Shared {
-		if serr := ss.inner.Err(); serr != nil {
-			return nil, fmt.Errorf("stems: shared state for %q failed a spill read (results may be incomplete): %w", name, serr)
-		}
-	}
-	if n := r.Stuck(); n > 0 {
-		return nil, fmt.Errorf("stems: internal error — %d tuples had no legal route", n)
-	}
-
-	res := buildResult(iq, r, outs)
-	if collector != nil {
-		res.Explain = collector.Report()
+	res := newResult(iq, ex.Stats(), outs)
+	if opts.Explain {
+		res.Explain = ex.Report()
 	}
 	return res, nil
 }
 
-// newPolicy instantiates the routing policy for a run; seed must already be
-// defaulted.
-func newPolicy(p Policy, seed int64) policy.Policy {
+// String returns the policy's internal/policy.ByName name.
+func (p Policy) String() string {
 	switch p {
 	case Fixed:
-		return policy.NewFixed()
+		return "fixed"
 	case Lottery:
-		return policy.NewLottery(seed)
+		return "lottery"
 	default:
-		return policy.NewBenefitCost(seed)
+		return "benefitcost"
 	}
 }
 
-// buildResult assembles a Result from engine outputs and the router's
+// spec is the one Options → core.Spec translation behind Run, Prepare and
+// Open: it resolves table names to FROM positions and unwraps shared
+// states; every default lives in core.
+func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
+	sp := core.Spec{
+		Q:               iq,
+		Engine:          opts.Engine,
+		Policy:          opts.Policy.String(),
+		Seed:            opts.Seed,
+		Shards:          opts.Shards,
+		Batch:           opts.BatchSize,
+		RowBatches:      opts.RowBatches,
+		MemoryRows:      opts.MemoryBudget,
+		SpillPenalty:    dur(opts.SpillPenalty),
+		MemoryBytes:     opts.MemoryBudgetBytes,
+		SpillDir:        opts.SpillDir,
+		TimeCompression: opts.TimeCompression,
+		Deadline:        clock.Time(opts.Deadline),
+		Trace:           opts.Explain,
+	}
+	if opts.BounceForIndexChoice {
+		sp.ProbeBounce = stem.BounceIfIndexAM
+	}
+	if opts.SkipBuildTable != "" {
+		ti, ok := q.order[opts.SkipBuildTable]
+		if !ok {
+			return sp, fmt.Errorf("stems: SkipBuildTable %q unknown", opts.SkipBuildTable)
+		}
+		sp.SkipBuild, sp.SkipBuildTable = true, ti
+	}
+	if len(opts.Window) > 0 {
+		sp.Windows = make([]int, len(q.tables))
+		for name, w := range opts.Window {
+			ti, ok := q.order[name]
+			if !ok {
+				return sp, fmt.Errorf("stems: Window table %q unknown", name)
+			}
+			sp.Windows[ti] = w
+		}
+	}
+	if len(opts.Shared) > 0 {
+		sp.Shared = make([]*stem.SharedState, len(q.tables))
+		for name, ss := range opts.Shared {
+			ti, ok := q.order[name]
+			if !ok {
+				return sp, fmt.Errorf("stems: Shared table %q unknown", name)
+			}
+			if ss == nil || ss.inner == nil {
+				return sp, fmt.Errorf("stems: Shared state for %q is nil", name)
+			}
+			sp.Shared[ti] = ss.inner
+		}
+	}
+	if onPartial := opts.OnPartial; onPartial != nil {
+		if opts.Engine != Sim {
+			return sp, fmt.Errorf("stems: OnPartial requires the simulation engine")
+		}
+		all := iq.AllTables()
+		sp.OnEmit = func(t *tuple.Tuple, at clock.Time) {
+			if t.EOT == nil && !t.Seed && t.Span.Count() >= 2 && t.Span != all {
+				onPartial(Row{At: time.Duration(at), q: iq, t: t})
+			}
+		}
+	}
+	return sp, nil
+}
+
+// rowHook adapts an OnResult callback to the engines' output hook; nil when
+// unset.
+func rowHook(iq *query.Q, onResult func(Row)) func(*tuple.Tuple, clock.Time) {
+	if onResult == nil {
+		return nil
+	}
+	return func(t *tuple.Tuple, at clock.Time) {
+		onResult(Row{At: time.Duration(at), q: iq, t: t})
+	}
+}
+
+// newResult assembles a Result from one round's outputs and the handle's
 // cumulative counters.
-func buildResult(iq *query.Q, r *eddy.Router, outs []eddy.Output) *Result {
-	res := &Result{}
+func newResult(iq *query.Q, st core.Stats, outs []eddy.Output) *Result {
+	res := &Result{Stats: RunStats{
+		RoutingSteps:  st.RoutingSteps,
+		IndexProbes:   st.IndexProbes,
+		SteMBuilds:    st.Builds,
+		SpilledBuilds: st.SpilledBuilds,
+		ReplayMatches: st.ReplayMatches,
+	}}
 	for _, o := range outs {
 		res.Rows = append(res.Rows, Row{At: time.Duration(o.At), q: iq, t: o.T})
 		if time.Duration(o.At) > res.Stats.Duration {
 			res.Stats.Duration = time.Duration(o.At)
 		}
-	}
-	res.Stats.RoutingSteps = r.Routed()
-	for _, a := range r.AMs() {
-		res.Stats.IndexProbes += a.Stats().Probes
-	}
-	for _, s := range r.SteMs() {
-		st := s.Stats()
-		res.Stats.SteMBuilds += st.Builds
-		res.Stats.SpilledBuilds += st.SpilledBuilds
-		res.Stats.ReplayMatches += st.ReplayMatches
 	}
 	return res
 }
