@@ -337,7 +337,7 @@ func benchMultiwayQ(rows int) *query.Q {
 	)
 }
 
-func benchConcurrentBatch(b *testing.B, batch int, columnar bool) {
+func benchConcurrentBatch(b *testing.B, batch int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -347,7 +347,6 @@ func benchConcurrentBatch(b *testing.B, batch int, columnar bool) {
 		}
 		eng := eddy.NewConcurrent(r, clock.NewReal(0.0000001))
 		eng.BatchSize = batch
-		eng.Columnar = columnar
 		outs, err := eng.Run()
 		if err != nil {
 			b.Fatal(err)
@@ -358,14 +357,8 @@ func benchConcurrentBatch(b *testing.B, batch int, columnar bool) {
 	}
 }
 
-func BenchmarkConcurrentMultiway_Batch1(b *testing.B)  { benchConcurrentBatch(b, 1, true) }
-func BenchmarkConcurrentMultiway_Batch64(b *testing.B) { benchConcurrentBatch(b, 64, true) }
-
-// Batch64Rows is the representation ablation: the same batched dataflow
-// carried as row tuples instead of column vectors, isolating what the
-// columnar layout (typed vectors, dictionary-encoded strings, selection
-// vectors, pooled storage) buys over batching alone.
-func BenchmarkConcurrentMultiway_Batch64Rows(b *testing.B) { benchConcurrentBatch(b, 64, false) }
+func BenchmarkConcurrentMultiway_Batch1(b *testing.B)  { benchConcurrentBatch(b, 1) }
+func BenchmarkConcurrentMultiway_Batch64(b *testing.B) { benchConcurrentBatch(b, 64) }
 
 // Sharded-SteM ablation: the same three-way join with each SteM hash-
 // partitioned into N shards, one concurrent-engine worker per shard. The

@@ -133,9 +133,8 @@ func main() {
 	scanInterval := flag.Duration("scan-interval", time.Microsecond, "virtual inter-arrival pacing of table scans")
 	policyName := flag.String("policy", "benefitcost", "default routing policy: fixed, lottery, benefitcost")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
-	batch := flag.Int("batch", eddy.DefaultBatchSize, "default eddy batch size for the concurrent engine")
-	rowBatches := flag.Bool("row-batches", false, "disable the concurrent engine's columnar batch fast path (row-tuple batches; results are identical)")
-	shards := flag.Int("shards", 1, "default SteM shard count")
+	batch := flag.Int("batch", eddy.DefaultBatchSize, "eddy batch size of every query's concurrent engine; 1 is tuple-at-a-time")
+	shards := flag.Int("shards", 1, "SteM shard count of every query (one worker per shard per SteM)")
 	compression := flag.Float64("compression", 0.001, "concurrent engine clock compression (1 = real time)")
 	maxInflight := flag.Int("max-inflight", 8, "maximum concurrently executing queries")
 	queueDepth := flag.Int("queue", 16, "admission queue depth beyond -max-inflight; 0 rejects immediately at capacity")
@@ -176,7 +175,6 @@ func main() {
 		Policy:          *policyName,
 		Seed:            *seed,
 		BatchSize:       *batch,
-		RowBatches:      *rowBatches,
 		Shards:          *shards,
 		TimeCompression: *compression,
 		MemBudgetBytes:  *memBudget,

@@ -71,7 +71,6 @@ func main() {
 	policyName := flag.String("policy", "benefitcost", "routing policy: fixed, lottery, benefitcost")
 	engineName := flag.String("engine", "sim", "execution engine: sim (deterministic) or concurrent")
 	batch := flag.Int("batch", eddy.DefaultBatchSize, "concurrent engine eddy batch size; 1 is tuple-at-a-time")
-	rowBatches := flag.Bool("row-batches", false, "disable the concurrent engine's columnar batch fast path (row-tuple batches; results are identical)")
 	shards := flag.Int("shards", 1, "hash-partitioned shards per SteM (rounded up to a power of two); >1 gives the concurrent engine one worker per shard")
 	scanInterval := flag.Duration("scan-interval", time.Microsecond, "virtual inter-arrival pacing of scans")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
@@ -108,7 +107,7 @@ func main() {
 	}
 	prepped := map[string]*sql.Stmt{}
 	runOne := func(stmt string, doExplain bool) bool {
-		if err := run(stmt, cat, prepped, *policyName, *engineName, *batch, *shards, *rowBatches, *seed, *timing, *explain || doExplain, *memBudget, *spillDir); err != nil {
+		if err := run(stmt, cat, prepped, *policyName, *engineName, *batch, *shards, *seed, *timing, *explain || doExplain, *memBudget, *spillDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return false
 		}
@@ -229,7 +228,7 @@ func splitStatements(s string) (complete []string, rest string) {
 	return complete, strings.TrimLeft(s[start:], " \t\n")
 }
 
-func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, batch, shards int, rowBatches bool, seed int64, timing, explain bool, memBudget int64, spillDir string) error {
+func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, batch, shards int, seed int64, timing, explain bool, memBudget int64, spillDir string) error {
 	parsed, err := sql.ParseStatement(stmtSrc)
 	if err != nil {
 		return err
@@ -289,7 +288,6 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 		Seed:        seed,
 		Shards:      shards,
 		Batch:       batch,
-		RowBatches:  rowBatches,
 		MemoryBytes: memBudget,
 		SpillDir:    spillDir,
 		Trace:       explain,

@@ -12,6 +12,12 @@
 // executors drive eddy.Routing directly: they also run non-SteM
 // architectures, which a Spec cannot describe.
 //
+// A Spec says what to run, never how the engine should carry it: which batch
+// representation moves (rows or column vectors) is the engine's decision,
+// made from what it observes, and the only governor a Spec can ask for is the
+// real-spill one (the simulator's modeled governor belongs to the experiment
+// harness).
+//
 // Choosing an engine: Sim is the deterministic discrete-event reference —
 // identical output sequences run to run, virtual time, deadlines — and is
 // what every figure reproduction and oracle test uses. Concurrent is the
@@ -73,9 +79,10 @@ type Spec struct {
 	// Shards hash-partitions every SteM (see eddy.Options.Shards).
 	Shards int
 	// Batch caps the Concurrent engine's eddy batches (0 is
-	// eddy.DefaultBatchSize); RowBatches turns its columnar fast path off.
-	Batch      int
-	RowBatches bool
+	// eddy.DefaultBatchSize; 1 is the exact tuple-at-a-time dataflow). Above
+	// 1 the engine moves column vectors wherever it observes it can; there
+	// is no switch for that.
+	Batch int
 	// Windows bounds SteM sizes per table (0 = unbounded); nil is none.
 	Windows []int
 	// Shared attaches pre-built shared SteM state per table (nil entries
@@ -86,14 +93,12 @@ type Spec struct {
 	ProbeBounce    stem.ProbeBounceMode
 	SkipBuild      bool
 	SkipBuildTable int
-	// MemoryRows > 0 governs all SteMs in the simulator's modeled mode, with
-	// SpillPenalty (default 20ms) as the full-spill probe penalty.
-	// MemoryBytes > 0 turns on real disk spill into a private subdirectory
-	// of SpillDir (default os.TempDir()). The two are mutually exclusive.
-	MemoryRows   int
-	SpillPenalty clock.Duration
-	MemoryBytes  int64
-	SpillDir     string
+	// MemoryBytes > 0 governs all SteMs with real disk spill into a private
+	// subdirectory of SpillDir (default os.TempDir()). (The simulator's
+	// modeled governor, stem.NewGovernor, is the experiments' tool and is
+	// not reachable from a Spec.)
+	MemoryBytes int64
+	SpillDir    string
 	// TimeCompression scales the Concurrent engine's real clock (0 means
 	// 0.001: one virtual second per wall millisecond).
 	TimeCompression float64
@@ -111,7 +116,7 @@ type Spec struct {
 // is not rewindable; governors and windows hold per-run disk and eviction
 // state no Reset reconstructs.
 func (sp *Spec) Poolable() bool {
-	return sp.Engine == Concurrent && sp.MemoryRows == 0 && sp.MemoryBytes == 0 && sp.Windows == nil
+	return sp.Engine == Concurrent && sp.MemoryBytes == 0 && sp.Windows == nil
 }
 
 // Stats is the one aggregation of a handle's run-level counters. They are
@@ -162,9 +167,6 @@ func Build(sp Spec) (*Exec, error) {
 
 func (e *Exec) build() error {
 	sp := &e.spec
-	if sp.MemoryRows > 0 && sp.MemoryBytes > 0 {
-		return errors.New("core: modeled (rows) and real-spill (bytes) memory budgets are mutually exclusive")
-	}
 	seed := sp.Seed
 	if seed == 0 {
 		seed = 1
@@ -187,8 +189,7 @@ func (e *Exec) build() error {
 		ropts.SharedFor = func(t int) *stem.SharedState { return sp.Shared[t] }
 	}
 	var gov *stem.Governor
-	switch {
-	case sp.MemoryBytes > 0:
+	if sp.MemoryBytes > 0 {
 		dir := sp.SpillDir
 		if dir == "" {
 			dir = os.TempDir()
@@ -196,12 +197,6 @@ func (e *Exec) build() error {
 		if gov, err = stem.NewSpillGovernor(sp.MemoryBytes, stem.AllocByProbes, dir); err != nil {
 			return err
 		}
-	case sp.MemoryRows > 0:
-		pen := sp.SpillPenalty
-		if pen == 0 {
-			pen = 20 * clock.Millisecond
-		}
-		gov = stem.NewGovernor(sp.MemoryRows, stem.AllocByProbes, pen)
 	}
 	ropts.Governor = gov
 	r, err := eddy.NewRouter(sp.Q, ropts)
@@ -218,7 +213,6 @@ func (e *Exec) build() error {
 		}
 		e.eng = eddy.NewConcurrent(r, clock.NewReal(e.comp))
 		e.eng.BatchSize = sp.Batch
-		e.eng.Columnar = !sp.RowBatches
 	} else {
 		e.sim = eddy.NewSim(r)
 		e.sim.Deadline = sp.Deadline
@@ -382,7 +376,7 @@ func (e *Exec) Stats() Stats {
 }
 
 // SpillBytes reports the governor's resident and spilled row footprint
-// (zeros when ungoverned or in modeled mode); it is safe to call while a
+// (zeros when ungoverned); it is safe to call while a
 // round is running, which is what a server's gauges do.
 func (e *Exec) SpillBytes() (resident, spilled int64) {
 	if e.gov == nil {

@@ -221,7 +221,6 @@ func TestPoolable(t *testing.T) {
 	}{
 		{"concurrent", Spec{Engine: Concurrent}, true},
 		{"sim", Spec{Engine: Sim}, false},
-		{"modeled governor", Spec{Engine: Concurrent, MemoryRows: 10}, false},
 		{"spill governor", Spec{Engine: Concurrent, MemoryBytes: 1 << 20}, false},
 		{"windowed", Spec{Engine: Concurrent, Windows: []int{0, 8}}, false},
 	}
@@ -235,13 +234,8 @@ func TestPoolable(t *testing.T) {
 // TestBuildRejects pins the Spec validation Build owns.
 func TestBuildRejects(t *testing.T) {
 	q, _ := fixture(16)
-	for name, sp := range map[string]Spec{
-		"unknown policy": {Q: q, Policy: "warp"},
-		"both budgets":   {Q: q, MemoryRows: 4, MemoryBytes: 4},
-	} {
-		if _, err := Build(sp); err == nil {
-			t.Errorf("%s: Build succeeded", name)
-		}
+	if _, err := Build(Spec{Q: q, Policy: "warp"}); err == nil {
+		t.Error("unknown policy: Build succeeded")
 	}
 	if _, err := EngineByName("warp"); err == nil {
 		t.Error("EngineByName accepted an unknown engine")

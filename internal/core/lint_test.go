@@ -2,7 +2,8 @@
 // parses every non-test Go file in the module and fails if one outside the
 // packages allowed to drive the engines directly constructs a router, an
 // engine or a governor. The facade, the CLIs and the server must go through
-// Build.
+// Build. A second check keeps the serving binary's import closure off the
+// paper-figure / reference packages.
 package core
 
 import (
@@ -96,5 +97,53 @@ func TestOnlyCoreAssembles(t *testing.T) {
 	}
 	if files < 50 {
 		t.Fatalf("parsed only %d files; is the walk rooted at the module?", files)
+	}
+}
+
+// figurePath are the packages that exist to regenerate the paper's figures
+// or to check the engine against a reference (ARCHITECTURE.md, layer map);
+// nothing a served query executes may reach them.
+var figurePath = []string{"internal/experiments", "internal/exec", "internal/join",
+	"internal/workload", "internal/stats", "internal/oracle"}
+
+// TestServingPathAvoidsFigurePath walks cmd/stemsd's import closure inside
+// the module and fails if it reaches a paper-figure / reference package.
+func TestServingPathAvoidsFigurePath(t *testing.T) {
+	const module = "repro/"
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	via := map[string]string{"cmd/stemsd": ""} // package dir → who imported it
+	for queue := []string{"cmd/stemsd"}; len(queue) > 0; queue = queue[1:] {
+		dir := queue[0]
+		files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				ipath, _ := strconv.Unquote(imp.Path.Value)
+				dep, ok := strings.CutPrefix(ipath, module)
+				if _, seen := via[dep]; !ok || seen {
+					continue
+				}
+				via[dep] = dir
+				queue = append(queue, dep)
+			}
+		}
+	}
+	for _, pkg := range figurePath {
+		if from, reached := via[pkg]; reached {
+			t.Errorf("cmd/stemsd reaches %s (imported by %s): the serving path must not depend on the paper-figure path", pkg, from)
+		}
+	}
+	if _, ok := via["internal/eddy"]; !ok || len(via) < 10 {
+		t.Fatalf("import closure has %d packages and no internal/eddy; is the walk rooted at the module?", len(via))
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/flow"
@@ -58,6 +57,14 @@ func getBatch() *flow.Batch {
 func getBatchOf(t *tuple.Tuple) *flow.Batch {
 	b := getBatch()
 	b.Add(t)
+	return b
+}
+
+// getColShell wraps a columnar payload (nil for none) in a pooled row-batch
+// shell: the inbox and event currency stays *flow.Batch.
+func getColShell(cb *flow.ColBatch) *flow.Batch {
+	b := getBatch()
+	b.Col = cb
 	return b
 }
 
@@ -104,7 +111,7 @@ func (b *inbox) pop() (*flow.Batch, bool) {
 	for b.head == len(b.items) && !b.closed {
 		b.cond.Wait()
 	}
-	// Closed means the run is over (quiescent, timed out, or canceled):
+	// Closed means the run is over (quiescent or canceled):
 	// drop any backlog rather than service it, so cancellation stops
 	// workers promptly. On the quiescent path the queues are necessarily
 	// empty (queued tuples are counted in the in-flight counter).
@@ -197,15 +204,13 @@ type Concurrent struct {
 
 	// BatchSize caps the number of tuples the eddy coalesces into one
 	// channel send to a module; 0 defaults to DefaultBatchSize at Run, and
-	// 1 reproduces per-tuple dataflow exactly. Set before Run.
+	// 1 reproduces per-tuple dataflow exactly. Above 1, with a routing that
+	// can decide a whole batch at once (ColRouter), scan AMs emit typed
+	// column-vector batches, selection and SteM modules service them with
+	// vectorized kernels, and the eddy routes each with one decision; modules
+	// and SteM configurations that need row semantics fall back to rows on
+	// their own (see ARCHITECTURE.md, "Columnar batches"). Set before Run.
 	BatchSize int
-	// Columnar enables the typed column-vector dataflow: scan AMs emit
-	// ColBatches, selection and SteM modules service them with vectorized
-	// kernels, and the eddy routes each batch with one decision. It is on by
-	// default and takes effect when BatchSize > 1 and the routing supports it
-	// (ColRouter); BatchSize 1 always runs the exact row-at-a-time dataflow.
-	// Set before Run.
-	Columnar bool
 	// OnOutput is called (on the eddy goroutine) for each result.
 	OnOutput func(t *tuple.Tuple, at clock.Time)
 	// OnService is called (on the eddy goroutine) with every service
@@ -214,12 +219,9 @@ type Concurrent struct {
 	// stream the policy learns from. Pure wake-up events (Emitted < 0) are
 	// not reported. Set before Run; Reset clears it.
 	OnService func(fb policy.Feedback)
-	// WallTimeout aborts the run after this much wall time; 0 disables. The
-	// run returns the results produced so far plus an error.
-	WallTimeout time.Duration
 
 	events chan eddyEvent
-	// done is closed when the run winds down (quiescence, timeout, or
+	// done is closed when the run winds down (quiescence or
 	// cancellation); delay-timer goroutines select on it so a canceled run
 	// never waits out pending virtual sleeps.
 	done chan struct{}
@@ -237,10 +239,10 @@ type Concurrent struct {
 	inflight atomic.Int64
 	costEWMA []atomic.Int64 // per-module EWMA service cost per tuple, ns
 
-	// colOn records that the columnar dataflow is active this run; colRouter,
-	// colMod and colShard cache the columnar capabilities of the routing and
-	// of each module (nil entries materialize to rows at enqueue).
-	colOn     bool
+	// colRouter, colMod and colShard cache the columnar capabilities of the
+	// routing and of each module for this run: a nil colRouter means the
+	// whole dataflow is row-at-a-time, nil module entries materialize to
+	// rows at enqueue.
 	colRouter ColRouter
 	colMod    []flow.ColModule
 	colShard  []flow.ColSharded
@@ -290,7 +292,6 @@ func NewConcurrent(r Routing, clk clock.Clock) *Concurrent {
 	return &Concurrent{
 		r:        r,
 		clk:      clk,
-		Columnar: true,
 		events:   make(chan eddyEvent, 1024),
 		done:     make(chan struct{}),
 		costEWMA: make([]atomic.Int64, len(r.Modules())),
@@ -359,7 +360,6 @@ func (c *Concurrent) Reset() {
 	if c.staging != nil {
 		c.staging.Reset()
 	}
-	c.colOn = false
 	c.colRouter = nil
 	c.OnOutput = nil
 	c.OnService = nil
@@ -437,21 +437,11 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 		c.anyRR = make([]atomic.Int64, len(mods))
 		c.staging = flow.NewBatch(c.BatchSize)
 	}
-	// Columnar capability is recomputed every run: BatchSize and Columnar
-	// may change between a pooled shell's executions.
+	// Columnar capability is recomputed every run: BatchSize may change
+	// between a pooled shell's executions.
 	c.colRouter = nil
-	c.colOn = false
-	if cr, ok := c.r.(ColRouter); ok && c.Columnar && c.BatchSize > 1 {
-		c.colRouter = cr
-		c.colOn = true
-	}
-	for i, m := range mods {
-		if c.colOn {
-			c.colMod[i], _ = m.(flow.ColModule)
-			c.colShard[i], _ = m.(flow.ColSharded)
-		} else {
-			c.colMod[i], c.colShard[i] = nil, nil
-		}
+	if c.BatchSize > 1 {
+		c.colRouter, _ = c.r.(ColRouter)
 	}
 	var wg sync.WaitGroup
 	for i, m := range mods {
@@ -459,41 +449,37 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 			c.pend[i] = make(map[pendKey]*flow.Batch)
 			c.pendCol[i] = make(map[pendKey]*flow.ColBatch)
 		}
+		c.colMod[i], c.colShard[i] = nil, nil
+		if c.colRouter != nil {
+			c.colMod[i], _ = m.(flow.ColModule)
+			c.colShard[i], _ = m.(flow.ColSharded)
+		}
+		// A sharded module gets one single-server inbox and worker per
+		// shard; any other module one inbox shared by Parallel() workers
+		// (0, unbounded, runs 64).
+		boxes, workers := 1, m.Parallel()
 		if sm, ok := m.(flow.Sharded); ok && sm.Shards() > 1 {
-			// One single-server inbox+worker per shard; per-shard batches
-			// coalesce like any single-server module's.
 			c.sharded[i] = sm
-			c.batchCap[i] = c.BatchSize
-			n := sm.Shards()
-			if fresh {
-				c.inboxes[i] = make([]*inbox, n)
-				for w := 0; w < n; w++ {
-					c.inboxes[i][w] = newInbox()
-				}
-			}
-			for w := 0; w < n; w++ {
-				c.inboxes[i][w].reopen()
-				wg.Add(1)
-				go c.shardWorker(i, w, &wg)
-			}
-			continue
-		}
-		if fresh {
-			c.inboxes[i] = []*inbox{newInbox()}
-		}
-		c.inboxes[i][0].reopen()
-		if m.Parallel() == 1 {
-			c.batchCap[i] = c.BatchSize
-		} else {
-			c.batchCap[i] = 1
-		}
-		workers := m.Parallel()
-		if workers == 0 {
+			boxes, workers = sm.Shards(), 1
+		} else if workers == 0 {
 			workers = 64
 		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go c.worker(i, &wg)
+		c.batchCap[i] = 1
+		if workers == 1 {
+			c.batchCap[i] = c.BatchSize
+		}
+		if fresh {
+			c.inboxes[i] = make([]*inbox, boxes)
+			for s := range c.inboxes[i] {
+				c.inboxes[i][s] = newInbox()
+			}
+		}
+		for s, ib := range c.inboxes[i] {
+			ib.reopen()
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go c.worker(i, s, &wg)
+			}
 		}
 	}
 
@@ -511,20 +497,10 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 			}
 		}()
 
-		var timeout <-chan time.Time
-		if c.WallTimeout > 0 {
-			tm := time.NewTimer(c.WallTimeout)
-			defer tm.Stop()
-			timeout = tm.C
-		}
 		// Background's Done channel is nil, so an un-cancelable run blocks
 		// on this case forever — exactly the pre-context behavior.
 		cancelCh := ctx.Done()
 
-		timedOut := func() {
-			c.setErr(fmt.Errorf("eddy: wall timeout after %v with %d tuples in flight",
-				c.WallTimeout, c.inflight.Load()))
-		}
 		canceled := func() {
 			c.setErr(fmt.Errorf("eddy: run canceled with %d tuples in flight: %w",
 				c.inflight.Load(), ctx.Err()))
@@ -540,12 +516,9 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 			var ev eddyEvent
 			select {
 			case ev = <-c.events:
-			case <-timeout:
-				// Checked here too so sustained event traffic cannot
-				// starve the watchdog.
-				timedOut()
-				break loop
 			case <-cancelCh:
+				// Checked here too so sustained event traffic cannot
+				// starve cancellation.
 				canceled()
 				break loop
 			default:
@@ -560,9 +533,6 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				}
 				select {
 				case ev = <-c.events:
-				case <-timeout:
-					timedOut()
-					break loop
 				case <-cancelCh:
 					canceled()
 					break loop
@@ -602,7 +572,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 		}
 	}
 
-	// Quiescent, timed out, or canceled: wind the dataflow down without
+	// Quiescent or canceled: wind the dataflow down without
 	// leaking a single goroutine. A drainer absorbs events still in flight
 	// (feedback from draining workers; stragglers from the seeder and
 	// delayed emissions); closing done releases the delay timers, closing
@@ -636,7 +606,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 // routes the regenerated results back into the dataflow. It reports whether
 // the dataflow has work again; rounds whose results all resolve immediately
 // (outputs and drops) trigger another drain, since their routing may have
-// recorded further replay obligations. Canceled and timed-out runs never
+// recorded further replay obligations. Canceled runs never
 // reach it — their results are already incomplete, and spill segments are
 // cleaned up by the governor, not the drain.
 func (c *Concurrent) drainSpill() bool {
@@ -695,14 +665,7 @@ func (c *Concurrent) routeStaged() {
 		case d.Drop:
 			c.inflight.Add(-1)
 		case d.Delay > 0:
-			mod, delay, dt := d.Module, d.Delay, t
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(delay) {
-					c.deliverDirect(mod, dt)
-				}
-			}()
+			c.deliverAfter(d.Delay, d.Module, t, nil)
 		default:
 			c.enqueue(d.Module, t)
 		}
@@ -742,14 +705,7 @@ func (c *Concurrent) routeColBatch(cb *flow.ColBatch) {
 		flow.PutColBatch(cb)
 		c.inflight.Add(-n)
 	case d.Delay > 0:
-		mod, delay := d.Module, d.Delay
-		c.senders.Add(1)
-		go func() {
-			defer c.senders.Done()
-			if c.waitOrDone(delay) {
-				c.deliverDirectCol(mod, cb)
-			}
-		}()
+		c.deliverAfter(d.Delay, d.Module, nil, cb)
 	default:
 		c.enqueueCol(d.Module, cb)
 	}
@@ -814,68 +770,83 @@ func (c *Concurrent) pushTo(mod, shard int, b *flow.Batch) {
 	c.inboxes[mod][shard].push(b)
 }
 
+// colCapable reports whether a module can be handed columnar batches this
+// run; the others get the rows materialized.
+func (c *Concurrent) colCapable(mod int) bool {
+	return c.colMod[mod] != nil && (c.sharded[mod] == nil || c.colShard[mod] != nil)
+}
+
+// splitCol partitions a columnar batch bound for a sharded module. When every
+// row addresses one shard — sweep batches (ShardAny) always do, the binding
+// is span-determined and thus batch-uniform — cb stays whole and that shard
+// comes back with a nil slice. Otherwise the rows move into one pooled batch
+// per shard in parts (allocated when nil; entries must be nil on entry), cb
+// returns to the pool, and parts comes back. EOT markers never travel
+// columnar, so there is no ShardAll case.
+func (c *Concurrent) splitCol(mod int, cb *flow.ColBatch, parts []*flow.ColBatch) (int, []*flow.ColBatch) {
+	sm := c.colShard[mod]
+	rows := cb.Rows()
+	first := sm.ShardOfCol(cb, cb.RowAt(0))
+	if first == flow.ShardAny {
+		return first, nil
+	}
+	same := 1
+	for same < rows && sm.ShardOfCol(cb, cb.RowAt(same)) == first {
+		same++
+	}
+	if same == rows {
+		return first, nil
+	}
+	if parts == nil {
+		parts = make([]*flow.ColBatch, len(c.inboxes[mod]))
+	}
+	for k := 0; k < rows; k++ {
+		i := cb.RowAt(k)
+		s := sm.ShardOfCol(cb, i)
+		p := parts[s]
+		if p == nil {
+			p = flow.GetColBatch(cb.NTables)
+			p.CopyHeaderFrom(cb)
+			parts[s] = p
+		}
+		p.AppendRowFrom(cb, i)
+	}
+	flow.PutColBatch(cb)
+	return 0, parts
+}
+
 // enqueueCol adds a columnar batch to a module's columnar coalescing buffers
 // (eddy goroutine only). Modules without a columnar path get the rows
 // materialized into the ordinary row enqueue; sharded modules get the batch
-// partitioned per shard (sweep batches — ShardAny — stay whole, the binding
-// is span-determined and thus batch-uniform). EOT markers never travel
-// columnar, so there is no ShardAll case.
+// partitioned per shard.
 func (c *Concurrent) enqueueCol(mod int, cb *flow.ColBatch) {
-	if c.colMod[mod] == nil || (c.sharded[mod] != nil && c.colShard[mod] == nil) {
+	switch {
+	case !c.colCapable(mod):
 		for _, t := range cb.Materialize() {
 			c.enqueue(mod, t)
 		}
 		flow.PutColBatch(cb)
-		return
-	}
-	if sm := c.colShard[mod]; sm != nil && c.sharded[mod] != nil {
-		rows := cb.Rows()
-		first := sm.ShardOfCol(cb, cb.RowAt(0))
-		if first == flow.ShardAny {
-			c.pendColAdd(mod, flow.ShardAny, cb)
-			return
-		}
-		uniform := true
-		for k := 1; k < rows; k++ {
-			if sm.ShardOfCol(cb, cb.RowAt(k)) != first {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			c.pendColAdd(mod, first, cb)
-			return
-		}
+	case c.sharded[mod] != nil:
 		nsh := len(c.inboxes[mod])
 		if cap(c.colParts) < nsh {
 			c.colParts = make([]*flow.ColBatch, nsh)
 		}
-		parts := c.colParts[:nsh]
-		for k := 0; k < rows; k++ {
-			i := cb.RowAt(k)
-			s := sm.ShardOfCol(cb, i)
-			p := parts[s]
-			if p == nil {
-				p = flow.GetColBatch(cb.NTables)
-				p.CopyHeaderFrom(cb)
-				parts[s] = p
-			}
-			p.AppendRowFrom(cb, i)
+		shard, parts := c.splitCol(mod, cb, c.colParts[:nsh])
+		if parts == nil {
+			c.pendColAdd(mod, shard, cb)
+			return
 		}
-		flow.PutColBatch(cb)
 		for s, p := range parts {
 			if p != nil {
 				parts[s] = nil
 				c.pendColAdd(mod, s, p)
 			}
 		}
-		return
-	}
-	if c.batchCap[mod] <= 1 {
+	case c.batchCap[mod] <= 1:
 		c.pushColTo(mod, 0, cb)
-		return
+	default:
+		c.pendColAdd(mod, 0, cb)
 	}
-	c.pendColAdd(mod, 0, cb)
 }
 
 // pendColAdd coalesces a columnar batch into the module's (span, shard)
@@ -913,48 +884,33 @@ func (c *Concurrent) pendColAdd(mod, shard int, cb *flow.ColBatch) {
 // pushColTo delivers a columnar batch to one shard inbox inside a pooled
 // row-batch shell (the inbox currency stays *flow.Batch).
 func (c *Concurrent) pushColTo(mod, shard int, cb *flow.ColBatch) {
-	shell := getBatch()
-	shell.Col = cb
-	c.pushTo(mod, shard, shell)
+	c.pushTo(mod, shard, getColShell(cb))
 }
 
 // deliverDirectCol delivers a delayed columnar batch straight to the
-// module's inboxes (timer goroutines; the eddy-only coalescing buffers are
-// off limits, and the pools are safe to use from here).
+// module's inboxes (timer goroutines; the eddy-only coalescing buffers and
+// partition scratch are off limits, and the pools are safe to use from here).
 func (c *Concurrent) deliverDirectCol(mod int, cb *flow.ColBatch) {
-	if c.colMod[mod] == nil || (c.sharded[mod] != nil && c.colShard[mod] == nil) {
+	switch {
+	case !c.colCapable(mod):
 		for _, t := range cb.Materialize() {
 			c.deliverDirect(mod, t)
 		}
 		flow.PutColBatch(cb)
-		return
-	}
-	if sm := c.colShard[mod]; sm != nil && c.sharded[mod] != nil {
-		rows := cb.Rows()
-		first := sm.ShardOfCol(cb, cb.RowAt(0))
-		if first == flow.ShardAny {
-			c.pushColTo(mod, flow.ShardAny, cb)
+	case c.sharded[mod] != nil:
+		shard, parts := c.splitCol(mod, cb, nil)
+		if parts == nil {
+			c.pushColTo(mod, shard, cb)
 			return
 		}
-		parts := make([]*flow.ColBatch, len(c.inboxes[mod]))
-		for k := 0; k < rows; k++ {
-			i := cb.RowAt(k)
-			s := sm.ShardOfCol(cb, i)
-			if parts[s] == nil {
-				parts[s] = flow.GetColBatch(cb.NTables)
-				parts[s].CopyHeaderFrom(cb)
-			}
-			parts[s].AppendRowFrom(cb, i)
-		}
-		flow.PutColBatch(cb)
 		for s, p := range parts {
 			if p != nil {
 				c.pushColTo(mod, s, p)
 			}
 		}
-		return
+	default:
+		c.pushColTo(mod, 0, cb)
 	}
-	c.pushColTo(mod, 0, cb)
 }
 
 // deliverDirect delivers a delayed tuple straight to the module's inboxes,
@@ -1006,56 +962,39 @@ func (c *Concurrent) flushAll() {
 	}
 }
 
-// worker services one unsharded module (possibly one of several workers
-// sharing the module's single inbox, per Parallel()).
-func (c *Concurrent) worker(mod int, wg *sync.WaitGroup) {
+// worker services one inbox: a shard of a sharded module (different shards
+// of one module are serviced fully in parallel), or the single inbox of an
+// unsharded one, possibly beside Parallel()-1 siblings. Each batch gets the
+// widest service call the module offers this run.
+func (c *Concurrent) worker(mod, shard int, wg *sync.WaitGroup) {
 	defer wg.Done()
-	m := flow.Lift(c.r.Modules()[mod])
-	var cm flow.ColModule
-	if c.colOn {
-		cm = c.colMod[mod]
-	}
-	ib := c.inboxes[mod][0]
-	for {
-		b, ok := ib.pop()
-		if !ok {
-			return
-		}
-		if cm != nil {
-			in := b.Len()
-			rows, cols, cost := cm.ProcessColBatch(b, c.clk.Now())
-			c.finishCol(mod, 0, b, in, rows, cols, cost)
-			continue
-		}
-		ems, cost := m.ProcessBatch(b, c.clk.Now())
-		c.finishBatch(mod, 0, b, ems, cost)
-	}
-}
-
-// shardWorker services one shard of a sharded module: it pops the shard's
-// own inbox and calls ProcessShard, so different shards of one module are
-// serviced fully in parallel.
-func (c *Concurrent) shardWorker(mod, shard int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	m := c.sharded[mod]
-	var cm flow.ColSharded
-	if c.colOn {
-		cm = c.colShard[mod]
-	}
+	sharded, colShard, colMod := c.sharded[mod], c.colShard[mod], c.colMod[mod]
+	rowMod := flow.Lift(c.r.Modules()[mod])
 	ib := c.inboxes[mod][shard]
 	for {
 		b, ok := ib.pop()
 		if !ok {
 			return
 		}
-		if cm != nil {
-			in := b.Len()
-			rows, cols, cost := cm.ProcessColShard(shard, b, c.clk.Now())
-			c.finishCol(mod, shard, b, in, rows, cols, cost)
-			continue
+		// Captured before the module runs: columnar modules filter the
+		// selection vector in place (predicate misses, duplicate builds,
+		// matched/unmatched splits), so the post-service b.Len() undercounts
+		// what entered and would leak the difference in the in-flight counter.
+		in := b.Len()
+		var rows []flow.Emission
+		var cols []flow.ColEmission
+		var cost clock.Duration
+		switch {
+		case sharded != nil && colShard != nil:
+			rows, cols, cost = colShard.ProcessColShard(shard, b, c.clk.Now())
+		case sharded != nil:
+			rows, cost = sharded.ProcessShard(shard, b, c.clk.Now())
+		case colMod != nil:
+			rows, cols, cost = colMod.ProcessColBatch(b, c.clk.Now())
+		default:
+			rows, cost = rowMod.ProcessBatch(b, c.clk.Now())
 		}
-		ems, cost := m.ProcessShard(shard, b, c.clk.Now())
-		c.finishBatch(mod, shard, b, ems, cost)
+		c.finish(mod, shard, b, in, rows, cols, cost)
 	}
 }
 
@@ -1074,48 +1013,76 @@ func (c *Concurrent) waitOrDone(d clock.Duration) bool {
 	}
 }
 
-// finishBatch applies the shared post-service accounting of one batch:
+// finish applies the post-service accounting of one batch, row or columnar:
 // sleep the service cost, adjust the in-flight counter, report policy
-// feedback, and route the emissions onward.
-func (c *Concurrent) finishBatch(mod, shard int, b *flow.Batch, ems []flow.Emission, cost clock.Duration) {
-	c.observeCost(mod, cost, b.Len())
+// feedback, and send the emissions back to the eddy. All counters are row
+// counts (a columnar emission contributes its live rows; inRows is the input
+// batch's, taken before service). Columnar emissions enter the event stream
+// before row emissions (an AM's scan chunks must precede its row EOT so the
+// flush-first broadcast discipline can order the inboxes), and the input
+// batch's columnar payload returns to the pool unless the module re-emitted
+// it (a bounce).
+func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []flow.Emission, colEms []flow.ColEmission, cost clock.Duration) {
+	cb := b.Col
+	c.observeCost(mod, cost, inRows)
 	// The modeled service cost elapses interruptibly: a canceled run must
 	// not wait out the remaining sleep (at compression 1 it is real time).
 	if cost > 0 {
 		c.waitOrDone(cost)
 	}
 
+	outRows := len(rowEms)
+	newRows := 0
+	if len(rowEms) > 0 {
+		newRows = countNew(b, rowEms)
+	}
+	bounced := false
+	for _, em := range colEms {
+		outRows += em.B.Rows()
+		if em.B == cb {
+			bounced = true
+		} else {
+			newRows += em.B.Rows()
+		}
+	}
 	// Account for the net dataflow change before emitting, so the
 	// counter can never dip to zero while emissions are pending.
-	delta := int64(len(ems)) - int64(b.Len())
-	outputs := countNew(b, ems)
+	delta := int64(outRows) - int64(inRows)
 	if delta > 0 {
 		c.inflight.Add(delta)
 	}
-	// Batches are span-homogeneous (the eddy coalesces per span), so the
-	// first tuple's span signs the whole batch; Visits lets learners
-	// normalize the batch totals back to per-visit values.
-	fb := policy.Feedback{
-		Module: mod, Shard: shard, Sig: uint64(b.Tuples[0].Span),
-		Outputs: outputs, Emitted: len(ems), Cost: cost, Now: c.clk.Now(),
-		Visits: b.Len(),
+	// Batches are span-homogeneous (the eddy coalesces per span), so one
+	// span signs the whole batch; Visits lets learners normalize the batch
+	// totals back to per-visit values.
+	var sig uint64
+	if cb != nil {
+		sig = uint64(cb.Span)
+	} else {
+		sig = uint64(b.Tuples[0].Span)
 	}
+	fb := policy.Feedback{
+		Module: mod, Shard: shard, Sig: sig,
+		Outputs: newRows, Emitted: outRows, Cost: cost, Now: c.clk.Now(),
+		Visits: inRows,
+	}
+	if cb != nil && !bounced {
+		flow.PutColBatch(cb)
+	}
+	b.Col = nil
 	putBatch(b)
+
+	for _, em := range colEms {
+		if em.Delay > 0 {
+			c.emitAfter(em.Delay, nil, em.B)
+		} else {
+			c.events <- eddyEvent{b: getColShell(em.B)}
+		}
+	}
 	var ready *flow.Batch
-	for _, em := range ems {
+	for _, em := range rowEms {
 		switch {
 		case em.Delay > 0:
-			em := em
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(em.Delay) {
-					select {
-					case c.events <- eddyEvent{b: getBatchOf(em.T)}:
-					case <-c.done:
-					}
-				}
-			}()
+			c.emitAfter(em.Delay, em.T, nil)
 		case c.BatchSize == 1:
 			// Tuple-at-a-time mode: every emission is its own event,
 			// exactly as the pre-batching engine sent them.
@@ -1140,112 +1107,44 @@ func (c *Concurrent) finishBatch(mod, shard int, b *flow.Batch, ems []flow.Emiss
 	}
 }
 
-// finishCol is finishBatch for a columnar-capable module: it accounts and
-// forwards both row and columnar emissions. All counters are row counts (a
-// columnar emission contributes its live rows), columnar emissions enter the
-// event stream before row emissions (an AM's scan chunks must precede its
-// row EOT so the flush-first broadcast discipline can order the inboxes),
-// and the input batch's columnar payload returns to the pool unless the
-// module re-emitted it (a bounce).
-// finishCol applies finishBatch's accounting to a columnar service. inRows
-// is the batch's row count captured BEFORE the module ran: columnar modules
-// filter the selection vector in place (predicate misses, duplicate builds,
-// matched/unmatched splits), so the post-service b.Len() undercounts what
-// entered and would leak the difference in the in-flight counter.
-func (c *Concurrent) finishCol(mod, shard int, b *flow.Batch, inRows int, rowEms []flow.Emission, colEms []flow.ColEmission, cost clock.Duration) {
-	cb := b.Col
-	c.observeCost(mod, cost, inRows)
-	if cost > 0 {
-		c.waitOrDone(cost)
-	}
+// emitAfter hands an emission — the tuple t, or the columnar batch cb when
+// non-nil — back to the eddy once the modeled delay d has elapsed, on a
+// tracked sender goroutine that gives up when the run winds down first.
+// (It takes the payload as plain arguments, not a func: a closure per
+// delayed emission is a heap allocation paced scans pay thousands of times.)
+func (c *Concurrent) emitAfter(d clock.Duration, t *tuple.Tuple, cb *flow.ColBatch) {
+	c.senders.Add(1)
+	go func() {
+		defer c.senders.Done()
+		if !c.waitOrDone(d) {
+			return
+		}
+		b := getColShell(cb)
+		if cb == nil {
+			b.Add(t)
+		}
+		select {
+		case c.events <- eddyEvent{b: b}:
+		case <-c.done:
+		}
+	}()
+}
 
-	outRows := len(rowEms)
-	newRows := 0
-	if len(rowEms) > 0 {
-		newRows = countNew(b, rowEms)
-	}
-	bounced := false
-	for _, em := range colEms {
-		outRows += em.B.Rows()
-		if em.B == cb {
-			bounced = true
+// deliverAfter is emitAfter for an already-routed tuple or columnar batch:
+// after the delay it goes straight to module mod's inboxes.
+func (c *Concurrent) deliverAfter(d clock.Duration, mod int, t *tuple.Tuple, cb *flow.ColBatch) {
+	c.senders.Add(1)
+	go func() {
+		defer c.senders.Done()
+		if !c.waitOrDone(d) {
+			return
+		}
+		if cb != nil {
+			c.deliverDirectCol(mod, cb)
 		} else {
-			newRows += em.B.Rows()
+			c.deliverDirect(mod, t)
 		}
-	}
-	delta := int64(outRows) - int64(inRows)
-	if delta > 0 {
-		c.inflight.Add(delta)
-	}
-	var sig uint64
-	if cb != nil {
-		sig = uint64(cb.Span)
-	} else {
-		sig = uint64(b.Tuples[0].Span)
-	}
-	fb := policy.Feedback{
-		Module: mod, Shard: shard, Sig: sig,
-		Outputs: newRows, Emitted: outRows, Cost: cost, Now: c.clk.Now(),
-		Visits: inRows,
-	}
-	if cb != nil && !bounced {
-		flow.PutColBatch(cb)
-	}
-	b.Col = nil
-	putBatch(b)
-
-	for _, em := range colEms {
-		if em.Delay > 0 {
-			em := em
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(em.Delay) {
-					shell := getBatch()
-					shell.Col = em.B
-					select {
-					case c.events <- eddyEvent{b: shell}:
-					case <-c.done:
-					}
-				}
-			}()
-			continue
-		}
-		shell := getBatch()
-		shell.Col = em.B
-		c.events <- eddyEvent{b: shell}
-	}
-	var ready *flow.Batch
-	for _, em := range rowEms {
-		switch {
-		case em.Delay > 0:
-			em := em
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(em.Delay) {
-					select {
-					case c.events <- eddyEvent{b: getBatchOf(em.T)}:
-					case <-c.done:
-					}
-				}
-			}()
-		default:
-			if ready == nil {
-				ready = getBatch()
-			}
-			ready.Add(em.T)
-		}
-	}
-	if ready != nil {
-		c.events <- eddyEvent{b: ready}
-	}
-	c.events <- eddyEvent{fb: newFeedback(fb)}
-	if delta < 0 {
-		if c.inflight.Add(delta) == 0 {
-			c.events <- eddyEvent{fb: newFeedback(policy.Feedback{Module: mod, Emitted: -1})}
-		}
-	}
+	}()
 }
 
 // countNew counts the emissions that are not batch inputs bouncing back —

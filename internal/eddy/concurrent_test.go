@@ -101,24 +101,6 @@ func TestEnginesEquivalentOnRandomQueries(t *testing.T) {
 	}
 }
 
-// TestConcurrentWallTimeout verifies a wedged-looking run aborts with the
-// partial results and an error rather than hanging.
-func TestConcurrentWallTimeout(t *testing.T) {
-	q := twoTableQuery(t)
-	r, err := NewRouter(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Uncompressed clock: the millisecond-paced scans take real
-	// milliseconds, far beyond the 1ns timeout.
-	eng := NewConcurrent(r, clock.NewReal(1))
-	eng.WallTimeout = 1 // 1ns
-	_, err = eng.Run()
-	if err == nil {
-		t.Fatal("want wall-timeout error")
-	}
-}
-
 // TestConcurrentMatchesSimResults verifies both engines compute the same
 // result set for the paper's Q1-style query.
 func TestConcurrentMatchesSimResults(t *testing.T) {

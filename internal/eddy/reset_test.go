@@ -61,7 +61,7 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 	if eng.errSet.Load() {
 		t.Error("errSet still armed")
 	}
-	if eng.colOn || eng.colRouter != nil {
+	if eng.colRouter != nil {
 		t.Error("columnar run state survived Reset")
 	}
 	if eng.OnOutput != nil {

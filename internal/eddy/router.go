@@ -469,7 +469,7 @@ func (r *Router) RouteBatch(ts []*tuple.Tuple, env policy.Env, dst []Decision) [
 			}
 			continue
 		}
-		choice := r.choose(rep, len(g.idxs), cands, env)
+		choice := r.pol.Choose(rep, cands, env)
 		if choice < 0 || choice >= len(cands) {
 			choice = 0
 		}
@@ -514,7 +514,7 @@ func (r *Router) RouteCol(cb *flow.ColBatch, env policy.Env) Decision {
 	} else if cands := r.candidates(t); len(cands) == 0 {
 		d = r.noCandidates(t)
 	} else {
-		choice := r.choose(t, n, cands, env)
+		choice := r.pol.Choose(t, cands, env)
 		if choice < 0 || choice >= len(cands) {
 			choice = 0
 		}
@@ -524,17 +524,6 @@ func (r *Router) RouteCol(cb *flow.ColBatch, env policy.Env) Decision {
 		cb.Visits = t.Visits // visit() may have lazily allocated the vector
 	}
 	return d
-}
-
-// choose asks the policy for a decision covering n routing-equivalent
-// tuples, through the batch entry point when the policy offers one.
-func (r *Router) choose(t *tuple.Tuple, n int, cands []policy.Candidate, env policy.Env) int {
-	if n > 1 {
-		if bc, ok := r.pol.(policy.BatchChooser); ok {
-			return bc.ChooseBatch(t, n, cands, env)
-		}
-	}
-	return r.pol.Choose(t, cands, env)
 }
 
 // routeSig is the partition key of RouteBatch: two tuples with equal

@@ -61,13 +61,6 @@ func (p *BenefitCost) Choose(t *tuple.Tuple, cands []Candidate, env Env) int {
 	return best
 }
 
-// ChooseBatch implements BatchChooser: the B/T scores depend only on the
-// group's shared routing state, so one scoring pass (and one exploration
-// draw) serves all n tuples.
-func (p *BenefitCost) ChooseBatch(t *tuple.Tuple, n int, cands []Candidate, env Env) int {
-	return p.Choose(t, cands, env)
-}
-
 // score computes B/T for one candidate, in results per second.
 func (p *BenefitCost) score(t *tuple.Tuple, c Candidate, env Env) float64 {
 	sig := uint64(t.Span)

@@ -60,11 +60,5 @@ func fixedRank(k Kind) int {
 	}
 }
 
-// ChooseBatch implements BatchChooser: the priority order is state-free, so
-// one comparison pass serves the whole group.
-func (f *Fixed) ChooseBatch(t *tuple.Tuple, n int, cands []Candidate, env Env) int {
-	return f.Choose(t, cands, env)
-}
-
 // Observe implements Policy; Fixed learns nothing.
 func (f *Fixed) Observe(Feedback) {}

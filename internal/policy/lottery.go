@@ -53,13 +53,6 @@ func (l *Lottery) Choose(t *tuple.Tuple, cands []Candidate, env Env) int {
 	return len(cands) - 1
 }
 
-// ChooseBatch implements BatchChooser: the ticket table is consulted and the
-// weighted draw performed once for the whole group, so per-tuple stat
-// lookups and random draws are amortized away.
-func (l *Lottery) ChooseBatch(t *tuple.Tuple, n int, cands []Candidate, env Env) int {
-	return l.Choose(t, cands, env)
-}
-
 // tickets computes a candidate's ticket count from observed feedback.
 func (l *Lottery) tickets(c Candidate, sig uint64) float64 {
 	const base = 1.0 // optimism for unvisited modules

@@ -113,28 +113,14 @@ type Feedback struct {
 // calls.
 type Policy interface {
 	// Choose returns the index of the selected candidate. cands is never
-	// empty.
+	// empty. Batch routing calls it once per group of routing-equivalent
+	// tuples (same span, done and built bits, prior-prober lineage and
+	// visit counts) with a representative t and applies the choice to every
+	// member, so scoring, ticket draws and exploration bookkeeping are paid
+	// once per group instead of once per tuple.
 	Choose(t *tuple.Tuple, cands []Candidate, env Env) int
 	// Observe reports a completed module visit.
 	Observe(fb Feedback)
-}
-
-// BatchChooser is optionally implemented by policies that can decide once
-// for a whole partition of routing-equivalent tuples. The router groups the
-// tuples of a batch by routing state (span, done bits, built bits,
-// prior-prober lineage, visit counts) and calls ChooseBatch once per group:
-// t is a representative member, n the group size, and cands the
-// constraint-legal moves shared by the group. The returned choice is applied
-// to every member, so scoring, ticket draws, and exploration bookkeeping are
-// paid once per group instead of once per tuple.
-//
-// Policies that do not implement BatchChooser are called through Choose once
-// per group, which amortizes identically; the interface exists so policies
-// can additionally weight by group size if they wish.
-type BatchChooser interface {
-	// ChooseBatch returns the index of the candidate to apply to all n
-	// tuples of the group. cands is never empty.
-	ChooseBatch(t *tuple.Tuple, n int, cands []Candidate, env Env) int
 }
 
 // stat tracks exponentially weighted running averages of a module's

@@ -28,10 +28,5 @@ func (p *Random) Choose(t *tuple.Tuple, cands []Candidate, env Env) int {
 	return p.rng.Intn(len(cands))
 }
 
-// ChooseBatch implements BatchChooser: one draw decides the whole group.
-func (p *Random) ChooseBatch(t *tuple.Tuple, n int, cands []Candidate, env Env) int {
-	return p.rng.Intn(len(cands))
-}
-
 // Observe implements Policy; Random learns nothing.
 func (p *Random) Observe(Feedback) {}

@@ -132,10 +132,11 @@ func BenchmarkServerSharedStems(b *testing.B) {
 // the join is PREPAREd once and every op is an EXECUTE, so the hot path
 // skips parsing the SELECT text, re-binding, and engine construction,
 // running instead on pooled router+engine shells from the plan cache.
-// The committed alloc budget applies to the default configuration; the
-// observability sub-benchmark turns everything on — structured logs (to a
-// discard writer), pprof query labels, and per-request explain traces — so
-// BENCH_server.json can record what full instrumentation costs.
+// The observability sub-benchmark turns everything on — structured logs (to
+// a discard writer), pprof query labels, and per-request explain traces —
+// so base vs observability shows what full instrumentation costs. (Numbers
+// a PR may cite come from `go run ./bench`, BENCHMARK.json's harness, whose
+// small_requests workload drives this same EXECUTE path through stemsd.)
 func BenchmarkServerConcurrentSessionsPrepared(b *testing.B) {
 	runPrepared := func(b *testing.B, cfg Config, explain bool) {
 		cat := memCatalog(b, time.Microsecond)

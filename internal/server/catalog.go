@@ -94,8 +94,8 @@ func (c *Catalog) SnapshotVersioned() (sql.MapCatalog, uint64) {
 	return out, c.version
 }
 
-// Version returns the current catalog version; it increases on every Put
-// and AddIndex.
+// Version returns the current catalog version; it increases on every Put,
+// AddIndex and Append.
 func (c *Catalog) Version() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/sql"
 	"repro/internal/trace"
 	"repro/internal/tuple"
@@ -190,36 +191,27 @@ func (s *Server) handlePrepare(w http.ResponseWriter, st *sql.PrepareStmt) {
 	json.NewEncoder(w).Encode(map[string]any{"prepared": p.name, "sql": p.canon})
 }
 
-// knobs are one request's execution settings after the server defaults
-// have been applied — resolved once, for bounded queries and subscriptions
-// alike, and used for the plan key, the core.Spec and the query record.
+// knobs are the execution settings one request can vary — engine, policy
+// and a tighter memory budget — after the server defaults have been applied:
+// resolved once, for bounded queries and subscriptions alike, and used for
+// the plan key, the core.Spec and the query record. Everything else that
+// shapes a run (seed, batch size, shard count, time compression) is the
+// operator's, fixed for the process in Config.
 type knobs struct {
 	engine     core.Engine
 	engineName string
 	policy     string
-	seed       int64
-	shards     int
-	batch      int
 	// budget is the per-query SteM byte budget; 0 runs ungoverned.
 	budget int64
 }
 
 func (s *Server) resolveKnobs(req *QueryRequest) (knobs, error) {
-	k := knobs{engineName: req.Engine, policy: req.Policy, seed: req.Seed, shards: req.Shards, batch: req.Batch}
+	k := knobs{engineName: req.Engine, policy: req.Policy}
 	if k.engineName == "" {
 		k.engineName = "concurrent"
 	}
 	if k.policy == "" {
 		k.policy = s.cfg.Policy
-	}
-	if k.seed == 0 {
-		k.seed = s.cfg.Seed
-	}
-	if k.shards == 0 {
-		k.shards = s.cfg.Shards
-	}
-	if k.batch == 0 {
-		k.batch = s.cfg.BatchSize
 	}
 	var err error
 	if k.engine, err = core.EngineByName(k.engineName); err != nil {
@@ -241,6 +233,20 @@ func (s *Server) resolveKnobs(req *QueryRequest) (knobs, error) {
 		}
 	}
 	return k, nil
+}
+
+// spec is the part of a core.Spec bounded queries and subscriptions share:
+// the request's knobs over the operator's process-wide settings.
+func (s *Server) spec(q *live, iq *query.Q) core.Spec {
+	return core.Spec{
+		Q:               iq,
+		Engine:          q.engine,
+		Policy:          q.policy,
+		Seed:            s.cfg.Seed,
+		Shards:          s.cfg.Shards,
+		Batch:           s.cfg.BatchSize,
+		TimeCompression: s.cfg.TimeCompression,
+	}
 }
 
 // live is one admitted SELECT — bounded or standing — from admission to its
@@ -526,7 +532,8 @@ func (s *Server) beginQuery() bool {
 // otherwise; and it goes back iff it is poolable and the run was clean.
 //
 // A pooled handle keeps its routing policy across executions — the plan key
-// pins its name and seed, so reuse only ever continues the same learner,
+// pins its name (the seed is process-wide), so reuse only ever continues the
+// same learner,
 // and a warm plan routes better than a cold one. Everything else is
 // restored by Exec.Reset (internal/eddy/reset_test.go pins that a reset
 // engine is indistinguishable from a fresh one).
@@ -538,27 +545,17 @@ func (s *Server) execute(q *live, st *sql.Stmt) error {
 	}
 	defer entry.unref()
 	bound := entry.bound
-	spec := core.Spec{
-		Q:               bound.Q,
-		Engine:          q.engine,
-		Policy:          q.policy,
-		Seed:            q.seed,
-		Shards:          q.shards,
-		Batch:           q.batch,
-		RowBatches:      s.cfg.RowBatches,
-		MemoryBytes:     q.budget,
-		SpillDir:        s.cfg.SpillDir,
-		TimeCompression: s.cfg.TimeCompression,
-		// The collector rides every execution: GET /queries records carry
-		// module stats whether or not the request asked for an explain.
-		Trace: true,
-	}
+	spec := s.spec(q, bound.Q)
+	spec.MemoryBytes, spec.SpillDir = q.budget, s.cfg.SpillDir
+	// The collector rides every execution: GET /queries records carry
+	// module stats whether or not the request asked for an explain.
+	spec.Trace = true
 	if q.budget == 0 {
 		// Attachments are per-execution (the sync.Pool may drop a handle
 		// at any time, so a handle can never own a refcount): attach here,
 		// release after the run has fully unwound — both engines leave zero
 		// goroutines behind when Run returns.
-		shared, err := s.shared.planAttach(st, bound.Q, snap, q.shards)
+		shared, err := s.shared.planAttach(st, bound.Q, snap, s.cfg.Shards)
 		if err != nil {
 			return err
 		}
@@ -613,7 +610,7 @@ func (s *Server) execute(q *live, st *sql.Stmt) error {
 // transient (used once, never listed, accepting no handle back) when it is
 // off.
 func (s *Server) planFor(q *live, st *sql.Stmt, snap sql.MapCatalog, version uint64) (*planEntry, error) {
-	key := planKey{canon: q.canon, policy: q.policy, seed: q.seed, shards: q.shards, batch: q.batch}
+	key := planKey{canon: q.canon, policy: q.policy}
 	if s.plans != nil {
 		if entry, hit := s.plans.acquire(key, version); hit {
 			q.stats.CacheHit = true

@@ -25,15 +25,14 @@ import (
 )
 
 // planKey identifies one executable plan shape: the canonical statement
-// text plus every knob that changes the built router or engine. Server-wide
-// settings (columnar mode, time compression) are fixed for the process and
-// stay out of the key.
+// text plus the one request knob that changes a pooled handle's router — the
+// routing policy. The engine stays out because only concurrent-engine,
+// ungoverned handles are pooled (the bound statement serves any engine);
+// server-wide settings (seed, shards, batch size, time compression) are
+// fixed for the process.
 type planKey struct {
 	canon  string
 	policy string
-	seed   int64
-	shards int
-	batch  int
 }
 
 // planEntry is one cached plan: the bound statement, the catalog version it
@@ -157,9 +156,6 @@ func (pc *planCache) size() int {
 type planInfo struct {
 	SQL            string `json:"sql"`
 	Policy         string `json:"policy"`
-	Seed           int64  `json:"seed"`
-	Shards         int    `json:"shards,omitempty"`
-	Batch          int    `json:"batch,omitempty"`
 	CatalogVersion uint64 `json:"catalog_version"`
 	Hits           uint64 `json:"hits"`
 	InFlight       int64  `json:"in_flight"`
@@ -175,9 +171,6 @@ func (pc *planCache) entries() []planInfo {
 		out = append(out, planInfo{
 			SQL:            e.key.canon,
 			Policy:         e.key.policy,
-			Seed:           e.key.seed,
-			Shards:         e.key.shards,
-			Batch:          e.key.batch,
 			CatalogVersion: e.version,
 			Hits:           e.hits.Load(),
 			InFlight:       e.refs.Load(),

@@ -46,16 +46,14 @@ type Config struct {
 	// Policy is the default routing policy: "benefitcost" (default),
 	// "fixed", or "lottery".
 	Policy string
-	// Seed feeds randomized policies (default 1).
-	Seed int64
-	// BatchSize is the concurrent engine's default eddy batch size.
+	// Seed, BatchSize and Shards apply to every query — a request cannot
+	// override them, so no client sizes the engine. Seed feeds randomized
+	// policies (default 1); BatchSize is the concurrent engine's eddy batch
+	// size (0 is eddy.DefaultBatchSize); Shards is the SteM shard count, one
+	// worker goroutine per shard per SteM (0 or 1 is unsharded).
+	Seed      int64
 	BatchSize int
-	// RowBatches disables the concurrent engine's columnar fast path,
-	// forcing row-tuple batches (results are identical; this is a
-	// representation toggle for comparison and incident response).
-	RowBatches bool
-	// Shards is the default SteM shard count.
-	Shards int
+	Shards    int
 	// TimeCompression scales the concurrent engine's clock (default 0.001:
 	// one modeled second per wall millisecond).
 	TimeCompression float64
@@ -465,7 +463,9 @@ func (s *Server) gauges() gauges {
 	return g
 }
 
-// QueryRequest is the POST /query body.
+// QueryRequest is the POST /query body. Its fields are what one tenant may
+// vary for its own query; seed, batch size and shard count are Config's.
+// Unknown fields are ignored.
 type QueryRequest struct {
 	// SQL is the statement: a SELECT, a REGISTER TABLE, a PREPARE, or an
 	// EXECUTE.
@@ -480,12 +480,6 @@ type QueryRequest struct {
 	Engine string `json:"engine,omitempty"`
 	// Policy overrides the server's default routing policy.
 	Policy string `json:"policy,omitempty"`
-	// Seed overrides the randomized-policy seed.
-	Seed int64 `json:"seed,omitempty"`
-	// Batch overrides the concurrent engine's eddy batch size.
-	Batch int `json:"batch,omitempty"`
-	// Shards overrides the SteM shard count.
-	Shards int `json:"shards,omitempty"`
 	// MemBudgetBytes tightens this query's resident SteM byte budget; rows
 	// beyond it spill to disk and replay (out-of-core join). 0 takes the
 	// server default; values above the server cap are capped, and the knob

@@ -262,6 +262,61 @@ func TestRegisterTableAtRuntime(t *testing.T) {
 	}
 }
 
+// TestRequestCannotSizeTheEngine pins that batch size, shard count and seed
+// are the operator's: a request naming them is served exactly like one that
+// does not (unknown JSON fields are ignored), so no client can make the
+// server start a goroutine per "shard" or allocate a staging batch of its
+// choosing. Before the fields were removed, {"shards":1048576} against this
+// 3-row catalog peaked above three million goroutines and {"batch":67108864}
+// allocated 512 MB for the 5-row join.
+func TestRequestCannotSizeTheEngine(t *testing.T) {
+	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	// measure posts one request while sampling the goroutine count, and
+	// returns the peak and the bytes the process allocated meanwhile.
+	measure := func(body map[string]any) (peak int, alloc uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stop, sampled := make(chan struct{}), make(chan int)
+		go func() {
+			hi := 0
+			for {
+				select {
+				case <-stop:
+					sampled <- hi
+					return
+				default:
+					hi = max(hi, runtime.NumGoroutine())
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+		}()
+		res := postQuery(t, client, ts.URL, body)
+		close(stop)
+		peak = <-sampled
+		runtime.ReadMemStats(&after)
+		if res.status != http.StatusOK || len(res.rows) != 5 {
+			t.Fatalf("%v: status=%d rows=%d err=%q", body, res.status, len(res.rows), res.errLine)
+		}
+		return peak, after.TotalAlloc - before.TotalAlloc
+	}
+	measure(map[string]any{"sql": threeWayJoin}) // warm the plan cache and the connection
+	basePeak, baseAlloc := measure(map[string]any{"sql": threeWayJoin})
+	for _, body := range []map[string]any{
+		{"sql": threeWayJoin, "shards": 1048576},
+		{"sql": threeWayJoin, "batch": 67108864},
+		{"sql": threeWayJoin, "seed": 99, "shards": 4, "batch": 1},
+	} {
+		peak, alloc := measure(body)
+		if peak > basePeak+16 {
+			t.Errorf("%v: goroutine high-water %d, an un-knobbed request's is %d", body, peak, basePeak)
+		}
+		if alloc > baseAlloc+(8<<20) {
+			t.Errorf("%v: allocated %d bytes, an un-knobbed request %d", body, alloc, baseAlloc)
+		}
+	}
+}
+
 // TestConcurrentSessionsSharedCatalog exercises the acceptance criterion:
 // ≥8 concurrent streaming queries over one shared catalog, with a
 // concurrent runtime registration mixed in, all under -race in CI.
@@ -273,6 +328,9 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 	cat := memCatalog(t, time.Microsecond)
 	cat.dir = dir
 	srv, ts, client := newTestServer(t, cat, Config{MaxInFlight: 16, QueueDepth: 32})
+	// Shard count is the operator's setting, not a request's: the shards
+	// sweep runs across two servers sharing the one catalog.
+	_, ts2, _ := newTestServer(t, cat, Config{MaxInFlight: 16, QueueDepth: 32, Shards: 2})
 
 	const n = 12
 	var wg sync.WaitGroup
@@ -281,11 +339,10 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res := postQuery(t, client, ts.URL, map[string]any{
+			res := postQuery(t, client, []string{ts.URL, ts2.URL}[i%2], map[string]any{
 				"sql":     threeWayJoin,
 				"session": fmt.Sprintf("sess-%d", i%4),
-				"engine":  []string{"concurrent", "sim"}[i%2],
-				"shards":  []int{1, 2}[i%2],
+				"engine":  []string{"concurrent", "sim"}[i/2%2],
 			})
 			if res.status != http.StatusOK || len(res.rows) != 5 {
 				errs <- fmt.Errorf("query %d: status=%d rows=%d err=%q", i, res.status, len(res.rows), res.errLine)

@@ -83,16 +83,7 @@ func (s *Server) subscribe(q *live, st *sql.Stmt) (reason string, err error) {
 
 	// Subscriptions run ungoverned and untraced: the resident state is the
 	// point, and a collector would cost allocations on every delta round.
-	spec := core.Spec{
-		Q:               bound.Q,
-		Engine:          q.engine,
-		Policy:          q.policy,
-		Seed:            q.seed,
-		Shards:          q.shards,
-		Batch:           q.batch,
-		RowBatches:      s.cfg.RowBatches,
-		TimeCompression: s.cfg.TimeCompression,
-	}
+	spec := s.spec(q, bound.Q)
 	if len(q.req.Window) > 0 {
 		// Window keys name tables as the query sees them (aliases included),
 		// mapping onto FROM positions.

@@ -40,7 +40,7 @@ func (q *Query) Prepare(opts Options) (*Prepared, error) {
 	if opts.Explain || opts.OnPartial != nil {
 		return nil, fmt.Errorf("stems: Explain and OnPartial require the simulation engine")
 	}
-	if opts.MemoryBudget > 0 || opts.MemoryBudgetBytes > 0 {
+	if opts.MemoryBudgetBytes > 0 {
 		return nil, fmt.Errorf("stems: memory governors hold per-run state and cannot be prepared; use Run")
 	}
 	if len(opts.Window) > 0 {

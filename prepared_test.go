@@ -130,7 +130,6 @@ func TestPrepareRejectsUnpoolableOptions(t *testing.T) {
 	}{
 		{"sim engine", Options{Engine: Sim}, "requires Engine: Concurrent"},
 		{"explain", Options{Engine: Concurrent, Explain: true}, "simulation engine"},
-		{"modeled budget", Options{Engine: Concurrent, MemoryBudget: 10}, "governors"},
 		{"real spill", Options{Engine: Concurrent, MemoryBudgetBytes: 1 << 20}, "governors"},
 		{"window", Options{Engine: Concurrent, Window: map[string]int{"R": 1}}, "eviction"},
 	}

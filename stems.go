@@ -108,17 +108,13 @@ type Options struct {
 	// BatchSize caps how many tuples the Concurrent engine's eddy coalesces
 	// into one module batch, amortizing channel sends, module locking, and
 	// policy decisions. 0 defaults to 64; 1 restores tuple-at-a-time
-	// dataflow. The simulation engine always runs batches of one (it is the
-	// deterministic reference) and ignores this option.
+	// dataflow. Above 1 the engine carries batches as typed column vectors
+	// (int64 arrays, dictionary-encoded strings, null/EOT bitmaps) with a
+	// selection vector wherever it can, and as row tuples where semantics
+	// require them; it decides by observation and results are identical. The
+	// simulation engine always runs batches of one (it is the deterministic
+	// reference) and ignores this option.
 	BatchSize int
-	// RowBatches disables the Concurrent engine's columnar fast path, which
-	// by default carries batches as typed column vectors (int64 arrays,
-	// dictionary-encoded strings, null/EOT bitmaps) with a selection vector,
-	// falling back to row tuples only where semantics require them. Results
-	// are identical either way; set this only to compare representations or
-	// to work around a columnar-path regression. Ignored when BatchSize is 1
-	// and by the simulation engine, which are always row-at-a-time.
-	RowBatches bool
 	// Shards hash-partitions every SteM into this many independent
 	// sub-stores (rounded up to a power of two), each with its own
 	// dictionary and lock; the Concurrent engine gives each shard its own
@@ -140,17 +136,7 @@ type Options struct {
 	// Window bounds SteM sizes per table name for sliding-window streaming
 	// queries (0 or absent = unbounded).
 	Window map[string]int
-	// MemoryBudget, when >0, places all SteMs under a shared memory
-	// governor in its modeled mode: at most this many rows stay resident,
-	// allocated in proportion to observed probe frequency; spilled rows add
-	// SpillPenalty (default 20ms) to probes proportionally (Section 6).
-	// Rows never actually leave memory — this is the simulator's
-	// deterministic cost model of spilling. For real disk spill use
-	// MemoryBudgetBytes instead; the two are mutually exclusive.
-	MemoryBudget int
-	// SpillPenalty is the full-spill probe penalty under MemoryBudget.
-	SpillPenalty time.Duration
-	// MemoryBudgetBytes, when >0, turns on real out-of-core SteMs: at most
+	// MemoryBudgetBytes, when >0, turns on out-of-core SteMs (Section 6): at most
 	// this many bytes of row footprint stay resident across all SteMs
 	// (allocated in proportion to observed probe frequency, with hot
 	// partitions recalled from disk when their allocation regains room);
@@ -600,9 +586,6 @@ func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 		Seed:            opts.Seed,
 		Shards:          opts.Shards,
 		Batch:           opts.BatchSize,
-		RowBatches:      opts.RowBatches,
-		MemoryRows:      opts.MemoryBudget,
-		SpillPenalty:    dur(opts.SpillPenalty),
 		MemoryBytes:     opts.MemoryBudgetBytes,
 		SpillDir:        opts.SpillDir,
 		TimeCompression: opts.TimeCompression,

@@ -77,23 +77,6 @@ func TestExplainOnConcurrent(t *testing.T) {
 	}
 }
 
-func TestMemoryBudgetRun(t *testing.T) {
-	unbounded, err := threeTableJoin().Run(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	constrained, err := threeTableJoin().Run(Options{MemoryBudget: 3, SpillPenalty: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(constrained.Rows) != len(unbounded.Rows) {
-		t.Fatalf("memory pressure changed results: %d vs %d", len(constrained.Rows), len(unbounded.Rows))
-	}
-	if constrained.Stats.Duration <= unbounded.Stats.Duration {
-		t.Error("spilling must cost time")
-	}
-}
-
 func TestDeadlineStopsEarly(t *testing.T) {
 	// Slow scans + a deadline before the first row arrives: zero results,
 	// no error.

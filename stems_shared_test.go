@@ -40,7 +40,10 @@ func sharedJoin() *Query {
 // TestSharedStemsAgree proves the tentpole's correctness claim: N concurrent
 // queries attached to one shared build of S and U return results
 // multiset-identical to a private-state run, across {shards 1,4} ×
-// {columnar on/off} × {spill budget ∞, constrained}. Runs under -race in CI
+// {default batches, BatchSize 1} × {spill budget ∞, constrained}. (At the
+// default batch size the private side of the dataflow travels columnar; at 1
+// everything is row-at-a-time — the subtest labels predate that being the
+// only way to ask for rows and keep their spelling.) Runs under -race in CI
 // (root package, full race job), so the lock-free shared-dictionary reads
 // are exercised concurrently.
 func TestSharedStemsAgree(t *testing.T) {
@@ -50,9 +53,9 @@ func TestSharedStemsAgree(t *testing.T) {
 	}
 	const concurrent = 4
 	for _, shards := range []int{1, 4} {
-		for _, rowBatches := range []bool{false, true} {
+		for _, batch := range []int{0, 1} {
 			for _, budget := range []int64{0, 600} {
-				name := fmt.Sprintf("shards=%d/rowBatches=%v/budget=%d", shards, rowBatches, budget)
+				name := fmt.Sprintf("shards=%d/rowBatches=%v/budget=%d", shards, batch == 1, budget)
 				t.Run(name, func(t *testing.T) {
 					base := sharedJoin()
 					sharedS, err := base.BuildSharedState("S", shards, budget, t.TempDir())
@@ -81,7 +84,7 @@ func TestSharedStemsAgree(t *testing.T) {
 								Engine:          Concurrent,
 								TimeCompression: 0.0001,
 								Shards:          shards,
-								RowBatches:      rowBatches,
+								BatchSize:       batch,
 								Shared:          map[string]*SharedState{"S": sharedS, "U": sharedU},
 							})
 							if err != nil {

@@ -52,9 +52,9 @@ type Standing struct {
 // owns the Standing and must Close it when done.
 //
 // Most of Options applies unchanged (engine, policy, seed, shards, batching,
-// columnar, windows, OnResult, Context). Options that presume a run winds
-// down — or state that cannot accept late builds — are rejected: memory
-// governors (modeled and real spill), SkipBuildTable (pure probers build no
+// windows, OnResult, Context). Options that presume a run winds
+// down — or state that cannot accept late builds — are rejected: the memory
+// governor (MemoryBudgetBytes), SkipBuildTable (pure probers build no
 // state for later rounds to join against), Shared attachments (sealed,
 // immutable), Deadline, OnPartial, and Explain. Every access method must be
 // a scan: an index AM answers probes from a frozen copy of its table, which
@@ -65,7 +65,7 @@ func (q *Query) Open(opts Options) (*Standing, *Result, error) {
 		return nil, nil, err
 	}
 	switch {
-	case opts.MemoryBudget > 0 || opts.MemoryBudgetBytes > 0:
+	case opts.MemoryBudgetBytes > 0:
 		return nil, nil, fmt.Errorf("stems: memory governors are not supported for standing queries")
 	case opts.SkipBuildTable != "":
 		return nil, nil, fmt.Errorf("stems: SkipBuildTable is not supported for standing queries")

@@ -70,8 +70,9 @@ func genStream(rng *rand.Rand) (initial map[string][][]int64, inserts []insBatch
 }
 
 // standingConfigs is the acceptance matrix: engines × shards {1,4} ×
-// columnar on/off (the representation axis only exists on the Concurrent
-// engine; the simulator is always row-at-a-time).
+// representation. At its default batch size the concurrent engine carries
+// scans columnar and the injected delta singletons as rows ("columnar"); at
+// BatchSize 1 it is row-at-a-time throughout ("rows"), like the simulator.
 func standingConfigs() []struct {
 	name string
 	opts Options
@@ -83,9 +84,9 @@ func standingConfigs() []struct {
 		{"sim/shards=1", Options{Engine: Sim}},
 		{"sim/shards=4", Options{Engine: Sim, Shards: 4}},
 		{"concurrent/shards=1/columnar", Options{Engine: Concurrent, TimeCompression: 0.0001}},
-		{"concurrent/shards=1/rows", Options{Engine: Concurrent, TimeCompression: 0.0001, RowBatches: true}},
+		{"concurrent/shards=1/rows", Options{Engine: Concurrent, TimeCompression: 0.0001, BatchSize: 1}},
 		{"concurrent/shards=4/columnar", Options{Engine: Concurrent, TimeCompression: 0.0001, Shards: 4}},
-		{"concurrent/shards=4/rows", Options{Engine: Concurrent, TimeCompression: 0.0001, Shards: 4, RowBatches: true}},
+		{"concurrent/shards=4/rows", Options{Engine: Concurrent, TimeCompression: 0.0001, Shards: 4, BatchSize: 1}},
 	}
 }
 
@@ -337,7 +338,6 @@ func TestStandingRejectsUnsupportedOptions(t *testing.T) {
 		q    *Query
 		opts Options
 	}{
-		{"memory budget", base(), Options{MemoryBudget: 100}},
 		{"memory budget bytes", base(), Options{MemoryBudgetBytes: 1 << 20}},
 		{"skip build", base(), Options{SkipBuildTable: "R"}},
 		{"deadline", base(), Options{Deadline: time.Second}},
