@@ -130,12 +130,10 @@ func main() {
 	flag.Var(&tables, "t", "table as name=path.csv (repeatable)")
 	flag.Var(&indexes, "index", "index access method as table:column:latency (repeatable)")
 	dataDir := flag.String("data-dir", ".", "confine REGISTER TABLE statement paths to this directory; -t flag paths are exempt (operator input). Empty disables confinement — do not expose such a server to untrusted clients")
-	scanInterval := flag.Duration("scan-interval", time.Microsecond, "virtual inter-arrival pacing of table scans")
 	policyName := flag.String("policy", "benefitcost", "default routing policy: fixed, lottery, benefitcost")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
 	batch := flag.Int("batch", eddy.DefaultBatchSize, "eddy batch size of every query's concurrent engine; 1 is tuple-at-a-time")
 	shards := flag.Int("shards", 1, "SteM shard count of every query (one worker per shard per SteM)")
-	compression := flag.Float64("compression", 0.001, "concurrent engine clock compression (1 = real time)")
 	maxInflight := flag.Int("max-inflight", 8, "maximum concurrently executing queries")
 	queueDepth := flag.Int("queue", 16, "admission queue depth beyond -max-inflight; 0 rejects immediately at capacity")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
@@ -161,7 +159,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cat := server.NewCatalog(*scanInterval, *dataDir)
+	cat := server.NewCatalog(0, *dataDir)
 	if err := cat.LoadFlagSpecs(tables, indexes); err != nil {
 		fmt.Fprintf(os.Stderr, "stemsd: %v\n", err)
 		os.Exit(1)
@@ -176,7 +174,6 @@ func main() {
 		Seed:            *seed,
 		BatchSize:       *batch,
 		Shards:          *shards,
-		TimeCompression: *compression,
 		MemBudgetBytes:  *memBudget,
 		SpillDir:        *spillDir,
 		PlanCacheSize:   *planCache,

@@ -48,7 +48,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/eddy"
@@ -72,7 +71,6 @@ func main() {
 	engineName := flag.String("engine", "sim", "execution engine: sim (deterministic) or concurrent")
 	batch := flag.Int("batch", eddy.DefaultBatchSize, "concurrent engine eddy batch size; 1 is tuple-at-a-time")
 	shards := flag.Int("shards", 1, "hash-partitioned shards per SteM (rounded up to a power of two); >1 gives the concurrent engine one worker per shard")
-	scanInterval := flag.Duration("scan-interval", time.Microsecond, "virtual inter-arrival pacing of scans")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
 	timing := flag.Bool("timing", false, "print per-result virtual emission times and run stats")
 	explain := flag.Bool("explain", false, "print a per-module adaptive-execution report after the results")
@@ -100,7 +98,7 @@ func main() {
 		return
 	}
 
-	cat := server.NewCatalog(*scanInterval, "")
+	cat := server.NewCatalog(0, "")
 	if err := cat.LoadFlagSpecs(tables, indexes); err != nil {
 		fmt.Fprintf(os.Stderr, "stemsql: %v\n", err)
 		os.Exit(1)

@@ -3,7 +3,7 @@
 // stalls mid-query. The eddy runs both access methods concurrently; the
 // shared SteM deduplicates their overlap, and results keep flowing through
 // the stall. Runs on the concurrent (goroutine-per-module) engine with a
-// compressed real clock.
+// scaled real clock (one virtual second per wall millisecond).
 //
 //	go run ./examples/federated
 package main
@@ -38,8 +38,7 @@ func main() {
 	start := time.Now()
 	var n int
 	res, err := q.Run(stems.Options{
-		Engine:          stems.Concurrent,
-		TimeCompression: 0.01, // 1 virtual second = 10ms wall
+		Engine: stems.Concurrent, // 1 virtual second = 1ms wall
 		OnResult: func(r stems.Row) {
 			n++
 			if n%10 == 0 {

@@ -4,8 +4,8 @@
 // identical duration" (Table 3). To regenerate the paper's time-series
 // figures deterministically and quickly, the simulation engine runs on a
 // virtual clock advanced by a discrete-event loop; the concurrent engine runs
-// on a real clock, optionally scaled so that a "paper second" takes a
-// millisecond of wall time.
+// on a real clock scaled so that a "paper second" takes a millisecond of
+// wall time (the scale is eddy.NewConcurrent's; nothing configures it).
 package clock
 
 import (
@@ -36,40 +36,18 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Seconds returns the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Scale returns the duration multiplied by f.
-func Scale(d Duration, f float64) Duration { return Duration(float64(d) * f) }
-
-// Clock abstracts "now" and "sleep" for the concurrent engine. The simulation
-// engine does not use Clock: it owns time directly via its event queue.
-type Clock interface {
-	// Now returns the current virtual time.
-	Now() Time
-	// Sleep blocks for the given virtual duration.
-	Sleep(d Duration)
-	// After returns a channel that delivers after the given virtual duration.
-	After(d Duration) <-chan struct{}
-}
-
-// Waiter is an optional Clock extension for allocation-free waiting: the
-// concurrent engine sleeps a modeled duration on every batch service and
-// every delayed emission, and After's per-call channel + timer garbage made
-// those waits a top allocation site. WaitOrDone blocks for the virtual
-// duration d, returning false early when done closes.
-type Waiter interface {
-	WaitOrDone(d Duration, done <-chan struct{}) bool
-}
-
-// Real is a Clock backed by wall time. Factor compresses virtual time:
-// Factor 0.001 makes one virtual second cost one real millisecond, so
-// examples reproduce the paper's multi-minute runs in tens of milliseconds.
+// Real is the concurrent engine's clock: wall time since NewReal, divided by
+// a fixed scale factor. Factor 0.001 makes one virtual second cost one real
+// millisecond, so a declared source latency or a paced scan reproduces the
+// paper's multi-minute runs in tens of milliseconds. (The simulation engine
+// does not use it: it owns time directly via its event queue.)
 type Real struct {
 	start  time.Time
 	factor float64
-	mu     sync.Mutex
 }
 
-// NewReal returns a real clock with the given compression factor. A factor of
-// 1 runs in real time; smaller factors run faster.
+// NewReal returns a real clock with the given scale factor. A factor of 1
+// runs in real time; smaller factors run faster.
 func NewReal(factor float64) *Real {
 	if factor <= 0 {
 		factor = 1
@@ -77,18 +55,10 @@ func NewReal(factor float64) *Real {
 	return &Real{start: time.Now(), factor: factor}
 }
 
-// Now implements Clock.
+// Now returns the current virtual time.
 func (r *Real) Now() Time {
 	real := time.Since(r.start)
 	return Time(float64(real) / r.factor)
-}
-
-// Sleep implements Clock.
-func (r *Real) Sleep(d Duration) {
-	if d <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(float64(d) * r.factor))
 }
 
 // timerPool recycles wall-clock timers across WaitOrDone calls. Reusing a
@@ -96,7 +66,10 @@ func (r *Real) Sleep(d Duration) {
 // channels are unbuffered and Reset guarantees no stale delivery.
 var timerPool sync.Pool
 
-// WaitOrDone implements Waiter with a pooled timer per wait.
+// WaitOrDone blocks for the virtual duration d, returning false early when
+// done closes. It waits on a pooled timer: the concurrent engine sleeps a
+// modeled duration on every batch service and every delayed emission, and a
+// channel + timer per call made those waits a top allocation site.
 func (r *Real) WaitOrDone(d Duration, done <-chan struct{}) bool {
 	if d <= 0 {
 		return true
@@ -120,15 +93,4 @@ func (r *Real) WaitOrDone(d Duration, done <-chan struct{}) bool {
 	}
 	timerPool.Put(t)
 	return fired
-}
-
-// After implements Clock.
-func (r *Real) After(d Duration) <-chan struct{} {
-	ch := make(chan struct{}, 1)
-	if d <= 0 {
-		ch <- struct{}{}
-		return ch
-	}
-	time.AfterFunc(time.Duration(float64(d)*r.factor), func() { ch <- struct{}{} })
-	return ch
 }

@@ -21,10 +21,10 @@
 // Choosing an engine: Sim is the deterministic discrete-event reference —
 // identical output sequences run to run, virtual time, deadlines — and is
 // what every figure reproduction and oracle test uses. Concurrent is the
-// deployment-shaped goroutine/channel engine on a (compressible) real clock;
-// it gives each SteM shard its own worker and is the only engine whose
-// handles are worth pooling. Both run the same modules and the same router,
-// and must produce the same result multiset.
+// deployment-shaped goroutine/channel engine on a real clock; it gives each
+// SteM shard its own worker and is the only engine whose handles are worth
+// pooling. Both run the same modules and the same router, and must produce
+// the same result multiset.
 package core
 
 import (
@@ -99,9 +99,6 @@ type Spec struct {
 	// not reachable from a Spec.)
 	MemoryBytes int64
 	SpillDir    string
-	// TimeCompression scales the Concurrent engine's real clock (0 means
-	// 0.001: one virtual second per wall millisecond).
-	TimeCompression float64
 	// Deadline stops the Sim engine at that virtual time; OnEmit observes
 	// every tuple a module hands back to the eddy. Sim only.
 	Deadline clock.Time
@@ -144,7 +141,6 @@ const (
 // round at a time.
 type Exec struct {
 	spec Spec
-	comp float64
 	r    *eddy.Router
 	sim  *eddy.Sim
 	eng  *eddy.Concurrent
@@ -208,10 +204,7 @@ func (e *Exec) build() error {
 	}
 	e.r, e.gov, e.sim, e.eng, e.coll = r, gov, nil, nil, nil
 	if sp.Engine == Concurrent {
-		if e.comp = sp.TimeCompression; e.comp == 0 {
-			e.comp = 0.001
-		}
-		e.eng = eddy.NewConcurrent(r, clock.NewReal(e.comp))
+		e.eng = eddy.NewConcurrent(r, nil)
 		e.eng.BatchSize = sp.Batch
 	} else {
 		e.sim = eddy.NewSim(r)
@@ -345,7 +338,7 @@ func (e *Exec) Reset() error {
 	case e.st == clean && e.Poolable():
 		e.r.Reset(nil)
 		e.eng.Reset()
-		e.eng.SetClock(clock.NewReal(e.comp))
+		e.eng.SetClock(nil)
 		if e.coll != nil {
 			e.coll.Reset()
 		}

@@ -109,7 +109,7 @@ func TestExecMatrix(t *testing.T) {
 						q, rows := fixture(n)
 						want := oracle.Compute(q)
 						ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Shards: shards, Batch: batch,
-							MemoryBytes: budget, SpillDir: dir, TimeCompression: 0.0001, Trace: true})
+							MemoryBytes: budget, SpillDir: dir, Trace: true})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -2,8 +2,8 @@
 // parses every non-test Go file in the module and fails if one outside the
 // packages allowed to drive the engines directly constructs a router, an
 // engine or a governor. The facade, the CLIs and the server must go through
-// Build. A second check keeps the serving binary's import closure off the
-// paper-figure / reference packages.
+// Build. Two more checks keep the commands' catalogs unpaced and the serving
+// binary's import closure off the paper-figure / reference packages.
 package core
 
 import (
@@ -97,6 +97,50 @@ func TestOnlyCoreAssembles(t *testing.T) {
 	}
 	if files < 50 {
 		t.Fatalf("parsed only %d files; is the walk rooted at the module?", files)
+	}
+}
+
+// TestCommandsBuildUnpacedCatalogs keeps the simulator's time model out of
+// the two commands: a registered CSV is local data, so cmd/stemsd and
+// cmd/stemsql must build their catalogs with no scan pacing — the literal 0
+// as server.NewCatalog's first argument, not a flag or a variable. (Pacing
+// every row keeps the engine on its goroutine-per-row path; a slow remote
+// source is declared with INDEX … LATENCY instead.)
+func TestCommandsBuildUnpacedCatalogs(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, cmd := range []string{"stemsd", "stemsql"} {
+		files, err := filepath.Glob(filepath.Join("..", "..", "cmd", cmd, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("cmd/%s: no Go files (%v)", cmd, err)
+		}
+		calls := 0
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "NewCatalog" || len(call.Args) == 0 {
+					return true
+				}
+				calls++
+				if lit, ok := call.Args[0].(*ast.BasicLit); !ok || lit.Kind != token.INT || lit.Value != "0" {
+					t.Errorf("%s: NewCatalog's scan interval must be the literal 0", fset.Position(call.Pos()))
+				}
+				return true
+			})
+		}
+		if calls == 0 {
+			t.Errorf("cmd/%s never calls server.NewCatalog; is the lint looking at the right directory?", cmd)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // goroutine (a worker pool sized by Parallel()), exchanging batches of
 // tuples with the eddy over channels — the paper's Telegraph setting, where
 // "each module runs asynchronously in a separate thread". Service costs and
-// source latencies elapse on a real clock, optionally compressed so the
+// source latencies elapse on a real clock, scaled (defaultScale) so the
 // paper's multi-minute runs finish in milliseconds.
 //
 // Dataflow is batch-at-a-time: the eddy coalesces routed tuples into
@@ -200,7 +200,7 @@ type ColRouter interface {
 // Concurrent drives a Routing with goroutines and channels on a real clock.
 type Concurrent struct {
 	r   Routing
-	clk clock.Clock
+	clk *clock.Real
 
 	// BatchSize caps the number of tuples the eddy coalesces into one
 	// channel send to a module; 0 defaults to DefaultBatchSize at Run, and
@@ -283,19 +283,22 @@ type Concurrent struct {
 	err    error
 }
 
-// NewConcurrent prepares a concurrent run. clk nil defaults to a real clock
-// compressed 1000× (one virtual second per wall millisecond).
-func NewConcurrent(r Routing, clk clock.Clock) *Concurrent {
-	if clk == nil {
-		clk = clock.NewReal(0.001)
-	}
-	return &Concurrent{
+// defaultScale is the clock scale of an engine whose caller passes no clock —
+// every engine outside this package's tests: one virtual second (of index
+// latency, scan pacing or modeled service cost) per wall millisecond.
+const defaultScale = 0.001
+
+// NewConcurrent prepares a concurrent run. clk nil means a fresh clock at
+// defaultScale.
+func NewConcurrent(r Routing, clk *clock.Real) *Concurrent {
+	c := &Concurrent{
 		r:        r,
-		clk:      clk,
 		events:   make(chan eddyEvent, 1024),
 		done:     make(chan struct{}),
 		costEWMA: make([]atomic.Int64, len(r.Modules())),
 	}
+	c.SetClock(clk)
+	return c
 }
 
 // setErr records the first error of the current run; later calls lose.
@@ -307,13 +310,12 @@ func (c *Concurrent) setErr(err error) {
 	}
 }
 
-// SetClock replaces the engine's clock before a run; nil restores the
-// default 1000×-compressed real clock. A pooled shell gets a fresh clock per
-// execution so virtual timestamps restart from zero, exactly as on a newly
-// constructed engine.
-func (c *Concurrent) SetClock(clk clock.Clock) {
+// SetClock replaces the engine's clock before a run; nil means a fresh clock
+// at defaultScale. A pooled shell gets a fresh clock per execution so virtual
+// timestamps restart from zero, exactly as on a newly constructed engine.
+func (c *Concurrent) SetClock(clk *clock.Real) {
 	if clk == nil {
-		clk = clock.NewReal(0.001)
+		clk = clock.NewReal(defaultScale)
 	}
 	c.clk = clk
 }
@@ -998,21 +1000,6 @@ func (c *Concurrent) worker(mod, shard int, wg *sync.WaitGroup) {
 	}
 }
 
-// waitOrDone pauses for the modeled duration d, returning false when the
-// run is canceled first. Clocks implementing clock.Waiter (the real clock)
-// wait with a pooled timer; the fallback pays After's per-call allocations.
-func (c *Concurrent) waitOrDone(d clock.Duration) bool {
-	if w, ok := c.clk.(clock.Waiter); ok {
-		return w.WaitOrDone(d, c.done)
-	}
-	select {
-	case <-c.clk.After(d):
-		return true
-	case <-c.done:
-		return false
-	}
-}
-
 // finish applies the post-service accounting of one batch, row or columnar:
 // sleep the service cost, adjust the in-flight counter, report policy
 // feedback, and send the emissions back to the eddy. All counters are row
@@ -1026,10 +1013,8 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 	cb := b.Col
 	c.observeCost(mod, cost, inRows)
 	// The modeled service cost elapses interruptibly: a canceled run must
-	// not wait out the remaining sleep (at compression 1 it is real time).
-	if cost > 0 {
-		c.waitOrDone(cost)
-	}
+	// not wait out the remaining sleep.
+	c.clk.WaitOrDone(cost, c.done)
 
 	outRows := len(rowEms)
 	newRows := 0
@@ -1071,6 +1056,10 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 	b.Col = nil
 	putBatch(b)
 
+	// Feedback goes ahead of the emissions it describes: those are already
+	// counted in flight, so the run cannot quiesce before the eddy has seen
+	// it. (Sent last, it is lost whenever downstream work finishes first.)
+	c.events <- eddyEvent{fb: newFeedback(fb)}
 	for _, em := range colEms {
 		if em.Delay > 0 {
 			c.emitAfter(em.Delay, nil, em.B)
@@ -1097,7 +1086,6 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 	if ready != nil {
 		c.events <- eddyEvent{b: ready}
 	}
-	c.events <- eddyEvent{fb: newFeedback(fb)}
 	if delta < 0 {
 		if c.inflight.Add(delta) == 0 {
 			// Wake the eddy loop so it observes quiescence; Emitted -1
@@ -1116,7 +1104,7 @@ func (c *Concurrent) emitAfter(d clock.Duration, t *tuple.Tuple, cb *flow.ColBat
 	c.senders.Add(1)
 	go func() {
 		defer c.senders.Done()
-		if !c.waitOrDone(d) {
+		if !c.clk.WaitOrDone(d, c.done) {
 			return
 		}
 		b := getColShell(cb)
@@ -1136,7 +1124,7 @@ func (c *Concurrent) deliverAfter(d clock.Duration, mod int, t *tuple.Tuple, cb 
 	c.senders.Add(1)
 	go func() {
 		defer c.senders.Done()
-		if !c.waitOrDone(d) {
+		if !c.clk.WaitOrDone(d, c.done) {
 			return
 		}
 		if cb != nil {

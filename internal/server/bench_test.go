@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/schema"
 	"repro/internal/source"
 	"repro/internal/sql"
@@ -22,7 +21,7 @@ import (
 // many sessions each POSTing the 3-way join over HTTP and draining the
 // NDJSON stream. One op is one complete query round trip.
 func BenchmarkServerConcurrentSessions(b *testing.B) {
-	cat := memCatalog(b, time.Microsecond)
+	cat := memCatalog(b)
 	srv := New(cat, Config{MaxInFlight: runtime.GOMAXPROCS(0) * 2, QueueDepth: 1024})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -60,8 +59,8 @@ func BenchmarkServerConcurrentSessions(b *testing.B) {
 func BenchmarkServerSharedStems(b *testing.B) {
 	const bigRows, smallRows = 20000, 50
 	mkCatalog := func(b *testing.B) *Catalog {
-		cat := NewCatalog(time.Microsecond, "")
-		scan := source.ScanSpec{InterArrival: clock.Duration(time.Microsecond)}
+		cat := NewCatalog(0, "")
+		var scan source.ScanSpec
 		bigT := schema.MustTable("big", schema.IntCol("key"), schema.IntCol("a"))
 		big := make([]tuple.Row, bigRows)
 		for i := range big {
@@ -139,7 +138,7 @@ func BenchmarkServerSharedStems(b *testing.B) {
 // small_requests workload drives this same EXECUTE path through stemsd.)
 func BenchmarkServerConcurrentSessionsPrepared(b *testing.B) {
 	runPrepared := func(b *testing.B, cfg Config, explain bool) {
-		cat := memCatalog(b, time.Microsecond)
+		cat := memCatalog(b)
 		cfg.MaxInFlight = runtime.GOMAXPROCS(0) * 2
 		cfg.QueueDepth = 1024
 		srv := New(cat, cfg)

@@ -52,9 +52,13 @@ type Catalog struct {
 	dir string
 }
 
-// NewCatalog returns an empty catalog. scanInterval paces the scan access
-// method of registered tables; dir, when non-empty, is the directory
-// REGISTER statement paths are confined to.
+// NewCatalog returns an empty catalog. dir, when non-empty, is the directory
+// REGISTER statement paths are confined to. scanInterval is a modeled
+// inter-arrival time stamped on every registered table's scan, which keeps it
+// on the engine's row path (one delayed delivery per row). stemsd and stemsql
+// pass 0: a registered CSV is local data, and a slow remote source is declared
+// with INDEX … LATENCY. The parameter survives for bench/trace.go's replay
+// (frozen) and this package's slow-catalog cancellation tests.
 func NewCatalog(scanInterval time.Duration, dir string) *Catalog {
 	return &Catalog{
 		sources:      make(map[string]sql.Source),

@@ -195,8 +195,8 @@ func (s *Server) handlePrepare(w http.ResponseWriter, st *sql.PrepareStmt) {
 // and a tighter memory budget — after the server defaults have been applied:
 // resolved once, for bounded queries and subscriptions alike, and used for
 // the plan key, the core.Spec and the query record. Everything else that
-// shapes a run (seed, batch size, shard count, time compression) is the
-// operator's, fixed for the process in Config.
+// shapes a run (seed, batch size, shard count) is the operator's, fixed for
+// the process in Config.
 type knobs struct {
 	engine     core.Engine
 	engineName string
@@ -239,13 +239,12 @@ func (s *Server) resolveKnobs(req *QueryRequest) (knobs, error) {
 // the request's knobs over the operator's process-wide settings.
 func (s *Server) spec(q *live, iq *query.Q) core.Spec {
 	return core.Spec{
-		Q:               iq,
-		Engine:          q.engine,
-		Policy:          q.policy,
-		Seed:            s.cfg.Seed,
-		Shards:          s.cfg.Shards,
-		Batch:           s.cfg.BatchSize,
-		TimeCompression: s.cfg.TimeCompression,
+		Q:      iq,
+		Engine: q.engine,
+		Policy: q.policy,
+		Seed:   s.cfg.Seed,
+		Shards: s.cfg.Shards,
+		Batch:  s.cfg.BatchSize,
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 type metricFamily struct {
@@ -171,7 +170,7 @@ func splitLabels(s string) []string {
 }
 
 func TestMetricsExpositionLint(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	// Populate the histograms and counters with real traffic first.
 	for i := 0; i < 3; i++ {
 		if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); res.status != http.StatusOK {

@@ -42,7 +42,7 @@ func decodeTrace(t *testing.T, raw map[string]any) trace.Record {
 // trace.Collector gathers — same visits, same outputs, same virtual
 // timestamps, same learned policy estimates.
 func TestExplainSimMatchesLocalCollector(t *testing.T) {
-	cat := memCatalog(t, time.Microsecond)
+	cat := memCatalog(t)
 	_, ts, client := newTestServer(t, cat, Config{})
 
 	res := postQuery(t, client, ts.URL, map[string]any{
@@ -98,7 +98,7 @@ func TestExplainSimMatchesLocalCollector(t *testing.T) {
 // reports exactly its own run: 5 results and 8 SteM builds each time, never
 // a predecessor's accumulated stats.
 func TestExplainCachedConcurrentNoBleed(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 
 	for i := 0; i < 3; i++ {
 		res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "explain": true})
@@ -170,7 +170,7 @@ func fetchQueries(t *testing.T, client *http.Client, url, query string) []queryR
 // identity, outcome, and per-module stats; min_ms filters; the ring
 // overwrites its oldest record at capacity.
 func TestCompletedQueriesRing(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{CompletedCap: 2})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{CompletedCap: 2})
 
 	// Three queries through a capacity-2 ring: the first record must be gone.
 	for i := 0; i < 3; i++ {
@@ -228,7 +228,7 @@ func TestCompletedQueriesRing(t *testing.T) {
 
 // TestRingDisabled asserts CompletedCap < 0 turns the endpoint off.
 func TestRingDisabled(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{CompletedCap: -1})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{CompletedCap: -1})
 	postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin})
 	resp, err := client.Get(ts.URL + "/queries")
 	if err != nil {
@@ -265,7 +265,7 @@ func (b *syncBuffer) String() string {
 func TestStructuredLogsAndSlowQuery(t *testing.T) {
 	var out syncBuffer
 	lg := slog.New(slog.NewJSONHandler(&out, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{
+	_, ts, client := newTestServer(t, memCatalog(t), Config{
 		Logger: lg, SlowQuery: time.Nanosecond,
 	})
 	res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "session": "obs"})
@@ -307,7 +307,7 @@ func TestRejectionLogged(t *testing.T) {
 	var out syncBuffer
 	lg := slog.New(slog.NewTextHandler(&out, nil))
 	srv, ts, client := newTestServer(t, slowCatalog(t), Config{
-		MaxInFlight: 1, QueueDepth: 0, TimeCompression: 1, Logger: lg,
+		MaxInFlight: 1, QueueDepth: 0, Logger: lg,
 	})
 	go postQuery(t, client, ts.URL, map[string]any{"sql": slowJoin, "deadline_ms": 10_000})
 	waitInflight(t, client, ts.URL, 1)
@@ -326,7 +326,7 @@ func TestRejectionLogged(t *testing.T) {
 // TestBuildInfoMetric asserts the configured version reaches the
 // stemsd_build_info gauge with the running Go version alongside it.
 func TestBuildInfoMetric(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{Version: "v9.9.9"})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{Version: "v9.9.9"})
 	resp, err := client.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,7 @@ import (
 // text plus the one request knob that changes a pooled handle's router — the
 // routing policy. The engine stays out because only concurrent-engine,
 // ungoverned handles are pooled (the bound statement serves any engine);
-// server-wide settings (seed, shards, batch size, time compression) are
-// fixed for the process.
+// server-wide settings (seed, shards, batch size) are fixed for the process.
 type planKey struct {
 	canon  string
 	policy string

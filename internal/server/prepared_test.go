@@ -87,13 +87,13 @@ func plansBody(t testing.TB, client *http.Client, url string) (prepared []map[st
 // repeatedly through the plan cache, and asserts every execution matches
 // the unprepared path (a cache-disabled server over an identical catalog).
 func TestPrepareExecuteMatchesAdhoc(t *testing.T) {
-	_, ots, oclient := newTestServer(t, memCatalog(t, time.Microsecond), Config{PlanCacheSize: -1})
+	_, ots, oclient := newTestServer(t, memCatalog(t), Config{PlanCacheSize: -1})
 	want := rowMultiset(postQuery(t, oclient, ots.URL, map[string]any{"sql": threeWayJoin}).rows)
 	if len(want) == 0 {
 		t.Fatal("oracle produced no rows")
 	}
 
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	prep := postQuery(t, client, ts.URL, map[string]any{"sql": "PREPARE hot AS " + threeWayJoin})
 	if prep.status != http.StatusOK {
 		t.Fatalf("PREPARE: status=%d err=%q", prep.status, prep.errLine)
@@ -146,7 +146,7 @@ func TestPrepareExecuteMatchesAdhoc(t *testing.T) {
 // TestAdhocSelectsAutoPrepare: the same SELECT text POSTed twice shares one
 // anonymous plan entry — canonicalization, not string identity, is the key.
 func TestAdhocSelectsAutoPrepare(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	variants := []string{
 		threeWayJoin,
 		"select r.key, u.q from r, s, u where r.a = s.x and s.y = u.p",
@@ -182,7 +182,7 @@ func TestPlanCacheInvalidationOnRegister(t *testing.T) {
 	}
 	write("r.csv", "key,a\n1,10\n2,20\n")
 	write("s.csv", "x,y\n10,100\n20,200\n")
-	cat := NewCatalog(time.Microsecond, dir)
+	cat := NewCatalog(0, dir)
 	_, ts, client := newTestServer(t, cat, Config{})
 	for _, reg := range []string{
 		"REGISTER TABLE r FROM 'r.csv'",
@@ -219,7 +219,7 @@ func TestPlanCacheInvalidationOnRegister(t *testing.T) {
 // TestPlanCacheLRUEviction bounds the cache at 2 entries and runs 3
 // distinct queries: the oldest is evicted, and re-running it misses.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{PlanCacheSize: 2})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{PlanCacheSize: 2})
 	queries := []string{
 		"SELECT r.key FROM r",
 		"SELECT s.y FROM s",
@@ -248,7 +248,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 // TestPlanCacheDisabled: PlanCacheSize < 0 turns the whole pipeline off —
 // every SELECT takes the fresh-build path and /plans stays empty.
 func TestPlanCacheDisabled(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{PlanCacheSize: -1})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{PlanCacheSize: -1})
 	for i := 0; i < 2; i++ {
 		if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); res.status != http.StatusOK || len(res.rows) != 5 {
 			t.Fatalf("run %d: status=%d rows=%d", i, res.status, len(res.rows))
@@ -291,7 +291,7 @@ func TestPreparedStormWithInvalidationAndCancel(t *testing.T) {
 	const q = "SELECT r.key, s.y FROM r, s WHERE r.a = s.x"
 
 	// Oracle: unprepared execution on a cache-disabled server.
-	ocat := NewCatalog(time.Microsecond, "")
+	ocat := NewCatalog(0, "")
 	if _, err := ocat.RegisterLocalCSV("r", filepath.Join(dir, "r.csv"), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestPreparedStormWithInvalidationAndCancel(t *testing.T) {
 		t.Fatalf("oracle produced %d distinct rows, want 400", len(want))
 	}
 
-	cat := NewCatalog(time.Microsecond, dir)
+	cat := NewCatalog(0, dir)
 	if _, err := cat.RegisterLocalCSV("r", filepath.Join(dir, "r.csv"), nil); err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,6 @@ type Config struct {
 	Seed      int64
 	BatchSize int
 	Shards    int
-	// TimeCompression scales the concurrent engine's clock (default 0.001:
-	// one modeled second per wall millisecond).
-	TimeCompression float64
 	// MemBudgetBytes, when >0, bounds each query's resident SteM state at
 	// admission: every admitted query runs under a byte governor with this
 	// budget, spilling the excess to disk and replaying it (out-of-core
@@ -125,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.TimeCompression == 0 {
-		c.TimeCompression = 0.001
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 128

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/source"
 	"repro/internal/sql"
@@ -43,10 +45,9 @@ func seqRows(n int, k int64) []tuple.Row {
 // memCatalog builds an in-memory catalog with three joinable tables:
 // r(key,a), s(x,y), u(p,q); r.a = s.x and s.y = u.p give a 3-way join with
 // a known result count.
-func memCatalog(t testing.TB, scanInterval time.Duration) *Catalog {
+func memCatalog(t testing.TB) *Catalog {
 	t.Helper()
-	cat := NewCatalog(scanInterval, "")
-	scan := source.ScanSpec{InterArrival: clock.Duration(scanInterval)}
+	cat := NewCatalog(0, "")
 	add := func(name string, cols []schema.Column, rows []tuple.Row) {
 		sch, err := schema.NewTable(name, cols...)
 		if err != nil {
@@ -56,8 +57,7 @@ func memCatalog(t testing.TB, scanInterval time.Duration) *Catalog {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := scan
-		cat.Put(name, sql.Source{Data: data, Scan: &sc})
+		cat.Put(name, sql.Source{Data: data, Scan: &source.ScanSpec{}})
 	}
 	add("r", []schema.Column{schema.IntCol("key"), schema.IntCol("a")},
 		[]tuple.Row{intRow(1, 10), intRow(2, 20), intRow(3, 10)})
@@ -159,8 +159,31 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// goroutineHighWater runs fn while sampling the process's goroutine count
+// every 20 µs and returns the highest count seen. Sampling can miss a
+// short-lived peak but never overstates one.
+func goroutineHighWater(fn func()) int {
+	stop, sampled := make(chan struct{}), make(chan int)
+	go func() {
+		hi := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- hi
+				return
+			default:
+				hi = max(hi, runtime.NumGoroutine())
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	return <-sampled
+}
+
 func TestQueryStreamsRows(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin})
 	if res.status != http.StatusOK {
 		t.Fatalf("status = %d", res.status)
@@ -181,7 +204,7 @@ func TestQueryStreamsRows(t *testing.T) {
 }
 
 func TestOrderByLimitBuffered(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	res := postQuery(t, client, ts.URL, map[string]any{
 		"sql": "SELECT r.key FROM r, s WHERE r.a = s.x ORDER BY r.key DESC LIMIT 2",
 	})
@@ -194,7 +217,7 @@ func TestOrderByLimitBuffered(t *testing.T) {
 }
 
 func TestParseAndBindErrorsAre400(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	for _, sqlText := range []string{
 		"SELEC nope",
 		"SELECT * FROM nosuch",
@@ -220,7 +243,7 @@ func TestRegisterTableAtRuntime(t *testing.T) {
 	mustWrite("people.csv", "id,name\n1,ada\n2,bob\n3,cyd\n")
 	mustWrite("orders.csv", "id,person,total\n10,1,100\n11,1,150\n12,3,50\n")
 
-	cat := NewCatalog(time.Microsecond, dir)
+	cat := NewCatalog(0, dir)
 	_, ts, client := newTestServer(t, cat, Config{})
 
 	reg := postQuery(t, client, ts.URL, map[string]any{
@@ -270,38 +293,30 @@ func TestRegisterTableAtRuntime(t *testing.T) {
 // 3-row catalog peaked above three million goroutines and {"batch":67108864}
 // allocated 512 MB for the 5-row join.
 func TestRequestCannotSizeTheEngine(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	// measure posts one request while sampling the goroutine count, and
 	// returns the peak and the bytes the process allocated meanwhile.
 	measure := func(body map[string]any) (peak int, alloc uint64) {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		stop, sampled := make(chan struct{}), make(chan int)
-		go func() {
-			hi := 0
-			for {
-				select {
-				case <-stop:
-					sampled <- hi
-					return
-				default:
-					hi = max(hi, runtime.NumGoroutine())
-					time.Sleep(20 * time.Microsecond)
-				}
-			}
-		}()
-		res := postQuery(t, client, ts.URL, body)
-		close(stop)
-		peak = <-sampled
+		var res ndjsonResult
+		peak = goroutineHighWater(func() { res = postQuery(t, client, ts.URL, body) })
 		runtime.ReadMemStats(&after)
 		if res.status != http.StatusOK || len(res.rows) != 5 {
 			t.Fatalf("%v: status=%d rows=%d err=%q", body, res.status, len(res.rows), res.errLine)
 		}
 		return peak, after.TotalAlloc - before.TotalAlloc
 	}
-	measure(map[string]any{"sql": threeWayJoin}) // warm the plan cache and the connection
-	basePeak, baseAlloc := measure(map[string]any{"sql": threeWayJoin})
+	// The sampler can only miss goroutines, never invent them, and a 5-row
+	// join can live and die between two samples: the base is the maximum over
+	// several un-knobbed requests (the first also warms the plan cache and the
+	// connection), so the comparison does not hang on one lucky sample.
+	basePeak, baseAlloc := 0, uint64(0)
+	for i := 0; i < 8; i++ {
+		peak, alloc := measure(map[string]any{"sql": threeWayJoin})
+		basePeak, baseAlloc = max(basePeak, peak), max(baseAlloc, alloc)
+	}
 	for _, body := range []map[string]any{
 		{"sql": threeWayJoin, "shards": 1048576},
 		{"sql": threeWayJoin, "batch": 67108864},
@@ -317,6 +332,69 @@ func TestRequestCannotSizeTheEngine(t *testing.T) {
 	}
 }
 
+// TestRegisteredTablesScanUnpaced pins what stemsd serves: a CSV registered
+// on the catalog the commands build (NewCatalog(0, dir)) binds to scan AMs
+// with no modeled pacing, and a join over it runs on a fixed handful of
+// goroutines however many rows it has. Stamping an inter-arrival time in
+// registerFrom, or an engine change that starts a goroutine per row (what a
+// paced scan costs: one delayed delivery each), fails here and not only in
+// the benchmark.
+func TestRegisteredTablesScanUnpaced(t *testing.T) {
+	const bigRows, dimRows = 5000, 50
+	dir := t.TempDir()
+	var big, dim strings.Builder
+	big.WriteString("id,k\n")
+	for i := 0; i < bigRows; i++ {
+		fmt.Fprintf(&big, "%d,%d\n", i, i%dimRows)
+	}
+	dim.WriteString("k,v\n")
+	for j := 0; j < dimRows; j++ {
+		fmt.Fprintf(&dim, "%d,%d\n", j, j*7)
+	}
+	cat := NewCatalog(0, dir)
+	for name, content := range map[string]string{"big": big.String(), "dim": dim.String()} {
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cat.RegisterCSV(name, name+".csv", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const q = "SELECT big.id, dim.v FROM big, dim WHERE big.k = dim.k"
+	st, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := sql.Bind(st, cat.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := 0
+	for _, am := range bound.Q.AMs {
+		if am.Kind != query.Scan {
+			continue
+		}
+		scans++
+		if !reflect.DeepEqual(am.ScanSpec, source.ScanSpec{}) {
+			t.Errorf("scan AM on table %d is paced: %+v", am.Table, am.ScanSpec)
+		}
+	}
+	if scans != 2 {
+		t.Fatalf("bound %d scan AMs, want 2", scans)
+	}
+
+	_, ts, client := newTestServer(t, cat, Config{})
+	var res ndjsonResult
+	peak := goroutineHighWater(func() { res = postQuery(t, client, ts.URL, map[string]any{"sql": q}) })
+	if res.status != http.StatusOK || len(res.rows) != bigRows {
+		t.Fatalf("status=%d rows=%d err=%q, want %d rows", res.status, len(res.rows), res.errLine, bigRows)
+	}
+	if peak >= 100 {
+		t.Errorf("goroutine high-water %d while joining %d rows, want < 100", peak, bigRows)
+	}
+}
+
 // TestConcurrentSessionsSharedCatalog exercises the acceptance criterion:
 // ≥8 concurrent streaming queries over one shared catalog, with a
 // concurrent runtime registration mixed in, all under -race in CI.
@@ -325,7 +403,7 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "extra.csv"), []byte("id,v\n1,10\n2,20\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cat := memCatalog(t, time.Microsecond)
+	cat := memCatalog(t)
 	cat.dir = dir
 	srv, ts, client := newTestServer(t, cat, Config{MaxInFlight: 16, QueueDepth: 32})
 	// Shard count is the operator's setting, not a request's: the shards
@@ -400,12 +478,13 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 	}
 }
 
-// slowCatalog paces scans so that, at TimeCompression 1, a 2-way join runs
-// for several wall seconds — long enough to cancel mid-join.
+// slowCatalog paces scans at 20 virtual seconds per row — 20 ms of wall time
+// at the engine's fixed clock scale — so a 2-way join runs for several wall
+// seconds: long enough to cancel mid-join.
 func slowCatalog(t testing.TB) *Catalog {
 	t.Helper()
-	cat := NewCatalog(20*time.Millisecond, "")
-	scan := source.ScanSpec{InterArrival: 20 * clock.Millisecond}
+	cat := NewCatalog(20*time.Second, "")
+	scan := source.ScanSpec{InterArrival: 20 * clock.Second}
 	sch1, _ := schema.NewTable("big", schema.IntCol("k"), schema.IntCol("a"))
 	d1, _ := source.NewTable(sch1, seqRows(400, 50))
 	cat.Put("big", sql.Source{Data: d1, Scan: &scan})
@@ -422,7 +501,7 @@ const slowJoin = "SELECT big.k, dim.v FROM big, dim WHERE big.a = dim.b"
 // goroutines.
 func TestDeadlineCancelsMidJoin(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv, ts, client := newTestServer(t, slowCatalog(t), Config{TimeCompression: 1})
+	srv, ts, client := newTestServer(t, slowCatalog(t), Config{})
 
 	start := time.Now()
 	res := postQuery(t, client, ts.URL, map[string]any{
@@ -476,7 +555,7 @@ func TestDeadlineCancelsMidJoin(t *testing.T) {
 // and no goroutine outlives the server.
 func TestGracefulShutdownDrain(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv, ts, client := newTestServer(t, slowCatalog(t), Config{TimeCompression: 1})
+	srv, ts, client := newTestServer(t, slowCatalog(t), Config{})
 
 	type outcome struct {
 		res ndjsonResult
@@ -573,7 +652,7 @@ func waitInflight(t *testing.T, client *http.Client, url string, want int) {
 // server and asserts the overflow arrival is rejected with 429.
 func TestAdmissionRejectsBeyondQueue(t *testing.T) {
 	srv, ts, client := newTestServer(t, slowCatalog(t), Config{
-		MaxInFlight: 1, QueueDepth: 0, TimeCompression: 1,
+		MaxInFlight: 1, QueueDepth: 0,
 	})
 	go postQuery(t, client, ts.URL, map[string]any{"sql": slowJoin, "deadline_ms": 10_000})
 	waitInflight(t, client, ts.URL, 1)
@@ -588,7 +667,7 @@ func TestAdmissionRejectsBeyondQueue(t *testing.T) {
 // TestSessionDeleteCancelsQueries closes a session mid-query and asserts
 // its in-flight query is canceled.
 func TestSessionDeleteCancelsQueries(t *testing.T) {
-	srv, ts, client := newTestServer(t, slowCatalog(t), Config{TimeCompression: 1})
+	srv, ts, client := newTestServer(t, slowCatalog(t), Config{})
 	resCh := make(chan ndjsonResult, 1)
 	go func() {
 		resCh <- postQuery(t, client, ts.URL, map[string]any{
@@ -621,7 +700,7 @@ func TestSessionDeleteCancelsQueries(t *testing.T) {
 
 // TestHealthzAndTables sanity-checks the observability endpoints.
 func TestHealthzAndTables(t *testing.T) {
-	_, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	resp, err := client.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -35,13 +35,13 @@ func metricValue(t *testing.T, met, name string) uint64 {
 // return exactly the rows a private-state server returns, while building
 // each shared table's state exactly once.
 func TestServerSharedStemsAgree(t *testing.T) {
-	_, pts, pclient := newTestServer(t, memCatalog(t, time.Microsecond), Config{})
+	_, pts, pclient := newTestServer(t, memCatalog(t), Config{})
 	want := rowMultiset(postQuery(t, pclient, pts.URL, map[string]any{"sql": threeWayJoin}).rows)
 	if len(want) == 0 {
 		t.Fatal("private-state oracle produced no rows")
 	}
 
-	srv, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{
+	srv, ts, client := newTestServer(t, memCatalog(t), Config{
 		MaxInFlight: 8,
 		SharedStems: true,
 	})
@@ -124,7 +124,7 @@ func TestSharedStemsStormLifecycle(t *testing.T) {
 	const q = "SELECT r.key, s.y FROM r, s WHERE r.a = s.x"
 
 	// Oracle: a private-state server over the same CSVs.
-	ocat := NewCatalog(time.Microsecond, "")
+	ocat := NewCatalog(0, "")
 	for _, n := range []string{"r", "s"} {
 		if _, err := ocat.RegisterLocalCSV(n, filepath.Join(dir, n+".csv"), nil); err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestSharedStemsStormLifecycle(t *testing.T) {
 		t.Fatalf("oracle produced %d distinct rows, want 400", len(want))
 	}
 
-	cat := NewCatalog(time.Microsecond, dir)
+	cat := NewCatalog(0, dir)
 	for _, n := range []string{"r", "s"} {
 		if _, err := cat.RegisterLocalCSV(n, filepath.Join(dir, n+".csv"), nil); err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestSharedStemsStormLifecycle(t *testing.T) {
 // entry is over budget, so attaching a second table's state evicts the
 // first's as soon as it is idle — but never while referenced.
 func TestSharedStemsEviction(t *testing.T) {
-	srv, ts, client := newTestServer(t, memCatalog(t, time.Microsecond), Config{
+	srv, ts, client := newTestServer(t, memCatalog(t), Config{
 		SharedStems:     true,
 		SharedStemBytes: 1,
 	})

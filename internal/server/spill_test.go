@@ -15,18 +15,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/schema"
 	"repro/internal/source"
 	"repro/internal/sql"
 )
 
-// spillCatalog is slowCatalog's fast twin: the same 400×50 join shape, paced
-// in microseconds so completed-run tests finish instantly.
+// spillCatalog is slowCatalog's fast twin: the same 400×50 join shape,
+// unpaced like every table stemsd registers, so completed-run tests finish
+// instantly.
 func spillCatalog(t testing.TB) *Catalog {
 	t.Helper()
-	cat := NewCatalog(time.Microsecond, "")
-	scan := source.ScanSpec{InterArrival: clock.Microsecond}
+	cat := NewCatalog(0, "")
+	var scan source.ScanSpec
 	sch1, _ := schema.NewTable("big", schema.IntCol("k"), schema.IntCol("a"))
 	d1, _ := source.NewTable(sch1, seqRows(400, 50))
 	cat.Put("big", sql.Source{Data: d1, Scan: &scan})
@@ -142,7 +142,7 @@ func metricGauge(t *testing.T, client *http.Client, url, name string) float64 {
 func TestServerSpillSessionDeleteCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts, client := newTestServer(t, slowCatalog(t), Config{
-		TimeCompression: 1, MemBudgetBytes: 1, SpillDir: dir,
+		MemBudgetBytes: 1, SpillDir: dir,
 	})
 	resCh := make(chan ndjsonResult, 1)
 	go func() {

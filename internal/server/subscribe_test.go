@@ -136,7 +136,7 @@ func TestSubscribeDeltaExact(t *testing.T) {
 	for _, engine := range []string{"concurrent", "sim"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
-			cat := memCatalog(t, time.Millisecond)
+			cat := memCatalog(t)
 			_, ts, client := newTestServer(t, cat, Config{})
 
 			sub := openSubscription(t, client, ts.URL, map[string]any{
@@ -250,7 +250,7 @@ func TestSubscribeDeltaExact(t *testing.T) {
 // subscription alive, a REGISTER replacing a subscribed table ends it
 // cleanly with reason "table replaced".
 func TestSubscribeTableReplacedEnds(t *testing.T) {
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	dir := t.TempDir()
 	if err := os.WriteFile(dir+"/r2.csv", []byte("key:int,a:int\n9,10\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestSubscribeTableReplacedEnds(t *testing.T) {
 // gauge returns to zero, and the query is accounted as canceled.
 func TestSubscribeClientDisconnect(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	srv, ts, client := newTestServer(t, cat, Config{})
 
 	sub := openSubscription(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "subscribe": true})
@@ -347,7 +347,7 @@ func TestSubscribeClientDisconnect(t *testing.T) {
 // client write instead of buffering unboundedly, and every delta still
 // arrives exactly once.
 func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	_, ts, client := newTestServer(t, cat, Config{})
 
 	sub := openSubscription(t, client, ts.URL, map[string]any{
@@ -404,7 +404,7 @@ func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
 func TestSubscribeDrainWithLiveSubscribers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	spill := t.TempDir()
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	srv, ts, client := newTestServer(t, cat, Config{SpillDir: spill})
 
 	var subs []*subStream
@@ -458,7 +458,7 @@ func TestSubscribeDrainWithLiveSubscribers(t *testing.T) {
 // window contents at arrival time, and joins against evicted rows are
 // intentionally not produced.
 func TestSubscribeWindowedDelta(t *testing.T) {
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	_, ts, client := newTestServer(t, cat, Config{})
 
 	sub := openSubscription(t, client, ts.URL, map[string]any{
@@ -519,7 +519,7 @@ func TestSubscribeWindowedDelta(t *testing.T) {
 // moves) and the data-pointer change makes the table's shared SteM stale,
 // forcing a rebuild on the next query (builds counter moves).
 func TestInsertInvalidatesPlansAndSharedStems(t *testing.T) {
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	_, ts, client := newTestServer(t, cat, Config{SharedStems: true})
 
 	for i := 0; i < 2; i++ {
@@ -564,7 +564,7 @@ func TestInsertInvalidatesPlansAndSharedStems(t *testing.T) {
 
 // TestInsertEndpointValidation pins the /insert and INSERT error surfaces.
 func TestInsertEndpointValidation(t *testing.T) {
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	_, ts, client := newTestServer(t, cat, Config{})
 
 	if st := postInsert(t, client, ts.URL, "nope", [][]any{{1, 2}}); st != http.StatusBadRequest {
@@ -601,7 +601,7 @@ func TestInsertEndpointValidation(t *testing.T) {
 // completed-queries ring each move by exactly one — while request-shape
 // rejections never take a slot and leave both alone.
 func TestSubscribeRejections(t *testing.T) {
-	cat := memCatalog(t, time.Millisecond)
+	cat := memCatalog(t)
 	if err := cat.AddIndex("u", "p", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

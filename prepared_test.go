@@ -17,8 +17,8 @@ func TestPreparedMatchesRun(t *testing.T) {
 	}
 	defer sharedS.Close()
 	for name, opts := range map[string]Options{
-		"private": {Engine: Concurrent, TimeCompression: 0.0001},
-		"shared":  {Engine: Concurrent, TimeCompression: 0.0001, Shared: map[string]*SharedState{"S": sharedS}},
+		"private": {Engine: Concurrent},
+		"shared":  {Engine: Concurrent, Shared: map[string]*SharedState{"S": sharedS}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			oracle, err := smallJoin().Run(opts)
@@ -59,7 +59,7 @@ func TestPreparedMatchesRun(t *testing.T) {
 func TestPreparedStreamsOnResult(t *testing.T) {
 	var streamed int
 	p, err := smallJoin().Prepare(Options{
-		Engine: Concurrent, TimeCompression: 0.0001,
+		Engine:   Concurrent,
 		OnResult: func(Row) { streamed++ },
 	})
 	if err != nil {
@@ -87,8 +87,8 @@ func TestPreparedStreamsOnResult(t *testing.T) {
 // intermittently drops results even on a fresh Run — see CHANGES.md.)
 func TestPreparedRecoversFromCancel(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"default":   {Engine: Concurrent, TimeCompression: 0.0001},
-		"skipBuild": {Engine: Concurrent, TimeCompression: 0.0001, SkipBuildTable: "R"},
+		"default":   {Engine: Concurrent},
+		"skipBuild": {Engine: Concurrent, SkipBuildTable: "R"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			p, err := smallJoin().Prepare(opts)
@@ -144,7 +144,7 @@ func TestPrepareRejectsUnpoolableOptions(t *testing.T) {
 // multiple shards mean per-shard dictionaries, inboxes, and workers all go
 // through the reuse path.
 func TestPreparedSharding(t *testing.T) {
-	p, err := smallJoin().Prepare(Options{Engine: Concurrent, TimeCompression: 0.0001, Shards: 4, BatchSize: 2})
+	p, err := smallJoin().Prepare(Options{Engine: Concurrent, Shards: 4, BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

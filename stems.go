@@ -22,7 +22,7 @@
 // Two engines execute the same modules: a deterministic discrete-event
 // simulator on a virtual clock (the default; regenerates the paper's
 // time-series figures exactly) and a concurrent goroutine-per-module engine
-// on a (compressible) real clock.
+// on a real clock (one virtual second per wall millisecond).
 package stems
 
 import (
@@ -102,9 +102,6 @@ type Options struct {
 	Context context.Context
 	// Seed feeds the randomized policies; 0 means 1.
 	Seed int64
-	// TimeCompression scales the Concurrent engine's clock: 0.001 (default)
-	// runs one virtual second per wall millisecond.
-	TimeCompression float64
 	// BatchSize caps how many tuples the Concurrent engine's eddy coalesces
 	// into one module batch, amortizing channel sends, module locking, and
 	// policy decisions. 0 defaults to 64; 1 restores tuple-at-a-time
@@ -580,17 +577,16 @@ func (p Policy) String() string {
 // states; every default lives in core.
 func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 	sp := core.Spec{
-		Q:               iq,
-		Engine:          opts.Engine,
-		Policy:          opts.Policy.String(),
-		Seed:            opts.Seed,
-		Shards:          opts.Shards,
-		Batch:           opts.BatchSize,
-		MemoryBytes:     opts.MemoryBudgetBytes,
-		SpillDir:        opts.SpillDir,
-		TimeCompression: opts.TimeCompression,
-		Deadline:        clock.Time(opts.Deadline),
-		Trace:           opts.Explain,
+		Q:           iq,
+		Engine:      opts.Engine,
+		Policy:      opts.Policy.String(),
+		Seed:        opts.Seed,
+		Shards:      opts.Shards,
+		Batch:       opts.BatchSize,
+		MemoryBytes: opts.MemoryBudgetBytes,
+		SpillDir:    opts.SpillDir,
+		Deadline:    clock.Time(opts.Deadline),
+		Trace:       opts.Explain,
 	}
 	if opts.BounceForIndexChoice {
 		sp.ProbeBounce = stem.BounceIfIndexAM

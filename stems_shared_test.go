@@ -47,7 +47,7 @@ func sharedJoin() *Query {
 // (root package, full race job), so the lock-free shared-dictionary reads
 // are exercised concurrently.
 func TestSharedStemsAgree(t *testing.T) {
-	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Concurrent, TimeCompression: 0.0001}).Rows)
+	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Concurrent}).Rows)
 	if len(want) == 0 {
 		t.Fatal("workload produced no rows; the equivalence check would be vacuous")
 	}
@@ -81,11 +81,10 @@ func TestSharedStemsAgree(t *testing.T) {
 						go func(g int) {
 							defer wg.Done()
 							res, err := sharedJoin().Run(Options{
-								Engine:          Concurrent,
-								TimeCompression: 0.0001,
-								Shards:          shards,
-								BatchSize:       batch,
-								Shared:          map[string]*SharedState{"S": sharedS, "U": sharedU},
+								Engine:    Concurrent,
+								Shards:    shards,
+								BatchSize: batch,
+								Shared:    map[string]*SharedState{"S": sharedS, "U": sharedU},
 							})
 							if err != nil {
 								errs[g] = err

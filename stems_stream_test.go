@@ -83,10 +83,10 @@ func standingConfigs() []struct {
 	}{
 		{"sim/shards=1", Options{Engine: Sim}},
 		{"sim/shards=4", Options{Engine: Sim, Shards: 4}},
-		{"concurrent/shards=1/columnar", Options{Engine: Concurrent, TimeCompression: 0.0001}},
-		{"concurrent/shards=1/rows", Options{Engine: Concurrent, TimeCompression: 0.0001, BatchSize: 1}},
-		{"concurrent/shards=4/columnar", Options{Engine: Concurrent, TimeCompression: 0.0001, Shards: 4}},
-		{"concurrent/shards=4/rows", Options{Engine: Concurrent, TimeCompression: 0.0001, Shards: 4, BatchSize: 1}},
+		{"concurrent/shards=1/columnar", Options{Engine: Concurrent}},
+		{"concurrent/shards=1/rows", Options{Engine: Concurrent, BatchSize: 1}},
+		{"concurrent/shards=4/columnar", Options{Engine: Concurrent, Shards: 4}},
+		{"concurrent/shards=4/rows", Options{Engine: Concurrent, Shards: 4, BatchSize: 1}},
 	}
 }
 
@@ -253,7 +253,7 @@ func TestStandingWindowedDelta(t *testing.T) {
 		opts Options
 	}{
 		{"sim", Options{Window: map[string]int{"R": 1}}},
-		{"concurrent", Options{Engine: Concurrent, TimeCompression: 0.0001, Window: map[string]int{"R": 1}}},
+		{"concurrent", Options{Engine: Concurrent, Window: map[string]int{"R": 1}}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
@@ -297,7 +297,7 @@ func TestStandingOnResult(t *testing.T) {
 		opts Options
 	}{
 		{"sim", Options{}},
-		{"concurrent", Options{Engine: Concurrent, TimeCompression: 0.0001}},
+		{"concurrent", Options{Engine: Concurrent}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {

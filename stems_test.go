@@ -48,7 +48,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conRes, err := smallJoin().Run(Options{Engine: Concurrent, TimeCompression: 0.0001})
+	conRes, err := smallJoin().Run(Options{Engine: Concurrent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestEnginesAgree(t *testing.T) {
 func TestConcurrentBatchSizesAgree(t *testing.T) {
 	want := keysOf(mustRun(t, smallJoin(), Options{Engine: Sim}).Rows)
 	for _, bs := range []int{1, 2, 64} {
-		res, err := smallJoin().Run(Options{Engine: Concurrent, TimeCompression: 0.0001, BatchSize: bs})
+		res, err := smallJoin().Run(Options{Engine: Concurrent, BatchSize: bs})
 		if err != nil {
 			t.Fatalf("BatchSize %d: %v", bs, err)
 		}
@@ -85,7 +85,7 @@ func TestConcurrentBatchSizesAgree(t *testing.T) {
 func TestShardCountsAgree(t *testing.T) {
 	want := keysOf(mustRun(t, smallJoin(), Options{Engine: Sim}).Rows)
 	for _, sh := range []int{1, 2, 8} {
-		res, err := smallJoin().Run(Options{Engine: Concurrent, TimeCompression: 0.0001, Shards: sh})
+		res, err := smallJoin().Run(Options{Engine: Concurrent, Shards: sh})
 		if err != nil {
 			t.Fatalf("Shards %d: %v", sh, err)
 		}
