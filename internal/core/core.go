@@ -248,7 +248,7 @@ func (e *Exec) RunDelta(ctx context.Context, ts []*tuple.Tuple, onOutput func(t 
 		return nil, errors.New("core: RunDelta needs a handle whose earlier rounds completed cleanly")
 	}
 	if e.eng != nil {
-		e.eng.Reset() // rearms the round-scoped channels; SteM state stays
+		e.eng.Reset() // rearms the round-scoped state; SteM state stays
 	}
 	return e.round(ctx, ts, true, onOutput)
 }

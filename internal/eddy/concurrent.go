@@ -227,8 +227,8 @@ type Concurrent struct {
 	done chan struct{}
 	// senders tracks every goroutine that may still send on events other
 	// than the module workers (the seeder and the delay timers); shutdown
-	// waits for them before closing the channel so the drainer can exit and
-	// the run leaves zero goroutines behind.
+	// absorbs events until they and the workers have exited, so the run
+	// leaves zero goroutines behind and an empty events channel.
 	senders sync.WaitGroup
 	// inboxes is indexed [module][shard]; unsharded modules have exactly one
 	// inbox that all their workers share.
@@ -329,8 +329,8 @@ func (c *Concurrent) SetClock(clk *clock.Real) {
 // run has exited; the modules' own state (SteM dictionaries, AM dedup
 // caches, policy learners) belongs to the Routing and is reset through it.
 func (c *Concurrent) Reset() {
-	// The previous run closed both channels; rearm them.
-	c.events = make(chan eddyEvent, 1024)
+	// The previous run closed done; rearm it. events is never closed and
+	// was left empty by the wind-down, so it is kept.
 	c.done = make(chan struct{})
 	c.inflight.Store(0)
 	for i := range c.costEWMA {
@@ -575,28 +575,36 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 	}
 
 	// Quiescent or canceled: wind the dataflow down without
-	// leaking a single goroutine. A drainer absorbs events still in flight
-	// (feedback from draining workers; stragglers from the seeder and
-	// delayed emissions); closing done releases the delay timers, closing
-	// the inboxes releases the workers. Once the workers and the tracked
-	// senders have exited nothing can send anymore, so the events channel
-	// closes and the drainer itself terminates before we return.
-	drained := make(chan struct{})
-	go func() {
-		for range c.events {
-		}
-		close(drained)
-	}()
+	// leaking a single goroutine. Closing done releases the delay timers,
+	// closing the inboxes releases the workers; this goroutine absorbs the
+	// events still in flight (feedback from draining workers; stragglers from
+	// the seeder and delayed emissions) until the workers and the tracked
+	// senders have all exited. After that nothing can send anymore, so what
+	// is left in the buffer is dropped and the channel — never closed —
+	// survives for the shell's next run.
 	close(c.done)
 	for _, boxes := range c.inboxes {
 		for _, b := range boxes {
 			b.close()
 		}
 	}
-	wg.Wait()
-	c.senders.Wait()
-	close(c.events)
-	<-drained
+	quiet := make(chan struct{})
+	go func() {
+		wg.Wait()
+		c.senders.Wait()
+		close(quiet)
+	}()
+absorb:
+	for {
+		select {
+		case <-c.events:
+		case <-quiet:
+			break absorb
+		}
+	}
+	for len(c.events) > 0 {
+		<-c.events
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.outputs, c.err

@@ -18,8 +18,10 @@ import (
 // from a freshly constructed one: every run-scoped counter, buffer, and
 // error slot at its zero value, every module's state empty. It is the
 // contract the server's plan cache relies on when it pools shells across
-// EXECUTEs.
-func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
+// EXECUTEs. events is the channel the shell was constructed with: wind-down
+// empties it instead of closing it, so Reset keeps it rather than paying for
+// a new 1024-slot buffer per run.
+func checkShellPristine(t *testing.T, r *Router, eng *Concurrent, events chan eddyEvent) {
 	t.Helper()
 	if got := r.Routed(); got != 0 {
 		t.Errorf("routed = %d, want 0", got)
@@ -88,6 +90,9 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 		t.Error("done channel still closed after Reset")
 	default:
 	}
+	if eng.events != events {
+		t.Error("Reset replaced the events channel")
+	}
 	if len(eng.events) != 0 {
 		t.Errorf("events channel holds %d entries", len(eng.events))
 	}
@@ -130,6 +135,7 @@ func TestResetShellIndistinguishableFromFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewConcurrent(r, clock.NewReal(0.00002))
+	events := eng.events
 	for run := 0; run < 3; run++ {
 		outs, err := eng.Run()
 		if err != nil {
@@ -148,7 +154,7 @@ func TestResetShellIndistinguishableFromFresh(t *testing.T) {
 		}
 		waitGoroutines(t, baseline)
 		resetShell(t, r, eng)
-		checkShellPristine(t, r, eng)
+		checkShellPristine(t, r, eng, events)
 	}
 }
 
@@ -218,6 +224,7 @@ func TestResetAfterCanceledRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewConcurrent(r, clock.NewReal(1))
+	events := eng.events
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	if _, err := eng.RunContext(ctx); err == nil {
@@ -226,7 +233,7 @@ func TestResetAfterCanceledRun(t *testing.T) {
 	waitGoroutines(t, baseline)
 
 	resetShell(t, r, eng)
-	checkShellPristine(t, r, eng)
+	checkShellPristine(t, r, eng, events)
 
 	eng.SetClock(clock.NewReal(0.00002))
 	outs, err := eng.Run()

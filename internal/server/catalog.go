@@ -1,15 +1,25 @@
 // catalog.go is the serving layer's shared table catalog: a mutable,
 // RWMutex-guarded name→source map that every session binds queries against.
-// Sources are immutable once registered (registration replaces the whole
-// entry), so queries that bound against an old version keep running on it
-// safely while new queries see the replacement — the same copy-on-publish
-// discipline a production catalog needs under concurrent DDL and DML.
+// A published entry is never modified: registration replaces the whole
+// entry, and an INSERT publishes a new *source.Table whose Rows header is
+// longer, so queries that bound against an old version keep running on it
+// safely while new queries see the replacement.
+//
+// What an INSERT does not do is copy the table. Each table's rows live in one
+// backing array, grown amortised, whose published prefix is immutable: the
+// single writer (Append, under the write lock) only ever writes past every
+// published length, and a reader holding an older []tuple.Row header never
+// indexes past its own. In-flight queries, stale plan entries and a
+// subscription's rows[seen:] therefore share the array instead of each
+// pinning a copy, and an append costs the rows appended, not the table
+// (TestAppendCostsTheDelta, TestAppendPrefixStable, TestAppendNeverAliases).
 package server
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,12 +44,12 @@ type Catalog struct {
 	// enumeration of affected plans, no lock coupling between DDL and the
 	// cache.
 	version uint64
-	// gens counts, per table, the mutations that replace the table's
-	// identity (Put, AddIndex) as opposed to extending its rows (Append).
-	// Standing queries record the generation they bound at: an append lets
-	// them continue with a delta round, a generation change ends them — the
-	// replacement table has no delta relationship to the old one.
-	gens map[string]uint64
+	// grown is, per table, the *source.Table the last Append published: the
+	// proof that the entry's backing array was allocated here, so the next
+	// Append may write into its spare capacity. Any other table — fresh from
+	// a Put, possibly registered under a second name or sliced from an array
+	// its caller still writes — is copied by its first Append instead.
+	grown map[string]*source.Table
 	// changed is closed and replaced on every mutation; Changed hands it to
 	// subscribers as a broadcast "something moved, re-inspect" signal.
 	changed chan struct{}
@@ -62,7 +72,7 @@ type Catalog struct {
 func NewCatalog(scanInterval time.Duration, dir string) *Catalog {
 	return &Catalog{
 		sources:      make(map[string]sql.Source),
-		gens:         make(map[string]uint64),
+		grown:        make(map[string]*source.Table),
 		changed:      make(chan struct{}),
 		scanInterval: clock.Duration(scanInterval),
 		dir:          dir,
@@ -126,12 +136,13 @@ func (c *Catalog) Len() int {
 }
 
 // Put registers (or replaces) a source under the given name and bumps the
-// catalog version and the table's generation.
+// catalog version and the table's generation (sql.Source.Gen, stamped here).
 func (c *Catalog) Put(name string, s sql.Source) {
 	c.mu.Lock()
+	s.Gen = c.sources[name].Gen + 1
 	c.sources[name] = s
+	delete(c.grown, name)
 	c.version++
-	c.gens[name]++
 	c.notifyLocked()
 	c.mu.Unlock()
 }
@@ -161,12 +172,10 @@ func (c *Catalog) SnapshotSubscribe() (sql.MapCatalog, map[string]uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make(sql.MapCatalog, len(c.sources))
+	gens := make(map[string]uint64, len(c.sources))
 	for k, v := range c.sources {
 		out[k] = v
-	}
-	gens := make(map[string]uint64, len(c.gens))
-	for k, v := range c.gens {
-		gens[k] = v
+		gens[k] = v.Gen
 	}
 	return out, gens
 }
@@ -179,15 +188,16 @@ func (c *Catalog) SourceGen(name string) (sql.Source, uint64, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	s, ok := c.sources[name]
-	return s, c.gens[name], ok
+	return s, s.Gen, ok
 }
 
-// Append adds rows to a registered table, replacing its immutable data
-// table copy-on-publish: in-flight queries keep the version they bound,
-// new binds (and the lazy invalidation of plan-cache entries and shared
-// SteMs, both of which compare table pointers or catalog versions) see the
-// extended table. The rows are validated against the table's schema. It
-// returns the table's new total row count.
+// Append adds rows to a registered table and returns its new total row count.
+// Only the new rows are validated against the schema and only they are
+// written: the published table is a new header over the same backing array
+// (see the package comment), so in-flight queries keep the length they bound
+// while new binds — and the lazy invalidation of plan-cache entries, which
+// compares catalog versions, and the extension of shared SteMs, which
+// compares row counts within a generation — see the longer one.
 func (c *Catalog) Append(name string, rows []tuple.Row) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -195,14 +205,18 @@ func (c *Catalog) Append(name string, rows []tuple.Row) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("server: insert into unknown table %q", name)
 	}
-	old := src.Data
-	combined := make([]tuple.Row, 0, len(old.Rows)+len(rows))
-	combined = append(combined, old.Rows...)
-	combined = append(combined, rows...)
-	data, err := source.NewTable(old.Schema, combined)
-	if err != nil {
-		return 0, fmt.Errorf("server: insert into %q: %w", name, err)
+	cur := src.Data
+	for i, r := range rows {
+		if err := source.CheckRow(cur.Schema, r); err != nil {
+			return 0, fmt.Errorf("server: insert into %q: row %d of %d %w", name, i+1, len(rows), err)
+		}
 	}
+	base := cur.Rows
+	if c.grown[name] != cur {
+		base = slices.Clip(base) // not our array: no spare capacity, so append copies
+	}
+	data := &source.Table{Schema: cur.Schema, Rows: append(base, rows...)}
+	c.grown[name] = data
 	src.Data = data
 	c.sources[name] = src
 	c.version++
@@ -327,9 +341,9 @@ func (c *Catalog) AddIndex(table, col string, latency time.Duration) error {
 	src.Indexes = append(append([]source.IndexSpec(nil), src.Indexes...), source.IndexSpec{
 		KeyCols: []int{ci}, Latency: clock.Duration(latency), Parallel: 1,
 	})
+	src.Gen++
 	c.sources[table] = src
 	c.version++
-	c.gens[table]++
 	c.notifyLocked()
 	return nil
 }

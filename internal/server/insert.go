@@ -1,11 +1,13 @@
 // insert.go is the live-ingestion path: POST /insert appends JSON rows to a
 // registered table, and INSERT statements arriving through POST /query land
-// in the same append. Both go through Catalog.Append, whose copy-on-publish
-// replacement is what makes ingestion safe under concurrency: in-flight
-// queries keep the immutable table they bound, the catalog version bump
-// lazily invalidates cached plans, the data-pointer change detaches shared
-// SteMs, and standing subscriptions observe the same-generation row growth
-// and run a delta round.
+// in the same append. Both go through Catalog.Append, which validates and
+// writes only the new rows — past every published length of the table's one
+// backing array — and publishes a longer view of it. That is what makes
+// ingestion safe under concurrency and O(rows inserted): in-flight queries
+// keep the prefix they bound, the catalog version bump lazily invalidates
+// cached plans, an idle shared SteM absorbs the new rows on its next attach
+// (a referenced or spilled one is rebuilt), and standing subscriptions
+// observe the same-generation row growth and run a delta round.
 package server
 
 import (
@@ -84,7 +86,8 @@ func (s *Server) applyInsert(w http.ResponseWriter, r *http.Request, table strin
 // rowsFromJSON converts UseNumber-decoded JSON rows to engine rows. Only
 // integers, strings, and null map onto the engine's value kinds; anything
 // else (floats included) is the client's error. Schema validation — arity
-// and per-column kinds — is Catalog.Append's job.
+// and per-column kinds, reported by 1-based position in the request — is
+// Catalog.Append's job.
 func rowsFromJSON(in [][]any) ([]tuple.Row, error) {
 	rows := make([]tuple.Row, len(in))
 	for i, r := range in {

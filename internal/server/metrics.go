@@ -119,6 +119,7 @@ type gauges struct {
 	planEvictions     uint64
 
 	sharedBuilds    uint64
+	sharedExtends   uint64
 	sharedAttached  uint64
 	sharedDetached  uint64
 	sharedEvictions uint64
@@ -165,8 +166,10 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "stemsd_plan_cache_invalidations_total %d\n", g.planInvalidations)
 	counter("stemsd_plan_cache_evictions_total", "Cached plans dropped by LRU capacity pressure.")
 	fmt.Fprintf(w, "stemsd_plan_cache_evictions_total %d\n", g.planEvictions)
-	counter("stemsd_shared_stem_builds_total", "Shared SteM states built by the catalog (first use or rebuild after REGISTER).")
+	counter("stemsd_shared_stem_builds_total", "Shared SteM states built by the catalog (first use, or rebuild after REGISTER or an INSERT it could not absorb).")
 	fmt.Fprintf(w, "stemsd_shared_stem_builds_total %d\n", g.sharedBuilds)
+	counter("stemsd_shared_stem_extends_total", "Shared SteM states extended in place with the rows an INSERT appended.")
+	fmt.Fprintf(w, "stemsd_shared_stem_extends_total %d\n", g.sharedExtends)
 	counter("stemsd_shared_stem_attached_total", "Probe-only attachments of queries to shared SteM states.")
 	fmt.Fprintf(w, "stemsd_shared_stem_attached_total %d\n", g.sharedAttached)
 	counter("stemsd_shared_stem_detaches_total", "Attachments released by finished queries.")

@@ -451,6 +451,7 @@ func (s *Server) gauges() gauges {
 	}
 	if s.shared != nil {
 		g.sharedBuilds, g.sharedAttached, g.sharedDetached, g.sharedEvictions = s.shared.counts()
+		g.sharedExtends = s.shared.extends.Load()
 		g.sharedResident, g.sharedSpilled = s.shared.bytes()
 		g.sharedEntries = s.shared.entryCount()
 	}

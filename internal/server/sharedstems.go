@@ -1,24 +1,31 @@
 // sharedstems.go gives the server catalog ownership of long-lived shared
-// SteMs: the first query that uses a registered table builds sealed shared
-// state for it (stem.BuildShared) keyed by (table, join columns, shard
-// count), and every concurrent or later query with the same key attaches a
-// probe-only handle instead of rebuilding — the paper's "SteM state is
-// shareable across queries" pitch, lifted from per-query modules to the
-// serving layer.
+// SteMs: the first query that uses a registered table builds shared state
+// for it (stem.BuildShared) keyed by (table, join columns, shard count), and
+// every concurrent or later query with the same key attaches a probe-only
+// handle instead of rebuilding — the paper's "SteM state is shareable across
+// queries" pitch, lifted from per-query modules to the serving layer.
 //
 // Lifecycle rules, enforced here and stress-tested by the storm tests:
 //
-//   - Builds are single-flight: one goroutine builds while concurrent
-//     attachers wait on the entry's ready channel, all holding a reference
-//     from the moment they decided to attach, so the builder's result cannot
-//     be torn down before they see it.
+//   - Builds and extensions are single-flight: one goroutine builds or
+//     extends while concurrent attachers wait on the entry's ready channel,
+//     all holding a reference from the moment they decided to attach, so the
+//     result cannot be torn down before they see it.
 //   - Refcounts gate teardown: an entry's SharedState (and its spill
 //     segments on disk) is only closed when it is stale or evicted AND its
 //     refcount has dropped to zero. An executing query never loses state.
-//   - REGISTER detaches lazily: registration replaces the catalog's
-//     *source.Table, so an entry is stale exactly when its build-input
-//     pointer no longer matches the catalog's. The next attach of a stale
-//     key rebuilds; running queries keep the old state until they release.
+//   - REGISTER detaches lazily, INSERT extends: an entry remembers the
+//     catalog generation it was built at and how many of the table's rows it
+//     has absorbed. A different generation (REGISTER, a new index) makes it
+//     stale; the next attach rebuilds, and running queries keep the old state
+//     until they release. The same generation with more rows is an append:
+//     the attacher inserts just the new rows into the existing state
+//     (stem.SharedState.Extend) — but only while no query is attached and the
+//     state is and stays fully resident, otherwise it goes stale and is
+//     rebuilt as above. An attacher whose snapshot has *fewer* rows than the
+//     state absorbed bound before an INSERT that someone else already
+//     extended past; it runs on private SteMs, so no query sees rows newer
+//     than its snapshot.
 //   - Eviction is capacity-driven: when capBytes is set, the
 //     least-recently-attached unreferenced entries are closed until the
 //     total footprint fits. Referenced entries are never evicted.
@@ -32,9 +39,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/query"
-	"repro/internal/source"
 	"repro/internal/sql"
 	"repro/internal/stem"
+	"repro/internal/tuple"
 )
 
 // sharedKey identifies one shared build: a catalog table, the join-column
@@ -67,13 +74,16 @@ func normShards(n int) int {
 	return p
 }
 
-// sharedEntry is one catalog-owned build. state/err are written once by the
-// builder before ready closes; refs, stale, and seq are guarded by the
-// manager's mutex.
+// sharedEntry is one catalog-owned build. All fields are guarded by the
+// manager's mutex; state and err are written by the builder (err also by an
+// extender) before the ready channel of that build or extension closes.
 type sharedEntry struct {
-	key   sharedKey
-	data  *source.Table // build input; pointer identity detects REGISTER
-	ready chan struct{}
+	key sharedKey
+	// gen and rows say what the state holds once ready closes: the first
+	// rows rows of the table at catalog generation gen.
+	gen   uint64
+	rows  int
+	ready chan struct{} // replaced for each extension
 	state *stem.SharedState
 	err   error
 
@@ -96,6 +106,7 @@ type sharedStems struct {
 	spillDir    string
 
 	builds    atomic.Uint64
+	extends   atomic.Uint64
 	attaches  atomic.Uint64
 	detaches  atomic.Uint64
 	evictions atomic.Uint64
@@ -110,46 +121,67 @@ func newSharedStems(capBytes, budgetBytes int64, spillDir string) *sharedStems {
 	}
 }
 
-// attach returns a referenced entry for (table, keyCols, shards), building
-// the shared state on first use. The caller must release the entry exactly
-// once when its query stops probing the state.
-func (m *sharedStems) attach(table string, data *source.Table, keyCols []int, shards int) (*sharedEntry, error) {
+// attach returns a referenced entry for (table, keyCols, shards) holding
+// exactly src's rows, building the shared state on first use and extending
+// it after an append. The caller must release the entry exactly once when its
+// query stops probing the state. A nil entry with a nil error means src is an
+// older snapshot than the state has absorbed: the query must run private.
+func (m *sharedStems) attach(table string, src sql.Source, keyCols []int, shards int) (*sharedEntry, error) {
 	key := sharedKey{table: table, cols: colsSig(keyCols), shards: normShards(shards)}
+	rows := src.Data.Rows
 	var drop *stem.SharedState
+	var delta []tuple.Row // the rows this call extends the state with
 	m.mu.Lock()
 	e := m.entries[key]
-	if e != nil && e.data != data {
+	switch {
+	case e == nil:
+	case e.gen != src.Gen:
 		// REGISTER replaced the table since this entry was built: detach it
 		// lazily. Running queries keep their reference; teardown waits for
 		// the last release.
-		e.stale = true
-		delete(m.entries, key)
-		if e.refs == 0 && e.state != nil {
-			drop = e.state
+		drop, e = m.detachLocked(e), nil
+	case len(rows) < e.rows:
+		m.mu.Unlock()
+		return nil, nil
+	case len(rows) > e.rows:
+		// INSERT grew the table. refs == 0 also means no build or extension
+		// is in flight — whoever runs one holds a reference.
+		if grown := rows[e.rows:]; e.refs == 0 && e.state.ExtendsResident(grown) {
+			delta = grown
+			e.rows, e.ready = len(rows), make(chan struct{})
+		} else {
+			drop, e = m.detachLocked(e), nil
 		}
-		e = nil
 	}
 	build := e == nil
 	if build {
-		e = &sharedEntry{key: key, data: data, ready: make(chan struct{})}
+		e = &sharedEntry{key: key, gen: src.Gen, rows: len(rows), ready: make(chan struct{})}
 		m.entries[key] = e
 	}
 	e.refs++
 	m.seq++
 	e.seq = m.seq
+	ready := e.ready
 	m.mu.Unlock()
 	if drop != nil {
 		drop.Close()
 	}
 
-	if build {
-		m.builds.Add(1)
-		state, err := stem.BuildShared(stem.SharedConfig{
-			KeyCols:     keyCols,
-			Shards:      shards,
-			BudgetBytes: m.budgetBytes,
-			SpillDir:    m.spillDir,
-		}, data.Rows)
+	if build || delta != nil {
+		state := e.state // nil for a build; ours alone while in flight
+		var err error
+		if build {
+			m.builds.Add(1)
+			state, err = stem.BuildShared(stem.SharedConfig{
+				KeyCols:     keyCols,
+				Shards:      shards,
+				BudgetBytes: m.budgetBytes,
+				SpillDir:    m.spillDir,
+			}, rows)
+		} else {
+			m.extends.Add(1)
+			err = state.Extend(delta)
+		}
 		m.mu.Lock()
 		e.state, e.err = state, err
 		if err != nil {
@@ -159,9 +191,9 @@ func (m *sharedStems) attach(table string, data *source.Table, keyCols []int, sh
 			}
 		}
 		m.mu.Unlock()
-		close(e.ready)
+		close(ready)
 	} else {
-		<-e.ready
+		<-ready
 	}
 	if e.err != nil {
 		m.release(e)
@@ -170,6 +202,18 @@ func (m *sharedStems) attach(table string, data *source.Table, keyCols []int, sh
 	m.attaches.Add(1)
 	m.maybeEvict()
 	return e, nil
+}
+
+// detachLocked retires a live entry from the map and returns the state to
+// Close now if nothing references it (else its last release closes it). The
+// caller holds m.mu and closes outside it.
+func (m *sharedStems) detachLocked(e *sharedEntry) (drop *stem.SharedState) {
+	e.stale = true
+	delete(m.entries, e.key)
+	if e.refs == 0 {
+		drop = e.state
+	}
+	return drop
 }
 
 // release drops one reference; the last release of a stale or evicted entry
@@ -322,9 +366,10 @@ func (p *sharedPlan) release() {
 //
 // Fallback (nil plan) cases: fewer than two tables, a driver with no scan
 // access method (nothing would seed the dataflow), a non-driver table with
-// no join columns (nothing to key its dictionary on), or a join graph
+// no join columns (nothing to key its dictionary on), a join graph
 // not connected from the driver (a cross-product leg would need the
-// attached table's scan, which attachments do not run).
+// attached table's scan, which attachments do not run), or a snapshot older
+// than the rows a table's state has already absorbed.
 func (m *sharedStems) planAttach(st *sql.Stmt, q *query.Q, snap sql.MapCatalog, shards int) (*sharedPlan, error) {
 	n := q.NumTables()
 	if m == nil || n < 2 || n != len(st.From) {
@@ -376,10 +421,14 @@ func (m *sharedStems) planAttach(st *sql.Stmt, q *query.Q, snap sql.MapCatalog, 
 		if t == driver {
 			continue
 		}
-		e, err := m.attach(st.From[t].Source, srcs[t].Data, cols[t], shards)
+		e, err := m.attach(st.From[t].Source, srcs[t], cols[t], shards)
 		if err != nil {
 			plan.release()
 			return nil, fmt.Errorf("shared SteM build for %q failed: %w", st.From[t].Source, err)
+		}
+		if e == nil {
+			plan.release()
+			return nil, nil
 		}
 		plan.entries = append(plan.entries, e)
 		plan.states[t] = e.state

@@ -1,10 +1,14 @@
 // sharedstems_test.go is the adversarial harness for catalog-owned shared
 // SteMs: server-level result equivalence against a private-state server,
 // a -race lifecycle storm mixing concurrent attach/detach with REGISTER
-// invalidation and session cancellation mid-probe, and capacity eviction.
+// invalidation and session cancellation mid-probe, capacity eviction, and
+// the INSERT rules — an idle resident state absorbs the new rows in place,
+// while a referenced or spilled one is rebuilt and an older snapshot runs
+// private.
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -14,6 +18,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
+	"repro/internal/core"
+	"repro/internal/schema"
+	"repro/internal/source"
+	"repro/internal/sql"
 )
 
 // metricValue extracts one un-labeled metric's value from an exposition body.
@@ -298,4 +308,224 @@ func TestSharedStemsEviction(t *testing.T) {
 		t.Errorf("q1 after eviction returned %d rows, want 3", len(res.rows))
 	}
 	srv.Shutdown(time.Second)
+}
+
+// TestSharedStemsExtendAgree interleaves INSERTs (into both attached tables)
+// with SELECTs on a shared-SteM server and a private-state server: every
+// read returns the same multiset on both, and on the shared server each
+// table's state is built exactly once — every INSERT after that is absorbed
+// by an extension.
+func TestSharedStemsExtendAgree(t *testing.T) {
+	_, pts, pclient := newTestServer(t, memCatalog(t), Config{})
+	srv, ts, client := newTestServer(t, memCatalog(t), Config{SharedStems: true})
+
+	const cycles = 12
+	wantExtends := uint64(0)
+	for i := 0; i <= cycles; i++ {
+		if i > 0 {
+			// r.a = 10|20 joins s; u.p = 100|200 joins s.y. Odd cycles grow
+			// r, even ones u, every fourth both (two extensions, one read).
+			var inserts []string
+			if i%2 == 1 || i%4 == 0 {
+				inserts = append(inserts, fmt.Sprintf("INSERT INTO r VALUES (%d, %d), (%d, 30)", 100+i, 10*(1+i%2), 200+i))
+			}
+			if i%2 == 0 {
+				inserts = append(inserts, fmt.Sprintf("INSERT INTO u VALUES (%d, %d)", 100*(1+i%3%2), 50+i))
+			}
+			for _, ins := range inserts {
+				for _, c := range []struct {
+					client *http.Client
+					url    string
+				}{{pclient, pts.URL}, {client, ts.URL}} {
+					if res := postQuery(t, c.client, c.url, map[string]any{"sql": ins}); res.status != http.StatusOK {
+						t.Fatalf("cycle %d: %q: status %d err %q", i, ins, res.status, res.errLine)
+					}
+				}
+			}
+			wantExtends += uint64(len(inserts))
+		}
+		want := postQuery(t, pclient, pts.URL, map[string]any{"sql": threeWayJoin})
+		got := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin})
+		if want.status != http.StatusOK || got.status != http.StatusOK {
+			t.Fatalf("cycle %d: status private=%d shared=%d", i, want.status, got.status)
+		}
+		if !sameMultiset(rowMultiset(want.rows), rowMultiset(got.rows)) {
+			t.Fatalf("cycle %d: shared server returned %d rows, private server %d, or they differ", i, len(got.rows), len(want.rows))
+		}
+		if i == cycles && len(got.rows) <= 5 {
+			t.Fatalf("final join has %d rows; the inserted rows never joined", len(got.rows))
+		}
+	}
+	met := metricsBody(t, client, ts.URL)
+	if builds := metricValue(t, met, "stemsd_shared_stem_builds_total"); builds != 2 {
+		t.Errorf("shared builds = %d after %d insert/read cycles, want 2 (r and u, once each): %s", builds, cycles, srv.shared.debugString())
+	}
+	if ext := metricValue(t, met, "stemsd_shared_stem_extends_total"); ext != wantExtends {
+		t.Errorf("shared extends = %d, want %d (one per INSERT into an attached table)", ext, wantExtends)
+	}
+	for k, refs := range srv.shared.refSnapshot() {
+		if refs != 0 {
+			t.Errorf("entry %v still holds %d references", k, refs)
+		}
+	}
+}
+
+// pacedDriverCatalog registers big(k,a) — 400 rows, unpaced, the table that
+// gets shared — and dim(b,v), the 10-row driver whose paced scan keeps a
+// join in flight for about 300 ms.
+func pacedDriverCatalog(t testing.TB) *Catalog {
+	t.Helper()
+	cat := NewCatalog(0, "")
+	putSeq(t, cat, "big", 400)
+	sch, err := schema.NewTable("dim", schema.IntCol("b"), schema.IntCol("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := source.NewTable(sch, seqRows(10, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Put("dim", sql.Source{Data: data, Scan: &source.ScanSpec{InterArrival: 30 * clock.Second}})
+	return cat
+}
+
+// TestSharedStemsInFlightReaderForcesRebuild (run under -race in CI): while a
+// reader is attached to big's state, an INSERT into big followed by a second
+// reader must not touch that state — the second reader gets a rebuild, the
+// first finishes on exactly the rows it bound, and the old state is torn down
+// when it releases.
+func TestSharedStemsInFlightReaderForcesRebuild(t *testing.T) {
+	srv, ts, client := newTestServer(t, pacedDriverCatalog(t), Config{SharedStems: true})
+	// big.a = i%7 over 400 rows; dim.b = 0..9: keys 0..6 match, 400 rows.
+	const q = "SELECT big.k, dim.v FROM big, dim WHERE big.a = dim.b"
+
+	first := make(chan ndjsonResult, 1)
+	go func() { first <- postQuery(t, client, ts.URL, map[string]any{"sql": q}) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for attached := false; !attached; {
+		for _, refs := range srv.shared.refSnapshot() {
+			attached = attached || refs == 1
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first reader never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": "INSERT INTO big VALUES (1000, 3), (1001, 3)"}); res.status != http.StatusOK {
+		t.Fatalf("insert: status %d err %q", res.status, res.errLine)
+	}
+	second := postQuery(t, client, ts.URL, map[string]any{"sql": q})
+	if second.status != http.StatusOK || len(second.rows) != 402 {
+		t.Fatalf("second reader: status %d, %d rows, want 402 (err %q)", second.status, len(second.rows), second.errLine)
+	}
+	if res := <-first; res.status != http.StatusOK || len(res.rows) != 400 {
+		t.Fatalf("in-flight reader: status %d, %d rows, want the 400 it bound (err %q)", res.status, len(res.rows), res.errLine)
+	}
+	builds, attaches, detaches, _ := srv.shared.counts()
+	if builds != 2 || srv.shared.extends.Load() != 0 {
+		t.Errorf("builds = %d, extends = %d; a referenced state must be rebuilt (2, 0), never extended", builds, srv.shared.extends.Load())
+	}
+	if attaches != detaches || srv.shared.entryCount() != 1 {
+		t.Errorf("attaches %d, detaches %d, %d live entries; want balanced and 1: %s", attaches, detaches, srv.shared.entryCount(), srv.shared.debugString())
+	}
+}
+
+// TestSharedStemsOlderSnapshotRunsPrivate: a reader that took its catalog
+// snapshot before an INSERT, but reaches attach after another reader has
+// extended the state past it, gets no attachment at all — planAttach falls
+// back to all-private — and so joins exactly the rows of its own snapshot.
+func TestSharedStemsOlderSnapshotRunsPrivate(t *testing.T) {
+	cat := memCatalog(t)
+	srv, ts, client := newTestServer(t, cat, Config{SharedStems: true})
+	st, err := sql.Parse(threeWayJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := cat.Snapshot()
+	bound, err := sql.Bind(st, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); len(res.rows) != 5 {
+		t.Fatalf("warm-up join: %d rows, want 5", len(res.rows))
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": "INSERT INTO u VALUES (100, 77)"}); res.status != http.StatusOK {
+		t.Fatalf("insert: status %d", res.status)
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); len(res.rows) != 7 {
+		t.Fatalf("post-insert join: %d rows, want 7", len(res.rows))
+	}
+	if ext := srv.shared.extends.Load(); ext != 1 {
+		t.Fatalf("extends = %d, want 1; the state never moved past the old snapshot", ext)
+	}
+
+	plan, err := srv.shared.planAttach(st, bound.Q, old, 1)
+	if err != nil || plan != nil {
+		t.Fatalf("planAttach on the pre-insert snapshot = %v, %v; want the nil all-private plan", plan, err)
+	}
+	for k, refs := range srv.shared.refSnapshot() {
+		if refs != 0 {
+			t.Errorf("the refused attach left %d references on %v", refs, k)
+		}
+	}
+	_, attaches, detaches, _ := srv.shared.counts()
+	if attaches != detaches {
+		t.Errorf("attaches %d, detaches %d after the refused attach", attaches, detaches)
+	}
+	ex, err := core.Build(core.Spec{Q: bound.Q, Engine: core.Concurrent, Policy: "lottery"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	outs, err := ex.Run(context.Background(), nil)
+	if err != nil || len(outs) != 5 {
+		t.Errorf("the old snapshot's private run returned %d rows (%v), want its own 5", len(outs), err)
+	}
+	// And the state it was refused is still the current one.
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); len(res.rows) != 7 {
+		t.Errorf("join after the refused attach: %d rows, want 7", len(res.rows))
+	}
+	if builds, _, _, _ := srv.shared.counts(); builds != 2 {
+		t.Errorf("builds = %d, want 2; refusing an older snapshot must not disturb the live state", builds)
+	}
+}
+
+// TestSharedStemsSpilledStateRebuilds: a state whose build spilled cannot
+// absorb an INSERT (the build-time duplicate check for spilled rows is
+// gone), so the next reader rebuilds it — and neither the old nor the new
+// state leaves a segment behind.
+func TestSharedStemsSpilledStateRebuilds(t *testing.T) {
+	spillDir := t.TempDir()
+	cat := NewCatalog(0, "")
+	putSeq(t, cat, "big", 400)
+	putSeq(t, cat, "dim", 7)
+	srv, ts, client := newTestServer(t, cat, Config{
+		SharedStems:          true,
+		SharedStemSpillBytes: 2048,
+		SpillDir:             spillDir,
+	})
+	const q = "SELECT big.k, dim.k FROM big, dim WHERE big.a = dim.k"
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": q}); res.status != http.StatusOK || len(res.rows) != 400 {
+		t.Fatalf("first join: status %d, %d rows, want 400 (err %q)", res.status, len(res.rows), res.errLine)
+	}
+	if _, spilled := srv.shared.bytes(); spilled == 0 {
+		t.Fatal("a 2 kB budget over 400 rows did not spill; the test exercises nothing")
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": "INSERT INTO big VALUES (1000, 3), (0, 0)"}); res.status != http.StatusOK {
+		t.Fatalf("insert: status %d err %q", res.status, res.errLine)
+	}
+	// (0, 0) duplicates a stored row: set semantics keep the join at 401.
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": q}); res.status != http.StatusOK || len(res.rows) != 401 {
+		t.Fatalf("post-insert join: status %d, %d rows, want 401 (err %q)", res.status, len(res.rows), res.errLine)
+	}
+	if builds, _, _, _ := srv.shared.counts(); builds != 2 || srv.shared.extends.Load() != 0 {
+		t.Errorf("builds = %d, extends = %d; a spilled state must be rebuilt (2, 0)", builds, srv.shared.extends.Load())
+	}
+	if dirs, _ := filepath.Glob(filepath.Join(spillDir, "stems-shared-*")); len(dirs) != 1 {
+		t.Errorf("%d shared spill directories while one state is live, want 1 (the rebuilt one): %v", len(dirs), dirs)
+	}
+	srv.Shutdown(time.Second)
+	if dirs, _ := filepath.Glob(filepath.Join(spillDir, "stems-shared-*")); len(dirs) != 0 {
+		t.Errorf("leaked shared spill directories after shutdown: %v", dirs)
+	}
 }

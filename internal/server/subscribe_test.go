@@ -516,8 +516,9 @@ func TestSubscribeWindowedDelta(t *testing.T) {
 
 // TestInsertInvalidatesPlansAndSharedStems pins INSERT's interaction with
 // the caches: the catalog version bump invalidates cached plans (counter
-// moves) and the data-pointer change makes the table's shared SteM stale,
-// forcing a rebuild on the next query (builds counter moves).
+// moves), while the table's idle, resident shared SteM absorbs the new row in
+// place on the next query — the extends counter moves, the builds counter
+// does not — and that query's join sees the row.
 func TestInsertInvalidatesPlansAndSharedStems(t *testing.T) {
 	cat := memCatalog(t)
 	_, ts, client := newTestServer(t, cat, Config{SharedStems: true})
@@ -529,6 +530,9 @@ func TestInsertInvalidatesPlansAndSharedStems(t *testing.T) {
 	}
 	met := metricsBody(t, client, ts.URL)
 	buildsBefore := metricValue(t, met, "stemsd_shared_stem_builds_total")
+	if ext := metricValue(t, met, "stemsd_shared_stem_extends_total"); ext != 0 {
+		t.Fatalf("extends = %d before any INSERT, want 0", ext)
+	}
 	invalBefore := metricValue(t, met, "stemsd_plan_cache_invalidations_total")
 	if hits := metricValue(t, met, "stemsd_plan_cache_hits_total"); hits == 0 {
 		t.Fatal("warmup produced no plan-cache hit; the invalidation assertion below would be vacuous")
@@ -541,15 +545,27 @@ func TestInsertInvalidatesPlansAndSharedStems(t *testing.T) {
 	if res.trailer != nil {
 		t.Fatalf("INSERT returned a query trailer: %v", res.trailer)
 	}
-	if res2 := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); res2.status != http.StatusOK {
+	res2 := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin})
+	if res2.status != http.StatusOK {
 		t.Fatalf("post-insert query status %d", res2.status)
-	} else if len(res2.rows) <= 5 {
-		t.Fatalf("post-insert query saw %d rows, want > 5 (new u row joins two s rows... at least the original count plus the new matches)", len(res2.rows))
+	}
+	// u(100,77) joins s(10,100), which joins r keys 1 and 3: 5 + 2 rows.
+	newRows := 0
+	for _, row := range res2.rows {
+		if row["u.q"] == float64(77) {
+			newRows++
+		}
+	}
+	if len(res2.rows) != 7 || newRows != 2 {
+		t.Fatalf("post-insert query saw %d rows, %d of them from the inserted row; want 7 and 2", len(res2.rows), newRows)
 	}
 
 	met = metricsBody(t, client, ts.URL)
-	if buildsAfter := metricValue(t, met, "stemsd_shared_stem_builds_total"); buildsAfter <= buildsBefore {
-		t.Fatalf("shared SteM builds %d -> %d; INSERT must force a rebuild of the appended table's state", buildsBefore, buildsAfter)
+	if buildsAfter := metricValue(t, met, "stemsd_shared_stem_builds_total"); buildsAfter != buildsBefore {
+		t.Fatalf("shared SteM builds %d -> %d; an idle resident state must absorb the INSERT, not be rebuilt", buildsBefore, buildsAfter)
+	}
+	if ext := metricValue(t, met, "stemsd_shared_stem_extends_total"); ext != 1 {
+		t.Fatalf("stemsd_shared_stem_extends_total = %d, want 1 (u's state extended once; r and s did not grow)", ext)
 	}
 	if invalAfter := metricValue(t, met, "stemsd_plan_cache_invalidations_total"); invalAfter <= invalBefore {
 		t.Fatalf("plan invalidations %d -> %d; INSERT must invalidate cached plans", invalBefore, invalAfter)
@@ -582,6 +598,13 @@ func TestInsertEndpointValidation(t *testing.T) {
 	if res := postQuery(t, client, ts.URL, map[string]any{"sql": "INSERT INTO nope VALUES (1)"}); res.status != http.StatusBadRequest {
 		t.Errorf("INSERT into unknown table: status %d, want 400", res.status)
 	}
+	// A validation error numbers the row within the client's INSERT (1-based),
+	// not within the table the rows would have landed in, and rejects the
+	// whole statement.
+	bad := postQuery(t, client, ts.URL, map[string]any{"sql": "INSERT INTO r VALUES (80, 10), (81, 'x'), (82, 10)"})
+	if want := `insert into "r": row 2 of 3 col a is `; bad.status != http.StatusBadRequest || !strings.Contains(bad.errLine, want) {
+		t.Errorf("wrong-kind row: status %d err %q, want 400 mentioning %q", bad.status, bad.errLine, want)
+	}
 	// Valid insert via both paths, then verify the rows are queryable.
 	if st := postInsert(t, client, ts.URL, "r", [][]any{{70, 10}}); st != http.StatusOK {
 		t.Errorf("valid /insert: status %d", st)
@@ -591,7 +614,7 @@ func TestInsertEndpointValidation(t *testing.T) {
 	}
 	res := postQuery(t, client, ts.URL, map[string]any{"sql": "SELECT r.key FROM r WHERE r.key >= 70 ORDER BY r.key"})
 	if res.status != http.StatusOK || len(res.rows) != 2 {
-		t.Fatalf("inserted rows not queryable: status %d rows %v", res.status, res.rows)
+		t.Fatalf("inserted rows not queryable (or the rejected INSERT left rows behind): status %d rows %v", res.status, res.rows)
 	}
 }
 

@@ -27,17 +27,26 @@ type Table struct {
 // NewTable pairs a schema with rows, validating arity and column kinds.
 func NewTable(s *schema.Table, rows []tuple.Row) (*Table, error) {
 	for i, r := range rows {
-		if len(r) != s.Arity() {
-			return nil, fmt.Errorf("source: %s row %d has %d fields, want %d", s.Name, i, len(r), s.Arity())
-		}
-		for j, v := range r {
-			if v.K != s.Cols[j].Kind && !v.IsNull() {
-				return nil, fmt.Errorf("source: %s row %d col %s is %v, want %v",
-					s.Name, i, s.Cols[j].Name, v.K, s.Cols[j].Kind)
-			}
+		if err := CheckRow(s, r); err != nil {
+			return nil, fmt.Errorf("source: %s row %d %w", s.Name, i, err)
 		}
 	}
 	return &Table{Schema: s, Rows: rows}, nil
+}
+
+// CheckRow validates one row's arity and column kinds against a schema. The
+// error is the bare complaint ("has 1 fields, want 2"); the caller says
+// which row of what.
+func CheckRow(s *schema.Table, r tuple.Row) error {
+	if len(r) != s.Arity() {
+		return fmt.Errorf("has %d fields, want %d", len(r), s.Arity())
+	}
+	for j, v := range r {
+		if v.K != s.Cols[j].Kind && !v.IsNull() {
+			return fmt.Errorf("col %s is %v, want %v", s.Cols[j].Name, v.K, s.Cols[j].Kind)
+		}
+	}
+	return nil
 }
 
 // MustTable is NewTable but panics on error.

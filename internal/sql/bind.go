@@ -28,6 +28,11 @@ type Source struct {
 	Scan *source.ScanSpec
 	// Indexes declare index access methods.
 	Indexes []source.IndexSpec
+	// Gen is stamped by a serving catalog: it moves when the entry is
+	// replaced (REGISTER, a new index) and stays when rows are appended, so
+	// "same Gen, more rows" identifies an append-only extension of the table
+	// a reader bound earlier. Zero outside a server catalog.
+	Gen uint64
 }
 
 // Catalog resolves source names.

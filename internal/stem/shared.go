@@ -1,20 +1,32 @@
 // shared.go implements catalog-owned shared SteM state: the paper's pitch
 // that SteMs "encapsulate the state of a join so it can be shared" extends
 // across queries, not just across the competing access methods of one query.
-// A SharedState is the sealed, immutable result of building a SteM over a
-// registered table's rows once — per-shard hash dictionaries plus optional
-// spill segments for rows beyond a byte budget — that any number of
-// concurrent queries attach to with probe-only SteM handles (Config.Shared)
-// instead of rebuilding.
+// A SharedState is the result of building a SteM over a registered table's
+// rows once — per-shard hash dictionaries plus optional spill segments for
+// rows beyond a byte budget — that any number of concurrent queries attach
+// to with probe-only SteM handles (Config.Shared) instead of rebuilding. It
+// is sealed *between* extensions: like the paper's SteM it keeps taking build
+// tuples for as long as its table grows (Extend), but only while no query is
+// attached.
 //
 // Correctness of attaching hinges on a completeness/timestamp-window
 // argument:
 //
-//   - The shared build is complete and sealed before any query attaches:
-//     every stored row carries a build timestamp in [1, HighWater] issued by
-//     the state's own counter, and no row is added, evicted, or mutated
-//     afterwards. An attaching query therefore probes against the exact
+//   - The state is complete and sealed whenever a query is attached: every
+//     stored row carries a build timestamp in [1, HighWater] issued by the
+//     state's own counter, and no row is added, evicted, or mutated while a
+//     handle exists. An attaching query therefore probes against the exact
 //     window "TS ≤ HighWater", which is the whole state.
+//   - Extend continues the same insertion loop past the old HighWater, in
+//     place. The owner (the server's sharedStems) calls it only while the
+//     state is unreferenced, behind the gate new attachers wait on, and only
+//     when the state is and stays fully resident: a spilled state's build-time
+//     duplicate map is gone, so it is rebuilt instead. The owner also refuses
+//     to attach a query whose catalog snapshot is older than the rows the
+//     state has absorbed — that query runs on private SteMs — so no query
+//     ever sees a row newer than the snapshot it bound. Probes are not
+//     bounded by a high-water mark; extension under concurrent readers would
+//     need that.
 //   - An attached SteM is always complete (the shared build subsumes a full
 //     scan EOT), so probes are never bounced and the query's
 //     LastMatchTimeStamp bookkeeping never sees a shared timestamp.
@@ -22,14 +34,15 @@
 //     shared counter's values never mix with the attaching query's own
 //     counter (the two are incomparable). The query-local TimeStamp rule
 //     still orders the query's private builds exactly as before.
-//   - Shared dictionaries are read lock-free: they are immutable after Seal,
-//     and HashDict.Candidates only reads. Per-query scratch (lookups, probe
-//     caches, stats) stays in the attaching SteM handle.
+//   - Shared dictionaries are read lock-free: they are immutable while
+//     attached, and HashDict.Candidates only reads. Per-query scratch
+//     (lookups, probe caches, stats) stays in the attaching SteM handle.
 //
 // The result is multiset-identical to a private-state run of the same query
 // (TestSharedStemsAgree): the shared build applies the same set-semantics
 // duplicate elimination a private build does, and predicate verification at
-// concatenation is unchanged.
+// concatenation is unchanged. Building rows[:k] and extending with rows[k:]
+// stores exactly what building rows does (TestSharedExtendAgrees).
 package stem
 
 import (
@@ -74,20 +87,25 @@ type sharedPart struct {
 	footprint int64
 }
 
-// SharedState is one sealed shared SteM build. Immutable after BuildShared
-// returns; safe for concurrent probe use by any number of attached SteMs.
+// SharedState is one shared SteM build. Immutable except inside Extend; safe
+// for concurrent probe use by any number of attached SteMs between
+// extensions.
 type SharedState struct {
-	keyCols []int
-	mask    uint64
-	dicts   []*HashDict
+	keyCols  []int
+	mask     uint64
+	budget   int64
+	spillDir string
+	dicts    []*HashDict
 	// spills[shard][partition]; nil when the build stayed resident.
 	spills [][spillPartitions]sharedPart
 
-	highWater     tuple.Timestamp
-	rows          int
-	spilledRows   int
-	residentBytes int64
-	spilledBytes  int64
+	highWater    tuple.Timestamp
+	rows         int
+	spilledRows  int
+	spilledBytes int64
+	// residentBytes is atomic because the owner's footprint gauge reads it
+	// while an extension is in flight.
+	residentBytes atomic.Int64
 
 	dir    string
 	closed atomic.Bool
@@ -98,9 +116,9 @@ type SharedState struct {
 	closeMu  sync.Mutex
 }
 
-// BuildShared builds and seals shared SteM state over rows. The build
-// applies set-semantics duplicate elimination, exactly like a private SteM
-// build fed by a scan.
+// BuildShared builds shared SteM state over rows: a new empty state, extended
+// once. The build applies set-semantics duplicate elimination, exactly like
+// a private SteM build fed by a scan.
 func BuildShared(cfg SharedConfig, rows []tuple.Row) (*SharedState, error) {
 	if len(cfg.KeyCols) == 0 {
 		return nil, fmt.Errorf("stem: shared build requires key columns")
@@ -110,18 +128,36 @@ func BuildShared(cfg SharedConfig, rows []tuple.Row) (*SharedState, error) {
 		nsh <<= 1
 	}
 	ss := &SharedState{
-		keyCols: slices.Clone(cfg.KeyCols),
-		mask:    uint64(nsh - 1),
-		dicts:   make([]*HashDict, nsh),
+		keyCols:  slices.Clone(cfg.KeyCols),
+		mask:     uint64(nsh - 1),
+		budget:   cfg.BudgetBytes,
+		spillDir: cfg.SpillDir,
+		dicts:    make([]*HashDict, nsh),
 	}
 	for i := range ss.dicts {
 		ss.dicts[i] = NewHashDict(ss.keyCols)
 	}
-	// spillDup is the exact duplicate check for spilled rows, build-time
-	// only (discarded at seal): resident duplicates are caught by the
-	// dictionary, spilled ones by this map.
+	if err := ss.Extend(rows); err != nil {
+		ss.Close()
+		return nil, err
+	}
+	return ss, nil
+}
+
+// Extend inserts rows — the table's growth since the state was built or last
+// extended — continuing the timestamp counter past HighWater. It must only be
+// called while no SteM is attached (the server's refcounts and ready gate see
+// to that), and not on a state that has spilled: the exact duplicate check
+// for spilled rows lives only as long as the call that spilled them. On error
+// the state is partially extended; Close it.
+func (ss *SharedState) Extend(rows []tuple.Row) error {
+	if ss.hasSpill() {
+		return fmt.Errorf("stem: a spilled shared state cannot be extended")
+	}
+	// spillDup is the exact duplicate check for the rows this call spills:
+	// resident duplicates are caught by the dictionary, spilled ones by this
+	// map.
 	var spillDup map[uint64][]tuple.Row
-	var ts tuple.Timestamp
 	for _, row := range rows {
 		sd := int(row[ss.keyCols[0]].Hash64() & ss.mask)
 		if ss.dicts[sd].Contains(row) {
@@ -139,12 +175,11 @@ func BuildShared(cfg SharedConfig, rows []tuple.Row) (*SharedState, error) {
 				continue
 			}
 		}
-		ts++
+		ss.highWater++
 		fp := RowFootprint(row)
-		if cfg.BudgetBytes > 0 && ss.residentBytes+fp > cfg.BudgetBytes {
-			if err := ss.appendSpill(sd, row, ts, cfg.SpillDir); err != nil {
-				ss.Close()
-				return nil, err
+		if ss.budget > 0 && ss.residentBytes.Load()+fp > ss.budget {
+			if err := ss.appendSpill(sd, row, ss.highWater); err != nil {
+				return err
 			}
 			if spillDup == nil {
 				spillDup = make(map[uint64][]tuple.Row)
@@ -153,19 +188,37 @@ func BuildShared(cfg SharedConfig, rows []tuple.Row) (*SharedState, error) {
 			ss.spilledRows++
 			ss.spilledBytes += fp
 		} else {
-			ss.dicts[sd].Insert(row, ts)
-			ss.residentBytes += fp
+			ss.dicts[sd].Insert(row, ss.highWater)
+			ss.residentBytes.Add(fp)
 		}
 		ss.rows++
 	}
-	ss.highWater = ts
-	return ss, nil
+	return nil
+}
+
+// ExtendsResident reports whether Extend(rows) is allowed and would leave the
+// state fully resident — the owner's test for extending in place instead of
+// rebuilding. It charges every row, duplicate or not, so it may say no to an
+// extension that would just have fit.
+func (ss *SharedState) ExtendsResident(rows []tuple.Row) bool {
+	if ss.hasSpill() {
+		return false
+	}
+	if ss.budget <= 0 {
+		return true
+	}
+	need := ss.residentBytes.Load()
+	for _, row := range rows {
+		need += RowFootprint(row)
+	}
+	return need <= ss.budget
 }
 
 // appendSpill writes one row to its shard's partition segment, creating the
 // state's private spill directory and the segment file on first use.
-func (ss *SharedState) appendSpill(sd int, row tuple.Row, ts tuple.Timestamp, baseDir string) error {
+func (ss *SharedState) appendSpill(sd int, row tuple.Row, ts tuple.Timestamp) error {
 	if ss.spills == nil {
+		baseDir := ss.spillDir
 		if baseDir == "" {
 			baseDir = os.TempDir()
 		}
@@ -206,12 +259,13 @@ func (ss *SharedState) KeyCols() []int { return ss.keyCols }
 // Rows returns the number of distinct rows stored (resident + spilled).
 func (ss *SharedState) Rows() int { return ss.rows }
 
-// HighWater returns the build high-water mark: every stored entry's
-// timestamp is in [1, HighWater], the exact window an attached probe covers.
+// HighWater returns the high-water mark of the build and its extensions:
+// every stored entry's timestamp is in [1, HighWater], the exact window an
+// attached probe covers.
 func (ss *SharedState) HighWater() tuple.Timestamp { return ss.highWater }
 
 // ResidentBytes returns the resident footprint, for catalog accounting.
-func (ss *SharedState) ResidentBytes() int64 { return ss.residentBytes }
+func (ss *SharedState) ResidentBytes() int64 { return ss.residentBytes.Load() }
 
 // SpilledBytes returns the on-disk footprint.
 func (ss *SharedState) SpilledBytes() int64 { return ss.spilledBytes }
