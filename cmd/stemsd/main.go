@@ -144,7 +144,6 @@ func main() {
 	spillDir := flag.String("spill-dir", "", "directory for per-query spill segments (each query gets a private subdirectory, removed when it ends); empty uses the system temp dir")
 	sharedStems := flag.Bool("shared-stems", false, "share SteM state across queries: the first query joining through a registered table builds its SteM once, concurrent and later queries attach probe-only handles; REGISTER invalidates lazily")
 	sharedStemBytes := flag.Int64("shared-stem-bytes", 0, "cap on the total footprint of shared SteM state; least-recently-attached idle states are evicted past it (0 = unlimited)")
-	sharedStemSpill := flag.Int64("shared-stem-spill", 0, "per-table resident budget for shared SteM builds; rows beyond it live in sealed spill segments under -spill-dir and are read at probe time (0 = fully resident)")
 	pprofOn := flag.Bool("pprof", false, "expose Go pprof profiling endpoints under /debug/pprof/ (opt-in; profiles reveal query shapes, so leave off on untrusted networks)")
 	pprofLabels := flag.Bool("pprof-labels", false, "label each query's goroutines with its query ID so CPU profiles attribute samples to queries (costs a small allocation per query)")
 	slowQueryMS := flag.Int64("slow-query-ms", 0, "log queries whose execution time reaches this many milliseconds at warn level (0 disables)")
@@ -178,9 +177,8 @@ func main() {
 		SpillDir:        *spillDir,
 		PlanCacheSize:   *planCache,
 
-		SharedStems:          *sharedStems,
-		SharedStemBytes:      *sharedStemBytes,
-		SharedStemSpillBytes: *sharedStemSpill,
+		SharedStems:     *sharedStems,
+		SharedStemBytes: *sharedStemBytes,
 
 		Logger:       logger,
 		PprofLabels:  *pprofLabels,

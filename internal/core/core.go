@@ -302,21 +302,12 @@ func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutpu
 }
 
 // check surfaces what a quiesced engine cannot report through its own
-// error: spill I/O that fell back to memory, a shared state whose probe-time
-// read failed, and tuples the router found no legal move for.
+// error: spill I/O that fell back to memory, and tuples the router found no
+// legal move for.
 func (e *Exec) check() error {
 	if e.gov != nil {
 		if err := e.gov.Err(); err != nil {
 			return fmt.Errorf("core: spill I/O failed (results fell back to resident storage): %w", err)
-		}
-	}
-	for t, ss := range e.spec.Shared {
-		if ss == nil {
-			continue
-		}
-		if err := ss.Err(); err != nil {
-			return fmt.Errorf("core: shared state for %q failed a spill read (results may be incomplete): %w",
-				e.spec.Q.Tables[t].Name, err)
 		}
 	}
 	if n := e.r.Stuck(); n > 0 {

@@ -191,3 +191,23 @@ func TestServingPathAvoidsFigurePath(t *testing.T) {
 		t.Fatalf("import closure has %d packages and no internal/eddy; is the walk rooted at the module?", len(via))
 	}
 }
+
+// TestSharedStateTouchesNoDisk pins that catalog-owned shared SteM state is
+// memory and nothing else: neither the state nor its owner imports a package
+// that could open, read or name a file. (A join too big to keep resident is
+// the per-query governor's job — stem/spill.go — which a shared state never
+// meets: governed queries run on private SteMs.)
+func TestSharedStateTouchesNoDisk(t *testing.T) {
+	for _, file := range []string{"internal/stem/shared.go", "internal/server/sharedstems.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", file), nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			switch ipath, _ := strconv.Unquote(imp.Path.Value); ipath {
+			case "os", "io", "path/filepath":
+				t.Errorf("%s imports %q: shared SteM state must not touch the file system", file, ipath)
+			}
+		}
+	}
+}

@@ -26,8 +26,10 @@
 package eddy
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -1069,17 +1071,14 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 	// it. (Sent last, it is lost whenever downstream work finishes first.)
 	c.events <- eddyEvent{fb: newFeedback(fb)}
 	for _, em := range colEms {
-		if em.Delay > 0 {
-			c.emitAfter(em.Delay, nil, em.B)
-		} else {
-			c.events <- eddyEvent{b: getColShell(em.B)}
-		}
+		c.events <- eddyEvent{b: getColShell(em.B)}
 	}
 	var ready *flow.Batch
+	var delayed []flow.Emission
 	for _, em := range rowEms {
 		switch {
 		case em.Delay > 0:
-			c.emitAfter(em.Delay, em.T, nil)
+			delayed = append(delayed, em)
 		case c.BatchSize == 1:
 			// Tuple-at-a-time mode: every emission is its own event,
 			// exactly as the pre-batching engine sent them.
@@ -1094,6 +1093,9 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 	if ready != nil {
 		c.events <- eddyEvent{b: ready}
 	}
+	if len(delayed) > 0 {
+		c.sendDelayed(delayed)
+	}
 	if delta < 0 {
 		if c.inflight.Add(delta) == 0 {
 			// Wake the eddy loop so it observes quiescence; Emitted -1
@@ -1103,31 +1105,37 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 	}
 }
 
-// emitAfter hands an emission — the tuple t, or the columnar batch cb when
-// non-nil — back to the eddy once the modeled delay d has elapsed, on a
-// tracked sender goroutine that gives up when the run winds down first.
-// (It takes the payload as plain arguments, not a func: a closure per
-// delayed emission is a heap allocation paced scans pay thousands of times.)
-func (c *Concurrent) emitAfter(d clock.Duration, t *tuple.Tuple, cb *flow.ColBatch) {
+// sendDelayed hands one service's delayed emissions back to the eddy, each
+// once its modeled delay has elapsed, from ONE tracked sender goroutine that
+// walks them in non-decreasing delay order (ties keep emission order) and
+// gives up when the run winds down first. One sender is what keeps a paced
+// scan's EOT behind its own rows: a goroutine and timer per emission let the
+// EOT — due with the last row — reach the eddy first, and a SteM that looks
+// complete consumes probes whose matches have not been built yet.
+func (c *Concurrent) sendDelayed(ems []flow.Emission) {
+	slices.SortStableFunc(ems, func(a, b flow.Emission) int { return cmp.Compare(a.Delay, b.Delay) })
+	start := c.clk.Now()
 	c.senders.Add(1)
 	go func() {
 		defer c.senders.Done()
-		if !c.clk.WaitOrDone(d, c.done) {
-			return
-		}
-		b := getColShell(cb)
-		if cb == nil {
-			b.Add(t)
-		}
-		select {
-		case c.events <- eddyEvent{b: b}:
-		case <-c.done:
+		for _, em := range ems {
+			if !c.clk.WaitOrDone(em.Delay-clock.Duration(c.clk.Now()-start), c.done) {
+				return
+			}
+			select {
+			case c.events <- eddyEvent{b: getBatchOf(em.T)}:
+			case <-c.done:
+				return
+			}
 		}
 	}()
 }
 
-// deliverAfter is emitAfter for an already-routed tuple or columnar batch:
-// after the delay it goes straight to module mod's inboxes.
+// deliverAfter hands an already-routed tuple or columnar batch straight to
+// module mod's inboxes once the router-decided delay d has elapsed, on a
+// tracked sender goroutine that gives up when the run winds down first.
+// (It takes the payload as plain arguments, not a func: a closure per
+// delayed delivery is a heap allocation.)
 func (c *Concurrent) deliverAfter(d clock.Duration, mod int, t *tuple.Tuple, cb *flow.ColBatch) {
 	c.senders.Add(1)
 	go func() {

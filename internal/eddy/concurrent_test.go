@@ -7,6 +7,12 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/oracle"
+	"repro/internal/policy"
+	"repro/internal/pred"
+	"repro/internal/query"
+	"repro/internal/schema"
+	"repro/internal/source"
+	"repro/internal/tuple"
 )
 
 // runConcurrent executes a query on the channel engine with a heavily
@@ -132,5 +138,73 @@ func TestConcurrentMatchesSimResults(t *testing.T) {
 	m1, e1 := oracle.Diff(simSet, conSet)
 	if len(m1) > 0 || len(e1) > 0 {
 		t.Errorf("engines disagree: missing=%v extra=%v", m1, e1)
+	}
+}
+
+// arrivalLog wraps a Routing and notes, on the eddy goroutine, how many of
+// table tbl's scan rows had reached the eddy when the table's EOT did.
+type arrivalLog struct {
+	Routing
+	tbl   int
+	seen  map[*tuple.Tuple]struct{}
+	atEOT int // rows seen when the EOT first arrived; -1 until then
+}
+
+func (a *arrivalLog) RouteBatch(ts []*tuple.Tuple, env policy.Env, dst []Decision) []Decision {
+	for _, t := range ts {
+		switch {
+		case t.Seed || t.Span != tuple.Single(a.tbl):
+		case t.EOT == nil:
+			a.seen[t] = struct{}{}
+		case a.atEOT < 0:
+			a.atEOT = len(a.seen)
+		}
+	}
+	return a.Routing.RouteBatch(ts, env, dst)
+}
+
+// TestPacedScanEOTArrivesLast: a paced scan's EOT is due together with its
+// last row, and must still be the scan's last event at the eddy — a SteM that
+// has seen the EOT claims completeness, so rows arriving after it are rows a
+// consumed prober never met. (One goroutine and timer per delayed emission let
+// the EOT overtake; one sender per service cannot.)
+func TestPacedScanEOTArrivesLast(t *testing.T) {
+	const rows = 50
+	rRows := make([][]int64, rows)
+	for i := range rRows {
+		rRows[i] = []int64{int64(i), int64(i % 5)}
+	}
+	rT := schema.MustTable("R", schema.IntCol("key"), schema.IntCol("a"))
+	sT := schema.MustTable("S", schema.IntCol("x"), schema.IntCol("y"))
+	rData := source.MustTable(rT, rowsOf(rRows))
+	sData := source.MustTable(sT, rowsOf([][]int64{{0, 0}, {1, 10}, {2, 20}, {3, 30}, {4, 40}}))
+	early := 0
+	for run := 0; run < 200; run++ {
+		q := query.MustNew(
+			[]*schema.Table{rT, sT},
+			[]pred.P{pred.EquiJoin(0, 1, 1, 0)},
+			[]query.AMDecl{scanAM(0, rData, clock.Millisecond), scanAM(1, sData, clock.Millisecond)},
+		)
+		r, err := NewRouter(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &arrivalLog{Routing: r, tbl: 0, seen: make(map[*tuple.Tuple]struct{}), atEOT: -1}
+		outs, err := NewConcurrent(log, clock.NewReal(0.00002)).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) != rows {
+			t.Fatalf("run %d: %d results, want %d", run, len(outs), rows)
+		}
+		if log.atEOT != rows {
+			if early == 0 {
+				t.Errorf("run %d: the EOT reached the eddy after %d of the scan's %d rows", run, log.atEOT, rows)
+			}
+			early++
+		}
+	}
+	if early > 0 {
+		t.Errorf("the scan's EOT overtook its rows in %d of 200 runs", early)
 	}
 }

@@ -540,10 +540,10 @@ func (cb *ColBatch) Materialize() []*tuple.Tuple {
 }
 
 // ColEmission is one columnar batch emitted by a module, delivered back to
-// the eddy after Delay (mirroring Emission for rows).
+// the eddy at once: only row emissions carry a delay (a paced scan's
+// per-row delivery times are what keeps it on rows).
 type ColEmission struct {
-	B     *ColBatch
-	Delay clock.Duration
+	B *ColBatch
 }
 
 // ColModule is a module that can exchange columnar batches with a

@@ -124,7 +124,6 @@ type gauges struct {
 	sharedDetached  uint64
 	sharedEvictions uint64
 	sharedResident  int64
-	sharedSpilled   int64
 	sharedEntries   int
 }
 
@@ -203,8 +202,6 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "stemsd_shared_stem_entries %d\n", g.sharedEntries)
 	gauge("stemsd_shared_stem_resident_bytes", "Resident row footprint of catalog-owned shared SteM states.")
 	fmt.Fprintf(w, "stemsd_shared_stem_resident_bytes %d\n", g.sharedResident)
-	gauge("stemsd_shared_stem_spilled_bytes", "Row footprint of shared SteM states held in sealed spill segments.")
-	fmt.Fprintf(w, "stemsd_shared_stem_spilled_bytes %d\n", g.sharedSpilled)
 	draining := 0
 	if g.draining {
 		draining = 1

@@ -245,6 +245,13 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if _, ok := fams["stemsd_query_seconds_total"]; ok {
 		t.Error("stemsd_query_seconds_total still exposed; histograms replaced it")
 	}
+	// So must the shared-spill gauge: shared SteM state holds no file.
+	if _, ok := fams["stemsd_shared_stem_spilled_bytes"]; ok {
+		t.Error("stemsd_shared_stem_spilled_bytes still exposed; shared SteM state is memory only")
+	}
+	if _, ok := fams["stemsd_shared_stem_resident_bytes"]; !ok {
+		t.Error("stemsd_shared_stem_resident_bytes missing")
+	}
 }
 
 // lintHistogramFamily checks the cumulative-bucket contract: le values

@@ -82,10 +82,6 @@ type Config struct {
 	// state; least-recently-attached unreferenced entries are evicted past
 	// the cap. 0 is unlimited.
 	SharedStemBytes int64
-	// SharedStemSpillBytes, when >0, bounds each shared build's resident
-	// footprint; rows beyond it live in sealed spill segments under
-	// SpillDir and are read back at probe time. 0 keeps builds resident.
-	SharedStemSpillBytes int64
 	// Logger receives structured per-query logs (admitted, finished, slow
 	// queries). nil disables logging entirely — the default, so the serving
 	// hot path pays nothing unless an operator opts in.
@@ -253,7 +249,7 @@ func New(cat *Catalog, cfg Config) *Server {
 		s.plans = newPlanCache(cfg.PlanCacheSize)
 	}
 	if cfg.SharedStems {
-		s.shared = newSharedStems(cfg.SharedStemBytes, cfg.SharedStemSpillBytes, cfg.SpillDir)
+		s.shared = newSharedStems(cfg.SharedStemBytes)
 	}
 	if cfg.CompletedCap > 0 {
 		s.completed = newCompletedRing(cfg.CompletedCap)
@@ -313,11 +309,6 @@ func (s *Server) Shutdown(drain time.Duration) {
 		ss.close(errDraining)
 	}
 	s.smu.Unlock()
-	// Every query has unwound and released its attachments, so this tears
-	// down all shared SteM state (including spill segments on disk).
-	if s.shared != nil {
-		s.shared.closeAll()
-	}
 }
 
 // admit acquires an execution slot, waiting in the bounded queue if the
@@ -452,7 +443,7 @@ func (s *Server) gauges() gauges {
 	if s.shared != nil {
 		g.sharedBuilds, g.sharedAttached, g.sharedDetached, g.sharedEvictions = s.shared.counts()
 		g.sharedExtends = s.shared.extends.Load()
-		g.sharedResident, g.sharedSpilled = s.shared.bytes()
+		g.sharedResident = s.shared.bytes()
 		g.sharedEntries = s.shared.entryCount()
 	}
 	return g

@@ -9,26 +9,29 @@
 //
 //   - Builds and extensions are single-flight: one goroutine builds or
 //     extends while concurrent attachers wait on the entry's ready channel,
-//     all holding a reference from the moment they decided to attach, so the
-//     result cannot be torn down before they see it.
-//   - Refcounts gate teardown: an entry's SharedState (and its spill
-//     segments on disk) is only closed when it is stale or evicted AND its
-//     refcount has dropped to zero. An executing query never loses state.
+//     all holding a reference from the moment they decided to attach.
+//   - A state is memory and nothing else, so there is no teardown: an entry
+//     dropped from the map (replaced, evicted) lives exactly as long as the
+//     queries still probing it and is then the garbage collector's.
+//     Refcounts gate the two things that would disturb a reader — in-place
+//     extension and eviction — and balance attaches against detaches.
 //   - REGISTER detaches lazily, INSERT extends: an entry remembers the
 //     catalog generation it was built at and how many of the table's rows it
-//     has absorbed. A different generation (REGISTER, a new index) makes it
-//     stale; the next attach rebuilds, and running queries keep the old state
-//     until they release. The same generation with more rows is an append:
-//     the attacher inserts just the new rows into the existing state
-//     (stem.SharedState.Extend) — but only while no query is attached and the
-//     state is and stays fully resident, otherwise it goes stale and is
-//     rebuilt as above. An attacher whose snapshot has *fewer* rows than the
-//     state absorbed bound before an INSERT that someone else already
-//     extended past; it runs on private SteMs, so no query sees rows newer
-//     than its snapshot.
+//     has absorbed. A different generation (REGISTER, a new index) drops it
+//     from the map; the next attach rebuilds, and running queries keep the
+//     old state until they release. The same generation with more rows is an
+//     append: the attacher inserts just the new rows into the existing state
+//     (stem.SharedState.Extend) — but only while no query is attached,
+//     otherwise the entry is dropped and rebuilt as above. An attacher whose
+//     snapshot has *fewer* rows than the state absorbed bound before an
+//     INSERT that someone else already extended past; it runs on private
+//     SteMs, so no query sees rows newer than its snapshot.
 //   - Eviction is capacity-driven: when capBytes is set, the
-//     least-recently-attached unreferenced entries are closed until the
-//     total footprint fits. Referenced entries are never evicted.
+//     least-recently-attached unreferenced entries are dropped until the
+//     total footprint fits. Referenced entries are never evicted. A table
+//     too big to keep resident under that cap is joined under the per-query
+//     governor instead (Config.MemBudgetBytes: governed queries run on
+//     private SteMs and never attach).
 package server
 
 import (
@@ -75,8 +78,8 @@ func normShards(n int) int {
 }
 
 // sharedEntry is one catalog-owned build. All fields are guarded by the
-// manager's mutex; state and err are written by the builder (err also by an
-// extender) before the ready channel of that build or extension closes.
+// manager's mutex; state and err are written by the builder before the ready
+// channel of that build closes.
 type sharedEntry struct {
 	key sharedKey
 	// gen and rows say what the state holds once ready closes: the first
@@ -87,9 +90,8 @@ type sharedEntry struct {
 	state *stem.SharedState
 	err   error
 
-	refs  int
-	stale bool
-	seq   uint64 // last-attach sequence, for LRU eviction
+	refs int
+	seq  uint64 // last-attach sequence, for LRU eviction
 }
 
 // sharedStems is the catalog-owned shared-SteM manager.
@@ -98,12 +100,8 @@ type sharedStems struct {
 	entries map[sharedKey]*sharedEntry
 	seq     uint64
 
-	// capBytes bounds the total footprint (resident + spilled) across
-	// entries; 0 is unlimited. budgetBytes bounds each build's resident
-	// footprint (the excess spills under spillDir); 0 keeps builds resident.
-	capBytes    int64
-	budgetBytes int64
-	spillDir    string
+	// capBytes bounds the total footprint across entries; 0 is unlimited.
+	capBytes int64
 
 	builds    atomic.Uint64
 	extends   atomic.Uint64
@@ -112,13 +110,8 @@ type sharedStems struct {
 	evictions atomic.Uint64
 }
 
-func newSharedStems(capBytes, budgetBytes int64, spillDir string) *sharedStems {
-	return &sharedStems{
-		entries:     make(map[sharedKey]*sharedEntry),
-		capBytes:    capBytes,
-		budgetBytes: budgetBytes,
-		spillDir:    spillDir,
-	}
+func newSharedStems(capBytes int64) *sharedStems {
+	return &sharedStems{entries: make(map[sharedKey]*sharedEntry), capBytes: capBytes}
 }
 
 // attach returns a referenced entry for (table, keyCols, shards) holding
@@ -129,29 +122,26 @@ func newSharedStems(capBytes, budgetBytes int64, spillDir string) *sharedStems {
 func (m *sharedStems) attach(table string, src sql.Source, keyCols []int, shards int) (*sharedEntry, error) {
 	key := sharedKey{table: table, cols: colsSig(keyCols), shards: normShards(shards)}
 	rows := src.Data.Rows
-	var drop *stem.SharedState
 	var delta []tuple.Row // the rows this call extends the state with
 	m.mu.Lock()
 	e := m.entries[key]
 	switch {
 	case e == nil:
 	case e.gen != src.Gen:
-		// REGISTER replaced the table since this entry was built: detach it
-		// lazily. Running queries keep their reference; teardown waits for
-		// the last release.
-		drop, e = m.detachLocked(e), nil
+		// REGISTER replaced the table since this entry was built: rebuild.
+		// Running queries keep the old state through their reference.
+		e = nil
 	case len(rows) < e.rows:
 		m.mu.Unlock()
 		return nil, nil
+	case len(rows) > e.rows && e.refs > 0:
+		// INSERT grew the table under an attached reader (or an in-flight
+		// build or extension — whoever runs one holds a reference): rebuild
+		// beside it.
+		e = nil
 	case len(rows) > e.rows:
-		// INSERT grew the table. refs == 0 also means no build or extension
-		// is in flight — whoever runs one holds a reference.
-		if grown := rows[e.rows:]; e.refs == 0 && e.state.ExtendsResident(grown) {
-			delta = grown
-			e.rows, e.ready = len(rows), make(chan struct{})
-		} else {
-			drop, e = m.detachLocked(e), nil
-		}
+		delta = rows[e.rows:]
+		e.rows, e.ready = len(rows), make(chan struct{})
 	}
 	build := e == nil
 	if build {
@@ -163,36 +153,23 @@ func (m *sharedStems) attach(table string, src sql.Source, keyCols []int, shards
 	e.seq = m.seq
 	ready := e.ready
 	m.mu.Unlock()
-	if drop != nil {
-		drop.Close()
-	}
 
-	if build || delta != nil {
-		state := e.state // nil for a build; ours alone while in flight
-		var err error
-		if build {
-			m.builds.Add(1)
-			state, err = stem.BuildShared(stem.SharedConfig{
-				KeyCols:     keyCols,
-				Shards:      shards,
-				BudgetBytes: m.budgetBytes,
-				SpillDir:    m.spillDir,
-			}, rows)
-		} else {
-			m.extends.Add(1)
-			err = state.Extend(delta)
-		}
+	switch {
+	case build:
+		m.builds.Add(1)
+		state, err := stem.BuildShared(stem.SharedConfig{KeyCols: keyCols, Shards: shards}, rows)
 		m.mu.Lock()
 		e.state, e.err = state, err
-		if err != nil {
-			e.stale = true
-			if m.entries[key] == e {
-				delete(m.entries, key)
-			}
+		if err != nil && m.entries[key] == e {
+			delete(m.entries, key)
 		}
 		m.mu.Unlock()
 		close(ready)
-	} else {
+	case delta != nil:
+		m.extends.Add(1)
+		e.state.Extend(delta) // ours alone while in flight
+		close(ready)
+	default:
 		<-ready
 	}
 	if e.err != nil {
@@ -204,52 +181,31 @@ func (m *sharedStems) attach(table string, src sql.Source, keyCols []int, shards
 	return e, nil
 }
 
-// detachLocked retires a live entry from the map and returns the state to
-// Close now if nothing references it (else its last release closes it). The
-// caller holds m.mu and closes outside it.
-func (m *sharedStems) detachLocked(e *sharedEntry) (drop *stem.SharedState) {
-	e.stale = true
-	delete(m.entries, e.key)
-	if e.refs == 0 {
-		drop = e.state
-	}
-	return drop
-}
-
-// release drops one reference; the last release of a stale or evicted entry
-// closes its state (removing spill segments).
+// release drops one reference.
 func (m *sharedStems) release(e *sharedEntry) {
-	var drop *stem.SharedState
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if e.refs <= 0 {
-		m.mu.Unlock()
 		panic("server: shared SteM refcount underflow")
 	}
 	e.refs--
 	if e.err == nil {
 		m.detaches.Add(1)
 	}
-	if e.refs == 0 && e.stale {
-		drop = e.state
-	}
-	m.mu.Unlock()
-	if drop != nil {
-		drop.Close()
-	}
 }
 
-// maybeEvict closes least-recently-attached unreferenced entries until the
+// maybeEvict drops least-recently-attached unreferenced entries until the
 // total footprint fits capBytes.
 func (m *sharedStems) maybeEvict() {
 	if m.capBytes <= 0 {
 		return
 	}
-	var toClose []*stem.SharedState
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	var total int64
 	for _, e := range m.entries {
 		if e.state != nil {
-			total += e.state.ResidentBytes() + e.state.SpilledBytes()
+			total += e.state.ResidentBytes()
 		}
 	}
 	for total > m.capBytes {
@@ -266,33 +222,8 @@ func (m *sharedStems) maybeEvict() {
 			break // everything oversized is referenced; retry on later attaches
 		}
 		delete(m.entries, victim.key)
-		victim.stale = true
-		total -= victim.state.ResidentBytes() + victim.state.SpilledBytes()
-		toClose = append(toClose, victim.state)
+		total -= victim.state.ResidentBytes()
 		m.evictions.Add(1)
-	}
-	m.mu.Unlock()
-	for _, st := range toClose {
-		st.Close()
-	}
-}
-
-// closeAll tears down every unreferenced entry (Shutdown runs after the
-// query drain, so normally all of them) and marks the rest stale so their
-// last release closes them.
-func (m *sharedStems) closeAll() {
-	var toClose []*stem.SharedState
-	m.mu.Lock()
-	for k, e := range m.entries {
-		delete(m.entries, k)
-		e.stale = true
-		if e.refs == 0 && e.state != nil {
-			toClose = append(toClose, e.state)
-		}
-	}
-	m.mu.Unlock()
-	for _, st := range toClose {
-		st.Close()
 	}
 }
 
@@ -302,16 +233,15 @@ func (m *sharedStems) counts() (builds, attaches, detaches, evictions uint64) {
 }
 
 // bytes sums the live entries' footprint for the resident-bytes gauge.
-func (m *sharedStems) bytes() (resident, spilled int64) {
+func (m *sharedStems) bytes() (resident int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.entries {
 		if e.state != nil {
 			resident += e.state.ResidentBytes()
-			spilled += e.state.SpilledBytes()
 		}
 	}
-	return resident, spilled
+	return resident
 }
 
 // entryCount returns the number of live entries.
@@ -442,7 +372,7 @@ func (m *sharedStems) debugString() string {
 	defer m.mu.Unlock()
 	var b strings.Builder
 	for k, e := range m.entries {
-		fmt.Fprintf(&b, "%v refs=%d stale=%v ", k, e.refs, e.stale)
+		fmt.Fprintf(&b, "%v refs=%d ", k, e.refs)
 	}
 	return b.String()
 }

@@ -2,9 +2,8 @@
 // SteMs: server-level result equivalence against a private-state server,
 // a -race lifecycle storm mixing concurrent attach/detach with REGISTER
 // invalidation and session cancellation mid-probe, capacity eviction, and
-// the INSERT rules — an idle resident state absorbs the new rows in place,
-// while a referenced or spilled one is rebuilt and an older snapshot runs
-// private.
+// the INSERT rules — an idle state absorbs the new rows in place, while a
+// referenced one is rebuilt and an older snapshot runs private.
 package server
 
 import (
@@ -106,16 +105,14 @@ func TestServerSharedStemsAgree(t *testing.T) {
 }
 
 // TestSharedStemsStormLifecycle is the refcount/lifecycle storm (run under
-// -race in CI): 8 workers hammer a join whose big side is shared AND spilled
-// to disk, while one goroutine re-REGISTERs that table (pointer change →
-// lazy staleness → rebuild, with old state torn down only after its last
-// reference drops) and another cancels session-scoped queries mid-probe.
-// Afterward: zero leaked goroutines, zero leaked spill directories, every
+// -race in CI): 8 workers hammer a join whose big side is shared, while one
+// goroutine re-REGISTERs that table (generation change → rebuild, with
+// in-flight probes finishing on the old state) and another cancels
+// session-scoped queries mid-probe. Afterward: zero leaked goroutines, every
 // refcount at zero, and attach/detach counters balanced.
 func TestSharedStemsStormLifecycle(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	dir := t.TempDir()
-	spillDir := t.TempDir()
 	var rcsv, scsv strings.Builder
 	rcsv.WriteString("key,a\n")
 	for i := 0; i < 400; i++ {
@@ -152,23 +149,18 @@ func TestSharedStemsStormLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The 2KB budget forces r's shared build to hold most rows in sealed
-	// spill segments, so concurrent probes exercise the disk path and
-	// teardown must remove segment directories.
 	srv, ts, client := newTestServer(t, cat, Config{
-		MaxInFlight:          8,
-		QueueDepth:           256,
-		SharedStems:          true,
-		SharedStemSpillBytes: 2048,
-		SpillDir:             spillDir,
+		MaxInFlight: 8,
+		QueueDepth:  256,
+		SharedStems: true,
 	})
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
 
 	// Catalog churner: re-REGISTER r with identical content. Every pass
-	// replaces the *source.Table, so the shared entry goes stale and the
-	// next attach rebuilds while in-flight probes finish on the old state.
+	// moves the catalog generation, so the next attach rebuilds while
+	// in-flight probes finish on the old state.
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
@@ -264,21 +256,13 @@ func TestSharedStemsStormLifecycle(t *testing.T) {
 	client.CloseIdleConnections()
 	oclient.CloseIdleConnections()
 
-	// Shutdown closed every shared state, which removes its spill segments;
-	// anything left under the spill dir is a leaked file descriptor's corpse.
-	leftovers, err := filepath.Glob(filepath.Join(spillDir, "stems-shared-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leftovers) != 0 {
-		t.Errorf("leaked shared spill directories after shutdown: %v", leftovers)
-	}
 	waitForGoroutines(t, baseline)
 }
 
 // TestSharedStemsEviction pins the capacity path: a 1-byte cap means every
 // entry is over budget, so attaching a second table's state evicts the
-// first's as soon as it is idle — but never while referenced.
+// first's as soon as it is idle — but never while referenced — and the
+// resident-bytes gauge gives the evicted state's footprint back.
 func TestSharedStemsEviction(t *testing.T) {
 	srv, ts, client := newTestServer(t, memCatalog(t), Config{
 		SharedStems:     true,
@@ -306,6 +290,21 @@ func TestSharedStemsEviction(t *testing.T) {
 	}
 	if len(res.rows) != 3 {
 		t.Errorf("q1 after eviction returned %d rows, want 3", len(res.rows))
+	}
+	// The three-way join references r's and u's states at once, so both
+	// survive it; q1 then attaches r alone and evicts the idle u.
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); res.status != http.StatusOK {
+		t.Fatalf("three-way join: status=%d err=%q", res.status, res.errLine)
+	}
+	both := metricGauge(t, client, ts.URL, "stemsd_shared_stem_resident_bytes")
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": q1}); res.status != http.StatusOK {
+		t.Fatalf("q1 after the three-way join: status=%d err=%q", res.status, res.errLine)
+	}
+	if _, _, _, after := srv.shared.counts(); after <= evictions {
+		t.Errorf("evictions stayed at %d; q1 must have evicted u's idle state", after)
+	}
+	if one := metricGauge(t, client, ts.URL, "stemsd_shared_stem_resident_bytes"); one <= 0 || one >= both {
+		t.Errorf("resident gauge read %v with r and u live and %v after u's eviction; want it to fall and stay positive", both, one)
 	}
 	srv.Shutdown(time.Second)
 }
@@ -487,45 +486,5 @@ func TestSharedStemsOlderSnapshotRunsPrivate(t *testing.T) {
 	}
 	if builds, _, _, _ := srv.shared.counts(); builds != 2 {
 		t.Errorf("builds = %d, want 2; refusing an older snapshot must not disturb the live state", builds)
-	}
-}
-
-// TestSharedStemsSpilledStateRebuilds: a state whose build spilled cannot
-// absorb an INSERT (the build-time duplicate check for spilled rows is
-// gone), so the next reader rebuilds it — and neither the old nor the new
-// state leaves a segment behind.
-func TestSharedStemsSpilledStateRebuilds(t *testing.T) {
-	spillDir := t.TempDir()
-	cat := NewCatalog(0, "")
-	putSeq(t, cat, "big", 400)
-	putSeq(t, cat, "dim", 7)
-	srv, ts, client := newTestServer(t, cat, Config{
-		SharedStems:          true,
-		SharedStemSpillBytes: 2048,
-		SpillDir:             spillDir,
-	})
-	const q = "SELECT big.k, dim.k FROM big, dim WHERE big.a = dim.k"
-	if res := postQuery(t, client, ts.URL, map[string]any{"sql": q}); res.status != http.StatusOK || len(res.rows) != 400 {
-		t.Fatalf("first join: status %d, %d rows, want 400 (err %q)", res.status, len(res.rows), res.errLine)
-	}
-	if _, spilled := srv.shared.bytes(); spilled == 0 {
-		t.Fatal("a 2 kB budget over 400 rows did not spill; the test exercises nothing")
-	}
-	if res := postQuery(t, client, ts.URL, map[string]any{"sql": "INSERT INTO big VALUES (1000, 3), (0, 0)"}); res.status != http.StatusOK {
-		t.Fatalf("insert: status %d err %q", res.status, res.errLine)
-	}
-	// (0, 0) duplicates a stored row: set semantics keep the join at 401.
-	if res := postQuery(t, client, ts.URL, map[string]any{"sql": q}); res.status != http.StatusOK || len(res.rows) != 401 {
-		t.Fatalf("post-insert join: status %d, %d rows, want 401 (err %q)", res.status, len(res.rows), res.errLine)
-	}
-	if builds, _, _, _ := srv.shared.counts(); builds != 2 || srv.shared.extends.Load() != 0 {
-		t.Errorf("builds = %d, extends = %d; a spilled state must be rebuilt (2, 0)", builds, srv.shared.extends.Load())
-	}
-	if dirs, _ := filepath.Glob(filepath.Join(spillDir, "stems-shared-*")); len(dirs) != 1 {
-		t.Errorf("%d shared spill directories while one state is live, want 1 (the rebuilt one): %v", len(dirs), dirs)
-	}
-	srv.Shutdown(time.Second)
-	if dirs, _ := filepath.Glob(filepath.Join(spillDir, "stems-shared-*")); len(dirs) != 0 {
-		t.Errorf("leaked shared spill directories after shutdown: %v", dirs)
 	}
 }

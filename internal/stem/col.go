@@ -46,7 +46,7 @@ func (s *SteM) isColBuild(cb *flow.ColBatch) bool {
 func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
 	// Attached (shared-state) SteMs take the exact row path: the columnar
 	// probe applies the resident TimeStamp window, which attached probes
-	// must bypass, and spilled shared partitions are only read row-wise.
+	// must bypass.
 	if s.cfg.Dict != nil || s.cfg.Window > 0 || s.cfg.BuildBounceBatch > 0 ||
 		s.spillOn || s.govID >= 0 || s.shared != nil {
 		return false

@@ -980,12 +980,6 @@ func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache, scr *probeScratch, st
 			out = append(out, flow.Emit(cat))
 		}
 	}
-	if s.shared != nil && s.shared.hasSpill() && t.EOT == nil {
-		for _, sh := range held {
-			out = s.probeSharedSpill(sh.idx, t, scr, stats, out)
-		}
-	}
-
 	// Real spill, phase 2 — after the live lookup: record the probe against
 	// the partitions that hold data, with the exact TimeStamp window of
 	// spilled matches it is owed; the replay pass (or a later recall)

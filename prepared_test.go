@@ -11,11 +11,10 @@ import (
 // does exactly the work Run does under the same Options, so an option
 // Prepare dropped (Shared once was) shows up as a different build count.
 func TestPreparedMatchesRun(t *testing.T) {
-	sharedS, err := smallJoin().BuildSharedState("S", 1, 0, "")
+	sharedS, err := smallJoin().BuildSharedState("S", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharedS.Close()
 	for name, opts := range map[string]Options{
 		"private": {Engine: Concurrent},
 		"shared":  {Engine: Concurrent, Shared: map[string]*SharedState{"S": sharedS}},
@@ -82,9 +81,7 @@ func TestPreparedStreamsOnResult(t *testing.T) {
 // TestPreparedRecoversFromCancel cancels an execution mid-run and checks the
 // next execution still returns full results (the dirty shell is rebuilt,
 // never reused) under the same options: SkipBuildTable keeps R out of its
-// SteM, so a rebuild that forgot it would build more rows than before. (The
-// relaxed mode's row count is not asserted: on the concurrent engine it
-// intermittently drops results even on a fresh Run — see CHANGES.md.)
+// SteM, so a rebuild that forgot it would build more rows than before.
 func TestPreparedRecoversFromCancel(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"default":   {Engine: Concurrent},
@@ -108,7 +105,7 @@ func TestPreparedRecoversFromCancel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if opts.SkipBuildTable == "" && len(res.Rows) != 3 {
+			if len(res.Rows) != 3 {
 				t.Fatalf("post-cancel execution returned %d rows, want 3", len(res.Rows))
 			}
 			if res.Stats.SteMBuilds != before.Stats.SteMBuilds {

@@ -475,10 +475,9 @@ func (q *Query) Build() (*query.Q, error) {
 }
 
 // SharedState is catalog-style shared SteM state over one table's rows:
-// sealed, immutable dictionaries (plus spill segments beyond a byte budget)
-// built once with Query.BuildSharedState and attached by any number of
-// concurrent Runs via Options.Shared. Close releases its spill files; it
-// must not be called while a Run is attached.
+// sealed, immutable in-memory dictionaries built once with
+// Query.BuildSharedState and attached by any number of concurrent Runs via
+// Options.Shared.
 type SharedState struct {
 	inner *stem.SharedState
 	table string
@@ -487,20 +486,12 @@ type SharedState struct {
 // Rows returns the number of distinct rows the state stores.
 func (s *SharedState) Rows() int { return s.inner.Rows() }
 
-// SpilledRows returns how many of them live in sealed spill segments.
-func (s *SharedState) SpilledRows() int { return s.inner.SpilledRows() }
-
-// Close releases the state's spill segments. Idempotent.
-func (s *SharedState) Close() error { return s.inner.Close() }
-
 // BuildSharedState builds sealed shared SteM state over the named table's
 // rows, indexed on the table's join columns in this query — what a server
 // catalog does once per (table, join columns) so concurrent queries attach
 // instead of rebuilding. shards partitions the state (rounded up to a power
-// of two; attached SteMs adopt it); budgetBytes bounds the resident
-// footprint with the excess written to spill segments under spillDir (0
-// keeps everything resident).
-func (q *Query) BuildSharedState(table string, shards int, budgetBytes int64, spillDir string) (*SharedState, error) {
+// of two; attached SteMs adopt it).
+func (q *Query) BuildSharedState(table string, shards int) (*SharedState, error) {
 	iq, err := q.Build()
 	if err != nil {
 		return nil, err
@@ -513,12 +504,7 @@ func (q *Query) BuildSharedState(table string, shards int, budgetBytes int64, sp
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("stems: table %q has no join columns to index shared state on", table)
 	}
-	inner, err := stem.BuildShared(stem.SharedConfig{
-		KeyCols:     cols,
-		Shards:      shards,
-		BudgetBytes: budgetBytes,
-		SpillDir:    spillDir,
-	}, q.data[table].Rows)
+	inner, err := stem.BuildShared(stem.SharedConfig{KeyCols: cols, Shards: shards}, q.data[table].Rows)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 // sharedJoin is the equivalence workload: a 3-way join with duplicate source
 // rows (set-semantics dedup must agree between private builds and the shared
 // build), a selection on an attached table (verified at concatenation), and
-// enough rows that sharding and spill both engage.
+// enough rows that sharding engages.
 func sharedJoin() *Query {
 	var r, s, u [][]int64
 	for i := 0; i < 30; i++ {
@@ -40,12 +40,11 @@ func sharedJoin() *Query {
 // TestSharedStemsAgree proves the tentpole's correctness claim: N concurrent
 // queries attached to one shared build of S and U return results
 // multiset-identical to a private-state run, across {shards 1,4} ×
-// {default batches, BatchSize 1} × {spill budget ∞, constrained}. (At the
-// default batch size the private side of the dataflow travels columnar; at 1
-// everything is row-at-a-time — the subtest labels predate that being the
-// only way to ask for rows and keep their spelling.) Runs under -race in CI
-// (root package, full race job), so the lock-free shared-dictionary reads
-// are exercised concurrently.
+// {default batches, BatchSize 1}. (At the default batch size the private side
+// of the dataflow travels columnar; at 1 everything is row-at-a-time. The
+// subtest labels keep the spelling they had when rows were a knob and shared
+// state took a spill budget.) Runs under -race in CI (root package, full race
+// job), so the lock-free shared-dictionary reads are exercised concurrently.
 func TestSharedStemsAgree(t *testing.T) {
 	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Concurrent}).Rows)
 	if len(want) == 0 {
@@ -54,66 +53,56 @@ func TestSharedStemsAgree(t *testing.T) {
 	const concurrent = 4
 	for _, shards := range []int{1, 4} {
 		for _, batch := range []int{0, 1} {
-			for _, budget := range []int64{0, 600} {
-				name := fmt.Sprintf("shards=%d/rowBatches=%v/budget=%d", shards, batch == 1, budget)
-				t.Run(name, func(t *testing.T) {
-					base := sharedJoin()
-					sharedS, err := base.BuildSharedState("S", shards, budget, t.TempDir())
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sharedS.Close()
-					sharedU, err := base.BuildSharedState("U", shards, budget, t.TempDir())
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sharedU.Close()
-					if budget > 0 && sharedS.SpilledRows() == 0 {
-						t.Fatal("constrained budget spilled nothing; the disk path is untested")
-					}
-					if budget == 0 && (sharedS.SpilledRows() != 0 || sharedU.SpilledRows() != 0) {
-						t.Fatal("unbounded budget must stay fully resident")
-					}
-					var wg sync.WaitGroup
-					errs := make([]error, concurrent)
-					for g := 0; g < concurrent; g++ {
-						wg.Add(1)
-						go func(g int) {
-							defer wg.Done()
-							res, err := sharedJoin().Run(Options{
-								Engine:    Concurrent,
-								Shards:    shards,
-								BatchSize: batch,
-								Shared:    map[string]*SharedState{"S": sharedS, "U": sharedU},
-							})
-							if err != nil {
-								errs[g] = err
-								return
-							}
-							got := keysOf(res.Rows)
-							if len(got) != len(want) {
-								errs[g] = fmt.Errorf("%d rows, want %d", len(got), len(want))
-								return
-							}
-							for i := range want {
-								if got[i] != want[i] {
-									errs[g] = fmt.Errorf("row %d = %q, want %q", i, got[i], want[i])
-									return
-								}
-							}
-							if res.Stats.SteMBuilds == 0 {
-								errs[g] = fmt.Errorf("driver table R built nothing")
-							}
-						}(g)
-					}
-					wg.Wait()
-					for g, err := range errs {
+			name := fmt.Sprintf("shards=%d/rowBatches=%v/budget=0", shards, batch == 1)
+			t.Run(name, func(t *testing.T) {
+				base := sharedJoin()
+				sharedS, err := base.BuildSharedState("S", shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sharedU, err := base.BuildSharedState("U", shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				errs := make([]error, concurrent)
+				for g := 0; g < concurrent; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						res, err := sharedJoin().Run(Options{
+							Engine:    Concurrent,
+							Shards:    shards,
+							BatchSize: batch,
+							Shared:    map[string]*SharedState{"S": sharedS, "U": sharedU},
+						})
 						if err != nil {
-							t.Errorf("goroutine %d: %v", g, err)
+							errs[g] = err
+							return
 						}
+						got := keysOf(res.Rows)
+						if len(got) != len(want) {
+							errs[g] = fmt.Errorf("%d rows, want %d", len(got), len(want))
+							return
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								errs[g] = fmt.Errorf("row %d = %q, want %q", i, got[i], want[i])
+								return
+							}
+						}
+						if res.Stats.SteMBuilds == 0 {
+							errs[g] = fmt.Errorf("driver table R built nothing")
+						}
+					}(g)
+				}
+				wg.Wait()
+				for g, err := range errs {
+					if err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -123,11 +112,10 @@ func TestSharedStemsAgree(t *testing.T) {
 func TestSharedStemsSimEngine(t *testing.T) {
 	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Sim}).Rows)
 	base := sharedJoin()
-	sharedU, err := base.BuildSharedState("U", 1, 0, "")
+	sharedU, err := base.BuildSharedState("U", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharedU.Close()
 	res, err := sharedJoin().Run(Options{Engine: Sim, Shared: map[string]*SharedState{"U": sharedU}})
 	if err != nil {
 		t.Fatal(err)
@@ -147,16 +135,14 @@ func TestSharedStemsSimEngine(t *testing.T) {
 // whose every table is attached has nothing to drive the dataflow.
 func TestSharedStemsRejectsFullAttachment(t *testing.T) {
 	base := smallJoin()
-	sharedR, err := base.BuildSharedState("R", 1, 0, "")
+	sharedR, err := base.BuildSharedState("R", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharedR.Close()
-	sharedS, err := base.BuildSharedState("S", 1, 0, "")
+	sharedS, err := base.BuildSharedState("S", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharedS.Close()
 	_, err = smallJoin().Run(Options{Shared: map[string]*SharedState{"R": sharedR, "S": sharedS}})
 	if err == nil {
 		t.Fatal("attaching every table must be rejected")

@@ -358,11 +358,10 @@ func TestStandingRejectsUnsupportedOptions(t *testing.T) {
 	}
 	// Shared state rejection needs a built state to hand in.
 	shq := base()
-	ss, err := shq.BuildSharedState("S", 1, 0, "")
+	ss, err := shq.BuildSharedState("S", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
 	if st, _, err := base().Open(Options{Shared: map[string]*SharedState{"S": ss}}); err == nil {
 		st.Close()
 		t.Error("Open accepted Shared state")

@@ -214,6 +214,42 @@ func TestSkipBuildOption(t *testing.T) {
 	}
 }
 
+// TestSkipBuildConcurrentComplete pins Theorem 2 (no lost result) for §3.5's
+// relaxed build rule on the concurrent engine. With SkipBuildTable the
+// non-skip table's rows are pure state and the skip table's prober is
+// consumed as soon as that SteM looks complete, so a paced scan's EOT
+// overtaking its own rows silently drops results with Stuck() == 0 — which
+// happened in about one fresh Run in two while every delayed emission left
+// on its own goroutine.
+func TestSkipBuildConcurrentComplete(t *testing.T) {
+	runs := 1000
+	if testing.Short() {
+		runs = 200
+	}
+	for name, opts := range map[string]Options{
+		"skipR":        {Engine: Concurrent, SkipBuildTable: "R"},
+		"skipR/batch1": {Engine: Concurrent, SkipBuildTable: "R", BatchSize: 1},
+		"skipS":        {Engine: Concurrent, SkipBuildTable: "S"},
+		"skipR/fixed":  {Engine: Concurrent, SkipBuildTable: "R", Policy: Fixed},
+	} {
+		t.Run(name, func(t *testing.T) {
+			short := 0
+			for i := 0; i < runs; i++ {
+				res, err := smallJoin().Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != 3 {
+					short++
+				}
+			}
+			if short > 0 {
+				t.Fatalf("%d of %d fresh runs returned fewer than 3 rows", short, runs)
+			}
+		})
+	}
+}
+
 func TestMirrorDedup(t *testing.T) {
 	rows := [][]int64{{1, 10}, {2, 20}, {3, 10}}
 	q := NewQuery().
