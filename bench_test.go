@@ -14,6 +14,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/eddy"
 	"repro/internal/experiments"
+	"repro/internal/flow"
 	"repro/internal/policy"
 	"repro/internal/pred"
 	"repro/internal/query"
@@ -169,6 +170,30 @@ func benchDict(b *testing.B, mk func(q *query.Q, table int) stem.Dict) {
 
 func BenchmarkDict_Hash(b *testing.B) {
 	benchDict(b, func(q *query.Q, t int) stem.Dict { return stem.NewHashDict(stem.JoinCols(q, t)) })
+}
+
+// BenchmarkSteMBuildCols is the private build the serving path runs: one
+// 1,024-row columnar scan batch, source rows attached, stored into a SteM
+// whose dictionary is warm (Reset clears it in place). allocs/op is the
+// number to watch — the emission slice and nothing else.
+func BenchmarkSteMBuildCols(b *testing.B) {
+	const rows = 1024
+	q := benchQ(rows)
+	src := q.AMs[0].Data.Rows
+	cb := flow.NewColBatch(2)
+	cb.Span = tuple.Single(0)
+	cb.LoadRows(0, len(src[0]), src)
+	s := stem.New(stem.Config{Table: 0, Q: q, TS: &stem.Counter{}})
+	batch := &flow.Batch{Col: cb}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		cb.Built, cb.Sel = 0, nil
+		if _, ems, _ := s.ProcessColBatch(batch, 0); len(ems) != 1 || ems[0].B.Rows() != rows {
+			b.Fatalf("build bounced %d batches", len(ems))
+		}
+	}
 }
 
 func BenchmarkDict_List(b *testing.B) {

@@ -228,13 +228,9 @@ func (a *AM) scanCols() ([]flow.ColEmission, []flow.Emission) {
 		cb := flow.GetColBatch(n)
 		cb.Span = tuple.Single(tbl)
 		cb.Done = done
-		tab := cb.EnsureCols(tbl, arity)
-		for _, r := range src[lo:hi] {
-			for c := 0; c < arity; c++ {
-				tab.Cols[c].AppendV(r[c])
-			}
-		}
-		cb.SetRowCount(hi - lo)
+		// The table's published rows are immutable (the row path aliases them
+		// too), so the batch can offer them to whoever stores rows.
+		cb.LoadRows(tbl, arity, src[lo:hi])
 		live := cb.Rows()
 		if a.cfg.ApplySelections {
 			for _, p := range sels {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/flow"
 	"repro/internal/pred"
 	"repro/internal/query"
 	"repro/internal/schema"
@@ -220,5 +221,41 @@ func TestScanWithStallDelaysTail(t *testing.T) {
 	out, _ := a.Process(tuple.NewSeed(2, 0), 0)
 	if out[1].Delay <= clock.Second {
 		t.Errorf("post-stall row delay %v must include the stall", out[1].Delay)
+	}
+}
+
+// TestScanColsCarriesSourceRows: an unpaced scan's columnar batches offer the
+// table's own rows to whoever stores rows, chunk by chunk and without a copy.
+func TestScanColsCarriesSourceRows(t *testing.T) {
+	rT := schema.MustTable("R", schema.IntCol("k"), schema.IntCol("a"))
+	rows := make([]tuple.Row, colScanChunk+10)
+	for i := range rows {
+		rows[i] = row(int64(i), int64(i%7))
+	}
+	q := query.MustNew([]*schema.Table{rT}, nil,
+		[]query.AMDecl{{Table: 0, Kind: query.Scan, Data: source.MustTable(rT, rows)}})
+	a, err := New(Config{Q: q, AMIndex: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cols, _ := a.ProcessColBatch(flow.BatchOf(tuple.NewSeed(1, 0)), 0)
+	if len(cols) != 2 {
+		t.Fatalf("scan emitted %d columnar batches, want 2", len(cols))
+	}
+	at := 0
+	for _, em := range cols {
+		src := em.B.Tabs[0].Src
+		if len(src) != em.B.N() {
+			t.Fatalf("batch of %d rows carries %d source rows", em.B.N(), len(src))
+		}
+		for i := range src {
+			if &src[i][0] != &rows[at][0] || !em.B.Value(0, 0, i).Equal(rows[at][0]) {
+				t.Fatalf("source row %d of the scan is not table row %d", at, at)
+			}
+			at++
+		}
+	}
+	if at != len(rows) {
+		t.Fatalf("batches cover %d rows, want %d", at, len(rows))
 	}
 }

@@ -132,9 +132,10 @@ type Stats struct {
 type state uint8
 
 const (
-	fresh state = iota // built or Reset, not yet run
-	clean              // every round so far completed without error
-	dirty              // a round failed or was canceled; may hold stranded batches
+	fresh    state = iota // built or Reset, not yet run
+	clean                 // every round so far completed without error
+	dirty                 // a round failed or was canceled; may hold stranded batches
+	released              // SteM storage handed back; nothing runs before a Reset
 )
 
 // Exec is a built, runnable query. It is not safe for concurrent use: one
@@ -317,8 +318,9 @@ func (e *Exec) check() error {
 }
 
 // Reset returns the handle to its just-built state. A Poolable handle whose
-// rounds all completed cleanly is reset in place — SteM dictionaries cleared,
-// inboxes rewound, a fresh clock, collector zeroed, and the routing policy
+// rounds all completed cleanly is reset in place — SteM dictionaries emptied
+// (or, after a Release, acquired again from the process-wide pool), inboxes
+// rewound, a fresh clock, collector zeroed, and the routing policy
 // deliberately kept, so what it learned carries into the next run. Any other
 // handle is torn down and built again from its Spec (with a new policy): a
 // canceled run may strand batches mid-flight, and simulator, governor and
@@ -326,7 +328,7 @@ func (e *Exec) check() error {
 func (e *Exec) Reset() error {
 	switch {
 	case e.st == fresh:
-	case e.st == clean && e.Poolable():
+	case (e.st == clean || e.st == released) && e.Poolable():
 		e.r.Reset(nil)
 		e.eng.Reset()
 		e.eng.SetClock(nil)
@@ -382,9 +384,28 @@ func (e *Exec) Record(explain bool) trace.Record {
 // Report renders the collector's per-module report. It needs Spec.Trace.
 func (e *Exec) Report() string { return e.coll.Report() }
 
-// Close removes the spill directory, if any. It is idempotent, and the
-// handle's in-memory counters stay readable afterwards.
+// Release hands the SteMs' dictionary storage back to the process-wide pool
+// (see stem.SteM.Release) once the caller is done with the handle's rows: the
+// handle keeps what derives from the query — router, policy, predicate caches
+// — and gives up what derives from the data, which whatever query runs next
+// can use. Counters, Record and Report stay readable; Run and RunDelta refuse
+// until a Reset. A standing query must not call it between rounds. A handle
+// whose last round failed releases nothing: that round may have died inside a
+// module, mid-build.
+func (e *Exec) Release() {
+	if e.st == dirty || e.st == released {
+		return
+	}
+	for _, s := range e.r.SteMs() {
+		s.Release()
+	}
+	e.st = released
+}
+
+// Close releases the SteM storage and removes the spill directory, if any. It
+// is idempotent, and the handle's in-memory counters stay readable afterwards.
 func (e *Exec) Close() error {
+	e.Release()
 	if e.gov == nil {
 		return nil
 	}

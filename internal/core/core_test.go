@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/source"
+	"repro/internal/stem"
 	"repro/internal/tuple"
 	"repro/internal/value"
 )
@@ -240,4 +242,95 @@ func TestBuildRejects(t *testing.T) {
 	if _, err := EngineByName("warp"); err == nil {
 		t.Error("EngineByName accepted an unknown engine")
 	}
+}
+
+// TestReleaseRecyclesStorage: a handle that releases its SteM storage and is
+// Reset builds its second run into what the first left in the process-wide
+// pools: both dictionaries come back recycled, and over 4,000-row tables the
+// second run allocates a fraction of the first's bytes and a count that does
+// not depend on the row count. (What the second run does allocate is column
+// vectors: flow's batch pool hands a batch shaped for one table to a scan of
+// the other.) Between Release and Reset the handle refuses to run.
+func TestReleaseRecyclesStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of what it is given under the race detector")
+	}
+	const n = 4000
+	tabs := []*schema.Table{
+		schema.MustTable("R", schema.IntCol("key"), schema.IntCol("a")),
+		schema.MustTable("S", schema.IntCol("x"), schema.IntCol("y")),
+	}
+	rows := make([][]tuple.Row, 2)
+	for i := 0; i < n; i++ {
+		rows[0] = append(rows[0], row(int64(i), int64(i)))
+		rows[1] = append(rows[1], row(int64(i+n-10), int64(i))) // ten R rows find a match
+	}
+	var ams []query.AMDecl
+	for ti, tab := range tabs {
+		ams = append(ams, query.AMDecl{Table: ti, Kind: query.Scan, Data: source.MustTable(tab, rows[ti])})
+	}
+	q := query.MustNew(tabs, []pred.P{pred.EquiJoin(0, 1, 1, 0)}, ams)
+	want := oracle.Result{} // R's last ten rows, each with S's row of the same number
+	for i := 0; i < 10; i++ {
+		r, s := tuple.NewSingleton(2, 0, rows[0][n-10+i]), tuple.NewSingleton(2, 1, rows[1][i])
+		want[r.Concat(s).ResultKey()]++
+	}
+
+	// Empty the pools (two cycles: sync.Pool keeps a victim generation), then
+	// keep the collector from emptying them again mid-test, and run on one P:
+	// what one P puts in its private pool slot no other P can take out.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	var ex *Exec
+	measure := func(what string, step func()) (mallocs, bytes uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step()
+		outs, err := ex.Run(context.Background(), nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := oracle.Result{}
+		collect(got, outs)
+		mustMatch(t, what, want, got)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	m1, b1 := measure("first run", func() {
+		var err error
+		if ex, err = Build(Spec{Q: q, Engine: Concurrent, Policy: "benefitcost"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ex.Release()
+	if _, err := ex.Run(context.Background(), nil); err == nil {
+		t.Fatal("Run on a released handle must refuse")
+	}
+	if _, err := ex.RunDelta(context.Background(), nil, nil); err == nil {
+		t.Fatal("RunDelta on a released handle must refuse")
+	}
+	if st := ex.Stats(); st.Builds != 2*n {
+		t.Fatalf("a released handle's counters read %d builds, want %d", st.Builds, 2*n)
+	}
+	recycled, fresh := stem.DictAcquires()
+	m2, b2 := measure("second run", func() {
+		if err := ex.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("first run %d allocations / %d bytes; after Release+Reset %d / %d", m1, b1, m2, b2)
+	if r, f := stem.DictAcquires(); r != recycled+2 || f != fresh {
+		t.Errorf("second run acquired %d recycled and %d new dictionaries, want the 2 it released", r-recycled, f-fresh)
+	}
+	if b2*4 > b1 {
+		t.Errorf("second run allocated %d bytes, want less than a quarter of the first's %d", b2, b1)
+	}
+	if m2 > n/10 {
+		t.Errorf("second run made %d allocations over %d-row tables, want a count that does not grow with the rows", m2, n)
+	}
+	ex.Close()
 }

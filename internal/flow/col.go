@@ -239,9 +239,17 @@ func (v *Vec) HashValInto(h uint64, i int) uint64 {
 // ColTable holds one spanned table's columns plus the per-row build
 // timestamps of that component. TS may be shorter than the row count (or
 // empty): rows past its end are unbuilt, i.e. timestamp InfTS.
+//
+// Src, when non-nil, is the rows the columns were transposed from, parallel
+// to the physical rows: Src[i][c] is Cols[c].ValueAt(i). A consumer that
+// needs a row back as a []value.V (a SteM build) keeps Src[i] instead of
+// transposing a copy. LoadRows sets it, for a caller who vouches the rows are
+// immutable; Reset and AppendRowFrom drop it, so it never outlives the
+// parallelism.
 type ColTable struct {
 	Cols []Vec
 	TS   []tuple.Timestamp
+	Src  []tuple.Row
 }
 
 // ColBatch is a columnar batch: n physical rows over the tables of Span,
@@ -303,6 +311,7 @@ func (cb *ColBatch) Reset() {
 		}
 		tab.Cols = tab.Cols[:0]
 		tab.TS = tab.TS[:0]
+		tab.Src = nil
 	}
 	cb.Tabs = cb.Tabs[:0]
 	cb.NTables = 0
@@ -371,6 +380,20 @@ func (cb *ColBatch) EnsureCols(t, arity int) *ColTable {
 		tab.Cols = tab.Cols[:arity]
 	}
 	return tab
+}
+
+// LoadRows fills table t of an empty batch with rows transposed into arity
+// column vectors, and keeps rows as the table's Src: the caller vouches they
+// are immutable from here on.
+func (cb *ColBatch) LoadRows(t, arity int, rows []tuple.Row) {
+	tab := cb.EnsureCols(t, arity)
+	for _, r := range rows {
+		for c := 0; c < arity; c++ {
+			tab.Cols[c].AppendV(r[c])
+		}
+	}
+	cb.n = len(rows)
+	tab.Src = rows
 }
 
 // TSAt returns the build timestamp of row i's component of table t.
@@ -460,6 +483,7 @@ func (cb *ColBatch) AppendRowFrom(src *ColBatch, i int) {
 		if ts := src.TSAt(t, i); ts != tuple.InfTS {
 			cb.SetTS(t, cb.n, ts)
 		}
+		cb.Tabs[t].Src = nil
 	}
 	// A destination with an explicit selection stays consistent: the new
 	// physical row is live.

@@ -301,3 +301,37 @@ func TestColBatchRowTS(t *testing.T) {
 		t.Fatalf("RowTS = %d, want 9 (max component)", got)
 	}
 }
+
+// TestColTableSrcDropped: source rows ride a batch only while they are
+// parallel to its physical rows — a selection keeps them, a merge into the
+// batch and a Reset drop them.
+func TestColTableSrcDropped(t *testing.T) {
+	rows := []tuple.Row{{value.NewInt(1)}, {value.NewInt(2)}, {value.NewInt(3)}}
+	fill := func() *ColBatch {
+		cb := NewColBatch(1)
+		cb.Span = tuple.Single(0)
+		cb.LoadRows(0, 1, rows)
+		return cb
+	}
+
+	cb := fill()
+	cb.Sel = cb.EnsureSel()[1:]
+	if src := cb.Tabs[0].Src; len(src) != cb.N() || &src[cb.RowAt(0)][0] != &rows[1][0] {
+		t.Fatal("a selection vector must leave Src parallel to the physical rows")
+	}
+
+	dst := fill()
+	dst.AppendRowFrom(cb, 2)
+	if dst.Tabs[0].Src != nil {
+		t.Fatal("AppendRowFrom must drop the destination's Src: its rows no longer have one source")
+	}
+	if cb.Tabs[0].Src == nil {
+		t.Fatal("AppendRowFrom must leave the source batch's Src alone")
+	}
+
+	cb.Reset()
+	cb.shape(1)
+	if cb.Tabs[0].Src != nil {
+		t.Fatal("Reset must drop Src: a pooled batch must not pin a table's rows")
+	}
+}

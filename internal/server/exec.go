@@ -532,10 +532,13 @@ func (s *Server) beginQuery() bool {
 //
 // A pooled handle keeps its routing policy across executions — the plan key
 // pins its name (the seed is process-wide), so reuse only ever continues the
-// same learner,
-// and a warm plan routes better than a cold one. Everything else is
-// restored by Exec.Reset (internal/eddy/reset_test.go pins that a reset
-// engine is indistinguishable from a fresh one).
+// same learner, and a warm plan routes better than a cold one. Everything
+// else is restored by Exec.Reset (internal/eddy/reset_test.go pins that a
+// reset engine is indistinguishable from a fresh one). What the handle does
+// not keep is its SteMs' dictionary storage: Exec.Release gives that to the
+// process-wide pool the moment the rows have been streamed, where the next
+// query of any plan finds it — an entry's own pool is emptied by the GC long
+// before a rarely repeated statement comes round again.
 func (s *Server) execute(q *live, st *sql.Stmt) error {
 	snap, version := s.cat.SnapshotVersioned()
 	entry, err := s.planFor(q, st, snap, version)
@@ -597,6 +600,7 @@ func (s *Server) execute(q *live, st *sql.Stmt) error {
 	// spill directory on any exit — including a session DELETE or a
 	// deadline canceling the run mid-join.
 	if err == nil && ex.Poolable() && !entry.dead.Load() {
+		ex.Release()
 		entry.handles.Put(ex)
 	} else {
 		ex.Close()

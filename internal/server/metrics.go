@@ -125,6 +125,9 @@ type gauges struct {
 	sharedEvictions uint64
 	sharedResident  int64
 	sharedEntries   int
+
+	dictRecycled uint64
+	dictNew      uint64
 }
 
 // write renders the counters in the Prometheus text exposition format.
@@ -155,6 +158,9 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "stemsd_routing_steps_total %d\n", m.routingSteps)
 	counter("stemsd_stem_builds_total", "Rows materialized into SteMs across all queries.")
 	fmt.Fprintf(w, "stemsd_stem_builds_total %d\n", m.stemBuilds)
+	counter("stemsd_stem_dict_acquires_total", "Private SteM dictionaries acquired, by where their storage came from: recycled from a finished query, or newly allocated.")
+	fmt.Fprintf(w, "stemsd_stem_dict_acquires_total{source=\"recycled\"} %d\n", g.dictRecycled)
+	fmt.Fprintf(w, "stemsd_stem_dict_acquires_total{source=\"new\"} %d\n", g.dictNew)
 	counter("stemsd_index_probes_total", "Remote index lookups across all queries.")
 	fmt.Fprintf(w, "stemsd_index_probes_total %d\n", m.indexProbes)
 	counter("stemsd_plan_cache_hits_total", "Statements served from the plan cache without re-binding.")

@@ -40,8 +40,12 @@ type planKey struct {
 // returns it only after a clean completion — core.Exec.Reset (see
 // internal/eddy/reset_test.go) makes a reset handle indistinguishable from a
 // freshly built one, except for the routing policy it deliberately keeps.
-// Pooled handles hold no shared-SteM references — each execution attaches
-// and releases its own — so one dropped silently by the GC leaks nothing.
+// A pooled handle is what derives from the query — router, policy, predicate
+// caches — and holds no data: its SteMs' dictionary storage was released to
+// the process-wide pool in internal/stem before it came back (any plan's next
+// build uses it), and it holds no shared-SteM references — each execution
+// attaches and releases its own — so one dropped silently by the GC leaks
+// nothing and costs only a router to rebuild.
 type planEntry struct {
 	key     planKey
 	version uint64

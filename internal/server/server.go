@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sql"
+	"repro/internal/stem"
 )
 
 // Config tunes the server. Zero values take the documented defaults.
@@ -436,6 +437,7 @@ func (s *Server) gauges() gauges {
 		spillResident: res,
 		spillSpilled:  sp,
 	}
+	g.dictRecycled, g.dictNew = stem.DictAcquires()
 	if s.plans != nil {
 		g.planEntries = s.plans.size()
 		g.planHits, g.planMisses, g.planInvalidations, g.planEvictions = s.plans.counters()

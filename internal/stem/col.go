@@ -155,11 +155,14 @@ func (s *SteM) processRowDelegate(b *flow.Batch, homeShard int, now clock.Time) 
 }
 
 // buildCols stores every live row of a build batch into sh under one lock
-// acquisition. Stored rows are slab-materialized — one backing array for the
-// whole batch — duplicates are dropped from the selection vector (consumed,
-// per Section 3.2's set semantics), and the surviving batch bounces back in
-// place with its Built bit and per-row build timestamps set: the zero-copy
-// analogue of the per-tuple build bounce.
+// acquisition. A batch that still carries the source rows its columns were
+// transposed from (flow.ColTable.Src — an AM's scan of an immutable table)
+// stores those rows by reference, as the row path does; any other batch has
+// its rows slab-materialized, one backing array for the whole batch.
+// Duplicates are dropped from the selection vector (consumed, per Section
+// 3.2's set semantics), and the surviving batch bounces back in place with
+// its Built bit and per-row build timestamps set: the zero-copy analogue of
+// the per-tuple build bounce.
 func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	table := s.cfg.Table
 	tab := &cb.Tabs[table]
@@ -169,8 +172,12 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 
 	sh.mu.Lock()
 	hd := sh.dict.(*HashDict) // colBatchOK guarantees the default dictionary
-	slab := make([]value.V, live*arity)
-	si := 0
+	src := tab.Src
+	var slab []value.V
+	if len(src) != cb.N() {
+		src = nil
+		slab = make([]value.V, live*arity)
+	}
 	sel := cb.EnsureSel()
 	out := sel[:0]
 	stored := int64(0)
@@ -184,10 +191,14 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 			sh.stats.DupBuilds++
 			continue // duplicate from a competitive AM: consumed
 		}
-		row := tuple.Row(slab[si : si+arity : si+arity])
-		si += arity
-		for c := 0; c < arity; c++ {
-			row[c] = tab.Cols[c].ValueAt(i)
+		var row tuple.Row
+		if src != nil {
+			row = src[i]
+		} else {
+			row, slab = slab[:arity:arity], slab[arity:]
+			for c := 0; c < arity; c++ {
+				row[c] = tab.Cols[c].ValueAt(i)
+			}
 		}
 		ts := s.cfg.TS.Next()
 		hd.insertHashed(row, ts, h)
@@ -278,39 +289,31 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 			// path's Candidates heuristic), hashing key vectors via the
 			// dictionary-encoded per-code tables.
 			best := -1
-			var bestPoss []int
+			var bucket cursor
 			for pi, pl := range plan {
 				if di[pi] < 0 {
 					continue
 				}
-				poss := hd.bucket(di[pi], cb.Tabs[pl.src.table].Cols[pl.src.col].Hash64At(i))
-				if best < 0 || len(poss) < len(bestPoss) {
-					best, bestPoss = pi, poss
+				b := hd.bucket(di[pi], cb.Tabs[pl.src.table].Cols[pl.src.col].Hash64At(i))
+				if best < 0 || b.Len() < bucket.Len() {
+					best, bucket = pi, b
 				}
 			}
 			var entries []Entry
-			var poss []int
+			keyCol := -1
+			var keyVal value.V
 			if best < 0 {
 				entries = hd.all() // no indexed bind column: full scan
 			} else {
-				poss = bestPoss
-			}
-			keyCol := -1
-			var keyVal value.V
-			if best >= 0 {
 				keyCol = plan[best].tCol
 				keyVal = cb.Value(plan[best].src.table, plan[best].src.col, i)
 			}
 			for pi := 0; ; pi++ {
-				var e Entry
-				if poss != nil {
-					if pi >= len(poss) {
+				var e *Entry
+				if best >= 0 {
+					var ok bool
+					if e, ok = bucket.Next(); !ok {
 						break
-					}
-					var evicted bool
-					e, evicted = hd.entry(poss[pi])
-					if evicted {
-						continue
 					}
 					// Hash-with-verify: the bucket may hold colliding values.
 					if !e.Row[keyCol].Equal(keyVal) {
@@ -320,7 +323,7 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 					if pi >= len(entries) {
 						break
 					}
-					e = entries[pi]
+					e = &entries[pi]
 				}
 				// TimeStamp constraint + repeated-probe guard (§3.5).
 				if e.TS >= probeTS || e.TS <= lastMatch {
@@ -432,7 +435,7 @@ func (s *SteM) newProbeOutput(cb *flow.ColBatch, outSpan tuple.TableSet, outDone
 // appendMatch gathers the concatenation of probe row i and stored entry e
 // onto the output batch: probe-side columns and timestamps copy over, the
 // stored row fills this SteM's table with its build timestamp.
-func (s *SteM) appendMatch(out *flow.ColBatch, cb *flow.ColBatch, i int, e Entry) {
+func (s *SteM) appendMatch(out *flow.ColBatch, cb *flow.ColBatch, i int, e *Entry) {
 	n := out.N()
 	for t := range cb.Span.Each {
 		stab := &cb.Tabs[t]

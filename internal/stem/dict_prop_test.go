@@ -30,22 +30,43 @@ const collisionMask = 0x3
 type dictUnderTest struct {
 	name string
 	d    Dict
+	// fresh makes an empty replacement when the workload recycles its
+	// dictionaries; nil for the HashDicts, which are recycled the way a
+	// released SteM's is: cleared in place and retargeted.
+	fresh func() Dict
 }
 
 func newDictsUnderTest() []dictUnderTest {
 	cols := []int{0, 1}
 	masked := NewHashDict(cols)
 	masked.mask = collisionMask
-	maskedList := NewListDict()
-	maskedList.mask = collisionMask
-	maskedSorted := NewSortedDict(0, 8)
-	maskedSorted.mask = collisionMask
+	listMasked := func() Dict { d := NewListDict(); d.mask = collisionMask; return d }
+	sortedMasked := func() Dict { d := NewSortedDict(0, 8); d.mask = collisionMask; return d }
+	adaptive := func() Dict { return NewAdaptiveDict(cols, 16) }
 	return []dictUnderTest{
-		{"HashDict", NewHashDict(cols)},
-		{"HashDict/masked", masked},
-		{"ListDict/masked", maskedList},
-		{"SortedDict/masked", maskedSorted},
-		{"AdaptiveDict", NewAdaptiveDict(cols, 16)},
+		{"HashDict", NewHashDict(cols), nil},
+		{"HashDict/masked", masked, nil},
+		{"ListDict/masked", listMasked(), listMasked},
+		{"SortedDict/masked", sortedMasked(), sortedMasked},
+		{"AdaptiveDict", adaptive(), adaptive},
+	}
+}
+
+// recycle empties every dictionary. The HashDicts keep their storage and come
+// back indexed on cols — any subset of the row's columns: candidates may be
+// supersets, so which columns are indexed must not show.
+func recycle(duts []dictUnderTest, cols []int) {
+	for i := range duts {
+		dut := &duts[i]
+		if dut.fresh != nil {
+			dut.d = dut.fresh()
+			continue
+		}
+		hd := dut.d.(*HashDict)
+		mask := hd.mask
+		hd.Clear()
+		hd.retarget(cols)
+		hd.mask = mask
 	}
 }
 
@@ -114,14 +135,20 @@ func canonical(es []Entry, lk Lookup) string {
 
 // TestDictEquivalence drives randomized insert/probe/evict workloads through
 // every dictionary and asserts identical filtered candidates, duplicate
-// detection, sizes, and eviction victims.
+// detection, sizes, and eviction victims. Now and then the workload recycles
+// the dictionaries mid-stream — the HashDicts are cleared and reused, with the
+// same indexed columns or different ones — and carries on.
 func TestDictEquivalence(t *testing.T) {
+	retargets := [][]int{{0, 1}, {1}, {0}, {}, {1, 0}}
 	for seed := int64(0); seed < 20; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			duts := newDictsUnderTest()
 			var ts tuple.Timestamp
 			for op := 0; op < 400; op++ {
+				if rng.Intn(60) == 0 {
+					recycle(duts, retargets[rng.Intn(len(retargets))])
+				}
 				switch rng.Intn(5) {
 				case 0, 1: // insert (SteM-style: dedup via Contains first)
 					row := randRow(rng)
@@ -175,6 +202,66 @@ func TestDictEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDictEvictAlongChain evicts the head, then the middle, then the tail of
+// one key's chain (other keys' rows interleaved, so the chain's positions are
+// not adjacent), checking every dictionary against the others after each
+// eviction and again once the chain is empty and refilled.
+func TestDictEvictAlongChain(t *testing.T) {
+	duts := newDictsUnderTest()
+	hot := int64(3)
+	rows := []tuple.Row{ // the hot key is column 0 of rows 0, 3 and 6
+		row(hot, 0), row(1, 1), row(2, 2), row(hot, 3), row(4, 4), row(5, 5), row(hot, 6),
+	}
+	lookups := []Lookup{
+		{EquiCols: []int{0}, EquiVals: []value.V{value.NewInt(hot)}},
+		{EquiCols: []int{0, 1}, EquiVals: []value.V{value.NewInt(hot), value.NewInt(3)}},
+		{EquiCols: []int{1}, EquiVals: []value.V{value.NewInt(6)}},
+		{},
+	}
+	agree := func(when string) {
+		t.Helper()
+		for _, lk := range lookups {
+			want := canonical(duts[0].d.Candidates(lk), lk)
+			for _, dut := range duts[1:] {
+				if got := canonical(dut.d.Candidates(lk), lk); got != want {
+					t.Fatalf("%s: %s.Candidates(%v) = %q, %s says %q", when, dut.name, lk, got, duts[0].name, want)
+				}
+			}
+		}
+		for _, r := range rows {
+			want := duts[0].d.Contains(r)
+			for _, dut := range duts[1:] {
+				if got := dut.d.Contains(r); got != want {
+					t.Fatalf("%s: %s.Contains(%s) = %v, want %v", when, dut.name, r, got, want)
+				}
+			}
+		}
+	}
+	for i, r := range rows {
+		for _, dut := range duts {
+			dut.d.Insert(r, tuple.Timestamp(i+1))
+		}
+	}
+	agree("built")
+	for i, r := range rows {
+		for _, dut := range duts {
+			if e, ok := dut.d.Evict(); !ok || !e.Row.Equal(r) {
+				t.Fatalf("%s: eviction %d removed %v (ok=%v), want %s", dut.name, i, e.Row, ok, r)
+			}
+		}
+		agree(fmt.Sprintf("after evicting row %d", i))
+	}
+	for i, r := range rows {
+		for _, dut := range duts {
+			dut.d.Insert(r, tuple.Timestamp(100+i))
+		}
+	}
+	agree("refilled")
+	if got := len(duts[0].d.Candidates(lookups[0])); got != 3 {
+		t.Fatalf("the refilled hot chain holds %d rows, want 3", got)
 	}
 }
 

@@ -312,7 +312,7 @@ func New(cfg Config) *SteM {
 		if cfg.Dict != nil {
 			sh.dict = cfg.Dict
 		} else {
-			sh.dict = NewHashDict(s.joinCols)
+			sh.dict = acquireDict(s.joinCols)
 		}
 		sh.scr.predCache = make(map[tuple.TableSet][]pred.P)
 		sh.idx = i
@@ -383,13 +383,14 @@ func (s *SteM) Stats() Stats {
 }
 
 // Reset empties the SteM back to its just-constructed state so a pooled
-// router can run the same query again: fresh dictionaries, cleared Grace
-// bounce-back buffers, zeroed counters, no completeness metadata. The
-// per-shard predicate caches and probe scratch derive from the query, not
-// the run, and are kept — that reuse is part of the payoff of pooling.
-// Custom dictionaries and disk-backed (spilling) shards hold state the SteM
-// cannot reconstruct; such SteMs must not be pooled, and Reset panics on
-// them. Must not be called while a run is in progress.
+// router can run the same query again: empty dictionaries — its own, cleared
+// in place, or after a Release ones acquired from the process-wide pool —
+// cleared Grace bounce-back buffers, zeroed counters, no completeness
+// metadata. The per-shard predicate caches and probe scratch derive from the
+// query, not the run, and are kept — that reuse is part of the payoff of
+// pooling. Custom dictionaries and disk-backed (spilling) shards hold state
+// the SteM cannot reconstruct; such SteMs must not be pooled, and Reset panics
+// on them. Must not be called while a run is in progress.
 func (s *SteM) Reset() {
 	if s.cfg.Dict != nil || s.spillOn {
 		panic("stem: Reset requires the default in-memory dictionary without spill")
@@ -421,7 +422,7 @@ func (s *SteM) Reset() {
 		if hd, ok := sh.dict.(*HashDict); ok {
 			hd.Clear()
 		} else {
-			sh.dict = NewHashDict(s.joinCols)
+			sh.dict = acquireDict(s.joinCols)
 		}
 		sh.pending = nil
 		sh.stats = Stats{}
@@ -439,12 +440,39 @@ func (s *SteM) Reset() {
 	s.eotMu.Unlock()
 }
 
-// Size returns the number of stored rows across all shards.
+// Release hands the dictionaries' storage to the process-wide pool, cleared,
+// for whichever query builds next; the SteM holds no rows afterwards and must
+// be Reset before it is used again. Counters stay readable. Only a plain
+// private SteM releases: a custom dictionary is the caller's, shared state is
+// other queries' too, and a windowed or governed SteM's rows are on someone
+// else's books (the eviction count, the governor's byte ledger) that no Reset
+// rewinds — those keep their storage for the collector. Must not be called
+// while a run is in progress, nor between the rounds of a standing query: the
+// next round probes what the earlier ones built.
+func (s *SteM) Release() {
+	if s.cfg.Dict != nil || s.cfg.Window > 0 || s.govID >= 0 || s.shared != nil {
+		return
+	}
+	for _, sh := range s.all {
+		sh.mu.Lock()
+		if hd, ok := sh.dict.(*HashDict); ok {
+			releaseDict(hd)
+			sh.dict = nil
+		}
+		sh.mu.Unlock()
+	}
+	s.liveRows.Store(0)
+}
+
+// Size returns the number of stored rows across all shards (none once
+// released).
 func (s *SteM) Size() int {
 	n := 0
 	for _, sh := range s.all {
 		sh.mu.Lock()
-		n += sh.dict.Len()
+		if sh.dict != nil {
+			n += sh.dict.Len()
+		}
 		sh.mu.Unlock()
 	}
 	return n
