@@ -2,9 +2,8 @@ package stems
 
 // The benchmark harness regenerates every figure of the paper's evaluation
 // under `go test -bench`, at reduced scale so a full sweep stays fast, plus
-// ablation benches for the design choices DESIGN.md calls out (dictionary
-// implementations, Grace-style batched bounce-backs, routing policies, and
-// the two engines). Reported custom metrics carry the figure-level result:
+// ablation benches for the design choices DESIGN.md calls out (routing
+// policies and the two engines). Reported custom metrics carry the figure-level result:
 // virtual completion seconds and results produced.
 
 import (
@@ -127,7 +126,7 @@ func BenchmarkExtSelectionReorder(b *testing.B) {
 // generators backing Table 3.
 func BenchmarkTable3_SourceGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := workload.RTable(workload.PaperRSpec())
+		r := workload.RTable(workload.RSpec{Rows: 1000, DistinctA: 250, Seed: 1})
 		s := workload.STable(250, 0)
 		t := workload.TTable(1000)
 		if len(r.Rows)+len(s.Rows)+len(t.Rows) == 0 {
@@ -137,8 +136,7 @@ func BenchmarkTable3_SourceGeneration(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benches: SteM dictionary implementations (§3.1 — the dictionary
-// choice is part of the join algorithm).
+// SteM dictionary benches.
 
 func benchQ(rows int) *query.Q {
 	rData := workload.RTable(workload.RSpec{Rows: rows, DistinctA: rows / 4, Seed: 1})
@@ -153,12 +151,10 @@ func benchQ(rows int) *query.Q {
 	)
 }
 
-func benchDict(b *testing.B, mk func(q *query.Q, table int) stem.Dict) {
-	b.Helper()
+func BenchmarkDict_Hash(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := benchQ(512)
-		r, err := eddy.NewRouter(q, eddy.Options{DictFor: func(t int) stem.Dict { return mk(q, t) }})
+		r, err := eddy.NewRouter(benchQ(512), eddy.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,10 +162,6 @@ func benchDict(b *testing.B, mk func(q *query.Q, table int) stem.Dict) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkDict_Hash(b *testing.B) {
-	benchDict(b, func(q *query.Q, t int) stem.Dict { return stem.NewHashDict(stem.JoinCols(q, t)) })
 }
 
 // BenchmarkSteMBuildCols is the private build the serving path runs: one
@@ -180,7 +172,7 @@ func BenchmarkSteMBuildCols(b *testing.B) {
 	const rows = 1024
 	q := benchQ(rows)
 	src := q.AMs[0].Data.Rows
-	cb := flow.NewColBatch(2)
+	cb := flow.GetColBatch(2)
 	cb.Span = tuple.Single(0)
 	cb.LoadRows(0, len(src[0]), src)
 	s := stem.New(stem.Config{Table: 0, Q: q, TS: &stem.Counter{}})
@@ -196,30 +188,9 @@ func BenchmarkSteMBuildCols(b *testing.B) {
 	}
 }
 
-func BenchmarkDict_List(b *testing.B) {
-	benchDict(b, func(q *query.Q, t int) stem.Dict { return stem.NewListDict() })
-}
-
-func BenchmarkDict_Adaptive(b *testing.B) {
-	benchDict(b, func(q *query.Q, t int) stem.Dict { return stem.NewAdaptiveDict(stem.JoinCols(q, t), 32) })
-}
-
-func BenchmarkDict_SortedRuns(b *testing.B) {
-	benchDict(b, func(q *query.Q, t int) stem.Dict {
-		cols := stem.JoinCols(q, t)
-		if len(cols) == 0 {
-			return stem.NewListDict()
-		}
-		return stem.NewSortedDict(cols[0], 64)
-	})
-}
-
-// Band-join ablation: a range (inequality) join probes the whole dictionary
-// unless the dictionary can narrow by the sort column — the sorted-run
-// dictionary's reason to exist beyond sort-merge simulation.
-
-func benchBandJoin(b *testing.B, mk func(q *query.Q, table int) stem.Dict) {
-	b.Helper()
+// BenchmarkBandJoin_HashDict: a range (inequality) condition beside a sparse
+// equi join; the hash index narrows by the key and the SteM verifies the band.
+func BenchmarkBandJoin_HashDict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rData := workload.Uniform("R", 256, 2, 4096, 1)
 		sData := workload.Uniform("S", 256, 2, 4096, 2)
@@ -234,7 +205,7 @@ func benchBandJoin(b *testing.B, mk func(q *query.Q, table int) stem.Dict) {
 				{Table: 1, Kind: query.Scan, Data: sData, ScanSpec: source.ScanSpec{InterArrival: clock.Microsecond}},
 			},
 		)
-		r, err := eddy.NewRouter(q, eddy.Options{DictFor: func(t int) stem.Dict { return mk(q, t) }})
+		r, err := eddy.NewRouter(q, eddy.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,39 +214,6 @@ func benchBandJoin(b *testing.B, mk func(q *query.Q, table int) stem.Dict) {
 		}
 	}
 }
-
-func BenchmarkBandJoin_HashDict(b *testing.B) {
-	benchBandJoin(b, func(q *query.Q, t int) stem.Dict { return stem.NewHashDict(stem.JoinCols(q, t)) })
-}
-
-func BenchmarkBandJoin_SortedDict(b *testing.B) {
-	benchBandJoin(b, func(q *query.Q, t int) stem.Dict {
-		cols := stem.JoinCols(q, t)
-		return stem.NewSortedDict(cols[0], 128)
-	})
-}
-
-// Grace ablation: batched vs immediate build bounce-backs (§3.1's SHJ ↔
-// Grace hybridization).
-
-func benchGrace(b *testing.B, batch int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r, err := eddy.NewRouter(benchQ(512), eddy.Options{
-			BuildBounceBatchFor: func(int) int { return batch },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eddy.NewSim(r).Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGraceHybrid_Immediate(b *testing.B) { benchGrace(b, 0) }
-func BenchmarkGraceHybrid_Batch32(b *testing.B)   { benchGrace(b, 32) }
-func BenchmarkGraceHybrid_Batch128(b *testing.B)  { benchGrace(b, 128) }
 
 // Policy ablation: routing decision overhead end to end.
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-run fig1,fig2,fig7,fig8,competitive,spanning,reorder,sweep|all] [-samples N] [-quick]
+//	experiments [-run fig1,fig2,fig7,fig8,competitive,spanning,reorder,memory,sweep|all] [-samples N] [-quick]
 //
 // -quick shrinks the workloads so the full suite runs in well under a
 // second; the default sizes match the paper's (Table 3).
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	runList := flag.String("run", "all", "comma-separated experiment ids (fig1,fig2,fig7,fig8,competitive,spanning,reorder) or 'all'")
+	runList := flag.String("run", "all", "comma-separated experiment ids (fig1,fig2,fig7,fig8,competitive,spanning,reorder,memory,sweep) or 'all'")
 	samples := flag.Int("samples", 20, "rows per rendered series table")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	flag.Parse()

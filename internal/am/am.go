@@ -34,10 +34,6 @@ type Config struct {
 	// When false, selection predicates are left to selection modules so the
 	// eddy can order them adaptively.
 	ApplySelections bool
-	// Disabled simulates a source that never responds (for competitive-AM
-	// experiments): probes are swallowed, bounced back marked AMProbed only
-	// after an infinite wait — i.e. never. Seeds produce nothing.
-	Disabled bool
 }
 
 // Stats are cumulative AM counters.
@@ -103,9 +99,6 @@ func (a *AM) Table() int { return a.decl.Table }
 // Kind returns the access method kind.
 func (a *AM) Kind() query.AMKind { return a.decl.Kind }
 
-// AMIndex returns this AM's position in the query's AM list.
-func (a *AM) AMIndex() int { return a.cfg.AMIndex }
-
 // Stats returns a snapshot of the AM's counters.
 func (a *AM) Stats() Stats {
 	a.mu.Lock()
@@ -126,9 +119,6 @@ func (a *AM) Reset() {
 
 // Process implements flow.Module.
 func (a *AM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Duration) {
-	if a.cfg.Disabled {
-		return nil, a.cfg.DispatchCost
-	}
 	if t.Seed {
 		if a.decl.Kind != query.Scan {
 			panic(fmt.Sprintf("am: seed tuple routed to index AM %s", a.name))
@@ -193,7 +183,7 @@ func (a *AM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []
 // row representation: their semantics are per-row delivery times, which a
 // batch cannot carry.
 func (a *AM) colScannable(t *tuple.Tuple) bool {
-	if !t.Seed || a.cfg.Disabled || a.decl.Kind != query.Scan {
+	if !t.Seed || a.decl.Kind != query.Scan {
 		return false
 	}
 	sp := a.decl.ScanSpec

@@ -188,18 +188,6 @@ func TestApplySelectionsMarksDone(t *testing.T) {
 	}
 }
 
-func TestDisabledAMSwallows(t *testing.T) {
-	q := fixtureQ(t, false)
-	a, err := New(Config{Q: q, AMIndex: 1, Disabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := a.Process(tuple.NewSingleton(2, 0, row(1, 10)), 0)
-	if len(out) != 0 {
-		t.Error("disabled AM must produce nothing")
-	}
-}
-
 func TestSeedToIndexAMPanics(t *testing.T) {
 	q := fixtureQ(t, false)
 	a, _ := New(Config{Q: q, AMIndex: 1})

@@ -2,8 +2,9 @@
 // parses every non-test Go file in the module and fails if one outside the
 // packages allowed to drive the engines directly constructs a router, an
 // engine or a governor. The facade, the CLIs and the server must go through
-// Build. Two more checks keep the commands' catalogs unpaced and the serving
-// binary's import closure off the paper-figure / reference packages.
+// Build. Further checks keep the commands' catalogs unpaced, the serving
+// binary's import closure off the paper-figure / reference packages, and the
+// engine's configuration structs free of fields nothing shipped sets.
 package core
 
 import (
@@ -12,6 +13,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -207,6 +209,186 @@ func TestSharedStateTouchesNoDisk(t *testing.T) {
 			switch ipath, _ := strconv.Unquote(imp.Path.Value); ipath {
 			case "os", "io", "path/filepath":
 				t.Errorf("%s imports %q: shared SteM state must not touch the file system", file, ipath)
+			}
+		}
+	}
+}
+
+// configStructs are the engine's configuration surfaces: package directory
+// → struct name.
+var configStructs = map[string]string{
+	"internal/eddy": "Options",
+	"internal/stem": "Config",
+	"internal/am":   "Config",
+	"internal/core": "Spec",
+}
+
+// TestEveryConfigFieldHasAShippedSetter keeps test-only configuration from
+// growing back: every field of the structs above must be given a value —
+// as a composite-literal key or by selector assignment — in at least one
+// non-test Go file outside the struct's own package. Two kinds of setter do
+// not count: one that writes the zero literal, and one that only forwards
+// another listed field that itself has no setter (eddy.Options.X copied into
+// stem.Config.X is one knob, not two). The check is syntactic: in a file
+// that imports the struct's package, any assignment to a selector named like
+// one of its fields is taken to be that field.
+func TestEveryConfigFieldHasAShippedSetter(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+
+	type field struct{ dir, name string }
+	fields := map[string][]string{} // package dir → its struct's field names
+	byName := map[string][]field{}  // field name → the listed fields called that
+	for dir, name := range configStructs {
+		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			ast.Inspect(pkg, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != name {
+					return true
+				}
+				for _, f := range ts.Type.(*ast.StructType).Fields.List {
+					for _, id := range f.Names {
+						fields[dir] = append(fields[dir], id.Name)
+						byName[id.Name] = append(byName[id.Name], field{dir, id.Name})
+					}
+				}
+				return false
+			})
+		}
+		if len(fields[dir]) == 0 {
+			t.Fatalf("%s: struct %s not found", dir, name)
+		}
+	}
+
+	// setters[f] lists, per setter site of f, the listed-field names its
+	// right-hand side reads.
+	setters := map[field][][]string{}
+	record := func(f field, rhs ast.Expr) {
+		if lit, ok := rhs.(*ast.BasicLit); ok && (lit.Value == "0" || lit.Value == `""`) {
+			return
+		}
+		if id, ok := rhs.(*ast.Ident); ok && (id.Name == "nil" || id.Name == "false") {
+			return
+		}
+		reads := []string{}
+		ast.Inspect(rhs, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && byName[sel.Sel.Name] != nil {
+				reads = append(reads, sel.Sel.Name)
+			}
+			return true
+		})
+		setters[f] = append(setters[f], reads)
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir := filepath.ToSlash(strings.TrimPrefix(filepath.Dir(path), root+string(filepath.Separator)))
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		local := map[string]string{} // the name this file knows a listed package by → its dir
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			pdir, ok := strings.CutPrefix(ipath, "repro/")
+			if !ok || fields[pdir] == nil || pdir == dir {
+				continue
+			}
+			name := pdir[strings.LastIndex(pdir, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = pdir
+		}
+		if len(local) == 0 {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				sel, ok := n.Type.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg, ok := sel.X.(*ast.Ident)
+				if !ok || local[pkg.Name] == "" || configStructs[local[pkg.Name]] != sel.Sel.Name {
+					return true
+				}
+				pdir := local[pkg.Name]
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						record(field{pdir, kv.Key.(*ast.Ident).Name}, kv.Value)
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					rhs := n.Rhs[0]
+					if len(n.Rhs) == len(n.Lhs) {
+						rhs = n.Rhs[i]
+					}
+					for _, pdir := range local {
+						if slices.Contains(fields[pdir], sel.Sel.Name) {
+							record(field{pdir, sel.Sel.Name}, rhs)
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A field is set once some site of it reads only fields that are set.
+	set := map[field]bool{}
+	for grew := true; grew; {
+		grew = false
+		for f, sites := range setters {
+			if set[f] {
+				continue
+			}
+			for _, reads := range sites {
+				// A read blocks the site while every other listed field of
+				// that name is unset. (A same-named read with no other listed
+				// field behind it — stem.Config.PerMatchCost from a Profile's
+				// PerMatchCost — is some unlisted struct's.)
+				if !slices.ContainsFunc(reads, func(name string) bool {
+					others := slices.DeleteFunc(slices.Clone(byName[name]), func(g field) bool { return g == f })
+					return len(others) > 0 && !slices.ContainsFunc(others, func(g field) bool { return set[g] })
+				}) {
+					set[f], grew = true, true
+					break
+				}
+			}
+		}
+	}
+	for dir, names := range fields {
+		for _, name := range names {
+			if !set[field{dir, name}] {
+				t.Errorf("%s: %s.%s is set by no shipped code outside its package: delete it, or make it a constant",
+					dir, configStructs[dir], name)
 			}
 		}
 	}

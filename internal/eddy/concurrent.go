@@ -43,6 +43,18 @@ import (
 // module batch when Concurrent.BatchSize is left zero.
 const DefaultBatchSize = 64
 
+const (
+	// defaultMaxVisits caps routings of one tuple to one module
+	// (BoundedRepetition); relaxedMaxVisits is the cap under the Section 3.5
+	// BuildFirst relaxation, where a prober legitimately re-probes until the
+	// scans complete.
+	defaultMaxVisits = 3
+	relaxedMaxVisits = 64
+	// retryDelay paces the first relaxed-mode re-probe; later ones back off
+	// exponentially from it.
+	retryDelay = clock.Millisecond
+)
+
 // batchPool recycles flow.Batch shells (and their tuple slices) between the
 // eddy and the module workers. A batch is returned to the pool by whichever
 // side consumes it: workers recycle inbox batches after processing, the eddy

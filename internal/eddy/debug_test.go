@@ -33,7 +33,7 @@ func TestDebugSeed(t *testing.T) {
 			fmt.Printf("   %v\n", r)
 		}
 	}
-	fmt.Printf("opts: relax=%v bounce=%v applySel=%v policy=%T\n", opts.SkipBuild, opts.ProbeBounce, opts.ApplySelectionsInAM, opts.Policy)
+	fmt.Printf("opts: relax=%v bounce=%v policy=%T\n", opts.SkipBuild, opts.ProbeBounce, opts.Policy)
 	r, err := NewRouter(q, opts)
 	if err != nil {
 		t.Fatal(err)

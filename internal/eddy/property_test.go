@@ -176,31 +176,12 @@ func genOptions(rng *rand.Rand, q *query.Q) Options {
 			}
 		}
 	}
-	switch rng.Intn(4) {
-	case 0:
-		opts.DictFor = func(table int) stem.Dict { return stem.NewListDict() }
-	case 1:
-		opts.DictFor = func(table int) stem.Dict {
-			return stem.NewAdaptiveDict(stem.JoinCols(q, table), 4)
-		}
-	case 2:
-		opts.DictFor = func(table int) stem.Dict {
-			cols := stem.JoinCols(q, table)
-			if len(cols) == 0 {
-				return stem.NewListDict()
-			}
-			return stem.NewSortedDict(cols[0], 8)
-		}
-	}
-	if rng.Intn(4) == 0 {
-		opts.ApplySelectionsInAM = true
-	}
 	return opts
 }
 
 // TestTheorem1And2_RandomizedAgainstOracle is the repository's central
 // correctness property: for random queries, data, access-method mixes,
-// policies and SteM implementations, the eddy produces exactly the oracle's
+// policies and relaxations, the eddy produces exactly the oracle's
 // result set — no duplicates (Theorem 1), nothing missing or spurious, and
 // termination in finitely many routing steps (Theorem 2).
 func TestTheorem1And2_RandomizedAgainstOracle(t *testing.T) {
@@ -225,12 +206,11 @@ func TestTheorem2_Termination(t *testing.T) {
 	for seed := 1000; seed < 1020; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		q := genQuery(rng)
-		opts := genOptions(rng, q)
-		opts.MaxVisits = 16
-		r, err := NewRouter(q, opts)
+		r, err := NewRouter(q, genOptions(rng, q))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		r.maxVisits = 16
 		sim := NewSim(r)
 		sim.MaxEvents = 5_000_000
 		if _, err := sim.Run(); err != nil {

@@ -59,15 +59,13 @@ type Options struct {
 	// from SkipBuildTable are never built into a SteM ("equivalent to
 	// building a temporary index on only one side of the join") and that
 	// SteM is never probed; the table's tuples act as pure probers,
-	// re-probing the other SteMs — paced by RetryDelay with exponential
+	// re-probing the other SteMs — paced by retryDelay with exponential
 	// backoff and guarded by LastMatchTimeStamp — until those SteMs are
 	// complete. Legal only when SkipBuildTable has exactly one scan AM
 	// (Table 2's BuildFirst condition) and every other table has a scan AM
 	// (so re-probes provably complete).
 	SkipBuild      bool
 	SkipBuildTable int
-	// RetryDelay paces re-probes in relaxed mode; 0 defaults to 1ms.
-	RetryDelay clock.Duration
 	// ProbeBounce is passed to every SteM; see stem.ProbeBounceMode.
 	ProbeBounce stem.ProbeBounceMode
 	// Shards hash-partitions every SteM into this many sub-stores (rounded
@@ -75,17 +73,11 @@ type Options struct {
 	// the concurrent engine one worker per shard — intra-operator
 	// parallelism. 0 or 1 keeps single-store SteMs (the exact historical
 	// behaviour, and what the deterministic simulator figures assume).
-	// Tables with a custom dictionary or no join columns stay unsharded.
+	// Tables with no join columns stay unsharded.
 	Shards int
-	// DictFor optionally overrides the dictionary implementation per table;
-	// nil entries (or a nil func) default to hash dictionaries.
-	DictFor func(table int) stem.Dict
 	// WindowFor optionally bounds SteM sizes per table (sliding windows);
 	// nil means unbounded.
 	WindowFor func(table int) int
-	// BuildBounceBatchFor optionally configures Grace-style batched build
-	// bounce-backs per table.
-	BuildBounceBatchFor func(table int) int
 	// Governor, when non-nil, places all SteMs under a shared memory
 	// governor (the Section 6 spilling extension).
 	Governor *stem.Governor
@@ -97,17 +89,9 @@ type Options struct {
 	// index-probing it would only rebuild what is shared. At least one table
 	// must remain unshared (its scans drive the dataflow), every shared
 	// table's join columns must equal the state's key columns, and shared
-	// tables take no custom dictionary, window, or governor. Attached SteMs
-	// adopt the state's shard count, ignoring Shards.
+	// tables take no window or governor. Attached SteMs adopt the state's
+	// shard count, ignoring Shards.
 	SharedFor func(table int) *stem.SharedState
-	// ApplySelectionsInAM pushes selections into access modules (Table 1
-	// semantics); otherwise selection modules handle them adaptively.
-	ApplySelectionsInAM bool
-	// DisabledAMs simulates dead sources (by index into Q.AMs).
-	DisabledAMs map[int]bool
-	// MaxVisits caps routings of one tuple to one module (BoundedRepetition);
-	// 0 defaults to 3 (or 64 in relaxed mode).
-	MaxVisits int
 }
 
 // Decision is the outcome of routing one tuple.
@@ -179,17 +163,9 @@ func NewRouter(q *query.Q, opts Options) (*Router, error) {
 	} else {
 		r.prof = DefaultProfile()
 	}
-	if opts.MaxVisits > 0 {
-		r.maxVisits = uint16(opts.MaxVisits)
-	} else if opts.SkipBuild {
-		r.maxVisits = 64
-	} else {
-		r.maxVisits = 3
-	}
-	if r.opts.RetryDelay == 0 {
-		r.opts.RetryDelay = clock.Millisecond
-	}
+	r.maxVisits = defaultMaxVisits
 	if opts.SkipBuild {
+		r.maxVisits = relaxedMaxVisits
 		st := opts.SkipBuildTable
 		if st < 0 || st >= q.NumTables() {
 			return nil, fmt.Errorf("eddy: SkipBuildTable %d out of range", st)
@@ -226,9 +202,6 @@ func NewRouter(q *query.Q, opts Options) (*Router, error) {
 			if opts.SkipBuild {
 				return nil, fmt.Errorf("eddy: SkipBuild cannot combine with shared SteM attachments")
 			}
-			if opts.DictFor != nil && opts.DictFor(t) != nil {
-				return nil, fmt.Errorf("eddy: table %s attaches shared state and cannot take a custom dictionary", q.Tables[t].Name)
-			}
 			if opts.WindowFor != nil && opts.WindowFor(t) > 0 {
 				return nil, fmt.Errorf("eddy: table %s attaches shared state and cannot be windowed", q.Tables[t].Name)
 			}
@@ -255,19 +228,12 @@ func NewRouter(q *query.Q, opts Options) (*Router, error) {
 			ProbeBounce:  opts.ProbeBounce,
 			Gov:          opts.Governor,
 		}
-		if opts.DictFor != nil {
-			cfg.Dict = opts.DictFor(t)
-		}
 		if opts.WindowFor != nil {
 			cfg.Window = opts.WindowFor(t)
-		}
-		if opts.BuildBounceBatchFor != nil {
-			cfg.BuildBounceBatch = opts.BuildBounceBatchFor(t)
 		}
 		if ss := sharedFor(t); ss != nil {
 			cfg.Shared = ss
 			cfg.Gov = nil
-			cfg.BuildBounceBatch = 0
 		}
 		s := stem.New(cfg)
 		r.stemMod[t] = len(r.modules)
@@ -283,13 +249,7 @@ func NewRouter(q *query.Q, opts Options) (*Router, error) {
 		if sharedFor(q.AMs[ai].Table) != nil {
 			continue
 		}
-		a, err := am.New(am.Config{
-			Q:               q,
-			AMIndex:         ai,
-			DispatchCost:    r.prof.AMDispatchCost,
-			ApplySelections: opts.ApplySelectionsInAM,
-			Disabled:        opts.DisabledAMs[ai],
-		})
+		a, err := am.New(am.Config{Q: q, AMIndex: ai, DispatchCost: r.prof.AMDispatchCost})
 		if err != nil {
 			return nil, err
 		}
@@ -329,9 +289,6 @@ func (r *Router) AMs() []*am.AM { return r.ams }
 // SMs returns the instantiated selection modules.
 func (r *Router) SMs() []*sm.SM { return r.sms }
 
-// SteMModule returns the module index of table t's SteM.
-func (r *Router) SteMModule(t int) int { return r.stemMod[t] }
-
 // Policy returns the router's policy.
 func (r *Router) Policy() policy.Policy { return r.pol }
 
@@ -345,12 +302,12 @@ func (r *Router) Routed() uint64 { return r.routed.Load() }
 // Reset returns the router and every module it instantiated to their
 // just-constructed state, so a pooled router+engine shell can run the same
 // query again without rebuilding the module graph: SteM stores empty, AM
-// dedup caches and stats cleared, selection counters zeroed, and the build
-// timestamp counter restarted. A non-nil pol replaces the routing policy —
-// policies learn per run, so pooled reuse installs a fresh one rather than
-// leak routing statistics between executions. Must not be called while a
-// run is in progress; SteMs with custom dictionaries cannot be reset (see
-// stem.SteM.Reset) and such routers must not be pooled.
+// dedup caches and stats cleared, and the build timestamp counter restarted.
+// A non-nil pol replaces the routing policy — policies learn per run, so
+// pooled reuse installs a fresh one rather than leak routing statistics
+// between executions. Must not be called while a run is in progress; spilling
+// SteMs cannot be reset (see stem.SteM.Reset) and such routers must not be
+// pooled.
 func (r *Router) Reset(pol policy.Policy) {
 	if pol != nil {
 		r.pol = pol
@@ -361,9 +318,6 @@ func (r *Router) Reset(pol policy.Policy) {
 	}
 	for _, a := range r.ams {
 		a.Reset()
-	}
-	for _, m := range r.sms {
-		m.Reset()
 	}
 	r.stuck.Store(0)
 	r.routed.Store(0)
@@ -689,7 +643,7 @@ func (r *Router) applyChoice(t *tuple.Tuple, c policy.Candidate) Decision {
 		if shift > 16 {
 			shift = 16
 		}
-		d.Delay = r.opts.RetryDelay << shift
+		d.Delay = retryDelay << shift
 	}
 	return d
 }
@@ -715,7 +669,7 @@ func (r *Router) candidates(t *tuple.Tuple) []policy.Candidate {
 		// keep re-probing the SteM until the scan completes it.
 		if t.Built.Contains(t.Span) {
 			for _, ref := range r.amRefs[pt] {
-				if ref.kind != query.Index || r.opts.DisabledAMs[ref.amIndex] {
+				if ref.kind != query.Index {
 					continue
 				}
 				if !q.CanBindIndexAM(t.Span, ref.amIndex) || !r.canVisit(t, ref.mod) {
@@ -778,7 +732,7 @@ func (r *Router) candidates(t *tuple.Tuple) []policy.Candidate {
 
 func (r *Router) anyBindableIndexAM(t *tuple.Tuple, x int) bool {
 	for _, ref := range r.amRefs[x] {
-		if ref.kind == query.Index && !r.opts.DisabledAMs[ref.amIndex] && r.Q.CanBindIndexAM(t.Span, ref.amIndex) {
+		if ref.kind == query.Index && r.Q.CanBindIndexAM(t.Span, ref.amIndex) {
 			return true
 		}
 	}

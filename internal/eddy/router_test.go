@@ -46,7 +46,7 @@ func TestRouteEOTGoesToSteM(t *testing.T) {
 	_, r := indexQuery(t, Options{})
 	eot := tuple.NewEOT(2, 1, tuple.Row{value.NewEOT(), value.NewEOT()}, nil)
 	d := r.Route(eot, fakeEnv{})
-	if d.Module != r.SteMModule(1) || d.Kind != policy.BuildSteM {
+	if d.Module != r.stemMod[1] || d.Kind != policy.BuildSteM {
 		t.Errorf("EOT decision = %+v", d)
 	}
 }
@@ -55,7 +55,7 @@ func TestRouteBuildFirst(t *testing.T) {
 	_, r := indexQuery(t, Options{})
 	rt := tuple.NewSingleton(2, 0, intRow(1, 10))
 	d := r.Route(rt, fakeEnv{})
-	if d.Module != r.SteMModule(0) || d.Kind != policy.BuildSteM {
+	if d.Module != r.stemMod[0] || d.Kind != policy.BuildSteM {
 		t.Errorf("unbuilt singleton decision = %+v, want build into SteM(R)", d)
 	}
 }
@@ -66,7 +66,7 @@ func TestRouteBuiltSingletonProbes(t *testing.T) {
 	rt.Built = tuple.Single(0)
 	rt.CompTS[0] = 1
 	d := r.Route(rt, fakeEnv{})
-	if d.Kind != policy.ProbeSteM || d.Module != r.SteMModule(1) {
+	if d.Kind != policy.ProbeSteM || d.Module != r.stemMod[1] {
 		t.Errorf("built singleton decision = %+v, want probe SteM(S)", d)
 	}
 }
@@ -112,7 +112,8 @@ func TestRouteOutputWhenComplete(t *testing.T) {
 }
 
 func TestRouteBoundedRepetition(t *testing.T) {
-	_, r := indexQuery(t, Options{MaxVisits: 1})
+	_, r := indexQuery(t, Options{})
+	r.maxVisits = 1
 	rt := tuple.NewSingleton(2, 0, intRow(1, 10))
 	// First route: build.
 	d := r.Route(rt, fakeEnv{})
@@ -123,7 +124,7 @@ func TestRouteBoundedRepetition(t *testing.T) {
 	// are exhausted, so the router must drop rather than loop.
 	d2 := r.Route(rt, fakeEnv{})
 	if !d2.Drop {
-		t.Errorf("repeat decision = %+v, want drop under MaxVisits=1", d2)
+		t.Errorf("repeat decision = %+v, want drop under maxVisits=1", d2)
 	}
 }
 

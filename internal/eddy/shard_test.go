@@ -28,9 +28,6 @@ func TestShardedConcurrentAgainstOracle(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(seed)))
 				q := genQuery(rng)
 				opts := genOptions(rng, q)
-				// Custom dictionaries force single shards; drop them so the
-				// sharded paths actually engage.
-				opts.DictFor = nil
 				opts.Shards = shards
 				r, err := NewRouter(q, opts)
 				if err != nil {

@@ -266,9 +266,6 @@ func (s *Sim) loop() ([]Output, error) {
 	return s.outputs, nil
 }
 
-// Outputs returns the results recorded so far.
-func (s *Sim) Outputs() []Output { return s.outputs }
-
 // Events returns the number of simulation events processed.
 func (s *Sim) Events() uint64 { return s.events }
 

@@ -195,9 +195,6 @@ func (v *Vec) AppendV(x value.V) {
 	v.n++
 }
 
-// AppendInt appends an integer without boxing.
-func (v *Vec) AppendInt(i int64) { v.AppendV(value.V{K: value.Int, I: i}) }
-
 // ValueAt returns row i as a value.V. It allocates nothing.
 func (v *Vec) ValueAt(i int) value.V {
 	if v.Kind == KindBoxed {
@@ -283,13 +280,6 @@ type ColBatch struct {
 	// batches refilter without reallocating.
 	sel  []int32
 	Tabs []ColTable
-}
-
-// NewColBatch returns an empty columnar batch shaped for nTables tables.
-func NewColBatch(nTables int) *ColBatch {
-	cb := &ColBatch{}
-	cb.shape(nTables)
-	return cb
 }
 
 // shape sizes Tabs for nTables, reusing capacity.

@@ -127,11 +127,11 @@ func TestVecHashIdentity(t *testing.T) {
 }
 
 func TestColBatchSelection(t *testing.T) {
-	cb := NewColBatch(1)
+	cb := GetColBatch(1)
 	cb.Span = tuple.Single(0)
 	tab := cb.EnsureCols(0, 1)
 	for i := 0; i < 5; i++ {
-		tab.Cols[0].AppendInt(int64(i))
+		tab.Cols[0].AppendV(value.NewInt(int64(i)))
 	}
 	cb.SetRowCount(5)
 	if cb.Rows() != 5 || cb.RowAt(2) != 2 {
@@ -159,7 +159,7 @@ func TestColBatchPoolRetainsCapacity(t *testing.T) {
 	cb.Span = tuple.Single(0)
 	tab := cb.EnsureCols(0, 1)
 	for i := 0; i < 64; i++ {
-		tab.Cols[0].AppendInt(int64(i))
+		tab.Cols[0].AppendV(value.NewInt(int64(i)))
 	}
 	cb.SetRowCount(64)
 	cb.EnsureSel()
@@ -181,7 +181,7 @@ func TestColBatchPoolRetainsCapacity(t *testing.T) {
 }
 
 func TestColBatchHeaderCopyAndMerge(t *testing.T) {
-	src := NewColBatch(2)
+	src := GetColBatch(2)
 	src.Span = tuple.Single(0)
 	src.Done = 3
 	src.Built = tuple.Single(0)
@@ -190,13 +190,13 @@ func TestColBatchHeaderCopyAndMerge(t *testing.T) {
 	src.Visits = []uint16{1, 2}
 	tab := src.EnsureCols(0, 2)
 	for i := 0; i < 4; i++ {
-		tab.Cols[0].AppendInt(int64(i))
+		tab.Cols[0].AppendV(value.NewInt(int64(i)))
 		tab.Cols[1].AppendV(value.NewStr("s"))
 		src.SetTS(0, i, tuple.Timestamp(100+i))
 	}
 	src.SetRowCount(4)
 
-	dst := NewColBatch(2)
+	dst := GetColBatch(2)
 	dst.CopyHeaderFrom(src)
 	if !dst.SameHeader(src) {
 		t.Fatal("CopyHeaderFrom result fails SameHeader")
@@ -230,7 +230,7 @@ func TestColBatchHeaderCopyAndMerge(t *testing.T) {
 }
 
 func TestColBatchMaterializeRoundTrip(t *testing.T) {
-	cb := NewColBatch(2)
+	cb := GetColBatch(2)
 	cb.Span = tuple.Single(0).With(1)
 	cb.Done = 1
 	cb.Built = tuple.Single(1)
@@ -285,12 +285,12 @@ func TestColBatchMaterializeRoundTrip(t *testing.T) {
 }
 
 func TestColBatchRowTS(t *testing.T) {
-	cb := NewColBatch(2)
+	cb := GetColBatch(2)
 	cb.Span = tuple.Single(0).With(1)
 	cb.EnsureCols(0, 1)
 	cb.EnsureCols(1, 1)
-	cb.Tabs[0].Cols[0].AppendInt(1)
-	cb.Tabs[1].Cols[0].AppendInt(2)
+	cb.Tabs[0].Cols[0].AppendV(value.NewInt(1))
+	cb.Tabs[1].Cols[0].AppendV(value.NewInt(2))
 	cb.SetRowCount(1)
 	if got := cb.RowTS(0); got != tuple.InfTS {
 		t.Fatalf("unbuilt RowTS = %d, want InfTS", got)
@@ -308,7 +308,7 @@ func TestColBatchRowTS(t *testing.T) {
 func TestColTableSrcDropped(t *testing.T) {
 	rows := []tuple.Row{{value.NewInt(1)}, {value.NewInt(2)}, {value.NewInt(3)}}
 	fill := func() *ColBatch {
-		cb := NewColBatch(1)
+		cb := GetColBatch(1)
 		cb.Span = tuple.Single(0)
 		cb.LoadRows(0, 1, rows)
 		return cb

@@ -120,8 +120,8 @@ func FilterColConst(cb *flow.ColBatch, p P) int {
 }
 
 // EvalColRow evaluates join predicate p between physical row i of cb (which
-// must span one side) and a stored row of the other side's table — the
-// columnar analogue of EvalRows on SteM probe verification paths.
+// must span one side) and a stored row of the other side's table, on SteM
+// probe verification paths.
 func EvalColRow(p P, cb *flow.ColBatch, i int, table int, row []value.V) bool {
 	var lv, rv value.V
 	if p.Left.Table == table {

@@ -165,18 +165,6 @@ func (p P) Eval(t *tuple.Tuple) bool {
 	return p.Op.eval(lv.Compare(rv))
 }
 
-// EvalRows evaluates a join predicate given the two component rows directly
-// (used by SteM probe paths that have not materialized a concatenation yet).
-// lrow must belong to p.Left.Table and rrow to p.Right.Table.
-func (p P) EvalRows(lrow, rrow tuple.Row) bool {
-	lv := lrow[p.Left.Col]
-	rv := rrow[p.Right.Col]
-	if lv.IsEOT() || rv.IsEOT() {
-		return false
-	}
-	return p.Op.eval(lv.Compare(rv))
-}
-
 // BindSide returns, for a join predicate connecting a tuple spanning span to
 // table t, the column of t being constrained and the (table, col) on the
 // spanned side supplying the binding value. The returned operator is

@@ -114,18 +114,6 @@ func TestBindSide(t *testing.T) {
 	}
 }
 
-func TestEvalRowsMatchesEval(t *testing.T) {
-	f := func(l, r int64) bool {
-		p := Join(0, 0, Le, 1, 0)
-		viaRows := p.EvalRows(tuple.Row{value.NewInt(l)}, tuple.Row{value.NewInt(r)})
-		viaTuple := p.Eval(pair(l, r))
-		return viaRows == viaTuple
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	if s := EquiJoin(0, 1, 2, 0).String(); s != "t0.c1 = t2.c0" {
 		t.Errorf("join String = %q", s)

@@ -131,13 +131,6 @@ func (q *Q) HasIndexAM(t int) bool {
 	return false
 }
 
-// MustBuildFirst reports whether the BuildFirst constraint is mandatory for
-// table t: per Table 2, a singleton from t must build into SteM(t) first iff
-// t has multiple AMs or an index AM (Section 3.5 relaxes it otherwise).
-func (q *Q) MustBuildFirst(t int) bool {
-	return len(q.AMsOn(t)) > 1 || q.HasIndexAM(t)
-}
-
 // JoinPredsConnecting returns the join predicates usable by a tuple with the
 // given span to probe into table t.
 func (q *Q) JoinPredsConnecting(span tuple.TableSet, t int) []pred.P {
@@ -193,33 +186,6 @@ func (q *Q) JoinEdges() [][2]int {
 		}
 	}
 	return out
-}
-
-// IsCyclic reports whether the query join graph contains a cycle — the class
-// of queries where the ProbeCompletion constraint is load-bearing and the
-// eddy may adapt its choice of spanning tree (Section 3.4).
-func (q *Q) IsCyclic() bool {
-	n := len(q.Tables)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range q.JoinEdges() {
-		ra, rb := find(e[0]), find(e[1])
-		if ra == rb {
-			return true
-		}
-		parent[ra] = rb
-	}
-	return false
 }
 
 // CanBindIndexAM reports whether a tuple with the given span can supply

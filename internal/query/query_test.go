@@ -120,33 +120,6 @@ func TestIndexOnlyBindability(t *testing.T) {
 	}
 }
 
-func TestMustBuildFirst(t *testing.T) {
-	r, s := mkTable("R", 2, 3), mkTable("S", 2, 3)
-	q := MustNew([]*schema.Table{r.Schema, s.Schema},
-		[]pred.P{pred.EquiJoin(0, 1, 1, 0)},
-		[]AMDecl{scan(0, r), scan(1, s), index(1, s, 0)})
-	if q.MustBuildFirst(0) {
-		t.Error("single scan AM: BuildFirst not mandatory (Section 3.5)")
-	}
-	if !q.MustBuildFirst(1) {
-		t.Error("index AM present: BuildFirst mandatory")
-	}
-}
-
-func TestCyclicDetection(t *testing.T) {
-	a, b, c := mkTable("A", 2, 2), mkTable("B", 2, 2), mkTable("C", 2, 2)
-	tables := []*schema.Table{a.Schema, b.Schema, c.Schema}
-	chain := []pred.P{pred.EquiJoin(0, 1, 1, 0), pred.EquiJoin(1, 1, 2, 0)}
-	ams := []AMDecl{scan(0, a), scan(1, b), scan(2, c)}
-	if MustNew(tables, chain, ams).IsCyclic() {
-		t.Error("chain is not cyclic")
-	}
-	cyc := append(chain, pred.EquiJoin(2, 1, 0, 0))
-	if !MustNew(tables, cyc, ams).IsCyclic() {
-		t.Error("triangle is cyclic")
-	}
-}
-
 func TestBindValues(t *testing.T) {
 	r, s := mkTable("R", 2, 3), mkTable("S", 2, 3)
 	q := MustNew([]*schema.Table{r.Schema, s.Schema},

@@ -65,36 +65,3 @@ func (t *Table) ColIndex(name string) int {
 
 // Arity returns the number of columns.
 func (t *Table) Arity() int { return len(t.Cols) }
-
-// Catalog is a named collection of table definitions.
-type Catalog struct {
-	tables []*Table
-	byName map[string]int
-}
-
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{byName: make(map[string]int)}
-}
-
-// Add registers a table definition. Table names must be unique.
-func (c *Catalog) Add(t *Table) error {
-	if _, dup := c.byName[t.Name]; dup {
-		return fmt.Errorf("schema: duplicate table %q", t.Name)
-	}
-	c.byName[t.Name] = len(c.tables)
-	c.tables = append(c.tables, t)
-	return nil
-}
-
-// Table returns the named table definition, or nil if absent.
-func (c *Catalog) Table(name string) *Table {
-	i, ok := c.byName[name]
-	if !ok {
-		return nil
-	}
-	return c.tables[i]
-}
-
-// Tables returns all table definitions in registration order.
-func (c *Catalog) Tables() []*Table { return c.tables }

@@ -36,23 +36,3 @@ func TestMustTablePanics(t *testing.T) {
 	}()
 	MustTable("R", IntCol("a"), IntCol("a"))
 }
-
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	r := MustTable("R", IntCol("a"))
-	if err := c.Add(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add(MustTable("R", IntCol("b"))); err == nil {
-		t.Error("duplicate table name must be rejected")
-	}
-	if c.Table("R") != r {
-		t.Error("Table lookup failed")
-	}
-	if c.Table("S") != nil {
-		t.Error("missing table must be nil")
-	}
-	if len(c.Tables()) != 1 {
-		t.Error("Tables length wrong")
-	}
-}

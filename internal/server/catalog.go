@@ -108,14 +108,6 @@ func (c *Catalog) SnapshotVersioned() (sql.MapCatalog, uint64) {
 	return out, c.version
 }
 
-// Version returns the current catalog version; it increases on every Put,
-// AddIndex and Append.
-func (c *Catalog) Version() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
-}
-
 // Tables returns the registered table names, sorted.
 func (c *Catalog) Tables() []string {
 	c.mu.RLock()

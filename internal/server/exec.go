@@ -191,31 +191,22 @@ func (s *Server) handlePrepare(w http.ResponseWriter, st *sql.PrepareStmt) {
 	json.NewEncoder(w).Encode(map[string]any{"prepared": p.name, "sql": p.canon})
 }
 
-// knobs are the execution settings one request can vary — engine, policy
+// knobs are the execution settings one request can vary — the routing policy
 // and a tighter memory budget — after the server defaults have been applied:
 // resolved once, for bounded queries and subscriptions alike, and used for
 // the plan key, the core.Spec and the query record. Everything else that
 // shapes a run (seed, batch size, shard count) is the operator's, fixed for
 // the process in Config.
 type knobs struct {
-	engine     core.Engine
-	engineName string
-	policy     string
+	policy string
 	// budget is the per-query SteM byte budget; 0 runs ungoverned.
 	budget int64
 }
 
 func (s *Server) resolveKnobs(req *QueryRequest) (knobs, error) {
-	k := knobs{engineName: req.Engine, policy: req.Policy}
-	if k.engineName == "" {
-		k.engineName = "concurrent"
-	}
+	k := knobs{policy: req.Policy}
 	if k.policy == "" {
 		k.policy = s.cfg.Policy
-	}
-	var err error
-	if k.engine, err = core.EngineByName(k.engineName); err != nil {
-		return k, userError{err}
 	}
 	// Per-query memory limit: every admitted query runs under its own byte
 	// governor (real disk spill + replay), so MaxInFlight × budget bounds
@@ -240,7 +231,7 @@ func (s *Server) resolveKnobs(req *QueryRequest) (knobs, error) {
 func (s *Server) spec(q *live, iq *query.Q) core.Spec {
 	return core.Spec{
 		Q:      iq,
-		Engine: q.engine,
+		Engine: core.Concurrent,
 		Policy: q.policy,
 		Seed:   s.cfg.Seed,
 		Shards: s.cfg.Shards,
@@ -484,7 +475,6 @@ func (s *Server) finishObserved(q *live, qs queryStatus, cause error) {
 		ID:           q.id,
 		Session:      q.req.Session,
 		SQL:          q.canon,
-		Engine:       q.engineName,
 		Policy:       q.policy,
 		Status:       string(qs),
 		Rows:         stats.Rows,
@@ -527,8 +517,8 @@ func (s *Server) beginQuery() bool {
 // transient entry used once); shared SteMs are attached iff the query runs
 // ungoverned (a spill governor is per-query state, and attached tables need
 // none); the execution handle comes out of the entry's pool iff the Spec is
-// poolable — concurrent engine, no governor — and is built by core
-// otherwise; and it goes back iff it is poolable and the run was clean.
+// poolable — no governor — and is built by core otherwise; and it goes back
+// iff it is poolable and the run was clean.
 //
 // A pooled handle keeps its routing policy across executions — the plan key
 // pins its name (the seed is process-wide), so reuse only ever continues the
@@ -555,7 +545,7 @@ func (s *Server) execute(q *live, st *sql.Stmt) error {
 	if q.budget == 0 {
 		// Attachments are per-execution (the sync.Pool may drop a handle
 		// at any time, so a handle can never own a refcount): attach here,
-		// release after the run has fully unwound — both engines leave zero
+		// release after the run has fully unwound — the engine leaves zero
 		// goroutines behind when Run returns.
 		shared, err := s.shared.planAttach(st, bound.Q, snap, s.cfg.Shards)
 		if err != nil {

@@ -20,7 +20,6 @@ type queryRecord struct {
 	ID      uint64 `json:"id"`
 	Session string `json:"session,omitempty"`
 	SQL     string `json:"sql"`
-	Engine  string `json:"engine"`
 	Policy  string `json:"policy"`
 	Status  string `json:"status"`
 	Error   string `json:"error,omitempty"`

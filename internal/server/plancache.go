@@ -4,9 +4,9 @@
 // handles (core.Exec), so a hot EXECUTE (or a repeated ad-hoc SELECT, which
 // auto-prepares under its canonical text) admission-checks and runs without
 // re-parsing, re-binding, or rebuilding the operator graph. Every bounded
-// query goes through an entry; only poolable handles — concurrent engine,
-// no memory governor — are kept in its pool, so a sim-engine or governed
-// query reuses the bound statement and builds its handle fresh.
+// query goes through an entry; only poolable handles — those without a memory
+// governor — are kept in its pool, so a governed query reuses the bound
+// statement and builds its handle fresh.
 //
 // Invalidation is lazy and version-driven: REGISTER bumps the catalog
 // version, and a lookup whose snapshot version differs from the entry's
@@ -26,9 +26,9 @@ import (
 
 // planKey identifies one executable plan shape: the canonical statement
 // text plus the one request knob that changes a pooled handle's router — the
-// routing policy. The engine stays out because only concurrent-engine,
-// ungoverned handles are pooled (the bound statement serves any engine);
-// server-wide settings (seed, shards, batch size) are fixed for the process.
+// routing policy. The memory budget stays out because only ungoverned
+// handles are pooled (the bound statement serves any budget); server-wide
+// settings (seed, shards, batch size) are fixed for the process.
 type planKey struct {
 	canon  string
 	policy string

@@ -274,12 +274,6 @@ func New(cat *Catalog, cfg Config) *Server {
 // Handler returns the HTTP handler serving the query API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Catalog returns the server's shared catalog.
-func (s *Server) Catalog() *Catalog { return s.cat }
-
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains the server: new queries are rejected immediately,
 // in-flight queries get up to drain to finish, and whatever remains is
 // canceled (the cancellation reaches the eddy, which stops routing and
@@ -464,8 +458,6 @@ type QueryRequest struct {
 	// DeadlineMS bounds the query's wall time in milliseconds; 0 takes the
 	// server default, and values above the server maximum are capped.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Engine picks the executor: "concurrent" (default) or "sim".
-	Engine string `json:"engine,omitempty"`
 	// Policy overrides the server's default routing policy.
 	Policy string `json:"policy,omitempty"`
 	// MemBudgetBytes tightens this query's resident SteM byte budget; rows

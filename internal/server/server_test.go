@@ -286,12 +286,13 @@ func TestRegisterTableAtRuntime(t *testing.T) {
 }
 
 // TestRequestCannotSizeTheEngine pins that batch size, shard count and seed
-// are the operator's: a request naming them is served exactly like one that
-// does not (unknown JSON fields are ignored), so no client can make the
-// server start a goroutine per "shard" or allocate a staging batch of its
-// choosing. Before the fields were removed, {"shards":1048576} against this
-// 3-row catalog peaked above three million goroutines and {"batch":67108864}
-// allocated 512 MB for the 5-row join.
+// are the operator's and the engine is the server's: a request naming them is
+// served exactly like one that does not (unknown JSON fields are ignored), so
+// no client can make the server start a goroutine per "shard", allocate a
+// staging batch of its choosing, or run the simulator. Before the fields were
+// removed, {"shards":1048576} against this 3-row catalog peaked above three
+// million goroutines and {"batch":67108864} allocated 512 MB for the 5-row
+// join.
 func TestRequestCannotSizeTheEngine(t *testing.T) {
 	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	// measure posts one request while sampling the goroutine count, and
@@ -321,6 +322,7 @@ func TestRequestCannotSizeTheEngine(t *testing.T) {
 		{"sql": threeWayJoin, "shards": 1048576},
 		{"sql": threeWayJoin, "batch": 67108864},
 		{"sql": threeWayJoin, "seed": 99, "shards": 4, "batch": 1},
+		{"sql": threeWayJoin, "engine": "warp"},
 	} {
 		peak, alloc := measure(body)
 		if peak > basePeak+16 {
@@ -420,7 +422,6 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 			res := postQuery(t, client, []string{ts.URL, ts2.URL}[i%2], map[string]any{
 				"sql":     threeWayJoin,
 				"session": fmt.Sprintf("sess-%d", i%4),
-				"engine":  []string{"concurrent", "sim"}[i/2%2],
 			})
 			if res.status != http.StatusOK || len(res.rows) != 5 {
 				errs <- fmt.Errorf("query %d: status=%d rows=%d err=%q", i, res.status, len(res.rows), res.errLine)

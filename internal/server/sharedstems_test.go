@@ -93,15 +93,6 @@ func TestServerSharedStemsAgree(t *testing.T) {
 			t.Errorf("entry %v still holds %d references after all queries finished", k, refs)
 		}
 	}
-
-	// The sim engine attaches through the same planner and must agree too.
-	res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "engine": "sim"})
-	if res.status != http.StatusOK {
-		t.Fatalf("sim engine: status=%d err=%q", res.status, res.errLine)
-	}
-	if got := rowMultiset(res.rows); !sameMultiset(want, got) {
-		t.Errorf("sim engine diverges on shared state: %d distinct rows, want %d", len(got), len(want))
-	}
 }
 
 // TestSharedStemsStormLifecycle is the refcount/lifecycle storm (run under

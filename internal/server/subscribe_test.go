@@ -133,117 +133,114 @@ func postInsert(t testing.TB, client *http.Client, url, table string, rows [][]a
 // writers (mixing INSERT SQL and POST /insert) emits exactly the multiset
 // of rows an equivalent batch query over the final table state returns.
 func TestSubscribeDeltaExact(t *testing.T) {
-	for _, engine := range []string{"concurrent", "sim"} {
-		engine := engine
-		t.Run(engine, func(t *testing.T) {
-			cat := memCatalog(t)
-			_, ts, client := newTestServer(t, cat, Config{})
+	t.Run("concurrent", func(t *testing.T) {
+		cat := memCatalog(t)
+		_, ts, client := newTestServer(t, cat, Config{})
 
-			sub := openSubscription(t, client, ts.URL, map[string]any{
-				"sql": threeWayJoin, "subscribe": true, "engine": engine,
-			})
-			defer sub.close()
+		sub := openSubscription(t, client, ts.URL, map[string]any{
+			"sql": threeWayJoin, "subscribe": true,
+		})
+		defer sub.close()
 
-			// Read the snapshot: rows until the snapshot marker.
-			var got []string
-			for {
-				obj := sub.next(t, 10*time.Second)
-				if row, ok := obj["row"].(map[string]any); ok {
-					got = append(got, rowKey(t, row))
-					continue
-				}
-				if obj["snapshot"] == true {
-					if int(obj["rows"].(float64)) != len(got) {
-						t.Fatalf("snapshot marker says %v rows, got %d", obj["rows"], len(got))
-					}
-					break
-				}
-				t.Fatalf("unexpected line before snapshot: %v", obj)
+		// Read the snapshot: rows until the snapshot marker.
+		var got []string
+		for {
+			obj := sub.next(t, 10*time.Second)
+			if row, ok := obj["row"].(map[string]any); ok {
+				got = append(got, rowKey(t, row))
+				continue
 			}
+			if obj["snapshot"] == true {
+				if int(obj["rows"].(float64)) != len(got) {
+					t.Fatalf("snapshot marker says %v rows, got %d", obj["rows"], len(got))
+				}
+				break
+			}
+			t.Fatalf("unexpected line before snapshot: %v", obj)
+		}
 
-			// Interleaved inserts from three concurrent writers. Keys stay in
-			// the joinable domain so deltas actually produce rows.
-			rng := rand.New(rand.NewSource(7))
-			type ins struct {
-				table string
-				row   []any
+		// Interleaved inserts from three concurrent writers. Keys stay in
+		// the joinable domain so deltas actually produce rows.
+		rng := rand.New(rand.NewSource(7))
+		type ins struct {
+			table string
+			row   []any
+		}
+		var plan []ins
+		for i := 0; i < 18; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				plan = append(plan, ins{"r", []any{100 + i, []int64{10, 20}[rng.Intn(2)]}})
+			case 1:
+				plan = append(plan, ins{"s", []any{[]int64{10, 20}[rng.Intn(2)], []int64{100, 200}[rng.Intn(2)]}})
+			default:
+				plan = append(plan, ins{"u", []any{[]int64{100, 200}[rng.Intn(2)], 1000 + i}})
 			}
-			var plan []ins
-			for i := 0; i < 18; i++ {
-				switch rng.Intn(3) {
-				case 0:
-					plan = append(plan, ins{"r", []any{100 + i, []int64{10, 20}[rng.Intn(2)]}})
-				case 1:
-					plan = append(plan, ins{"s", []any{[]int64{10, 20}[rng.Intn(2)], []int64{100, 200}[rng.Intn(2)]}})
-				default:
-					plan = append(plan, ins{"u", []any{[]int64{100, 200}[rng.Intn(2)], 1000 + i}})
-				}
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < 3; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := w; i < len(plan); i += 3 {
-						p := plan[i]
-						if i%2 == 0 {
-							if st := postInsert(t, client, ts.URL, p.table, [][]any{p.row}); st != http.StatusOK {
-								t.Errorf("insert %d: status %d", i, st)
-							}
-						} else {
-							stmt := fmt.Sprintf("INSERT INTO %s VALUES (%v, %v)", p.table, p.row[0], p.row[1])
-							res := postQuery(t, client, ts.URL, map[string]any{"sql": stmt})
-							if res.status != http.StatusOK {
-								t.Errorf("insert %d: status %d", i, res.status)
-							}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(plan); i += 3 {
+					p := plan[i]
+					if i%2 == 0 {
+						if st := postInsert(t, client, ts.URL, p.table, [][]any{p.row}); st != http.StatusOK {
+							t.Errorf("insert %d: status %d", i, st)
+						}
+					} else {
+						stmt := fmt.Sprintf("INSERT INTO %s VALUES (%v, %v)", p.table, p.row[0], p.row[1])
+						res := postQuery(t, client, ts.URL, map[string]any{"sql": stmt})
+						if res.status != http.StatusOK {
+							t.Errorf("insert %d: status %d", i, res.status)
 						}
 					}
-				}()
-			}
-			wg.Wait()
+				}
+			}()
+		}
+		wg.Wait()
 
-			// The batch oracle over the final state.
-			oracle := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "engine": engine})
-			if oracle.status != http.StatusOK {
-				t.Fatalf("oracle status %d", oracle.status)
-			}
-			want := make([]string, 0, len(oracle.rows))
-			for _, row := range oracle.rows {
-				want = append(want, rowKey(t, row))
-			}
-			sort.Strings(want)
+		// The batch oracle over the final state.
+		oracle := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin})
+		if oracle.status != http.StatusOK {
+			t.Fatalf("oracle status %d", oracle.status)
+		}
+		want := make([]string, 0, len(oracle.rows))
+		for _, row := range oracle.rows {
+			want = append(want, rowKey(t, row))
+		}
+		sort.Strings(want)
 
-			// Drain the subscription until it has emitted the full multiset.
-			deadline := time.Now().Add(15 * time.Second)
-			for len(got) < len(want) && time.Now().Before(deadline) {
-				obj := sub.next(t, 10*time.Second)
-				if row, ok := obj["row"].(map[string]any); ok {
+		// Drain the subscription until it has emitted the full multiset.
+		deadline := time.Now().Add(15 * time.Second)
+		for len(got) < len(want) && time.Now().Before(deadline) {
+			obj := sub.next(t, 10*time.Second)
+			if row, ok := obj["row"].(map[string]any); ok {
+				got = append(got, rowKey(t, row))
+			}
+		}
+		// Allow any final in-flight row to surface, then assert there are
+		// no EXTRA rows beyond the oracle's multiset.
+		select {
+		case obj, ok := <-sub.lines:
+			if ok {
+				if row, isRow := obj["row"].(map[string]any); isRow {
 					got = append(got, rowKey(t, row))
 				}
 			}
-			// Allow any final in-flight row to surface, then assert there are
-			// no EXTRA rows beyond the oracle's multiset.
-			select {
-			case obj, ok := <-sub.lines:
-				if ok {
-					if row, isRow := obj["row"].(map[string]any); isRow {
-						got = append(got, rowKey(t, row))
-					}
-				}
-			case <-time.After(200 * time.Millisecond):
+		case <-time.After(200 * time.Millisecond):
+		}
+		sort.Strings(got)
+		if len(got) != len(want) {
+			t.Fatalf("standing emitted %d rows, oracle %d\nstanding: %v\noracle: %v", len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("row %d differs: standing %q, oracle %q", i, got[i], want[i])
 			}
-			sort.Strings(got)
-			if len(got) != len(want) {
-				t.Fatalf("standing emitted %d rows, oracle %d\nstanding: %v\noracle: %v", len(got), len(want), got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("row %d differs: standing %q, oracle %q", i, got[i], want[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSubscribeTableReplacedEnds pins the generation rule: an append keeps a
@@ -641,7 +638,6 @@ func TestSubscribeRejections(t *testing.T) {
 		{"insert", map[string]any{"sql": "INSERT INTO r VALUES (1, 2)", "subscribe": true}, false},
 		{"explain", map[string]any{"sql": threeWayJoin, "subscribe": true, "explain": true}, false},
 		{"mem budget", map[string]any{"sql": threeWayJoin, "subscribe": true, "mem_budget_bytes": 1 << 20}, false},
-		{"bad engine", map[string]any{"sql": threeWayJoin, "subscribe": true, "engine": "warp"}, true},
 		{"bad policy", map[string]any{"sql": threeWayJoin, "subscribe": true, "policy": "warp"}, true},
 		{"unknown table", map[string]any{"sql": "SELECT zz.k FROM zz", "subscribe": true}, true},
 		{"indexed table", map[string]any{"sql": "SELECT s.x, u.q FROM s, u WHERE s.y = u.p", "subscribe": true}, true},

@@ -7,7 +7,6 @@ package sm
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/flow"
@@ -20,9 +19,6 @@ type SM struct {
 	p    pred.P
 	cost clock.Duration
 	name string
-
-	in   atomic.Uint64
-	pass atomic.Uint64
 }
 
 // New builds a selection module. The predicate must be a selection.
@@ -42,38 +38,18 @@ func (s *SM) Parallel() int { return 1 }
 // Pred returns the module's predicate.
 func (s *SM) Pred() pred.P { return s.p }
 
-// Reset zeroes the observed-selectivity counters so a pooled router can run
-// the same query again with a clean slate.
-func (s *SM) Reset() {
-	s.in.Store(0)
-	s.pass.Store(0)
-}
-
-// Selectivity returns the observed pass fraction, or 1 if no tuples have
-// been seen; routing policies use it to order selections.
-func (s *SM) Selectivity() float64 {
-	in := s.in.Load()
-	if in == 0 {
-		return 1
-	}
-	return float64(s.pass.Load()) / float64(in)
-}
-
 // Process implements flow.Module.
 func (s *SM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Duration) {
-	s.in.Add(1)
 	if !s.p.Eval(t) {
 		return nil, s.cost // fails: removed from the dataflow
 	}
-	s.pass.Add(1)
 	t.Done = t.Done.With(s.p.ID)
 	return []flow.Emission{flow.Emit(t)}, s.cost
 }
 
 // ProcessBatch implements flow.BatchModule: the predicate is evaluated over
 // the whole batch into one emission slice — allocated on the first passing
-// tuple, so a fully-filtered batch allocates nothing — and the counters are
-// updated with two atomic adds instead of up to two per tuple.
+// tuple, so a fully-filtered batch allocates nothing.
 func (s *SM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
 	var out []flow.Emission
 	for _, t := range b.Tuples {
@@ -86,8 +62,6 @@ func (s *SM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock
 		}
 		out = append(out, flow.Emit(t))
 	}
-	s.in.Add(uint64(b.Len()))
-	s.pass.Add(uint64(len(out)))
 	return out, clock.Duration(b.Len()) * s.cost
 }
 
@@ -104,8 +78,6 @@ func (s *SM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []
 	}
 	in := cb.Rows()
 	live := pred.FilterColConst(cb, s.p)
-	s.in.Add(uint64(in))
-	s.pass.Add(uint64(live))
 	cost := clock.Duration(in) * s.cost
 	if live == 0 {
 		return nil, nil, cost // every row failed: batch removed from the dataflow

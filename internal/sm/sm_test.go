@@ -42,20 +42,6 @@ func TestTable1_SM(t *testing.T) {
 	}
 }
 
-func TestSelectivityTracking(t *testing.T) {
-	p := pred.Selection(0, 0, pred.Lt, value.NewInt(2))
-	s := New(p, 0)
-	if s.Selectivity() != 1 {
-		t.Error("unvisited SM must report selectivity 1")
-	}
-	for i := int64(0); i < 10; i++ {
-		s.Process(singleton(i), 0)
-	}
-	if got := s.Selectivity(); got != 0.2 {
-		t.Errorf("Selectivity = %v, want 0.2", got)
-	}
-}
-
 func TestJoinPredicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

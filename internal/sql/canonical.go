@@ -71,29 +71,6 @@ func (s *Stmt) Canonical() string {
 	return b.String()
 }
 
-// Canonical renders an INSERT statement in the same normalized style:
-// upper-case words, single spaces, strings re-quoted with ” escapes.
-func (s *InsertStmt) Canonical() string {
-	var b strings.Builder
-	b.WriteString("INSERT INTO ")
-	b.WriteString(s.Table)
-	b.WriteString(" VALUES ")
-	for i, r := range s.Rows {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteByte('(')
-		for j, o := range r {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			writeOperand(&b, o)
-		}
-		b.WriteByte(')')
-	}
-	return b.String()
-}
-
 func writeOperand(b *strings.Builder, o Operand) {
 	switch o.Kind {
 	case OpCol:
@@ -104,7 +81,5 @@ func writeOperand(b *strings.Builder, o Operand) {
 		b.WriteByte('\'')
 		b.WriteString(strings.ReplaceAll(o.Str, "'", "''"))
 		b.WriteByte('\'')
-	case OpNull:
-		b.WriteString("NULL")
 	}
 }

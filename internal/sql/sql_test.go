@@ -455,18 +455,6 @@ func TestParseInsert(t *testing.T) {
 	if len(rows) != 2 || rows[0][0].I != 1 || rows[0][1].S != "it's" || !rows[1][1].IsNull() {
 		t.Errorf("RowValues = %v", rows)
 	}
-	// Canonical form reparses to the same statement.
-	canon := ins.Canonical()
-	if canon != "INSERT INTO t VALUES (1, 'it''s'), (-2, NULL)" {
-		t.Errorf("canonical = %q", canon)
-	}
-	again, err := ParseStatement(canon)
-	if err != nil {
-		t.Fatalf("reparse of canonical %q: %v", canon, err)
-	}
-	if re := again.(*InsertStmt).Canonical(); re != canon {
-		t.Errorf("canonical not a fixed point: %q -> %q", canon, re)
-	}
 }
 
 // TestInsertWordsStayIdentifiers: INSERT/INTO/VALUES/NULL must not become

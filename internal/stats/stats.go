@@ -66,27 +66,6 @@ func (s *Series) End() clock.Time {
 	return s.Points[len(s.Points)-1].T
 }
 
-// Sample returns the series values at n evenly spaced times in [0, end].
-func (s *Series) Sample(end clock.Time, n int) []Point {
-	out := make([]Point, n+1)
-	for i := 0; i <= n; i++ {
-		t := clock.Time(int64(end) * int64(i) / int64(n))
-		out[i] = Point{T: t, V: s.At(t)}
-	}
-	return out
-}
-
-// TimeToValue returns the earliest time the series reaches v, and ok=false
-// if it never does.
-func (s *Series) TimeToValue(v float64) (clock.Time, bool) {
-	for _, p := range s.Points {
-		if p.V >= v {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
-
 // Table renders several series side by side at n evenly spaced times — the
 // textual analogue of a figure with multiple curves.
 func Table(end clock.Time, n int, series ...*Series) string {

@@ -27,28 +27,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 }
 
-func TestTimeToValue(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(10, 5)
-	s.Add(20, 12)
-	if at, ok := s.TimeToValue(6); !ok || at != 20 {
-		t.Errorf("TimeToValue(6) = %v %v", at, ok)
-	}
-	if _, ok := s.TimeToValue(100); ok {
-		t.Error("unreached value must report !ok")
-	}
-}
-
-func TestSample(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(clock.Time(clock.Second), 1)
-	s.Add(clock.Time(2*clock.Second), 2)
-	pts := s.Sample(clock.Time(2*clock.Second), 4)
-	if len(pts) != 5 || pts[0].V != 0 || pts[4].V != 2 {
-		t.Errorf("Sample = %v", pts)
-	}
-}
-
 func TestAreaUnderMonotone(t *testing.T) {
 	f := func(vals []uint8) bool {
 		s := NewSeries("x")

@@ -6,12 +6,12 @@
 // pooled output ColBatch.
 //
 // The fast path is gated by colBatchOK: configurations whose semantics are
-// per-row (windowed eviction, Grace-style batched bounces, memory governors
-// and spill, custom dictionaries, index-AM completeness metadata, non-equi
-// probe bindings) fall back to materializing the batch and running the exact
-// row path, so every SteM behaviour is preserved bit-for-bit where it
-// matters — the columnar path is an optimization of the common symmetric-hash
-// configuration, not a second semantics.
+// per-row (windowed eviction, memory governors and spill, index-AM
+// completeness metadata, non-equi probe bindings) fall back to materializing
+// the batch and running the exact row path, so every SteM behaviour is
+// preserved bit-for-bit where it matters — the columnar path is an
+// optimization of the common symmetric-hash configuration, not a second
+// semantics.
 package stem
 
 import (
@@ -47,8 +47,7 @@ func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
 	// Attached (shared-state) SteMs take the exact row path: the columnar
 	// probe applies the resident TimeStamp window, which attached probes
 	// must bypass.
-	if s.cfg.Dict != nil || s.cfg.Window > 0 || s.cfg.BuildBounceBatch > 0 ||
-		s.spillOn || s.govID >= 0 || s.shared != nil {
+	if s.cfg.Window > 0 || s.spillOn || s.govID >= 0 || s.shared != nil {
 		return false
 	}
 	if s.isColBuild(cb) {
@@ -171,7 +170,7 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 	cost := clock.Duration(live) * s.cfg.BuildCost
 
 	sh.mu.Lock()
-	hd := sh.dict.(*HashDict) // colBatchOK guarantees the default dictionary
+	hd := sh.dict
 	src := tab.Src
 	var slab []value.V
 	if len(src) != cb.N() {
@@ -246,7 +245,7 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 	scr.colPlan = plan
 	// Dictionary index position per plan entry (identical across shards).
 	di := scr.colDi[:0]
-	hd0 := held[0].dict.(*HashDict)
+	hd0 := held[0].dict
 	for _, pl := range plan {
 		di = append(di, hd0.colIndex(pl.tCol))
 	}
@@ -284,7 +283,7 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 		probeTS := cb.RowTS(i)
 		rowMatches := 0
 		for _, shd := range held {
-			hd := shd.dict.(*HashDict)
+			hd := shd.dict
 			// Pick the narrowest bucket among the bind columns (the row
 			// path's Candidates heuristic), hashing key vectors via the
 			// dictionary-encoded per-code tables.

@@ -1,15 +1,9 @@
-// dict.go defines the dictionary data structures a SteM encapsulates.
-//
-// Section 3.1 of the paper observes that the choice of dictionary is part of
-// the join algorithm: hash indexes yield hash-join behaviour, sorted
-// structures yield sort-merge behaviour, and a SteM "may use a linked list
-// when it holds a small number of tuples, and switch to a hash-based
-// implementation when the list size increases" — independently of other
-// modules. Each implementation here captures one of those choices.
+// dict.go defines the dictionary a SteM encapsulates: "a SteM on a table T
+// has one main-memory index on each column of T involved in a join predicate;
+// these are all secondary indexes" (Section 2.1.4).
 package stem
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -25,40 +19,25 @@ type Entry struct {
 	TS  tuple.Timestamp
 }
 
-// RangeCond is an inequality constraint on a stored column: a candidate row
-// r qualifies when r[Col] Op Val holds. Range conditions arise from non-equi
-// join predicates (band joins); dictionaries may use them to narrow the
-// candidate set but are free to ignore them — the SteM re-verifies every
-// predicate on concatenation.
-type RangeCond struct {
-	Col int
-	Op  pred.Op
-	Val value.V
-}
-
 // Lookup describes a probe into a dictionary: candidate entries must satisfy
-// EquiCols[i] == EquiVals[i] for all i; Ranges may further narrow the set.
-// A Lookup with no constraints requests a full scan.
+// EquiCols[i] == EquiVals[i] for all i. A Lookup with no constraints — what a
+// probe bound only by non-equi (band) join predicates presents — requests a
+// full scan; the SteM re-verifies every predicate on concatenation.
 type Lookup struct {
 	EquiCols []int
 	EquiVals []value.V
-	Ranges   []RangeCond
 }
 
-// cacheKey hashes a pure-equality lookup into a 64-bit key, so batched
-// probes sharing a key can reuse one candidate list; ok is false for lookups
-// with range conditions, which are not worth keying. Hash collisions are
-// resolved by the cache, which verifies the full column/value lists.
-func (lk Lookup) cacheKey() (uint64, bool) {
-	if len(lk.Ranges) > 0 {
-		return 0, false
-	}
+// cacheKey hashes the lookup into a 64-bit key, so batched probes sharing a
+// key can reuse one candidate list. Hash collisions are resolved by the
+// cache, which verifies the full column/value lists.
+func (lk Lookup) cacheKey() uint64 {
 	h := value.HashSeed
 	for i, c := range lk.EquiCols {
 		h = value.MixUint64(h, uint64(c))
 		h = lk.EquiVals[i].HashInto(h)
 	}
-	return h, true
+	return h
 }
 
 // equiEqual reports whether the lookup's equality constraints are exactly
@@ -74,33 +53,6 @@ func (lk Lookup) equiEqual(cols []int, vals []value.V) bool {
 	}
 	return true
 }
-
-// Dict is the storage structure inside a SteM. Implementations need not be
-// thread-safe; the SteM serializes access.
-type Dict interface {
-	// Insert stores a row with its build timestamp.
-	Insert(row tuple.Row, ts tuple.Timestamp)
-	// Contains reports whether an identical row is already stored, supporting
-	// the set-semantics duplicate elimination of Section 3.2.
-	Contains(row tuple.Row) bool
-	// Candidates returns stored entries satisfying the lookup's equality
-	// constraints. Implementations may return extra entries (the SteM
-	// re-verifies every predicate); they must not miss any.
-	Candidates(lk Lookup) []Entry
-	// Evict removes and returns the entry with the smallest timestamp, for
-	// windowed streaming queries; ok is false if empty.
-	Evict() (Entry, bool)
-	// Len returns the number of stored entries.
-	Len() int
-	// MaxTS returns the largest stored timestamp, or 0 if empty; used to
-	// maintain LastMatchTimeStamp in the relaxed BuildFirst mode (§3.5).
-	MaxTS() tuple.Timestamp
-}
-
-// ---------------------------------------------------------------------------
-// HashDict: one main-memory hash index per join column (Section 2.1.4: "a
-// SteM on a table T has one main-memory index on each column of T involved
-// in a join predicate; these are all secondary indexes").
 
 // chain is one hash bucket of one index: the entry positions stored under a
 // hash, threaded through HashDict.next in insertion order. n is kept so the
@@ -186,7 +138,7 @@ func (d *HashDict) Clear() {
 	d.maxTS = 0
 }
 
-// Insert implements Dict.
+// Insert stores a row with its build timestamp.
 func (d *HashDict) Insert(row tuple.Row, ts tuple.Timestamp) {
 	d.insertHashed(row, ts, row.Hash64())
 }
@@ -268,7 +220,8 @@ func (d *HashDict) chainOf(slot int, h uint64) cursor {
 // a candidate []Entry per probe. Candidates must be verified with Equal.
 func (d *HashDict) bucket(di int, h uint64) cursor { return d.chainOf(1+di, h) }
 
-// Contains implements Dict.
+// Contains reports whether an identical row is already stored, supporting
+// the set-semantics duplicate elimination of Section 3.2.
 func (d *HashDict) Contains(row tuple.Row) bool {
 	c := d.chainOf(rowSlot, row.Hash64())
 	for e, ok := c.Next(); ok; e, ok = c.Next() {
@@ -312,7 +265,9 @@ func (d *HashDict) colIndex(col int) int {
 	return -1
 }
 
-// Candidates implements Dict. If any lookup column has a hash index, the
+// Candidates returns stored entries satisfying the lookup's equality
+// constraints. It may return extra entries (the SteM re-verifies every
+// predicate); it never misses one. If any lookup column has a hash index, the
 // index whose bucket is narrowest is consulted (bucket lengths may overcount
 // under collisions and evictions; the heuristic only picks which index to
 // walk); otherwise all live entries are returned for the caller to filter.
@@ -349,7 +304,8 @@ func (d *HashDict) all() []Entry {
 	return out
 }
 
-// Evict implements Dict: removes the oldest live entry, in amortized O(1)
+// Evict removes and returns the oldest live entry, for windowed streaming
+// queries (ok is false if the dictionary is empty), in amortized O(1)
 // via the evictHead cursor. The slot is only flagged — every chain keeps the
 // dead position and walks skip it — until dead slots outnumber live ones,
 // when compact drops them all; a windowed dictionary therefore stays O(window)
@@ -414,10 +370,11 @@ func (d *HashDict) rescanMaxTS() {
 	}
 }
 
-// Len implements Dict.
+// Len returns the number of stored entries.
 func (d *HashDict) Len() int { return d.live }
 
-// MaxTS implements Dict, in O(1).
+// MaxTS returns the largest stored timestamp, or 0 if empty, in O(1); used to
+// maintain LastMatchTimeStamp in the relaxed BuildFirst mode (§3.5).
 func (d *HashDict) MaxTS() tuple.Timestamp {
 	if d.live == 0 {
 		return 0
@@ -473,388 +430,18 @@ func DictAcquires() (recycled, fresh uint64) {
 	return dictRecycled.Load(), dictNew.Load()
 }
 
-// ---------------------------------------------------------------------------
-// ListDict: an unindexed append-only list. Cheap to build, linear to probe.
-
-// ListDict stores rows in arrival order with no index. The duplicate set is
-// keyed by row hash with verification; eviction advances a head cursor and
-// periodically compacts the backing array so long-running windowed queries
-// do not pin the memory of every row ever stored.
-type ListDict struct {
-	entries []Entry
-	head    int // entries[:head] are evicted, awaiting compaction
-	rowSet  map[uint64][]tuple.Row
-	mask    uint64
-}
-
-// NewListDict returns an empty list dictionary.
-func NewListDict() *ListDict {
-	return &ListDict{rowSet: make(map[uint64][]tuple.Row), mask: ^uint64(0)}
-}
-
-// Insert implements Dict.
-func (d *ListDict) Insert(row tuple.Row, ts tuple.Timestamp) {
-	d.entries = append(d.entries, Entry{Row: row, TS: ts})
-	h := row.Hash64() & d.mask
-	d.rowSet[h] = append(d.rowSet[h], row)
-}
-
-// Contains implements Dict.
-func (d *ListDict) Contains(row tuple.Row) bool {
-	for _, r := range d.rowSet[row.Hash64()&d.mask] {
-		if r.Equal(row) {
-			return true
-		}
-	}
-	return false
-}
-
-// Candidates implements Dict: always a full scan.
-func (d *ListDict) Candidates(Lookup) []Entry {
-	return append([]Entry(nil), d.entries[d.head:]...)
-}
-
-// Evict implements Dict. The evicted prefix is released once it outgrows the
-// live half, keeping eviction amortized O(1) without retaining the whole
-// history in the slice's backing array.
-func (d *ListDict) Evict() (Entry, bool) {
-	if d.head >= len(d.entries) {
-		return Entry{}, false
-	}
-	e := d.entries[d.head]
-	d.entries[d.head] = Entry{} // release the row for GC
-	d.head++
-	if d.head > 32 && d.head > len(d.entries)/2 {
-		n := copy(d.entries, d.entries[d.head:])
-		clear(d.entries[n:])
-		d.entries = d.entries[:n]
-		d.head = 0
-	}
-	h := e.Row.Hash64() & d.mask
-	d.rowSet[h] = removeRow(d.rowSet[h], e.Row)
-	if len(d.rowSet[h]) == 0 {
-		delete(d.rowSet, h)
-	}
-	return e, true
-}
-
-// removeRow deletes one row equal to r from a bucket, preserving order.
-func removeRow(rows []tuple.Row, r tuple.Row) []tuple.Row {
-	for i, x := range rows {
-		if x.Equal(r) {
-			return append(rows[:i], rows[i+1:]...)
-		}
-	}
-	return rows
-}
-
-// Len implements Dict.
-func (d *ListDict) Len() int { return len(d.entries) - d.head }
-
-// MaxTS implements Dict.
-func (d *ListDict) MaxTS() tuple.Timestamp {
-	var max tuple.Timestamp
-	for _, e := range d.entries[d.head:] {
-		if e.TS > max {
-			max = e.TS
-		}
-	}
-	return max
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveDict: the §3.1 relaxation made concrete — a linked list while
-// small, migrating to hash indexes once it crosses a threshold, with no other
-// module aware of the switch.
-
-// AdaptiveDict starts as a ListDict and becomes a HashDict after Threshold
-// inserts.
-type AdaptiveDict struct {
-	cols      []int
-	threshold int
-	inner     Dict
-	switched  bool
-}
-
-// NewAdaptiveDict returns an adaptive dictionary that switches to hash
-// indexes on cols after threshold entries.
-func NewAdaptiveDict(cols []int, threshold int) *AdaptiveDict {
-	return &AdaptiveDict{cols: cols, threshold: threshold, inner: NewListDict()}
-}
-
-// Switched reports whether the migration to hash indexes has happened.
-func (d *AdaptiveDict) Switched() bool { return d.switched }
-
-// Insert implements Dict, migrating when the threshold is crossed.
-func (d *AdaptiveDict) Insert(row tuple.Row, ts tuple.Timestamp) {
-	d.inner.Insert(row, ts)
-	if !d.switched && d.inner.Len() >= d.threshold {
-		h := NewHashDict(d.cols)
-		for _, e := range d.inner.Candidates(Lookup{}) {
-			h.Insert(e.Row, e.TS)
-		}
-		d.inner = h
-		d.switched = true
-	}
-}
-
-// Contains implements Dict.
-func (d *AdaptiveDict) Contains(row tuple.Row) bool { return d.inner.Contains(row) }
-
-// Candidates implements Dict.
-func (d *AdaptiveDict) Candidates(lk Lookup) []Entry { return d.inner.Candidates(lk) }
-
-// Evict implements Dict.
-func (d *AdaptiveDict) Evict() (Entry, bool) { return d.inner.Evict() }
-
-// Len implements Dict.
-func (d *AdaptiveDict) Len() int { return d.inner.Len() }
-
-// MaxTS implements Dict.
-func (d *AdaptiveDict) MaxTS() tuple.Timestamp { return d.inner.MaxTS() }
-
-// ---------------------------------------------------------------------------
-// SortedDict: sorted runs on one column, the tournament-tree analogue of
-// §3.1 that makes the SteM routing simulate a sort-merge join. Runs of
-// RunSize entries are kept sorted on the sort column; probes binary-search
-// every run.
-
-// SortedDict stores rows in sorted runs on a sort column.
-type SortedDict struct {
-	sortCol int
-	runSize int
-	runs    [][]Entry
-	cur     []Entry
-	rowSet  map[uint64][]tuple.Row
-	mask    uint64
-}
-
-// NewSortedDict returns a sorted-run dictionary on sortCol with the given
-// run size (entries per run before a new run is started).
-func NewSortedDict(sortCol, runSize int) *SortedDict {
-	if runSize <= 0 {
-		runSize = 64
-	}
-	return &SortedDict{sortCol: sortCol, runSize: runSize, rowSet: make(map[uint64][]tuple.Row), mask: ^uint64(0)}
-}
-
-// Runs returns the number of sealed sorted runs (for tests and benchmarks).
-func (d *SortedDict) Runs() int { return len(d.runs) }
-
-// Insert implements Dict.
-func (d *SortedDict) Insert(row tuple.Row, ts tuple.Timestamp) {
-	d.cur = append(d.cur, Entry{Row: row, TS: ts})
-	h := row.Hash64() & d.mask
-	d.rowSet[h] = append(d.rowSet[h], row)
-	if len(d.cur) >= d.runSize {
-		d.sealRun()
-	}
-}
-
-func (d *SortedDict) sealRun() {
-	if len(d.cur) == 0 {
-		return
-	}
-	run := d.cur
-	d.cur = nil
-	sort.Slice(run, func(i, j int) bool {
-		return run[i].Row[d.sortCol].Compare(run[j].Row[d.sortCol]) < 0
-	})
-	d.runs = append(d.runs, run)
-}
-
-// Contains implements Dict.
-func (d *SortedDict) Contains(row tuple.Row) bool {
-	for _, r := range d.rowSet[row.Hash64()&d.mask] {
-		if r.Equal(row) {
-			return true
-		}
-	}
-	return false
-}
-
-// Candidates implements Dict: if the lookup binds the sort column — by
-// equality or by a range condition — each sealed run is binary-searched; the
-// unsealed tail and unmatched columns fall back to scans.
-func (d *SortedDict) Candidates(lk Lookup) []Entry {
-	for i, c := range lk.EquiCols {
-		if c == d.sortCol {
-			return d.equalOnSort(lk.EquiVals[i])
-		}
-	}
-	for _, rc := range lk.Ranges {
-		if rc.Col == d.sortCol {
-			return d.rangeOnSort(rc)
-		}
-	}
-	var out []Entry
-	for _, run := range d.runs {
-		out = append(out, run...)
-	}
-	return append(out, d.cur...)
-}
-
-func (d *SortedDict) equalOnSort(v value.V) []Entry {
-	var out []Entry
-	for _, run := range d.runs {
-		lo := sort.Search(len(run), func(i int) bool {
-			return run[i].Row[d.sortCol].Compare(v) >= 0
-		})
-		for i := lo; i < len(run) && run[i].Row[d.sortCol].Equal(v); i++ {
-			out = append(out, run[i])
-		}
-	}
-	for _, e := range d.cur {
-		if e.Row[d.sortCol].Equal(v) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// rangeOnSort binary-searches each run for the half-open interval the range
-// condition describes. Ne conditions cannot narrow a sorted run usefully, so
-// they fall back to a full scan of each run.
-func (d *SortedDict) rangeOnSort(rc RangeCond) []Entry {
-	var out []Entry
-	sat := func(e Entry) bool {
-		if e.Row[rc.Col].IsEOT() {
-			return false
-		}
-		return evalRange(e.Row[rc.Col], rc)
-	}
-	for _, run := range d.runs {
-		switch rc.Op {
-		case pred.Lt, pred.Le:
-			hi := sort.Search(len(run), func(i int) bool {
-				return !evalRange(run[i].Row[d.sortCol], rc)
-			})
-			out = append(out, run[:hi]...)
-		case pred.Gt, pred.Ge:
-			lo := sort.Search(len(run), func(i int) bool {
-				return evalRange(run[i].Row[d.sortCol], rc)
-			})
-			out = append(out, run[lo:]...)
-		default:
-			for _, e := range run {
-				if sat(e) {
-					out = append(out, e)
-				}
-			}
-		}
-	}
-	for _, e := range d.cur {
-		if sat(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// evalRange reports whether v Op rc.Val holds.
-func evalRange(v value.V, rc RangeCond) bool {
-	cmp := v.Compare(rc.Val)
-	switch rc.Op {
-	case pred.Lt:
-		return cmp < 0
-	case pred.Le:
-		return cmp <= 0
-	case pred.Gt:
-		return cmp > 0
-	case pred.Ge:
-		return cmp >= 0
-	case pred.Ne:
-		return cmp != 0
-	default:
-		return true
-	}
-}
-
-// Evict implements Dict: removes the entry with the smallest timestamp
-// across the sealed runs and the unsealed tail.
-func (d *SortedDict) Evict() (Entry, bool) {
-	bestRun, bestIdx := -1, -1
-	var bestTS tuple.Timestamp
-	for ri, run := range d.runs {
-		for i, e := range run {
-			if bestIdx < 0 || e.TS < bestTS {
-				bestRun, bestIdx, bestTS = ri, i, e.TS
-			}
-		}
-	}
-	for i, e := range d.cur {
-		if bestIdx < 0 || e.TS < bestTS {
-			bestRun, bestIdx, bestTS = -1, i, e.TS
-		}
-	}
-	if bestIdx < 0 {
-		return Entry{}, false
-	}
-	var e Entry
-	if bestRun >= 0 {
-		run := d.runs[bestRun]
-		e = run[bestIdx]
-		d.runs[bestRun] = append(run[:bestIdx:bestIdx], run[bestIdx+1:]...)
-	} else {
-		e = d.cur[bestIdx]
-		d.cur = append(d.cur[:bestIdx:bestIdx], d.cur[bestIdx+1:]...)
-	}
-	h := e.Row.Hash64() & d.mask
-	d.rowSet[h] = removeRow(d.rowSet[h], e.Row)
-	if len(d.rowSet[h]) == 0 {
-		delete(d.rowSet, h)
-	}
-	return e, true
-}
-
-// Len implements Dict.
-func (d *SortedDict) Len() int {
-	n := len(d.cur)
-	for _, run := range d.runs {
-		n += len(run)
-	}
-	return n
-}
-
-// MaxTS implements Dict.
-func (d *SortedDict) MaxTS() tuple.Timestamp {
-	var max tuple.Timestamp
-	for _, run := range d.runs {
-		for _, e := range run {
-			if e.TS > max {
-				max = e.TS
-			}
-		}
-	}
-	for _, e := range d.cur {
-		if e.TS > max {
-			max = e.TS
-		}
-	}
-	return max
-}
-
 // lookupInto derives the lookup for a probe tuple against table column
-// constraints: equality columns from equi-join predicates, range conditions
-// from the comparison joins (band joins). BindSide orients the op as
-// "fromValue op t.column"; the stored-side condition is the flip. The
-// lookup is built into lk, reusing its slices, so per-probe lookup
-// construction allocates nothing in steady state.
+// constraints: the equality columns of the equi-join predicates it binds.
+// Comparison (band) joins constrain no lookup; they are verified on
+// concatenation. The lookup is built into lk, reusing its slices, so
+// per-probe lookup construction allocates nothing in steady state.
 func lookupInto(lk *Lookup, t *tuple.Tuple, table int, preds []pred.P) {
 	lk.EquiCols = lk.EquiCols[:0]
 	lk.EquiVals = lk.EquiVals[:0]
-	lk.Ranges = lk.Ranges[:0]
 	for _, p := range preds {
-		tCol, from, op, ok := p.BindSide(t.Span, table)
-		if !ok {
-			continue
-		}
-		v := t.Value(from.Table, from.Col)
-		if op == pred.Eq {
+		if tCol, from, op, ok := p.BindSide(t.Span, table); ok && op == pred.Eq {
 			lk.EquiCols = append(lk.EquiCols, tCol)
-			lk.EquiVals = append(lk.EquiVals, v)
-			continue
+			lk.EquiVals = append(lk.EquiVals, t.Value(from.Table, from.Col))
 		}
-		lk.Ranges = append(lk.Ranges, RangeCond{Col: tCol, Op: op.Flip(), Val: v})
 	}
 }

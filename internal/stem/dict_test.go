@@ -19,21 +19,18 @@ func row(vs ...int64) tuple.Row {
 	return r
 }
 
-// dictUnderTest enumerates every Dict implementation with fresh instances.
-func dictsUnderTest() map[string]func() Dict {
-	return map[string]func() Dict{
-		"hash":     func() Dict { return NewHashDict([]int{0, 1}) },
-		"list":     func() Dict { return NewListDict() },
-		"adaptive": func() Dict { return NewAdaptiveDict([]int{0, 1}, 4) },
-		"sorted":   func() Dict { return NewSortedDict(0, 4) },
+// dictsUnderTest makes fresh instances of the SteM's dictionary and of the
+// list oracle the property tests compare it against.
+func dictsUnderTest() map[string]func() dict {
+	return map[string]func() dict{
+		"hash": func() dict { return NewHashDict([]int{0, 1}) },
+		"list": func() dict { return newListDict() },
 	}
 }
 
-// TestDictContract checks the Dict interface contract on every
-// implementation: Insert/Contains/Len agree, Candidates with an equality
-// constraint returns exactly the matching rows (no misses; the SteM
-// re-filters extras, but none of our dicts over-return on the equality
-// column), and MaxTS tracks the largest timestamp.
+// TestDictContract checks the dictionary contract: Insert/Contains/Len
+// agree, Candidates with an equality constraint returns every matching row
+// (the SteM re-filters extras), and MaxTS tracks the largest timestamp.
 func TestDictContract(t *testing.T) {
 	for name, mk := range dictsUnderTest() {
 		t.Run(name, func(t *testing.T) {
@@ -136,100 +133,29 @@ func TestDictEvict(t *testing.T) {
 	}
 }
 
-func TestAdaptiveDictSwitch(t *testing.T) {
-	d := NewAdaptiveDict([]int{0}, 3)
-	if d.Switched() {
-		t.Fatal("switched before threshold")
-	}
-	d.Insert(row(1, 1), 1)
-	d.Insert(row(2, 2), 2)
-	if d.Switched() {
-		t.Fatal("switched too early")
-	}
-	d.Insert(row(3, 3), 3)
-	if !d.Switched() {
-		t.Fatal("did not switch at threshold")
-	}
-	// All pre-switch data must survive the migration.
-	for i := int64(1); i <= 3; i++ {
-		if !d.Contains(row(i, i)) {
-			t.Errorf("row %d lost in migration", i)
-		}
-	}
-	got := d.Candidates(Lookup{EquiCols: []int{0}, EquiVals: []value.V{value.NewInt(2)}})
-	if len(got) != 1 {
-		t.Errorf("post-switch lookup = %d rows, want 1", len(got))
-	}
-}
-
-func TestSortedDictRuns(t *testing.T) {
-	d := NewSortedDict(0, 4)
-	for i := 0; i < 10; i++ {
-		d.Insert(row(int64(9-i), int64(i)), tuple.Timestamp(i+1))
-	}
-	if d.Runs() != 2 { // 10 inserts, run size 4 => 2 sealed runs + 2 in tail
-		t.Errorf("Runs = %d, want 2", d.Runs())
-	}
-	got := d.Candidates(Lookup{EquiCols: []int{0}, EquiVals: []value.V{value.NewInt(5)}})
-	if len(got) != 1 || !got[0].Row[0].Equal(value.NewInt(5)) {
-		t.Errorf("sorted lookup = %v", got)
-	}
-	// Lookup on a non-sort column falls back to a full scan.
-	if all := d.Candidates(Lookup{EquiCols: []int{1}, EquiVals: []value.V{value.NewInt(3)}}); len(all) != 10 {
-		t.Errorf("non-sort-column lookup returned %d candidates, want all 10", len(all))
-	}
-}
-
-func TestSortedDictRangeLookup(t *testing.T) {
-	d := NewSortedDict(0, 4)
-	for i := 0; i < 20; i++ {
-		d.Insert(row(int64(i), int64(i)), tuple.Timestamp(i+1))
-	}
-	cases := []struct {
-		op   pred.Op
-		val  int64
-		want int
-	}{
-		{pred.Lt, 5, 5},  // 0..4
-		{pred.Le, 5, 6},  // 0..5
-		{pred.Gt, 15, 4}, // 16..19
-		{pred.Ge, 15, 5}, // 15..19
-		{pred.Ne, 7, 19}, // all but 7
-	}
-	for _, c := range cases {
-		got := d.Candidates(Lookup{Ranges: []RangeCond{{Col: 0, Op: c.op, Val: value.NewInt(c.val)}}})
-		matching := 0
-		for _, e := range got {
-			if evalRange(e.Row[0], RangeCond{Col: 0, Op: c.op, Val: value.NewInt(c.val)}) {
-				matching++
-			}
-		}
-		if matching != c.want {
-			t.Errorf("%v %d: %d matching candidates, want %d", c.op, c.val, matching, c.want)
-		}
-	}
-}
-
-// TestRangeCandidatesNeverMiss: range lookups may over-return but must never
-// miss a qualifying stored row, on every dictionary.
+// TestRangeCandidatesNeverMiss: a probe bound only by a comparison (band)
+// join predicate presents a lookup with no equality constraint; the
+// candidates must include every stored row that satisfies the comparison,
+// for the SteM's predicate verification to pick out.
 func TestRangeCandidatesNeverMiss(t *testing.T) {
 	ops := []pred.Op{pred.Lt, pred.Le, pred.Gt, pred.Ge, pred.Ne}
 	for name, mk := range dictsUnderTest() {
 		t.Run(name, func(t *testing.T) {
 			f := func(keys []uint8, bound uint8, opIdx uint8) bool {
-				op := ops[int(opIdx)%len(ops)]
-				rc := RangeCond{Col: 0, Op: op, Val: value.NewInt(int64(bound % 16))}
+				sel := pred.Selection(0, 0, ops[int(opIdx)%len(ops)], value.NewInt(int64(bound%16)))
+				holds := func(r tuple.Row) bool { return sel.Eval(tuple.NewSingleton(1, 0, r)) }
 				d := mk()
 				want := 0
 				for i, k := range keys {
-					d.Insert(row(int64(k%16), int64(i)), tuple.Timestamp(i+1))
-					if evalRange(value.NewInt(int64(k%16)), rc) {
+					r := row(int64(k%16), int64(i))
+					d.Insert(r, tuple.Timestamp(i+1))
+					if holds(r) {
 						want++
 					}
 				}
 				got := 0
-				for _, e := range d.Candidates(Lookup{Ranges: []RangeCond{rc}}) {
-					if evalRange(e.Row[0], rc) {
+				for _, e := range d.Candidates(Lookup{}) {
+					if holds(e.Row) {
 						got++
 					}
 				}

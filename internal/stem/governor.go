@@ -143,9 +143,6 @@ func NewSpillGovernor(budgetBytes int64, policy AllocPolicy, dir string) (*Gover
 // mode.
 func (g *Governor) SpillActive() bool { return g != nil && g.bytesBudget > 0 }
 
-// SpillDir returns the per-run spill directory (empty in modeled mode).
-func (g *Governor) SpillDir() string { return g.dir }
-
 // register adds a SteM and returns its membership handle index.
 func (g *Governor) register() int {
 	g.mu.Lock()

@@ -16,7 +16,7 @@ import (
 // srcBatch is what an AM's columnar scan hands a SteM: rows transposed into
 // table's column vectors, with the source rows riding along.
 func srcBatch(nTables, table int, rows []tuple.Row) *flow.ColBatch {
-	cb := flow.NewColBatch(nTables)
+	cb := flow.GetColBatch(nTables)
 	cb.Span = tuple.Single(table)
 	cb.LoadRows(table, len(rows[0]), rows)
 	return cb
@@ -46,14 +46,14 @@ func TestBuildColsAllocations(t *testing.T) {
 	}
 
 	build() // warms the dictionary, the selection vector and the TS column
-	stored := sh.dict.(*HashDict).entries
+	stored := sh.dict.entries
 	for i, e := range stored {
 		if &e.Row[0] != &rows[i][0] {
 			t.Fatalf("entry %d holds a copy of its source row, want the row itself", i)
 		}
 	}
 	warm := testing.AllocsPerRun(20, func() {
-		sh.dict.(*HashDict).Clear()
+		sh.dict.Clear()
 		build()
 	})
 	if warm > 1 { // the []flow.ColEmission the batch comes back in
@@ -71,9 +71,9 @@ func TestBuildColsAllocations(t *testing.T) {
 
 	// A batch that lost its source rows falls back to one slab per batch.
 	cb.Tabs[0].Src = nil
-	sh.dict.(*HashDict).Clear()
+	sh.dict.Clear()
 	build()
-	if e := sh.dict.(*HashDict).entries[0]; &e.Row[0] == &rows[0][0] || !e.Row.Equal(rows[0]) {
+	if e := sh.dict.entries[0]; &e.Row[0] == &rows[0][0] || !e.Row.Equal(rows[0]) {
 		t.Fatalf("slab fallback stored %v for source row %v", e.Row, rows[0])
 	}
 }
@@ -86,7 +86,7 @@ func TestWindowedDictStaysCompact(t *testing.T) {
 	const bound = 2*window + compactMinDead + 1
 	q := twoTableQ(t, true, false)
 	s := newSteM(q, 0, func(c *Config) { c.Window = window })
-	hd := s.shards[0].dict.(*HashDict)
+	hd := s.shards[0].dict
 	key := value.NewInt(7)
 	for i := 0; i < total; i++ {
 		process(t, s, singleton(2, 0, tuple.Row{value.NewInt(int64(i)), key}))
@@ -123,7 +123,7 @@ func TestReleaseZeroesStorage(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		process(t, s, singleton(2, 0, row(int64(i), int64(i%7))))
 	}
-	hd := s.shards[0].dict.(*HashDict)
+	hd := s.shards[0].dict
 	s.Release()
 	if s.shards[0].dict != nil || s.Size() != 0 {
 		t.Fatalf("released SteM still holds a dictionary (Size %d)", s.Size())
@@ -157,9 +157,8 @@ func TestReleaseZeroesStorage(t *testing.T) {
 	// SteMs whose storage is not theirs to give, or that no Reset revives,
 	// keep it.
 	for name, opt := range map[string]func(*Config){
-		"custom dict": func(c *Config) { c.Dict = NewListDict() },
-		"windowed":    func(c *Config) { c.Window = 4 },
-		"governed":    func(c *Config) { c.Gov = NewGovernor(1<<20, AllocEqual, 0) },
+		"windowed": func(c *Config) { c.Window = 4 },
+		"governed": func(c *Config) { c.Gov = NewGovernor(1<<20, AllocEqual, 0) },
 	} {
 		s := newSteM(q, 0, opt)
 		process(t, s, singleton(2, 0, row(1, 10)))

@@ -245,11 +245,6 @@ func TestShardOfStability(t *testing.T) {
 			t.Fatalf("value %d: build shard %d != probe shard %d", v, bs, ps)
 		}
 	}
-	// A custom dictionary cannot be instantiated per shard: stays unsharded.
-	d := New(Config{Table: 1, Q: q, TS: &Counter{}, Shards: 8, Dict: NewListDict()})
-	if got := d.Shards(); got != 1 {
-		t.Fatalf("custom-dict SteM Shards() = %d, want 1", got)
-	}
 	// Window eviction order is global state: windowed SteMs stay unsharded
 	// so windowed results cannot depend on the shard count.
 	w := New(Config{Table: 1, Q: q, TS: &Counter{}, Shards: 8, Window: 4})

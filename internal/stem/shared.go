@@ -126,11 +126,6 @@ func (ss *SharedState) KeyCols() []int { return ss.keyCols }
 // Rows returns the number of distinct rows stored.
 func (ss *SharedState) Rows() int { return ss.rows }
 
-// HighWater returns the high-water mark of the build and its extensions:
-// every stored entry's timestamp is in [1, HighWater], the exact window an
-// attached probe covers.
-func (ss *SharedState) HighWater() tuple.Timestamp { return ss.highWater }
-
 // ResidentBytes returns the state's footprint, for catalog accounting.
 func (ss *SharedState) ResidentBytes() int64 { return ss.residentBytes.Load() }
 
@@ -144,8 +139,8 @@ func (ss *SharedState) Close() error { return nil }
 // belong to the SharedState and are never written.
 func newAttached(cfg Config) *SteM {
 	ss := cfg.Shared
-	if cfg.Dict != nil || cfg.Window > 0 || cfg.Gov != nil || cfg.BuildBounceBatch > 0 {
-		panic("stem: attached SteMs take no custom dict, window, governor, or build batching")
+	if cfg.Window > 0 || cfg.Gov != nil {
+		panic("stem: attached SteMs take no window or governor")
 	}
 	s := &SteM{
 		cfg:      cfg,
@@ -190,7 +185,3 @@ func newAttached(cfg Config) *SteM {
 	s.govID = -1
 	return s
 }
-
-// Shared returns the shared state this SteM is attached to (nil for a
-// private SteM).
-func (s *SteM) Shared() *SharedState { return s.shared }

@@ -61,9 +61,9 @@ func TestSharedExtendAgrees(t *testing.T) {
 				for _, part := range [][]tuple.Row{rows[k1:k2], rows[k2:]} {
 					ss.Extend(part)
 				}
-				if ss.Rows() != whole.Rows() || ss.HighWater() != whole.HighWater() || ss.ResidentBytes() != whole.ResidentBytes() {
+				if ss.Rows() != whole.Rows() || ss.highWater != whole.highWater || ss.ResidentBytes() != whole.ResidentBytes() {
 					t.Fatalf("cuts %d,%d: rows/highwater/bytes = %d/%d/%d, want %d/%d/%d", k1, k2,
-						ss.Rows(), ss.HighWater(), ss.ResidentBytes(), whole.Rows(), whole.HighWater(), whole.ResidentBytes())
+						ss.Rows(), ss.highWater, ss.ResidentBytes(), whole.Rows(), whole.highWater, whole.ResidentBytes())
 				}
 				got := sharedProbeKeys(t, ss, keys)
 				if len(got) != len(want) {

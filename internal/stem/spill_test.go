@@ -100,7 +100,7 @@ func TestSpillGovernorCloseRemovesDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := g.SpillDir()
+	run := g.dir
 	f, err := g.createSegment("t0-s0-p0.seg")
 	if err != nil {
 		t.Fatal(err)

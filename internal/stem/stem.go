@@ -73,10 +73,6 @@ type Config struct {
 	Q *query.Q
 	// TS is the shared build-timestamp counter.
 	TS *Counter
-	// Dict is the storage structure; nil defaults to a HashDict over the
-	// table's join columns. A custom Dict forces a single shard (there is no
-	// way to instantiate one per shard).
-	Dict Dict
 	// Shards splits the SteM into this many hash-partitioned sub-stores,
 	// rounded up to a power of two. 0 or 1 keeps a single store (the exact
 	// historical behaviour). Tables with no join columns are never sharded —
@@ -90,13 +86,6 @@ type Config struct {
 	PerMatchCost clock.Duration
 	// ProbeBounce selects the probe bounce-back mode.
 	ProbeBounce ProbeBounceMode
-	// BuildBounceBatch, when >0, holds back build bounce-backs and releases
-	// them in batches of this size, clustered by the hash partition of the
-	// first join column — the "asynchronous" bounce-back that makes the SteM
-	// routing simulate a Grace hash join (Section 3.1). 0 bounces builds
-	// immediately (symmetric-hash behaviour). With Shards > 1 the batching
-	// is per shard — which is precisely Grace's partition-wise processing.
-	BuildBounceBatch int
 	// Window, when >0, bounds the number of stored rows; the oldest rows are
 	// evicted on overflow, supporting sliding-window continuous queries
 	// (Section 2.3 mentions [17, 5] use SteMs with eviction). Eviction
@@ -112,9 +101,8 @@ type Config struct {
 	// Shared, when non-nil, attaches this SteM to catalog-owned sealed
 	// state (see shared.go): the SteM becomes a probe-only handle over the
 	// SharedState's dictionaries — always complete, never built into, shard
-	// count fixed by the state. Shards, Dict, Window, BuildBounceBatch, and
-	// Gov must be unset; the table's join columns must equal the state's key
-	// columns.
+	// count fixed by the state. Shards, Window and Gov must be unset; the
+	// table's join columns must equal the state's key columns.
 	Shared *SharedState
 }
 
@@ -169,14 +157,13 @@ type probeScratch struct {
 }
 
 // shard is one hash partition of a SteM: a dictionary with its own lock,
-// counters, Grace bounce-back buffer, and probe scratch. With one shard the
-// SteM degenerates to the historical single-store layout.
+// counters, and probe scratch. With one shard the SteM degenerates to the
+// historical single-store layout.
 type shard struct {
-	mu      sync.Mutex
-	dict    Dict
-	pending []*tuple.Tuple
-	stats   Stats
-	scr     probeScratch
+	mu    sync.Mutex
+	dict  *HashDict
+	stats Stats
+	scr   probeScratch
 	// spill is the disk-backed half of the shard under a real-spill
 	// governor; nil otherwise (see spill.go).
 	spill *shardSpill
@@ -275,15 +262,13 @@ func New(cfg Config) *SteM {
 	s.joinCols = JoinCols(cfg.Q, cfg.Table)
 
 	nsh := 1
-	if cfg.Shards > 1 && len(s.joinCols) > 0 && cfg.Dict == nil && cfg.Window == 0 {
+	if cfg.Shards > 1 && len(s.joinCols) > 0 && cfg.Window == 0 {
 		for nsh < cfg.Shards {
 			nsh <<= 1
 		}
 	}
-	// Real spill applies to the default hash dictionary only: a custom Dict
-	// may have semantics the segment codec cannot reproduce, and a windowed
-	// SteM's eviction order contradicts spill-at-build.
-	s.spillOn = cfg.Gov.SpillActive() && cfg.Dict == nil && cfg.Window == 0
+	// A windowed SteM's eviction order contradicts spill-at-build.
+	s.spillOn = cfg.Gov.SpillActive() && cfg.Window == 0
 	if nsh > 1 || (s.spillOn && len(s.joinCols) > 0) {
 		pc := s.joinCols[0]
 		if nsh > 1 {
@@ -309,11 +294,7 @@ func New(cfg Config) *SteM {
 	s.all = make([]*shard, nsh)
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if cfg.Dict != nil {
-			sh.dict = cfg.Dict
-		} else {
-			sh.dict = acquireDict(s.joinCols)
-		}
+		sh.dict = acquireDict(s.joinCols)
 		sh.scr.predCache = make(map[tuple.TableSet][]pred.P)
 		sh.idx = i
 		sh.self[0] = sh
@@ -331,7 +312,7 @@ func New(cfg Config) *SteM {
 }
 
 // JoinCols returns the columns of table t involved in join predicates of q —
-// the columns a default SteM builds hash indexes on.
+// the columns a SteM builds hash indexes on.
 func JoinCols(q *query.Q, t int) []int {
 	seen := make(map[int]bool)
 	var cols []int
@@ -362,9 +343,6 @@ func (s *SteM) Parallel() int { return len(s.shards) }
 // Shards implements flow.Sharded.
 func (s *SteM) Shards() int { return len(s.shards) }
 
-// Table returns the query position of the table this SteM materializes.
-func (s *SteM) Table() int { return s.cfg.Table }
-
 // Stats returns a snapshot of the SteM's counters, aggregated across shards.
 func (s *SteM) Stats() Stats {
 	var tot Stats
@@ -385,15 +363,14 @@ func (s *SteM) Stats() Stats {
 // Reset empties the SteM back to its just-constructed state so a pooled
 // router can run the same query again: empty dictionaries — its own, cleared
 // in place, or after a Release ones acquired from the process-wide pool —
-// cleared Grace bounce-back buffers, zeroed counters, no completeness
-// metadata. The per-shard predicate caches and probe scratch derive from the
-// query, not the run, and are kept — that reuse is part of the payoff of
-// pooling. Custom dictionaries and disk-backed (spilling) shards hold state
-// the SteM cannot reconstruct; such SteMs must not be pooled, and Reset panics
-// on them. Must not be called while a run is in progress.
+// zeroed counters, no completeness metadata. The per-shard predicate caches
+// and probe scratch derive from the query, not the run, and are kept — that
+// reuse is part of the payoff of pooling. Disk-backed (spilling) shards hold
+// state the SteM cannot reconstruct; such SteMs must not be pooled, and Reset
+// panics on them. Must not be called while a run is in progress.
 func (s *SteM) Reset() {
-	if s.cfg.Dict != nil || s.spillOn {
-		panic("stem: Reset requires the default in-memory dictionary without spill")
+	if s.spillOn {
+		panic("stem: Reset requires in-memory dictionaries without spill")
 	}
 	if s.shared != nil {
 		// Detach, don't clear: the dictionaries belong to the SharedState
@@ -402,7 +379,6 @@ func (s *SteM) Reset() {
 		// for pooled plan-cache shells).
 		for _, sh := range s.all {
 			sh.mu.Lock()
-			sh.pending = nil
 			sh.stats = Stats{}
 			sh.mu.Unlock()
 		}
@@ -419,12 +395,11 @@ func (s *SteM) Reset() {
 	}
 	for _, sh := range s.all {
 		sh.mu.Lock()
-		if hd, ok := sh.dict.(*HashDict); ok {
-			hd.Clear()
+		if sh.dict != nil {
+			sh.dict.Clear()
 		} else {
 			sh.dict = acquireDict(s.joinCols)
 		}
-		sh.pending = nil
 		sh.stats = Stats{}
 		sh.mu.Unlock()
 	}
@@ -443,20 +418,20 @@ func (s *SteM) Reset() {
 // Release hands the dictionaries' storage to the process-wide pool, cleared,
 // for whichever query builds next; the SteM holds no rows afterwards and must
 // be Reset before it is used again. Counters stay readable. Only a plain
-// private SteM releases: a custom dictionary is the caller's, shared state is
-// other queries' too, and a windowed or governed SteM's rows are on someone
-// else's books (the eviction count, the governor's byte ledger) that no Reset
-// rewinds — those keep their storage for the collector. Must not be called
-// while a run is in progress, nor between the rounds of a standing query: the
-// next round probes what the earlier ones built.
+// private SteM releases: shared state is other queries' too, and a windowed
+// or governed SteM's rows are on someone else's books (the eviction count,
+// the governor's byte ledger) that no Reset rewinds — those keep their
+// storage for the collector. Must not be called while a run is in progress,
+// nor between the rounds of a standing query: the next round probes what the
+// earlier ones built.
 func (s *SteM) Release() {
-	if s.cfg.Dict != nil || s.cfg.Window > 0 || s.govID >= 0 || s.shared != nil {
+	if s.cfg.Window > 0 || s.govID >= 0 || s.shared != nil {
 		return
 	}
 	for _, sh := range s.all {
 		sh.mu.Lock()
-		if hd, ok := sh.dict.(*HashDict); ok {
-			releaseDict(hd)
+		if sh.dict != nil {
+			releaseDict(sh.dict)
 			sh.dict = nil
 		}
 		sh.mu.Unlock()
@@ -473,17 +448,6 @@ func (s *SteM) Size() int {
 		if sh.dict != nil {
 			n += sh.dict.Len()
 		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// HeldBuilds returns the number of build tuples awaiting a batched bounce.
-func (s *SteM) HeldBuilds() int {
-	n := 0
-	for _, sh := range s.all {
-		sh.mu.Lock()
-		n += len(sh.pending)
 		sh.mu.Unlock()
 	}
 	return n
@@ -537,9 +501,10 @@ func (s *SteM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.D
 func (s *SteM) processOne(t *tuple.Tuple) ([]flow.Emission, clock.Duration) {
 	switch sd := s.ShardOf(t); sd {
 	case flow.ShardAll:
-		// Single-call delivery (simulator / unsharded engines): apply the
-		// EOT to every shard at once.
-		return s.applyEOTAll(t), s.cfg.BuildCost
+		// Single-call delivery (simulator / unsharded engines): the EOT is
+		// recorded on behalf of every shard at once.
+		s.recordEOT(t)
+		return nil, s.cfg.BuildCost
 	case flow.ShardAny:
 		return s.sweepRun([]*tuple.Tuple{t})
 	default:
@@ -561,15 +526,15 @@ func (s *SteM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clo
 }
 
 // ProcessShard implements flow.Sharded: services a batch delivered to one
-// shard's queue. EOT copies delivered here apply this shard's flush, with
-// the global completeness record applied by whichever delivery is last.
+// shard's queue. EOT copies delivered here count down to the global
+// completeness record, applied by whichever delivery is last.
 func (s *SteM) ProcessShard(shardIdx int, b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
 	return s.processRuns(b, shardIdx)
 }
 
 // processRuns drives a batch through shard-homogeneous runs. homeShard >= 0
-// marks per-shard delivery semantics for ShardAll tuples (flush only
-// homeShard, countdown the global record); -1 marks single-call semantics.
+// marks per-shard delivery semantics for ShardAll tuples (count down to the
+// global record); -1 marks single-call semantics.
 func (s *SteM) processRuns(b *flow.Batch, homeShard int) ([]flow.Emission, clock.Duration) {
 	var out []flow.Emission
 	var total clock.Duration
@@ -593,13 +558,11 @@ func (s *SteM) processRuns(b *flow.Batch, homeShard int) ([]flow.Emission, clock
 		switch sd {
 		case flow.ShardAll:
 			for _, t := range b.Tuples[i:j] {
-				var ems []flow.Emission
 				if homeShard >= 0 {
-					ems = s.applyEOTShard(homeShard, t)
+					s.applyEOTShard(t)
 				} else {
-					ems = s.applyEOTAll(t)
+					s.recordEOT(t)
 				}
-				out = append(out, ems...)
 				total += s.cfg.BuildCost
 			}
 		case flow.ShardAny:
@@ -630,12 +593,8 @@ func (s *SteM) processShardLocked(sh *shard, t *tuple.Tuple, pc *probeCache) ([]
 	case t.EOT != nil && t.EOT.Table == s.cfg.Table:
 		// Only reachable with a single shard (multi-shard EOTs are
 		// ShardAll): "all shards" is this one.
-		var out []flow.Emission
-		if len(t.EOT.BoundCols) == 0 && s.cfg.BuildBounceBatch > 0 {
-			out = s.flushPendingLocked(sh)
-		}
 		s.recordEOT(t)
-		return out, s.cfg.BuildCost
+		return nil, s.cfg.BuildCost
 	case t.IsSingleton() && t.SingleTable() == s.cfg.Table && !t.Built.Has(s.cfg.Table):
 		if pc != nil {
 			pc.invalidate()
@@ -718,17 +677,12 @@ func (pc *probeCache) invalidate() {
 }
 
 // candidates returns d's candidates for lk, consulting and filling the
-// cache for keyable (pure-equality) lookups. salt distinguishes the shard d
-// belongs to within one cache.
-func (pc *probeCache) candidates(d Dict, lk Lookup, salt uint64) []Entry {
+// cache. salt distinguishes the shard d belongs to within one cache.
+func (pc *probeCache) candidates(d *HashDict, lk Lookup, salt uint64) []Entry {
 	if pc == nil {
 		return d.Candidates(lk)
 	}
-	key, ok := lk.cacheKey()
-	if !ok {
-		return d.Candidates(lk)
-	}
-	key = value.MixUint64(key, salt)
+	key := value.MixUint64(lk.cacheKey(), salt)
 	for _, i := range pc.m[key] {
 		c := &pc.ents[i]
 		if c.salt == salt && lk.equiEqual(c.cols, c.vals) {
@@ -785,14 +739,14 @@ func (s *SteM) build(sh *shard, t *tuple.Tuple) []flow.Emission {
 			t.CompTS[s.cfg.Table] = ts
 			t.Built = t.Built.With(s.cfg.Table)
 			sh.stats.Builds++
-			return s.bounceBuild(sh, t)
+			return []flow.Emission{flow.Emit(t)}
 		}
 		sh.dict.Insert(row, ts)
 		s.liveRows.Add(1)
 		t.CompTS[s.cfg.Table] = ts
 		t.Built = t.Built.With(s.cfg.Table)
 		sh.stats.Builds++
-		return s.bounceBuild(sh, t)
+		return []flow.Emission{flow.Emit(t)}
 	}
 	sh.dict.Insert(row, ts)
 	t.CompTS[s.cfg.Table] = ts
@@ -817,72 +771,14 @@ func (s *SteM) build(sh *shard, t *tuple.Tuple) []flow.Emission {
 			}
 		}
 	}
-	return s.bounceBuild(sh, t)
-}
-
-// bounceBuild emits (or batches) the build bounce-back of t. sh.mu is held.
-func (s *SteM) bounceBuild(sh *shard, t *tuple.Tuple) []flow.Emission {
-	if s.cfg.BuildBounceBatch > 0 {
-		sh.pending = append(sh.pending, t)
-		if len(sh.pending) >= s.cfg.BuildBounceBatch {
-			return s.flushPendingLocked(sh)
-		}
-		return []flow.Emission{} // held; still in dataflow (engine tracks via pendingHold)
-	}
 	return []flow.Emission{flow.Emit(t)}
 }
 
-// flushPendingLocked releases sh's held build bounce-backs clustered by the
-// hash partition of the first join column, modelling the I/O locality of a
-// Grace hash join's partition-at-a-time processing. sh.mu must be held.
-func (s *SteM) flushPendingLocked(sh *shard) []flow.Emission {
-	p := sh.pending
-	sh.pending = nil
-	if len(s.joinCols) > 0 {
-		c := s.joinCols[0]
-		sort.SliceStable(p, func(i, j int) bool {
-			hi := p[i].Comp[s.cfg.Table][c].Hash64() % 16
-			hj := p[j].Comp[s.cfg.Table][c].Hash64() % 16
-			return hi < hj
-		})
-	}
-	out := make([]flow.Emission, len(p))
-	for i, t := range p {
-		out[i] = flow.Emit(t)
-	}
-	return out
-}
-
-// applyEOTAll records an End-Of-Transmission tuple in one call, on behalf of
-// every shard: "an EOT tuple from an AM on S is also routed as a build tuple
-// to SteM(S)"; it is stored (as completeness metadata) and consumed. A full
-// (scan) EOT also flushes any held batched builds, shard by shard.
-func (s *SteM) applyEOTAll(t *tuple.Tuple) []flow.Emission {
-	var out []flow.Emission
-	if len(t.EOT.BoundCols) == 0 && s.cfg.BuildBounceBatch > 0 {
-		for _, sh := range s.all {
-			sh.mu.Lock()
-			out = append(out, s.flushPendingLocked(sh)...)
-			sh.mu.Unlock()
-		}
-	}
-	s.recordEOT(t)
-	return out
-}
-
 // applyEOTShard handles one per-shard delivery of a replicated EOT tuple
-// (flow.ShardAll): this shard's flush happens now; the global completeness
-// record waits for the last shard's delivery, guaranteeing every build
-// queued ahead of the EOT in any shard has been stored before the SteM
-// claims completeness.
-func (s *SteM) applyEOTShard(shardIdx int, t *tuple.Tuple) []flow.Emission {
-	var out []flow.Emission
-	if len(t.EOT.BoundCols) == 0 && s.cfg.BuildBounceBatch > 0 {
-		sh := &s.shards[shardIdx]
-		sh.mu.Lock()
-		out = s.flushPendingLocked(sh)
-		sh.mu.Unlock()
-	}
+// (flow.ShardAll): the global completeness record waits for the last shard's
+// delivery, guaranteeing every build queued ahead of the EOT in any shard has
+// been stored before the SteM claims completeness.
+func (s *SteM) applyEOTShard(t *tuple.Tuple) {
 	s.eotMu.Lock()
 	if s.eotSeen == nil {
 		s.eotSeen = make(map[*tuple.Tuple]int)
@@ -896,10 +792,11 @@ func (s *SteM) applyEOTShard(shardIdx int, t *tuple.Tuple) []flow.Emission {
 	if last {
 		s.recordEOT(t)
 	}
-	return out
 }
 
-// recordEOT applies an EOT tuple's global effect: a full EOT marks the SteM
+// recordEOT applies an End-Of-Transmission tuple's global effect ("an EOT
+// tuple from an AM on S is also routed as a build tuple to SteM(S)"; it is
+// stored, as completeness metadata, and consumed): a full EOT marks the SteM
 // complete; an index EOT records its bound-value row in the completeness
 // index for its bound-column signature.
 func (s *SteM) recordEOT(t *tuple.Tuple) {

@@ -318,33 +318,6 @@ func TestWindowEviction(t *testing.T) {
 	}
 }
 
-// TestGraceBatchedBounce: with BuildBounceBatch, build bounce-backs are held
-// and released in partition-clustered batches; a full EOT flushes stragglers
-// (the Grace hash join simulation of Section 3.1).
-func TestGraceBatchedBounce(t *testing.T) {
-	q := twoTableQ(t, true, false)
-	sR := newSteM(q, 0, func(c *Config) { c.BuildBounceBatch = 3 })
-	var released int
-	for i := int64(0); i < 7; i++ {
-		out := process(t, sR, singleton(2, 0, row(i, i)))
-		released += len(out)
-	}
-	if released != 6 { // two batches of 3; 1 held
-		t.Fatalf("released %d bounce-backs, want 6", released)
-	}
-	if sR.HeldBuilds() != 1 {
-		t.Fatalf("HeldBuilds = %d, want 1", sR.HeldBuilds())
-	}
-	eot := tuple.NewEOT(2, 0, tuple.Row{value.NewEOT(), value.NewEOT()}, nil)
-	out := process(t, sR, eot)
-	if len(out) != 1 {
-		t.Fatalf("full EOT must flush the held build, got %d", len(out))
-	}
-	if sR.HeldBuilds() != 0 {
-		t.Error("flush left held builds behind")
-	}
-}
-
 // TestJoinCols extracts exactly the columns involved in join predicates.
 func TestJoinCols(t *testing.T) {
 	q := twoTableQ(t, true, false)

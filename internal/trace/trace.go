@@ -155,9 +155,6 @@ func (c *Collector) Reset() {
 // Modules returns the per-module aggregates.
 func (c *Collector) Modules() []ModStats { return c.mods }
 
-// Results returns the number of result emissions observed.
-func (c *Collector) Results() uint64 { return c.outputs }
-
 // ModuleRecord is one module's aggregates in wire form.
 type ModuleRecord struct {
 	Name    string `json:"name"`

@@ -114,8 +114,8 @@ func TestAttachConcurrentGathersModuleStats(t *testing.T) {
 	if len(outs) != 2 || streamed != 2 {
 		t.Fatalf("outputs=%d chained=%d, want 2 and 2", len(outs), streamed)
 	}
-	if c.Results() != 2 {
-		t.Errorf("collector results = %d, want 2", c.Results())
+	if got := c.Record(nil).Results; got != 2 {
+		t.Errorf("collector results = %d, want 2", got)
 	}
 	for _, m := range c.Modules() {
 		if m.Visits == 0 {
@@ -175,7 +175,7 @@ func TestCollectorReset(t *testing.T) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Results() == 0 {
+	if c.Record(nil).Results == 0 {
 		t.Fatal("run collected nothing; Reset test is vacuous")
 	}
 	before, _ := json.Marshal(NewCollector(r.Modules()).Record(nil))

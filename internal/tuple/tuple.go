@@ -19,13 +19,6 @@ import (
 // component (Definition 1).
 type Row []value.V
 
-// Clone returns a deep copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // Equal reports value-equality of two rows.
 func (r Row) Equal(o Row) bool {
 	if len(r) != len(o) {
@@ -367,24 +360,19 @@ func (t *Tuple) Concat(m *Tuple) *Tuple {
 	return out
 }
 
-// ConcatRow returns a new tuple extending t with a single built base-table
+// ConcatRowInto returns a tuple extending t with a single built base-table
 // component: row at table position table with build timestamp ts. It is the
 // common case of Concat on SteM and AM probe paths — concatenating a stored
 // singleton — without materializing the singleton tuple first. It panics if
-// t already spans table.
-func (t *Tuple) ConcatRow(table int, row Row, ts Timestamp) *Tuple {
-	return t.ConcatRowInto(nil, table, row, ts)
-}
-
-// ConcatRowInto is ConcatRow writing into dst, reusing dst's component
-// slices when they have capacity; dst may be nil, in which case a fresh
-// tuple is allocated. Probe paths recycle concatenations that fail predicate
-// verification through dst, so a probe with many non-qualifying candidates
-// allocates once, not once per candidate. The returned tuple's routing state
-// is reset, exactly as Concat resets it.
+// t already spans table. The result is written into dst, reusing dst's
+// component slices when they have capacity; dst may be nil, in which case a
+// fresh tuple is allocated. Probe paths recycle concatenations that fail
+// predicate verification through dst, so a probe with many non-qualifying
+// candidates allocates once, not once per candidate. The returned tuple's
+// routing state is reset, exactly as Concat resets it.
 func (t *Tuple) ConcatRowInto(dst *Tuple, table int, row Row, ts Timestamp) *Tuple {
 	if t.Span.Has(table) {
-		panic("tuple: ConcatRow onto already-spanned table " + Single(table).String())
+		panic("tuple: ConcatRowInto onto already-spanned table " + Single(table).String())
 	}
 	n := len(t.Comp)
 	if dst == nil || cap(dst.Comp) < n || cap(dst.CompTS) < n {

@@ -192,15 +192,6 @@ func TestSingleTablePanicsOnComposite(t *testing.T) {
 	a.SingleTable()
 }
 
-func TestRowClone(t *testing.T) {
-	r := row(1, 2)
-	c := r.Clone()
-	c[0] = value.NewInt(99)
-	if !r[0].Equal(value.NewInt(1)) {
-		t.Error("Clone shares storage")
-	}
-}
-
 // TestEachMatchesMembers: the allocation-free iterator visits exactly the
 // Members sequence, and supports early exit.
 func TestEachMatchesMembers(t *testing.T) {
@@ -272,9 +263,9 @@ func TestConcatRowMatchesConcat(t *testing.T) {
 	m.Built = Single(2)
 
 	want := base.Concat(m)
-	got := base.ConcatRow(2, row, 7)
+	got := base.ConcatRowInto(nil, 2, row, 7)
 	if got.Span != want.Span || got.Done != want.Done || got.Built != want.Built {
-		t.Fatalf("ConcatRow state = %v/%v/%v, want %v/%v/%v",
+		t.Fatalf("ConcatRowInto state = %v/%v/%v, want %v/%v/%v",
 			got.Span, got.Done, got.Built, want.Span, want.Done, want.Built)
 	}
 	for i := range want.Comp {
@@ -296,8 +287,8 @@ func TestConcatRowMatchesConcat(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Error("ConcatRow onto a spanned table must panic")
+			t.Error("ConcatRowInto onto a spanned table must panic")
 		}
 	}()
-	base.ConcatRow(0, row, 1)
+	base.ConcatRowInto(nil, 0, row, 1)
 }

@@ -55,9 +55,6 @@ type RSpec struct {
 	Seed      int64
 }
 
-// PaperRSpec returns Table 3's R parameters.
-func PaperRSpec() RSpec { return RSpec{Rows: 1000, DistinctA: 250, Seed: 1} }
-
 // RTable generates R ⟨key, a⟩: key = 0..Rows-1, a uniform over DistinctA
 // values.
 func RTable(spec RSpec) *source.Table {
@@ -120,29 +117,6 @@ func Uniform(name string, rows, cols, domain int, seed int64) *source.Table {
 		row[0] = value.NewInt(int64(i))
 		for c := 1; c < cols; c++ {
 			row[c] = value.NewInt(int64(rng.Intn(domain)))
-		}
-		out[i] = row
-	}
-	return source.MustTable(sch, out)
-}
-
-// Zipf generates a table whose non-key columns follow a Zipf(s) distribution
-// over domain, for skewed-join benchmarks.
-func Zipf(name string, rows, cols, domain int, s float64, seed int64) *source.Table {
-	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, s, 1, uint64(domain-1))
-	sc := make([]schema.Column, cols)
-	sc[0] = schema.IntCol("key")
-	for c := 1; c < cols; c++ {
-		sc[c] = schema.IntCol(string(rune('a' + c - 1)))
-	}
-	sch := schema.MustTable(name, sc...)
-	out := make([]tuple.Row, rows)
-	for i := range out {
-		row := make(tuple.Row, cols)
-		row[0] = value.NewInt(int64(i))
-		for c := 1; c < cols; c++ {
-			row[c] = value.NewInt(int64(z.Uint64()))
 		}
 		out[i] = row
 	}

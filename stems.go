@@ -142,9 +142,9 @@ type Options struct {
 	// pass after the sources are exhausted. Results are set-identical to an
 	// unbounded run at any budget, on either engine. Spill files live in a
 	// private per-run directory and are removed when Run returns, including
-	// on cancellation. Windowed tables (see Window) and custom dictionaries
-	// govern their own memory and are exempt from the budget: their rows
-	// stay resident and unaccounted.
+	// on cancellation. Windowed tables (see Window) govern their own memory
+	// and are exempt from the budget: their rows stay resident and
+	// unaccounted.
 	MemoryBudgetBytes int64
 	// SpillDir is the directory spill segments are created under when
 	// MemoryBudgetBytes is set; empty defaults to os.TempDir(). Each run
@@ -158,7 +158,7 @@ type Options struct {
 	// least one table must stay unattached (its scan drives the dataflow),
 	// and any number of concurrent Runs may attach the same state. Shared
 	// tables ignore Shards (the state's shard count wins) and cannot be
-	// windowed, governed, or given custom dictionaries.
+	// windowed or governed.
 	Shared map[string]*SharedState
 	// Deadline stops the simulation engine at the given virtual time
 	// (for continuous queries); zero runs to completion.
