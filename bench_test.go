@@ -325,14 +325,16 @@ func BenchmarkConcurrentMultiway_Batch64(b *testing.B) { benchConcurrentBatch(b,
 
 // Sharded-SteM ablation: the same three-way join with each SteM hash-
 // partitioned into N shards, one concurrent-engine worker per shard. The
-// clock is uncompressed, so the modeled per-operation service costs (5µs
-// hash probes, 1µs per match — the paper's main-memory scale) elapse for
-// real and the benchmark measures throughput the way a deployment would:
-// with one store per SteM every build and probe of a table serializes
-// behind one lock/worker; with N shards they overlap across partitions.
-// This is the intra-operator parallelism lever — on multi-core hardware the
-// same partitioning spreads the CPU work of concatenation and verification
-// as well.
+// clock runs at scale 1, where the declared per-operation service costs (5µs
+// hash probes, 1µs per match — the paper's main-memory scale) are above what
+// the builds and probes really take, so each service is held to its declared
+// cost and the benchmark measures how that remainder overlaps: with one store
+// per SteM every build and probe of a table serializes behind one
+// lock/worker; with N shards they overlap across partitions. (At the
+// engine's default scale the same costs are nanoseconds, below the real
+// work, and nothing is held.) This is the intra-operator parallelism lever —
+// on multi-core hardware the same partitioning spreads the CPU work of
+// concatenation and verification as well.
 
 func benchShardedMultiway(b *testing.B, shards int) {
 	b.Helper()
@@ -375,7 +377,7 @@ func benchSpillMultiway(b *testing.B, budget int64) {
 		var gov *stem.Governor
 		if budget > 0 {
 			var err error
-			gov, err = stem.NewSpillGovernor(budget, stem.AllocByProbes, b.TempDir())
+			gov, err = stem.NewSpillGovernor(budget, b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -416,26 +418,6 @@ func benchSpillMultiway(b *testing.B, budget int64) {
 func BenchmarkSpillMultiway_Unbounded(b *testing.B) { benchSpillMultiway(b, 0) }
 func BenchmarkSpillMultiway_Budget4x(b *testing.B)  { benchSpillMultiway(b, 40<<10) }
 func BenchmarkSpillMultiway_Budget1(b *testing.B)   { benchSpillMultiway(b, 1) }
-
-// Memory-governance ablation (Section 6): equal vs probe-frequency
-// allocation under a halved resident budget.
-
-func benchGovernor(b *testing.B, policy stem.AllocPolicy) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		gov := stem.NewGovernor(256, policy, 5*clock.Millisecond)
-		r, err := eddy.NewRouter(benchQ(512), eddy.Options{Governor: gov})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eddy.NewSim(r).Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGovernor_Equal(b *testing.B)    { benchGovernor(b, stem.AllocEqual) }
-func BenchmarkGovernor_ByProbes(b *testing.B) { benchGovernor(b, stem.AllocByProbes) }
 
 // Micro-benches on the SteM itself.
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-run fig1,fig2,fig7,fig8,competitive,spanning,reorder,memory,sweep|all] [-samples N] [-quick]
+//	experiments [-run fig1,fig2,fig7,fig8,competitive,spanning,reorder,sweep|all] [-samples N] [-quick]
 //
 // -quick shrinks the workloads so the full suite runs in well under a
 // second; the default sizes match the paper's (Table 3).
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	runList := flag.String("run", "all", "comma-separated experiment ids (fig1,fig2,fig7,fig8,competitive,spanning,reorder,memory,sweep) or 'all'")
+	runList := flag.String("run", "all", "comma-separated experiment ids (fig1,fig2,fig7,fig8,competitive,spanning,reorder,sweep) or 'all'")
 	samples := flag.Int("samples", 20, "rows per rendered series table")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	flag.Parse()
@@ -42,7 +42,6 @@ func main() {
 	var cc experiments.CompetitiveConfig
 	var sp experiments.SpanningConfig
 	var ro experiments.ReorderConfig
-	var mc experiments.MemoryConfig
 	if *quick {
 		f7 = experiments.Fig7Config{RRows: 200, DistinctA: 50}
 		f8 = experiments.Fig8Config{Rows: 200}
@@ -50,7 +49,6 @@ func main() {
 		cc = experiments.CompetitiveConfig{Rows: 120, DistinctA: 30}
 		sp = experiments.SpanningConfig{Rows: 60, StallAfter: 10, StallFor: 5 * clock.Second}
 		ro = experiments.ReorderConfig{Rows: 400}
-		mc = experiments.MemoryConfig{Rows: 100}
 	}
 
 	list := []exp{
@@ -61,7 +59,6 @@ func main() {
 		{"competitive", func() (*experiments.Result, error) { return experiments.Competitive(cc) }},
 		{"spanning", func() (*experiments.Result, error) { return experiments.Spanning(sp) }},
 		{"reorder", func() (*experiments.Result, error) { return experiments.Reorder(ro) }},
-		{"memory", func() (*experiments.Result, error) { return experiments.Memory(mc) }},
 	}
 
 	ok := true

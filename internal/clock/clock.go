@@ -67,9 +67,9 @@ func (r *Real) Now() Time {
 var timerPool sync.Pool
 
 // WaitOrDone blocks for the virtual duration d, returning false early when
-// done closes. It waits on a pooled timer: the concurrent engine sleeps a
-// modeled duration on every batch service and every delayed emission, and a
-// channel + timer per call made those waits a top allocation site.
+// done closes. It waits on a pooled timer: the concurrent engine waits out
+// every declared source latency and every delayed emission, and a channel +
+// timer per call made those waits a top allocation site.
 func (r *Real) WaitOrDone(d Duration, done <-chan struct{}) bool {
 	if d <= 0 {
 		return true

@@ -14,9 +14,7 @@
 //
 // A Spec says what to run, never how the engine should carry it: which batch
 // representation moves (rows or column vectors) is the engine's decision,
-// made from what it observes, and the only governor a Spec can ask for is the
-// real-spill one (the simulator's modeled governor belongs to the experiment
-// harness).
+// made from what it observes.
 //
 // Choosing an engine: Sim is the deterministic discrete-event reference —
 // identical output sequences run to run, virtual time, deadlines — and is
@@ -94,9 +92,7 @@ type Spec struct {
 	SkipBuild      bool
 	SkipBuildTable int
 	// MemoryBytes > 0 governs all SteMs with real disk spill into a private
-	// subdirectory of SpillDir (default os.TempDir()). (The simulator's
-	// modeled governor, stem.NewGovernor, is the experiments' tool and is
-	// not reachable from a Spec.)
+	// subdirectory of SpillDir (default os.TempDir()).
 	MemoryBytes int64
 	SpillDir    string
 	// Deadline stops the Sim engine at that virtual time; OnEmit observes
@@ -191,7 +187,7 @@ func (e *Exec) build() error {
 		if dir == "" {
 			dir = os.TempDir()
 		}
-		if gov, err = stem.NewSpillGovernor(sp.MemoryBytes, stem.AllocByProbes, dir); err != nil {
+		if gov, err = stem.NewSpillGovernor(sp.MemoryBytes, dir); err != nil {
 			return err
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // constructors are the calls only an assembly makes, by import path.
 var constructors = map[string][]string{
 	"repro/internal/eddy": {"NewRouter", "NewConcurrent", "NewSim"},
-	"repro/internal/stem": {"NewSpillGovernor", "NewGovernor"},
+	"repro/internal/stem": {"NewSpillGovernor"},
 }
 
 // assemblers may call them: this package; the engines' own package; the

@@ -1,9 +1,10 @@
 // concurrent.go is the channel-based engine: every module runs in its own
 // goroutine (a worker pool sized by Parallel()), exchanging batches of
 // tuples with the eddy over channels — the paper's Telegraph setting, where
-// "each module runs asynchronously in a separate thread". Service costs and
-// source latencies elapse on a real clock, scaled (defaultScale) so the
-// paper's multi-minute runs finish in milliseconds.
+// "each module runs asynchronously in a separate thread". Time is a real
+// clock, scaled (defaultScale) so a declared source latency of the paper's
+// multi-minute runs elapses in milliseconds; a module's returned cost is a
+// floor on its service time, never a sleep added to the work it really did.
 //
 // Dataflow is batch-at-a-time: the eddy coalesces routed tuples into
 // per-module batches of up to BatchSize, so channel sends, inbox wakeups,
@@ -174,13 +175,14 @@ func (b *inbox) reopen() {
 // eddyEvent is a message to the eddy goroutine: a batch of tuples to route,
 // policy feedback from a module worker (policies are not thread-safe, so
 // all policy calls happen on the eddy goroutine), or an already-routed
-// tuple to deliver to its module through the eddy-goroutine-only enqueue
-// path (deliverT set; used for delayed broadcast deliveries that need the
-// flush-first ordering discipline).
+// tuple or columnar batch whose router-decided delay has elapsed, to enqueue
+// for module deliverMod (deliverT or deliverCol set; the coalescing buffers
+// and the flush-first broadcast discipline are eddy-goroutine-only).
 type eddyEvent struct {
 	b          *flow.Batch
 	fb         *policy.Feedback
 	deliverT   *tuple.Tuple
+	deliverCol *flow.ColBatch
 	deliverMod int
 }
 
@@ -282,10 +284,8 @@ type Concurrent struct {
 	// columnar batch across a sharded module's inboxes.
 	pendCol  []map[pendKey]*flow.ColBatch
 	colParts []*flow.ColBatch
-	// anyRR round-robins flow.ShardAny tuples across shard inboxes; atomic
-	// because both the eddy goroutine (enqueue) and timer goroutines
-	// (deliverDirect) draw from it.
-	anyRR     []atomic.Int64
+	// anyRR round-robins flow.ShardAny batches across shard inboxes.
+	anyRR     []int
 	staging   *flow.Batch
 	decisions []Decision
 
@@ -299,7 +299,7 @@ type Concurrent struct {
 
 // defaultScale is the clock scale of an engine whose caller passes no clock —
 // every engine outside this package's tests: one virtual second (of index
-// latency, scan pacing or modeled service cost) per wall millisecond.
+// latency or scan pacing) per wall millisecond.
 const defaultScale = 0.001
 
 // NewConcurrent prepares a concurrent run. clk nil means a fresh clock at
@@ -350,9 +350,7 @@ func (c *Concurrent) Reset() {
 	for i := range c.costEWMA {
 		c.costEWMA[i].Store(0)
 	}
-	for i := range c.anyRR {
-		c.anyRR[i].Store(0)
-	}
+	clear(c.anyRR)
 	// The previous run's shutdown closed every inbox (possibly with dropped
 	// batches still queued); rearm them empty.
 	for _, boxes := range c.inboxes {
@@ -450,7 +448,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 		c.colShard = make([]flow.ColSharded, len(mods))
 		c.pendCount = make([]int, len(mods))
 		c.batchCap = make([]int, len(mods))
-		c.anyRR = make([]atomic.Int64, len(mods))
+		c.anyRR = make([]int, len(mods))
 		c.staging = flow.NewBatch(c.BatchSize)
 	}
 	// Columnar capability is recomputed every run: BatchSize may change
@@ -564,6 +562,8 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				fbPool.Put(ev.fb)
 			} else if ev.deliverT != nil {
 				c.enqueue(ev.deliverMod, ev.deliverT)
+			} else if ev.deliverCol != nil {
+				c.enqueueCol(ev.deliverMod, ev.deliverCol)
 			} else if ev.b.Col != nil {
 				// A columnar batch is already a batch: it routes as one unit
 				// immediately, preserving its order in the event stream
@@ -804,10 +804,10 @@ func (c *Concurrent) colCapable(mod int) bool {
 // row addresses one shard — sweep batches (ShardAny) always do, the binding
 // is span-determined and thus batch-uniform — cb stays whole and that shard
 // comes back with a nil slice. Otherwise the rows move into one pooled batch
-// per shard in parts (allocated when nil; entries must be nil on entry), cb
-// returns to the pool, and parts comes back. EOT markers never travel
-// columnar, so there is no ShardAll case.
-func (c *Concurrent) splitCol(mod int, cb *flow.ColBatch, parts []*flow.ColBatch) (int, []*flow.ColBatch) {
+// per shard in the colParts scratch (entries are nil on entry and the caller
+// nils the ones it takes), cb returns to the pool, and the scratch comes
+// back. EOT markers never travel columnar, so there is no ShardAll case.
+func (c *Concurrent) splitCol(mod int, cb *flow.ColBatch) (int, []*flow.ColBatch) {
 	sm := c.colShard[mod]
 	rows := cb.Rows()
 	first := sm.ShardOfCol(cb, cb.RowAt(0))
@@ -821,9 +821,11 @@ func (c *Concurrent) splitCol(mod int, cb *flow.ColBatch, parts []*flow.ColBatch
 	if same == rows {
 		return first, nil
 	}
-	if parts == nil {
-		parts = make([]*flow.ColBatch, len(c.inboxes[mod]))
+	nsh := len(c.inboxes[mod])
+	if cap(c.colParts) < nsh {
+		c.colParts = make([]*flow.ColBatch, nsh)
 	}
+	parts := c.colParts[:nsh]
 	for k := 0; k < rows; k++ {
 		i := cb.RowAt(k)
 		s := sm.ShardOfCol(cb, i)
@@ -851,11 +853,7 @@ func (c *Concurrent) enqueueCol(mod int, cb *flow.ColBatch) {
 		}
 		flow.PutColBatch(cb)
 	case c.sharded[mod] != nil:
-		nsh := len(c.inboxes[mod])
-		if cap(c.colParts) < nsh {
-			c.colParts = make([]*flow.ColBatch, nsh)
-		}
-		shard, parts := c.splitCol(mod, cb, c.colParts[:nsh])
+		shard, parts := c.splitCol(mod, cb)
 		if parts == nil {
 			c.pendColAdd(mod, shard, cb)
 			return
@@ -911,54 +909,12 @@ func (c *Concurrent) pushColTo(mod, shard int, cb *flow.ColBatch) {
 	c.pushTo(mod, shard, getColShell(cb))
 }
 
-// deliverDirectCol delivers a delayed columnar batch straight to the
-// module's inboxes (timer goroutines; the eddy-only coalescing buffers and
-// partition scratch are off limits, and the pools are safe to use from here).
-func (c *Concurrent) deliverDirectCol(mod int, cb *flow.ColBatch) {
-	switch {
-	case !c.colCapable(mod):
-		for _, t := range cb.Materialize() {
-			c.deliverDirect(mod, t)
-		}
-		flow.PutColBatch(cb)
-	case c.sharded[mod] != nil:
-		shard, parts := c.splitCol(mod, cb, nil)
-		if parts == nil {
-			c.pushColTo(mod, shard, cb)
-			return
-		}
-		for s, p := range parts {
-			if p != nil {
-				c.pushColTo(mod, s, p)
-			}
-		}
-	default:
-		c.pushColTo(mod, 0, cb)
-	}
-}
-
-// deliverDirect delivers a delayed tuple straight to the module's inboxes,
-// bypassing the eddy-goroutine-only coalescing buffers (it runs on timer
-// goroutines). Today only probes are ever delayed; should a broadcast
-// (flow.ShardAll) tuple ever arrive here, it is bounced to the eddy
-// goroutine instead, whose enqueue applies the flush-first discipline that
-// keeps builds ordered ahead of EOT copies in every shard inbox.
-func (c *Concurrent) deliverDirect(mod int, t *tuple.Tuple) {
-	switch shard := c.shardOf(mod, t); shard {
-	case flow.ShardAll:
-		c.events <- eddyEvent{deliverT: t, deliverMod: mod}
-	case flow.ShardAny:
-		c.inboxes[mod][c.nextAny(mod)].push(getBatchOf(t))
-	default:
-		c.inboxes[mod][shard].push(getBatchOf(t))
-	}
-}
-
 // nextAny picks the next shard inbox for a flow.ShardAny tuple, spreading
 // sweep probes across workers (any worker may serve them — the module
 // synchronizes across shards itself).
 func (c *Concurrent) nextAny(mod int) int {
-	return int(c.anyRR[mod].Add(1) % int64(len(c.inboxes[mod])))
+	c.anyRR[mod] = (c.anyRR[mod] + 1) % len(c.inboxes[mod])
+	return c.anyRR[mod]
 }
 
 // flushModule releases every non-empty pending batch of one module, columnar
@@ -1008,35 +964,45 @@ func (c *Concurrent) worker(mod, shard int, wg *sync.WaitGroup) {
 		var rows []flow.Emission
 		var cols []flow.ColEmission
 		var cost clock.Duration
+		start := c.clk.Now()
 		switch {
 		case sharded != nil && colShard != nil:
-			rows, cols, cost = colShard.ProcessColShard(shard, b, c.clk.Now())
+			rows, cols, cost = colShard.ProcessColShard(shard, b, start)
 		case sharded != nil:
-			rows, cost = sharded.ProcessShard(shard, b, c.clk.Now())
+			rows, cost = sharded.ProcessShard(shard, b, start)
 		case colMod != nil:
-			rows, cols, cost = colMod.ProcessColBatch(b, c.clk.Now())
+			rows, cols, cost = colMod.ProcessColBatch(b, start)
 		default:
-			rows, cost = rowMod.ProcessBatch(b, c.clk.Now())
+			rows, cost = rowMod.ProcessBatch(b, start)
 		}
-		c.finish(mod, shard, b, in, rows, cols, cost)
+		c.finish(mod, shard, b, in, rows, cols, start, cost)
 	}
 }
 
 // finish applies the post-service accounting of one batch, row or columnar:
-// sleep the service cost, adjust the in-flight counter, report policy
-// feedback, and send the emissions back to the eddy. All counters are row
-// counts (a columnar emission contributes its live rows; inRows is the input
-// batch's, taken before service). Columnar emissions enter the event stream
-// before row emissions (an AM's scan chunks must precede its row EOT so the
-// flush-first broadcast discipline can order the inboxes), and the input
-// batch's columnar payload returns to the pool unless the module re-emitted
-// it (a bounce).
-func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []flow.Emission, colEms []flow.ColEmission, cost clock.Duration) {
+// hold the service to its declared cost, adjust the in-flight counter, report
+// policy feedback, and send the emissions back to the eddy. The cost a module
+// returns is a floor on its service time, begun at start: a declared source
+// latency (an index AM's LATENCY) elapses in full, while work that already
+// took longer than its cost — every in-memory build, probe, filter and scan
+// at the default scale — arms no timer. What the policy, Backlog and the trace
+// collector see is the service time that elapsed on the engine clock. All
+// counters are row counts (a columnar emission contributes its live rows;
+// inRows is the input batch's, taken before service). Columnar emissions enter
+// the event stream before row emissions (an AM's scan chunks must precede its
+// row EOT so the flush-first broadcast discipline can order the inboxes), and
+// the input batch's columnar payload returns to the pool unless the module
+// re-emitted it (a bounce).
+func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []flow.Emission, colEms []flow.ColEmission, start clock.Time, cost clock.Duration) {
 	cb := b.Col
-	c.observeCost(mod, cost, inRows)
-	// The modeled service cost elapses interruptibly: a canceled run must
-	// not wait out the remaining sleep.
-	c.clk.WaitOrDone(cost, c.done)
+	now := c.clk.Now()
+	if rest := cost - clock.Duration(now-start); rest > 0 {
+		// Interruptibly: a canceled run must not wait out the remainder.
+		c.clk.WaitOrDone(rest, c.done)
+		now = c.clk.Now()
+	}
+	service := clock.Duration(now - start)
+	c.observeCost(mod, service, inRows)
 
 	outRows := len(rowEms)
 	newRows := 0
@@ -1069,7 +1035,7 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 	}
 	fb := policy.Feedback{
 		Module: mod, Shard: shard, Sig: sig,
-		Outputs: newRows, Emitted: outRows, Cost: cost, Now: c.clk.Now(),
+		Outputs: newRows, Emitted: outRows, Cost: service, Now: now,
 		Visits: inRows,
 	}
 	if cb != nil && !bounced {
@@ -1143,11 +1109,11 @@ func (c *Concurrent) sendDelayed(ems []flow.Emission) {
 	}()
 }
 
-// deliverAfter hands an already-routed tuple or columnar batch straight to
-// module mod's inboxes once the router-decided delay d has elapsed, on a
-// tracked sender goroutine that gives up when the run winds down first.
-// (It takes the payload as plain arguments, not a func: a closure per
-// delayed delivery is a heap allocation.)
+// deliverAfter hands an already-routed tuple or columnar batch back to the
+// eddy goroutine, to enqueue for module mod, once the router-decided delay d
+// has elapsed — on a tracked sender goroutine that gives up when the run
+// winds down first. (It takes the payload as plain arguments, not a func: a
+// closure per delayed delivery is a heap allocation.)
 func (c *Concurrent) deliverAfter(d clock.Duration, mod int, t *tuple.Tuple, cb *flow.ColBatch) {
 	c.senders.Add(1)
 	go func() {
@@ -1155,10 +1121,9 @@ func (c *Concurrent) deliverAfter(d clock.Duration, mod int, t *tuple.Tuple, cb 
 		if !c.clk.WaitOrDone(d, c.done) {
 			return
 		}
-		if cb != nil {
-			c.deliverDirectCol(mod, cb)
-		} else {
-			c.deliverDirect(mod, t)
+		select {
+		case c.events <- eddyEvent{deliverT: t, deliverCol: cb, deliverMod: mod}:
+		case <-c.done:
 		}
 	}()
 }

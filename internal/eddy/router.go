@@ -324,14 +324,14 @@ func (r *Router) Reset(pol policy.Policy) {
 }
 
 // DrainSpill implements the engines' spill-drain hook: at quiescence —
-// every EOT delivered, no tuple in flight — each SteM with real disk spill
+// every EOT delivered, no tuple in flight — each SteM with disk spill
 // replays its recorded probes against its spilled partitions and the
 // regenerated results re-enter the dataflow. Engines iterate the drain until
 // it returns nothing: a replayed result may probe another spilled SteM,
 // recording a fresh replay obligation for the next round. Returns nil
-// whenever real spill is off, so ungoverned runs are untouched.
+// without a governor, so ungoverned runs are untouched.
 func (r *Router) DrainSpill() []flow.Emission {
-	if !r.opts.Governor.SpillActive() {
+	if r.opts.Governor == nil {
 		return nil
 	}
 	var out []flow.Emission

@@ -146,24 +146,6 @@ func TestReorderShape(t *testing.T) {
 	}
 }
 
-func TestMemoryShape(t *testing.T) {
-	res, err := Memory(MemoryConfig{Rows: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byProbes, equal, unbounded := res.Series[0], res.Series[1], res.Series[2]
-	if byProbes.Final() != equal.Final() || byProbes.Final() != unbounded.Final() {
-		t.Fatal("result counts differ under memory pressure")
-	}
-	if unbounded.End() > byProbes.End() {
-		t.Error("spilling must not be free")
-	}
-	if byProbes.End() > equal.End() {
-		t.Errorf("probe-frequency allocation (%.2fs) must beat equal allocation (%.2fs)",
-			byProbes.End().Seconds(), equal.End().Seconds())
-	}
-}
-
 func TestRenderProducesTable(t *testing.T) {
 	res, err := Reorder(ReorderConfig{Rows: 100})
 	if err != nil {

@@ -101,6 +101,19 @@ func TestExplainSimMatchesLocalCollector(t *testing.T) {
 		if strings.HasPrefix(m.Name, "AM(") && m.Outputs != lm.Outputs {
 			t.Errorf("%s emitted %d tuples on the server, %d locally", m.Name, m.Outputs, lm.Outputs)
 		}
+		// Busy time is service time measured on the engine clock. Every module
+		// here is a single server, so its services are disjoint intervals: they
+		// fit between its first and last completion plus one service — the
+		// first, which cannot have begun before the clock's zero.
+		if m.BusySeconds > m.LastBusy {
+			t.Errorf("%s was busy %.6fs by the time %.6fs", m.Name, m.BusySeconds, m.LastBusy)
+		}
+		// And it is not the simulator's model: a scan is one service in both
+		// engines, which the model prices at 2 µs — 2 ns of wall time at the
+		// engine's scale, less than any real scan takes.
+		if strings.HasPrefix(m.Name, "AM(") && m.BusySeconds <= lm.BusySeconds {
+			t.Errorf("%s reports busy %.9fs, no more than the simulator's modeled %.9fs", m.Name, m.BusySeconds, lm.BusySeconds)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
 	// Attached (shared-state) SteMs take the exact row path: the columnar
 	// probe applies the resident TimeStamp window, which attached probes
 	// must bypass.
-	if s.cfg.Window > 0 || s.spillOn || s.govID >= 0 || s.shared != nil {
+	if s.cfg.Window > 0 || s.spillOn || s.shared != nil {
 		return false
 	}
 	if s.isColBuild(cb) {

@@ -1,87 +1,97 @@
 package stem
 
-import (
-	"testing"
-
-	"repro/internal/clock"
-	"repro/internal/tuple"
-)
+import "testing"
 
 func TestGovernorEqualAllocationSpills(t *testing.T) {
-	g := NewGovernor(10, AllocEqual, clock.Millisecond)
+	const fp = 100
+	g, err := NewSpillGovernor(10*fp, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
 	a := g.register()
 	b := g.register()
-	// a stores 8 rows, b stores 2: equal allocation (5 each) spills 3 of a.
-	for i := 0; i < 8; i++ {
-		g.noteBuild(a)
+	// Before any probe the budget splits evenly (5 rows each): of a's 8
+	// builds 3 spill, b's 2 all stay.
+	spilled := func(id, builds int) (n int) {
+		for i := 0; i < builds; i++ {
+			if !g.admitBuild(id, fp) {
+				n++
+			}
+		}
+		return n
 	}
-	for i := 0; i < 2; i++ {
-		g.noteBuild(b)
-	}
-	if got := g.SpilledRows(a); got != 3 {
+	if got := spilled(a, 8); got != 3 {
 		t.Errorf("a spilled %d, want 3", got)
 	}
-	if got := g.SpilledRows(b); got != 0 {
+	if got := spilled(b, 2); got != 0 {
 		t.Errorf("b spilled %d, want 0", got)
 	}
-	// Probe penalty proportional to the spilled fraction (3/8 of 1ms).
-	p := g.probePenalty(a)
-	want := clock.Duration(float64(clock.Millisecond) * 3 / 8)
-	if p != want {
-		t.Errorf("penalty = %v, want %v", p, want)
-	}
-	if g.probePenalty(b) != 0 {
-		t.Error("unspilled member must pay no penalty")
+	if res, sp := g.BytesStats(); res != 7*fp || sp != 3*fp {
+		t.Errorf("BytesStats = (%d, %d), want (%d, %d)", res, sp, 7*fp, 3*fp)
 	}
 }
 
 func TestGovernorProbeProportionalAllocation(t *testing.T) {
-	g := NewGovernor(10, AllocByProbes, clock.Millisecond)
+	g, err := NewSpillGovernor(1<<20, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
 	g.rebalanceEvery = 4
 	hot := g.register()
 	cold := g.register()
-	for i := 0; i < 8; i++ {
-		g.noteBuild(hot)
-		g.noteBuild(cold)
-	}
-	// Hot member takes all the probes; after rebalances its allocation
-	// should dwarf the cold one's, shrinking its spill.
+	// The hot member takes all the probes; after rebalances its allocation
+	// dwarfs the cold one's.
 	for i := 0; i < 64; i++ {
-		g.probePenalty(hot)
+		g.noteProbe(hot)
 	}
-	if hs, cs := g.SpilledRows(hot), g.SpilledRows(cold); hs >= cs {
-		t.Errorf("hot spilled %d >= cold %d; probe-frequency allocation not working", hs, cs)
-	}
-}
-
-func TestGovernorDisabled(t *testing.T) {
-	g := NewGovernor(0, AllocByProbes, clock.Millisecond)
-	id := g.register()
-	g.noteBuild(id)
-	if g.probePenalty(id) != 0 || g.SpilledRows(id) != 0 {
-		t.Error("zero budget must disable governance")
+	if h, c := g.members[hot].allocBytes, g.members[cold].allocBytes; h <= 10*c {
+		t.Errorf("hot allocation %d vs cold %d; probe-frequency allocation not working", h, c)
 	}
 }
 
-func TestGovernedSteMChargesPenalty(t *testing.T) {
+// TestGovernorBudgetGoesToSpillingSteMsOnly: a windowed SteM is exempt from
+// the byte budget (its eviction order contradicts spill-at-build), so it must
+// not take a share of it — however often it is probed, the spilling SteMs'
+// allocations add up to the whole budget.
+func TestGovernorBudgetGoesToSpillingSteMsOnly(t *testing.T) {
+	const budget = 1 << 20
+	g, err := NewSpillGovernor(budget, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
 	q := twoTableQ(t, true, false)
-	g := NewGovernor(1, AllocEqual, 10*clock.Millisecond)
-	counter := &Counter{}
-	sR := New(Config{Table: 0, Q: q, TS: counter, Gov: g,
-		ProbeCost: clock.Microsecond})
-	// Store several rows: with budget 1 most are spilled.
-	for i := int64(0); i < 4; i++ {
-		sR.Process(singleton(2, 0, row(i, 10)), 0)
+	cnt := &Counter{}
+	r := New(Config{Table: 0, Q: q, TS: cnt, Gov: g})
+	s := New(Config{Table: 1, Q: q, TS: cnt, Gov: g})
+	w := New(Config{Table: 1, Q: q, TS: cnt, Gov: g, Window: 4})
+	if len(g.members) != 2 {
+		t.Fatalf("governor has %d members, want the 2 spilling SteMs", len(g.members))
 	}
-	s := singleton(2, 1, row(10, 100))
-	s.CompTS[1] = counter.Next()
-	s.Built = tuple.Single(1)
-	_, cost := sR.Process(s, 0)
-	if cost < 5*clock.Millisecond {
-		t.Errorf("governed probe cost %v must include a spill penalty", cost)
+	sum := func() (n int64) {
+		for _, m := range g.members {
+			n += m.allocBytes
+		}
+		return n
 	}
-	// Eviction shrinks usage.
-	if g.SpilledRows(0) == 0 {
-		t.Error("expected spilled rows under budget 1")
+	if got := sum(); got != budget {
+		t.Fatalf("allocations sum to %d before any probe, want the budget %d", got, budget)
+	}
+	// The windowed SteM is the hot one; several rebalances pass.
+	for i := 0; i < 4*g.rebalanceEvery; i++ {
+		process(t, w, sProbe(cnt, 10))
+		if i%8 == 0 {
+			process(t, s, sProbe(cnt, 10))
+			rp := singleton(2, 1, row(10, 100))
+			rp.CompTS[1] = cnt.Next()
+			rp.Built = rp.Span
+			process(t, r, rp)
+		}
+	}
+	// Each proportional share truncates to a whole byte.
+	if got := sum(); got > budget || got < budget-int64(len(g.members)) {
+		t.Fatalf("allocations sum to %d under a hot windowed SteM, want the budget %d", got, budget)
 	}
 }

@@ -156,9 +156,14 @@ func TestReleaseZeroesStorage(t *testing.T) {
 
 	// SteMs whose storage is not theirs to give, or that no Reset revives,
 	// keep it.
+	gov, err := NewSpillGovernor(1<<20, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gov.Close()
 	for name, opt := range map[string]func(*Config){
 		"windowed": func(c *Config) { c.Window = 4 },
-		"governed": func(c *Config) { c.Gov = NewGovernor(1<<20, AllocEqual, 0) },
+		"governed": func(c *Config) { c.Gov = gov },
 	} {
 		s := newSteM(q, 0, opt)
 		process(t, s, singleton(2, 0, row(1, 10)))

@@ -182,6 +182,5 @@ func newAttached(cfg Config) *SteM {
 		s.all[i] = sh
 	}
 	s.gscr.predCache = make(map[tuple.TableSet][]pred.P)
-	s.govID = -1
 	return s
 }

@@ -68,7 +68,7 @@ func TestRowFootprint(t *testing.T) {
 }
 
 func TestSpillGovernorAccounting(t *testing.T) {
-	g, err := NewSpillGovernor(1000, AllocEqual, t.TempDir())
+	g, err := NewSpillGovernor(1000, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSpillGovernorAccounting(t *testing.T) {
 
 func TestSpillGovernorCloseRemovesDir(t *testing.T) {
 	base := t.TempDir()
-	g, err := NewSpillGovernor(1, AllocEqual, base)
+	g, err := NewSpillGovernor(1, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSpillGovernorCloseRemovesDir(t *testing.T) {
 // whole query's SteMs share one governor).
 func spillSteM(t *testing.T, budget int64) (*SteM, *Governor, *Counter) {
 	t.Helper()
-	g, err := NewSpillGovernor(budget, AllocByProbes, t.TempDir())
+	g, err := NewSpillGovernor(budget, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,8 +95,9 @@ type Config struct {
 	// make windowed results depend on the shard count.
 	Window int
 	// Gov, when non-nil, places this SteM under a shared memory Governor
-	// (the Section 6 extension): rows beyond the SteM's allocation are
-	// treated as spilled, and probes pay a proportional penalty.
+	// (the Section 6 extension): rows beyond the SteM's byte allocation are
+	// built into disk segments and their matches regenerated by replay (see
+	// spill.go). A windowed SteM is exempt.
 	Gov *Governor
 	// Shared, when non-nil, attaches this SteM to catalog-owned sealed
 	// state (see shared.go): the SteM becomes a probe-only handle over the
@@ -164,8 +165,8 @@ type shard struct {
 	dict  *HashDict
 	stats Stats
 	scr   probeScratch
-	// spill is the disk-backed half of the shard under a real-spill
-	// governor; nil otherwise (see spill.go).
+	// spill is the disk-backed half of the shard under a governor; nil
+	// otherwise (see spill.go).
 	spill *shardSpill
 	// idx is this shard's position, used to salt probe-cache keys so
 	// sweep runs never serve one shard's candidate list for another's.
@@ -190,8 +191,8 @@ type SteM struct {
 	// pick a shard. pcolSources are the (table, column) pairs an equi-join
 	// predicate binds to pcol, precomputed so the per-tuple ShardOf never
 	// scans the predicate list. spillCol is the spill partition column
-	// (joinCols[0] when real spill is on, -1 otherwise) and spillOn marks a
-	// SteM with disk-backed state (see spill.go). All immutable after New.
+	// (joinCols[0] when spill is on, -1 otherwise) and spillOn marks a SteM
+	// with disk-backed state (see spill.go). All immutable after New.
 	joinCols    []int
 	pcol        int
 	shardMask   uint64
@@ -228,7 +229,7 @@ type SteM struct {
 	eotSeen  map[*tuple.Tuple]int
 	eotCount uint64
 
-	// govID is this SteM's membership handle in cfg.Gov (-1 when ungoverned).
+	// govID is this SteM's membership handle in cfg.Gov, valid when spillOn.
 	govID int
 
 	// shared is the catalog-owned state this SteM is attached to (nil for a
@@ -268,7 +269,7 @@ func New(cfg Config) *SteM {
 		}
 	}
 	// A windowed SteM's eviction order contradicts spill-at-build.
-	s.spillOn = cfg.Gov.SpillActive() && cfg.Window == 0
+	s.spillOn = cfg.Gov != nil && cfg.Window == 0
 	if nsh > 1 || (s.spillOn && len(s.joinCols) > 0) {
 		pc := s.joinCols[0]
 		if nsh > 1 {
@@ -304,8 +305,7 @@ func New(cfg Config) *SteM {
 		s.all[i] = sh
 	}
 	s.gscr.predCache = make(map[tuple.TableSet][]pred.P)
-	s.govID = -1
-	if cfg.Gov != nil {
+	if s.spillOn {
 		s.govID = cfg.Gov.register()
 	}
 	return s
@@ -425,7 +425,7 @@ func (s *SteM) Reset() {
 // nor between the rounds of a standing query: the next round probes what the
 // earlier ones built.
 func (s *SteM) Release() {
-	if s.cfg.Window > 0 || s.govID >= 0 || s.shared != nil {
+	if s.cfg.Window > 0 || s.spillOn || s.shared != nil {
 		return
 	}
 	for _, sh := range s.all {
@@ -602,11 +602,10 @@ func (s *SteM) processShardLocked(sh *shard, t *tuple.Tuple, pc *probeCache) ([]
 		return s.build(sh, t), s.cfg.BuildCost
 	default:
 		out := s.probeLocked(t, pc, &sh.scr, &sh.stats, sh.self[:])
-		cost := s.cfg.ProbeCost + clock.Duration(len(out))*s.cfg.PerMatchCost
-		if s.govID >= 0 {
-			cost += s.cfg.Gov.probePenalty(s.govID)
+		if s.spillOn {
+			s.cfg.Gov.noteProbe(s.govID)
 		}
-		return out, cost
+		return out, s.cfg.ProbeCost + clock.Duration(len(out))*s.cfg.PerMatchCost
 	}
 }
 
@@ -629,12 +628,11 @@ func (s *SteM) sweepRun(ts []*tuple.Tuple) ([]flow.Emission, clock.Duration) {
 	s.gscr.pc.invalidate()
 	for _, t := range ts {
 		ems := s.probeLocked(t, &s.gscr.pc, &s.gscr, &s.gstats, s.all)
-		cost := s.cfg.ProbeCost + clock.Duration(len(ems))*s.cfg.PerMatchCost
-		if s.govID >= 0 {
-			cost += s.cfg.Gov.probePenalty(s.govID)
+		if s.spillOn {
+			s.cfg.Gov.noteProbe(s.govID)
 		}
 		out = append(out, ems...)
-		total += cost
+		total += s.cfg.ProbeCost + clock.Duration(len(ems))*s.cfg.PerMatchCost
 	}
 	for _, sh := range s.all {
 		sh.mu.Unlock()
@@ -713,8 +711,8 @@ func (pc *probeCache) candidates(d *HashDict, lk Lookup, salt uint64) []Entry {
 
 // build stores a singleton into sh (whose mutex is held) and bounces it back
 // (SteM BounceBack: "a SteM must bounce back a build tuple unless it is a
-// duplicate of another tuple already in the SteM"). Under a real-spill
-// governor the row is placed exactly once — resident if the byte allocation
+// duplicate of another tuple already in the SteM"). Under a governor
+// the row is placed exactly once — resident if the byte allocation
 // has room, otherwise appended to its partition's disk segment — and never
 // migrates to disk later, so live matching covers exactly the resident rows
 // and replay covers exactly the spilled ones.
@@ -730,32 +728,20 @@ func (s *SteM) build(sh *shard, t *tuple.Tuple) []flow.Emission {
 		return nil // duplicate from a competitive AM: consumed (Section 3.2)
 	}
 	ts := s.cfg.TS.Next()
+	resident := true
 	if sh.spill != nil {
 		sh.spill.noteInsert(ts)
-		if !s.cfg.Gov.admitBuild(s.govID, RowFootprint(row)) {
-			if sh.spill.append(row, ts) {
-				sh.stats.SpilledBuilds++
-			}
-			t.CompTS[s.cfg.Table] = ts
-			t.Built = t.Built.With(s.cfg.Table)
-			sh.stats.Builds++
-			return []flow.Emission{flow.Emit(t)}
-		}
+		resident = s.cfg.Gov.admitBuild(s.govID, RowFootprint(row))
+	}
+	if resident {
 		sh.dict.Insert(row, ts)
 		s.liveRows.Add(1)
-		t.CompTS[s.cfg.Table] = ts
-		t.Built = t.Built.With(s.cfg.Table)
-		sh.stats.Builds++
-		return []flow.Emission{flow.Emit(t)}
+	} else if sh.spill.append(row, ts) {
+		sh.stats.SpilledBuilds++
 	}
-	sh.dict.Insert(row, ts)
 	t.CompTS[s.cfg.Table] = ts
 	t.Built = t.Built.With(s.cfg.Table)
 	sh.stats.Builds++
-	s.liveRows.Add(1)
-	if s.govID >= 0 {
-		s.cfg.Gov.noteBuild(s.govID)
-	}
 	if s.cfg.Window > 0 {
 		// Windowed SteMs are always single-shard (see Config.Shards), so
 		// liveRows is this dictionary's row count and the oldest live row is
@@ -766,9 +752,6 @@ func (s *SteM) build(sh *shard, t *tuple.Tuple) []flow.Emission {
 			}
 			s.liveRows.Add(-1)
 			sh.stats.Evictions++
-			if s.govID >= 0 {
-				s.cfg.Gov.noteEvict(s.govID)
-			}
 		}
 	}
 	return []flow.Emission{flow.Emit(t)}
