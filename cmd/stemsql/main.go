@@ -294,7 +294,7 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 		return fmt.Errorf("stemsql: %w", err)
 	}
 	defer ex.Close()
-	outs, err := ex.Run(context.Background(), nil)
+	outs, err := ex.Run(context.Background(), nil, nil)
 	if err != nil {
 		return err
 	}

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/eddy"
+	"repro/internal/flow"
 	"repro/internal/policy"
 	"repro/internal/query"
 	"repro/internal/stem"
@@ -223,45 +224,51 @@ func (e *Exec) Poolable() bool { return e.spec.Poolable() }
 func (e *Exec) Shared() []*stem.SharedState { return e.spec.Shared }
 
 // Run executes the query over the tables' current rows to quiescence and
-// returns the results in emission order; onOutput, when non-nil, also
-// streams each result as it is produced (on the eddy goroutine). A nil ctx
-// never cancels. A canceled or failed run returns no results; Stats and
-// Record still describe what it did. Run needs a fresh handle: call Reset
-// between runs.
-func (e *Exec) Run(ctx context.Context, onOutput func(t *tuple.Tuple, at clock.Time)) ([]eddy.Output, error) {
+// returns the results in emission order. The two hooks, both optional and
+// both called on the eddy goroutine, differ in who owns a result. onOutput
+// streams each result tuple as it is produced, and the tuple is returned as
+// well — the facade reads both. onCols (Concurrent engine only) is a sink: it
+// takes the results that reach the output stage as column vectors, which are
+// never boxed and are not returned — the return value covers only results
+// that travelled as tuples — and the batch is the engine's again when the hook
+// returns. A nil ctx never cancels. A canceled or failed run returns no
+// results; Stats and Record still describe what it did. Run needs a fresh
+// handle: call Reset between runs.
+func (e *Exec) Run(ctx context.Context, onOutput func(t *tuple.Tuple, at clock.Time), onCols func(cb *flow.ColBatch, at clock.Time)) ([]eddy.Output, error) {
 	if e.st != fresh {
 		return nil, errors.New("core: Run on a used handle (Reset it first)")
 	}
-	return e.round(ctx, nil, false, onOutput)
+	return e.round(ctx, nil, false, onOutput, onCols)
 }
 
 // RunDelta runs one incremental round over the SteM state every earlier
 // round built: ts (fresh singletons for newly arrived rows) enter the
 // dataflow in place of the scans, and exactly the new join results come
 // back (see eddy.Concurrent.RunDelta for why rounds compose exactly). It
-// needs a handle whose earlier rounds all completed cleanly.
-func (e *Exec) RunDelta(ctx context.Context, ts []*tuple.Tuple, onOutput func(t *tuple.Tuple, at clock.Time)) ([]eddy.Output, error) {
+// needs a handle whose earlier rounds all completed cleanly. The hooks are
+// Run's.
+func (e *Exec) RunDelta(ctx context.Context, ts []*tuple.Tuple, onOutput func(t *tuple.Tuple, at clock.Time), onCols func(cb *flow.ColBatch, at clock.Time)) ([]eddy.Output, error) {
 	if e.st != clean {
 		return nil, errors.New("core: RunDelta needs a handle whose earlier rounds completed cleanly")
 	}
 	if e.eng != nil {
 		e.eng.Reset() // rearms the round-scoped state; SteM state stays
 	}
-	return e.round(ctx, ts, true, onOutput)
+	return e.round(ctx, ts, true, onOutput, onCols)
 }
 
 // round installs the hooks, runs one round on whichever engine the handle
 // has, clears the hooks of an engine that may be kept (a pooled handle must
 // not pin its last caller's closures), and checks the invariants every
 // caller needs checked.
-func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutput func(*tuple.Tuple, clock.Time)) ([]eddy.Output, error) {
+func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutput func(*tuple.Tuple, clock.Time), onCols func(*flow.ColBatch, clock.Time)) ([]eddy.Output, error) {
 	var outs []eddy.Output
 	var err error
 	if eng := e.eng; eng != nil {
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		eng.OnOutput = onOutput
+		eng.OnOutput, eng.OnOutputCols = onOutput, onCols
 		if e.coll != nil {
 			e.coll.AttachConcurrent(eng)
 		}
@@ -270,7 +277,7 @@ func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutpu
 		} else {
 			outs, err = eng.RunContext(ctx)
 		}
-		eng.OnOutput, eng.OnService = nil, nil
+		eng.OnOutput, eng.OnOutputCols, eng.OnService = nil, nil, nil
 	} else {
 		sim := e.sim
 		sim.Ctx = ctx

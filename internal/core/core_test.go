@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/eddy"
+	"repro/internal/flow"
 	"repro/internal/oracle"
 	"repro/internal/pred"
 	"repro/internal/query"
@@ -27,7 +28,12 @@ func row(a, b int64) tuple.Row { return tuple.Row{value.NewInt(a), value.NewInt(
 // enough build state to spill under a tiny byte budget and enough simulator
 // events for a canceled context to be noticed. It returns the query and the
 // rows each table starts with.
-func fixture(n int) (*query.Q, [][]tuple.Row) {
+func fixture(n int) (*query.Q, [][]tuple.Row) { return fixturePaced(n, clock.Microsecond) }
+
+// fixturePaced is fixture with the scans' inter-arrival time given: 0 is an
+// unpaced scan, the only kind stemsd registers and the kind that travels as
+// column vectors.
+func fixturePaced(n int, interArrival clock.Duration) (*query.Q, [][]tuple.Row) {
 	d, e := n/4, n/16
 	rows := make([][]tuple.Row, 3)
 	for i := 0; i < n; i++ {
@@ -47,7 +53,7 @@ func fixture(n int) (*query.Q, [][]tuple.Row) {
 	var ams []query.AMDecl
 	for t, tab := range tabs {
 		ams = append(ams, query.AMDecl{Table: t, Kind: query.Scan, Data: source.MustTable(tab, rows[t]),
-			ScanSpec: source.ScanSpec{InterArrival: clock.Microsecond}})
+			ScanSpec: source.ScanSpec{InterArrival: interArrival}})
 	}
 	q := query.MustNew(tabs, []pred.P{pred.EquiJoin(0, 1, 1, 0), pred.EquiJoin(1, 1, 2, 0)}, ams)
 	return q, rows
@@ -121,7 +127,7 @@ func TestExecMatrix(t *testing.T) {
 						run := func(what string) {
 							t.Helper()
 							streamed := 0
-							outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ })
+							outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
 							if err != nil {
 								t.Fatalf("%s: %v", what, err)
 							}
@@ -150,7 +156,7 @@ func TestExecMatrix(t *testing.T) {
 						}
 
 						run("first run")
-						if _, err := ex.Run(context.Background(), nil); err == nil {
+						if _, err := ex.Run(context.Background(), nil, nil); err == nil {
 							t.Fatal("second Run without Reset succeeded")
 						}
 						builds := ex.Stats().Builds
@@ -163,13 +169,13 @@ func TestExecMatrix(t *testing.T) {
 						reset()
 						ctx, cancel := context.WithCancel(context.Background())
 						cancel()
-						if _, err := ex.Run(ctx, nil); err == nil {
+						if _, err := ex.Run(ctx, nil, nil); err == nil {
 							t.Fatal("canceled Run returned no error")
 						}
 						if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 							t.Fatalf("canceled Run left %d spill entries", len(ents))
 						}
-						if _, err := ex.RunDelta(context.Background(), nil, nil); err == nil {
+						if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
 							t.Fatal("RunDelta after a canceled round succeeded")
 						}
 						reset()
@@ -178,7 +184,7 @@ func TestExecMatrix(t *testing.T) {
 						// Snapshot ∪ deltas equals a batch run over the final rows.
 						reset()
 						got := make(oracle.Result)
-						outs, err := ex.Run(context.Background(), nil)
+						outs, err := ex.Run(context.Background(), nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -189,7 +195,7 @@ func TestExecMatrix(t *testing.T) {
 								ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
 								rows[in.table] = append(rows[in.table], in.row)
 							}
-							outs, err := ex.RunDelta(context.Background(), ts, nil)
+							outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
 							if err != nil {
 								t.Fatalf("delta round %d: %v", i, err)
 							}
@@ -290,7 +296,7 @@ func TestReleaseRecyclesStorage(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		step()
-		outs, err := ex.Run(context.Background(), nil)
+		outs, err := ex.Run(context.Background(), nil, nil)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -307,10 +313,10 @@ func TestReleaseRecyclesStorage(t *testing.T) {
 		}
 	})
 	ex.Release()
-	if _, err := ex.Run(context.Background(), nil); err == nil {
+	if _, err := ex.Run(context.Background(), nil, nil); err == nil {
 		t.Fatal("Run on a released handle must refuse")
 	}
-	if _, err := ex.RunDelta(context.Background(), nil, nil); err == nil {
+	if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
 		t.Fatal("RunDelta on a released handle must refuse")
 	}
 	if st := ex.Stats(); st.Builds != 2*n {
@@ -333,4 +339,69 @@ func TestReleaseRecyclesStorage(t *testing.T) {
 		t.Errorf("second run made %d allocations over %d-row tables, want a count that does not grow with the rows", m2, n)
 	}
 	ex.Close()
+}
+
+// TestColumnarSinkOwnsItsRows pins the two output contracts of Run. A streamed
+// server query installs both hooks: results that reach the output stage as a
+// columnar batch go to the columnar hook alone — not boxed, not passed to the
+// tuple hook, not returned, so Run returns nothing for them (it used to keep
+// every streamed result alive until the run ended) — while the collector
+// still counts them. With the tuple hook alone every result is streamed and
+// returned, which the facade reads. Either way the hooks are off the engine
+// when the round ends.
+func TestColumnarSinkOwnsItsRows(t *testing.T) {
+	q, _ := fixturePaced(160, 0)
+	want := oracle.Compute(q)
+	for _, shards := range []int{1, 4} {
+		ex, err := Build(Spec{Q: q, Engine: Concurrent, Policy: "benefitcost", Shards: shards, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(oracle.Result)
+		tuples, boxed := 0, flow.MaterializedRows()
+		outs, err := ex.Run(context.Background(),
+			func(tp *tuple.Tuple, _ clock.Time) { tuples++; got[tp.ResultKey()]++ },
+			func(cb *flow.ColBatch, _ clock.Time) {
+				if flow.MaterializedRows() != boxed {
+					t.Errorf("shards=%d: %d rows were materialized before the sink saw them", shards, flow.MaterializedRows()-boxed)
+				}
+				for _, tp := range cb.Materialize() { // the test's own boxing, to key the rows
+					got[tp.ResultKey()]++
+				}
+				boxed = flow.MaterializedRows()
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, "both hooks", want, got)
+		if tuples != 0 || len(outs) != 0 {
+			t.Errorf("shards=%d: %d results took the tuple hook and Run returned %d; an unpaced equi-join stays on columns and its sink owns the rows", shards, tuples, len(outs))
+		}
+		total := 0
+		for _, n := range want {
+			total += n
+		}
+		if rec := ex.Record(false); rec.Results != uint64(total) {
+			t.Errorf("shards=%d: collector counted %d results, want %d", shards, rec.Results, total)
+		}
+		if ex.eng.OnOutput != nil || ex.eng.OnOutputCols != nil || ex.eng.OnService != nil {
+			t.Errorf("shards=%d: a finished round left hooks on the engine", shards)
+		}
+
+		if err := ex.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		streamed := 0
+		outs, err = ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = make(oracle.Result)
+		collect(got, outs)
+		mustMatch(t, "tuple hook only", want, got)
+		if streamed != len(outs) {
+			t.Errorf("shards=%d: tuple hook saw %d results, Run returned %d", shards, streamed, len(outs))
+		}
+		ex.Close()
+	}
 }

@@ -199,6 +199,12 @@ func newFeedback(fb policy.Feedback) *policy.Feedback {
 	return p
 }
 
+// eventsPool holds the process's idle events channels. A channel belongs to
+// one run — wind-down leaves it empty with every sender exited — so a built
+// or pooled engine holds none of these 40 kB buffers (room for 1,024 worker
+// reports before a worker blocks on the eddy goroutine).
+var eventsPool = sync.Pool{New: func() any { return make(chan eddyEvent, 1024) }}
+
 // pendKey identifies one coalescing buffer: the tuples' shared routing span
 // and, for sharded modules, the shard their batch will be serviced by.
 type pendKey struct {
@@ -229,6 +235,13 @@ type Concurrent struct {
 	BatchSize int
 	// OnOutput is called (on the eddy goroutine) for each result.
 	OnOutput func(t *tuple.Tuple, at clock.Time)
+	// OnOutputCols, when set, takes the results that reach the output stage as
+	// a columnar batch (on the eddy goroutine; selection vector honoured via
+	// Rows/RowAt) in place of everything else: not materialized, not passed to
+	// OnOutput, not returned by the run. The hook must keep no reference into
+	// the batch, which is pooled when it returns. Results that travelled as
+	// tuples still take OnOutput and the return value.
+	OnOutputCols func(cb *flow.ColBatch, at clock.Time)
 	// OnService is called (on the eddy goroutine) with every service
 	// completion the routing policy observes — row and columnar batches both
 	// funnel through here — so a trace collector sees exactly the feedback
@@ -307,7 +320,6 @@ const defaultScale = 0.001
 func NewConcurrent(r Routing, clk *clock.Real) *Concurrent {
 	c := &Concurrent{
 		r:        r,
-		events:   make(chan eddyEvent, 1024),
 		done:     make(chan struct{}),
 		costEWMA: make([]atomic.Int64, len(r.Modules())),
 	}
@@ -343,8 +355,7 @@ func (c *Concurrent) SetClock(clk *clock.Real) {
 // run has exited; the modules' own state (SteM dictionaries, AM dedup
 // caches, policy learners) belongs to the Routing and is reset through it.
 func (c *Concurrent) Reset() {
-	// The previous run closed done; rearm it. events is never closed and
-	// was left empty by the wind-down, so it is kept.
+	// The previous run closed done; rearm it.
 	c.done = make(chan struct{})
 	c.inflight.Store(0)
 	for i := range c.costEWMA {
@@ -375,8 +386,7 @@ func (c *Concurrent) Reset() {
 		c.staging.Reset()
 	}
 	c.colRouter = nil
-	c.OnOutput = nil
-	c.OnService = nil
+	c.OnOutput, c.OnOutputCols, c.OnService = nil, nil, nil
 	c.outputs = nil
 	c.err = nil
 	c.errSet.Store(false)
@@ -433,6 +443,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 		c.BatchSize = DefaultBatchSize
 	}
 	mods := c.r.Modules()
+	c.events = eventsPool.Get().(chan eddyEvent)
 	// A shell that already ran (and was Reset) keeps its run-scoped
 	// scaffolding — inboxes, coalescing buffers, scratch slices — and only
 	// reopens it; that near-zero setup is what makes pooled shells worth
@@ -594,8 +605,8 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 	// events still in flight (feedback from draining workers; stragglers from
 	// the seeder and delayed emissions) until the workers and the tracked
 	// senders have all exited. After that nothing can send anymore, so what
-	// is left in the buffer is dropped and the channel — never closed —
-	// survives for the shell's next run.
+	// is left in the buffer is dropped and the channel — never closed — goes
+	// back to the pool for whichever run starts next.
 	close(c.done)
 	for _, boxes := range c.inboxes {
 		for _, b := range boxes {
@@ -619,6 +630,8 @@ absorb:
 	for len(c.events) > 0 {
 		<-c.events
 	}
+	eventsPool.Put(c.events)
+	c.events = nil
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.outputs, c.err
@@ -678,13 +691,7 @@ func (c *Concurrent) routeStaged() {
 		t := b.Tuples[i]
 		switch {
 		case d.Output:
-			now := c.clk.Now()
-			c.mu.Lock()
-			c.outputs = append(c.outputs, Output{T: t, At: now})
-			c.mu.Unlock()
-			if c.OnOutput != nil {
-				c.OnOutput(t, now)
-			}
+			c.output(t, c.clk.Now())
 			c.inflight.Add(-1)
 		case d.Drop:
 			c.inflight.Add(-1)
@@ -697,9 +704,21 @@ func (c *Concurrent) routeStaged() {
 	}
 }
 
+// output is where a result tuple leaves the dataflow: kept for the run's
+// return value and streamed to OnOutput.
+func (c *Concurrent) output(t *tuple.Tuple, now clock.Time) {
+	c.mu.Lock()
+	c.outputs = append(c.outputs, Output{T: t, At: now})
+	c.mu.Unlock()
+	if c.OnOutput != nil {
+		c.OnOutput(t, now)
+	}
+}
+
 // routeColBatch routes one columnar batch (eddy goroutine only): one
 // decision covers every live row, applied without materializing any of them
-// except on the output path, where rows become result tuples.
+// except on the output path of a run with no OnOutputCols, where rows become
+// result tuples.
 func (c *Concurrent) routeColBatch(cb *flow.ColBatch) {
 	n := int64(cb.Rows())
 	defer func() {
@@ -710,20 +729,16 @@ func (c *Concurrent) routeColBatch(cb *flow.ColBatch) {
 	}()
 	d := c.colRouter.RouteCol(cb, c)
 	switch {
+	case d.Output && c.OnOutputCols != nil:
+		c.OnOutputCols(cb, c.clk.Now())
+		flow.PutColBatch(cb)
+		c.inflight.Add(-n)
 	case d.Output:
 		now := c.clk.Now()
-		ts := cb.Materialize()
+		for _, t := range cb.Materialize() {
+			c.output(t, now)
+		}
 		flow.PutColBatch(cb)
-		c.mu.Lock()
-		for _, t := range ts {
-			c.outputs = append(c.outputs, Output{T: t, At: now})
-		}
-		c.mu.Unlock()
-		if c.OnOutput != nil {
-			for _, t := range ts {
-				c.OnOutput(t, now)
-			}
-		}
 		c.inflight.Add(-n)
 	case d.Drop:
 		flow.PutColBatch(cb)

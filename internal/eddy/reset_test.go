@@ -18,10 +18,9 @@ import (
 // from a freshly constructed one: every run-scoped counter, buffer, and
 // error slot at its zero value, every module's state empty. It is the
 // contract the server's plan cache relies on when it pools shells across
-// EXECUTEs. events is the channel the shell was constructed with: wind-down
-// empties it instead of closing it, so Reset keeps it rather than paying for
-// a new 1024-slot buffer per run.
-func checkShellPristine(t *testing.T, r *Router, eng *Concurrent, events chan eddyEvent) {
+// EXECUTEs. An idle shell holds no events channel: a run borrows one from the
+// process-wide pool and wind-down hands it back empty.
+func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 	t.Helper()
 	if got := r.Routed(); got != 0 {
 		t.Errorf("routed = %d, want 0", got)
@@ -58,8 +57,8 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent, events chan ed
 	if eng.colRouter != nil {
 		t.Error("columnar run state survived Reset")
 	}
-	if eng.OnOutput != nil {
-		t.Error("OnOutput survived Reset")
+	if eng.OnOutput != nil || eng.OnOutputCols != nil {
+		t.Error("an output hook survived Reset")
 	}
 	for i := range eng.costEWMA {
 		if got := eng.costEWMA[i].Load(); got != 0 {
@@ -82,11 +81,8 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent, events chan ed
 		t.Error("done channel still closed after Reset")
 	default:
 	}
-	if eng.events != events {
-		t.Error("Reset replaced the events channel")
-	}
-	if len(eng.events) != 0 {
-		t.Errorf("events channel holds %d entries", len(eng.events))
+	if eng.events != nil {
+		t.Errorf("idle shell holds an events channel (%d entries queued)", len(eng.events))
 	}
 	for mod, boxes := range eng.inboxes {
 		for sh, ib := range boxes {
@@ -127,7 +123,6 @@ func TestResetShellIndistinguishableFromFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewConcurrent(r, clock.NewReal(0.00002))
-	events := eng.events
 	for run := 0; run < 3; run++ {
 		outs, err := eng.Run()
 		if err != nil {
@@ -146,7 +141,7 @@ func TestResetShellIndistinguishableFromFresh(t *testing.T) {
 		}
 		waitGoroutines(t, baseline)
 		resetShell(t, r, eng)
-		checkShellPristine(t, r, eng, events)
+		checkShellPristine(t, r, eng)
 	}
 }
 
@@ -213,7 +208,6 @@ func TestResetAfterCanceledRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewConcurrent(r, clock.NewReal(1))
-	events := eng.events
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	if _, err := eng.RunContext(ctx); err == nil {
@@ -222,7 +216,7 @@ func TestResetAfterCanceledRun(t *testing.T) {
 	waitGoroutines(t, baseline)
 
 	resetShell(t, r, eng)
-	checkShellPristine(t, r, eng, events)
+	checkShellPristine(t, r, eng)
 
 	eng.SetClock(clock.NewReal(0.00002))
 	outs, err := eng.Run()
@@ -238,4 +232,30 @@ func TestResetAfterCanceledRun(t *testing.T) {
 		t.Fatalf("rerun after cancel: %d missing, %d extra results", len(missing), len(extra))
 	}
 	waitGoroutines(t, baseline)
+}
+
+// TestBuiltEngineIsSmall pins what a handle costs to build: each INSERT kills
+// every cached plan, so a serving process constructs engines all day, and the
+// 40 kB events buffer used to be most of one. It is run-scoped now.
+func TestBuiltEngineIsSmall(t *testing.T) {
+	r, err := NewRouter(twoTableQuery(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	engs := make([]*Concurrent, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range engs {
+		engs[i] = NewConcurrent(r, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("NewConcurrent allocates %d bytes, want under 1 kB", per)
+	} else {
+		t.Logf("NewConcurrent allocates %d bytes", per)
+	}
+	if engs[0].events != nil {
+		t.Error("a built engine holds an events channel before it runs")
+	}
 }

@@ -19,6 +19,7 @@ package flow
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/tuple"
@@ -490,6 +491,15 @@ func (cb *ColBatch) AppendAllFrom(src *ColBatch) {
 	}
 }
 
+// materialized counts, process-wide, the rows Materialize has boxed: what fell
+// off the column path, whichever module or stage pushed it off.
+var materialized atomic.Uint64
+
+// MaterializedRows reports how many rows this process has converted from
+// column vectors back into tuples. A configuration that stays on columns from
+// scan to sink leaves it unmoved.
+func MaterializedRows() uint64 { return materialized.Load() }
+
 // Materialize converts the live rows into row-representation tuples — the
 // inverse of the Lift direction. All backing storage (tuples, component
 // slices, values, cloned visit vectors) is slab-allocated: a handful of
@@ -499,6 +509,7 @@ func (cb *ColBatch) Materialize() []*tuple.Tuple {
 	if live == 0 {
 		return nil
 	}
+	materialized.Add(uint64(live))
 	nt := cb.NTables
 	arity := 0
 	for t := range cb.Span.Each {

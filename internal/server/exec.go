@@ -1,9 +1,11 @@
 // exec.go executes one statement for one request: parse, admit, take the
 // statement's plan entry (bound against a catalog snapshot), take or build
 // an execution handle (internal/core), and stream results back as NDJSON
-// while they are produced. A handle — policy, router, engine — serves one
-// query at a time; only the catalog's source tables and shared SteMs are
-// shared between running queries, and those are immutable.
+// while they are produced — straight from the engine's column vectors where
+// results arrive as a columnar batch, one Write per batch. A handle — policy,
+// router, engine — serves one query at a time; only the catalog's source
+// tables and shared SteMs are shared between running queries, and those are
+// immutable.
 package server
 
 import (
@@ -17,10 +19,12 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/query"
 	"repro/internal/sql"
 	"repro/internal/trace"
@@ -60,23 +64,36 @@ const hexDigits = "0123456789abcdef"
 // allocations per row.
 func appendRowJSON(buf []byte, t *tuple.Tuple, out []sql.OutputCol) []byte {
 	buf = append(buf, `{"row":{`...)
-	for i, oc := range out {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONString(buf, oc.Name)
-		buf = append(buf, ':')
-		v := t.Value(oc.Table, oc.Col)
-		switch v.K {
-		case value.Int:
-			buf = strconv.AppendInt(buf, v.I, 10)
-		case value.Str:
-			buf = appendJSONString(buf, v.S)
-		default:
-			buf = append(buf, "null"...)
-		}
+	for k, oc := range out {
+		buf = appendMemberJSON(buf, k, oc.Name, t.Value(oc.Table, oc.Col))
 	}
 	return append(buf, '}', '}', '\n')
+}
+
+// appendColRowJSON is appendRowJSON for physical row i of a columnar batch:
+// the same line, read from the vectors without a tuple in between.
+func appendColRowJSON(buf []byte, cb *flow.ColBatch, i int, out []sql.OutputCol) []byte {
+	buf = append(buf, `{"row":{`...)
+	for k, oc := range out {
+		buf = appendMemberJSON(buf, k, oc.Name, cb.Value(oc.Table, oc.Col, i))
+	}
+	return append(buf, '}', '}', '\n')
+}
+
+// appendMemberJSON appends member k of a row object: separator, key, value.
+func appendMemberJSON(buf []byte, k int, name string, v value.V) []byte {
+	if k > 0 {
+		buf = append(buf, ',')
+	}
+	buf = append(appendJSONString(buf, name), ':')
+	switch v.K {
+	case value.Int:
+		return strconv.AppendInt(buf, v.I, 10)
+	case value.Str:
+		return appendJSONString(buf, v.S)
+	default:
+		return append(buf, "null"...)
+	}
 }
 
 // appendJSONString appends s as a JSON string literal, escaping quotes,
@@ -257,31 +274,65 @@ type live struct {
 	start  time.Time
 	stats  execStats
 
-	// out labels the projected columns of each row; buf is the reused row
-	// encoding buffer. started records that bytes went out (the status line
-	// is gone; later errors are reported in-band), sinkErr that a write
-	// failed (nobody is listening any more).
+	// out labels the projected columns of each row; buf holds encoded rows not
+	// yet written, in storage serve borrows from sinkBufs. started records that
+	// bytes went out (the status line is gone; later errors are reported
+	// in-band), sinkErr that a write failed (nobody is listening any more).
 	out     []sql.OutputCol
 	buf     []byte
 	started bool
 	sinkErr error
 }
 
-// emit streams one result row; it is the engines' output hook. Bounded
-// queries flush every row (first-row latency is the online metric);
-// subscriptions flush once per round.
+// sinkBufs pools the row-encoding buffers of the process, so a query does not
+// regrow one from nothing. sinkChunk bounds what a sink holds unwritten: rows
+// are written out whenever the buffer passes it. A buffer that still grew past
+// sinkBufCap (one enormous row) is left to the collector, not pooled.
+var sinkBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const (
+	sinkChunk  = 32 << 10
+	sinkBufCap = 2 * sinkChunk
+)
+
+// emit streams one result row; it is the engines' tuple output hook, for the
+// results that travel as rows (row-path configurations, delta rounds) and for
+// buffered results after Arrange.
 func (q *live) emit(t *tuple.Tuple, _ clock.Time) {
-	if q.sinkErr != nil {
-		return
+	if q.sinkErr == nil {
+		q.buf = appendRowJSON(q.buf, t, q.out)
+		q.write(1)
 	}
-	q.buf = appendRowJSON(q.buf[:0], t, q.out)
-	if _, err := q.w.Write(q.buf); err != nil {
+}
+
+// emitCols streams one columnar result batch; it is the engine's columnar
+// output hook. The batch's live rows are encoded from the vectors and leave in
+// one Write and one Flush, so the first row is not held back for the last.
+func (q *live) emitCols(cb *flow.ColBatch, _ clock.Time) {
+	pending := 0
+	for k, n := 0, cb.Rows(); k < n && q.sinkErr == nil; k++ {
+		q.buf = appendColRowJSON(q.buf, cb, cb.RowAt(k), q.out)
+		if pending++; k == n-1 || len(q.buf) >= sinkChunk {
+			q.write(pending)
+			pending = 0
+		}
+	}
+}
+
+// write sends the rows encoded in buf to the client as one Write. Bounded
+// queries flush every write (first-row latency is the online metric);
+// subscriptions flush once per round. A failed write cancels the run: the
+// client has hung up.
+func (q *live) write(rows int) {
+	_, err := q.w.Write(q.buf)
+	q.buf = q.buf[:0]
+	if err != nil {
 		q.sinkErr = err
 		q.cancel(fmt.Errorf("client write failed: %w", err))
 		return
 	}
 	q.started = true
-	q.stats.Rows++
+	q.stats.Rows += rows
 	if !q.req.Subscribe {
 		q.flush()
 	}
@@ -380,8 +431,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 	}
 	defer s.release()
 
-	q := &live{w: w, req: req, canon: canon, id: qid, ctx: qctx, cancel: cancel,
-		start: time.Now(), buf: make([]byte, 0, 256)}
+	q := &live{w: w, req: req, canon: canon, id: qid, ctx: qctx, cancel: cancel, start: time.Now()}
 	q.flusher, _ = w.(http.Flusher)
 	q.stats.QueueWait = q.start.Sub(admitStart)
 	if lg := s.cfg.Logger; lg != nil {
@@ -408,6 +458,14 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 // hears about it in the one way still open (HTTP status, in-band error
 // line, or done trailer).
 func (s *Server) serve(q *live, st *sql.Stmt) {
+	bufp := sinkBufs.Get().(*[]byte)
+	q.buf = (*bufp)[:0]
+	defer func() {
+		if cap(q.buf) <= sinkBufCap {
+			*bufp = q.buf
+			sinkBufs.Put(bufp)
+		}
+	}()
 	var reason string
 	var err error
 	if q.knobs, err = s.resolveKnobs(q.req); err == nil {
@@ -623,17 +681,20 @@ func (s *Server) planFor(q *live, st *sql.Stmt, snap sql.MapCatalog, version uin
 }
 
 // stream runs the handle and feeds result rows to the client. Rows stream
-// as the eddy emits them unless the statement has ORDER BY or LIMIT (both
-// are applied above the eddy, so those queries buffer and arrange first).
-// Engine-level statistics are recorded even on a canceled run.
+// as the eddy emits them — the sink owns them, and the run returns none of
+// those that arrived as columns — unless the statement has ORDER BY or LIMIT
+// (both are applied above the eddy, so those queries install no hook, take
+// the run's return value and arrange it first). Engine-level statistics are
+// recorded even on a canceled run.
 func (s *Server) stream(q *live, ex *core.Exec, bound *sql.Bound) error {
 	q.out = bound.Output
 	streaming := len(bound.OrderBy) == 0 && bound.Limit < 0
 	var onOutput func(*tuple.Tuple, clock.Time)
+	var onCols func(*flow.ColBatch, clock.Time)
 	if streaming {
-		onOutput = q.emit
+		onOutput, onCols = q.emit, q.emitCols
 	}
-	outs, err := ex.Run(q.ctx, onOutput)
+	outs, err := ex.Run(q.ctx, onOutput, onCols)
 	st := ex.Stats()
 	q.stats.Routed, q.stats.Builds, q.stats.Probes = st.RoutingSteps, st.Builds, st.IndexProbes
 	q.stats.Spilled = st.SpilledBuilds > 0

@@ -128,6 +128,7 @@ type gauges struct {
 
 	dictRecycled uint64
 	dictNew      uint64
+	materialized uint64
 }
 
 // write renders the counters in the Prometheus text exposition format.
@@ -161,6 +162,8 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	counter("stemsd_stem_dict_acquires_total", "Private SteM dictionaries acquired, by where their storage came from: recycled from a finished query, or newly allocated.")
 	fmt.Fprintf(w, "stemsd_stem_dict_acquires_total{source=\"recycled\"} %d\n", g.dictRecycled)
 	fmt.Fprintf(w, "stemsd_stem_dict_acquires_total{source=\"new\"} %d\n", g.dictNew)
+	counter("stemsd_materialized_rows_total", "Rows converted from column vectors back into tuples, process-wide: what fell off the columnar path (row-semantic SteM configurations, index AMs, buffered ORDER BY/LIMIT results). A query that stays on columns from scan to socket leaves it unmoved.")
+	fmt.Fprintf(w, "stemsd_materialized_rows_total %d\n", g.materialized)
 	counter("stemsd_index_probes_total", "Remote index lookups across all queries.")
 	fmt.Fprintf(w, "stemsd_index_probes_total %d\n", m.indexProbes)
 	counter("stemsd_plan_cache_hits_total", "Statements served from the plan cache without re-binding.")

@@ -252,6 +252,10 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if _, ok := fams["stemsd_shared_stem_resident_bytes"]; !ok {
 		t.Error("stemsd_shared_stem_resident_bytes missing")
 	}
+	// What fell off the column path is a counter an operator can read.
+	if f := fams["stemsd_materialized_rows_total"]; f == nil || f.typ != "counter" {
+		t.Error("stemsd_materialized_rows_total missing or not a counter")
+	}
 }
 
 // lintHistogramFamily checks the cumulative-bucket contract: le values

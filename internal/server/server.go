@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/sql"
 	"repro/internal/stem"
 )
@@ -432,6 +433,7 @@ func (s *Server) gauges() gauges {
 		spillSpilled:  sp,
 	}
 	g.dictRecycled, g.dictNew = stem.DictAcquires()
+	g.materialized = flow.MaterializedRows()
 	if s.plans != nil {
 		g.planEntries = s.plans.size()
 		g.planHits, g.planMisses, g.planInvalidations, g.planEvictions = s.plans.counters()

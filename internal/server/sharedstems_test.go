@@ -467,7 +467,7 @@ func TestSharedStemsOlderSnapshotRunsPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	outs, err := ex.Run(context.Background(), nil)
+	outs, err := ex.Run(context.Background(), nil, nil)
 	if err != nil || len(outs) != 5 {
 		t.Errorf("the old snapshot's private run returned %d rows (%v), want its own 5", len(outs), err)
 	}

@@ -118,8 +118,8 @@ func (s *Server) subscribe(q *live, st *sql.Stmt) (reason string, err error) {
 
 	// Round 0: the snapshot.
 	q.out = bound.Output
-	emit := q.emit
-	if _, err := ex.Run(q.ctx, emit); err != nil {
+	emit, emitCols := q.emit, q.emitCols // bound once: a method value per round is an allocation
+	if _, err := ex.Run(q.ctx, emit, emitCols); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(q.w, `{"snapshot":true,"id":%d,"rows":%d}`+"\n", q.id, q.stats.Rows)
@@ -150,7 +150,7 @@ func (s *Server) subscribe(q *live, st *sql.Stmt) (reason string, err error) {
 			// Delta round: injected singletons take fresh timestamps from
 			// the router's persistent counter, so they join against every
 			// strictly-older build and nothing else.
-			if _, err := ex.RunDelta(q.ctx, ts, emit); err != nil {
+			if _, err := ex.RunDelta(q.ctx, ts, emit, emitCols); err != nil {
 				return "", err
 			}
 			q.flush()

@@ -11,7 +11,9 @@
 // the batch and running the exact row path, so every SteM behaviour is
 // preserved bit-for-bit where it matters — the columnar path is an
 // optimization of the common symmetric-hash configuration, not a second
-// semantics.
+// semantics. A SteM attached to catalog-owned shared state (shared.go) is on
+// the fast path: its probe is the same bucket walk with the TimeStamp window
+// left out, because the sealed state is the window.
 package stem
 
 import (
@@ -42,16 +44,15 @@ func (s *SteM) isColBuild(cb *flow.ColBatch) bool {
 // equi-join bindings and no index AM on the table — index EOT completeness is
 // per bound value, so batches of probes could split between consumed and
 // bounced in ways the uniform header cannot express (and the completeness
-// index can grow concurrently). Everything else materializes to rows.
+// index can grow concurrently). Windowed and governed SteMs evict, spill and
+// record per row. Everything gated materializes to rows — as does a build
+// batch sent to an attached SteM, so that it reaches the row path's panic.
 func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
-	// Attached (shared-state) SteMs take the exact row path: the columnar
-	// probe applies the resident TimeStamp window, which attached probes
-	// must bypass.
-	if s.cfg.Window > 0 || s.spillOn || s.shared != nil {
+	if s.cfg.Window > 0 || s.spillOn {
 		return false
 	}
 	if s.isColBuild(cb) {
-		return true
+		return s.shared == nil
 	}
 	if s.cfg.Q.HasIndexAM(s.cfg.Table) {
 		return false
@@ -222,9 +223,11 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 // equi-binding columns is walked directly, candidates are verified
 // (hash-with-verify plus every newly applicable predicate) and gathered into
 // a pooled output batch, and the TimeStamp / LastMatchTimeStamp windows are
-// enforced per stored entry. The bounce decision is batch-uniform (colBatchOK
-// excluded per-row completeness); bounced batches split by matched/unmatched
-// so the HasMatches header stays truthful for routing policies.
+// enforced per stored entry — except by an attached SteM, whose sealed state
+// is exactly the probe's window and always complete (shared.go; its
+// dictionaries are only read here). The bounce decision is batch-uniform
+// (colBatchOK excluded per-row completeness); bounced batches split by
+// matched/unmatched so the HasMatches header stays truthful for policies.
 func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, stats *Stats) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	q := s.cfg.Q
 	table := s.cfg.Table
@@ -325,7 +328,7 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 					e = &entries[pi]
 				}
 				// TimeStamp constraint + repeated-probe guard (§3.5).
-				if e.TS >= probeTS || e.TS <= lastMatch {
+				if s.shared == nil && (e.TS >= probeTS || e.TS <= lastMatch) {
 					continue
 				}
 				okRow := true
@@ -363,7 +366,7 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 	// Bounce decision — batch-uniform: completeness is the full (scan) EOT
 	// only, and safety-via-scan depends only on header state.
 	s.eotMu.RLock()
-	complete := s.fullEOT
+	complete := s.fullEOT || s.shared != nil
 	s.eotMu.RUnlock()
 	bounced := 0
 	if !complete {
@@ -433,7 +436,8 @@ func (s *SteM) newProbeOutput(cb *flow.ColBatch, outSpan tuple.TableSet, outDone
 
 // appendMatch gathers the concatenation of probe row i and stored entry e
 // onto the output batch: probe-side columns and timestamps copy over, the
-// stored row fills this SteM's table with its build timestamp.
+// stored row fills this SteM's table with its build timestamp — 0 for a shared
+// entry, whose timestamp is another counter's (probeLocked's catTS).
 func (s *SteM) appendMatch(out *flow.ColBatch, cb *flow.ColBatch, i int, e *Entry) {
 	n := out.N()
 	for t := range cb.Span.Each {
@@ -449,7 +453,11 @@ func (s *SteM) appendMatch(out *flow.ColBatch, cb *flow.ColBatch, i int, e *Entr
 	for c, v := range e.Row {
 		ttab.Cols[c].AppendV(v)
 	}
-	out.SetTS(s.cfg.Table, n, e.TS)
+	ts := e.TS
+	if s.shared != nil {
+		ts = 0
+	}
+	out.SetTS(s.cfg.Table, n, ts)
 	out.SetRowCount(n + 1)
 }
 

@@ -34,8 +34,12 @@
 //     counter (the two are incomparable). The query-local TimeStamp rule
 //     still orders the query's private builds exactly as before.
 //   - Shared dictionaries are read lock-free: they are immutable while
-//     attached, and HashDict.Candidates only reads. Per-query scratch
-//     (lookups, probe caches, stats) stays in the attaching SteM handle.
+//     attached, and both probes only read — the row probe through
+//     HashDict.Candidates, the columnar probe (col.go's probeCols, which an
+//     attached SteM takes whenever a private one would) by walking the bucket
+//     chains. Both skip the TimeStamp window, stamp 0 and never bounce.
+//     Per-query scratch (lookups, probe caches, stats) stays in the attaching
+//     SteM handle.
 //
 // The result is multiset-identical to a private-state run of the same query
 // (TestSharedStemsAgree): the shared build applies the same set-semantics

@@ -3,9 +3,13 @@ package stem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/flow"
 	"repro/internal/tuple"
+	"repro/internal/value"
 )
 
 // sharedProbeKeys attaches a probe-only SteM to ss (table S of twoTableQ,
@@ -75,6 +79,147 @@ func TestSharedExtendAgrees(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestAttachedColProbeIsRowProbe pins that an attached SteM's columnar probe
+// is its row probe: the same probe batch — duplicates, NULL keys, keys that
+// find nothing, a selection vector — through the columnar service calls and,
+// materialized, through ProcessBatch gives the same result multiset, every
+// shared component stamped 0, nothing bounced, the same Probes and Matches;
+// and the columnar side emits no row and boxes none (the Materialize counter
+// stays put). The shared dictionaries hash into two bits, so every bucket
+// walk crosses keys that collide with the one probed. At four shards the
+// columnar batch is split per shard first, as the engine's splitCol does.
+func TestAttachedColProbeIsRowProbe(t *testing.T) {
+	const keys = 12
+	rng := rand.New(rand.NewSource(11))
+	q := twoTableQ(t, true, false)
+	stored := make([]tuple.Row, 300)
+	for i := range stored {
+		x := value.NewInt(int64(rng.Intn(keys)))
+		if rng.Intn(10) == 0 {
+			x = value.V{}
+		}
+		stored[i] = tuple.Row{x, value.NewInt(int64(rng.Intn(4)))} // ≤ 52 distinct rows: most recur
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ss, err := BuildShared(SharedConfig{KeyCols: JoinCols(q, 1), Shards: shards}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range ss.dicts {
+				d.mask = collisionMask
+			}
+			ss.Extend(stored)
+
+			// The probe batch: built R rows whose a is a stored key, NULL, or a
+			// key no stored row has; every third row deselected.
+			c := &Counter{}
+			cb := flow.GetColBatch(2)
+			cb.Span, cb.Built = tuple.Single(0), tuple.Single(0)
+			cb.EnsureCols(0, 2)
+			for i := 0; i < 200; i++ {
+				a := value.NewInt(int64(rng.Intn(keys + 3)))
+				if rng.Intn(8) == 0 {
+					a = value.V{}
+				}
+				cb.Tabs[0].Cols[0].AppendV(value.NewInt(int64(i / 2))) // each probe row twice over
+				cb.Tabs[0].Cols[1].AppendV(a)
+				cb.SetTS(0, i, c.Next())
+			}
+			cb.SetRowCount(200)
+			sel := cb.EnsureSel()[:0]
+			for i := 0; i < 200; i++ {
+				if i%3 != 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+			cb.Sel = sel
+			probes := cb.Materialize()
+
+			// Row side.
+			rowS := New(Config{Table: 1, Q: q, TS: c, Shared: ss})
+			want := make(map[string]int)
+			ems, _ := rowS.ProcessBatch(flow.BatchOf(probes...), 0)
+			for _, em := range ems {
+				if slices.Contains(probes, em.T) {
+					t.Fatalf("row probe bounced %v", em.T)
+				}
+				if em.T.CompTS[1] != 0 {
+					t.Fatalf("row result %v carries shared timestamp %d, want 0", em.T, em.T.CompTS[1])
+				}
+				want[em.T.ResultKey()]++
+			}
+			if len(want) == 0 {
+				t.Fatal("test data is broken: the row probe matched nothing")
+			}
+
+			// Columnar side.
+			colS := New(Config{Table: 1, Q: q, TS: c, Shared: ss})
+			parts := map[int]*flow.ColBatch{-1: cb}
+			if shards > 1 {
+				delete(parts, -1)
+				for k := 0; k < cb.Rows(); k++ {
+					i := cb.RowAt(k)
+					sh := colS.ShardOfCol(cb, i)
+					if parts[sh] == nil {
+						parts[sh] = flow.GetColBatch(2)
+						parts[sh].CopyHeaderFrom(cb)
+					}
+					parts[sh].AppendRowFrom(cb, i)
+				}
+			}
+			boxed := flow.MaterializedRows()
+			var outs []*flow.ColBatch
+			for sh, p := range parts {
+				rows, cols, _ := colS.processCol(&flow.Batch{Col: p}, sh, 0)
+				if len(rows) != 0 {
+					t.Fatalf("columnar probe emitted %d rows", len(rows))
+				}
+				for _, em := range cols {
+					if em.B == p {
+						t.Fatal("columnar probe bounced its input")
+					}
+					outs = append(outs, em.B)
+				}
+			}
+			if d := flow.MaterializedRows() - boxed; d != 0 {
+				t.Fatalf("columnar probe materialized %d rows: it left the column path", d)
+			}
+			got := make(map[string]int)
+			for _, ob := range outs {
+				for k := 0; k < ob.Rows(); k++ {
+					if ts := ob.TSAt(1, ob.RowAt(k)); ts != 0 {
+						t.Fatalf("columnar result carries shared timestamp %d, want 0", ts)
+					}
+				}
+				for _, tp := range ob.Materialize() {
+					got[tp.ResultKey()]++
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d distinct columnar results, want %d", len(got), len(want))
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Fatalf("result %s ×%d from the columnar probe, ×%d from the row probe", k, got[k], n)
+				}
+			}
+			rs, cs := rowS.Stats(), colS.Stats()
+			if rs.Probes != cs.Probes || rs.Matches != cs.Matches || cs.ProbeBounces != 0 || rs.ProbeBounces != 0 {
+				t.Fatalf("stats differ: row %+v, columnar %+v", rs, cs)
+			}
+
+			// A build batch still reaches the row path's panic.
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "attached") {
+					t.Fatalf("build batch on an attached SteM: recovered %v, want the build panic", r)
+				}
+			}()
+			colS.ProcessColBatch(&flow.Batch{Col: srcBatch(2, 1, stored[:4])}, 0)
 		})
 	}
 }

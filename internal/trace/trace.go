@@ -95,9 +95,11 @@ func (c *Collector) Attach(sim *eddy.Sim) {
 // engine reports every service completion the policy observes (row and
 // columnar batches both funnel through the single eddy goroutine, so no
 // locking is needed) and every result emission. Existing hooks are chained;
-// attach after installing any streaming OnOutput so both run. The span
-// histogram is not populated on this path — the concurrent engine does not
-// expose per-emission hooks.
+// attach after installing any streaming OnOutput or OnOutputCols so both run
+// (the collector counts a columnar sink's rows, it never installs one of its
+// own: that would take the tuple consumers' results away). The span histogram
+// is not populated on this path — the concurrent engine does not expose
+// per-emission hooks.
 func (c *Collector) AttachConcurrent(eng *eddy.Concurrent) {
 	prevService := eng.OnService
 	eng.OnService = func(fb policy.Feedback) {
@@ -112,6 +114,13 @@ func (c *Collector) AttachConcurrent(eng *eddy.Concurrent) {
 		c.lastOut = at
 		if prevOut != nil {
 			prevOut(t, at)
+		}
+	}
+	if prevCols := eng.OnOutputCols; prevCols != nil {
+		eng.OnOutputCols = func(cb *flow.ColBatch, at clock.Time) {
+			c.outputs += uint64(cb.Rows())
+			c.lastOut = at
+			prevCols(cb, at)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
 	if err := p.ex.Reset(); err != nil {
 		return nil, err
 	}
-	outs, err := p.ex.Run(ctx, p.hook)
+	outs, err := p.ex.Run(ctx, p.hook, nil)
 	if err != nil {
 		return nil, err
 	}

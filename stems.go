@@ -535,7 +535,7 @@ func (q *Query) Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer ex.Close()
-	outs, err := ex.Run(opts.Context, rowHook(iq, opts.OnResult))
+	outs, err := ex.Run(opts.Context, rowHook(iq, opts.OnResult), nil)
 	if err != nil {
 		return nil, err
 	}

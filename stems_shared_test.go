@@ -2,16 +2,24 @@ package stems
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/flow"
 )
 
 // sharedJoin is the equivalence workload: a 3-way join with duplicate source
 // rows (set-semantics dedup must agree between private builds and the shared
 // build), a selection on an attached table (verified at concatenation), and
 // enough rows that sharding engages.
-func sharedJoin() *Query {
+func sharedJoin() *Query { return sharedJoinPaced(20 * time.Microsecond) }
+
+// sharedJoinPaced is sharedJoin with the scans' inter-arrival time given. At 0
+// the scans are unpaced, as every table stemsd registers is, and above batch
+// size 1 their rows reach the SteMs as column vectors.
+func sharedJoinPaced(pace time.Duration) *Query {
 	var r, s, u [][]int64
 	for i := 0; i < 30; i++ {
 		r = append(r, []int64{int64(i), int64(i % 10)})
@@ -29,9 +37,9 @@ func sharedJoin() *Query {
 		Table("R", Ints("key", "a"), r).
 		Table("S", Ints("x", "b", "sid"), s).
 		Table("U", Ints("c", "d"), u).
-		Scan("R", 20*time.Microsecond).
-		Scan("S", 20*time.Microsecond).
-		Scan("U", 20*time.Microsecond).
+		Scan("R", pace).
+		Scan("S", pace).
+		Scan("U", pace).
 		Where("R.a", "=", "S.x").
 		Where("S.b", "=", "U.c").
 		Where("U.d", "<", "90")
@@ -103,6 +111,55 @@ func TestSharedStemsAgree(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestSharedStemsAgreeUnpaced is TestSharedStemsAgree for the serving shape:
+// the driver table's scan is unpaced, so at the default batch size the
+// attached SteMs are probed with column vectors (stem/col.go's probeCols, which
+// reads the shared dictionaries lock-free from every concurrent query), and at
+// batch size 1 with rows — the exact row dataflow. Both must return what a
+// private-state run returns. Runs under -race in CI with the root package.
+func TestSharedStemsAgreeUnpaced(t *testing.T) {
+	want := keysOf(mustRun(t, sharedJoinPaced(0), Options{Engine: Concurrent}).Rows)
+	if len(want) == 0 {
+		t.Fatal("workload produced no rows; the equivalence check would be vacuous")
+	}
+	for _, shards := range []int{1, 4} {
+		base := sharedJoinPaced(0)
+		shared := map[string]*SharedState{}
+		for _, tbl := range []string{"S", "U"} {
+			ss, err := base.BuildSharedState(tbl, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared[tbl] = ss
+		}
+		for _, batch := range []int{1, 64} {
+			boxed := flow.MaterializedRows()
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := sharedJoinPaced(0).Run(Options{Engine: Concurrent, Shards: shards, BatchSize: batch, Shared: shared})
+					if err != nil {
+						t.Errorf("shards=%d batch=%d: %v", shards, batch, err)
+						return
+					}
+					if got := keysOf(res.Rows); !slices.Equal(got, want) {
+						t.Errorf("shards=%d batch=%d: %d rows, private run %d, or they differ", shards, batch, len(got), len(want))
+					}
+				}()
+			}
+			wg.Wait()
+			// The facade reads tuples, so the output stage boxes each result
+			// once; an attached probe that left the column path would box its
+			// probe rows on top.
+			if moved := flow.MaterializedRows() - boxed; batch > 1 && moved != uint64(4*len(want)) {
+				t.Errorf("shards=%d batch=%d: %d rows materialized by 4 runs of %d results", shards, batch, moved, len(want))
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func (q *Query) Open(opts Options) (*Standing, *Result, error) {
 		return nil, nil, err
 	}
 	st := &Standing{iq: iq, ex: ex, ctx: opts.Context, hook: rowHook(iq, opts.OnResult)}
-	outs, err := ex.Run(st.ctx, st.hook)
+	outs, err := ex.Run(st.ctx, st.hook, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,7 +151,7 @@ func (s *Standing) InsertValues(table string, rows [][]Value) (*Result, error) {
 		ts[i] = tuple.NewSingleton(n, ti, row)
 	}
 
-	outs, err := s.ex.RunDelta(s.ctx, ts, s.hook)
+	outs, err := s.ex.RunDelta(s.ctx, ts, s.hook, nil)
 	if err != nil {
 		s.closed = true
 		return nil, err
