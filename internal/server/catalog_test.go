@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/schema"
 	"repro/internal/source"
@@ -248,5 +249,39 @@ func TestAppendOwnershipAcrossDDL(t *testing.T) {
 	}
 	if len(third) != 11 || len(second) != 10 {
 		t.Errorf("lengths %d, %d after the re-register append", len(third), len(second))
+	}
+}
+
+// TestSQLInsertOwnsItsStrings: a string INSERTed through SQL and read back
+// from the catalog shares no bytes with the statement text — a stored row
+// must not keep a whole request alive for the life of the table.
+func TestSQLInsertOwnsItsStrings(t *testing.T) {
+	cat := NewCatalog(0, "")
+	sch, err := schema.NewTable("people", schema.IntCol("id"), schema.StrCol("name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := source.NewTable(sch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Put("people", sql.Source{Data: data, Scan: &source.ScanSpec{}})
+	src := "INSERT INTO people VALUES (1, 'ann'), (2, 'O''Brien')"
+	st, err := sql.ParseStatement(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := st.(*sql.InsertStmt)
+	if _, err := cat.Append(ins.Table, ins.RowValues()); err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	for i, row := range tableRows(t, cat, "people") {
+		s := row[1].S
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		if p < hi && p+uintptr(len(s)) > lo {
+			t.Errorf("row %d's %q aliases the request's bytes", i, s)
+		}
 	}
 }

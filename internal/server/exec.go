@@ -178,10 +178,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.runQuery(w, r, &req, p.stmt, p.canon)
 	case *sql.Stmt:
-		// Ad-hoc SELECTs auto-prepare anonymously: the canonical text is the
-		// plan-cache key, so a repeated query reuses its plan without an
+		// Ad-hoc SELECTs auto-prepare anonymously: the canonical text keys
+		// the plan cache, so a repeated query reuses its plan without an
 		// explicit PREPARE.
-		s.runQuery(w, r, &req, st, st.Canonical())
+		s.runQuery(w, r, &req, st, "")
 	}
 }
 
@@ -263,8 +263,11 @@ type live struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	req     *QueryRequest
-	canon   string
-	id      uint64
+	st      *sql.Stmt
+	// canon is the statement's canonical text once known: a prepared
+	// statement's, or the plan entry's; text renders it otherwise.
+	canon string
+	id    uint64
 	knobs
 
 	ctx context.Context
@@ -344,9 +347,19 @@ func (q *live) flush() {
 	}
 }
 
+// text returns the statement's canonical text, rendering it on the paths
+// that never looked up a plan.
+func (q *live) text() string {
+	if q.canon == "" {
+		q.canon = q.st.Canonical()
+	}
+	return q.canon
+}
+
 // runQuery is the request prologue every SELECT shares, bounded or
 // standing: drain barrier, cancellation chain, session attach, admission.
-// canon is the statement's canonical text, which keys the plan cache.
+// canon is the statement's canonical text when the caller has it stored,
+// else "".
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequest, st *sql.Stmt, canon string) {
 	var shape string // what is wrong with the request's shape; such requests never take a slot
 	switch {
@@ -399,14 +412,14 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 		defer cancelT()
 	}
 
-	qid := s.qid.Add(1)
+	q := &live{w: w, req: req, st: st, canon: canon, id: s.qid.Add(1), ctx: qctx, cancel: cancel}
 	if req.Session != "" {
-		ss := s.attachQuery(req.Session, qid, cancel)
+		ss := s.attachQuery(req.Session, q.id, cancel)
 		if ss == nil {
 			writeJSONError(w, http.StatusConflict, fmt.Errorf("session %q is closed", req.Session))
 			return
 		}
-		defer s.detachQuery(ss, qid)
+		defer s.detachQuery(ss, q.id)
 	}
 
 	// A subscription holds its execution slot for its whole life:
@@ -416,8 +429,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 	if err := s.admit(qctx); err != nil {
 		s.met.reject()
 		if lg := s.cfg.Logger; lg != nil {
-			lg.Warn("query rejected", slog.Uint64("query_id", qid),
-				slog.String("error", err.Error()), slog.String("sql", canon))
+			lg.Warn("query rejected", slog.Uint64("query_id", q.id),
+				slog.String("error", err.Error()), slog.String("sql", q.text()))
 		}
 		code := http.StatusTooManyRequests
 		if !errors.Is(err, errBusy) {
@@ -431,24 +444,24 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 	}
 	defer s.release()
 
-	q := &live{w: w, req: req, canon: canon, id: qid, ctx: qctx, cancel: cancel, start: time.Now()}
+	q.start = time.Now()
 	q.flusher, _ = w.(http.Flusher)
 	q.stats.QueueWait = q.start.Sub(admitStart)
-	if lg := s.cfg.Logger; lg != nil {
-		lg.Debug("query admitted", slog.Uint64("query_id", qid),
+	if lg := s.cfg.Logger; lg != nil && lg.Enabled(qctx, slog.LevelDebug) {
+		lg.Debug("query admitted", slog.Uint64("query_id", q.id),
 			slog.Float64("queue_ms", float64(q.stats.QueueWait)/float64(time.Millisecond)),
-			slog.String("session", req.Session), slog.String("sql", canon))
+			slog.String("session", req.Session), slog.String("sql", q.text()))
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if s.cfg.PprofLabels {
 		// pprof labels are inherited by every goroutine the engine spawns,
 		// so CPU profile samples attribute to the query that burned them.
-		pprof.Do(qctx, pprof.Labels("query_id", strconv.FormatUint(qid, 10)), func(ctx context.Context) {
+		pprof.Do(qctx, pprof.Labels("query_id", strconv.FormatUint(q.id, 10)), func(ctx context.Context) {
 			q.ctx = ctx
-			s.serve(q, st)
+			s.serve(q)
 		})
 	} else {
-		s.serve(q, st)
+		s.serve(q)
 	}
 }
 
@@ -457,7 +470,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 // clean finish — reaches finishObserved exactly once, and then the client
 // hears about it in the one way still open (HTTP status, in-band error
 // line, or done trailer).
-func (s *Server) serve(q *live, st *sql.Stmt) {
+func (s *Server) serve(q *live) {
 	bufp := sinkBufs.Get().(*[]byte)
 	q.buf = (*bufp)[:0]
 	defer func() {
@@ -470,9 +483,9 @@ func (s *Server) serve(q *live, st *sql.Stmt) {
 	var err error
 	if q.knobs, err = s.resolveKnobs(q.req); err == nil {
 		if q.req.Subscribe {
-			reason, err = s.subscribe(q, st)
+			reason, err = s.subscribe(q)
 		} else {
-			err = s.execute(q, st)
+			err = s.execute(q)
 		}
 	}
 	q.stats.Elapsed = time.Since(q.start)
@@ -532,7 +545,7 @@ func (s *Server) finishObserved(q *live, qs queryStatus, cause error) {
 	rec := queryRecord{
 		ID:           q.id,
 		Session:      q.req.Session,
-		SQL:          q.canon,
+		SQL:          q.text(),
 		Policy:       q.policy,
 		Status:       string(qs),
 		Rows:         stats.Rows,
@@ -587,9 +600,9 @@ func (s *Server) beginQuery() bool {
 // process-wide pool the moment the rows have been streamed, where the next
 // query of any plan finds it — an entry's own pool is emptied by the GC long
 // before a rarely repeated statement comes round again.
-func (s *Server) execute(q *live, st *sql.Stmt) error {
+func (s *Server) execute(q *live) error {
 	snap, version := s.cat.SnapshotVersioned()
-	entry, err := s.planFor(q, st, snap, version)
+	entry, err := s.planFor(q, snap, version)
 	if err != nil {
 		return err
 	}
@@ -605,7 +618,7 @@ func (s *Server) execute(q *live, st *sql.Stmt) error {
 		// at any time, so a handle can never own a refcount): attach here,
 		// release after the run has fully unwound — the engine leaves zero
 		// goroutines behind when Run returns.
-		shared, err := s.shared.planAttach(st, bound.Q, snap, s.cfg.Shards)
+		shared, err := s.shared.planAttach(q.st, bound.Q, snap, s.cfg.Shards)
 		if err != nil {
 			return err
 		}
@@ -659,25 +672,36 @@ func (s *Server) execute(q *live, st *sql.Stmt) error {
 // planFor returns the referenced plan entry to execute with: the cached one
 // on a hit, else a freshly bound one — published when the cache is on,
 // transient (used once, never listed, accepting no handle back) when it is
-// off.
-func (s *Server) planFor(q *live, st *sql.Stmt, snap sql.MapCatalog, version uint64) (*planEntry, error) {
-	key := planKey{canon: q.canon, policy: q.policy}
+// off. The key is rendered into the row buffer, which stays empty until
+// streaming starts, so a hit allocates nothing; only a miss copies the key
+// into a string, and from then on the entry's text is the query's.
+func (s *Server) planFor(q *live, snap sql.MapCatalog, version uint64) (*planEntry, error) {
+	key := append(append(q.buf[:0], q.policy...), 0)
+	if q.canon != "" {
+		key = append(key, q.canon...)
+	} else {
+		key = q.st.AppendCanonical(key)
+	}
+	q.buf = key[:0]
 	if s.plans != nil {
 		if entry, hit := s.plans.acquire(key, version); hit {
 			q.stats.CacheHit = true
+			q.canon = entry.canon
 			return entry, nil
 		}
 	}
-	bound, err := sql.Bind(st, snap)
-	if err != nil {
+	k := string(key)
+	entry := &planEntry{key: k, policy: k[:len(q.policy)], canon: k[len(q.policy)+1:], version: version}
+	q.canon = entry.canon
+	var err error
+	if entry.bound, err = sql.Bind(q.st, snap); err != nil {
 		return nil, userError{err}
 	}
 	if s.plans == nil {
-		entry := &planEntry{key: key, version: version, bound: bound}
 		entry.dead.Store(true)
 		return entry, nil
 	}
-	return s.plans.insert(key, version, bound), nil
+	return s.plans.insert(entry), nil
 }
 
 // stream runs the handle and feeds result rows to the client. Rows stream

@@ -24,16 +24,6 @@ import (
 	"repro/internal/sql"
 )
 
-// planKey identifies one executable plan shape: the canonical statement
-// text plus the one request knob that changes a pooled handle's router — the
-// routing policy. The memory budget stays out because only ungoverned
-// handles are pooled (the bound statement serves any budget); server-wide
-// settings (seed, shards, batch size) are fixed for the process.
-type planKey struct {
-	canon  string
-	policy string
-}
-
 // planEntry is one cached plan: the bound statement, the catalog version it
 // was bound at, and a pool of reusable execution handles. A handle is never
 // shared: an execution takes it from the pool (or builds one), runs, and
@@ -47,9 +37,15 @@ type planKey struct {
 // attaches and releases its own — so one dropped silently by the GC leaks
 // nothing and costs only a router to rebuild.
 type planEntry struct {
-	key     planKey
-	version uint64
-	bound   *sql.Bound
+	// key identifies one executable plan shape: the one request knob that
+	// changes a pooled handle's router — the routing policy — then a NUL
+	// byte, then the canonical statement text; policy and canon are its two
+	// parts. The memory budget stays out because only ungoverned handles are
+	// pooled (the bound statement serves any budget); server-wide settings
+	// (seed, shards, batch size) are fixed for the process.
+	key, policy, canon string
+	version            uint64
+	bound              *sql.Bound
 
 	// dead flips when the entry is invalidated or evicted: handles are no
 	// longer accepted back, so a dead entry drains as executions finish.
@@ -71,7 +67,7 @@ func (e *planEntry) unref() { e.refs.Add(-1) }
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
-	byKey map[planKey]*planEntry
+	byKey map[string]*planEntry
 	lru   *list.List // front = most recently used; values are *planEntry
 
 	hits          atomic.Uint64
@@ -83,18 +79,19 @@ type planCache struct {
 func newPlanCache(capacity int) *planCache {
 	return &planCache{
 		cap:   capacity,
-		byKey: make(map[planKey]*planEntry),
+		byKey: make(map[string]*planEntry),
 		lru:   list.New(),
 	}
 }
 
-// acquire looks up the entry for k bound at the given catalog version. On a
-// hit it takes a reference (released with unref) and reports true. An entry
+// acquire looks up the entry for key bound at the given catalog version. On
+// a hit it takes a reference (released with unref) and reports true. An entry
 // bound at a different version is invalidated here, lazily — the miss sends
-// the caller off to rebind, and insert replaces the entry.
-func (pc *planCache) acquire(k planKey, version uint64) (*planEntry, bool) {
+// the caller off to rebind, and insert replaces the entry. The key is looked
+// up straight from its bytes, without a string made of them.
+func (pc *planCache) acquire(key []byte, version uint64) (*planEntry, bool) {
 	pc.mu.Lock()
-	e, ok := pc.byKey[k]
+	e, ok := pc.byKey[string(key)]
 	if ok && e.version != version {
 		pc.removeLocked(e)
 		pc.invalidations.Add(1)
@@ -113,26 +110,25 @@ func (pc *planCache) acquire(k planKey, version uint64) (*planEntry, bool) {
 	return e, true
 }
 
-// insert publishes a freshly bound plan, returning the entry to execute
-// with (referenced; release with unref). When a concurrent miss already
-// published the same key at the same version, the racing loser adopts the
-// winner's entry so both executions share one handle pool.
-func (pc *planCache) insert(k planKey, version uint64, bound *sql.Bound) *planEntry {
+// insert publishes a freshly bound plan entry, returning the entry to
+// execute with (referenced; release with unref). When a concurrent miss
+// already published the same key at the same version, the racing loser
+// adopts the winner's entry so both executions share one handle pool.
+func (pc *planCache) insert(e *planEntry) *planEntry {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if e, ok := pc.byKey[k]; ok {
-		if e.version == version {
-			pc.lru.MoveToFront(e.elem)
-			e.refs.Add(1)
-			return e
+	if old, ok := pc.byKey[e.key]; ok {
+		if old.version == e.version {
+			pc.lru.MoveToFront(old.elem)
+			old.refs.Add(1)
+			return old
 		}
-		pc.removeLocked(e)
+		pc.removeLocked(old)
 		pc.invalidations.Add(1)
 	}
-	e := &planEntry{key: k, version: version, bound: bound}
 	e.refs.Add(1)
 	e.elem = pc.lru.PushFront(e)
-	pc.byKey[k] = e
+	pc.byKey[e.key] = e
 	for pc.lru.Len() > pc.cap {
 		victim := pc.lru.Back().Value.(*planEntry)
 		pc.removeLocked(victim)
@@ -172,8 +168,8 @@ func (pc *planCache) entries() []planInfo {
 	for el := pc.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*planEntry)
 		out = append(out, planInfo{
-			SQL:            e.key.canon,
-			Policy:         e.key.policy,
+			SQL:            e.canon,
+			Policy:         e.policy,
 			CatalogVersion: e.version,
 			Hits:           e.hits.Load(),
 			InFlight:       e.refs.Load(),

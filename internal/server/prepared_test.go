@@ -18,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sql"
 )
 
 // rowMultiset folds NDJSON rows into a canonical multiset for
@@ -166,6 +168,60 @@ func TestAdhocSelectsAutoPrepare(t *testing.T) {
 		if !strings.Contains(met, want) {
 			t.Errorf("metrics missing %q (spelling variants must share one plan):\n%s", want, met)
 		}
+	}
+}
+
+// TestPlanKeyFromBuffer: an ad-hoc SELECT's plan key — policy, NUL,
+// canonical text — is rendered into the borrowed row buffer and looked up
+// from its bytes, so a warm lookup allocates nothing for it. A spelling
+// variant hits the same entry, another policy gets an entry of its own, and
+// every /queries record carries the canonical text.
+func TestPlanKeyFromBuffer(t *testing.T) {
+	srv, ts, client := newTestServer(t, memCatalog(t), Config{})
+	const variant = "select  r.key,u.q  FROM r,s,u where r.a=s.x and   s.y=u.p"
+	for _, body := range []map[string]any{
+		{"sql": threeWayJoin},
+		{"sql": variant},
+		{"sql": variant, "policy": "fixed"},
+	} {
+		if res := postQuery(t, client, ts.URL, body); res.status != http.StatusOK || len(res.rows) != 5 {
+			t.Fatalf("%v: status=%d rows=%d err=%q", body, res.status, len(res.rows), res.errLine)
+		}
+	}
+	_, plans := plansBody(t, client, ts.URL)
+	hits := map[any]any{}
+	for _, p := range plans {
+		if p["sql"] != threeWayJoin {
+			t.Errorf("plan listed as %q, want the canonical text", p["sql"])
+		}
+		hits[p["policy"]] = p["hits"]
+	}
+	if len(plans) != 2 || hits["benefitcost"] != float64(1) || hits["fixed"] != float64(0) {
+		t.Errorf("plans = %v, want one benefitcost entry hit once and one fixed entry", plans)
+	}
+	for _, rec := range fetchQueries(t, client, ts.URL, "") {
+		if rec.SQL != threeWayJoin {
+			t.Errorf("query %d recorded as %q, want the canonical text", rec.ID, rec.SQL)
+		}
+	}
+
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	st, err := sql.Parse(variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, version := srv.cat.SnapshotVersioned()
+	q := &live{st: st, knobs: knobs{policy: "benefitcost"}, buf: make([]byte, 0, 512)}
+	allocs := testing.AllocsPerRun(100, func() {
+		q.canon, q.stats.CacheHit = "", false
+		if e, err := srv.planFor(q, snap, version); err == nil {
+			e.unref()
+		}
+	})
+	if allocs != 0 || !q.stats.CacheHit || q.canon != threeWayJoin {
+		t.Errorf("warm lookup: %v allocations, hit %v, text %q; want 0, a hit, the canonical text", allocs, q.stats.CacheHit, q.canon)
 	}
 }
 

@@ -145,6 +145,7 @@ func (m *sharedStems) attach(table string, src sql.Source, keyCols []int, shards
 	}
 	build := e == nil
 	if build {
+		key.table = strings.Clone(table) // table slices a request's text, which the map must not keep
 		e = &sharedEntry{key: key, gen: src.Gen, rows: len(rows), ready: make(chan struct{})}
 		m.entries[key] = e
 	}

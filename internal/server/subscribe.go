@@ -50,7 +50,8 @@ type subTable struct {
 // own bind — it needs SnapshotSubscribe's generations, which the
 // version-keyed plan cache cannot give it — but its engine comes from
 // core.Build and its rounds from the handle's Run and RunDelta.
-func (s *Server) subscribe(q *live, st *sql.Stmt) (reason string, err error) {
+func (s *Server) subscribe(q *live) (reason string, err error) {
+	st := q.st
 	// Bind against a snapshot taken atomically with the generations: a
 	// mutation after this point is either in the snapshot or wakes the loop.
 	snap, gens := s.cat.SnapshotSubscribe()
@@ -113,7 +114,7 @@ func (s *Server) subscribe(q *live, st *sql.Stmt) (reason string, err error) {
 	defer s.subs.Add(-1)
 	if lg := s.cfg.Logger; lg != nil {
 		lg.Debug("subscription opened", slog.Uint64("query_id", q.id),
-			slog.String("session", q.req.Session), slog.String("sql", q.canon))
+			slog.String("session", q.req.Session), slog.String("sql", q.text()))
 	}
 
 	// Round 0: the snapshot.

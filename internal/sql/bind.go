@@ -105,26 +105,10 @@ func (b *Bound) Arrange(rows []*tuple.Tuple) []*tuple.Tuple {
 	return out
 }
 
-// RowValues converts an INSERT statement's literal rows to engine rows.
-// Schema validation (arity, column kinds) is the appending catalog's job.
-func (s *InsertStmt) RowValues() []tuple.Row {
-	rows := make([]tuple.Row, len(s.Rows))
-	for i, r := range s.Rows {
-		row := make(tuple.Row, len(r))
-		for j, o := range r {
-			switch o.Kind {
-			case OpInt:
-				row[j] = value.NewInt(o.Int)
-			case OpStr:
-				row[j] = value.NewStr(o.Str)
-			default:
-				row[j] = value.NewNull()
-			}
-		}
-		rows[i] = row
-	}
-	return rows
-}
+// RowValues returns an INSERT statement's literal rows as engine rows, ready
+// for the catalog to keep. Schema validation (arity, column kinds) is the
+// appending catalog's job.
+func (s *InsertStmt) RowValues() []tuple.Row { return s.Rows }
 
 // Bind resolves the statement against the catalog.
 func Bind(st *Stmt, cat Catalog) (*Bound, error) {

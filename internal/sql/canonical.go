@@ -1,85 +1,89 @@
 // canonical.go renders a parsed SELECT back to a normalized string: upper
 // case keywords, single spaces, aliases only where they differ from the
-// source name, strings re-quoted with ” escapes. Two statements that parse
+// source name, strings re-quoted with doubled quotes. Two statements that parse
 // to the same AST canonicalize identically, so the canonical form is the
 // plan-cache key of the serving layer — a client may vary whitespace and
 // keyword case freely and still hit the same cached plan. Identifiers are
 // case-sensitive in this dialect and are rendered as written.
 package sql
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Canonical renders the statement in normalized form, suitable as a cache
 // key: parse(s).Canonical() == parse(t).Canonical() exactly when s and t
 // are the same statement up to whitespace and keyword case.
-func (s *Stmt) Canonical() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+func (s *Stmt) Canonical() string { return string(s.AppendCanonical(nil)) }
+
+// AppendCanonical appends the canonical form to b, so a caller with a buffer
+// renders it without allocating.
+func (s *Stmt) AppendCanonical(b []byte) []byte {
+	b = append(b, "SELECT "...)
 	if s.Star {
-		b.WriteByte('*')
-	} else {
-		for i, c := range s.Select {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c.String())
-		}
+		b = append(b, '*')
 	}
-	b.WriteString(" FROM ")
+	for i, c := range s.Select {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = c.appendTo(b)
+	}
+	b = append(b, " FROM "...)
 	for i, t := range s.From {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(t.Source)
+		b = append(b, t.Source...)
 		if t.Alias != t.Source {
-			b.WriteString(" AS ")
-			b.WriteString(t.Alias)
+			b = append(append(b, " AS "...), t.Alias...)
 		}
 	}
-	if len(s.Where) > 0 {
-		b.WriteString(" WHERE ")
-		for i, c := range s.Where {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			writeOperand(&b, c.Left)
-			b.WriteByte(' ')
-			b.WriteString(c.Op)
-			b.WriteByte(' ')
-			writeOperand(&b, c.Right)
+	for i, c := range s.Where {
+		if i == 0 {
+			b = append(b, " WHERE "...)
+		} else {
+			b = append(b, " AND "...)
 		}
+		b = appendOperand(b, c.Left)
+		b = append(append(append(b, ' '), c.Op...), ' ')
+		b = appendOperand(b, c.Right)
 	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.Col.String())
-			if o.Desc {
-				b.WriteString(" DESC")
-			}
+	for i, o := range s.OrderBy {
+		if i == 0 {
+			b = append(b, " ORDER BY "...)
+		} else {
+			b = append(b, ", "...)
+		}
+		b = o.Col.appendTo(b)
+		if o.Desc {
+			b = append(b, " DESC"...)
 		}
 	}
 	if s.Limit >= 0 {
-		b.WriteString(" LIMIT ")
-		b.WriteString(strconv.Itoa(s.Limit))
+		b = strconv.AppendInt(append(b, " LIMIT "...), int64(s.Limit), 10)
 	}
-	return b.String()
+	return b
 }
 
-func writeOperand(b *strings.Builder, o Operand) {
+func (c ColRef) appendTo(b []byte) []byte {
+	if c.Table != "" {
+		b = append(append(b, c.Table...), '.')
+	}
+	return append(b, c.Col...)
+}
+
+func appendOperand(b []byte, o Operand) []byte {
 	switch o.Kind {
 	case OpCol:
-		b.WriteString(o.Col.String())
+		return o.Col.appendTo(b)
 	case OpInt:
-		b.WriteString(strconv.FormatInt(o.Int, 10))
-	case OpStr:
-		b.WriteByte('\'')
-		b.WriteString(strings.ReplaceAll(o.Str, "'", "''"))
-		b.WriteByte('\'')
+		return strconv.AppendInt(b, o.Int, 10)
 	}
+	b = append(b, '\'')
+	for i := 0; i < len(o.Str); i++ {
+		if o.Str[i] == '\'' {
+			b = append(b, '\'')
+		}
+		b = append(b, o.Str[i])
+	}
+	return append(b, '\'')
 }

@@ -1,13 +1,15 @@
 package sql
 
 // FuzzParseStatement hammers the statement parser with arbitrary input: it
-// must either return a statement or an error — never panic, never loop — and
-// anything it accepts must be stable under one reparse of its own source
-// (parse is deterministic). The seed corpus is the table-driven malformed
-// cases plus representative valid statements, so mutation starts near the
-// grammar's edges.
+// must either return a statement or an error — never panic, never loop. An
+// error names a byte position inside the source; an accepted SELECT renders
+// the same canonical text through both entry points, and that text is a fixed
+// point under reparse; an accepted INSERT's rows share one arity. The seed
+// corpus is the table-driven malformed cases plus representative valid
+// statements, so mutation starts near the grammar's edges.
 
 import (
+	"fmt"
 	"testing"
 	"unicode/utf8"
 )
@@ -69,6 +71,19 @@ func FuzzParseStatement(f *testing.F) {
 		"INSERT INTO t VALUES (a)",
 		"INSERT INTO t VALUES (1), (2, 3)",
 		"INSERT INTO t VALUES (1, 'open",
+		// The serving benchmark's statement shapes.
+		joinK,
+		"SELECT s_people.name, s_items.label, s_orders.total FROM s_people, s_orders, s_items WHERE s_people.id = s_orders.person AND s_orders.item = s_items.id AND s_orders.total > 17",
+		insert8x4,
+		// Escaped quotes, non-ASCII identifiers, integer bounds.
+		"SELECT a FROM t WHERE a = '''' AND b = 'x''y''z'",
+		"INSERT INTO t VALUES ('''', 'it''s', '')",
+		"SELECT é, straße.größe FROM straße WHERE größe = 'ü'",
+		"SELECT a\xff FROM t",
+		"SELECT a FROM t LIMIT 9223372036854775808",
+		"INSERT INTO t VALUES (9223372036854775808)",
+		"SELECT a FROM t WHERE a = 99999999999999999999",
+		"INSERT INTO t VALUES (-9223372036854775808, 9223372036854775807)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -82,10 +97,35 @@ func FuzzParseStatement(f *testing.F) {
 			if utf8.ValidString(src) && err.Error() == "" {
 				t.Fatal("empty error message")
 			}
+			var pos int
+			if _, perr := fmt.Sscanf(err.Error(), "sql: position %d:", &pos); perr != nil || pos < 0 || pos > len(src) {
+				t.Fatalf("error %q does not name a position in [0, %d]", err, len(src))
+			}
 			return
 		}
 		if st == nil {
 			t.Fatal("nil statement without error")
+		}
+		switch st := st.(type) {
+		case *Stmt:
+			canon := st.Canonical()
+			if app := string(st.AppendCanonical(nil)); app != canon {
+				t.Fatalf("AppendCanonical %q != Canonical %q", app, canon)
+			}
+			again, err := Parse(canon)
+			if err != nil {
+				t.Fatalf("canonical %q does not reparse: %v", canon, err)
+			}
+			if re := again.Canonical(); re != canon {
+				t.Fatalf("canonical not a fixed point: %q -> %q", canon, re)
+			}
+		case *InsertStmt:
+			rows := st.RowValues()
+			for i, row := range rows {
+				if len(row) != len(rows[0]) {
+					t.Fatalf("row %d has %d values, row 0 has %d", i, len(row), len(rows[0]))
+				}
+			}
 		}
 	})
 }

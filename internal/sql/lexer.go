@@ -3,12 +3,21 @@
 // self-joins, which share one SteM per source — Section 2.2), and a WHERE
 // conjunction of comparisons. The binder turns a parsed statement into the
 // engine's query model against a catalog of sources.
+//
+// The parser pulls one token at a time from the source string; a token's
+// text is a slice of the source (keywords, symbols and operators are
+// constants), so a statement costs allocations for its AST, not for its
+// tokens. Identifiers are Unicode letters, digits and '_' (not starting with
+// a digit); keywords are ASCII and case-insensitive. Integers are int64: a
+// literal outside that range is an error, not a wrapped value.
 package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind classifies lexer tokens.
@@ -19,20 +28,30 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokSymbol  // , ( ) .
+	tokSymbol  // , ( ) . *
 	tokOp      // = <> != < <= > >=
-	tokKeyword // SELECT FROM WHERE AND AS
+	tokKeyword // SELECT FROM WHERE AND AS ORDER BY LIMIT ASC DESC
 )
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "AS": true,
-	"ORDER": true, "BY": true, "LIMIT": true, "ASC": true, "DESC": true,
+// keywords are the reserved words, upper-cased.
+var keywords = [...]string{"SELECT", "FROM", "WHERE", "AND", "AS", "ORDER", "BY", "LIMIT", "ASC", "DESC"}
+
+// operators maps each operator spelling to its text, longest first; != is
+// the same comparison as <>.
+var operators = [...]struct{ src, text string }{
+	{"<=", "<="}, {"<>", "<>"}, {">=", ">="}, {"!=", "<>"}, {"=", "="}, {"<", "<"}, {">", ">"},
 }
 
+const symbols = ",().*"
+
+// token is one lexeme. Its text is a slice of the source, except for a
+// keyword (its upper-case spelling), a symbol or operator (a constant) and a
+// string literal with a doubled quote (its unescaped copy).
 type token struct {
 	kind tokKind
-	text string // keywords upper-cased; idents as written
-	pos  int
+	text string
+	pos  int   // byte offset in the source
+	num  int64 // a tokNumber's value
 }
 
 func (t token) String() string {
@@ -42,100 +61,96 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lex tokenizes the statement; errors carry byte positions.
-func lex(src string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == ',' || c == '(' || c == ')' || c == '.' || c == '*':
-			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
-			i++
-		case c == '=':
-			toks = append(toks, token{kind: tokOp, text: "=", pos: i})
-			i++
-		case c == '<':
-			switch {
-			case strings.HasPrefix(src[i:], "<="):
-				toks = append(toks, token{kind: tokOp, text: "<=", pos: i})
-				i += 2
-			case strings.HasPrefix(src[i:], "<>"):
-				toks = append(toks, token{kind: tokOp, text: "<>", pos: i})
-				i += 2
-			default:
-				toks = append(toks, token{kind: tokOp, text: "<", pos: i})
-				i++
+// scan returns the token starting at or after byte offset i of src and the
+// offset just past it. Errors carry byte positions and come with an
+// end-of-input token.
+func scan(src string, i int) (token, int, error) {
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	if i == len(src) {
+		return token{kind: tokEOF, pos: i}, i, nil
+	}
+	t := token{pos: i}
+	c := src[i]
+	if k := strings.IndexByte(symbols, c); k >= 0 {
+		t.kind, t.text = tokSymbol, symbols[k:k+1]
+		return t, i + 1, nil
+	}
+	switch {
+	case c == '=' || c == '<' || c == '>' || c == '!':
+		for _, op := range operators {
+			if strings.HasPrefix(src[i:], op.src) {
+				t.kind, t.text = tokOp, op.text
+				return t, i + len(op.src), nil
 			}
-		case c == '>':
-			if strings.HasPrefix(src[i:], ">=") {
-				toks = append(toks, token{kind: tokOp, text: ">=", pos: i})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokOp, text: ">", pos: i})
-				i++
+		}
+		return t, i, fmt.Errorf("sql: position %d: unexpected %q", i, c)
+	case c == '\'':
+		escaped := false
+		for j := i + 1; j < len(src); j++ {
+			if src[j] != '\'' {
+				continue
 			}
-		case c == '!':
-			if strings.HasPrefix(src[i:], "!=") {
-				toks = append(toks, token{kind: tokOp, text: "<>", pos: i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("sql: position %d: unexpected %q", i, c)
-			}
-		case c == '\'':
-			j := i + 1
-			var b strings.Builder
-			for {
-				if j >= len(src) {
-					return nil, fmt.Errorf("sql: position %d: unterminated string", i)
-				}
-				if src[j] == '\'' {
-					if j+1 < len(src) && src[j+1] == '\'' { // escaped quote
-						b.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				b.WriteByte(src[j])
+			if j+1 < len(src) && src[j+1] == '\'' {
+				escaped = true
 				j++
+				continue
 			}
-			toks = append(toks, token{kind: tokString, text: b.String(), pos: i})
-			i = j + 1
-		case c == '-' || (c >= '0' && c <= '9'):
-			j := i
-			if c == '-' {
-				j++
-				if j >= len(src) || src[j] < '0' || src[j] > '9' {
-					return nil, fmt.Errorf("sql: position %d: unexpected '-'", i)
-				}
+			t.kind, t.text = tokString, src[i+1:j]
+			if escaped {
+				t.text = strings.ReplaceAll(t.text, "''", "'")
 			}
-			for j < len(src) && src[j] >= '0' && src[j] <= '9' {
-				j++
+			return t, j + 1, nil
+		}
+		return t, i, fmt.Errorf("sql: position %d: unterminated string", i)
+	case c == '-' || (c >= '0' && c <= '9'):
+		j, limit := i, uint64(math.MaxInt64)
+		if c == '-' {
+			j, limit = i+1, limit+1
+			if j >= len(src) || src[j] < '0' || src[j] > '9' {
+				return t, i, fmt.Errorf("sql: position %d: unexpected '-'", i)
 			}
-			toks = append(toks, token{kind: tokNumber, text: src[i:j], pos: i})
-			i = j
-		case isIdentStart(rune(c)):
-			j := i
-			for j < len(src) && isIdentPart(rune(src[j])) {
-				j++
+		}
+		var u uint64
+		for ; j < len(src) && src[j] >= '0' && src[j] <= '9'; j++ {
+			d := uint64(src[j] - '0')
+			if u > (limit-d)/10 {
+				return t, i, fmt.Errorf("sql: position %d: integer out of range", i)
 			}
-			word := src[i:j]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{kind: tokKeyword, text: up, pos: i})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: word, pos: i})
+			u = u*10 + d
+		}
+		t.kind, t.text, t.num = tokNumber, src[i:j], int64(u)
+		if c == '-' {
+			t.num = -t.num
+		}
+		return t, j, nil
+	}
+	j := i // an identifier; only a byte >= 0x80 is decoded as UTF-8
+	for j < len(src) {
+		r, size := rune(src[j]), 1
+		if r >= utf8.RuneSelf {
+			if r, size = utf8.DecodeRuneInString(src[j:]); r == utf8.RuneError && size == 1 {
+				return t, j, fmt.Errorf("sql: position %d: invalid UTF-8", j)
 			}
-			i = j
-		default:
-			return nil, fmt.Errorf("sql: position %d: unexpected %q", i, c)
+		}
+		if j == i && !isIdentStart(r) {
+			return t, i, fmt.Errorf("sql: position %d: unexpected %q", i, r)
+		}
+		if !isIdentPart(r) {
+			break
+		}
+		j += size
+	}
+	t.kind, t.text = tokIdent, src[i:j]
+	for _, kw := range keywords {
+		// Equal byte lengths leave EqualFold only ASCII folds: a non-ASCII
+		// rune takes more bytes than the letter it would fold to.
+		if len(t.text) == len(kw) && strings.EqualFold(t.text, kw) {
+			t.kind, t.text = tokKeyword, kw
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: len(src)})
-	return toks, nil
+	return t, j, nil
 }
 
 func isIdentStart(r rune) bool {

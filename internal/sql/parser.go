@@ -29,8 +29,12 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
+
+	"repro/internal/tuple"
+	"repro/internal/value"
 )
 
 // Statement is any parsed statement: *Stmt (a SELECT), *RegisterStmt
@@ -50,9 +54,10 @@ func (*InsertStmt) isStatement()   {}
 type InsertStmt struct {
 	// Table is the catalog name of the target table.
 	Table string
-	// Rows are the literal VALUES tuples in statement order. Operands are
-	// OpInt, OpStr, or OpNull — never OpCol.
-	Rows [][]Operand
+	// Rows are the literal VALUES tuples in statement order, decoded into
+	// one value slab. Neither they nor Table share bytes with the statement
+	// text, so the catalog can keep them as they are.
+	Rows []tuple.Row
 }
 
 // PrepareStmt is a parsed PREPARE name AS select statement: it asks the
@@ -95,7 +100,8 @@ type RegisterIndex struct {
 	Latency time.Duration
 }
 
-// Stmt is a parsed SELECT statement.
+// Stmt is a parsed SELECT statement. Its identifiers and string literals
+// are slices of the statement text.
 type Stmt struct {
 	// Star is true for SELECT *.
 	Star bool
@@ -149,9 +155,6 @@ const (
 	OpInt
 	// OpStr is a string literal.
 	OpStr
-	// OpNull is the NULL literal; it appears only in INSERT rows (a WHERE
-	// comparison against NULL has no defined semantics in this dialect).
-	OpNull
 )
 
 // Operand is one side of a comparison.
@@ -170,9 +173,12 @@ type Cond struct {
 	Right Operand
 }
 
+// parser pulls tokens from src one at a time.
 type parser struct {
-	toks []token
-	i    int
+	src string
+	off int   // where the token after tok starts
+	tok token // the current token
+	err error // the first lexical error; tok is then end of input
 }
 
 // Parse parses one SELECT statement.
@@ -189,14 +195,14 @@ func Parse(src string) (*Stmt, error) {
 }
 
 // ParseStatement parses one statement of any kind: a SELECT (returned as
-// *Stmt) or a REGISTER TABLE (returned as *RegisterStmt).
+// *Stmt), REGISTER TABLE (*RegisterStmt), PREPARE (*PrepareStmt), EXECUTE
+// (*ExecuteStmt) or INSERT (*InsertStmt). A lexical error anywhere in src is
+// reported in preference to a syntax error before it.
 func ParseStatement(src string) (Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{src: src}
+	p.next()
 	var st Statement
+	var err error
 	switch {
 	case p.atWord("REGISTER"):
 		st, err = p.register()
@@ -209,39 +215,49 @@ func ParseStatement(src string) (Statement, error) {
 	default:
 		st, err = p.stmt()
 	}
+	if err == nil && !p.at(tokEOF, "") {
+		err = p.errAt("unexpected %s after statement", p.tok)
+	}
+	for err != nil && p.err == nil && p.tok.kind != tokEOF {
+		p.next()
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
-	}
-	if !p.at(tokEOF, "") {
-		return nil, p.errAt("unexpected %s after statement", p.cur())
 	}
 	return st, nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+// next consumes the current token and scans the one after it.
+func (p *parser) next() token {
+	t := p.tok
+	if p.err == nil {
+		p.tok, p.off, p.err = scan(p.src, p.off)
+	}
+	return t
+}
 
 // errAt wraps a parse error with the byte offset of the current token.
 func (p *parser) errAt(format string, args ...any) error {
-	return fmt.Errorf("sql: position %d: %s", p.cur().pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("sql: position %d: %s", p.tok.pos, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) at(k tokKind, text string) bool {
-	t := p.cur()
-	return t.kind == k && (text == "" || t.text == text)
+	return p.tok.kind == k && (text == "" || p.tok.text == text)
 }
 
 // atWord reports whether the current token is the given contextual word —
 // an identifier (or keyword) matched case-insensitively, so serving-layer
 // words like TABLE stay usable as ordinary identifiers elsewhere.
 func (p *parser) atWord(w string) bool {
-	t := p.cur()
-	return (t.kind == tokIdent || t.kind == tokKeyword) && strings.EqualFold(t.text, w)
+	return (p.tok.kind == tokIdent || p.tok.kind == tokKeyword) && strings.EqualFold(p.tok.text, w)
 }
 
 func (p *parser) acceptWord(w string) bool {
 	if p.atWord(w) {
-		p.i++
+		p.next()
 		return true
 	}
 	return false
@@ -249,7 +265,7 @@ func (p *parser) acceptWord(w string) bool {
 
 func (p *parser) accept(k tokKind, text string) bool {
 	if p.at(k, text) {
-		p.i++
+		p.next()
 		return true
 	}
 	return false
@@ -259,15 +275,33 @@ func (p *parser) expect(k tokKind, text, what string) (token, error) {
 	if p.at(k, text) {
 		return p.next(), nil
 	}
-	return token{}, p.errAt("expected %s, got %s", what, p.cur())
+	return token{}, p.errAt("expected %s, got %s", what, p.tok)
+}
+
+// list parses item (sep item)* into an exact-size slice. The items collect
+// in a stack array first, so a list of up to 16 costs one allocation.
+func list[T any](p *parser, sepKind tokKind, sep string, item func() (T, error)) ([]T, error) {
+	var buf [16]T
+	items := buf[:0]
+	for {
+		x, err := item()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, x)
+		if !p.accept(sepKind, sep) {
+			return slices.Clone(items), nil
+		}
+	}
 }
 
 // register parses REGISTER TABLE name FROM 'path' (INDEX col LATENCY d)*.
-// The leading REGISTER word has been recognized but not consumed.
+// The leading REGISTER word has been recognized but not consumed. The
+// catalog keeps the name, so it is copied out of the statement text.
 func (p *parser) register() (*RegisterStmt, error) {
 	p.next() // REGISTER
 	if !p.acceptWord("TABLE") {
-		return nil, p.errAt("expected TABLE, got %s", p.cur())
+		return nil, p.errAt("expected TABLE, got %s", p.tok)
 	}
 	name, err := p.expect(tokIdent, "", "table name")
 	if err != nil {
@@ -280,14 +314,14 @@ func (p *parser) register() (*RegisterStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &RegisterStmt{Name: name.text, Path: path.text}
+	st := &RegisterStmt{Name: strings.Clone(name.text), Path: path.text}
 	for p.acceptWord("INDEX") {
 		col, err := p.expect(tokIdent, "", "index column")
 		if err != nil {
 			return nil, err
 		}
 		if !p.acceptWord("LATENCY") {
-			return nil, p.errAt("expected LATENCY, got %s", p.cur())
+			return nil, p.errAt("expected LATENCY, got %s", p.tok)
 		}
 		d, err := p.duration()
 		if err != nil {
@@ -336,64 +370,80 @@ func (p *parser) execute() (*ExecuteStmt, error) {
 func (p *parser) insert() (*InsertStmt, error) {
 	p.next() // INSERT
 	if !p.acceptWord("INTO") {
-		return nil, p.errAt("expected INTO, got %s", p.cur())
+		return nil, p.errAt("expected INTO, got %s", p.tok)
 	}
 	name, err := p.expect(tokIdent, "", "table name")
 	if err != nil {
 		return nil, err
 	}
 	if !p.acceptWord("VALUES") {
-		return nil, p.errAt("expected VALUES, got %s", p.cur())
+		return nil, p.errAt("expected VALUES, got %s", p.tok)
 	}
-	st := &InsertStmt{Table: name.text}
+	var buf [64]value.V
+	vals, arity, rows := buf[:0], 0, 0
 	for {
 		if _, err := p.expect(tokSymbol, "(", "'('"); err != nil {
 			return nil, err
 		}
-		var row []Operand
+		start := len(vals)
 		for {
-			o, err := p.literal()
+			v, err := p.literal()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, o)
+			vals = append(vals, v)
 			if !p.accept(tokSymbol, ",") {
 				break
 			}
 		}
-		closing := p.cur()
+		closing := p.tok
 		if _, err := p.expect(tokSymbol, ")", "')'"); err != nil {
 			return nil, err
 		}
-		if len(st.Rows) > 0 && len(row) != len(st.Rows[0]) {
+		if n := len(vals) - start; rows == 0 {
+			arity = n
+		} else if n != arity {
 			return nil, fmt.Errorf("sql: position %d: VALUES row %d has %d values, want %d",
-				closing.pos, len(st.Rows)+1, len(row), len(st.Rows[0]))
+				closing.pos, rows+1, n, arity)
 		}
-		st.Rows = append(st.Rows, row)
+		rows++
 		if !p.accept(tokSymbol, ",") {
 			break
 		}
+	}
+	// The rows slice value slabs of at most 16 values (512 bytes) where rows
+	// are that narrow: a larger object holding pointers carries an allocation
+	// header and rounds up a size class, and the table keeps the slabs.
+	per := max(1, 16/arity) * arity
+	st := &InsertStmt{Table: strings.Clone(name.text), Rows: make([]tuple.Row, rows)}
+	var slab []value.V
+	for i := range st.Rows {
+		if len(slab) == 0 {
+			slab = slices.Clone(vals[i*arity : min(len(vals), i*arity+per)])
+		}
+		st.Rows[i], slab = slab[:arity:arity], slab[arity:]
 	}
 	return st, nil
 }
 
 // literal parses one INSERT value: an integer, a quoted string, or NULL.
 // Column references are not literals — an INSERT row carries data, not
-// expressions.
-func (p *parser) literal() (Operand, error) {
-	t := p.cur()
+// expressions. The catalog keeps the value, so a string is copied out of the
+// statement text.
+func (p *parser) literal() (value.V, error) {
+	t := p.tok
 	switch {
 	case t.kind == tokNumber:
 		p.next()
-		return Operand{Kind: OpInt, Int: intFromDigits(t.text)}, nil
+		return value.NewInt(t.num), nil
 	case t.kind == tokString:
 		p.next()
-		return Operand{Kind: OpStr, Str: t.text}, nil
+		return value.NewStr(strings.Clone(t.text)), nil
 	case p.atWord("NULL"):
 		p.next()
-		return Operand{Kind: OpNull}, nil
+		return value.NewNull(), nil
 	default:
-		return Operand{}, p.errAt("expected literal value, got %s", t)
+		return value.V{}, p.errAt("expected literal value, got %s", t)
 	}
 }
 
@@ -401,7 +451,7 @@ func (p *parser) literal() (Operand, error) {
 // number immediately followed by its unit (200ms, which lexes as the number
 // 200 and the identifier ms).
 func (p *parser) duration() (time.Duration, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tokString:
 		p.next()
@@ -412,7 +462,7 @@ func (p *parser) duration() (time.Duration, error) {
 		return d, nil
 	case tokNumber:
 		p.next()
-		if p.cur().kind != tokIdent {
+		if p.tok.kind != tokIdent {
 			return 0, fmt.Errorf("sql: position %d: duration %s needs a unit (e.g. %sms)", t.pos, t.text, t.text)
 		}
 		unit := p.next()
@@ -430,98 +480,73 @@ func (p *parser) stmt() (*Stmt, error) {
 	if _, err := p.expect(tokKeyword, "SELECT", "SELECT"); err != nil {
 		return nil, err
 	}
-	st := &Stmt{}
-	switch {
-	case p.accept(tokSymbol, "*"):
+	st := &Stmt{Limit: -1}
+	var err error
+	if p.accept(tokSymbol, "*") {
 		st.Star = true
-	default:
-		for {
-			c, err := p.colRef()
-			if err != nil {
-				return nil, err
-			}
-			st.Select = append(st.Select, c)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
+	} else if st.Select, err = list(p, tokSymbol, ",", p.colRef); err != nil {
+		return nil, err
 	}
-
 	if _, err := p.expect(tokKeyword, "FROM", "FROM"); err != nil {
 		return nil, err
 	}
-	for {
-		name, err := p.expect(tokIdent, "", "table name")
-		if err != nil {
+	if st.From, err = list(p, tokSymbol, ",", p.tableRef); err != nil {
+		return nil, err
+	}
+	if p.accept(tokKeyword, "WHERE") {
+		if st.Where, err = list(p, tokKeyword, "AND", p.cond); err != nil {
 			return nil, err
 		}
-		ref := TableRef{Source: name.text, Alias: name.text}
-		if p.accept(tokKeyword, "AS") {
-			al, err := p.expect(tokIdent, "", "alias")
-			if err != nil {
-				return nil, err
-			}
-			ref.Alias = al.text
-		} else if p.cur().kind == tokIdent { // implicit alias: FROM R r
-			ref.Alias = p.next().text
-		}
-		st.From = append(st.From, ref)
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
 	}
-
-	if p.accept(tokKeyword, "WHERE") {
-		for {
-			c, err := p.cond()
-			if err != nil {
-				return nil, err
-			}
-			st.Where = append(st.Where, c)
-			if !p.accept(tokKeyword, "AND") {
-				break
-			}
-		}
-	}
-
 	if p.accept(tokKeyword, "ORDER") {
 		if _, err := p.expect(tokKeyword, "BY", "BY"); err != nil {
 			return nil, err
 		}
-		for {
-			c, err := p.colRef()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Col: c}
-			if p.accept(tokKeyword, "DESC") {
-				item.Desc = true
-			} else {
-				p.accept(tokKeyword, "ASC")
-			}
-			st.OrderBy = append(st.OrderBy, item)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
+		if st.OrderBy, err = list(p, tokSymbol, ",", p.orderItem); err != nil {
+			return nil, err
 		}
 	}
-
-	st.Limit = -1
 	if p.accept(tokKeyword, "LIMIT") {
 		n, err := p.expect(tokNumber, "", "limit count")
 		if err != nil {
 			return nil, err
 		}
-		v := 0
-		for _, ch := range n.text {
-			if ch == '-' {
-				return nil, fmt.Errorf("sql: position %d: negative LIMIT", n.pos)
-			}
-			v = v*10 + int(ch-'0')
+		if n.text[0] == '-' {
+			return nil, fmt.Errorf("sql: position %d: negative LIMIT", n.pos)
 		}
-		st.Limit = v
+		st.Limit = int(n.num)
 	}
 	return st, nil
+}
+
+func (p *parser) tableRef() (TableRef, error) {
+	name, err := p.expect(tokIdent, "", "table name")
+	if err != nil {
+		return TableRef{}, err
+	}
+	ref := TableRef{Source: name.text, Alias: name.text}
+	if p.accept(tokKeyword, "AS") {
+		al, err := p.expect(tokIdent, "", "alias")
+		if err != nil {
+			return TableRef{}, err
+		}
+		ref.Alias = al.text
+	} else if p.tok.kind == tokIdent { // implicit alias: FROM R r
+		ref.Alias = p.next().text
+	}
+	return ref, nil
+}
+
+func (p *parser) orderItem() (OrderItem, error) {
+	c, err := p.colRef()
+	if err != nil {
+		return OrderItem{}, err
+	}
+	item := OrderItem{Col: c, Desc: p.accept(tokKeyword, "DESC")}
+	if !item.Desc {
+		p.accept(tokKeyword, "ASC")
+	}
+	return item, nil
 }
 
 func (p *parser) colRef() (ColRef, error) {
@@ -540,11 +565,11 @@ func (p *parser) colRef() (ColRef, error) {
 }
 
 func (p *parser) operand() (Operand, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		return Operand{Kind: OpInt, Int: intFromDigits(t.text)}, nil
+		return Operand{Kind: OpInt, Int: t.num}, nil
 	case tokString:
 		p.next()
 		return Operand{Kind: OpStr, Str: t.text}, nil
@@ -557,24 +582,6 @@ func (p *parser) operand() (Operand, error) {
 	default:
 		return Operand{}, p.errAt("expected operand, got %s", t)
 	}
-}
-
-// intFromDigits converts a lexed number token (digits with an optional
-// leading '-') to an int64.
-func intFromDigits(s string) int64 {
-	var v int64
-	neg := false
-	if s[0] == '-' {
-		neg = true
-		s = s[1:]
-	}
-	for _, ch := range s {
-		v = v*10 + int64(ch-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v
 }
 
 func (p *parser) cond() (Cond, error) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/eddy"
@@ -42,14 +43,27 @@ func testCatalog(t *testing.T) MapCatalog {
 
 // --- lexer ---
 
+// scanAll pulls every token of src, end of input included.
+func scanAll(src string) ([]token, error) {
+	var toks []token
+	for off := 0; ; {
+		tk, next, err := scan(src, off)
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, tk)
+		if tk.kind == tokEOF {
+			return toks, nil
+		}
+		off = next
+	}
+}
+
 func TestLexBasics(t *testing.T) {
-	toks, err := lex("SELECT r.a, x FROM r WHERE a <= -5 AND name = 'it''s'")
+	const src = "select r.a, x FROM r WHERE a <= -5 AND name = 'it''s' AND b = 'plain'"
+	toks, err := scanAll(src)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var kinds []tokKind
-	for _, tk := range toks {
-		kinds = append(kinds, tk.kind)
 	}
 	if toks[0].text != "SELECT" || toks[0].kind != tokKeyword {
 		t.Error("keyword not recognized")
@@ -67,19 +81,43 @@ func TestLexBasics(t *testing.T) {
 	// Negative number.
 	neg := false
 	for _, tk := range toks {
-		if tk.kind == tokNumber && tk.text == "-5" {
+		if tk.kind == tokNumber && tk.text == "-5" && tk.num == -5 {
 			neg = true
 		}
 	}
 	if !neg {
 		t.Error("negative number not lexed")
 	}
+	// A literal without '' escapes is a slice of the source, not a copy.
+	if tk := toks[len(toks)-2]; tk.kind != tokString || tk.text != "plain" || !within(tk.text, src) {
+		t.Errorf("plain literal %+v is not a slice of the source", tk)
+	}
+}
+
+// within reports whether s's bytes lie inside src's.
+func within(s, src string) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(src))
 }
 
 func TestLexErrors(t *testing.T) {
-	for _, src := range []string{"SELECT @", "SELECT 'open", "a ! b", "a - b"} {
-		if _, err := lex(src); err == nil {
-			t.Errorf("%q: want lex error", src)
+	cases := []struct{ src, want string }{
+		{"SELECT @", "position 7: unexpected '@'"},
+		{"SELECT 'open", "position 7: unterminated string"},
+		{"a ! b", "position 2: unexpected '!'"},
+		{"a - b", "position 2: unexpected '-'"},
+		{"SELECT a FROM t LIMIT 9223372036854775808", "position 22: integer out of range"},
+		{"INSERT INTO t VALUES (-9223372036854775809)", "position 22: integer out of range"},
+		{"SELECT a FROM t WHERE a = 99999999999999999999", "position 26: integer out of range"},
+		{"SELECT a\xff FROM t", "position 8: invalid UTF-8"},
+		{"SELECT \xc3 FROM t", "position 7: invalid UTF-8"},
+		{"SELECT a © b", "position 9: unexpected '©'"},
+	}
+	for _, c := range cases {
+		_, err := scanAll(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: lex error = %v, want %q", c.src, err, c.want)
 		}
 	}
 }
@@ -445,10 +483,10 @@ func TestParseInsert(t *testing.T) {
 		t.Fatalf("parsed %+v", ins)
 	}
 	r0, r1 := ins.Rows[0], ins.Rows[1]
-	if r0[0].Kind != OpInt || r0[0].Int != 1 || r0[1].Kind != OpStr || r0[1].Str != "it's" {
+	if r0[0].K != value.Int || r0[0].I != 1 || r0[1].K != value.Str || r0[1].S != "it's" {
 		t.Errorf("row 0 = %+v", r0)
 	}
-	if r1[0].Kind != OpInt || r1[0].Int != -2 || r1[1].Kind != OpNull {
+	if r1[0].K != value.Int || r1[0].I != -2 || !r1[1].IsNull() {
 		t.Errorf("row 1 = %+v", r1)
 	}
 	rows := ins.RowValues()
