@@ -359,66 +359,6 @@ func BenchmarkShardedMultiway_Shards1(b *testing.B) { benchShardedMultiway(b, 1)
 func BenchmarkShardedMultiway_Shards4(b *testing.B) { benchShardedMultiway(b, 4) }
 func BenchmarkShardedMultiway_Shards8(b *testing.B) { benchShardedMultiway(b, 8) }
 
-// Out-of-core spill bench: the same 3-way join at 1024 rows with the build
-// state larger than the byte budget — real segment writes, recorded probes,
-// and a replay pass regenerate the spilled results. The unbounded variant is
-// the in-memory baseline; Budget4x holds roughly a quarter of the build
-// state (so state exceeds the budget ≥4×); Budget1 spills every row. Output
-// counts are asserted equal across all three (TestSpillResultsAgree proves
-// set-identity; the bench proves the cost).
-
-func benchSpillMultiway(b *testing.B, budget int64) {
-	b.Helper()
-	b.ReportAllocs()
-	var spilled, replayed uint64
-	var outs int
-	for i := 0; i < b.N; i++ {
-		var ropts eddy.Options
-		var gov *stem.Governor
-		if budget > 0 {
-			var err error
-			gov, err = stem.NewSpillGovernor(budget, b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			ropts.Governor = gov
-		}
-		r, err := eddy.NewRouter(benchMultiwayQ(1024), ropts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := eddy.NewSim(r).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		outs = len(res)
-		spilled, replayed = 0, 0
-		for _, s := range r.SteMs() {
-			st := s.Stats()
-			spilled += st.SpilledBuilds
-			replayed += st.ReplayMatches
-		}
-		if gov != nil {
-			if err := gov.Err(); err != nil {
-				b.Fatal(err)
-			}
-			if err := gov.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if outs == 0 {
-		b.Fatal("no results")
-	}
-	b.ReportMetric(float64(outs), "results")
-	b.ReportMetric(float64(spilled), "spilled-rows")
-	b.ReportMetric(float64(replayed), "replayed")
-}
-
-func BenchmarkSpillMultiway_Unbounded(b *testing.B) { benchSpillMultiway(b, 0) }
-func BenchmarkSpillMultiway_Budget4x(b *testing.B)  { benchSpillMultiway(b, 40<<10) }
-func BenchmarkSpillMultiway_Budget1(b *testing.B)   { benchSpillMultiway(b, 1) }
-
 // Micro-benches on the SteM itself.
 
 func BenchmarkSteMBuildProbe(b *testing.B) {

@@ -140,8 +140,7 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window for in-flight queries")
 	planCache := flag.Int("plan-cache", 0, "plan cache capacity in entries: PREPAREd and ad-hoc SELECT plans are cached with pooled engine shells, keyed by canonical text + knobs and invalidated by REGISTER (0 uses the default of 128; negative disables caching)")
-	memBudget := flag.Int64("mem-budget", 0, "per-query resident SteM byte budget; rows beyond it spill to disk and replay (0 disables). Total SteM footprint is bounded by -max-inflight times this")
-	spillDir := flag.String("spill-dir", "", "directory for per-query spill segments (each query gets a private subdirectory, removed when it ends); empty uses the system temp dir")
+	flag.String("spill-dir", "", "ignored: accepted only because the frozen benchmark harness passes it")
 	sharedStems := flag.Bool("shared-stems", false, "share SteM state across queries: the first query joining through a registered table builds its SteM once, concurrent and later queries attach probe-only handles; REGISTER invalidates lazily")
 	sharedStemBytes := flag.Int64("shared-stem-bytes", 0, "cap on the total footprint of shared SteM state; least-recently-attached idle states are evicted past it (0 = unlimited)")
 	pprofOn := flag.Bool("pprof", false, "expose Go pprof profiling endpoints under /debug/pprof/ (opt-in; profiles reveal query shapes, so leave off on untrusted networks)")
@@ -173,8 +172,6 @@ func main() {
 		Seed:            *seed,
 		BatchSize:       *batch,
 		Shards:          *shards,
-		MemBudgetBytes:  *memBudget,
-		SpillDir:        *spillDir,
 		PlanCacheSize:   *planCache,
 
 		SharedStems:     *sharedStems,

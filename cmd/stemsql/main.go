@@ -74,8 +74,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
 	timing := flag.Bool("timing", false, "print per-result virtual emission times and run stats")
 	explain := flag.Bool("explain", false, "print a per-module adaptive-execution report after the results")
-	memBudget := flag.Int64("mem-budget", 0, "resident SteM byte budget per statement; rows beyond it spill to disk and replay (0 disables)")
-	spillDir := flag.String("spill-dir", "", "directory for spill segments (a private per-run subdirectory is created and removed); empty uses the system temp dir")
 	serverURL := flag.String("server", "", "base URL of a running stemsd (e.g. http://localhost:8080): statements run on the server instead of locally, and \\plans lists its plan cache")
 	flag.Parse()
 
@@ -105,7 +103,7 @@ func main() {
 	}
 	prepped := map[string]*sql.Stmt{}
 	runOne := func(stmt string, doExplain bool) bool {
-		if err := run(stmt, cat, prepped, *policyName, *engineName, *batch, *shards, *seed, *timing, *explain || doExplain, *memBudget, *spillDir); err != nil {
+		if err := run(stmt, cat, prepped, *policyName, *engineName, *batch, *shards, *seed, *timing, *explain || doExplain); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return false
 		}
@@ -226,7 +224,7 @@ func splitStatements(s string) (complete []string, rest string) {
 	return complete, strings.TrimLeft(s[start:], " \t\n")
 }
 
-func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, batch, shards int, seed int64, timing, explain bool, memBudget int64, spillDir string) error {
+func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, batch, shards int, seed int64, timing, explain bool) error {
 	parsed, err := sql.ParseStatement(stmtSrc)
 	if err != nil {
 		return err
@@ -280,20 +278,18 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 		return fmt.Errorf("stemsql: %w", err)
 	}
 	ex, err := core.Build(core.Spec{
-		Q:           bound.Q,
-		Engine:      engine,
-		Policy:      policyName,
-		Seed:        seed,
-		Shards:      shards,
-		Batch:       batch,
-		MemoryBytes: memBudget,
-		SpillDir:    spillDir,
-		Trace:       explain,
+		Q:      bound.Q,
+		Engine: engine,
+		Policy: policyName,
+		Seed:   seed,
+		Shards: shards,
+		Batch:  batch,
+		Trace:  explain,
 	})
 	if err != nil {
 		return fmt.Errorf("stemsql: %w", err)
 	}
-	defer ex.Close()
+	defer ex.Release()
 	outs, err := ex.Run(context.Background(), nil, nil)
 	if err != nil {
 		return err

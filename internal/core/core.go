@@ -2,15 +2,15 @@
 // The paper has no planner: Section 2.2's whole "planning" step is to
 // instantiate one access module per access method, one selection module per
 // selection, one SteM per base table and an eddy over them. Build does that
-// step — policy, router, engine, memory governor and trace collector, from a
-// plain Spec value — and hands back an Exec, which owns the five and is the
-// only thing that knows the order they are installed, reset and torn down
-// in. The public facade (Run, Prepare, Open), the stemsql CLI and the stemsd
-// server each translate their own options into a Spec and call Build; none
-// of them constructs a router, an engine or a governor (a lint test in this
-// package keeps it that way). The experiment harness and the baseline
-// executors drive eddy.Routing directly: they also run non-SteM
-// architectures, which a Spec cannot describe.
+// step — policy, router, engine and trace collector, from a plain Spec value
+// — and hands back an Exec, which owns the four and is the only thing that
+// knows the order they are installed, reset and released in. The public
+// facade (Run, Prepare, Open), the stemsql CLI and the stemsd server each
+// translate their own options into a Spec and call Build; none of them
+// constructs a router or an engine (a lint test in this package keeps it that
+// way). The experiment harness and the baseline executors drive eddy.Routing
+// directly: they also run non-SteM architectures, which a Spec cannot
+// describe.
 //
 // A Spec says what to run, never how the engine should carry it: which batch
 // representation moves (rows or column vectors) is the engine's decision,
@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/clock"
 	"repro/internal/eddy"
@@ -92,10 +91,6 @@ type Spec struct {
 	ProbeBounce    stem.ProbeBounceMode
 	SkipBuild      bool
 	SkipBuildTable int
-	// MemoryBytes > 0 governs all SteMs with real disk spill into a private
-	// subdirectory of SpillDir (default os.TempDir()).
-	MemoryBytes int64
-	SpillDir    string
 	// Deadline stops the Sim engine at that virtual time; OnEmit observes
 	// every tuple a module hands back to the eddy. Sim only.
 	Deadline clock.Time
@@ -105,23 +100,20 @@ type Spec struct {
 }
 
 // Poolable reports whether a cleanly finished handle built from this Spec
-// can be Reset in place and run again: the Concurrent engine without a
-// governor or windows. The simulator is cheap to build and its event heap
-// is not rewindable; governors and windows hold per-run disk and eviction
-// state no Reset reconstructs.
+// can be Reset in place and run again: the Concurrent engine without
+// windows. The simulator is cheap to build and its event heap is not
+// rewindable; windows hold per-run eviction state no Reset reconstructs.
 func (sp *Spec) Poolable() bool {
-	return sp.Engine == Concurrent && sp.MemoryBytes == 0 && sp.Windows == nil
+	return sp.Engine == Concurrent && sp.Windows == nil
 }
 
 // Stats is the one aggregation of a handle's run-level counters. They are
 // cumulative since Build or the last Reset, so after delta rounds they cover
 // the standing query's whole life.
 type Stats struct {
-	RoutingSteps  uint64
-	IndexProbes   uint64
-	Builds        uint64
-	SpilledBuilds uint64
-	ReplayMatches uint64
+	RoutingSteps uint64
+	IndexProbes  uint64
+	Builds       uint64
 	// Events counts simulation events (Sim only).
 	Events uint64
 }
@@ -142,15 +134,13 @@ type Exec struct {
 	r    *eddy.Router
 	sim  *eddy.Sim
 	eng  *eddy.Concurrent
-	gov  *stem.Governor
 	coll *trace.Collector
 	st   state
 }
 
-// Build validates the Spec and instantiates the module graph, the engine,
-// the governor and the collector. The caller owns the handle and must Close
-// it. Failures to set up the spill directory wrap an *fs.PathError; every
-// other error means the Spec is invalid.
+// Build validates the Spec and instantiates the module graph, the engine and
+// the collector. The caller owns the handle and should Release it when done
+// with its rows. An error means the Spec is invalid.
 func Build(sp Spec) (*Exec, error) {
 	e := &Exec{spec: sp}
 	if err := e.build(); err != nil {
@@ -182,25 +172,11 @@ func (e *Exec) build() error {
 	if sp.Shared != nil {
 		ropts.SharedFor = func(t int) *stem.SharedState { return sp.Shared[t] }
 	}
-	var gov *stem.Governor
-	if sp.MemoryBytes > 0 {
-		dir := sp.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		if gov, err = stem.NewSpillGovernor(sp.MemoryBytes, dir); err != nil {
-			return err
-		}
-	}
-	ropts.Governor = gov
 	r, err := eddy.NewRouter(sp.Q, ropts)
 	if err != nil {
-		if gov != nil {
-			gov.Close()
-		}
 		return err
 	}
-	e.r, e.gov, e.sim, e.eng, e.coll = r, gov, nil, nil, nil
+	e.r, e.sim, e.eng, e.coll = r, nil, nil, nil
 	if sp.Engine == Concurrent {
 		e.eng = eddy.NewConcurrent(r, nil)
 		e.eng.BatchSize = sp.Batch
@@ -295,10 +271,7 @@ func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutpu
 		err = e.check()
 	}
 	if err != nil {
-		// The state is unusable from here on; drop the spill directory now
-		// rather than whenever the caller gets to Close.
-		e.st = dirty
-		e.Close()
+		e.st = dirty // the state is unusable from here on
 		return nil, err
 	}
 	e.st = clean
@@ -306,14 +279,8 @@ func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutpu
 }
 
 // check surfaces what a quiesced engine cannot report through its own
-// error: spill I/O that fell back to memory, and tuples the router found no
-// legal move for.
+// error: tuples the router found no legal move for.
 func (e *Exec) check() error {
-	if e.gov != nil {
-		if err := e.gov.Err(); err != nil {
-			return fmt.Errorf("core: spill I/O failed (results fell back to resident storage): %w", err)
-		}
-	}
 	if n := e.r.Stuck(); n > 0 {
 		return fmt.Errorf("core: internal error — %d tuples had no legal route", n)
 	}
@@ -326,8 +293,8 @@ func (e *Exec) check() error {
 // rewound, a fresh clock, collector zeroed, and the routing policy
 // deliberately kept, so what it learned carries into the next run. Any other
 // handle is torn down and built again from its Spec (with a new policy): a
-// canceled run may strand batches mid-flight, and simulator, governor and
-// window state is not rewindable.
+// canceled run may strand batches mid-flight, and simulator and window state
+// is not rewindable.
 func (e *Exec) Reset() error {
 	switch {
 	case e.st == fresh:
@@ -340,7 +307,7 @@ func (e *Exec) Reset() error {
 		}
 		e.st = fresh
 	default:
-		e.Close()
+		e.Release()
 		return e.build()
 	}
 	return nil
@@ -353,25 +320,12 @@ func (e *Exec) Stats() Stats {
 		st.IndexProbes += a.Stats().Probes
 	}
 	for _, s := range e.r.SteMs() {
-		ss := s.Stats()
-		st.Builds += ss.Builds
-		st.SpilledBuilds += ss.SpilledBuilds
-		st.ReplayMatches += ss.ReplayMatches
+		st.Builds += s.Stats().Builds
 	}
 	if e.sim != nil {
 		st.Events = e.sim.Events()
 	}
 	return st
-}
-
-// SpillBytes reports the governor's resident and spilled row footprint
-// (zeros when ungoverned); it is safe to call while a
-// round is running, which is what a server's gauges do.
-func (e *Exec) SpillBytes() (resident, spilled int64) {
-	if e.gov == nil {
-		return 0, 0
-	}
-	return e.gov.BytesStats()
 }
 
 // Record snapshots the collector into wire form, with the policy's learned
@@ -391,10 +345,10 @@ func (e *Exec) Report() string { return e.coll.Report() }
 // (see stem.SteM.Release) once the caller is done with the handle's rows: the
 // handle keeps what derives from the query — router, policy, predicate caches
 // — and gives up what derives from the data, which whatever query runs next
-// can use. Counters, Record and Report stay readable; Run and RunDelta refuse
-// until a Reset. A standing query must not call it between rounds. A handle
-// whose last round failed releases nothing: that round may have died inside a
-// module, mid-build.
+// can use. It is idempotent. Counters, Record and Report stay readable; Run
+// and RunDelta refuse until a Reset. A standing query must not call it
+// between rounds. A handle whose last round failed releases nothing: that
+// round may have died inside a module, mid-build.
 func (e *Exec) Release() {
 	if e.st == dirty || e.st == released {
 		return
@@ -403,14 +357,4 @@ func (e *Exec) Release() {
 		s.Release()
 	}
 	e.st = released
-}
-
-// Close releases the SteM storage and removes the spill directory, if any. It
-// is idempotent, and the handle's in-memory counters stay readable afterwards.
-func (e *Exec) Close() error {
-	e.Release()
-	if e.gov == nil {
-		return nil
-	}
-	return e.gov.Close()
 }

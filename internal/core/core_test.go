@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -25,8 +24,7 @@ import (
 func row(a, b int64) tuple.Row { return tuple.Row{value.NewInt(a), value.NewInt(b)} }
 
 // fixture is the 3-way join R.a = S.x, S.y = T.key over n/n÷4/n÷16 rows —
-// enough build state to spill under a tiny byte budget and enough simulator
-// events for a canceled context to be noticed. It returns the query and the
+// enough simulator events for a canceled context to be noticed. It returns the query and the
 // rows each table starts with.
 func fixture(n int) (*query.Q, [][]tuple.Row) { return fixturePaced(n, clock.Microsecond) }
 
@@ -101,120 +99,105 @@ func settle(t *testing.T, baseline int) {
 	}
 }
 
-// TestExecMatrix drives the one builder across engine × shards × batch ×
-// governance through every lifecycle a caller uses, comparing each run to
-// the brute-force oracle.
+// TestExecMatrix drives the one builder across engine × shards × batch
+// through every lifecycle a caller uses, comparing each run to the
+// brute-force oracle.
 func TestExecMatrix(t *testing.T) {
 	const n = 160
 	for _, engine := range []Engine{Sim, Concurrent} {
 		for _, shards := range []int{1, 4} {
 			for _, batch := range []int{1, 64} {
-				for _, budget := range []int64{0, 1} {
-					name := fmt.Sprintf("%s/shards%d/batch%d/budget%d", [...]string{"sim", "concurrent"}[engine], shards, batch, budget)
-					t.Run(name, func(t *testing.T) {
-						baseline := runtime.NumGoroutine()
-						dir := t.TempDir()
-						q, rows := fixture(n)
-						want := oracle.Compute(q)
-						ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Shards: shards, Batch: batch,
-							MemoryBytes: budget, SpillDir: dir, Trace: true})
+				name := fmt.Sprintf("%s/shards%d/batch%d", [...]string{"sim", "concurrent"}[engine], shards, batch)
+				t.Run(name, func(t *testing.T) {
+					baseline := runtime.NumGoroutine()
+					q, rows := fixture(n)
+					want := oracle.Compute(q)
+					ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Shards: shards, Batch: batch, Trace: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := ex.Poolable(), engine == Concurrent; got != want {
+						t.Fatalf("Poolable() = %v, want %v", got, want)
+					}
+					run := func(what string) {
+						t.Helper()
+						streamed := 0
+						outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("%s: %v", what, err)
 						}
-						if got, want := ex.Poolable(), engine == Concurrent && budget == 0; got != want {
-							t.Fatalf("Poolable() = %v, want %v", got, want)
-						}
-						run := func(what string) {
-							t.Helper()
-							streamed := 0
-							outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
-							if err != nil {
-								t.Fatalf("%s: %v", what, err)
-							}
-							got := make(oracle.Result)
-							collect(got, outs)
-							mustMatch(t, what, want, got)
-							if streamed != len(outs) {
-								t.Fatalf("%s: hook saw %d results, Run returned %d", what, streamed, len(outs))
-							}
-							st := ex.Stats()
-							if st.RoutingSteps == 0 || st.Builds == 0 {
-								t.Fatalf("%s: empty stats %+v", what, st)
-							}
-							if (st.SpilledBuilds > 0) != (budget > 0) {
-								t.Fatalf("%s: SpilledBuilds = %d under budget %d", what, st.SpilledBuilds, budget)
-							}
-							if rec := ex.Record(true); rec.Results != uint64(len(outs)) || len(rec.Modules) == 0 {
-								t.Fatalf("%s: trace records %d results over %d modules, want %d", what, rec.Results, len(rec.Modules), len(outs))
-							}
-						}
-						reset := func() {
-							t.Helper()
-							if err := ex.Reset(); err != nil {
-								t.Fatal(err)
-							}
-						}
-
-						run("first run")
-						if _, err := ex.Run(context.Background(), nil, nil); err == nil {
-							t.Fatal("second Run without Reset succeeded")
-						}
-						builds := ex.Stats().Builds
-						reset()
-						run("after Reset")
-						if b := ex.Stats().Builds; b != builds {
-							t.Fatalf("Reset carried state over: %d builds, then %d", builds, b)
-						}
-
-						reset()
-						ctx, cancel := context.WithCancel(context.Background())
-						cancel()
-						if _, err := ex.Run(ctx, nil, nil); err == nil {
-							t.Fatal("canceled Run returned no error")
-						}
-						if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-							t.Fatalf("canceled Run left %d spill entries", len(ents))
-						}
-						if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
-							t.Fatal("RunDelta after a canceled round succeeded")
-						}
-						reset()
-						run("after canceled run and Reset")
-
-						// Snapshot ∪ deltas equals a batch run over the final rows.
-						reset()
 						got := make(oracle.Result)
-						outs, err := ex.Run(context.Background(), nil, nil)
-						if err != nil {
+						collect(got, outs)
+						mustMatch(t, what, want, got)
+						if streamed != len(outs) {
+							t.Fatalf("%s: hook saw %d results, Run returned %d", what, streamed, len(outs))
+						}
+						st := ex.Stats()
+						if st.RoutingSteps == 0 || st.Builds == 0 {
+							t.Fatalf("%s: empty stats %+v", what, st)
+						}
+						if rec := ex.Record(true); rec.Results != uint64(len(outs)) || len(rec.Modules) == 0 {
+							t.Fatalf("%s: trace records %d results over %d modules, want %d", what, rec.Results, len(rec.Modules), len(outs))
+						}
+					}
+					reset := func() {
+						t.Helper()
+						if err := ex.Reset(); err != nil {
 							t.Fatal(err)
+						}
+					}
+
+					run("first run")
+					if _, err := ex.Run(context.Background(), nil, nil); err == nil {
+						t.Fatal("second Run without Reset succeeded")
+					}
+					builds := ex.Stats().Builds
+					reset()
+					run("after Reset")
+					if b := ex.Stats().Builds; b != builds {
+						t.Fatalf("Reset carried state over: %d builds, then %d", builds, b)
+					}
+
+					reset()
+					ctx, cancel := context.WithCancel(context.Background())
+					cancel()
+					if _, err := ex.Run(ctx, nil, nil); err == nil {
+						t.Fatal("canceled Run returned no error")
+					}
+					if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
+						t.Fatal("RunDelta after a canceled round succeeded")
+					}
+					reset()
+					run("after canceled run and Reset")
+
+					// Snapshot ∪ deltas equals a batch run over the final rows.
+					reset()
+					got := make(oracle.Result)
+					outs, err := ex.Run(context.Background(), nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					collect(got, outs)
+					for i, round := range deltas(n) {
+						var ts []*tuple.Tuple
+						for _, in := range round {
+							ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
+							rows[in.table] = append(rows[in.table], in.row)
+						}
+						outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
+						if err != nil {
+							t.Fatalf("delta round %d: %v", i, err)
+						}
+						if len(outs) == 0 {
+							t.Fatalf("delta round %d produced nothing", i)
 						}
 						collect(got, outs)
-						for i, round := range deltas(n) {
-							var ts []*tuple.Tuple
-							for _, in := range round {
-								ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
-								rows[in.table] = append(rows[in.table], in.row)
-							}
-							outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
-							if err != nil {
-								t.Fatalf("delta round %d: %v", i, err)
-							}
-							if len(outs) == 0 {
-								t.Fatalf("delta round %d produced nothing", i)
-							}
-							collect(got, outs)
-						}
-						mustMatch(t, "snapshot ∪ deltas", oracle.ComputeFromRows(q, rows), got)
+					}
+					mustMatch(t, "snapshot ∪ deltas", oracle.ComputeFromRows(q, rows), got)
 
-						if err := ex.Close(); err != nil {
-							t.Fatal(err)
-						}
-						if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-							t.Fatalf("Close left %d spill entries", len(ents))
-						}
-						settle(t, baseline)
-					})
-				}
+					ex.Release()
+					settle(t, baseline)
+				})
 			}
 		}
 	}
@@ -229,7 +212,6 @@ func TestPoolable(t *testing.T) {
 	}{
 		{"concurrent", Spec{Engine: Concurrent}, true},
 		{"sim", Spec{Engine: Sim}, false},
-		{"spill governor", Spec{Engine: Concurrent, MemoryBytes: 1 << 20}, false},
 		{"windowed", Spec{Engine: Concurrent, Windows: []int{0, 8}}, false},
 	}
 	for _, tc := range cases {
@@ -338,7 +320,7 @@ func TestReleaseRecyclesStorage(t *testing.T) {
 	if m2 > n/10 {
 		t.Errorf("second run made %d allocations over %d-row tables, want a count that does not grow with the rows", m2, n)
 	}
-	ex.Close()
+	ex.Release()
 }
 
 // TestColumnarSinkOwnsItsRows pins the two output contracts of Run. A streamed
@@ -402,6 +384,6 @@ func TestColumnarSinkOwnsItsRows(t *testing.T) {
 		if streamed != len(outs) {
 			t.Errorf("shards=%d: tuple hook saw %d results, Run returned %d", shards, streamed, len(outs))
 		}
-		ex.Close()
+		ex.Release()
 	}
 }

@@ -1,10 +1,11 @@
 // lint_test.go keeps this package the only query→router→engine assembly: it
 // parses every non-test Go file in the module and fails if one outside the
-// packages allowed to drive the engines directly constructs a router, an
-// engine or a governor. The facade, the CLIs and the server must go through
+// packages allowed to drive the engines directly constructs a router or an
+// engine. The facade, the CLIs and the server must go through
 // Build. Further checks keep the commands' catalogs unpaced, the serving
-// binary's import closure off the paper-figure / reference packages, and the
-// engine's configuration structs free of fields nothing shipped sets.
+// binary's import closure off the paper-figure / reference packages, the
+// engine and shared SteM state off the file system, and the engine's
+// configuration structs free of fields nothing shipped sets.
 package core
 
 import (
@@ -22,7 +23,6 @@ import (
 // constructors are the calls only an assembly makes, by import path.
 var constructors = map[string][]string{
 	"repro/internal/eddy": {"NewRouter", "NewConcurrent", "NewSim"},
-	"repro/internal/stem": {"NewSpillGovernor"},
 }
 
 // assemblers may call them: this package; the engines' own package; the
@@ -59,7 +59,7 @@ func TestOnlyCoreAssembles(t *testing.T) {
 			return err
 		}
 		files++
-		// The names this file knows the two packages by.
+		// The names this file knows the listed packages by.
 		banned := map[string][]string{}
 		for _, imp := range f.Imports {
 			ipath, _ := strconv.Unquote(imp.Path.Value)
@@ -194,21 +194,34 @@ func TestServingPathAvoidsFigurePath(t *testing.T) {
 	}
 }
 
-// TestSharedStateTouchesNoDisk pins that catalog-owned shared SteM state is
-// memory and nothing else: neither the state nor its owner imports a package
-// that could open, read or name a file. (A join too big to keep resident is
-// the per-query governor's job — stem/spill.go — which a shared state never
-// meets: governed queries run on private SteMs.)
+// TestSharedStateTouchesNoDisk pins that query execution is memory and
+// nothing else: no non-test file of the engine packages, nor the server's
+// owner of shared SteM state, imports a package that could open, read or
+// name a file. The engine owns no rows — the catalog does — so it has no
+// state worth moving to disk.
 func TestSharedStateTouchesNoDisk(t *testing.T) {
-	for _, file := range []string{"internal/stem/shared.go", "internal/server/sharedstems.go"} {
-		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", file), nil, parser.ImportsOnly)
+	root := filepath.Join("..", "..")
+	files := []string{filepath.Join(root, "internal", "server", "sharedstems.go")}
+	for _, dir := range []string{"stem", "eddy", "core"} {
+		matches, err := filepath.Glob(filepath.Join(root, "internal", dir, "*.go"))
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("internal/%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range matches {
+			if !strings.HasSuffix(path, "_test.go") {
+				files = append(files, path)
+			}
+		}
+	}
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, imp := range f.Imports {
 			switch ipath, _ := strconv.Unquote(imp.Path.Value); ipath {
-			case "os", "io", "path/filepath":
-				t.Errorf("%s imports %q: shared SteM state must not touch the file system", file, ipath)
+			case "os", "io", "io/fs", "path/filepath":
+				t.Errorf("%s imports %q: query execution must not touch the file system", filepath.ToSlash(file), ipath)
 			}
 		}
 	}

@@ -553,7 +553,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				// wait for.
 				c.routeStaged()
 				c.flushAll()
-				if c.inflight.Load() == 0 && !c.drainSpill() {
+				if c.inflight.Load() == 0 {
 					break loop
 				}
 				select {
@@ -593,7 +593,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				}
 				putBatch(ev.b)
 			}
-			if c.inflight.Load() == 0 && !c.drainSpill() {
+			if c.inflight.Load() == 0 {
 				break loop
 			}
 		}
@@ -635,40 +635,6 @@ absorb:
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.outputs, c.err
-}
-
-// drainSpill runs the out-of-core replay phase: called only at quiescence
-// (in-flight count zero, so every worker is idle and every queue empty, on
-// the eddy goroutine), it asks the routing to replay spilled SteM state and
-// routes the regenerated results back into the dataflow. It reports whether
-// the dataflow has work again; rounds whose results all resolve immediately
-// (outputs and drops) trigger another drain, since their routing may have
-// recorded further replay obligations. Canceled runs never
-// reach it — their results are already incomplete, and spill segments are
-// cleaned up by the governor, not the drain.
-func (c *Concurrent) drainSpill() bool {
-	sd, ok := c.r.(spillDrainer)
-	if !ok {
-		return false
-	}
-	for {
-		ems := sd.DrainSpill()
-		if len(ems) == 0 {
-			return false
-		}
-		c.inflight.Add(int64(len(ems)))
-		for _, em := range ems {
-			c.staging.Add(em.T)
-			if c.staging.Len() >= c.BatchSize {
-				c.routeStaged()
-			}
-		}
-		c.routeStaged()
-		c.flushAll()
-		if c.inflight.Load() != 0 {
-			return true
-		}
-	}
 }
 
 // routeStaged routes the staged tuples in one RouteBatch call, coalescing

@@ -78,9 +78,6 @@ type Options struct {
 	// WindowFor optionally bounds SteM sizes per table (sliding windows);
 	// nil means unbounded.
 	WindowFor func(table int) int
-	// Governor, when non-nil, places all SteMs under a shared memory
-	// governor (the Section 6 spilling extension).
-	Governor *stem.Governor
 	// SharedFor, when non-nil, supplies catalog-owned pre-built SteM state
 	// per table. A table with shared state gets a probe-only attached SteM
 	// over the sealed shared dictionaries (stem.Config.Shared) instead of a
@@ -89,7 +86,7 @@ type Options struct {
 	// index-probing it would only rebuild what is shared. At least one table
 	// must remain unshared (its scans drive the dataflow), every shared
 	// table's join columns must equal the state's key columns, and shared
-	// tables take no window or governor. Attached SteMs adopt the state's
+	// tables take no window. Attached SteMs adopt the state's
 	// shard count, ignoring Shards.
 	SharedFor func(table int) *stem.SharedState
 }
@@ -226,14 +223,12 @@ func NewRouter(q *query.Q, opts Options) (*Router, error) {
 			ProbeCost:    r.prof.SteMProbeCost,
 			PerMatchCost: r.prof.PerMatchCost,
 			ProbeBounce:  opts.ProbeBounce,
-			Gov:          opts.Governor,
 		}
 		if opts.WindowFor != nil {
 			cfg.Window = opts.WindowFor(t)
 		}
 		if ss := sharedFor(t); ss != nil {
 			cfg.Shared = ss
-			cfg.Gov = nil
 		}
 		s := stem.New(cfg)
 		r.stemMod[t] = len(r.modules)
@@ -305,9 +300,7 @@ func (r *Router) Routed() uint64 { return r.routed.Load() }
 // dedup caches and stats cleared, and the build timestamp counter restarted.
 // A non-nil pol replaces the routing policy — policies learn per run, so
 // pooled reuse installs a fresh one rather than leak routing statistics
-// between executions. Must not be called while a run is in progress; spilling
-// SteMs cannot be reset (see stem.SteM.Reset) and such routers must not be
-// pooled.
+// between executions. Must not be called while a run is in progress.
 func (r *Router) Reset(pol policy.Policy) {
 	if pol != nil {
 		r.pol = pol
@@ -321,24 +314,6 @@ func (r *Router) Reset(pol policy.Policy) {
 	}
 	r.stuck.Store(0)
 	r.routed.Store(0)
-}
-
-// DrainSpill implements the engines' spill-drain hook: at quiescence —
-// every EOT delivered, no tuple in flight — each SteM with disk spill
-// replays its recorded probes against its spilled partitions and the
-// regenerated results re-enter the dataflow. Engines iterate the drain until
-// it returns nothing: a replayed result may probe another spilled SteM,
-// recording a fresh replay obligation for the next round. Returns nil
-// without a governor, so ungoverned runs are untouched.
-func (r *Router) DrainSpill() []flow.Emission {
-	if r.opts.Governor == nil {
-		return nil
-	}
-	var out []flow.Emission
-	for _, s := range r.stems {
-		out = append(out, s.DrainSpill()...)
-	}
-	return out
 }
 
 // Seeds returns the seed tuples that initialize every scan AM (step 5).

@@ -99,14 +99,6 @@ type Routing interface {
 	Policy() policy.Policy
 }
 
-// spillDrainer is the optional Routing extension for out-of-core SteMs: at
-// quiescence the engines call DrainSpill and feed the replayed results back
-// into the dataflow, repeating until it returns nothing (see
-// Router.DrainSpill).
-type spillDrainer interface {
-	DrainSpill() []flow.Emission
-}
-
 // Sim drives a Routing on a virtual clock.
 type Sim struct {
 	r       Routing
@@ -212,55 +204,39 @@ func (s *Sim) RunDelta(ts []*tuple.Tuple) ([]Output, error) {
 	return outs[mark:], nil
 }
 
-// loop drains the event heap (plus any spill replay) to quiescence.
+// loop drains the event heap to quiescence.
 func (s *Sim) loop() ([]Output, error) {
 	max := s.MaxEvents
 	if max == 0 {
 		max = 50_000_000
 	}
-	for {
-		for s.heap.Len() > 0 {
-			e := heap.Pop(&s.heap).(*event)
-			if s.Deadline > 0 && e.at > s.Deadline {
-				return s.outputs, nil
-			}
-			if e.at < s.now {
-				return nil, fmt.Errorf("eddy: time went backwards (%v < %v)", e.at, s.now)
-			}
-			s.now = e.at
-			s.events++
-			if s.events > max {
-				return nil, fmt.Errorf("eddy: exceeded %d events — runaway routing loop?", max)
-			}
-			if s.Ctx != nil && s.events&255 == 0 {
-				select {
-				case <-s.Ctx.Done():
-					return s.outputs, fmt.Errorf("eddy: run canceled after %d events: %w", s.events, s.Ctx.Err())
-				default:
-				}
-			}
-			switch e.kind {
-			case evArrive:
-				s.route(e.t)
-			case evEnqueue:
-				s.enqueue(e.mod, e.t, e.mkind)
-			case evComplete:
-				s.complete(e)
+	for s.heap.Len() > 0 {
+		e := heap.Pop(&s.heap).(*event)
+		if s.Deadline > 0 && e.at > s.Deadline {
+			return s.outputs, nil
+		}
+		if e.at < s.now {
+			return nil, fmt.Errorf("eddy: time went backwards (%v < %v)", e.at, s.now)
+		}
+		s.now = e.at
+		s.events++
+		if s.events > max {
+			return nil, fmt.Errorf("eddy: exceeded %d events — runaway routing loop?", max)
+		}
+		if s.Ctx != nil && s.events&255 == 0 {
+			select {
+			case <-s.Ctx.Done():
+				return s.outputs, fmt.Errorf("eddy: run canceled after %d events: %w", s.events, s.Ctx.Err())
+			default:
 			}
 		}
-		// Quiescent: every EOT delivered, nothing in flight. Replay spilled
-		// SteM state, if any, and keep simulating the regenerated results;
-		// ungoverned runs get an empty drain and finish exactly as before.
-		sd, ok := s.r.(spillDrainer)
-		if !ok {
-			break
-		}
-		ems := sd.DrainSpill()
-		if len(ems) == 0 {
-			break
-		}
-		for _, em := range ems {
-			s.push(&event{at: s.now.Add(em.Delay), kind: evArrive, t: em.T})
+		switch e.kind {
+		case evArrive:
+			s.route(e.t)
+		case evEnqueue:
+			s.enqueue(e.mod, e.t, e.mkind)
+		case evComplete:
+			s.complete(e)
 		}
 	}
 	return s.outputs, nil

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"net/http"
 	"runtime/pprof"
@@ -43,7 +42,6 @@ type execStats struct {
 	QueueWait time.Duration
 	CacheHit  bool
 	Shared    bool
-	Spilled   bool
 	// Trace carries the run's collector snapshot; the policy state is
 	// included only when the request asked for an explain.
 	Trace trace.Record
@@ -208,43 +206,20 @@ func (s *Server) handlePrepare(w http.ResponseWriter, st *sql.PrepareStmt) {
 	json.NewEncoder(w).Encode(map[string]any{"prepared": p.name, "sql": p.canon})
 }
 
-// knobs are the execution settings one request can vary — the routing policy
-// and a tighter memory budget — after the server defaults have been applied:
-// resolved once, for bounded queries and subscriptions alike, and used for
-// the plan key, the core.Spec and the query record. Everything else that
-// shapes a run (seed, batch size, shard count) is the operator's, fixed for
-// the process in Config.
-type knobs struct {
-	policy string
-	// budget is the per-query SteM byte budget; 0 runs ungoverned.
-	budget int64
+// deadlineError is the cancellation cause of a run that outlived its
+// deadline. It carries the parts of its message and formats them only when
+// someone reads it, which is rarely: most runs finish in time.
+type deadlineError struct {
+	what     string
+	deadline time.Duration
 }
 
-func (s *Server) resolveKnobs(req *QueryRequest) (knobs, error) {
-	k := knobs{policy: req.Policy}
-	if k.policy == "" {
-		k.policy = s.cfg.Policy
-	}
-	// Per-query memory limit: every admitted query runs under its own byte
-	// governor (real disk spill + replay), so MaxInFlight × budget bounds
-	// the server's total SteM footprint. Client requests tighten the server
-	// limit, never exceed it — and never enable disk spill on a server
-	// whose operator left it off (client-controlled disk I/O must be an
-	// operator opt-in).
-	if req.MemBudgetBytes < 0 {
-		return k, userError{fmt.Errorf("mem_budget_bytes must be >= 0, got %d", req.MemBudgetBytes)}
-	}
-	if s.cfg.MemBudgetBytes > 0 {
-		k.budget = req.MemBudgetBytes
-		if k.budget == 0 || k.budget > s.cfg.MemBudgetBytes {
-			k.budget = s.cfg.MemBudgetBytes
-		}
-	}
-	return k, nil
+func (e *deadlineError) Error() string {
+	return e.what + " deadline " + e.deadline.String() + " exceeded"
 }
 
 // spec is the part of a core.Spec bounded queries and subscriptions share:
-// the request's knobs over the operator's process-wide settings.
+// the request's routing policy over the operator's process-wide settings.
 func (s *Server) spec(q *live, iq *query.Q) core.Spec {
 	return core.Spec{
 		Q:      iq,
@@ -257,7 +232,7 @@ func (s *Server) spec(q *live, iq *query.Q) core.Spec {
 }
 
 // live is one admitted SELECT — bounded or standing — from admission to its
-// single observed exit: identity, resolved knobs, the cancellation chain,
+// single observed exit: identity, routing policy, the cancellation chain,
 // the NDJSON row sink's state, and the statistics the exit reports.
 type live struct {
 	w       http.ResponseWriter
@@ -268,7 +243,12 @@ type live struct {
 	// statement's, or the plan entry's; text renders it otherwise.
 	canon string
 	id    uint64
-	knobs
+	// policy is the request's routing policy, or the server default: the one
+	// execution setting a request can vary. It keys the plan, names the
+	// core.Spec's policy and is reported in the query record. Everything else
+	// that shapes a run (seed, batch size, shard count) is the operator's,
+	// fixed for the process in Config.
+	policy string
 
 	ctx context.Context
 	// cancel ends the whole chain; the sink calls it when the client stops
@@ -367,8 +347,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 		shape = `"window" requires "subscribe": true (a bounded query's results would depend on scan interleaving)`
 	case req.Subscribe && req.Explain:
 		shape = "explain is not supported on subscriptions"
-	case req.Subscribe && req.MemBudgetBytes != 0:
-		shape = "subscriptions run ungoverned; mem_budget_bytes is not supported"
 	}
 	if shape != "" {
 		writeJSONError(w, http.StatusBadRequest, errors.New(shape))
@@ -408,11 +386,14 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 	}
 	if deadline > 0 {
 		var cancelT context.CancelFunc
-		qctx, cancelT = context.WithTimeoutCause(qctx, deadline, fmt.Errorf("%s deadline %v exceeded", what, deadline))
+		qctx, cancelT = context.WithTimeoutCause(qctx, deadline, &deadlineError{what, deadline})
 		defer cancelT()
 	}
 
-	q := &live{w: w, req: req, st: st, canon: canon, id: s.qid.Add(1), ctx: qctx, cancel: cancel}
+	q := &live{w: w, req: req, st: st, canon: canon, id: s.qid.Add(1), policy: req.Policy, ctx: qctx, cancel: cancel}
+	if q.policy == "" {
+		q.policy = s.cfg.Policy
+	}
 	if req.Session != "" {
 		ss := s.attachQuery(req.Session, q.id, cancel)
 		if ss == nil {
@@ -466,10 +447,9 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 }
 
 // serve runs an admitted SELECT and is its single observed exit: whatever
-// happens after admission — a bad knob, a bind error, a canceled run, a
-// clean finish — reaches finishObserved exactly once, and then the client
-// hears about it in the one way still open (HTTP status, in-band error
-// line, or done trailer).
+// happens after admission — a bind error, a canceled run, a clean finish —
+// reaches finishObserved exactly once, and then the client hears about it in
+// the one way still open (HTTP status, in-band error line, or done trailer).
 func (s *Server) serve(q *live) {
 	bufp := sinkBufs.Get().(*[]byte)
 	q.buf = (*bufp)[:0]
@@ -481,12 +461,10 @@ func (s *Server) serve(q *live) {
 	}()
 	var reason string
 	var err error
-	if q.knobs, err = s.resolveKnobs(q.req); err == nil {
-		if q.req.Subscribe {
-			reason, err = s.subscribe(q)
-		} else {
-			err = s.execute(q)
-		}
+	if q.req.Subscribe {
+		reason, err = s.subscribe(q)
+	} else {
+		err = s.execute(q)
 	}
 	q.stats.Elapsed = time.Since(q.start)
 	w := q.w
@@ -556,7 +534,6 @@ func (s *Server) finishObserved(q *live, qs queryStatus, cause error) {
 		IndexProbes:  stats.Probes,
 		PlanCacheHit: stats.CacheHit,
 		SharedStems:  stats.Shared,
-		Spilled:      stats.Spilled,
 		Start:        q.start,
 		Modules:      stats.Trace.Modules,
 	}
@@ -585,11 +562,10 @@ func (s *Server) beginQuery() bool {
 
 // execute runs one bounded SELECT. Every query takes the same road: a plan
 // entry supplies the bound statement (a cached one, or with the cache off a
-// transient entry used once); shared SteMs are attached iff the query runs
-// ungoverned (a spill governor is per-query state, and attached tables need
-// none); the execution handle comes out of the entry's pool iff the Spec is
-// poolable — no governor — and is built by core otherwise; and it goes back
-// iff it is poolable and the run was clean.
+// transient entry used once); shared SteMs are attached wherever the server
+// has them; the execution handle comes out of the entry's pool, or is built
+// by core when the pool has none for these shared states; and it goes back
+// iff the run was clean.
 //
 // A pooled handle keeps its routing policy across executions — the plan key
 // pins its name (the seed is process-wide), so reuse only ever continues the
@@ -609,33 +585,29 @@ func (s *Server) execute(q *live) error {
 	defer entry.unref()
 	bound := entry.bound
 	spec := s.spec(q, bound.Q)
-	spec.MemoryBytes, spec.SpillDir = q.budget, s.cfg.SpillDir
 	// The collector rides every execution: GET /queries records carry
 	// module stats whether or not the request asked for an explain.
 	spec.Trace = true
-	if q.budget == 0 {
-		// Attachments are per-execution (the sync.Pool may drop a handle
-		// at any time, so a handle can never own a refcount): attach here,
-		// release after the run has fully unwound — the engine leaves zero
-		// goroutines behind when Run returns.
-		shared, err := s.shared.planAttach(q.st, bound.Q, snap, s.cfg.Shards)
-		if err != nil {
-			return err
-		}
-		defer shared.release()
-		if shared != nil {
-			spec.Shared, q.stats.Shared = shared.states, true
-		}
+	// Attachments are per-execution (the sync.Pool may drop a handle at any
+	// time, so a handle can never own a refcount): attach here, release after
+	// the run has fully unwound — the engine leaves zero goroutines behind
+	// when Run returns.
+	shared, err := s.shared.planAttach(q.st, bound.Q, snap, s.cfg.Shards)
+	if err != nil {
+		return err
+	}
+	defer shared.release()
+	if shared != nil {
+		spec.Shared, q.stats.Shared = shared.states, true
 	}
 
-	var ex *core.Exec
-	if spec.Poolable() {
-		// A pooled handle is reusable only if its router was built against
-		// exactly these shared states: a rebuild after REGISTER or an
-		// eviction yields a new *SharedState a stale router must not probe.
-		if ex, _ = entry.handles.Get().(*core.Exec); ex != nil && !slices.Equal(ex.Shared(), spec.Shared) {
-			ex = nil
-		}
+	// A pooled handle is reusable only if its router was built against
+	// exactly these shared states: a rebuild after REGISTER or an eviction
+	// yields a new *SharedState a stale router must not probe. (A bounded
+	// query's Spec is always poolable: the concurrent engine, no windows.)
+	ex, _ := entry.handles.Get().(*core.Exec)
+	if ex != nil && !slices.Equal(ex.Shared(), spec.Shared) {
+		ex = nil
 	}
 	if ex != nil {
 		err = ex.Reset()
@@ -643,28 +615,17 @@ func (s *Server) execute(q *live) error {
 		ex, err = core.Build(spec)
 	}
 	if err != nil {
-		var pe *fs.PathError
-		if errors.As(err, &pe) {
-			return err // the spill directory is the operator's problem, not the request's
-		}
 		return userError{err}
-	}
-	if q.budget > 0 {
-		defer s.trackSpill(ex)()
 	}
 
 	err = s.stream(q, ex, bound)
-	// Only cleanly completed handles go back in the pool, only once their
-	// outputs have been read, and never into a dead entry (a handle built
-	// against an invalidated plan must not serve a later execution);
-	// everything else is torn down here, which removes a governed query's
-	// spill directory on any exit — including a session DELETE or a
-	// deadline canceling the run mid-join.
-	if err == nil && ex.Poolable() && !entry.dead.Load() {
-		ex.Release()
+	// Every handle gives its SteM storage back once the rows have been
+	// streamed. Only cleanly completed handles go back in the pool, and
+	// never into a dead entry (a handle built against an invalidated plan
+	// must not serve a later execution).
+	ex.Release()
+	if err == nil && !entry.dead.Load() {
 		entry.handles.Put(ex)
-	} else {
-		ex.Close()
 	}
 	return err
 }
@@ -721,7 +682,6 @@ func (s *Server) stream(q *live, ex *core.Exec, bound *sql.Bound) error {
 	outs, err := ex.Run(q.ctx, onOutput, onCols)
 	st := ex.Stats()
 	q.stats.Routed, q.stats.Builds, q.stats.Probes = st.RoutingSteps, st.Builds, st.IndexProbes
-	q.stats.Spilled = st.SpilledBuilds > 0
 	// The policy's learned state is snapshotted into the trace only when
 	// the request asked for an explain.
 	q.stats.Trace = ex.Record(q.req.Explain)

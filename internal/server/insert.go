@@ -6,7 +6,7 @@
 // ingestion safe under concurrency and O(rows inserted): in-flight queries
 // keep the prefix they bound, the catalog version bump lazily invalidates
 // cached plans, an idle shared SteM absorbs the new rows on its next attach
-// (a referenced or spilled one is rebuilt), and standing subscriptions
+// (a referenced one is rebuilt), and standing subscriptions
 // observe the same-generation row growth and run a delta round.
 package server
 

@@ -100,15 +100,13 @@ func (m *metrics) insert(rows int) {
 // time. The plan-cache counters ride along here too — they live in the
 // cache's own atomics, not under this struct's mutex.
 type gauges struct {
-	inflight      int64
-	queued        int64
-	sessions      int
-	tables        int
-	prepared      int
-	subscribers   int64
-	draining      bool
-	spillResident int64
-	spillSpilled  int64
+	inflight    int64
+	queued      int64
+	sessions    int
+	tables      int
+	prepared    int
+	subscribers int64
+	draining    bool
 
 	version string
 
@@ -203,10 +201,6 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "stemsd_plan_cache_entries %d\n", g.planEntries)
 	gauge("stemsd_prepared_statements", "Named statements registered with PREPARE.")
 	fmt.Fprintf(w, "stemsd_prepared_statements %d\n", g.prepared)
-	gauge("stemsd_stem_resident_bytes", "Resident SteM row footprint across executing queries under a memory budget.")
-	fmt.Fprintf(w, "stemsd_stem_resident_bytes %d\n", g.spillResident)
-	gauge("stemsd_stem_spilled_bytes", "SteM row footprint spilled to disk across executing queries.")
-	fmt.Fprintf(w, "stemsd_stem_spilled_bytes %d\n", g.spillSpilled)
 	gauge("stemsd_shared_stem_entries", "Live catalog-owned shared SteM states.")
 	fmt.Fprintf(w, "stemsd_shared_stem_entries %d\n", g.sharedEntries)
 	gauge("stemsd_shared_stem_resident_bytes", "Resident row footprint of catalog-owned shared SteM states.")

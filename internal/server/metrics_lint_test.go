@@ -245,9 +245,11 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if _, ok := fams["stemsd_query_seconds_total"]; ok {
 		t.Error("stemsd_query_seconds_total still exposed; histograms replaced it")
 	}
-	// So must the shared-spill gauge: shared SteM state holds no file.
-	if _, ok := fams["stemsd_shared_stem_spilled_bytes"]; ok {
-		t.Error("stemsd_shared_stem_spilled_bytes still exposed; shared SteM state is memory only")
+	// So must the spill gauges: no SteM state, shared or private, holds a file.
+	for _, gone := range []string{"stemsd_shared_stem_spilled_bytes", "stemsd_stem_spilled_bytes", "stemsd_stem_resident_bytes"} {
+		if _, ok := fams[gone]; ok {
+			t.Errorf("%s still exposed; SteM state is memory only", gone)
+		}
 	}
 	if _, ok := fams["stemsd_shared_stem_resident_bytes"]; !ok {
 		t.Error("stemsd_shared_stem_resident_bytes missing")

@@ -33,7 +33,6 @@ type queryRecord struct {
 	IndexProbes  uint64    `json:"index_probes"`
 	PlanCacheHit bool      `json:"plan_cache_hit"`
 	SharedStems  bool      `json:"shared_stems,omitempty"`
-	Spilled      bool      `json:"spilled,omitempty"`
 	Start        time.Time `json:"start"`
 	// Modules carries the trace collector's per-module aggregates — the
 	// observed routing that stands in for a plan.
@@ -63,9 +62,9 @@ func (cr *completedRing) add(rec queryRecord) {
 	cr.mu.Unlock()
 }
 
-// list returns records at least minDur of execution time, newest first.
-func (cr *completedRing) list(minDur time.Duration) []queryRecord {
-	minMS := float64(minDur) / float64(time.Millisecond)
+// list returns records with at least minMS milliseconds of execution time,
+// newest first.
+func (cr *completedRing) list(minMS float64) []queryRecord {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	n := cr.next

@@ -227,18 +227,23 @@ func TestCompletedQueriesRing(t *testing.T) {
 		}
 	}
 
-	// An impossible threshold filters everything out.
-	if recs := fetchQueries(t, client, ts.URL, "min_ms=1e9"); len(recs) != 0 {
-		t.Errorf("min_ms=1e9 returned %d records, want 0", len(recs))
+	// An impossible threshold filters everything out — also one too large
+	// for a time.Duration, which must not wrap round to a negative one.
+	for _, ms := range []string{"1e9", "1e300", "inf"} {
+		if recs := fetchQueries(t, client, ts.URL, "min_ms="+ms); len(recs) != 0 {
+			t.Errorf("min_ms=%s returned %d records, want 0", ms, len(recs))
+		}
 	}
 	// A bad threshold is a 400, not a silent full listing.
-	resp, err := client.Get(ts.URL + "/queries?min_ms=soon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("min_ms=soon = %d, want 400", resp.StatusCode)
+	for _, ms := range []string{"soon", "NaN"} {
+		resp, err := client.Get(ts.URL + "/queries?min_ms=" + ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("min_ms=%s = %d, want 400", ms, resp.StatusCode)
+		}
 	}
 
 	// A failed query lands in the ring with its status and error.

@@ -4,9 +4,7 @@
 // handles (core.Exec), so a hot EXECUTE (or a repeated ad-hoc SELECT, which
 // auto-prepares under its canonical text) admission-checks and runs without
 // re-parsing, re-binding, or rebuilding the operator graph. Every bounded
-// query goes through an entry; only poolable handles — those without a memory
-// governor — are kept in its pool, so a governed query reuses the bound
-// statement and builds its handle fresh.
+// query goes through an entry.
 //
 // Invalidation is lazy and version-driven: REGISTER bumps the catalog
 // version, and a lookup whose snapshot version differs from the entry's
@@ -40,9 +38,8 @@ type planEntry struct {
 	// key identifies one executable plan shape: the one request knob that
 	// changes a pooled handle's router — the routing policy — then a NUL
 	// byte, then the canonical statement text; policy and canon are its two
-	// parts. The memory budget stays out because only ungoverned handles are
-	// pooled (the bound statement serves any budget); server-wide settings
-	// (seed, shards, batch size) are fixed for the process.
+	// parts. Server-wide settings (seed, shards, batch size) are fixed for
+	// the process.
 	key, policy, canon string
 	version            uint64
 	bound              *sql.Bound

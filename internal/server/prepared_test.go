@@ -213,7 +213,7 @@ func TestPlanKeyFromBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, version := srv.cat.SnapshotVersioned()
-	q := &live{st: st, knobs: knobs{policy: "benefitcost"}, buf: make([]byte, 0, 512)}
+	q := &live{st: st, policy: "benefitcost", buf: make([]byte, 0, 512)}
 	allocs := testing.AllocsPerRun(100, func() {
 		q.canon, q.stats.CacheHit = "", false
 		if e, err := srv.planFor(q, snap, version); err == nil {

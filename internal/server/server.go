@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/sql"
 	"repro/internal/stem"
@@ -56,19 +55,6 @@ type Config struct {
 	Seed      int64
 	BatchSize int
 	Shards    int
-	// MemBudgetBytes, when >0, bounds each query's resident SteM state at
-	// admission: every admitted query runs under a byte governor with this
-	// budget, spilling the excess to disk and replaying it (out-of-core
-	// joins). Combined with MaxInFlight it bounds the server's total SteM
-	// footprint at MaxInFlight × MemBudgetBytes. Clients may request a
-	// smaller budget per query; requests above this cap are capped. 0
-	// disables governance entirely — client budget requests are then
-	// ignored, so spill I/O is strictly an operator opt-in.
-	MemBudgetBytes int64
-	// SpillDir is where per-query spill segments live (each query gets a
-	// private os.Root-confined subdirectory, removed when the query ends);
-	// empty defaults to os.TempDir().
-	SpillDir string
 	// PlanCacheSize bounds the plan cache (LRU-evicted). 0 takes the default
 	// of 128; negative: entries are transient, nothing is published or
 	// pooled — every statement re-binds and builds its handle.
@@ -203,11 +189,6 @@ type Server struct {
 	sessions map[string]*session
 	sid      atomic.Uint64
 
-	// govs tracks the live governed executions, so /metrics can gauge
-	// resident and spilled SteM bytes across the whole server.
-	govMu sync.Mutex
-	govs  map[*core.Exec]struct{}
-
 	// plans is the bounded plan cache; nil when disabled by config.
 	plans *planCache
 	// shared is the catalog-owned shared-SteM manager; nil when disabled.
@@ -244,7 +225,6 @@ func New(cat *Catalog, cfg Config) *Server {
 		drainCh:    make(chan struct{}),
 		sem:        make(chan struct{}, cfg.MaxInFlight),
 		sessions:   make(map[string]*session),
-		govs:       make(map[*core.Exec]struct{}),
 		prepared:   make(map[string]*preparedStmt),
 	}
 	if cfg.PlanCacheSize > 0 {
@@ -330,9 +310,6 @@ func (s *Server) admit(ctx context.Context) error {
 
 func (s *Server) release() { <-s.sem }
 
-// sessionFor returns the named session, creating it on first use so
-// clients can adopt session IDs without a prior POST /session. explicit
-// marks POST /session creations, which persist until DELETE.
 // sessionLocked returns the named session, creating it on first use; the
 // caller holds smu.
 func (s *Server) sessionLocked(id string) *session {
@@ -344,6 +321,9 @@ func (s *Server) sessionLocked(id string) *session {
 	return ss
 }
 
+// sessionFor returns the named session, creating it on first use so
+// clients can adopt session IDs without a prior POST /session. explicit
+// marks POST /session creations, which persist until DELETE.
 func (s *Server) sessionFor(id string, explicit bool) *session {
 	s.smu.Lock()
 	defer s.smu.Unlock()
@@ -392,45 +372,16 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// trackSpill registers a governed execution for the byte gauges and returns
-// the matching untrack func.
-func (s *Server) trackSpill(ex *core.Exec) func() {
-	s.govMu.Lock()
-	s.govs[ex] = struct{}{}
-	s.govMu.Unlock()
-	return func() {
-		s.govMu.Lock()
-		delete(s.govs, ex)
-		s.govMu.Unlock()
-	}
-}
-
-// spillBytes sums resident and spilled SteM footprint over live governed
-// executions.
-func (s *Server) spillBytes() (resident, spilled int64) {
-	s.govMu.Lock()
-	defer s.govMu.Unlock()
-	for ex := range s.govs {
-		r, sp := ex.SpillBytes()
-		resident += r
-		spilled += sp
-	}
-	return resident, spilled
-}
-
 func (s *Server) gauges() gauges {
-	res, sp := s.spillBytes()
 	g := gauges{
-		version:       s.cfg.Version,
-		inflight:      int64(len(s.sem)),
-		queued:        s.queued.Load(),
-		sessions:      s.sessionCount(),
-		tables:        s.cat.Len(),
-		prepared:      s.preparedCount(),
-		subscribers:   s.subs.Load(),
-		draining:      s.draining.Load(),
-		spillResident: res,
-		spillSpilled:  sp,
+		version:     s.cfg.Version,
+		inflight:    int64(len(s.sem)),
+		queued:      s.queued.Load(),
+		sessions:    s.sessionCount(),
+		tables:      s.cat.Len(),
+		prepared:    s.preparedCount(),
+		subscribers: s.subs.Load(),
+		draining:    s.draining.Load(),
 	}
 	g.dictRecycled, g.dictNew = stem.DictAcquires()
 	g.materialized = flow.MaterializedRows()
@@ -462,12 +413,6 @@ type QueryRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Policy overrides the server's default routing policy.
 	Policy string `json:"policy,omitempty"`
-	// MemBudgetBytes tightens this query's resident SteM byte budget; rows
-	// beyond it spill to disk and replay (out-of-core join). 0 takes the
-	// server default; values above the server cap are capped, and the knob
-	// is ignored entirely when the server runs without a budget — clients
-	// cannot switch disk spill on.
-	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 	// Explain streams the query normally, then appends one NDJSON trace
 	// record after the done trailer: per-module visits/outputs/selectivity
 	// and service time, plus the routing policy's learned state — the
@@ -481,9 +426,8 @@ type QueryRequest struct {
 	// disconnects, a REGISTER replaces a subscribed table, the server
 	// drains, or an explicit deadline fires; the final line reports the
 	// reason. Subscriptions reject ORDER BY/LIMIT (they never complete, so
-	// there is nothing to arrange), Explain, memory budgets, and tables
-	// with index access methods (index lookups would answer from a frozen
-	// copy of the table).
+	// there is nothing to arrange), Explain, and tables with index access
+	// methods (index lookups would answer from a frozen copy of the table).
 	Subscribe bool `json:"subscribe,omitempty"`
 	// Window bounds standing-query SteM state per FROM table (keyed by the
 	// name the query uses — the alias when one is declared): each table's
@@ -540,17 +484,17 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusNotFound, errors.New("completed-queries ring disabled (CompletedCap < 0)"))
 		return
 	}
-	var minDur time.Duration
+	var minMS float64
 	if v := r.URL.Query().Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		if err != nil || !(ms >= 0) { // !(ms >= 0) also refuses NaN
 			writeJSONError(w, http.StatusBadRequest, fmt.Errorf("bad min_ms %q", v))
 			return
 		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
+		minMS = ms
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"queries": s.completed.list(minDur)})
+	json.NewEncoder(w).Encode(map[string]any{"queries": s.completed.list(minMS)})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

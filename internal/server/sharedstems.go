@@ -28,10 +28,7 @@
 //     SteMs, so no query sees rows newer than its snapshot.
 //   - Eviction is capacity-driven: when capBytes is set, the
 //     least-recently-attached unreferenced entries are dropped until the
-//     total footprint fits. Referenced entries are never evicted. A table
-//     too big to keep resident under that cap is joined under the per-query
-//     governor instead (Config.MemBudgetBytes: governed queries run on
-//     private SteMs and never attach).
+//     total footprint fits. Referenced entries are never evicted.
 package server
 
 import (

@@ -9,10 +9,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +38,31 @@ func metricValue(t *testing.T, met, name string) uint64 {
 		}
 	}
 	t.Fatalf("metrics missing %q", name)
+	return 0
+}
+
+// metricGauge scrapes one numeric metric value.
+func metricGauge(t *testing.T, client *http.Client, url, name string) float64 {
+	t.Helper()
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			v, err := strconv.ParseFloat(strings.TrimPrefix(line, name+" "), 64)
+			if err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metric %s not exposed", name)
 	return 0
 }
 
@@ -466,7 +493,7 @@ func TestSharedStemsOlderSnapshotRunsPrivate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ex.Close()
+	defer ex.Release()
 	outs, err := ex.Run(context.Background(), nil, nil)
 	if err != nil || len(outs) != 5 {
 		t.Errorf("the old snapshot's private run returned %d rows (%v), want its own 5", len(outs), err)

@@ -82,8 +82,8 @@ func (s *Server) subscribe(q *live) (reason string, err error) {
 		tb.positions = append(tb.positions, i)
 	}
 
-	// Subscriptions run ungoverned and untraced: the resident state is the
-	// point, and a collector would cost allocations on every delta round.
+	// Subscriptions run untraced: a collector would cost allocations on every
+	// delta round.
 	spec := s.spec(q, bound.Q)
 	if len(q.req.Window) > 0 {
 		// Window keys name tables as the query sees them (aliases included),
@@ -108,7 +108,7 @@ func (s *Server) subscribe(q *live) (reason string, err error) {
 	if err != nil {
 		return "", userError{err}
 	}
-	defer ex.Close()
+	defer ex.Release()
 
 	s.subs.Add(1)
 	defer s.subs.Add(-1)

@@ -6,10 +6,9 @@
 // pooled output ColBatch.
 //
 // The fast path is gated by colBatchOK: configurations whose semantics are
-// per-row (windowed eviction, memory governors and spill, index-AM
-// completeness metadata, non-equi probe bindings) fall back to materializing
-// the batch and running the exact row path, so every SteM behaviour is
-// preserved bit-for-bit where it matters — the columnar path is an
+// per-row (windowed eviction, index-AM completeness metadata, non-equi probe
+// bindings) fall back to materializing the batch and running the exact row
+// path, so every SteM behaviour is preserved bit-for-bit where it matters — the columnar path is an
 // optimization of the common symmetric-hash configuration, not a second
 // semantics. A SteM attached to catalog-owned shared state (shared.go) is on
 // the fast path: its probe is the same bucket walk with the TimeStamp window
@@ -44,11 +43,11 @@ func (s *SteM) isColBuild(cb *flow.ColBatch) bool {
 // equi-join bindings and no index AM on the table — index EOT completeness is
 // per bound value, so batches of probes could split between consumed and
 // bounced in ways the uniform header cannot express (and the completeness
-// index can grow concurrently). Windowed and governed SteMs evict, spill and
-// record per row. Everything gated materializes to rows — as does a build
-// batch sent to an attached SteM, so that it reaches the row path's panic.
+// index can grow concurrently). Windowed SteMs evict per row. Everything
+// gated materializes to rows — as does a build batch sent to an attached
+// SteM, so that it reaches the row path's panic.
 func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
-	if s.cfg.Window > 0 || s.spillOn {
+	if s.cfg.Window > 0 {
 		return false
 	}
 	if s.isColBuild(cb) {

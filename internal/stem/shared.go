@@ -6,9 +6,8 @@
 // number of concurrent queries attach to with probe-only SteM handles
 // (Config.Shared) instead of rebuilding. It is sealed *between* extensions:
 // like the paper's SteM it keeps taking build tuples for as long as its table
-// grows (Extend), but only while no query is attached. A join over a table
-// too big to keep resident is the per-query governor's job (spill.go), not
-// this file's: the owner bounds shared memory by evicting whole states.
+// grows (Extend), but only while no query is attached. The owner bounds
+// shared memory by evicting whole states.
 //
 // Correctness of attaching hinges on a completeness/timestamp-window
 // argument:
@@ -133,6 +132,17 @@ func (ss *SharedState) Rows() int { return ss.rows }
 // ResidentBytes returns the state's footprint, for catalog accounting.
 func (ss *SharedState) ResidentBytes() int64 { return ss.residentBytes.Load() }
 
+// RowFootprint estimates the resident bytes of one stored row: the slice
+// header and per-entry index bookkeeping, plus the value structs and their
+// string payloads. Shared state accounts its rows at this granularity.
+func RowFootprint(row tuple.Row) int64 {
+	fp := int64(48)
+	for _, v := range row {
+		fp += 32 + int64(len(v.S))
+	}
+	return fp
+}
+
 // Close does nothing: a SharedState is memory and holds no file. It is kept
 // only because the frozen bench/layers.go still calls it; the next benchmark
 // PR deletes the call and this method.
@@ -143,15 +153,14 @@ func (ss *SharedState) Close() error { return nil }
 // belong to the SharedState and are never written.
 func newAttached(cfg Config) *SteM {
 	ss := cfg.Shared
-	if cfg.Window > 0 || cfg.Gov != nil {
-		panic("stem: attached SteMs take no window or governor")
+	if cfg.Window > 0 {
+		panic("stem: attached SteMs take no window")
 	}
 	s := &SteM{
-		cfg:      cfg,
-		name:     fmt.Sprintf("SteM(%s)", cfg.Q.Tables[cfg.Table].Name),
-		pcol:     -1,
-		spillCol: -1,
-		shared:   ss,
+		cfg:    cfg,
+		name:   fmt.Sprintf("SteM(%s)", cfg.Q.Tables[cfg.Table].Name),
+		pcol:   -1,
+		shared: ss,
 	}
 	s.joinCols = JoinCols(cfg.Q, cfg.Table)
 	if !slices.Equal(s.joinCols, ss.keyCols) {

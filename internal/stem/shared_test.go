@@ -223,3 +223,11 @@ func TestAttachedColProbeIsRowProbe(t *testing.T) {
 		})
 	}
 }
+
+func TestRowFootprint(t *testing.T) {
+	small := RowFootprint(row(1, 2))
+	big := RowFootprint(tuple.Row{value.NewStr("a long string payload"), value.NewInt(1)})
+	if small <= 0 || big <= small {
+		t.Fatalf("footprints: small=%d big=%d", small, big)
+	}
+}

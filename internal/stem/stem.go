@@ -94,31 +94,23 @@ type Config struct {
 	// oldest row is cross-shard state, and per-shard approximations would
 	// make windowed results depend on the shard count.
 	Window int
-	// Gov, when non-nil, places this SteM under a shared memory Governor
-	// (the Section 6 extension): rows beyond the SteM's byte allocation are
-	// built into disk segments and their matches regenerated by replay (see
-	// spill.go). A windowed SteM is exempt.
-	Gov *Governor
 	// Shared, when non-nil, attaches this SteM to catalog-owned sealed
 	// state (see shared.go): the SteM becomes a probe-only handle over the
 	// SharedState's dictionaries — always complete, never built into, shard
-	// count fixed by the state. Shards, Window and Gov must be unset; the
+	// count fixed by the state. Shards and Window must be unset; the
 	// table's join columns must equal the state's key columns.
 	Shared *SharedState
 }
 
 // Stats are cumulative SteM counters, exposed for experiments and tests.
 type Stats struct {
-	Builds        uint64 // rows stored (resident or spilled)
-	DupBuilds     uint64 // builds consumed as set-semantics duplicates
-	Probes        uint64 // probe tuples processed
-	Matches       uint64 // concatenated results returned live
-	ProbeBounces  uint64 // probes bounced back
-	Evictions     uint64 // rows evicted by the window bound
-	EOTs          uint64 // EOT tuples built in
-	SpilledBuilds uint64 // builds written to disk segments (real spill)
-	Recalls       uint64 // spilled rows un-spilled back into the dictionary
-	ReplayMatches uint64 // results regenerated by the spill replay pass
+	Builds       uint64 // rows stored
+	DupBuilds    uint64 // builds consumed as set-semantics duplicates
+	Probes       uint64 // probe tuples processed
+	Matches      uint64 // concatenated results returned
+	ProbeBounces uint64 // probes bounced back
+	Evictions    uint64 // rows evicted by the window bound
+	EOTs         uint64 // EOT tuples built in
 }
 
 // add accumulates o into s, for cross-shard aggregation.
@@ -130,9 +122,6 @@ func (s *Stats) add(o Stats) {
 	s.ProbeBounces += o.ProbeBounces
 	s.Evictions += o.Evictions
 	s.EOTs += o.EOTs
-	s.SpilledBuilds += o.SpilledBuilds
-	s.Recalls += o.Recalls
-	s.ReplayMatches += o.ReplayMatches
 }
 
 // probeScratch is the reusable per-probe state of one synchronization
@@ -165,9 +154,6 @@ type shard struct {
 	dict  *HashDict
 	stats Stats
 	scr   probeScratch
-	// spill is the disk-backed half of the shard under a governor; nil
-	// otherwise (see spill.go).
-	spill *shardSpill
 	// idx is this shard's position, used to salt probe-cache keys so
 	// sweep runs never serve one shard's candidate list for another's.
 	idx int
@@ -190,15 +176,11 @@ type SteM struct {
 	// the partition column (joinCols[0]) and shardMask the hash mask used to
 	// pick a shard. pcolSources are the (table, column) pairs an equi-join
 	// predicate binds to pcol, precomputed so the per-tuple ShardOf never
-	// scans the predicate list. spillCol is the spill partition column
-	// (joinCols[0] when spill is on, -1 otherwise) and spillOn marks a SteM
-	// with disk-backed state (see spill.go). All immutable after New.
+	// scans the predicate list. All immutable after New.
 	joinCols    []int
 	pcol        int
 	shardMask   uint64
 	pcolSources []colRef
-	spillCol    int
-	spillOn     bool
 
 	shards []shard
 	all    []*shard // &shards[i] in order, for sweep lock acquisition
@@ -229,9 +211,6 @@ type SteM struct {
 	eotSeen  map[*tuple.Tuple]int
 	eotCount uint64
 
-	// govID is this SteM's membership handle in cfg.Gov, valid when spillOn.
-	govID int
-
 	// shared is the catalog-owned state this SteM is attached to (nil for a
 	// private SteM). Attached SteMs never build, never bounce probes, ignore
 	// the TimeStamp window (the state is sealed before the query starts, so
@@ -255,10 +234,9 @@ func New(cfg Config) *SteM {
 		return newAttached(cfg)
 	}
 	s := &SteM{
-		cfg:      cfg,
-		name:     fmt.Sprintf("SteM(%s)", cfg.Q.Tables[cfg.Table].Name),
-		pcol:     -1,
-		spillCol: -1,
+		cfg:  cfg,
+		name: fmt.Sprintf("SteM(%s)", cfg.Q.Tables[cfg.Table].Name),
+		pcol: -1,
 	}
 	s.joinCols = JoinCols(cfg.Q, cfg.Table)
 
@@ -268,16 +246,9 @@ func New(cfg Config) *SteM {
 			nsh <<= 1
 		}
 	}
-	// A windowed SteM's eviction order contradicts spill-at-build.
-	s.spillOn = cfg.Gov != nil && cfg.Window == 0
-	if nsh > 1 || (s.spillOn && len(s.joinCols) > 0) {
+	if nsh > 1 {
 		pc := s.joinCols[0]
-		if nsh > 1 {
-			s.pcol = pc
-		}
-		if s.spillOn {
-			s.spillCol = pc
-		}
+		s.pcol = pc
 		for _, p := range cfg.Q.Preds {
 			if !p.IsEquiJoin() {
 				continue
@@ -299,15 +270,9 @@ func New(cfg Config) *SteM {
 		sh.scr.predCache = make(map[tuple.TableSet][]pred.P)
 		sh.idx = i
 		sh.self[0] = sh
-		if s.spillOn {
-			sh.spill = newShardSpill(s, sh, i)
-		}
 		s.all[i] = sh
 	}
 	s.gscr.predCache = make(map[tuple.TableSet][]pred.P)
-	if s.spillOn {
-		s.govID = cfg.Gov.register()
-	}
 	return s
 }
 
@@ -365,13 +330,9 @@ func (s *SteM) Stats() Stats {
 // in place, or after a Release ones acquired from the process-wide pool —
 // zeroed counters, no completeness metadata. The per-shard predicate caches
 // and probe scratch derive from the query, not the run, and are kept — that
-// reuse is part of the payoff of pooling. Disk-backed (spilling) shards hold
-// state the SteM cannot reconstruct; such SteMs must not be pooled, and Reset
-// panics on them. Must not be called while a run is in progress.
+// reuse is part of the payoff of pooling. Must not be called while a run is
+// in progress.
 func (s *SteM) Reset() {
-	if s.spillOn {
-		panic("stem: Reset requires in-memory dictionaries without spill")
-	}
 	if s.shared != nil {
 		// Detach, don't clear: the dictionaries belong to the SharedState
 		// and other queries are probing them concurrently. Only this
@@ -419,13 +380,12 @@ func (s *SteM) Reset() {
 // for whichever query builds next; the SteM holds no rows afterwards and must
 // be Reset before it is used again. Counters stay readable. Only a plain
 // private SteM releases: shared state is other queries' too, and a windowed
-// or governed SteM's rows are on someone else's books (the eviction count,
-// the governor's byte ledger) that no Reset rewinds — those keep their
-// storage for the collector. Must not be called while a run is in progress,
-// nor between the rounds of a standing query: the next round probes what the
-// earlier ones built.
+// SteM's rows are on the eviction count's books, which no Reset rewinds — it
+// keeps its storage for the collector. Must not be called while a run is in
+// progress, nor between the rounds of a standing query: the next round probes
+// what the earlier ones built.
 func (s *SteM) Release() {
-	if s.cfg.Window > 0 || s.spillOn || s.shared != nil {
+	if s.cfg.Window > 0 || s.shared != nil {
 		return
 	}
 	for _, sh := range s.all {
@@ -602,9 +562,6 @@ func (s *SteM) processShardLocked(sh *shard, t *tuple.Tuple, pc *probeCache) ([]
 		return s.build(sh, t), s.cfg.BuildCost
 	default:
 		out := s.probeLocked(t, pc, &sh.scr, &sh.stats, sh.self[:])
-		if s.spillOn {
-			s.cfg.Gov.noteProbe(s.govID)
-		}
 		return out, s.cfg.ProbeCost + clock.Duration(len(out))*s.cfg.PerMatchCost
 	}
 }
@@ -628,9 +585,6 @@ func (s *SteM) sweepRun(ts []*tuple.Tuple) ([]flow.Emission, clock.Duration) {
 	s.gscr.pc.invalidate()
 	for _, t := range ts {
 		ems := s.probeLocked(t, &s.gscr.pc, &s.gscr, &s.gstats, s.all)
-		if s.spillOn {
-			s.cfg.Gov.noteProbe(s.govID)
-		}
 		out = append(out, ems...)
 		total += s.cfg.ProbeCost + clock.Duration(len(ems))*s.cfg.PerMatchCost
 	}
@@ -711,11 +665,7 @@ func (pc *probeCache) candidates(d *HashDict, lk Lookup, salt uint64) []Entry {
 
 // build stores a singleton into sh (whose mutex is held) and bounces it back
 // (SteM BounceBack: "a SteM must bounce back a build tuple unless it is a
-// duplicate of another tuple already in the SteM"). Under a governor
-// the row is placed exactly once — resident if the byte allocation
-// has room, otherwise appended to its partition's disk segment — and never
-// migrates to disk later, so live matching covers exactly the resident rows
-// and replay covers exactly the spilled ones.
+// duplicate of another tuple already in the SteM").
 func (s *SteM) build(sh *shard, t *tuple.Tuple) []flow.Emission {
 	if s.shared != nil {
 		// Unreachable by construction: the router creates no access methods
@@ -723,22 +673,13 @@ func (s *SteM) build(sh *shard, t *tuple.Tuple) []flow.Emission {
 		panic("stem: build routed to an attached (shared-state) SteM")
 	}
 	row := t.Comp[s.cfg.Table]
-	if sh.dict.Contains(row) || (sh.spill != nil && sh.spill.contains(row)) {
+	if sh.dict.Contains(row) {
 		sh.stats.DupBuilds++
 		return nil // duplicate from a competitive AM: consumed (Section 3.2)
 	}
 	ts := s.cfg.TS.Next()
-	resident := true
-	if sh.spill != nil {
-		sh.spill.noteInsert(ts)
-		resident = s.cfg.Gov.admitBuild(s.govID, RowFootprint(row))
-	}
-	if resident {
-		sh.dict.Insert(row, ts)
-		s.liveRows.Add(1)
-	} else if sh.spill.append(row, ts) {
-		sh.stats.SpilledBuilds++
-	}
+	sh.dict.Insert(row, ts)
+	s.liveRows.Add(1)
 	t.CompTS[s.cfg.Table] = ts
 	t.Built = t.Built.With(s.cfg.Table)
 	sh.stats.Builds++
@@ -831,25 +772,6 @@ func (s *SteM) eotIdxFor(cols []int) *eotIdx {
 func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache, scr *probeScratch, stats *Stats, held []*shard) []flow.Emission {
 	stats.Probes++
 
-	// Real spill, phase 1 — before the live lookup: charge the probe to the
-	// partitions' frequency estimates and let the governor recall a hot
-	// partition whose allocation has room. Recalled rows enter the resident
-	// dictionary right now, so this probe matches them live (and the
-	// candidate cache must forget pre-recall lists).
-	var replays []flow.Emission
-	if s.spillOn && t.EOT == nil {
-		for _, sh := range held {
-			ems, recalled := sh.spill.beforeProbe(t)
-			replays = append(replays, ems...)
-			if recalled && pc != nil {
-				// The recall inserted rows into the resident dictionary —
-				// even a recall with no replay emissions (no outstanding
-				// recordings) invalidates cached candidate lists.
-				pc.invalidate()
-			}
-		}
-	}
-
 	preds, ok := scr.predCache[t.Span]
 	if !ok {
 		preds = s.cfg.Q.JoinPredsConnecting(t.Span, s.cfg.Table)
@@ -888,15 +810,6 @@ func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache, scr *probeScratch, st
 			out = append(out, flow.Emit(cat))
 		}
 	}
-	// Real spill, phase 2 — after the live lookup: record the probe against
-	// the partitions that hold data, with the exact TimeStamp window of
-	// spilled matches it is owed; the replay pass (or a later recall)
-	// satisfies the recording.
-	if s.spillOn && t.EOT == nil {
-		for _, sh := range held {
-			sh.spill.record(t, probeTS, lastMatch)
-		}
-	}
 
 	t.LastProbeMatches = len(out)
 	if s.shouldBounce(t, scr) {
@@ -904,30 +817,14 @@ func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache, scr *probeScratch, st
 		t.ProbeTable = s.cfg.Table
 		// The highest timestamp this probe can have observed: matches for a
 		// partition-bound probe all live in its home shard, so a sweep over
-		// held covers every row the re-probe may legally skip. With real
-		// spill the shard's insert high-water mark is used instead of the
-		// resident maximum: rows on disk were not matched live, but the
-		// recording above owns exactly that window, so a re-probe must not
-		// claim it again — this is what keeps successive recordings of one
-		// prober disjoint.
+		// held covers every row the re-probe may legally skip.
 		var maxTS tuple.Timestamp
 		for _, sh := range held {
-			m := sh.dict.MaxTS()
-			if sh.spill != nil && sh.spill.highWater > m {
-				m = sh.spill.highWater
-			}
-			if m > maxTS {
-				maxTS = m
-			}
+			maxTS = max(maxTS, sh.dict.MaxTS())
 		}
 		t.LastMatchTS = maxTS
 		stats.ProbeBounces++
 		out = append(out, flow.Emit(t))
-	}
-	if len(replays) > 0 {
-		// Recall replays are prepended so LastProbeMatches above counted
-		// only this probe's live matches.
-		out = append(replays, out...)
 	}
 	return out
 }

@@ -30,18 +30,14 @@ type Prepared struct {
 // Prepare builds the query's module graph and concurrent engine for
 // repeated execution. Only the Concurrent engine supports pooled reuse
 // (the simulator is cheap to build and deterministic per construction), and
-// per-run disk state cannot be carried across executions, so Options that
-// select the simulator, spilling, windows, or simulator-only hooks are
-// rejected.
+// per-run eviction state cannot be carried across executions, so Options that
+// select the simulator, windows, or simulator-only hooks are rejected.
 func (q *Query) Prepare(opts Options) (*Prepared, error) {
 	if opts.Engine != Concurrent {
 		return nil, fmt.Errorf("stems: Prepare requires Engine: Concurrent")
 	}
 	if opts.Explain || opts.OnPartial != nil {
 		return nil, fmt.Errorf("stems: Explain and OnPartial require the simulation engine")
-	}
-	if opts.MemoryBudgetBytes > 0 {
-		return nil, fmt.Errorf("stems: memory governors hold per-run state and cannot be prepared; use Run")
 	}
 	if len(opts.Window) > 0 {
 		return nil, fmt.Errorf("stems: windowed tables hold per-run eviction state and cannot be prepared; use Run")

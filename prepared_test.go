@@ -117,7 +117,7 @@ func TestPreparedRecoversFromCancel(t *testing.T) {
 }
 
 // TestPrepareRejectsUnpoolableOptions pins the option subset Prepare
-// supports: simulator-only hooks and per-run disk/eviction state must be
+// supports: simulator-only hooks and per-run eviction state must be
 // refused with a clear error, not silently dropped.
 func TestPrepareRejectsUnpoolableOptions(t *testing.T) {
 	cases := []struct {
@@ -127,7 +127,6 @@ func TestPrepareRejectsUnpoolableOptions(t *testing.T) {
 	}{
 		{"sim engine", Options{Engine: Sim}, "requires Engine: Concurrent"},
 		{"explain", Options{Engine: Concurrent, Explain: true}, "simulation engine"},
-		{"real spill", Options{Engine: Concurrent, MemoryBudgetBytes: 1 << 20}, "governors"},
 		{"window", Options{Engine: Concurrent, Window: map[string]int{"R": 1}}, "eviction"},
 	}
 	for _, tc := range cases {

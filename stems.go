@@ -133,23 +133,6 @@ type Options struct {
 	// Window bounds SteM sizes per table name for sliding-window streaming
 	// queries (0 or absent = unbounded).
 	Window map[string]int
-	// MemoryBudgetBytes, when >0, turns on out-of-core SteMs (Section 6): at most
-	// this many bytes of row footprint stay resident across all SteMs
-	// (allocated in proportion to observed probe frequency, with hot
-	// partitions recalled from disk when their allocation regains room);
-	// the rest is written to per-partition spill segments under SpillDir
-	// and the results they owe are regenerated by a Grace-join-style replay
-	// pass after the sources are exhausted. Results are set-identical to an
-	// unbounded run at any budget, on either engine. Spill files live in a
-	// private per-run directory and are removed when Run returns, including
-	// on cancellation. Windowed tables (see Window) govern their own memory
-	// and are exempt from the budget: their rows stay resident and
-	// unaccounted.
-	MemoryBudgetBytes int64
-	// SpillDir is the directory spill segments are created under when
-	// MemoryBudgetBytes is set; empty defaults to os.TempDir(). Each run
-	// confines its segments to a fresh subdirectory via an os.Root.
-	SpillDir string
 	// Shared attaches pre-built shared SteM state by table name (see
 	// Query.BuildSharedState): the named tables get probe-only attached
 	// SteMs over the sealed shared dictionaries instead of private builds,
@@ -158,7 +141,7 @@ type Options struct {
 	// least one table must stay unattached (its scan drives the dataflow),
 	// and any number of concurrent Runs may attach the same state. Shared
 	// tables ignore Shards (the state's shard count wins) and cannot be
-	// windowed or governed.
+	// windowed.
 	Shared map[string]*SharedState
 	// Deadline stops the simulation engine at the given virtual time
 	// (for continuous queries); zero runs to completion.
@@ -230,11 +213,6 @@ type RunStats struct {
 	IndexProbes uint64
 	// SteMBuilds counts rows materialized across all SteMs.
 	SteMBuilds uint64
-	// SpilledBuilds counts rows written to disk spill segments
-	// (MemoryBudgetBytes runs only).
-	SpilledBuilds uint64
-	// ReplayMatches counts results regenerated by the spill replay pass.
-	ReplayMatches uint64
 	// Duration is the virtual completion time.
 	Duration time.Duration
 }
@@ -534,7 +512,7 @@ func (q *Query) Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ex.Close()
+	defer ex.Release()
 	outs, err := ex.Run(opts.Context, rowHook(iq, opts.OnResult), nil)
 	if err != nil {
 		return nil, err
@@ -563,16 +541,14 @@ func (p Policy) String() string {
 // states; every default lives in core.
 func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 	sp := core.Spec{
-		Q:           iq,
-		Engine:      opts.Engine,
-		Policy:      opts.Policy.String(),
-		Seed:        opts.Seed,
-		Shards:      opts.Shards,
-		Batch:       opts.BatchSize,
-		MemoryBytes: opts.MemoryBudgetBytes,
-		SpillDir:    opts.SpillDir,
-		Deadline:    clock.Time(opts.Deadline),
-		Trace:       opts.Explain,
+		Q:        iq,
+		Engine:   opts.Engine,
+		Policy:   opts.Policy.String(),
+		Seed:     opts.Seed,
+		Shards:   opts.Shards,
+		Batch:    opts.BatchSize,
+		Deadline: clock.Time(opts.Deadline),
+		Trace:    opts.Explain,
 	}
 	if opts.BounceForIndexChoice {
 		sp.ProbeBounce = stem.BounceIfIndexAM
@@ -636,11 +612,9 @@ func rowHook(iq *query.Q, onResult func(Row)) func(*tuple.Tuple, clock.Time) {
 // cumulative counters.
 func newResult(iq *query.Q, st core.Stats, outs []eddy.Output) *Result {
 	res := &Result{Stats: RunStats{
-		RoutingSteps:  st.RoutingSteps,
-		IndexProbes:   st.IndexProbes,
-		SteMBuilds:    st.Builds,
-		SpilledBuilds: st.SpilledBuilds,
-		ReplayMatches: st.ReplayMatches,
+		RoutingSteps: st.RoutingSteps,
+		IndexProbes:  st.IndexProbes,
+		SteMBuilds:   st.Builds,
 	}}
 	for _, o := range outs {
 		res.Rows = append(res.Rows, Row{At: time.Duration(o.At), q: iq, t: o.T})

@@ -53,10 +53,10 @@ type Standing struct {
 //
 // Most of Options applies unchanged (engine, policy, seed, shards, batching,
 // windows, OnResult, Context). Options that presume a run winds
-// down — or state that cannot accept late builds — are rejected: the memory
-// governor (MemoryBudgetBytes), SkipBuildTable (pure probers build no
-// state for later rounds to join against), Shared attachments (sealed,
-// immutable), Deadline, OnPartial, and Explain. Every access method must be
+// down — or state that cannot accept late builds — are rejected:
+// SkipBuildTable (pure probers build no state for later rounds to join
+// against), Shared attachments (sealed, immutable), Deadline, OnPartial, and
+// Explain. Every access method must be
 // a scan: an index AM answers probes from a frozen copy of its table, which
 // an Insert would silently miss.
 func (q *Query) Open(opts Options) (*Standing, *Result, error) {
@@ -65,8 +65,6 @@ func (q *Query) Open(opts Options) (*Standing, *Result, error) {
 		return nil, nil, err
 	}
 	switch {
-	case opts.MemoryBudgetBytes > 0:
-		return nil, nil, fmt.Errorf("stems: memory governors are not supported for standing queries")
 	case opts.SkipBuildTable != "":
 		return nil, nil, fmt.Errorf("stems: SkipBuildTable is not supported for standing queries")
 	case len(opts.Shared) > 0:
@@ -159,9 +157,8 @@ func (s *Standing) InsertValues(table string, rows [][]Value) (*Result, error) {
 	return newResult(s.iq, s.ex.Stats(), outs), nil
 }
 
-// Close releases the standing query. The resident state is plain memory —
-// standing queries reject spill governors — so Close only bars further
-// Inserts. Idempotent.
+// Close releases the standing query. The resident state is plain memory, so
+// Close only bars further Inserts. Idempotent.
 func (s *Standing) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

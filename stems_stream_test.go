@@ -338,7 +338,6 @@ func TestStandingRejectsUnsupportedOptions(t *testing.T) {
 		q    *Query
 		opts Options
 	}{
-		{"memory budget bytes", base(), Options{MemoryBudgetBytes: 1 << 20}},
 		{"skip build", base(), Options{SkipBuildTable: "R"}},
 		{"deadline", base(), Options{Deadline: time.Second}},
 		{"on partial", base(), Options{OnPartial: func(Row) {}}},
