@@ -323,42 +323,6 @@ func benchConcurrentBatch(b *testing.B, batch int) {
 func BenchmarkConcurrentMultiway_Batch1(b *testing.B)  { benchConcurrentBatch(b, 1) }
 func BenchmarkConcurrentMultiway_Batch64(b *testing.B) { benchConcurrentBatch(b, 64) }
 
-// Sharded-SteM ablation: the same three-way join with each SteM hash-
-// partitioned into N shards, one concurrent-engine worker per shard. The
-// clock runs at scale 1, where the declared per-operation service costs (5µs
-// hash probes, 1µs per match — the paper's main-memory scale) are above what
-// the builds and probes really take, so each service is held to its declared
-// cost and the benchmark measures how that remainder overlaps: with one store
-// per SteM every build and probe of a table serializes behind one
-// lock/worker; with N shards they overlap across partitions. (At the
-// engine's default scale the same costs are nanoseconds, below the real
-// work, and nothing is held.) This is the intra-operator parallelism lever —
-// on multi-core hardware the same partitioning spreads the CPU work of
-// concatenation and verification as well.
-
-func benchShardedMultiway(b *testing.B, shards int) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := eddy.NewRouter(benchMultiwayQ(512), eddy.Options{Shards: shards})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := eddy.NewConcurrent(r, clock.NewReal(1))
-		outs, err := eng.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(outs) == 0 {
-			b.Fatal("no results")
-		}
-	}
-}
-
-func BenchmarkShardedMultiway_Shards1(b *testing.B) { benchShardedMultiway(b, 1) }
-func BenchmarkShardedMultiway_Shards4(b *testing.B) { benchShardedMultiway(b, 4) }
-func BenchmarkShardedMultiway_Shards8(b *testing.B) { benchShardedMultiway(b, 8) }
-
 // Micro-benches on the SteM itself.
 
 func BenchmarkSteMBuildProbe(b *testing.B) {

@@ -133,7 +133,6 @@ func main() {
 	policyName := flag.String("policy", "benefitcost", "default routing policy: fixed, lottery, benefitcost")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
 	batch := flag.Int("batch", eddy.DefaultBatchSize, "eddy batch size of every query's concurrent engine; 1 is tuple-at-a-time")
-	shards := flag.Int("shards", 1, "SteM shard count of every query (one worker per shard per SteM)")
 	maxInflight := flag.Int("max-inflight", 8, "maximum concurrently executing queries")
 	queueDepth := flag.Int("queue", 16, "admission queue depth beyond -max-inflight; 0 rejects immediately at capacity")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
@@ -171,7 +170,6 @@ func main() {
 		Policy:          *policyName,
 		Seed:            *seed,
 		BatchSize:       *batch,
-		Shards:          *shards,
 		PlanCacheSize:   *planCache,
 
 		SharedStems:     *sharedStems,

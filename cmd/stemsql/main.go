@@ -23,8 +23,7 @@
 // -engine selects the executor: sim (default) is the deterministic
 // discrete-event simulator; concurrent runs the goroutine-per-module engine,
 // whose eddy moves tuples in batches of -batch (default 64; 1 is
-// tuple-at-a-time). -shards hash-partitions each SteM into that many
-// sub-stores, giving the concurrent engine one worker per shard.
+// tuple-at-a-time).
 //
 // PREPARE name AS <select> parses a statement once; EXECUTE name reruns it
 // (binding against the catalog as it stands at execute time, so tables
@@ -70,7 +69,6 @@ func main() {
 	policyName := flag.String("policy", "benefitcost", "routing policy: fixed, lottery, benefitcost")
 	engineName := flag.String("engine", "sim", "execution engine: sim (deterministic) or concurrent")
 	batch := flag.Int("batch", eddy.DefaultBatchSize, "concurrent engine eddy batch size; 1 is tuple-at-a-time")
-	shards := flag.Int("shards", 1, "hash-partitioned shards per SteM (rounded up to a power of two); >1 gives the concurrent engine one worker per shard")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
 	timing := flag.Bool("timing", false, "print per-result virtual emission times and run stats")
 	explain := flag.Bool("explain", false, "print a per-module adaptive-execution report after the results")
@@ -103,7 +101,7 @@ func main() {
 	}
 	prepped := map[string]*sql.Stmt{}
 	runOne := func(stmt string, doExplain bool) bool {
-		if err := run(stmt, cat, prepped, *policyName, *engineName, *batch, *shards, *seed, *timing, *explain || doExplain); err != nil {
+		if err := run(stmt, cat, prepped, *policyName, *engineName, *batch, *seed, *timing, *explain || doExplain); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return false
 		}
@@ -224,7 +222,7 @@ func splitStatements(s string) (complete []string, rest string) {
 	return complete, strings.TrimLeft(s[start:], " \t\n")
 }
 
-func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, batch, shards int, seed int64, timing, explain bool) error {
+func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, batch int, seed int64, timing, explain bool) error {
 	parsed, err := sql.ParseStatement(stmtSrc)
 	if err != nil {
 		return err
@@ -282,7 +280,6 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 		Engine: engine,
 		Policy: policyName,
 		Seed:   seed,
-		Shards: shards,
 		Batch:  batch,
 		Trace:  explain,
 	})

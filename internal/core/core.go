@@ -20,7 +20,7 @@
 // identical output sequences run to run, virtual time, deadlines — and is
 // what every figure reproduction and oracle test uses. Concurrent is the
 // deployment-shaped goroutine/channel engine on a real clock; it gives each
-// SteM shard its own worker and is the only engine whose handles are worth
+// module its own workers and is the only engine whose handles are worth
 // pooling. Both run the same modules and the same router, and must produce
 // the same result multiset.
 package core
@@ -74,8 +74,6 @@ type Spec struct {
 	// (0 means 1).
 	Policy string
 	Seed   int64
-	// Shards hash-partitions every SteM (see eddy.Options.Shards).
-	Shards int
 	// Batch caps the Concurrent engine's eddy batches (0 is
 	// eddy.DefaultBatchSize; 1 is the exact tuple-at-a-time dataflow). Above
 	// 1 the engine moves column vectors wherever it observes it can; there
@@ -161,7 +159,6 @@ func (e *Exec) build() error {
 	}
 	ropts := eddy.Options{
 		Policy:         pol,
-		Shards:         sp.Shards,
 		ProbeBounce:    sp.ProbeBounce,
 		SkipBuild:      sp.SkipBuild,
 		SkipBuildTable: sp.SkipBuildTable,

@@ -99,106 +99,104 @@ func settle(t *testing.T, baseline int) {
 	}
 }
 
-// TestExecMatrix drives the one builder across engine × shards × batch
+// TestExecMatrix drives the one builder across engine × batch
 // through every lifecycle a caller uses, comparing each run to the
 // brute-force oracle.
 func TestExecMatrix(t *testing.T) {
 	const n = 160
 	for _, engine := range []Engine{Sim, Concurrent} {
-		for _, shards := range []int{1, 4} {
-			for _, batch := range []int{1, 64} {
-				name := fmt.Sprintf("%s/shards%d/batch%d", [...]string{"sim", "concurrent"}[engine], shards, batch)
-				t.Run(name, func(t *testing.T) {
-					baseline := runtime.NumGoroutine()
-					q, rows := fixture(n)
-					want := oracle.Compute(q)
-					ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Shards: shards, Batch: batch, Trace: true})
+		for _, batch := range []int{1, 64} {
+			name := fmt.Sprintf("%s/batch%d", [...]string{"sim", "concurrent"}[engine], batch)
+			t.Run(name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				q, rows := fixture(n)
+				want := oracle.Compute(q)
+				ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Batch: batch, Trace: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := ex.Poolable(), engine == Concurrent; got != want {
+					t.Fatalf("Poolable() = %v, want %v", got, want)
+				}
+				run := func(what string) {
+					t.Helper()
+					streamed := 0
+					outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", what, err)
 					}
-					if got, want := ex.Poolable(), engine == Concurrent; got != want {
-						t.Fatalf("Poolable() = %v, want %v", got, want)
-					}
-					run := func(what string) {
-						t.Helper()
-						streamed := 0
-						outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						got := make(oracle.Result)
-						collect(got, outs)
-						mustMatch(t, what, want, got)
-						if streamed != len(outs) {
-							t.Fatalf("%s: hook saw %d results, Run returned %d", what, streamed, len(outs))
-						}
-						st := ex.Stats()
-						if st.RoutingSteps == 0 || st.Builds == 0 {
-							t.Fatalf("%s: empty stats %+v", what, st)
-						}
-						if rec := ex.Record(true); rec.Results != uint64(len(outs)) || len(rec.Modules) == 0 {
-							t.Fatalf("%s: trace records %d results over %d modules, want %d", what, rec.Results, len(rec.Modules), len(outs))
-						}
-					}
-					reset := func() {
-						t.Helper()
-						if err := ex.Reset(); err != nil {
-							t.Fatal(err)
-						}
-					}
-
-					run("first run")
-					if _, err := ex.Run(context.Background(), nil, nil); err == nil {
-						t.Fatal("second Run without Reset succeeded")
-					}
-					builds := ex.Stats().Builds
-					reset()
-					run("after Reset")
-					if b := ex.Stats().Builds; b != builds {
-						t.Fatalf("Reset carried state over: %d builds, then %d", builds, b)
-					}
-
-					reset()
-					ctx, cancel := context.WithCancel(context.Background())
-					cancel()
-					if _, err := ex.Run(ctx, nil, nil); err == nil {
-						t.Fatal("canceled Run returned no error")
-					}
-					if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
-						t.Fatal("RunDelta after a canceled round succeeded")
-					}
-					reset()
-					run("after canceled run and Reset")
-
-					// Snapshot ∪ deltas equals a batch run over the final rows.
-					reset()
 					got := make(oracle.Result)
-					outs, err := ex.Run(context.Background(), nil, nil)
-					if err != nil {
+					collect(got, outs)
+					mustMatch(t, what, want, got)
+					if streamed != len(outs) {
+						t.Fatalf("%s: hook saw %d results, Run returned %d", what, streamed, len(outs))
+					}
+					st := ex.Stats()
+					if st.RoutingSteps == 0 || st.Builds == 0 {
+						t.Fatalf("%s: empty stats %+v", what, st)
+					}
+					if rec := ex.Record(true); rec.Results != uint64(len(outs)) || len(rec.Modules) == 0 {
+						t.Fatalf("%s: trace records %d results over %d modules, want %d", what, rec.Results, len(rec.Modules), len(outs))
+					}
+				}
+				reset := func() {
+					t.Helper()
+					if err := ex.Reset(); err != nil {
 						t.Fatal(err)
+					}
+				}
+
+				run("first run")
+				if _, err := ex.Run(context.Background(), nil, nil); err == nil {
+					t.Fatal("second Run without Reset succeeded")
+				}
+				builds := ex.Stats().Builds
+				reset()
+				run("after Reset")
+				if b := ex.Stats().Builds; b != builds {
+					t.Fatalf("Reset carried state over: %d builds, then %d", builds, b)
+				}
+
+				reset()
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, err := ex.Run(ctx, nil, nil); err == nil {
+					t.Fatal("canceled Run returned no error")
+				}
+				if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
+					t.Fatal("RunDelta after a canceled round succeeded")
+				}
+				reset()
+				run("after canceled run and Reset")
+
+				// Snapshot ∪ deltas equals a batch run over the final rows.
+				reset()
+				got := make(oracle.Result)
+				outs, err := ex.Run(context.Background(), nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				collect(got, outs)
+				for i, round := range deltas(n) {
+					var ts []*tuple.Tuple
+					for _, in := range round {
+						ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
+						rows[in.table] = append(rows[in.table], in.row)
+					}
+					outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
+					if err != nil {
+						t.Fatalf("delta round %d: %v", i, err)
+					}
+					if len(outs) == 0 {
+						t.Fatalf("delta round %d produced nothing", i)
 					}
 					collect(got, outs)
-					for i, round := range deltas(n) {
-						var ts []*tuple.Tuple
-						for _, in := range round {
-							ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
-							rows[in.table] = append(rows[in.table], in.row)
-						}
-						outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
-						if err != nil {
-							t.Fatalf("delta round %d: %v", i, err)
-						}
-						if len(outs) == 0 {
-							t.Fatalf("delta round %d produced nothing", i)
-						}
-						collect(got, outs)
-					}
-					mustMatch(t, "snapshot ∪ deltas", oracle.ComputeFromRows(q, rows), got)
+				}
+				mustMatch(t, "snapshot ∪ deltas", oracle.ComputeFromRows(q, rows), got)
 
-					ex.Release()
-					settle(t, baseline)
-				})
-			}
+				ex.Release()
+				settle(t, baseline)
+			})
 		}
 	}
 }
@@ -334,56 +332,54 @@ func TestReleaseRecyclesStorage(t *testing.T) {
 func TestColumnarSinkOwnsItsRows(t *testing.T) {
 	q, _ := fixturePaced(160, 0)
 	want := oracle.Compute(q)
-	for _, shards := range []int{1, 4} {
-		ex, err := Build(Spec{Q: q, Engine: Concurrent, Policy: "benefitcost", Shards: shards, Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(oracle.Result)
-		tuples, boxed := 0, flow.MaterializedRows()
-		outs, err := ex.Run(context.Background(),
-			func(tp *tuple.Tuple, _ clock.Time) { tuples++; got[tp.ResultKey()]++ },
-			func(cb *flow.ColBatch, _ clock.Time) {
-				if flow.MaterializedRows() != boxed {
-					t.Errorf("shards=%d: %d rows were materialized before the sink saw them", shards, flow.MaterializedRows()-boxed)
-				}
-				for _, tp := range cb.Materialize() { // the test's own boxing, to key the rows
-					got[tp.ResultKey()]++
-				}
-				boxed = flow.MaterializedRows()
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustMatch(t, "both hooks", want, got)
-		if tuples != 0 || len(outs) != 0 {
-			t.Errorf("shards=%d: %d results took the tuple hook and Run returned %d; an unpaced equi-join stays on columns and its sink owns the rows", shards, tuples, len(outs))
-		}
-		total := 0
-		for _, n := range want {
-			total += n
-		}
-		if rec := ex.Record(false); rec.Results != uint64(total) {
-			t.Errorf("shards=%d: collector counted %d results, want %d", shards, rec.Results, total)
-		}
-		if ex.eng.OnOutput != nil || ex.eng.OnOutputCols != nil || ex.eng.OnService != nil {
-			t.Errorf("shards=%d: a finished round left hooks on the engine", shards)
-		}
-
-		if err := ex.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		streamed := 0
-		outs, err = ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = make(oracle.Result)
-		collect(got, outs)
-		mustMatch(t, "tuple hook only", want, got)
-		if streamed != len(outs) {
-			t.Errorf("shards=%d: tuple hook saw %d results, Run returned %d", shards, streamed, len(outs))
-		}
-		ex.Release()
+	ex, err := Build(Spec{Q: q, Engine: Concurrent, Policy: "benefitcost", Trace: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := make(oracle.Result)
+	tuples, boxed := 0, flow.MaterializedRows()
+	outs, err := ex.Run(context.Background(),
+		func(tp *tuple.Tuple, _ clock.Time) { tuples++; got[tp.ResultKey()]++ },
+		func(cb *flow.ColBatch, _ clock.Time) {
+			if flow.MaterializedRows() != boxed {
+				t.Errorf("%d rows were materialized before the sink saw them", flow.MaterializedRows()-boxed)
+			}
+			for _, tp := range cb.Materialize() { // the test's own boxing, to key the rows
+				got[tp.ResultKey()]++
+			}
+			boxed = flow.MaterializedRows()
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatch(t, "both hooks", want, got)
+	if tuples != 0 || len(outs) != 0 {
+		t.Errorf("%d results took the tuple hook and Run returned %d; an unpaced equi-join stays on columns and its sink owns the rows", tuples, len(outs))
+	}
+	total := 0
+	for _, n := range want {
+		total += n
+	}
+	if rec := ex.Record(false); rec.Results != uint64(total) {
+		t.Errorf("collector counted %d results, want %d", rec.Results, total)
+	}
+	if ex.eng.OnOutput != nil || ex.eng.OnOutputCols != nil || ex.eng.OnService != nil {
+		t.Error("a finished round left hooks on the engine")
+	}
+
+	if err := ex.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	streamed := 0
+	outs, err = ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = make(oracle.Result)
+	collect(got, outs)
+	mustMatch(t, "tuple hook only", want, got)
+	if streamed != len(outs) {
+		t.Errorf("tuple hook saw %d results, Run returned %d", streamed, len(outs))
+	}
+	ex.Release()
 }

@@ -4,8 +4,9 @@
 // engine. The facade, the CLIs and the server must go through
 // Build. Further checks keep the commands' catalogs unpaced, the serving
 // binary's import closure off the paper-figure / reference packages, the
-// engine and shared SteM state off the file system, and the engine's
-// configuration structs free of fields nothing shipped sets.
+// engine and shared SteM state off the file system, the engine's
+// configuration structs free of fields nothing shipped sets, and the fields
+// SteM sharding left for the benchmark harness unused.
 package core
 
 import (
@@ -224,6 +225,57 @@ func TestSharedStateTouchesNoDisk(t *testing.T) {
 				t.Errorf("%s imports %q: query execution must not touch the file system", filepath.ToSlash(file), ipath)
 			}
 		}
+	}
+}
+
+// TestShardsStaysDead keeps the two fields SteM sharding left behind —
+// eddy.Options.Shards and stem.SharedConfig.Shards, which only the frozen
+// benchmark harness still sets — from turning back into a knob: no non-test
+// Go file outside bench/ may read or set anything named Shards, as a selector
+// or as a composite-literal key.
+func TestShardsStaysDead(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if d.IsDir() {
+			if (strings.HasPrefix(d.Name(), ".") && path != root) || rel == "bench" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(f, func(n ast.Node) bool {
+			var id *ast.Ident
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				id = n.Sel
+			case *ast.KeyValueExpr:
+				id, _ = n.Key.(*ast.Ident)
+			}
+			if id != nil && id.Name == "Shards" {
+				t.Errorf("%s: uses a field named Shards; SteMs have no shards (the field is kept only for the benchmark harness)", fset.Position(id.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("parsed only %d files; is the walk rooted at the module?", files)
 	}
 }
 

@@ -138,29 +138,22 @@ func genMixedQuery(rng *rand.Rand) *query.Q {
 	return query.MustNew(tables, preds, ams)
 }
 
-// colRunConfig is one point of the cross-representation sweep.
-type colRunConfig struct {
-	batch  int
-	shards int
-}
-
-// runConcurrentConfig executes q on the concurrent engine under one
-// configuration and returns the result multiset.
-func runConcurrentConfig(t *testing.T, q *query.Q, opts Options, cfg colRunConfig) oracle.Result {
+// runConcurrentBatch executes q on the concurrent engine at one batch size
+// and returns the result multiset.
+func runConcurrentBatch(t *testing.T, q *query.Q, opts Options, batch int) oracle.Result {
 	t.Helper()
-	opts.Shards = cfg.shards
 	r, err := NewRouter(q, opts)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
 	eng := NewConcurrent(r, clock.NewReal(0.00002))
-	eng.BatchSize = cfg.batch
+	eng.BatchSize = batch
 	outs, err := eng.Run()
 	if err != nil {
-		t.Fatalf("Run(%+v): %v", cfg, err)
+		t.Fatalf("Run(batch=%d): %v", batch, err)
 	}
 	if r.Stuck() != 0 {
-		t.Errorf("router stuck %d under %+v", r.Stuck(), cfg)
+		t.Errorf("router stuck %d under batch=%d", r.Stuck(), batch)
 	}
 	got := make(oracle.Result)
 	for _, o := range outs {
@@ -174,7 +167,7 @@ func runConcurrentConfig(t *testing.T, q *query.Q, opts Options, cfg colRunConfi
 // tuples in every run), the columnar dataflow (batch sizes 3 and 64) and the
 // row dataflow (batch size 1, and the deterministic simulator as the
 // row-representation reference engine) produce the same result multiset —
-// all equal to the brute-force oracle — across SteM shard counts 1 and 4.
+// all equal to the brute-force oracle.
 // Which representation carries a batch is the engine's choice, so the only
 // row-only concurrent point left to pin is the one it picks itself.
 func TestColumnarRowEquivalence(t *testing.T) {
@@ -183,7 +176,6 @@ func TestColumnarRowEquivalence(t *testing.T) {
 		seeds = 3
 	}
 	batches := []int{1, 3, 64}
-	shards := []int{1, 4}
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -219,15 +211,12 @@ func TestColumnarRowEquivalence(t *testing.T) {
 			}
 
 			for _, bs := range batches {
-				for _, sh := range shards {
-					cfg := colRunConfig{batch: bs, shards: sh}
-					t.Logf("running %+v", cfg)
-					got := runConcurrentConfig(t, q, opts, cfg)
-					missing, extra := oracle.Diff(want, got)
-					if len(missing) > 0 || len(extra) > 0 {
-						t.Errorf("%+v: missing=%d extra=%d (got %d want %d)",
-							cfg, len(missing), len(extra), len(got), len(want))
-					}
+				t.Logf("running batch=%d", bs)
+				got := runConcurrentBatch(t, q, opts, bs)
+				missing, extra := oracle.Diff(want, got)
+				if len(missing) > 0 || len(extra) > 0 {
+					t.Errorf("batch=%d: missing=%d extra=%d (got %d want %d)",
+						bs, len(missing), len(extra), len(got), len(want))
 				}
 			}
 		})
@@ -239,8 +228,7 @@ func TestColumnarRowEquivalence(t *testing.T) {
 // comparison (band) predicate is served the narrowest equality bucket — or,
 // with no equality beside it, every stored row — and the predicate is
 // verified on concatenation. Both shapes must produce the oracle's multiset
-// on the simulator and on the concurrent engine, rows and columns, sharded
-// (where a pure band probe sweeps every shard) and not.
+// on the simulator and on the concurrent engine, rows and columns.
 func TestBandJoinsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	table := func(name string, rows int) *source.Table {
@@ -264,10 +252,10 @@ func TestBandJoinsAgainstOracle(t *testing.T) {
 				t.Fatal("the band join matches nothing; the test is vacuous")
 			}
 			runAndCheck(t, q, Options{})
-			for _, cfg := range []colRunConfig{{1, 1}, {64, 1}, {1, 4}, {64, 4}} {
-				got := runConcurrentConfig(t, q, Options{}, cfg)
+			for _, bs := range []int{1, 64} {
+				got := runConcurrentBatch(t, q, Options{}, bs)
 				if missing, extra := oracle.Diff(want, got); len(missing) > 0 || len(extra) > 0 {
-					t.Errorf("%+v: missing=%d extra=%d (got %d want %d)", cfg, len(missing), len(extra), len(got), len(want))
+					t.Errorf("batch=%d: missing=%d extra=%d (got %d want %d)", bs, len(missing), len(extra), len(got), len(want))
 				}
 			}
 		})
@@ -284,31 +272,29 @@ func TestBandJoinsAgainstOracle(t *testing.T) {
 func TestColumnarPathActivates(t *testing.T) {
 	q := mixedBurstQuery()
 	want := oracle.Compute(q)
-	for _, sh := range []int{1, 4} {
-		r, err := NewRouter(q, Options{Shards: sh})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewConcurrent(r, clock.NewReal(0.00002))
-		eng.BatchSize = 64
-		outs, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(oracle.Result)
-		for _, o := range outs {
-			got[o.T.ResultKey()]++
-		}
-		if missing, extra := oracle.Diff(want, got); len(missing) > 0 || len(extra) > 0 {
-			t.Fatalf("shards=%d: missing=%d extra=%d", sh, len(missing), len(extra))
-		}
-		var builds uint64
-		for _, s := range r.SteMs() {
-			builds += s.Stats().Builds
-		}
-		if builds == 0 {
-			t.Fatalf("shards=%d: no SteM builds recorded", sh)
-		}
+	r, err := NewRouter(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewConcurrent(r, clock.NewReal(0.00002))
+	eng.BatchSize = 64
+	outs, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(oracle.Result)
+	for _, o := range outs {
+		got[o.T.ResultKey()]++
+	}
+	if missing, extra := oracle.Diff(want, got); len(missing) > 0 || len(extra) > 0 {
+		t.Fatalf("missing=%d extra=%d", len(missing), len(extra))
+	}
+	var builds uint64
+	for _, s := range r.SteMs() {
+		builds += s.Stats().Builds
+	}
+	if builds == 0 {
+		t.Fatal("no SteM builds recorded")
 	}
 }
 

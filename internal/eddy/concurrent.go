@@ -11,16 +11,6 @@
 // module locking, and policy decisions amortize across the batch. BatchSize
 // 1 reproduces the original tuple-at-a-time behavior exactly.
 //
-// Modules that implement flow.Sharded with more than one shard get one
-// inbox and one worker per shard: the eddy resolves each routed tuple's
-// shard (ShardOf) and coalesces per (span, shard), so builds and probes on
-// different shards of the same SteM are serviced fully in parallel.
-// Broadcast tuples (flow.ShardAll — EOTs) are replicated to every shard
-// inbox behind a flush of the module's coalescing buffers, preserving the
-// build-before-EOT delivery order per shard; flow.ShardAny tuples are
-// handed to one shard worker and synchronize across shards inside the
-// module.
-//
 // The engine is not deterministic (that is the simulator's job); it is the
 // deployment-shaped engine, and the race-exercising tests run the same
 // correctness oracle against it.
@@ -177,7 +167,7 @@ func (b *inbox) reopen() {
 // all policy calls happen on the eddy goroutine), or an already-routed
 // tuple or columnar batch whose router-decided delay has elapsed, to enqueue
 // for module deliverMod (deliverT or deliverCol set; the coalescing buffers
-// and the flush-first broadcast discipline are eddy-goroutine-only).
+// are eddy-goroutine-only).
 type eddyEvent struct {
 	b          *flow.Batch
 	fb         *policy.Feedback
@@ -204,13 +194,6 @@ func newFeedback(fb policy.Feedback) *policy.Feedback {
 // or pooled engine holds none of these 40 kB buffers (room for 1,024 worker
 // reports before a worker blocks on the eddy goroutine).
 var eventsPool = sync.Pool{New: func() any { return make(chan eddyEvent, 1024) }}
-
-// pendKey identifies one coalescing buffer: the tuples' shared routing span
-// and, for sharded modules, the shard their batch will be serviced by.
-type pendKey struct {
-	span  tuple.TableSet
-	shard int
-}
 
 // ColRouter is the optional routing capability the columnar dataflow needs:
 // deciding the fate of a whole column-vector batch in one call. The Router
@@ -259,46 +242,34 @@ type Concurrent struct {
 	// absorbs events until they and the workers have exited, so the run
 	// leaves zero goroutines behind and an empty events channel.
 	senders sync.WaitGroup
-	// inboxes is indexed [module][shard]; unsharded modules have exactly one
-	// inbox that all their workers share.
-	inboxes [][]*inbox
-	// sharded caches each module's flow.Sharded interface when it has more
-	// than one shard; nil entries take the unsharded path.
-	sharded  []flow.Sharded
+	// inboxes holds one inbox per module, shared by all its workers.
+	inboxes  []*inbox
 	inflight atomic.Int64
 	costEWMA []atomic.Int64 // per-module EWMA service cost per tuple, ns
 
-	// colRouter, colMod and colShard cache the columnar capabilities of the
-	// routing and of each module for this run: a nil colRouter means the
-	// whole dataflow is row-at-a-time, nil module entries materialize to
-	// rows at enqueue.
+	// colRouter and colMod cache the columnar capabilities of the routing
+	// and of each module for this run: a nil colRouter means the whole
+	// dataflow is row-at-a-time, nil module entries materialize to rows at
+	// enqueue.
 	colRouter ColRouter
 	colMod    []flow.ColModule
-	colShard  []flow.ColSharded
 
 	// pend, staging, and decisions are eddy-goroutine-only: the per-module
 	// coalescing buffers, the reused routing batch incoming tuples drain
-	// into, and the reused RouteBatch scratch. pend is keyed by the
-	// tuples' span (and shard) within each module, so every released batch
-	// is span-homogeneous — its policy feedback attributes to one
-	// tuplestate signature — and shard-homogeneous — its service takes one
-	// shard lock. batchCap is the per-module coalescing limit: BatchSize
-	// for single-server and sharded modules (each shard is a single
-	// server), 1 for modules with internal parallelism (batching those
-	// would serialize service their Parallel() worker pool is meant to
-	// overlap — e.g. asynchronous index lookups).
-	pend      []map[pendKey]*flow.Batch
+	// into, and the reused RouteBatch scratch. pend is keyed by the tuples'
+	// span within each module, so every released batch is span-homogeneous —
+	// its policy feedback attributes to one tuplestate signature. batchCap is
+	// the per-module coalescing limit: BatchSize for single-server modules, 1
+	// for modules with internal parallelism (batching those would serialize
+	// service their Parallel() worker pool is meant to overlap — e.g.
+	// asynchronous index lookups).
+	pend      []map[tuple.TableSet]*flow.Batch
 	pendCount []int
 	batchCap  []int
 	// pendCol holds the columnar coalescing buffers, keyed like pend; merging
 	// requires identical routing headers (SameHeader), and merged storage is
 	// the pooled destination batch's — the source returns to the pool.
-	// colParts is the eddy-goroutine-only scratch for partitioning one
-	// columnar batch across a sharded module's inboxes.
-	pendCol  []map[pendKey]*flow.ColBatch
-	colParts []*flow.ColBatch
-	// anyRR round-robins flow.ShardAny batches across shard inboxes.
-	anyRR     []int
+	pendCol   []map[tuple.TableSet]*flow.ColBatch
 	staging   *flow.Batch
 	decisions []Decision
 
@@ -361,13 +332,10 @@ func (c *Concurrent) Reset() {
 	for i := range c.costEWMA {
 		c.costEWMA[i].Store(0)
 	}
-	clear(c.anyRR)
 	// The previous run's shutdown closed every inbox (possibly with dropped
 	// batches still queued); rearm them empty.
-	for _, boxes := range c.inboxes {
-		for _, ib := range boxes {
-			ib.reopen()
-		}
+	for _, ib := range c.inboxes {
+		ib.reopen()
 	}
 	// A canceled run can abandon batches in the coalescing buffers; recycle
 	// them so the pooled shell starts empty.
@@ -401,10 +369,7 @@ func (c *Concurrent) Backlog(mod int) clock.Duration {
 	if par == 0 {
 		return 0
 	}
-	waiting := c.pendCount[mod]
-	for _, ib := range c.inboxes[mod] {
-		waiting += ib.len()
-	}
+	waiting := c.pendCount[mod] + c.inboxes[mod].len()
 	return clock.Duration(int64(waiting) * c.costEWMA[mod].Load() / int64(par))
 }
 
@@ -451,15 +416,12 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 	// shell's layout always matches.
 	fresh := len(c.inboxes) != len(mods)
 	if fresh {
-		c.inboxes = make([][]*inbox, len(mods))
-		c.sharded = make([]flow.Sharded, len(mods))
-		c.pend = make([]map[pendKey]*flow.Batch, len(mods))
-		c.pendCol = make([]map[pendKey]*flow.ColBatch, len(mods))
+		c.inboxes = make([]*inbox, len(mods))
+		c.pend = make([]map[tuple.TableSet]*flow.Batch, len(mods))
+		c.pendCol = make([]map[tuple.TableSet]*flow.ColBatch, len(mods))
 		c.colMod = make([]flow.ColModule, len(mods))
-		c.colShard = make([]flow.ColSharded, len(mods))
 		c.pendCount = make([]int, len(mods))
 		c.batchCap = make([]int, len(mods))
-		c.anyRR = make([]int, len(mods))
 		c.staging = flow.NewBatch(c.BatchSize)
 	}
 	// Columnar capability is recomputed every run: BatchSize may change
@@ -471,40 +433,28 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 	var wg sync.WaitGroup
 	for i, m := range mods {
 		if fresh {
-			c.pend[i] = make(map[pendKey]*flow.Batch)
-			c.pendCol[i] = make(map[pendKey]*flow.ColBatch)
+			c.pend[i] = make(map[tuple.TableSet]*flow.Batch)
+			c.pendCol[i] = make(map[tuple.TableSet]*flow.ColBatch)
+			c.inboxes[i] = newInbox()
 		}
-		c.colMod[i], c.colShard[i] = nil, nil
+		c.colMod[i] = nil
 		if c.colRouter != nil {
 			c.colMod[i], _ = m.(flow.ColModule)
-			c.colShard[i], _ = m.(flow.ColSharded)
 		}
-		// A sharded module gets one single-server inbox and worker per
-		// shard; any other module one inbox shared by Parallel() workers
-		// (0, unbounded, runs 64).
-		boxes, workers := 1, m.Parallel()
-		if sm, ok := m.(flow.Sharded); ok && sm.Shards() > 1 {
-			c.sharded[i] = sm
-			boxes, workers = sm.Shards(), 1
-		} else if workers == 0 {
+		// One inbox per module, shared by Parallel() workers (0, unbounded,
+		// runs 64).
+		workers := m.Parallel()
+		if workers == 0 {
 			workers = 64
 		}
 		c.batchCap[i] = 1
 		if workers == 1 {
 			c.batchCap[i] = c.BatchSize
 		}
-		if fresh {
-			c.inboxes[i] = make([]*inbox, boxes)
-			for s := range c.inboxes[i] {
-				c.inboxes[i][s] = newInbox()
-			}
-		}
-		for s, ib := range c.inboxes[i] {
-			ib.reopen()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go c.worker(i, s, &wg)
-			}
+		c.inboxes[i].reopen()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go c.worker(i, &wg)
 		}
 	}
 
@@ -608,10 +558,8 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 	// is left in the buffer is dropped and the channel — never closed — goes
 	// back to the pool for whichever run starts next.
 	close(c.done)
-	for _, boxes := range c.inboxes {
-		for _, b := range boxes {
-			b.close()
-		}
+	for _, b := range c.inboxes {
+		b.close()
 	}
 	quiet := make(chan struct{})
 	go func() {
@@ -716,149 +664,53 @@ func (c *Concurrent) routeColBatch(cb *flow.ColBatch) {
 	}
 }
 
-// shardOf resolves the shard a tuple addresses within a module; unsharded
-// modules always use shard 0.
-func (c *Concurrent) shardOf(mod int, t *tuple.Tuple) int {
-	if sm := c.sharded[mod]; sm != nil {
-		return sm.ShardOf(t)
-	}
-	return 0
-}
-
-// enqueue adds a tuple to a module's pending batch for the tuple's (span,
-// shard), releasing the batch once it reaches the module's coalescing cap.
-// Parallel (unsharded) modules have cap 1, so their tuples are pushed
-// straight through and their worker pools keep overlapping service.
-// Broadcast (flow.ShardAll) tuples first flush the module's coalescing
-// buffers — so builds staged ahead of an EOT reach each shard's FIFO inbox
-// before its EOT copy — and are then replicated to every shard, with the
-// extra copies accounted in the in-flight counter. flow.ShardAny tuples
-// coalesce like any others (under their ShardAny key) so the module's sweep
-// path amortizes its all-shard lock acquisition across the batch, and the
-// released batches round-robin across the shard inboxes (any worker may
-// serve them).
+// enqueue adds a tuple to a module's pending batch for the tuple's span,
+// releasing the batch once it reaches the module's coalescing cap. Parallel
+// modules have cap 1, so their tuples are pushed straight through and their
+// worker pools keep overlapping service.
 func (c *Concurrent) enqueue(mod int, t *tuple.Tuple) {
-	shard := c.shardOf(mod, t)
-	if shard == flow.ShardAll {
-		c.flushModule(mod)
-		boxes := c.inboxes[mod]
-		c.inflight.Add(int64(len(boxes) - 1))
-		for _, ib := range boxes {
-			ib.push(getBatchOf(t))
-		}
-		return
-	}
 	if c.batchCap[mod] <= 1 {
-		c.pushTo(mod, shard, getBatchOf(t))
+		c.inboxes[mod].push(getBatchOf(t))
 		return
 	}
-	key := pendKey{span: t.Span, shard: shard}
-	p := c.pend[mod][key]
+	p := c.pend[mod][t.Span]
 	if p == nil {
 		p = getBatch()
-		c.pend[mod][key] = p
+		c.pend[mod][t.Span] = p
 	}
 	p.Add(t)
 	c.pendCount[mod]++
 	if p.Len() >= c.batchCap[mod] {
-		delete(c.pend[mod], key)
+		delete(c.pend[mod], t.Span)
 		c.pendCount[mod] -= p.Len()
-		c.pushTo(mod, key.shard, p)
+		c.inboxes[mod].push(p)
 	}
-}
-
-// pushTo delivers a batch to one shard inbox; ShardAny batches round-robin.
-func (c *Concurrent) pushTo(mod, shard int, b *flow.Batch) {
-	if shard < 0 {
-		shard = c.nextAny(mod)
-	}
-	c.inboxes[mod][shard].push(b)
-}
-
-// colCapable reports whether a module can be handed columnar batches this
-// run; the others get the rows materialized.
-func (c *Concurrent) colCapable(mod int) bool {
-	return c.colMod[mod] != nil && (c.sharded[mod] == nil || c.colShard[mod] != nil)
-}
-
-// splitCol partitions a columnar batch bound for a sharded module. When every
-// row addresses one shard — sweep batches (ShardAny) always do, the binding
-// is span-determined and thus batch-uniform — cb stays whole and that shard
-// comes back with a nil slice. Otherwise the rows move into one pooled batch
-// per shard in the colParts scratch (entries are nil on entry and the caller
-// nils the ones it takes), cb returns to the pool, and the scratch comes
-// back. EOT markers never travel columnar, so there is no ShardAll case.
-func (c *Concurrent) splitCol(mod int, cb *flow.ColBatch) (int, []*flow.ColBatch) {
-	sm := c.colShard[mod]
-	rows := cb.Rows()
-	first := sm.ShardOfCol(cb, cb.RowAt(0))
-	if first == flow.ShardAny {
-		return first, nil
-	}
-	same := 1
-	for same < rows && sm.ShardOfCol(cb, cb.RowAt(same)) == first {
-		same++
-	}
-	if same == rows {
-		return first, nil
-	}
-	nsh := len(c.inboxes[mod])
-	if cap(c.colParts) < nsh {
-		c.colParts = make([]*flow.ColBatch, nsh)
-	}
-	parts := c.colParts[:nsh]
-	for k := 0; k < rows; k++ {
-		i := cb.RowAt(k)
-		s := sm.ShardOfCol(cb, i)
-		p := parts[s]
-		if p == nil {
-			p = flow.GetColBatch(cb.NTables)
-			p.CopyHeaderFrom(cb)
-			parts[s] = p
-		}
-		p.AppendRowFrom(cb, i)
-	}
-	flow.PutColBatch(cb)
-	return 0, parts
 }
 
 // enqueueCol adds a columnar batch to a module's columnar coalescing buffers
 // (eddy goroutine only). Modules without a columnar path get the rows
-// materialized into the ordinary row enqueue; sharded modules get the batch
-// partitioned per shard.
+// materialized into the ordinary row enqueue.
 func (c *Concurrent) enqueueCol(mod int, cb *flow.ColBatch) {
 	switch {
-	case !c.colCapable(mod):
+	case c.colMod[mod] == nil:
 		for _, t := range cb.Materialize() {
 			c.enqueue(mod, t)
 		}
 		flow.PutColBatch(cb)
-	case c.sharded[mod] != nil:
-		shard, parts := c.splitCol(mod, cb)
-		if parts == nil {
-			c.pendColAdd(mod, shard, cb)
-			return
-		}
-		for s, p := range parts {
-			if p != nil {
-				parts[s] = nil
-				c.pendColAdd(mod, s, p)
-			}
-		}
 	case c.batchCap[mod] <= 1:
-		c.pushColTo(mod, 0, cb)
+		c.pushCol(mod, cb)
 	default:
-		c.pendColAdd(mod, 0, cb)
+		c.pendColAdd(mod, cb)
 	}
 }
 
-// pendColAdd coalesces a columnar batch into the module's (span, shard)
-// buffer. Merging is only legal between identical routing headers; a header
-// change (visit counts advanced, lineage flags set) releases the buffered
-// batch and starts a fresh one. Merged rows move into the buffered batch's
-// pooled vector storage and the source batch returns to the pool.
-func (c *Concurrent) pendColAdd(mod, shard int, cb *flow.ColBatch) {
-	key := pendKey{span: cb.Span, shard: shard}
+// pendColAdd coalesces a columnar batch into the module's span buffer.
+// Merging is only legal between identical routing headers; a header change
+// (visit counts advanced, lineage flags set) releases the buffered batch and
+// starts a fresh one. Merged rows move into the buffered batch's pooled
+// vector storage and the source batch returns to the pool.
+func (c *Concurrent) pendColAdd(mod int, cb *flow.ColBatch) {
+	key := cb.Span
 	p := c.pendCol[mod][key]
 	if p != nil {
 		if p.SameHeader(cb) {
@@ -868,50 +720,41 @@ func (c *Concurrent) pendColAdd(mod, shard int, cb *flow.ColBatch) {
 			if p.Rows() >= c.batchCap[mod] {
 				delete(c.pendCol[mod], key)
 				c.pendCount[mod] -= p.Rows()
-				c.pushColTo(mod, shard, p)
+				c.pushCol(mod, p)
 			}
 			return
 		}
 		delete(c.pendCol[mod], key)
 		c.pendCount[mod] -= p.Rows()
-		c.pushColTo(mod, shard, p)
+		c.pushCol(mod, p)
 	}
 	if cb.Rows() >= c.batchCap[mod] {
-		c.pushColTo(mod, shard, cb)
+		c.pushCol(mod, cb)
 		return
 	}
 	c.pendCol[mod][key] = cb
 	c.pendCount[mod] += cb.Rows()
 }
 
-// pushColTo delivers a columnar batch to one shard inbox inside a pooled
+// pushCol delivers a columnar batch to a module's inbox inside a pooled
 // row-batch shell (the inbox currency stays *flow.Batch).
-func (c *Concurrent) pushColTo(mod, shard int, cb *flow.ColBatch) {
-	c.pushTo(mod, shard, getColShell(cb))
-}
-
-// nextAny picks the next shard inbox for a flow.ShardAny tuple, spreading
-// sweep probes across workers (any worker may serve them — the module
-// synchronizes across shards itself).
-func (c *Concurrent) nextAny(mod int) int {
-	c.anyRR[mod] = (c.anyRR[mod] + 1) % len(c.inboxes[mod])
-	return c.anyRR[mod]
+func (c *Concurrent) pushCol(mod int, cb *flow.ColBatch) {
+	c.inboxes[mod].push(getColShell(cb))
 }
 
 // flushModule releases every non-empty pending batch of one module, columnar
-// buffers first so staged builds keep preceding a broadcast EOT in every
-// shard inbox.
+// buffers first: an AM's scan chunks are columnar and its EOT is a row, so
+// this order keeps the chunks ahead of the EOT in the SteM's inbox — a SteM
+// that saw the EOT first would claim completeness over rows it has not built
+// (a Theorem 2 loss).
 func (c *Concurrent) flushModule(mod int) {
-	if cols := c.pendCol[mod]; len(cols) > 0 {
-		for key, p := range cols {
-			delete(cols, key)
-			c.pushColTo(mod, key.shard, p)
-		}
+	for key, p := range c.pendCol[mod] {
+		delete(c.pendCol[mod], key)
+		c.pushCol(mod, p)
 	}
-	spans := c.pend[mod]
-	for key, p := range spans {
-		delete(spans, key)
-		c.pushTo(mod, key.shard, p)
+	for key, p := range c.pend[mod] {
+		delete(c.pend[mod], key)
+		c.inboxes[mod].push(p)
 	}
 	c.pendCount[mod] = 0
 }
@@ -923,15 +766,13 @@ func (c *Concurrent) flushAll() {
 	}
 }
 
-// worker services one inbox: a shard of a sharded module (different shards
-// of one module are serviced fully in parallel), or the single inbox of an
-// unsharded one, possibly beside Parallel()-1 siblings. Each batch gets the
-// widest service call the module offers this run.
-func (c *Concurrent) worker(mod, shard int, wg *sync.WaitGroup) {
+// worker services a module's inbox, possibly beside Parallel()-1 siblings.
+// Each batch gets the widest service call the module offers this run.
+func (c *Concurrent) worker(mod int, wg *sync.WaitGroup) {
 	defer wg.Done()
-	sharded, colShard, colMod := c.sharded[mod], c.colShard[mod], c.colMod[mod]
+	colMod := c.colMod[mod]
 	rowMod := flow.Lift(c.r.Modules()[mod])
-	ib := c.inboxes[mod][shard]
+	ib := c.inboxes[mod]
 	for {
 		b, ok := ib.pop()
 		if !ok {
@@ -946,17 +787,12 @@ func (c *Concurrent) worker(mod, shard int, wg *sync.WaitGroup) {
 		var cols []flow.ColEmission
 		var cost clock.Duration
 		start := c.clk.Now()
-		switch {
-		case sharded != nil && colShard != nil:
-			rows, cols, cost = colShard.ProcessColShard(shard, b, start)
-		case sharded != nil:
-			rows, cost = sharded.ProcessShard(shard, b, start)
-		case colMod != nil:
+		if colMod != nil {
 			rows, cols, cost = colMod.ProcessColBatch(b, start)
-		default:
+		} else {
 			rows, cost = rowMod.ProcessBatch(b, start)
 		}
-		c.finish(mod, shard, b, in, rows, cols, start, cost)
+		c.finish(mod, b, in, rows, cols, start, cost)
 	}
 }
 
@@ -971,10 +807,10 @@ func (c *Concurrent) worker(mod, shard int, wg *sync.WaitGroup) {
 // counters are row counts (a columnar emission contributes its live rows;
 // inRows is the input batch's, taken before service). Columnar emissions enter
 // the event stream before row emissions (an AM's scan chunks must precede its
-// row EOT so the flush-first broadcast discipline can order the inboxes), and
+// row EOT, which flushModule then keeps behind them in the SteM's inbox), and
 // the input batch's columnar payload returns to the pool unless the module
 // re-emitted it (a bounce).
-func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []flow.Emission, colEms []flow.ColEmission, start clock.Time, cost clock.Duration) {
+func (c *Concurrent) finish(mod int, b *flow.Batch, inRows int, rowEms []flow.Emission, colEms []flow.ColEmission, start clock.Time, cost clock.Duration) {
 	cb := b.Col
 	now := c.clk.Now()
 	if rest := cost - clock.Duration(now-start); rest > 0 {
@@ -1015,7 +851,7 @@ func (c *Concurrent) finish(mod, shard int, b *flow.Batch, inRows int, rowEms []
 		sig = uint64(b.Tuples[0].Span)
 	}
 	fb := policy.Feedback{
-		Module: mod, Shard: shard, Sig: sig,
+		Module: mod, Sig: sig,
 		Outputs: newRows, Emitted: outRows, Cost: service, Now: now,
 		Visits: inRows,
 	}

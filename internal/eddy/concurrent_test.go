@@ -3,9 +3,11 @@ package eddy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/flow"
 	"repro/internal/oracle"
 	"repro/internal/policy"
 	"repro/internal/pred"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/source"
 	"repro/internal/tuple"
+	"repro/internal/value"
 )
 
 // runConcurrent executes a query on the channel engine with a heavily
@@ -206,5 +209,38 @@ func TestPacedScanEOTArrivesLast(t *testing.T) {
 	}
 	if early > 0 {
 		t.Errorf("the scan's EOT overtook its rows in %d of 200 runs", early)
+	}
+}
+
+// TestFlushModuleColumnsFirst: a module's coalescing buffers reach its inbox
+// columnar ones first. An AM's scan chunks are columnar and its EOT is a row,
+// so this order is what keeps a SteM from seeing the EOT — and claiming
+// completeness — ahead of rows it has not built yet.
+func TestFlushModuleColumnsFirst(t *testing.T) {
+	c := &Concurrent{
+		inboxes:   []*inbox{newInbox()},
+		pend:      []map[tuple.TableSet]*flow.Batch{{}},
+		pendCol:   []map[tuple.TableSet]*flow.ColBatch{{}},
+		pendCount: []int{0},
+	}
+	for table := 0; table < 2; table++ {
+		span := tuple.Single(table)
+		c.pend[0][span] = flow.BatchOf(tuple.NewSingleton(2, table, tuple.Row{value.NewInt(1)}))
+		cb := flow.GetColBatch(2)
+		cb.Span = span
+		c.pendCol[0][span] = cb
+		c.pendCount[0] += 2
+	}
+	c.flushModule(0)
+	var order []bool // true for a columnar batch
+	for range 4 {
+		b, _ := c.inboxes[0].pop()
+		order = append(order, b.Col != nil)
+	}
+	if want := []bool{true, true, false, false}; !slices.Equal(order, want) {
+		t.Fatalf("inbox order (columnar?) = %v, want %v", order, want)
+	}
+	if len(c.pend[0]) != 0 || len(c.pendCol[0]) != 0 || c.pendCount[0] != 0 {
+		t.Fatal("flushModule left buffered batches behind")
 	}
 }

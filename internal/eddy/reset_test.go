@@ -84,15 +84,13 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 	if eng.events != nil {
 		t.Errorf("idle shell holds an events channel (%d entries queued)", len(eng.events))
 	}
-	for mod, boxes := range eng.inboxes {
-		for sh, ib := range boxes {
-			ib.mu.Lock()
-			if ib.closed || len(ib.items) != 0 || ib.tuples != 0 {
-				t.Errorf("inbox %d/%d not reopened empty (closed=%v items=%d tuples=%d)",
-					mod, sh, ib.closed, len(ib.items), ib.tuples)
-			}
-			ib.mu.Unlock()
+	for mod, ib := range eng.inboxes {
+		ib.mu.Lock()
+		if ib.closed || len(ib.items) != 0 || ib.tuples != 0 {
+			t.Errorf("inbox %d not reopened empty (closed=%v items=%d tuples=%d)",
+				mod, ib.closed, len(ib.items), ib.tuples)
 		}
+		ib.mu.Unlock()
 	}
 }
 
@@ -118,7 +116,7 @@ func TestResetShellIndistinguishableFromFresh(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	q := twoTableQuery(t)
 	want := oracle.Compute(q)
-	r, err := NewRouter(q, Options{Shards: 2})
+	r, err := NewRouter(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,12 +68,8 @@ type Options struct {
 	SkipBuildTable int
 	// ProbeBounce is passed to every SteM; see stem.ProbeBounceMode.
 	ProbeBounce stem.ProbeBounceMode
-	// Shards hash-partitions every SteM into this many sub-stores (rounded
-	// up to a power of two) keyed by the table's first join column, giving
-	// the concurrent engine one worker per shard — intra-operator
-	// parallelism. 0 or 1 keeps single-store SteMs (the exact historical
-	// behaviour, and what the deterministic simulator figures assume).
-	// Tables with no join columns stay unsharded.
+	// Shards is ignored: only the frozen benchmark harness still sets it,
+	// and it goes with ROADMAP item 1.
 	Shards int
 	// WindowFor optionally bounds SteM sizes per table (sliding windows);
 	// nil means unbounded.
@@ -86,8 +82,7 @@ type Options struct {
 	// index-probing it would only rebuild what is shared. At least one table
 	// must remain unshared (its scans drive the dataflow), every shared
 	// table's join columns must equal the state's key columns, and shared
-	// tables take no window. Attached SteMs adopt the state's
-	// shard count, ignoring Shards.
+	// tables take no window.
 	SharedFor func(table int) *stem.SharedState
 }
 
@@ -218,7 +213,6 @@ func NewRouter(q *query.Q, opts Options) (*Router, error) {
 			Table:        t,
 			Q:            q,
 			TS:           r.counter,
-			Shards:       opts.Shards,
 			BuildCost:    r.prof.SteMBuildCost,
 			ProbeCost:    r.prof.SteMProbeCost,
 			PerMatchCost: r.prof.PerMatchCost,

@@ -268,8 +268,8 @@ type ColBatch struct {
 	// SteMs split bounced batches so it stays uniform.
 	HasMatches bool
 	// LastMatchTS is the batch-uniform repeat-probe guard (§3.5); a SteM
-	// bounce assigns one value to the whole batch, exactly as the row path
-	// assigns the same shard high-water mark to every tuple of a run.
+	// bounce assigns one value to the whole batch, the dictionary's
+	// high-water mark, exactly as the row path assigns it to each probe.
 	LastMatchTS tuple.Timestamp
 	// Visits is the shared BoundedRepetition counter vector; materialized
 	// rows receive private clones.
@@ -580,17 +580,6 @@ type ColEmission struct {
 type ColModule interface {
 	Module
 	ProcessColBatch(b *Batch, now clock.Time) (rows []Emission, cols []ColEmission, cost clock.Duration)
-}
-
-// ColSharded is a sharded module that services columnar batches per shard.
-// ShardOfCol mirrors ShardOf for one live row; a batch whose rows address no
-// single shard reports ShardAny for every row (probe-side bindings are
-// span-determined, hence batch-uniform).
-type ColSharded interface {
-	Sharded
-	ColModule
-	ShardOfCol(cb *ColBatch, i int) int
-	ProcessColShard(shard int, b *Batch, now clock.Time) (rows []Emission, cols []ColEmission, cost clock.Duration)
 }
 
 // colPool recycles ColBatch shells and their vector storage; Reset keeps

@@ -132,52 +132,6 @@ type BatchModule interface {
 	ProcessBatch(b *Batch, now clock.Time) (out []Emission, cost clock.Duration)
 }
 
-// Shard destinations returned by Sharded.ShardOf for tuples that do not
-// address a single shard.
-const (
-	// ShardAll marks a tuple every shard must observe (EOT / completeness
-	// markers). Engines deliver one copy of the tuple to each shard's queue
-	// — preserving, per queue, the order of previously enqueued tuples — and
-	// account for the extra copies in their dataflow bookkeeping. The module
-	// must treat the tuple as read-only in each per-shard delivery and apply
-	// its module-global effect exactly once (on the final delivery).
-	ShardAll = -1
-	// ShardAny marks a tuple that addresses no single shard but must be
-	// processed exactly once against the module's whole state (e.g. a probe
-	// that does not bind the partition column and has to sweep every
-	// sub-dictionary). Engines deliver it to any one shard queue; the module
-	// performs its own cross-shard synchronization.
-	ShardAny = -2
-)
-
-// Sharded is a module whose internal state is hash-partitioned into
-// independently synchronized sub-stores ("shards"), so an engine can drive
-// different shards from different workers and let their service proceed in
-// parallel — intra-operator parallelism in the style of hash-partitioned
-// join state in production engines.
-//
-// The contract splits responsibilities: the module owns the partitioning
-// function (ShardOf) and per-shard servicing (ProcessShard); the engine owns
-// queueing, one worker per shard, and the delivery rules for ShardAll /
-// ShardAny tuples. Engines that do not know about sharding (the simulator,
-// the Lift shim) simply call Process/ProcessBatch, and the module dispatches
-// to its shards internally under its own locks — sharding is then a storage
-// layout, not a concurrency structure, and results are identical.
-type Sharded interface {
-	BatchModule
-	// Shards returns the number of partitions (>= 1; 1 means unsharded).
-	Shards() int
-	// ShardOf returns the shard index a tuple addresses, or ShardAll /
-	// ShardAny. It must be safe to call without any module locks held and
-	// must not mutate t.
-	ShardOf(t *tuple.Tuple) int
-	// ProcessShard services a batch delivered to one shard's queue: tuples
-	// with ShardOf == shard, plus ShardAll copies addressed to this shard
-	// and ShardAny tuples the engine assigned here. Emissions and cost
-	// follow the ProcessBatch contract.
-	ProcessShard(shard int, b *Batch, now clock.Time) (out []Emission, cost clock.Duration)
-}
-
 // Lift returns m as a BatchModule: native implementations are returned
 // as-is, per-tuple modules are wrapped in a shim that processes batch
 // members sequentially.

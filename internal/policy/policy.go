@@ -78,13 +78,6 @@ type Env interface {
 type Feedback struct {
 	Module int
 	Kind   Kind
-	// Shard identifies the sub-store of a hash-partitioned (sharded) module
-	// that serviced this visit; 0 for unsharded modules. Engines driving
-	// sharded modules report one Feedback per shard batch, already
-	// normalized by Visits, so learners may aggregate across shards (the
-	// default: shards of one module share benefit/cost characteristics) or
-	// key statistics by (Module, Shard) to detect partition skew.
-	Shard int
 	// Sig is the routed tuple's span bitmap: the paper optimizes its
 	// benefit/cost ratio "at the granularity of the module and the
 	// tuplestate of the tuple" (Section 4.1).

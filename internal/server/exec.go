@@ -226,7 +226,6 @@ func (s *Server) spec(q *live, iq *query.Q) core.Spec {
 		Engine: core.Concurrent,
 		Policy: q.policy,
 		Seed:   s.cfg.Seed,
-		Shards: s.cfg.Shards,
 		Batch:  s.cfg.BatchSize,
 	}
 }
@@ -246,7 +245,7 @@ type live struct {
 	// policy is the request's routing policy, or the server default: the one
 	// execution setting a request can vary. It keys the plan, names the
 	// core.Spec's policy and is reported in the query record. Everything else
-	// that shapes a run (seed, batch size, shard count) is the operator's,
+	// that shapes a run (seed, batch size) is the operator's,
 	// fixed for the process in Config.
 	policy string
 
@@ -325,6 +324,14 @@ func (q *live) flush() {
 	if q.flusher != nil && q.sinkErr == nil {
 		q.flusher.Flush()
 	}
+}
+
+// takeStats records the handle's engine counters as the query's. They are
+// cumulative over every round the handle ran, so one read when the query
+// ends covers a subscription's whole life.
+func (q *live) takeStats(ex *core.Exec) {
+	st := ex.Stats()
+	q.stats.Routed, q.stats.Builds, q.stats.Probes = st.RoutingSteps, st.Builds, st.IndexProbes
 }
 
 // text returns the statement's canonical text, rendering it on the paths
@@ -592,7 +599,7 @@ func (s *Server) execute(q *live) error {
 	// time, so a handle can never own a refcount): attach here, release after
 	// the run has fully unwound — the engine leaves zero goroutines behind
 	// when Run returns.
-	shared, err := s.shared.planAttach(q.st, bound.Q, snap, s.cfg.Shards)
+	shared, err := s.shared.planAttach(q.st, bound.Q, snap)
 	if err != nil {
 		return err
 	}
@@ -680,8 +687,7 @@ func (s *Server) stream(q *live, ex *core.Exec, bound *sql.Bound) error {
 		onOutput, onCols = q.emit, q.emitCols
 	}
 	outs, err := ex.Run(q.ctx, onOutput, onCols)
-	st := ex.Stats()
-	q.stats.Routed, q.stats.Builds, q.stats.Probes = st.RoutingSteps, st.Builds, st.IndexProbes
+	q.takeStats(ex)
 	// The policy's learned state is snapshotted into the trace only when
 	// the request asked for an explain.
 	q.stats.Trace = ex.Record(q.req.Explain)

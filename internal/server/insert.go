@@ -86,8 +86,8 @@ func (s *Server) applyInsert(w http.ResponseWriter, r *http.Request, table strin
 // rowsFromJSON converts UseNumber-decoded JSON rows to engine rows. Only
 // integers, strings, and null map onto the engine's value kinds; anything
 // else (floats included) is the client's error. Schema validation — arity
-// and per-column kinds, reported by 1-based position in the request — is
-// Catalog.Append's job.
+// and per-column kinds — is Catalog.Append's job. Both number a bad row
+// "row i of n", 1-based within the request.
 func rowsFromJSON(in [][]any) ([]tuple.Row, error) {
 	rows := make([]tuple.Row, len(in))
 	for i, r := range in {
@@ -97,7 +97,7 @@ func rowsFromJSON(in [][]any) ([]tuple.Row, error) {
 			case json.Number:
 				n, err := strconv.ParseInt(v.String(), 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("row %d col %d: %q is not an integer (values are integers, strings, or null)", i, j, v.String())
+					return nil, fmt.Errorf("row %d of %d col %d: %q is not an integer (values are integers, strings, or null)", i+1, len(in), j+1, v.String())
 				}
 				row[j] = value.NewInt(n)
 			case string:
@@ -105,7 +105,7 @@ func rowsFromJSON(in [][]any) ([]tuple.Row, error) {
 			case nil:
 				row[j] = value.NewNull()
 			default:
-				return nil, fmt.Errorf("row %d col %d: unsupported JSON value of type %T", i, j, v)
+				return nil, fmt.Errorf("row %d of %d col %d: unsupported JSON value of type %T", i+1, len(in), j+1, v)
 			}
 		}
 		rows[i] = row

@@ -55,8 +55,8 @@ func TestExplainSimMatchesLocalCollector(t *testing.T) {
 	}
 	got := decodeTrace(t, res.trace)
 
-	// Local replica: same defaults (benefitcost, seed 1, unsharded), same
-	// catalog snapshot.
+	// Local replica: same defaults (benefitcost, seed 1), same catalog
+	// snapshot.
 	st, err := sql.ParseStatement(threeWayJoin)
 	if err != nil {
 		t.Fatal(err)

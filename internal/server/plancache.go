@@ -38,8 +38,8 @@ type planEntry struct {
 	// key identifies one executable plan shape: the one request knob that
 	// changes a pooled handle's router — the routing policy — then a NUL
 	// byte, then the canonical statement text; policy and canon are its two
-	// parts. Server-wide settings (seed, shards, batch size) are fixed for
-	// the process.
+	// parts. Server-wide settings (seed, batch size) are fixed for the
+	// process.
 	key, policy, canon string
 	version            uint64
 	bound              *sql.Bound

@@ -47,14 +47,12 @@ type Config struct {
 	// Policy is the default routing policy: "benefitcost" (default),
 	// "fixed", or "lottery".
 	Policy string
-	// Seed, BatchSize and Shards apply to every query — a request cannot
-	// override them, so no client sizes the engine. Seed feeds randomized
-	// policies (default 1); BatchSize is the concurrent engine's eddy batch
-	// size (0 is eddy.DefaultBatchSize); Shards is the SteM shard count, one
-	// worker goroutine per shard per SteM (0 or 1 is unsharded).
+	// Seed and BatchSize apply to every query — a request cannot override
+	// them, so no client sizes the engine. Seed feeds randomized policies
+	// (default 1); BatchSize is the concurrent engine's eddy batch size (0 is
+	// eddy.DefaultBatchSize).
 	Seed      int64
 	BatchSize int
-	Shards    int
 	// PlanCacheSize bounds the plan cache (LRU-evicted). 0 takes the default
 	// of 128; negative: entries are transient, nothing is published or
 	// pooled — every statement re-binds and builds its handle.
@@ -399,7 +397,7 @@ func (s *Server) gauges() gauges {
 }
 
 // QueryRequest is the POST /query body. Its fields are what one tenant may
-// vary for its own query; seed, batch size and shard count are Config's.
+// vary for its own query; seed and batch size are Config's.
 // Unknown fields are ignored.
 type QueryRequest struct {
 	// SQL is the statement: a SELECT, a REGISTER TABLE, a PREPARE, or an

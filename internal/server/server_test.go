@@ -285,14 +285,14 @@ func TestRegisterTableAtRuntime(t *testing.T) {
 	}
 }
 
-// TestRequestCannotSizeTheEngine pins that batch size, shard count and seed
-// are the operator's and the engine is the server's: a request naming them is
-// served exactly like one that does not (unknown JSON fields are ignored), so
-// no client can make the server start a goroutine per "shard", allocate a
-// staging batch of its choosing, or run the simulator. Before the fields were
-// removed, {"shards":1048576} against this 3-row catalog peaked above three
-// million goroutines and {"batch":67108864} allocated 512 MB for the 5-row
-// join.
+// TestRequestCannotSizeTheEngine pins that batch size and seed are the
+// operator's and the engine is the server's: a request naming them — or
+// "shards", which SteMs no longer have — is served exactly like one that does
+// not (unknown JSON fields are ignored), so no client can make the server
+// start goroutines, allocate a staging batch of its choosing, or run the
+// simulator. Before the request fields were removed, {"shards":1048576}
+// against this 3-row catalog peaked above three million goroutines and
+// {"batch":67108864} allocated 512 MB for the 5-row join.
 func TestRequestCannotSizeTheEngine(t *testing.T) {
 	_, ts, client := newTestServer(t, memCatalog(t), Config{})
 	// measure posts one request while sampling the goroutine count, and
@@ -408,9 +408,6 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 	cat := memCatalog(t)
 	cat.dir = dir
 	srv, ts, client := newTestServer(t, cat, Config{MaxInFlight: 16, QueueDepth: 32})
-	// Shard count is the operator's setting, not a request's: the shards
-	// sweep runs across two servers sharing the one catalog.
-	_, ts2, _ := newTestServer(t, cat, Config{MaxInFlight: 16, QueueDepth: 32, Shards: 2})
 
 	const n = 12
 	var wg sync.WaitGroup
@@ -419,7 +416,7 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res := postQuery(t, client, []string{ts.URL, ts2.URL}[i%2], map[string]any{
+			res := postQuery(t, client, ts.URL, map[string]any{
 				"sql":     threeWayJoin,
 				"session": fmt.Sprintf("sess-%d", i%4),
 			})

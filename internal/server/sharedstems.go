@@ -1,6 +1,6 @@
 // sharedstems.go gives the server catalog ownership of long-lived shared
 // SteMs: the first query that uses a registered table builds shared state
-// for it (stem.BuildShared) keyed by (table, join columns, shard count), and
+// for it (stem.BuildShared) keyed by (table, join columns), and
 // every concurrent or later query with the same key attaches a probe-only
 // handle instead of rebuilding — the paper's "SteM state is shareable across
 // queries" pitch, lifted from per-query modules to the serving layer.
@@ -44,12 +44,11 @@ import (
 	"repro/internal/tuple"
 )
 
-// sharedKey identifies one shared build: a catalog table, the join-column
-// signature the dictionaries index, and the shard count.
+// sharedKey identifies one shared build: a catalog table and the
+// join-column signature its dictionary indexes.
 type sharedKey struct {
-	table  string
-	cols   string
-	shards int
+	table string
+	cols  string
 }
 
 // colsSig renders sorted join columns as a key component.
@@ -62,16 +61,6 @@ func colsSig(cols []int) string {
 		b.WriteString(strconv.Itoa(c))
 	}
 	return b.String()
-}
-
-// normShards normalizes a shard request the way stem.BuildShared does, so
-// requests for 3 and 4 shards share one key and one build.
-func normShards(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // sharedEntry is one catalog-owned build. All fields are guarded by the
@@ -111,13 +100,13 @@ func newSharedStems(capBytes int64) *sharedStems {
 	return &sharedStems{entries: make(map[sharedKey]*sharedEntry), capBytes: capBytes}
 }
 
-// attach returns a referenced entry for (table, keyCols, shards) holding
+// attach returns a referenced entry for (table, keyCols) holding
 // exactly src's rows, building the shared state on first use and extending
 // it after an append. The caller must release the entry exactly once when its
 // query stops probing the state. A nil entry with a nil error means src is an
 // older snapshot than the state has absorbed: the query must run private.
-func (m *sharedStems) attach(table string, src sql.Source, keyCols []int, shards int) (*sharedEntry, error) {
-	key := sharedKey{table: table, cols: colsSig(keyCols), shards: normShards(shards)}
+func (m *sharedStems) attach(table string, src sql.Source, keyCols []int) (*sharedEntry, error) {
+	key := sharedKey{table: table, cols: colsSig(keyCols)}
 	rows := src.Data.Rows
 	var delta []tuple.Row // the rows this call extends the state with
 	m.mu.Lock()
@@ -155,7 +144,7 @@ func (m *sharedStems) attach(table string, src sql.Source, keyCols []int, shards
 	switch {
 	case build:
 		m.builds.Add(1)
-		state, err := stem.BuildShared(stem.SharedConfig{KeyCols: keyCols, Shards: shards}, rows)
+		state, err := stem.BuildShared(stem.SharedConfig{KeyCols: keyCols}, rows)
 		m.mu.Lock()
 		e.state, e.err = state, err
 		if err != nil && m.entries[key] == e {
@@ -298,7 +287,7 @@ func (p *sharedPlan) release() {
 // not connected from the driver (a cross-product leg would need the
 // attached table's scan, which attachments do not run), or a snapshot older
 // than the rows a table's state has already absorbed.
-func (m *sharedStems) planAttach(st *sql.Stmt, q *query.Q, snap sql.MapCatalog, shards int) (*sharedPlan, error) {
+func (m *sharedStems) planAttach(st *sql.Stmt, q *query.Q, snap sql.MapCatalog) (*sharedPlan, error) {
 	n := q.NumTables()
 	if m == nil || n < 2 || n != len(st.From) {
 		return nil, nil
@@ -349,7 +338,7 @@ func (m *sharedStems) planAttach(st *sql.Stmt, q *query.Q, snap sql.MapCatalog, 
 		if t == driver {
 			continue
 		}
-		e, err := m.attach(st.From[t].Source, srcs[t], cols[t], shards)
+		e, err := m.attach(st.From[t].Source, srcs[t], cols[t])
 		if err != nil {
 			plan.release()
 			return nil, fmt.Errorf("shared SteM build for %q failed: %w", st.From[t].Source, err)

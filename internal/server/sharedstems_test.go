@@ -476,7 +476,7 @@ func TestSharedStemsOlderSnapshotRunsPrivate(t *testing.T) {
 		t.Fatalf("extends = %d, want 1; the state never moved past the old snapshot", ext)
 	}
 
-	plan, err := srv.shared.planAttach(st, bound.Q, old, 1)
+	plan, err := srv.shared.planAttach(st, bound.Q, old)
 	if err != nil || plan != nil {
 		t.Fatalf("planAttach on the pre-insert snapshot = %v, %v; want the nil all-private plan", plan, err)
 	}

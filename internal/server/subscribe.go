@@ -109,6 +109,9 @@ func (s *Server) subscribe(q *live) (reason string, err error) {
 		return "", userError{err}
 	}
 	defer ex.Release()
+	// Whichever way the subscription ends, its record books the engine work
+	// of every round.
+	defer q.takeStats(ex)
 
 	s.subs.Add(1)
 	defer s.subs.Add(-1)

@@ -114,6 +114,14 @@ func rowKey(t testing.TB, row map[string]any) string {
 // postInsert POSTs rows to /insert and returns the response status.
 func postInsert(t testing.TB, client *http.Client, url, table string, rows [][]any) int {
 	t.Helper()
+	st, _ := postInsertErr(t, client, url, table, rows)
+	return st
+}
+
+// postInsertErr is postInsert that also returns the response's error
+// message, if any.
+func postInsertErr(t testing.TB, client *http.Client, url, table string, rows [][]any) (int, string) {
+	t.Helper()
 	payload, err := json.Marshal(map[string]any{"table": table, "rows": rows})
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +129,14 @@ func postInsert(t testing.TB, client *http.Client, url, table string, rows [][]a
 	resp, err := client.Post(url+"/insert", "application/json", strings.NewReader(string(payload)))
 	if err != nil {
 		t.Errorf("POST /insert: %v", err)
-		return 0
+		return 0, ""
 	}
 	defer resp.Body.Close()
-	json.NewDecoder(resp.Body).Decode(&map[string]any{})
-	return resp.StatusCode
+	var body struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&body)
+	return resp.StatusCode, body.Error
 }
 
 // TestSubscribeDeltaExact is the server-level delta-equivalence property:
@@ -337,6 +348,53 @@ func TestSubscribeClientDisconnect(t *testing.T) {
 	ts.Close()
 	srv.Shutdown(time.Second)
 	waitForGoroutines(t, baseline)
+}
+
+// TestSubscribeBooksEngineWork pins that a finished subscription reports the
+// engine work of all its rounds: its /queries record and the server-wide
+// counters carry the routing steps and the SteM builds of the snapshot and of
+// every delta round, not zero.
+func TestSubscribeBooksEngineWork(t *testing.T) {
+	_, ts, client := newTestServer(t, memCatalog(t), Config{})
+	sub := openSubscription(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "subscribe": true})
+	defer sub.close()
+	for sub.next(t, 10*time.Second)["snapshot"] != true {
+	}
+	// r(60,10) joins s(10,100) and two u rows; r(61,20) joins s(20,200) and
+	// one: three delta rows.
+	if st := postInsert(t, client, ts.URL, "r", [][]any{{60, 10}, {61, 20}}); st != http.StatusOK {
+		t.Fatalf("insert status %d", st)
+	}
+	for i := 0; i < 3; i++ {
+		if sub.next(t, 10*time.Second)["row"] == nil {
+			t.Fatalf("delta line %d is not a row", i)
+		}
+	}
+	sub.close()
+
+	// The 8 rows the snapshot built plus the 2 inserted ones.
+	const built = 8 + 2
+	var rec *queryRecord
+	for deadline := time.Now().Add(10 * time.Second); rec == nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled subscription never reached /queries")
+		}
+		for _, r := range fetchQueries(t, client, ts.URL, "") {
+			if r.Status == string(statusCanceled) {
+				rec = &r
+			}
+		}
+	}
+	if rec.RoutingSteps == 0 || rec.StemBuilds < built {
+		t.Errorf("subscription record: %d routing steps, %d SteM builds; want > 0 and ≥ %d", rec.RoutingSteps, rec.StemBuilds, built)
+	}
+	met := metricsBody(t, client, ts.URL)
+	if v := metricValue(t, met, "stemsd_routing_steps_total"); v != rec.RoutingSteps {
+		t.Errorf("stemsd_routing_steps_total = %d, the record says %d", v, rec.RoutingSteps)
+	}
+	if v := metricValue(t, met, "stemsd_stem_builds_total"); v != rec.StemBuilds {
+		t.Errorf("stemsd_stem_builds_total = %d, the record says %d", v, rec.StemBuilds)
+	}
 }
 
 // TestSubscribeSlowConsumerBackpressure reads the stream deliberately
@@ -581,8 +639,19 @@ func TestInsertEndpointValidation(t *testing.T) {
 	if st := postInsert(t, client, ts.URL, "r", [][]any{{1}}); st != http.StatusBadRequest {
 		t.Errorf("arity mismatch: status %d, want 400", st)
 	}
-	if st := postInsert(t, client, ts.URL, "r", [][]any{{1.5, 2}}); st != http.StatusBadRequest {
-		t.Errorf("float value: status %d, want 400", st)
+	// A value the engine has no kind for is numbered like a schema violation
+	// (below): 1-based row of the request, then 1-based column.
+	for _, tc := range []struct {
+		name string
+		rows [][]any
+		want string
+	}{
+		{"float value", [][]any{{1.5, 2}}, `row 1 of 1 col 1: "1.5" is not an integer`},
+		{"bad second row", [][]any{{80, 10}, {81, true}, {82, 10}}, "row 2 of 3 col 2: unsupported JSON value of type bool"},
+	} {
+		if st, msg := postInsertErr(t, client, ts.URL, "r", tc.rows); st != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: status %d err %q, want 400 mentioning %q", tc.name, st, msg, tc.want)
+		}
 	}
 	if st := postInsert(t, client, ts.URL, "r", nil); st != http.StatusBadRequest {
 		t.Errorf("no rows: status %d, want 400", st)

@@ -31,8 +31,13 @@ type colBind struct {
 	src  colRef
 }
 
+// colRef locates one column of one table.
+type colRef struct {
+	table, col int
+}
+
 // isColBuild reports whether a columnar batch is a build batch for this SteM:
-// unbuilt singletons of its table (mirroring processShardLocked's dispatch;
+// unbuilt singletons of its table (mirroring processLocked's dispatch;
 // EOTs and seeds never travel columnar).
 func (s *SteM) isColBuild(cb *flow.ColBatch) bool {
 	return cb.Span == tuple.Single(s.cfg.Table) && !cb.Built.Has(s.cfg.Table)
@@ -68,92 +73,28 @@ func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
 	return true
 }
 
-// ShardOfCol implements flow.ColSharded: builds address the hash shard of
-// their partition-column value; probes that bind the partition column via an
-// equi-join address its hash shard; everything else sweeps (flow.ShardAny).
-// It mirrors ShardOf exactly — Hash64At is value.V.Hash64 on the vector row.
-func (s *SteM) ShardOfCol(cb *flow.ColBatch, i int) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	if s.isColBuild(cb) {
-		return int(cb.Tabs[s.cfg.Table].Cols[s.pcol].Hash64At(i) & s.shardMask)
-	}
-	for _, src := range s.pcolSources {
-		if cb.Span.Has(src.table) {
-			return int(cb.Tabs[src.table].Cols[src.col].Hash64At(i) & s.shardMask)
-		}
-	}
-	return flow.ShardAny
-}
-
-// ProcessColBatch implements flow.ColModule (single-shard dispatch).
+// ProcessColBatch implements flow.ColModule: row payloads and gated
+// configurations run the exact row path (materializing columnar rows first);
+// qualifying columnar batches run the vectorized build/probe.
 func (s *SteM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
-	return s.processCol(b, -1, now)
-}
-
-// ProcessColShard implements flow.ColSharded: services a columnar batch the
-// engine partitioned to one shard's queue (or assigned here for a sweep).
-func (s *SteM) ProcessColShard(shard int, b *flow.Batch, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
-	return s.processCol(b, shard, now)
-}
-
-// processCol dispatches one batch: row payloads and gated configurations run
-// the exact row path (materializing columnar rows first); qualifying columnar
-// batches run the vectorized build/probe.
-func (s *SteM) processCol(b *flow.Batch, homeShard int, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	cb := b.Col
 	if cb == nil {
-		out, cost := s.processRowDelegate(b, homeShard, now)
+		out, cost := s.ProcessBatch(b, now)
 		return out, nil, cost
 	}
-	if !s.colBatchOK(cb) || (len(s.shards) > 1 && homeShard < 0) {
-		rb := flow.BatchOf(cb.Materialize()...)
-		out, cost := s.processRowDelegate(rb, homeShard, now)
+	if !s.colBatchOK(cb) {
+		out, cost := s.ProcessBatch(flow.BatchOf(cb.Materialize()...), now)
 		return out, nil, cost
 	}
 	if s.isColBuild(cb) {
-		sh := &s.shards[0]
-		if homeShard > 0 {
-			sh = &s.shards[homeShard]
-		}
-		return s.buildCols(cb, sh)
+		return s.buildCols(cb)
 	}
-	// Probe: partition-bound batches probe their home shard; batches that
-	// bind no partition column sweep every shard under gmu, exactly like the
-	// row path's sweepRun.
-	if len(s.shards) > 1 && s.ShardOfCol(cb, cb.RowAt(0)) == flow.ShardAny {
-		s.gmu.Lock()
-		defer s.gmu.Unlock()
-		for _, sh := range s.all {
-			sh.mu.Lock()
-		}
-		defer func() {
-			for _, sh := range s.all {
-				sh.mu.Unlock()
-			}
-		}()
-		return s.probeCols(cb, s.all, &s.gscr, &s.gstats)
-	}
-	sh := &s.shards[0]
-	if homeShard > 0 {
-		sh = &s.shards[homeShard]
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.probeCols(cb, sh.self[:], &sh.scr, &sh.stats)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.probeCols(cb)
 }
 
-// processRowDelegate runs the row path for a batch, honouring per-shard
-// delivery when the engine addressed one.
-func (s *SteM) processRowDelegate(b *flow.Batch, homeShard int, now clock.Time) ([]flow.Emission, clock.Duration) {
-	if homeShard >= 0 {
-		return s.ProcessShard(homeShard, b, now)
-	}
-	return s.ProcessBatch(b, now)
-}
-
-// buildCols stores every live row of a build batch into sh under one lock
+// buildCols stores every live row of a build batch under one lock
 // acquisition. A batch that still carries the source rows its columns were
 // transposed from (flow.ColTable.Src — an AM's scan of an immutable table)
 // stores those rows by reference, as the row path does; any other batch has
@@ -162,15 +103,15 @@ func (s *SteM) processRowDelegate(b *flow.Batch, homeShard int, now clock.Time) 
 // 3.2's set semantics), and the surviving batch bounces back in place with
 // its Built bit and per-row build timestamps set: the zero-copy analogue of
 // the per-tuple build bounce.
-func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
+func (s *SteM) buildCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	table := s.cfg.Table
 	tab := &cb.Tabs[table]
 	arity := len(tab.Cols)
 	live := cb.Rows()
 	cost := clock.Duration(live) * s.cfg.BuildCost
 
-	sh.mu.Lock()
-	hd := sh.dict
+	s.mu.Lock()
+	hd := s.dict
 	src := tab.Src
 	var slab []value.V
 	if len(src) != cb.N() {
@@ -179,7 +120,6 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 	}
 	sel := cb.EnsureSel()
 	out := sel[:0]
-	stored := int64(0)
 	for _, i32 := range sel {
 		i := int(i32)
 		h := value.HashSeed
@@ -187,7 +127,7 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 			h = tab.Cols[c].HashValInto(h, i)
 		}
 		if hd.containsVec(h, tab, i) {
-			sh.stats.DupBuilds++
+			s.stats.DupBuilds++
 			continue // duplicate from a competitive AM: consumed
 		}
 		var row tuple.Row
@@ -202,12 +142,10 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 		ts := s.cfg.TS.Next()
 		hd.insertHashed(row, ts, h)
 		cb.SetTS(table, i, ts)
-		sh.stats.Builds++
-		stored++
+		s.stats.Builds++
 		out = append(out, i32)
 	}
-	sh.mu.Unlock()
-	s.liveRows.Add(stored)
+	s.mu.Unlock()
 
 	cb.Sel = out
 	if len(out) == 0 {
@@ -217,19 +155,19 @@ func (s *SteM) buildCols(cb *flow.ColBatch, sh *shard) ([]flow.Emission, []flow.
 	return nil, []flow.ColEmission{{B: cb}}, cost
 }
 
-// probeCols probes every live row of a batch against the held shards (whose
-// mutexes the caller holds): per row, the narrowest hash bucket among the
-// equi-binding columns is walked directly, candidates are verified
-// (hash-with-verify plus every newly applicable predicate) and gathered into
-// a pooled output batch, and the TimeStamp / LastMatchTimeStamp windows are
+// probeCols probes every live row of a batch against the dictionary (s.mu
+// held): per row, the narrowest hash bucket among the equi-binding columns is
+// walked directly, candidates are verified (hash-with-verify plus every newly
+// applicable predicate) and gathered into a pooled output batch, and the TimeStamp / LastMatchTimeStamp windows are
 // enforced per stored entry — except by an attached SteM, whose sealed state
 // is exactly the probe's window and always complete (shared.go; its
-// dictionaries are only read here). The bounce decision is batch-uniform
+// dictionary is only read here). The bounce decision is batch-uniform
 // (colBatchOK excluded per-row completeness); bounced batches split by
 // matched/unmatched so the HasMatches header stays truthful for policies.
-func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, stats *Stats) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
+func (s *SteM) probeCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	q := s.cfg.Q
 	table := s.cfg.Table
+	scr, stats, hd := &s.scr, &s.stats, s.dict
 	live := cb.Rows()
 	stats.Probes += uint64(live)
 
@@ -245,11 +183,10 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 		plan = append(plan, colBind{tCol: tCol, src: colRef{from.Table, from.Col}})
 	}
 	scr.colPlan = plan
-	// Dictionary index position per plan entry (identical across shards).
+	// Dictionary index position per plan entry.
 	di := scr.colDi[:0]
-	hd0 := held[0].dict
 	for _, pl := range plan {
-		di = append(di, hd0.colIndex(pl.tCol))
+		di = append(di, hd.colIndex(pl.tCol))
 	}
 	scr.colDi = di
 
@@ -284,68 +221,65 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 		i := cb.RowAt(k)
 		probeTS := cb.RowTS(i)
 		rowMatches := 0
-		for _, shd := range held {
-			hd := shd.dict
-			// Pick the narrowest bucket among the bind columns (the row
-			// path's Candidates heuristic), hashing key vectors via the
-			// dictionary-encoded per-code tables.
-			best := -1
-			var bucket cursor
-			for pi, pl := range plan {
-				if di[pi] < 0 {
+		// Pick the narrowest bucket among the bind columns (the row
+		// path's Candidates heuristic), hashing key vectors via the
+		// dictionary-encoded per-code tables.
+		best := -1
+		var bucket cursor
+		for pi, pl := range plan {
+			if di[pi] < 0 {
+				continue
+			}
+			b := hd.bucket(di[pi], cb.Tabs[pl.src.table].Cols[pl.src.col].Hash64At(i))
+			if best < 0 || b.Len() < bucket.Len() {
+				best, bucket = pi, b
+			}
+		}
+		var entries []Entry
+		keyCol := -1
+		var keyVal value.V
+		if best < 0 {
+			entries = hd.all() // no indexed bind column: full scan
+		} else {
+			keyCol = plan[best].tCol
+			keyVal = cb.Value(plan[best].src.table, plan[best].src.col, i)
+		}
+		for pi := 0; ; pi++ {
+			var e *Entry
+			if best >= 0 {
+				var ok bool
+				if e, ok = bucket.Next(); !ok {
+					break
+				}
+				// Hash-with-verify: the bucket may hold colliding values.
+				if !e.Row[keyCol].Equal(keyVal) {
 					continue
 				}
-				b := hd.bucket(di[pi], cb.Tabs[pl.src.table].Cols[pl.src.col].Hash64At(i))
-				if best < 0 || b.Len() < bucket.Len() {
-					best, bucket = pi, b
-				}
-			}
-			var entries []Entry
-			keyCol := -1
-			var keyVal value.V
-			if best < 0 {
-				entries = hd.all() // no indexed bind column: full scan
 			} else {
-				keyCol = plan[best].tCol
-				keyVal = cb.Value(plan[best].src.table, plan[best].src.col, i)
+				if pi >= len(entries) {
+					break
+				}
+				e = &entries[pi]
 			}
-			for pi := 0; ; pi++ {
-				var e *Entry
-				if best >= 0 {
-					var ok bool
-					if e, ok = bucket.Next(); !ok {
-						break
-					}
-					// Hash-with-verify: the bucket may hold colliding values.
-					if !e.Row[keyCol].Equal(keyVal) {
-						continue
-					}
-				} else {
-					if pi >= len(entries) {
-						break
-					}
-					e = &entries[pi]
-				}
-				// TimeStamp constraint + repeated-probe guard (§3.5).
-				if s.shared == nil && (e.TS >= probeTS || e.TS <= lastMatch) {
-					continue
-				}
-				okRow := true
-				for _, p := range verify {
-					if !s.evalColCandidate(p, cb, i, e.Row) {
-						okRow = false
-						break
-					}
-				}
-				if !okRow {
-					continue
-				}
-				if outCB == nil {
-					outCB = s.newProbeOutput(cb, outSpan, outDone)
-				}
-				s.appendMatch(outCB, cb, i, e)
-				rowMatches++
+			// TimeStamp constraint + repeated-probe guard (§3.5).
+			if s.shared == nil && (e.TS >= probeTS || e.TS <= lastMatch) {
+				continue
 			}
+			okRow := true
+			for _, p := range verify {
+				if !s.evalColCandidate(p, cb, i, e.Row) {
+					okRow = false
+					break
+				}
+			}
+			if !okRow {
+				continue
+			}
+			if outCB == nil {
+				outCB = s.newProbeOutput(cb, outSpan, outDone)
+			}
+			s.appendMatch(outCB, cb, i, e)
+			rowMatches++
 		}
 		if rowMatches > 0 {
 			matched[k] = true
@@ -364,19 +298,11 @@ func (s *SteM) probeCols(cb *flow.ColBatch, held []*shard, scr *probeScratch, st
 
 	// Bounce decision — batch-uniform: completeness is the full (scan) EOT
 	// only, and safety-via-scan depends only on header state.
-	s.eotMu.RLock()
-	complete := s.fullEOT || s.shared != nil
-	s.eotMu.RUnlock()
 	bounced := 0
-	if !complete {
+	if !s.fullEOT && s.shared == nil {
 		safeViaScan := q.HasScanAM(table) && cb.Built.Contains(cb.Span)
 		if !safeViaScan {
-			var maxTS tuple.Timestamp
-			for _, shd := range held {
-				if m := shd.dict.MaxTS(); m > maxTS {
-					maxTS = m
-				}
-			}
+			maxTS := hd.MaxTS()
 			bounced = live
 			stats.ProbeBounces += uint64(live)
 			if anyMatched && anyUnmatched {

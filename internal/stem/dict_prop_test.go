@@ -351,14 +351,14 @@ func TestProbeCacheCollision(t *testing.T) {
 
 	lkA := Lookup{EquiCols: []int{0}, EquiVals: []value.V{value.NewInt(1)}}
 	lkB := Lookup{EquiCols: []int{0}, EquiVals: []value.V{value.NewInt(2)}}
-	key := value.MixUint64(lkA.cacheKey(), 0) // candidates() salts keys by shard; shard 0 here
+	key := lkA.cacheKey()
 
 	pc := &probeCache{}
 	// Force a collision: seed the cache so lkB's entry sits under lkA's key
-	// (same salt, different constraints — the verify step must reject it).
-	pc.ents = []cachedCands{{salt: 0, cols: lkB.EquiCols, vals: lkB.EquiVals, es: []Entry{{Row: tuple.Row{value.NewInt(2)}, TS: 2}}}}
+	// (same key, different constraints — the verify step must reject it).
+	pc.ents = []cachedCands{{cols: lkB.EquiCols, vals: lkB.EquiVals, es: []Entry{{Row: tuple.Row{value.NewInt(2)}, TS: 2}}}}
 	pc.m = map[uint64][]int{key: {0}}
-	es := pc.candidates(d, lkA, 0)
+	es := pc.candidates(d, lkA)
 	// d's candidates are a full scan; the point is the cache must NOT
 	// have returned lkB's single-entry list for lkA.
 	if len(es) != 2 {
@@ -368,7 +368,7 @@ func TestProbeCacheCollision(t *testing.T) {
 		t.Fatalf("cache should hold both colliding entries, has %d", len(pc.m[key]))
 	}
 	// A repeated lkA probe must now hit its own verified entry.
-	if es2 := pc.candidates(d, lkA, 0); len(es2) != 2 {
+	if es2 := pc.candidates(d, lkA); len(es2) != 2 {
 		t.Fatalf("verified cache hit returned %d candidates, want 2", len(es2))
 	}
 }

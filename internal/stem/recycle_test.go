@@ -37,23 +37,22 @@ func TestBuildColsAllocations(t *testing.T) {
 	}
 	cb := srcBatch(2, 0, rows)
 	s := newSteM(q, 0)
-	sh := &s.shards[0]
 	build := func() {
 		rebuild(cb)
-		if _, ems, _ := s.buildCols(cb, sh); len(ems) != 1 || ems[0].B.Rows() != n {
+		if _, ems, _ := s.buildCols(cb); len(ems) != 1 || ems[0].B.Rows() != n {
 			t.Fatalf("build bounced %v, want one batch of %d rows", ems, n)
 		}
 	}
 
 	build() // warms the dictionary, the selection vector and the TS column
-	stored := sh.dict.entries
+	stored := s.dict.entries
 	for i, e := range stored {
 		if &e.Row[0] != &rows[i][0] {
 			t.Fatalf("entry %d holds a copy of its source row, want the row itself", i)
 		}
 	}
 	warm := testing.AllocsPerRun(20, func() {
-		sh.dict.Clear()
+		s.dict.Clear()
 		build()
 	})
 	if warm > 1 { // the []flow.ColEmission the batch comes back in
@@ -61,7 +60,7 @@ func TestBuildColsAllocations(t *testing.T) {
 	}
 
 	cold := testing.AllocsPerRun(5, func() {
-		sh.dict = NewHashDict(s.joinCols)
+		s.dict = NewHashDict(s.joinCols)
 		build()
 	})
 	if cold > n/8 {
@@ -71,9 +70,9 @@ func TestBuildColsAllocations(t *testing.T) {
 
 	// A batch that lost its source rows falls back to one slab per batch.
 	cb.Tabs[0].Src = nil
-	sh.dict.Clear()
+	s.dict.Clear()
 	build()
-	if e := sh.dict.entries[0]; &e.Row[0] == &rows[0][0] || !e.Row.Equal(rows[0]) {
+	if e := s.dict.entries[0]; &e.Row[0] == &rows[0][0] || !e.Row.Equal(rows[0]) {
 		t.Fatalf("slab fallback stored %v for source row %v", e.Row, rows[0])
 	}
 }
@@ -86,7 +85,7 @@ func TestWindowedDictStaysCompact(t *testing.T) {
 	const bound = 2*window + compactMinDead + 1
 	q := twoTableQ(t, true, false)
 	s := newSteM(q, 0, func(c *Config) { c.Window = window })
-	hd := s.shards[0].dict
+	hd := s.dict
 	key := value.NewInt(7)
 	for i := 0; i < total; i++ {
 		process(t, s, singleton(2, 0, tuple.Row{value.NewInt(int64(i)), key}))
@@ -123,9 +122,9 @@ func TestReleaseZeroesStorage(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		process(t, s, singleton(2, 0, row(int64(i), int64(i%7))))
 	}
-	hd := s.shards[0].dict
+	hd := s.dict
 	s.Release()
-	if s.shards[0].dict != nil || s.Size() != 0 {
+	if s.dict != nil || s.Size() != 0 {
 		t.Fatalf("released SteM still holds a dictionary (Size %d)", s.Size())
 	}
 	if hd.Len() != 0 {
@@ -148,9 +147,9 @@ func TestReleaseZeroesStorage(t *testing.T) {
 	if s.Size() != 1 {
 		t.Fatalf("Size after Release+Reset+build = %d", s.Size())
 	}
-	kept := s.shards[0].dict
+	kept := s.dict
 	s.Reset()
-	if s.shards[0].dict != kept || s.Size() != 0 {
+	if s.dict != kept || s.Size() != 0 {
 		t.Fatal("Reset of a never-released SteM must clear its own dictionary in place")
 	}
 
@@ -181,7 +180,7 @@ func TestReleaseZeroesStorage(t *testing.T) {
 	}
 	at := newSteM(q, 1, func(c *Config) { c.Shared = ss })
 	at.Release()
-	if at.Size() != 1 || ss.dicts[0].Len() != 1 {
+	if at.Size() != 1 || ss.dict.Len() != 1 {
 		t.Error("attached SteM released the shared state's dictionary")
 	}
 }

@@ -2,7 +2,7 @@
 // that SteMs "encapsulate the state of a join so it can be shared" extends
 // across queries, not just across the competing access methods of one query.
 // A SharedState is the result of building a SteM over a registered table's
-// rows once — per-shard hash dictionaries, memory and nothing else — that any
+// rows once — one hash dictionary, memory and nothing else — that any
 // number of concurrent queries attach to with probe-only SteM handles
 // (Config.Shared) instead of rebuilding. It is sealed *between* extensions:
 // like the paper's SteM it keeps taking build tuples for as long as its table
@@ -32,7 +32,7 @@
 //     shared counter's values never mix with the attaching query's own
 //     counter (the two are incomparable). The query-local TimeStamp rule
 //     still orders the query's private builds exactly as before.
-//   - Shared dictionaries are read lock-free: they are immutable while
+//   - The shared dictionary is read lock-free: it is immutable while
 //     attached, and both probes only read — the row probe through
 //     HashDict.Candidates, the columnar probe (col.go's probeCols, which an
 //     attached SteM takes whenever a private one would) by walking the bucket
@@ -58,13 +58,12 @@ import (
 
 // SharedConfig parameterizes a shared build.
 type SharedConfig struct {
-	// KeyCols are the columns the dictionaries index — the attaching
+	// KeyCols are the columns the dictionary indexes — the attaching
 	// queries' join columns on this table, sorted ascending (stem.JoinCols
 	// order). Must be non-empty.
 	KeyCols []int
-	// Shards splits the state into hash partitions on KeyCols[0], rounded up
-	// to a power of two; 0 or 1 keeps a single store. Attached SteMs adopt
-	// this shard count regardless of their own Config.Shards.
+	// Shards is ignored: only the frozen benchmark harness still sets it,
+	// and it goes with ROADMAP item 1.
 	Shards int
 }
 
@@ -73,8 +72,7 @@ type SharedConfig struct {
 // extensions.
 type SharedState struct {
 	keyCols []int
-	mask    uint64
-	dicts   []*HashDict
+	dict    *HashDict
 
 	highWater tuple.Timestamp
 	rows      int
@@ -90,18 +88,8 @@ func BuildShared(cfg SharedConfig, rows []tuple.Row) (*SharedState, error) {
 	if len(cfg.KeyCols) == 0 {
 		return nil, fmt.Errorf("stem: shared build requires key columns")
 	}
-	nsh := 1
-	for nsh < cfg.Shards {
-		nsh <<= 1
-	}
-	ss := &SharedState{
-		keyCols: slices.Clone(cfg.KeyCols),
-		mask:    uint64(nsh - 1),
-		dicts:   make([]*HashDict, nsh),
-	}
-	for i := range ss.dicts {
-		ss.dicts[i] = NewHashDict(ss.keyCols)
-	}
+	ss := &SharedState{keyCols: slices.Clone(cfg.KeyCols)}
+	ss.dict = NewHashDict(ss.keyCols)
 	ss.Extend(rows)
 	return ss, nil
 }
@@ -112,12 +100,11 @@ func BuildShared(cfg SharedConfig, rows []tuple.Row) (*SharedState, error) {
 // to that).
 func (ss *SharedState) Extend(rows []tuple.Row) {
 	for _, row := range rows {
-		d := ss.dicts[row[ss.keyCols[0]].Hash64()&ss.mask]
-		if d.Contains(row) {
+		if ss.dict.Contains(row) {
 			continue
 		}
 		ss.highWater++
-		d.Insert(row, ss.highWater)
+		ss.dict.Insert(row, ss.highWater)
 		ss.residentBytes.Add(RowFootprint(row))
 		ss.rows++
 	}
@@ -149,8 +136,8 @@ func RowFootprint(row tuple.Row) int64 {
 func (ss *SharedState) Close() error { return nil }
 
 // newAttached builds a probe-only SteM handle over sealed shared state. The
-// handle owns per-query scratch, probe caches, and stats; the dictionaries
-// belong to the SharedState and are never written.
+// handle owns per-query scratch, probe caches, and stats; the dictionary
+// belongs to the SharedState and is never written.
 func newAttached(cfg Config) *SteM {
 	ss := cfg.Shared
 	if cfg.Window > 0 {
@@ -159,7 +146,7 @@ func newAttached(cfg Config) *SteM {
 	s := &SteM{
 		cfg:    cfg,
 		name:   fmt.Sprintf("SteM(%s)", cfg.Q.Tables[cfg.Table].Name),
-		pcol:   -1,
+		dict:   ss.dict,
 		shared: ss,
 	}
 	s.joinCols = JoinCols(cfg.Q, cfg.Table)
@@ -167,33 +154,6 @@ func newAttached(cfg Config) *SteM {
 		panic(fmt.Sprintf("stem: attached SteM on %s joins on %v but shared state indexes %v",
 			s.name, s.joinCols, ss.keyCols))
 	}
-	nsh := len(ss.dicts)
-	if nsh > 1 {
-		pc := ss.keyCols[0]
-		s.pcol = pc
-		for _, p := range cfg.Q.Preds {
-			if !p.IsEquiJoin() {
-				continue
-			}
-			if p.Left.Table == cfg.Table && p.Left.Col == pc {
-				s.pcolSources = append(s.pcolSources, colRef{p.Right.Table, p.Right.Col})
-			}
-			if p.Right.Table == cfg.Table && p.Right.Col == pc {
-				s.pcolSources = append(s.pcolSources, colRef{p.Left.Table, p.Left.Col})
-			}
-		}
-	}
-	s.shardMask = uint64(nsh - 1)
-	s.shards = make([]shard, nsh)
-	s.all = make([]*shard, nsh)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.dict = ss.dicts[i]
-		sh.scr.predCache = make(map[tuple.TableSet][]pred.P)
-		sh.idx = i
-		sh.self[0] = sh
-		s.all[i] = sh
-	}
-	s.gscr.predCache = make(map[tuple.TableSet][]pred.P)
+	s.scr.predCache = make(map[tuple.TableSet][]pred.P)
 	return s
 }

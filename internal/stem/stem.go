@@ -6,16 +6,8 @@
 // Table 2, so "the routing policy implementor need not be aware of them at
 // all".
 //
-// A SteM may be split into hash-partitioned shards (Config.Shards): each
-// shard owns a dictionary, a lock, and probe scratch state, partitioned by
-// the hash of the table's first join column. Builds and probes that bind
-// that column address exactly one shard, so the concurrent engine can drive
-// every shard from its own worker and their service overlaps — the
-// intra-operator parallelism the paper's "every module in its own thread"
-// setting calls for once one SteM saturates a core. Probes that do not bind
-// the partition column sweep all shards under a consistent lock set, and
-// EOT/completeness metadata is shared across shards, so sharding never
-// changes results. One shard (the default) is exactly the unsharded SteM.
+// A SteM is one dictionary under one lock, serviced by one worker of the
+// concurrent engine — the paper's "each module runs in its own thread".
 package stem
 
 import (
@@ -73,12 +65,6 @@ type Config struct {
 	Q *query.Q
 	// TS is the shared build-timestamp counter.
 	TS *Counter
-	// Shards splits the SteM into this many hash-partitioned sub-stores,
-	// rounded up to a power of two. 0 or 1 keeps a single store (the exact
-	// historical behaviour). Tables with no join columns are never sharded —
-	// no probe could address a partition — and windowed SteMs (Window > 0)
-	// stay unsharded because window eviction order is global state.
-	Shards int
 	// BuildCost and ProbeCost are the service times charged per operation.
 	BuildCost clock.Duration
 	ProbeCost clock.Duration
@@ -90,15 +76,13 @@ type Config struct {
 	// evicted on overflow, supporting sliding-window continuous queries
 	// (Section 2.3 mentions [17, 5] use SteMs with eviction). Eviction
 	// invalidates completeness, so windowed SteMs never claim to hold all
-	// matches. A windowed SteM is never sharded: evicting the globally
-	// oldest row is cross-shard state, and per-shard approximations would
-	// make windowed results depend on the shard count.
+	// matches.
 	Window int
 	// Shared, when non-nil, attaches this SteM to catalog-owned sealed
 	// state (see shared.go): the SteM becomes a probe-only handle over the
-	// SharedState's dictionaries — always complete, never built into, shard
-	// count fixed by the state. Shards and Window must be unset; the
-	// table's join columns must equal the state's key columns.
+	// SharedState's dictionary — always complete, never built into. Window
+	// must be unset; the table's join columns must equal the state's key
+	// columns.
 	Shared *SharedState
 }
 
@@ -113,28 +97,16 @@ type Stats struct {
 	EOTs         uint64 // EOT tuples built in
 }
 
-// add accumulates o into s, for cross-shard aggregation.
-func (s *Stats) add(o Stats) {
-	s.Builds += o.Builds
-	s.DupBuilds += o.DupBuilds
-	s.Probes += o.Probes
-	s.Matches += o.Matches
-	s.ProbeBounces += o.ProbeBounces
-	s.Evictions += o.Evictions
-	s.EOTs += o.EOTs
-}
-
-// probeScratch is the reusable per-probe state of one synchronization
-// domain (a shard, or the sweep path): lk is the reused lookup, bindScratch
-// the reused bound-value row, catScratch recycles concatenations that failed
-// predicate verification, and predCache memoizes JoinPredsConnecting per
-// probe span. Guarded by the owning shard's mutex (or gmu for the sweep).
+// probeScratch is the SteM's reusable per-probe state: lk is the reused
+// lookup, bindScratch the reused bound-value row, catScratch recycles
+// concatenations that failed predicate verification, and predCache memoizes
+// JoinPredsConnecting per probe span. Guarded by the SteM's mutex.
 type probeScratch struct {
 	lk          Lookup
 	bindScratch tuple.Row
 	catScratch  *tuple.Tuple
 	predCache   map[tuple.TableSet][]pred.P
-	// pc is the per-run probe cache; each batch run invalidates it on entry
+	// pc is the per-batch probe cache; each batch invalidates it on entry
 	// and reuses its storage (see probeCache).
 	pc probeCache
 	// Columnar probe scratch (col.go): the equi-bind plan, the dictionary
@@ -146,69 +118,27 @@ type probeScratch struct {
 	colMatched []bool
 }
 
-// shard is one hash partition of a SteM: a dictionary with its own lock,
-// counters, and probe scratch. With one shard the SteM degenerates to the
-// historical single-store layout.
-type shard struct {
-	mu    sync.Mutex
-	dict  *HashDict
-	stats Stats
-	scr   probeScratch
-	// idx is this shard's position, used to salt probe-cache keys so
-	// sweep runs never serve one shard's candidate list for another's.
-	idx int
-	// self is the one-element shard list handed to probeLocked, so
-	// single-shard probes allocate no slice.
-	self [1]*shard
-}
-
-// colRef locates one column of one table.
-type colRef struct {
-	table, col int
-}
-
 // SteM is a State Module on one base table.
 type SteM struct {
 	cfg  Config
 	name string
 
-	// joinCols are the table's columns involved in join predicates; pcol is
-	// the partition column (joinCols[0]) and shardMask the hash mask used to
-	// pick a shard. pcolSources are the (table, column) pairs an equi-join
-	// predicate binds to pcol, precomputed so the per-tuple ShardOf never
-	// scans the predicate list. All immutable after New.
-	joinCols    []int
-	pcol        int
-	shardMask   uint64
-	pcolSources []colRef
+	// joinCols are the table's columns involved in join predicates.
+	// Immutable after New.
+	joinCols []int
 
-	shards []shard
-	all    []*shard // &shards[i] in order, for sweep lock acquisition
+	// mu guards everything below: the dictionary, the counters, the probe
+	// scratch and the completeness metadata. Every build, probe and EOT holds
+	// it.
+	mu    sync.Mutex
+	dict  *HashDict
+	stats Stats
+	scr   probeScratch
 
-	// liveRows counts stored rows across all shards, enforcing the global
-	// Window bound without cross-shard locking.
-	liveRows atomic.Int64
-
-	// gmu serializes sweep probes (probes that bind no partition column and
-	// must visit every shard) and guards their scratch and counters. Lock
-	// order is gmu before shard mutexes before eotMu; sweeps acquire every
-	// shard mutex in ascending index order.
-	gmu    sync.Mutex
-	gscr   probeScratch
-	gstats Stats
-
-	// eotMu guards the completeness metadata shared by all shards. Probes
-	// read it (complete) with shard locks held; writers never take shard
-	// locks while holding it.
-	eotMu   sync.RWMutex
 	fullEOT bool
 	// eot records, per distinct bound-column signature, the bound-value rows
 	// for which all matches have been transmitted (hash-with-verify keyed).
-	eot []eotIdx
-	// eotSeen counts per-shard deliveries of one replicated EOT tuple
-	// (flow.ShardAll), so its global record is applied exactly once, after
-	// every shard has observed it.
-	eotSeen  map[*tuple.Tuple]int
+	eot      []eotIdx
 	eotCount uint64
 
 	// shared is the catalog-owned state this SteM is attached to (nil for a
@@ -236,43 +166,10 @@ func New(cfg Config) *SteM {
 	s := &SteM{
 		cfg:  cfg,
 		name: fmt.Sprintf("SteM(%s)", cfg.Q.Tables[cfg.Table].Name),
-		pcol: -1,
 	}
 	s.joinCols = JoinCols(cfg.Q, cfg.Table)
-
-	nsh := 1
-	if cfg.Shards > 1 && len(s.joinCols) > 0 && cfg.Window == 0 {
-		for nsh < cfg.Shards {
-			nsh <<= 1
-		}
-	}
-	if nsh > 1 {
-		pc := s.joinCols[0]
-		s.pcol = pc
-		for _, p := range cfg.Q.Preds {
-			if !p.IsEquiJoin() {
-				continue
-			}
-			if p.Left.Table == cfg.Table && p.Left.Col == pc {
-				s.pcolSources = append(s.pcolSources, colRef{p.Right.Table, p.Right.Col})
-			}
-			if p.Right.Table == cfg.Table && p.Right.Col == pc {
-				s.pcolSources = append(s.pcolSources, colRef{p.Left.Table, p.Left.Col})
-			}
-		}
-	}
-	s.shardMask = uint64(nsh - 1)
-	s.shards = make([]shard, nsh)
-	s.all = make([]*shard, nsh)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.dict = acquireDict(s.joinCols)
-		sh.scr.predCache = make(map[tuple.TableSet][]pred.P)
-		sh.idx = i
-		sh.self[0] = sh
-		s.all[i] = sh
-	}
-	s.gscr.predCache = make(map[tuple.TableSet][]pred.P)
+	s.dict = acquireDict(s.joinCols)
+	s.scr.predCache = make(map[tuple.TableSet][]pred.P)
 	return s
 }
 
@@ -301,82 +198,46 @@ func JoinCols(q *query.Q, t int) []int {
 // Name implements flow.Module.
 func (s *SteM) Name() string { return s.name }
 
-// Parallel implements flow.Module: each shard is a single-server partition,
-// so the SteM's service capacity is its shard count (1 when unsharded).
-func (s *SteM) Parallel() int { return len(s.shards) }
+// Parallel implements flow.Module: a SteM is a single server.
+func (s *SteM) Parallel() int { return 1 }
 
-// Shards implements flow.Sharded.
-func (s *SteM) Shards() int { return len(s.shards) }
-
-// Stats returns a snapshot of the SteM's counters, aggregated across shards.
+// Stats returns a snapshot of the SteM's counters.
 func (s *SteM) Stats() Stats {
-	var tot Stats
-	for _, sh := range s.all {
-		sh.mu.Lock()
-		tot.add(sh.stats)
-		sh.mu.Unlock()
-	}
-	s.gmu.Lock()
-	tot.add(s.gstats)
-	s.gmu.Unlock()
-	s.eotMu.RLock()
-	tot.EOTs += s.eotCount
-	s.eotMu.RUnlock()
-	return tot
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.stats
+	st.EOTs += s.eotCount
+	return st
 }
 
 // Reset empties the SteM back to its just-constructed state so a pooled
-// router can run the same query again: empty dictionaries — its own, cleared
-// in place, or after a Release ones acquired from the process-wide pool —
-// zeroed counters, no completeness metadata. The per-shard predicate caches
-// and probe scratch derive from the query, not the run, and are kept — that
-// reuse is part of the payoff of pooling. Must not be called while a run is
-// in progress.
+// router can run the same query again: an empty dictionary — its own, cleared
+// in place, or after a Release one acquired from the process-wide pool —
+// zeroed counters, no completeness metadata. The predicate cache and probe
+// scratch derive from the query, not the run, and are kept — that reuse is
+// part of the payoff of pooling. Must not be called while a run is in
+// progress.
 func (s *SteM) Reset() {
-	if s.shared != nil {
-		// Detach, don't clear: the dictionaries belong to the SharedState
-		// and other queries are probing them concurrently. Only this
-		// handle's per-run state resets (reset_test.go pins this contract
-		// for pooled plan-cache shells).
-		for _, sh := range s.all {
-			sh.mu.Lock()
-			sh.stats = Stats{}
-			sh.mu.Unlock()
-		}
-		s.gmu.Lock()
-		s.gstats = Stats{}
-		s.gmu.Unlock()
-		s.eotMu.Lock()
-		s.fullEOT = false
-		s.eot = nil
-		s.eotSeen = nil
-		s.eotCount = 0
-		s.eotMu.Unlock()
-		return
-	}
-	for _, sh := range s.all {
-		sh.mu.Lock()
-		if sh.dict != nil {
-			sh.dict.Clear()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// An attached SteM detaches, it doesn't clear: the dictionary belongs to
+	// the SharedState and other queries are probing it concurrently. Only
+	// this handle's per-run state resets (reset_test.go pins this contract
+	// for pooled plan-cache shells).
+	if s.shared == nil {
+		if s.dict != nil {
+			s.dict.Clear()
 		} else {
-			sh.dict = acquireDict(s.joinCols)
+			s.dict = acquireDict(s.joinCols)
 		}
-		sh.stats = Stats{}
-		sh.mu.Unlock()
 	}
-	s.liveRows.Store(0)
-	s.gmu.Lock()
-	s.gstats = Stats{}
-	s.gmu.Unlock()
-	s.eotMu.Lock()
+	s.stats = Stats{}
 	s.fullEOT = false
 	s.eot = nil
-	s.eotSeen = nil
 	s.eotCount = 0
-	s.eotMu.Unlock()
 }
 
-// Release hands the dictionaries' storage to the process-wide pool, cleared,
+// Release hands the dictionary's storage to the process-wide pool, cleared,
 // for whichever query builds next; the SteM holds no rows afterwards and must
 // be Reset before it is used again. Counters stay readable. Only a plain
 // private SteM releases: shared state is other queries' too, and a windowed
@@ -388,210 +249,67 @@ func (s *SteM) Release() {
 	if s.cfg.Window > 0 || s.shared != nil {
 		return
 	}
-	for _, sh := range s.all {
-		sh.mu.Lock()
-		if sh.dict != nil {
-			releaseDict(sh.dict)
-			sh.dict = nil
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dict != nil {
+		releaseDict(s.dict)
+		s.dict = nil
 	}
-	s.liveRows.Store(0)
 }
 
-// Size returns the number of stored rows across all shards (none once
-// released).
+// Size returns the number of stored rows (none once released).
 func (s *SteM) Size() int {
-	n := 0
-	for _, sh := range s.all {
-		sh.mu.Lock()
-		if sh.dict != nil {
-			n += sh.dict.Len()
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// ShardOf implements flow.Sharded: this SteM's own EOT tuples must be
-// observed by every shard; builds and probes that bind the partition column
-// address its hash shard; probes that do not bind it sweep all shards
-// (flow.ShardAny). A foreign table's EOT (never routed here by the eddy,
-// but reachable through the public Module interface) is treated as a probe
-// over the whole store, matching the single-shard dispatch.
-func (s *SteM) ShardOf(t *tuple.Tuple) int {
-	if len(s.shards) == 1 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dict == nil {
 		return 0
 	}
-	if t.EOT != nil {
-		if t.EOT.Table == s.cfg.Table {
-			return flow.ShardAll
-		}
-		return flow.ShardAny
-	}
-	if t.IsSingleton() && t.SingleTable() == s.cfg.Table && !t.Built.Has(s.cfg.Table) {
-		return int(t.Comp[s.cfg.Table][s.pcol].Hash64() & s.shardMask)
-	}
-	if v, ok := s.pcolBinding(t); ok {
-		return int(v.Hash64() & s.shardMask)
-	}
-	return flow.ShardAny
-}
-
-// pcolBinding derives the value the probe tuple binds to the partition
-// column via an equality join predicate; ok is false if none does. Matches
-// of such a probe all carry this value in the partition column (the equality
-// is verified on concatenation), so they live in exactly one shard.
-func (s *SteM) pcolBinding(t *tuple.Tuple) (value.V, bool) {
-	for _, src := range s.pcolSources {
-		if t.Span.Has(src.table) {
-			return t.Value(src.table, src.col), true
-		}
-	}
-	return value.V{}, false
+	return s.dict.Len()
 }
 
 // Process implements flow.Module, dispatching on the tuple's role:
 // EOT tuples and unbuilt singletons of this SteM's table are builds;
 // everything else is a probe.
 func (s *SteM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Duration) {
-	return s.processOne(t)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.processLocked(t, nil)
 }
 
-func (s *SteM) processOne(t *tuple.Tuple) ([]flow.Emission, clock.Duration) {
-	switch sd := s.ShardOf(t); sd {
-	case flow.ShardAll:
-		// Single-call delivery (simulator / unsharded engines): the EOT is
-		// recorded on behalf of every shard at once.
-		s.recordEOT(t)
-		return nil, s.cfg.BuildCost
-	case flow.ShardAny:
-		return s.sweepRun([]*tuple.Tuple{t})
-	default:
-		sh := &s.shards[sd]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return s.processShardLocked(sh, t, nil)
-	}
-}
-
-// ProcessBatch implements flow.BatchModule: the batch is processed in runs
-// of same-shard tuples, taking each shard's lock once per run; probes
-// sharing a lookup key within a run reuse one candidate list (builds within
-// the run invalidate it, since they change the dictionary). With one shard
-// the whole batch is one run — the lock is taken once, exactly the
-// historical behaviour — and a batch of one behaves exactly like Process.
+// ProcessBatch implements flow.BatchModule: the lock is taken once for the
+// whole batch, and probes sharing a lookup key within the batch reuse one
+// candidate list (builds within the batch invalidate it, since they change
+// the dictionary). A batch of one behaves exactly like Process.
 func (s *SteM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
-	return s.processRuns(b, -1)
-}
-
-// ProcessShard implements flow.Sharded: services a batch delivered to one
-// shard's queue. EOT copies delivered here count down to the global
-// completeness record, applied by whichever delivery is last.
-func (s *SteM) ProcessShard(shardIdx int, b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
-	return s.processRuns(b, shardIdx)
-}
-
-// processRuns drives a batch through shard-homogeneous runs. homeShard >= 0
-// marks per-shard delivery semantics for ShardAll tuples (count down to the
-// global record); -1 marks single-call semantics.
-func (s *SteM) processRuns(b *flow.Batch, homeShard int) ([]flow.Emission, clock.Duration) {
 	var out []flow.Emission
 	var total clock.Duration
-	i := 0
-	sd := 0
-	if len(b.Tuples) > 0 {
-		sd = s.ShardOf(b.Tuples[0])
-	}
-	for i < len(b.Tuples) {
-		// Extend the run while tuples share sd, computing each tuple's
-		// shard exactly once (the boundary tuple's shard carries over as
-		// the next run's sd).
-		j := i + 1
-		next := sd
-		for j < len(b.Tuples) {
-			if next = s.ShardOf(b.Tuples[j]); next != sd {
-				break
-			}
-			j++
-		}
-		switch sd {
-		case flow.ShardAll:
-			for _, t := range b.Tuples[i:j] {
-				if homeShard >= 0 {
-					s.applyEOTShard(t)
-				} else {
-					s.recordEOT(t)
-				}
-				total += s.cfg.BuildCost
-			}
-		case flow.ShardAny:
-			ems, cost := s.sweepRun(b.Tuples[i:j])
-			out = append(out, ems...)
-			total += cost
-		default:
-			sh := &s.shards[sd]
-			sh.mu.Lock()
-			sh.scr.pc.invalidate()
-			for _, t := range b.Tuples[i:j] {
-				ems, cost := s.processShardLocked(sh, t, &sh.scr.pc)
-				out = append(out, ems...)
-				total += cost
-			}
-			sh.mu.Unlock()
-		}
-		i, sd = j, next
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.scr.pc.invalidate()
+	for _, t := range b.Tuples {
+		ems, cost := s.processLocked(t, &s.scr.pc)
+		out = append(out, ems...)
+		total += cost
 	}
 	return out, total
 }
 
-// processShardLocked serves one tuple against one shard with sh.mu held.
-// pc, when non-nil, caches probe candidate lists across the tuples of one
-// same-shard run.
-func (s *SteM) processShardLocked(sh *shard, t *tuple.Tuple, pc *probeCache) ([]flow.Emission, clock.Duration) {
+// processLocked serves one tuple with s.mu held. pc, when non-nil, caches
+// probe candidate lists across the tuples of one batch.
+func (s *SteM) processLocked(t *tuple.Tuple, pc *probeCache) ([]flow.Emission, clock.Duration) {
 	switch {
 	case t.EOT != nil && t.EOT.Table == s.cfg.Table:
-		// Only reachable with a single shard (multi-shard EOTs are
-		// ShardAll): "all shards" is this one.
 		s.recordEOT(t)
 		return nil, s.cfg.BuildCost
 	case t.IsSingleton() && t.SingleTable() == s.cfg.Table && !t.Built.Has(s.cfg.Table):
 		if pc != nil {
 			pc.invalidate()
 		}
-		return s.build(sh, t), s.cfg.BuildCost
+		return s.build(t), s.cfg.BuildCost
 	default:
-		out := s.probeLocked(t, pc, &sh.scr, &sh.stats, sh.self[:])
+		out := s.probeLocked(t, pc)
 		return out, s.cfg.ProbeCost + clock.Duration(len(out))*s.cfg.PerMatchCost
 	}
-}
-
-// sweepRun serves a run of probes that bind no partition column: it
-// acquires every shard's lock once for the whole run (ascending, after gmu)
-// so each probe sees one consistent snapshot of the whole SteM — exactly
-// what the unsharded SteM sees — and LastMatchTimeStamp bookkeeping stays
-// sound. The run is all probes (builds and own-table EOTs never classify
-// ShardAny; a foreign EOT arriving here is probed, as the single-shard path
-// does), so the dictionaries cannot change mid-run and one probe cache
-// serves the whole run, with entries salted by shard.
-func (s *SteM) sweepRun(ts []*tuple.Tuple) ([]flow.Emission, clock.Duration) {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	for _, sh := range s.all {
-		sh.mu.Lock()
-	}
-	var out []flow.Emission
-	var total clock.Duration
-	s.gscr.pc.invalidate()
-	for _, t := range ts {
-		ems := s.probeLocked(t, &s.gscr.pc, &s.gscr, &s.gstats, s.all)
-		out = append(out, ems...)
-		total += s.cfg.ProbeCost + clock.Duration(len(ems))*s.cfg.PerMatchCost
-	}
-	for _, sh := range s.all {
-		sh.mu.Unlock()
-	}
-	return out, total
 }
 
 // probeCache memoizes dictionary candidate lists by hashed lookup key within
@@ -600,22 +318,18 @@ func (s *SteM) sweepRun(ts []*tuple.Tuple) ([]flow.Emission, clock.Duration) {
 // (hash-with-verify: two lookups colliding on the 64-bit key must not share
 // candidates). Builds and evictions invalidate the cache.
 //
-// The cache lives in its synchronization domain's probeScratch and is
-// invalidated — not reallocated — between runs: the map keeps its buckets and
-// the entry arena keeps its slots (including each slot's cols/vals capacity),
-// so steady-state probing on a pooled router allocates only for genuinely new
+// The cache lives in the SteM's probeScratch and is invalidated — not
+// reallocated — between batches: the map keeps its buckets and the entry
+// arena keeps its slots (including each slot's cols/vals capacity), so
+// steady-state probing on a pooled router allocates only for genuinely new
 // keys.
 type probeCache struct {
 	m    map[uint64][]int // lookup-key hash -> indices into ents
 	ents []cachedCands
 }
 
-// cachedCands is one verified cache entry. salt carries the shard index the
-// entry was computed against: sweep runs probe several dictionaries with the
-// same lookup, and one shard's candidate list must never answer for
-// another's.
+// cachedCands is one verified cache entry.
 type cachedCands struct {
-	salt uint64
 	cols []int
 	vals []value.V
 	es   []Entry
@@ -629,15 +343,15 @@ func (pc *probeCache) invalidate() {
 }
 
 // candidates returns d's candidates for lk, consulting and filling the
-// cache. salt distinguishes the shard d belongs to within one cache.
-func (pc *probeCache) candidates(d *HashDict, lk Lookup, salt uint64) []Entry {
+// cache.
+func (pc *probeCache) candidates(d *HashDict, lk Lookup) []Entry {
 	if pc == nil {
 		return d.Candidates(lk)
 	}
-	key := value.MixUint64(lk.cacheKey(), salt)
+	key := lk.cacheKey()
 	for _, i := range pc.m[key] {
 		c := &pc.ents[i]
-		if c.salt == salt && lk.equiEqual(c.cols, c.vals) {
+		if lk.equiEqual(c.cols, c.vals) {
 			return c.es
 		}
 	}
@@ -645,9 +359,9 @@ func (pc *probeCache) candidates(d *HashDict, lk Lookup, salt uint64) []Entry {
 	if pc.m == nil {
 		pc.m = make(map[uint64][]int)
 	}
-	// The lookup's slices are per-shard scratch reused by the next probe, so
-	// the cache keeps its own copies — written into a recycled arena slot
-	// when one is free, preserving its cols/vals capacity.
+	// The lookup's slices are scratch reused by the next probe, so the cache
+	// keeps its own copies — written into a recycled arena slot when one is
+	// free, preserving its cols/vals capacity.
 	n := len(pc.ents)
 	if n < cap(pc.ents) {
 		pc.ents = pc.ents[:n+1]
@@ -655,7 +369,6 @@ func (pc *probeCache) candidates(d *HashDict, lk Lookup, salt uint64) []Entry {
 		pc.ents = append(pc.ents, cachedCands{})
 	}
 	c := &pc.ents[n]
-	c.salt = salt
 	c.cols = append(c.cols[:0], lk.EquiCols...)
 	c.vals = append(c.vals[:0], lk.EquiVals...)
 	c.es = es
@@ -663,69 +376,42 @@ func (pc *probeCache) candidates(d *HashDict, lk Lookup, salt uint64) []Entry {
 	return es
 }
 
-// build stores a singleton into sh (whose mutex is held) and bounces it back
-// (SteM BounceBack: "a SteM must bounce back a build tuple unless it is a
+// build stores a singleton (s.mu held) and bounces it back (SteM
+// BounceBack: "a SteM must bounce back a build tuple unless it is a
 // duplicate of another tuple already in the SteM").
-func (s *SteM) build(sh *shard, t *tuple.Tuple) []flow.Emission {
+func (s *SteM) build(t *tuple.Tuple) []flow.Emission {
 	if s.shared != nil {
 		// Unreachable by construction: the router creates no access methods
 		// for attached tables, so no singleton of this table ever exists.
 		panic("stem: build routed to an attached (shared-state) SteM")
 	}
 	row := t.Comp[s.cfg.Table]
-	if sh.dict.Contains(row) {
-		sh.stats.DupBuilds++
+	if s.dict.Contains(row) {
+		s.stats.DupBuilds++
 		return nil // duplicate from a competitive AM: consumed (Section 3.2)
 	}
 	ts := s.cfg.TS.Next()
-	sh.dict.Insert(row, ts)
-	s.liveRows.Add(1)
+	s.dict.Insert(row, ts)
 	t.CompTS[s.cfg.Table] = ts
 	t.Built = t.Built.With(s.cfg.Table)
-	sh.stats.Builds++
+	s.stats.Builds++
 	if s.cfg.Window > 0 {
-		// Windowed SteMs are always single-shard (see Config.Shards), so
-		// liveRows is this dictionary's row count and the oldest live row is
-		// the globally oldest.
-		for s.liveRows.Load() > int64(s.cfg.Window) {
-			if _, ok := sh.dict.Evict(); !ok {
+		for s.dict.Len() > s.cfg.Window {
+			if _, ok := s.dict.Evict(); !ok {
 				break
 			}
-			s.liveRows.Add(-1)
-			sh.stats.Evictions++
+			s.stats.Evictions++
 		}
 	}
 	return []flow.Emission{flow.Emit(t)}
 }
 
-// applyEOTShard handles one per-shard delivery of a replicated EOT tuple
-// (flow.ShardAll): the global completeness record waits for the last shard's
-// delivery, guaranteeing every build queued ahead of the EOT in any shard has
-// been stored before the SteM claims completeness.
-func (s *SteM) applyEOTShard(t *tuple.Tuple) {
-	s.eotMu.Lock()
-	if s.eotSeen == nil {
-		s.eotSeen = make(map[*tuple.Tuple]int)
-	}
-	s.eotSeen[t]++
-	last := s.eotSeen[t] == len(s.shards)
-	if last {
-		delete(s.eotSeen, t)
-	}
-	s.eotMu.Unlock()
-	if last {
-		s.recordEOT(t)
-	}
-}
-
-// recordEOT applies an End-Of-Transmission tuple's global effect ("an EOT
-// tuple from an AM on S is also routed as a build tuple to SteM(S)"; it is
-// stored, as completeness metadata, and consumed): a full EOT marks the SteM
-// complete; an index EOT records its bound-value row in the completeness
+// recordEOT applies an End-Of-Transmission tuple's effect (s.mu held; "an
+// EOT tuple from an AM on S is also routed as a build tuple to SteM(S)"; it
+// is stored, as completeness metadata, and consumed): a full EOT marks the
+// SteM complete; an index EOT records its bound-value row in the completeness
 // index for its bound-column signature.
 func (s *SteM) recordEOT(t *tuple.Tuple) {
-	s.eotMu.Lock()
-	defer s.eotMu.Unlock()
 	s.eotCount++
 	info := t.EOT
 	if len(info.BoundCols) == 0 {
@@ -750,7 +436,6 @@ func (s *SteM) recordEOT(t *tuple.Tuple) {
 // eotIdxFor returns (creating on first use) the completeness index for one
 // bound-column signature. The signature list is tiny — one entry per
 // distinct index key shape — so a linear scan beats any map keying.
-// s.eotMu must be held for writing.
 func (s *SteM) eotIdxFor(cols []int) *eotIdx {
 	for i := range s.eot {
 		if slices.Equal(s.eot[i].cols, cols) {
@@ -764,13 +449,13 @@ func (s *SteM) eotIdxFor(cols []int) *eotIdx {
 	return &s.eot[len(s.eot)-1]
 }
 
-// probeLocked finds matches for t among the rows stored in held (whose
-// mutexes the caller holds), concatenates them (verifying every newly
-// applicable predicate and enforcing the TimeStamp rule), and decides
-// whether to bounce t back per the SteM BounceBack constraint. scr and
-// stats belong to the same synchronization domain as held.
-func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache, scr *probeScratch, stats *Stats, held []*shard) []flow.Emission {
-	stats.Probes++
+// probeLocked finds matches for t among the stored rows (s.mu held),
+// concatenates them (verifying every newly applicable predicate and enforcing
+// the TimeStamp rule), and decides whether to bounce t back per the SteM
+// BounceBack constraint.
+func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache) []flow.Emission {
+	scr := &s.scr
+	s.stats.Probes++
 
 	preds, ok := scr.predCache[t.Span]
 	if !ok {
@@ -782,48 +467,41 @@ func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache, scr *probeScratch, st
 	lastMatch := t.LastMatchTS
 
 	var out []flow.Emission
-	for _, sh := range held {
-		for _, e := range pc.candidates(sh.dict, scr.lk, uint64(sh.idx)) {
-			catTS := e.TS
-			if s.shared != nil {
-				// Attached probe: every shared entry was sealed before the
-				// query started, so the probe's exact window is the whole
-				// state (TS ≤ HighWater) — the resident TimeStamp rule would
-				// compare incomparable counters. Component timestamp 0 keeps
-				// shared timestamps out of the query's tuples.
-				catTS = 0
-			} else if e.TS >= probeTS || e.TS <= lastMatch {
-				// TimeStamp constraint: result returned iff ts(probe) > ts(match);
-				// LastMatchTimeStamp guards repeated probes (§3.5).
-				continue
-			}
-			// Concatenate the stored row directly (no singleton
-			// materialization), recycling the component slices of failed
-			// concatenations.
-			cat := t.ConcatRowInto(scr.catScratch, s.cfg.Table, e.Row, catTS)
-			if !s.verify(cat) {
-				scr.catScratch = cat
-				continue
-			}
-			scr.catScratch = nil
-			stats.Matches++
-			out = append(out, flow.Emit(cat))
+	for _, e := range pc.candidates(s.dict, scr.lk) {
+		catTS := e.TS
+		if s.shared != nil {
+			// Attached probe: every shared entry was sealed before the
+			// query started, so the probe's exact window is the whole
+			// state (TS ≤ HighWater) — the resident TimeStamp rule would
+			// compare incomparable counters. Component timestamp 0 keeps
+			// shared timestamps out of the query's tuples.
+			catTS = 0
+		} else if e.TS >= probeTS || e.TS <= lastMatch {
+			// TimeStamp constraint: result returned iff ts(probe) > ts(match);
+			// LastMatchTimeStamp guards repeated probes (§3.5).
+			continue
 		}
+		// Concatenate the stored row directly (no singleton
+		// materialization), recycling the component slices of failed
+		// concatenations.
+		cat := t.ConcatRowInto(scr.catScratch, s.cfg.Table, e.Row, catTS)
+		if !s.verify(cat) {
+			scr.catScratch = cat
+			continue
+		}
+		scr.catScratch = nil
+		s.stats.Matches++
+		out = append(out, flow.Emit(cat))
 	}
 
 	t.LastProbeMatches = len(out)
-	if s.shouldBounce(t, scr) {
+	if s.shouldBounce(t) {
 		t.PriorProber = true
 		t.ProbeTable = s.cfg.Table
-		// The highest timestamp this probe can have observed: matches for a
-		// partition-bound probe all live in its home shard, so a sweep over
-		// held covers every row the re-probe may legally skip.
-		var maxTS tuple.Timestamp
-		for _, sh := range held {
-			maxTS = max(maxTS, sh.dict.MaxTS())
-		}
-		t.LastMatchTS = maxTS
-		stats.ProbeBounces++
+		// The highest timestamp this probe can have observed: every row a
+		// re-probe may legally skip.
+		t.LastMatchTS = s.dict.MaxTS()
+		s.stats.ProbeBounces++
 		out = append(out, flow.Emit(t))
 	}
 	return out
@@ -849,8 +527,8 @@ func (s *SteM) verify(cat *tuple.Tuple) bool {
 
 // shouldBounce implements the SteM BounceBack rule for probes (Table 2),
 // plus the BounceIfIndexAM extension of Section 4.1.
-func (s *SteM) shouldBounce(t *tuple.Tuple, scr *probeScratch) bool {
-	if s.complete(t, scr) {
+func (s *SteM) shouldBounce(t *tuple.Tuple) bool {
+	if s.complete(t) {
 		return false // the SteM provably holds all matches: consume.
 	}
 	q := s.cfg.Q
@@ -867,21 +545,19 @@ func (s *SteM) shouldBounce(t *tuple.Tuple, scr *probeScratch) bool {
 // complete reports whether the SteM provably contains all matches for probe
 // t: a scan EOT has arrived, or an index EOT covering t's bind values is
 // stored (the "cache on index lookups" role of Section 3.3).
-func (s *SteM) complete(t *tuple.Tuple, scr *probeScratch) bool {
+func (s *SteM) complete(t *tuple.Tuple) bool {
 	if s.shared != nil {
 		return true // sealed shared state subsumes a full scan EOT
 	}
 	if s.cfg.Window > 0 {
 		return false
 	}
-	s.eotMu.RLock()
-	defer s.eotMu.RUnlock()
 	if s.fullEOT {
 		return true
 	}
 	for i := range s.eot {
 		idx := &s.eot[i]
-		bound, ok := s.bindCols(t, idx.cols, scr)
+		bound, ok := s.bindCols(t, idx.cols)
 		if !ok {
 			continue
 		}
@@ -896,10 +572,11 @@ func (s *SteM) complete(t *tuple.Tuple, scr *probeScratch) bool {
 }
 
 // bindCols derives the values of the given columns of this SteM's table from
-// probe t via equality join predicates, into scr's reused scratch row; ok is
+// probe t via equality join predicates, into the reused scratch row; ok is
 // false if any column is unbound. The returned row is only valid until the
-// next bindCols call on the same scratch.
-func (s *SteM) bindCols(t *tuple.Tuple, cols []int, scr *probeScratch) (tuple.Row, bool) {
+// next bindCols call.
+func (s *SteM) bindCols(t *tuple.Tuple, cols []int) (tuple.Row, bool) {
+	scr := &s.scr
 	row := scr.bindScratch[:0]
 	for _, c := range cols {
 		found := false

@@ -11,7 +11,7 @@ import (
 // does exactly the work Run does under the same Options, so an option
 // Prepare dropped (Shared once was) shows up as a different build count.
 func TestPreparedMatchesRun(t *testing.T) {
-	sharedS, err := smallJoin().BuildSharedState("S", 1)
+	sharedS, err := smallJoin().BuildSharedState("S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,25 +132,6 @@ func TestPrepareRejectsUnpoolableOptions(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := smallJoin().Prepare(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want contains %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestPreparedSharding checks Reset-based reuse holds with sharded SteMs:
-// multiple shards mean per-shard dictionaries, inboxes, and workers all go
-// through the reuse path.
-func TestPreparedSharding(t *testing.T) {
-	p, err := smallJoin().Prepare(Options{Engine: Concurrent, Shards: 4, BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		res, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 3 {
-			t.Fatalf("execution %d returned %d rows, want 3", i, len(res.Rows))
 		}
 	}
 }

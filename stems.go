@@ -112,16 +112,6 @@ type Options struct {
 	// simulation engine always runs batches of one (it is the deterministic
 	// reference) and ignores this option.
 	BatchSize int
-	// Shards hash-partitions every SteM into this many independent
-	// sub-stores (rounded up to a power of two), each with its own
-	// dictionary and lock; the Concurrent engine gives each shard its own
-	// worker so builds and probes on different shards of one SteM proceed
-	// fully in parallel. 0 or 1 keeps single-store SteMs — the exact
-	// historical behaviour, which the simulator's figure reproductions
-	// assume. Results are identical at any shard count; only scheduling
-	// changes. Windowed tables (see Window) stay unsharded: window eviction
-	// order is global state.
-	Shards int
 	// BounceForIndexChoice makes SteMs on tables with index AMs bounce
 	// incomplete probes so the eddy can hybridize index and hash joins
 	// (Section 4.3).
@@ -135,13 +125,12 @@ type Options struct {
 	Window map[string]int
 	// Shared attaches pre-built shared SteM state by table name (see
 	// Query.BuildSharedState): the named tables get probe-only attached
-	// SteMs over the sealed shared dictionaries instead of private builds,
+	// SteMs over the sealed shared dictionary instead of private builds,
 	// and their access methods are not run — the state already holds every
 	// row. Results are multiset-identical to a run without attachments. At
 	// least one table must stay unattached (its scan drives the dataflow),
 	// and any number of concurrent Runs may attach the same state. Shared
-	// tables ignore Shards (the state's shard count wins) and cannot be
-	// windowed.
+	// tables cannot be windowed.
 	Shared map[string]*SharedState
 	// Deadline stops the simulation engine at the given virtual time
 	// (for continuous queries); zero runs to completion.
@@ -453,7 +442,7 @@ func (q *Query) Build() (*query.Q, error) {
 }
 
 // SharedState is catalog-style shared SteM state over one table's rows:
-// sealed, immutable in-memory dictionaries built once with
+// a sealed, immutable in-memory dictionary built once with
 // Query.BuildSharedState and attached by any number of concurrent Runs via
 // Options.Shared.
 type SharedState struct {
@@ -467,9 +456,8 @@ func (s *SharedState) Rows() int { return s.inner.Rows() }
 // BuildSharedState builds sealed shared SteM state over the named table's
 // rows, indexed on the table's join columns in this query — what a server
 // catalog does once per (table, join columns) so concurrent queries attach
-// instead of rebuilding. shards partitions the state (rounded up to a power
-// of two; attached SteMs adopt it).
-func (q *Query) BuildSharedState(table string, shards int) (*SharedState, error) {
+// instead of rebuilding.
+func (q *Query) BuildSharedState(table string) (*SharedState, error) {
 	iq, err := q.Build()
 	if err != nil {
 		return nil, err
@@ -482,7 +470,7 @@ func (q *Query) BuildSharedState(table string, shards int) (*SharedState, error)
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("stems: table %q has no join columns to index shared state on", table)
 	}
-	inner, err := stem.BuildShared(stem.SharedConfig{KeyCols: cols, Shards: shards}, q.data[table].Rows)
+	inner, err := stem.BuildShared(stem.SharedConfig{KeyCols: cols}, q.data[table].Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -545,7 +533,6 @@ func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 		Engine:   opts.Engine,
 		Policy:   opts.Policy.String(),
 		Seed:     opts.Seed,
-		Shards:   opts.Shards,
 		Batch:    opts.BatchSize,
 		Deadline: clock.Time(opts.Deadline),
 		Trace:    opts.Explain,

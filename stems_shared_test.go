@@ -12,8 +12,7 @@ import (
 
 // sharedJoin is the equivalence workload: a 3-way join with duplicate source
 // rows (set-semantics dedup must agree between private builds and the shared
-// build), a selection on an attached table (verified at concatenation), and
-// enough rows that sharding engages.
+// build) and a selection on an attached table (verified at concatenation).
 func sharedJoin() *Query { return sharedJoinPaced(20 * time.Microsecond) }
 
 // sharedJoinPaced is sharedJoin with the scans' inter-arrival time given. At 0
@@ -47,71 +46,68 @@ func sharedJoinPaced(pace time.Duration) *Query {
 
 // TestSharedStemsAgree proves the tentpole's correctness claim: N concurrent
 // queries attached to one shared build of S and U return results
-// multiset-identical to a private-state run, across {shards 1,4} ×
-// {default batches, BatchSize 1}. (At the default batch size the private side
-// of the dataflow travels columnar; at 1 everything is row-at-a-time. The
-// subtest labels keep the spelling they had when rows were a knob and shared
-// state took a spill budget.) Runs under -race in CI (root package, full race
-// job), so the lock-free shared-dictionary reads are exercised concurrently.
+// multiset-identical to a private-state run, at the default batch size and at
+// BatchSize 1. (At the default batch size the private side of the dataflow
+// travels columnar; at 1 everything is row-at-a-time. The subtest labels keep
+// the spelling they had when rows were a knob and shared state took a spill
+// budget.) Runs under -race in CI (root package, full race job), so the
+// lock-free shared-dictionary reads are exercised concurrently.
 func TestSharedStemsAgree(t *testing.T) {
 	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Concurrent}).Rows)
 	if len(want) == 0 {
 		t.Fatal("workload produced no rows; the equivalence check would be vacuous")
 	}
 	const concurrent = 4
-	for _, shards := range []int{1, 4} {
-		for _, batch := range []int{0, 1} {
-			name := fmt.Sprintf("shards=%d/rowBatches=%v/budget=0", shards, batch == 1)
-			t.Run(name, func(t *testing.T) {
-				base := sharedJoin()
-				sharedS, err := base.BuildSharedState("S", shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharedU, err := base.BuildSharedState("U", shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				errs := make([]error, concurrent)
-				for g := 0; g < concurrent; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						res, err := sharedJoin().Run(Options{
-							Engine:    Concurrent,
-							Shards:    shards,
-							BatchSize: batch,
-							Shared:    map[string]*SharedState{"S": sharedS, "U": sharedU},
-						})
-						if err != nil {
-							errs[g] = err
-							return
-						}
-						got := keysOf(res.Rows)
-						if len(got) != len(want) {
-							errs[g] = fmt.Errorf("%d rows, want %d", len(got), len(want))
-							return
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								errs[g] = fmt.Errorf("row %d = %q, want %q", i, got[i], want[i])
-								return
-							}
-						}
-						if res.Stats.SteMBuilds == 0 {
-							errs[g] = fmt.Errorf("driver table R built nothing")
-						}
-					}(g)
-				}
-				wg.Wait()
-				for g, err := range errs {
+	for _, batch := range []int{0, 1} {
+		name := fmt.Sprintf("rowBatches=%v/budget=0", batch == 1)
+		t.Run(name, func(t *testing.T) {
+			base := sharedJoin()
+			sharedS, err := base.BuildSharedState("S")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharedU, err := base.BuildSharedState("U")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, concurrent)
+			for g := 0; g < concurrent; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					res, err := sharedJoin().Run(Options{
+						Engine:    Concurrent,
+						BatchSize: batch,
+						Shared:    map[string]*SharedState{"S": sharedS, "U": sharedU},
+					})
 					if err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
+						errs[g] = err
+						return
 					}
+					got := keysOf(res.Rows)
+					if len(got) != len(want) {
+						errs[g] = fmt.Errorf("%d rows, want %d", len(got), len(want))
+						return
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							errs[g] = fmt.Errorf("row %d = %q, want %q", i, got[i], want[i])
+							return
+						}
+					}
+					if res.Stats.SteMBuilds == 0 {
+						errs[g] = fmt.Errorf("driver table R built nothing")
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -126,40 +122,38 @@ func TestSharedStemsAgreeUnpaced(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("workload produced no rows; the equivalence check would be vacuous")
 	}
-	for _, shards := range []int{1, 4} {
-		base := sharedJoinPaced(0)
-		shared := map[string]*SharedState{}
-		for _, tbl := range []string{"S", "U"} {
-			ss, err := base.BuildSharedState(tbl, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shared[tbl] = ss
+	base := sharedJoinPaced(0)
+	shared := map[string]*SharedState{}
+	for _, tbl := range []string{"S", "U"} {
+		ss, err := base.BuildSharedState(tbl)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, batch := range []int{1, 64} {
-			boxed := flow.MaterializedRows()
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					res, err := sharedJoinPaced(0).Run(Options{Engine: Concurrent, Shards: shards, BatchSize: batch, Shared: shared})
-					if err != nil {
-						t.Errorf("shards=%d batch=%d: %v", shards, batch, err)
-						return
-					}
-					if got := keysOf(res.Rows); !slices.Equal(got, want) {
-						t.Errorf("shards=%d batch=%d: %d rows, private run %d, or they differ", shards, batch, len(got), len(want))
-					}
-				}()
-			}
-			wg.Wait()
-			// The facade reads tuples, so the output stage boxes each result
-			// once; an attached probe that left the column path would box its
-			// probe rows on top.
-			if moved := flow.MaterializedRows() - boxed; batch > 1 && moved != uint64(4*len(want)) {
-				t.Errorf("shards=%d batch=%d: %d rows materialized by 4 runs of %d results", shards, batch, moved, len(want))
-			}
+		shared[tbl] = ss
+	}
+	for _, batch := range []int{1, 64} {
+		boxed := flow.MaterializedRows()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := sharedJoinPaced(0).Run(Options{Engine: Concurrent, BatchSize: batch, Shared: shared})
+				if err != nil {
+					t.Errorf("batch=%d: %v", batch, err)
+					return
+				}
+				if got := keysOf(res.Rows); !slices.Equal(got, want) {
+					t.Errorf("batch=%d: %d rows, private run %d, or they differ", batch, len(got), len(want))
+				}
+			}()
+		}
+		wg.Wait()
+		// The facade reads tuples, so the output stage boxes each result
+		// once; an attached probe that left the column path would box its
+		// probe rows on top.
+		if moved := flow.MaterializedRows() - boxed; batch > 1 && moved != uint64(4*len(want)) {
+			t.Errorf("batch=%d: %d rows materialized by 4 runs of %d results", batch, moved, len(want))
 		}
 	}
 }
@@ -169,7 +163,7 @@ func TestSharedStemsAgreeUnpaced(t *testing.T) {
 func TestSharedStemsSimEngine(t *testing.T) {
 	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Sim}).Rows)
 	base := sharedJoin()
-	sharedU, err := base.BuildSharedState("U", 1)
+	sharedU, err := base.BuildSharedState("U")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +186,11 @@ func TestSharedStemsSimEngine(t *testing.T) {
 // whose every table is attached has nothing to drive the dataflow.
 func TestSharedStemsRejectsFullAttachment(t *testing.T) {
 	base := smallJoin()
-	sharedR, err := base.BuildSharedState("R", 1)
+	sharedR, err := base.BuildSharedState("R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedS, err := base.BuildSharedState("S", 1)
+	sharedS, err := base.BuildSharedState("S")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,14 +51,13 @@ type Standing struct {
 // the resident standing query together with the initial results. The caller
 // owns the Standing and must Close it when done.
 //
-// Most of Options applies unchanged (engine, policy, seed, shards, batching,
-// windows, OnResult, Context). Options that presume a run winds
-// down — or state that cannot accept late builds — are rejected:
-// SkipBuildTable (pure probers build no state for later rounds to join
-// against), Shared attachments (sealed, immutable), Deadline, OnPartial, and
-// Explain. Every access method must be
-// a scan: an index AM answers probes from a frozen copy of its table, which
-// an Insert would silently miss.
+// Most of Options applies unchanged (engine, policy, seed, batching, windows,
+// OnResult, Context). Options that presume a run winds down — or state that
+// cannot accept late builds — are rejected: SkipBuildTable (pure probers
+// build no state for later rounds to join against), Shared attachments
+// (sealed, immutable), Deadline, OnPartial, and Explain. Every access method
+// must be a scan: an index AM answers probes from a frozen copy of its table,
+// which an Insert would silently miss.
 func (q *Query) Open(opts Options) (*Standing, *Result, error) {
 	iq, err := q.Build()
 	if err != nil {

@@ -69,8 +69,7 @@ func genStream(rng *rand.Rand) (initial map[string][][]int64, inserts []insBatch
 	return initial, inserts
 }
 
-// standingConfigs is the acceptance matrix: engines × shards {1,4} ×
-// representation. At its default batch size the concurrent engine carries
+// standingConfigs is the acceptance matrix: engines × representation. At its default batch size the concurrent engine carries
 // scans columnar and the injected delta singletons as rows ("columnar"); at
 // BatchSize 1 it is row-at-a-time throughout ("rows"), like the simulator.
 func standingConfigs() []struct {
@@ -81,12 +80,9 @@ func standingConfigs() []struct {
 		name string
 		opts Options
 	}{
-		{"sim/shards=1", Options{Engine: Sim}},
-		{"sim/shards=4", Options{Engine: Sim, Shards: 4}},
-		{"concurrent/shards=1/columnar", Options{Engine: Concurrent}},
-		{"concurrent/shards=1/rows", Options{Engine: Concurrent, BatchSize: 1}},
-		{"concurrent/shards=4/columnar", Options{Engine: Concurrent, Shards: 4}},
-		{"concurrent/shards=4/rows", Options{Engine: Concurrent, Shards: 4, BatchSize: 1}},
+		{"sim", Options{Engine: Sim}},
+		{"concurrent/columnar", Options{Engine: Concurrent}},
+		{"concurrent/rows", Options{Engine: Concurrent, BatchSize: 1}},
 	}
 }
 
@@ -180,7 +176,7 @@ func TestStandingJoinDeltaExact(t *testing.T) {
 // combinations, a non-matching insert emits nothing, and a duplicate row is
 // consumed by set-semantics dedup.
 func TestStandingDeltaBasics(t *testing.T) {
-	for _, cfg := range standingConfigs()[:3] {
+	for _, cfg := range standingConfigs()[:2] {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			initial := map[string][][]int64{
@@ -357,7 +353,7 @@ func TestStandingRejectsUnsupportedOptions(t *testing.T) {
 	}
 	// Shared state rejection needs a built state to hand in.
 	shq := base()
-	ss, err := shq.BuildSharedState("S", 1)
+	ss, err := shq.BuildSharedState("S")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,25 +82,6 @@ func TestConcurrentBatchSizesAgree(t *testing.T) {
 	}
 }
 
-func TestShardCountsAgree(t *testing.T) {
-	want := keysOf(mustRun(t, smallJoin(), Options{Engine: Sim}).Rows)
-	for _, sh := range []int{1, 2, 8} {
-		res, err := smallJoin().Run(Options{Engine: Concurrent, Shards: sh})
-		if err != nil {
-			t.Fatalf("Shards %d: %v", sh, err)
-		}
-		got := keysOf(res.Rows)
-		if len(got) != len(want) {
-			t.Fatalf("Shards %d: %d rows, want %d", sh, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Shards %d: row %d = %q, want %q", sh, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func mustRun(t *testing.T, q *Query, opts Options) *Result {
 	t.Helper()
 	res, err := q.Run(opts)
