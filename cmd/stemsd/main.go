@@ -72,7 +72,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/eddy"
+	"repro/internal/policy"
 	"repro/internal/server"
 )
 
@@ -132,7 +132,6 @@ func main() {
 	dataDir := flag.String("data-dir", ".", "confine REGISTER TABLE statement paths to this directory; -t flag paths are exempt (operator input). Empty disables confinement — do not expose such a server to untrusted clients")
 	policyName := flag.String("policy", "benefitcost", "default routing policy: fixed, lottery, benefitcost")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
-	batch := flag.Int("batch", eddy.DefaultBatchSize, "eddy batch size of every query's concurrent engine; 1 is tuple-at-a-time")
 	maxInflight := flag.Int("max-inflight", 8, "maximum concurrently executing queries")
 	queueDepth := flag.Int("queue", 16, "admission queue depth beyond -max-inflight; 0 rejects immediately at capacity")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
@@ -155,6 +154,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stemsd: %v\n", err)
 		os.Exit(1)
 	}
+	if err := policy.CheckName(*policyName); err != nil {
+		fmt.Fprintf(os.Stderr, "stemsd: -policy: %v\n", err)
+		os.Exit(1)
+	}
 
 	cat := server.NewCatalog(0, *dataDir)
 	if err := cat.LoadFlagSpecs(tables, indexes); err != nil {
@@ -169,7 +172,6 @@ func main() {
 		MaxDeadline:     *maxDeadline,
 		Policy:          *policyName,
 		Seed:            *seed,
-		BatchSize:       *batch,
 		PlanCacheSize:   *planCache,
 
 		SharedStems:     *sharedStems,

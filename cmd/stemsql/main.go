@@ -21,9 +21,7 @@
 // -index people:id:200ms, and pick a routing policy with -policy.
 //
 // -engine selects the executor: sim (default) is the deterministic
-// discrete-event simulator; concurrent runs the goroutine-per-module engine,
-// whose eddy moves tuples in batches of -batch (default 64; 1 is
-// tuple-at-a-time).
+// discrete-event simulator; concurrent runs the goroutine-per-module engine.
 //
 // PREPARE name AS <select> parses a statement once; EXECUTE name reruns it
 // (binding against the catalog as it stands at execute time, so tables
@@ -49,7 +47,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/eddy"
 	"repro/internal/server"
 	"repro/internal/sql"
 	"repro/internal/trace"
@@ -68,7 +65,6 @@ func main() {
 	q := flag.String("q", "", "SQL statement; omit for a stdin REPL")
 	policyName := flag.String("policy", "benefitcost", "routing policy: fixed, lottery, benefitcost")
 	engineName := flag.String("engine", "sim", "execution engine: sim (deterministic) or concurrent")
-	batch := flag.Int("batch", eddy.DefaultBatchSize, "concurrent engine eddy batch size; 1 is tuple-at-a-time")
 	seed := flag.Int64("seed", 1, "seed for randomized policies")
 	timing := flag.Bool("timing", false, "print per-result virtual emission times and run stats")
 	explain := flag.Bool("explain", false, "print a per-module adaptive-execution report after the results")
@@ -101,7 +97,7 @@ func main() {
 	}
 	prepped := map[string]*sql.Stmt{}
 	runOne := func(stmt string, doExplain bool) bool {
-		if err := run(stmt, cat, prepped, *policyName, *engineName, *batch, *seed, *timing, *explain || doExplain); err != nil {
+		if err := run(stmt, cat, prepped, *policyName, *engineName, *seed, *timing, *explain || doExplain); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return false
 		}
@@ -222,7 +218,7 @@ func splitStatements(s string) (complete []string, rest string) {
 	return complete, strings.TrimLeft(s[start:], " \t\n")
 }
 
-func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, batch int, seed int64, timing, explain bool) error {
+func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, policyName, engineName string, seed int64, timing, explain bool) error {
 	parsed, err := sql.ParseStatement(stmtSrc)
 	if err != nil {
 		return err
@@ -280,7 +276,6 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 		Engine: engine,
 		Policy: policyName,
 		Seed:   seed,
-		Batch:  batch,
 		Trace:  explain,
 	})
 	if err != nil {

@@ -74,11 +74,6 @@ type Spec struct {
 	// (0 means 1).
 	Policy string
 	Seed   int64
-	// Batch caps the Concurrent engine's eddy batches (0 is
-	// eddy.DefaultBatchSize; 1 is the exact tuple-at-a-time dataflow). Above
-	// 1 the engine moves column vectors wherever it observes it can; there
-	// is no switch for that.
-	Batch int
 	// Windows bounds SteM sizes per table (0 = unbounded); nil is none.
 	Windows []int
 	// Shared attaches pre-built shared SteM state per table (nil entries
@@ -176,7 +171,6 @@ func (e *Exec) build() error {
 	e.r, e.sim, e.eng, e.coll = r, nil, nil, nil
 	if sp.Engine == Concurrent {
 		e.eng = eddy.NewConcurrent(r, nil)
-		e.eng.BatchSize = sp.Batch
 	} else {
 		e.sim = eddy.NewSim(r)
 		e.sim.Deadline = sp.Deadline

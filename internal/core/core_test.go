@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -99,105 +98,104 @@ func settle(t *testing.T, baseline int) {
 	}
 }
 
-// TestExecMatrix drives the one builder across engine × batch
-// through every lifecycle a caller uses, comparing each run to the
-// brute-force oracle.
+// TestExecMatrix drives the one builder on both engines through every
+// lifecycle a caller uses, comparing each run to the brute-force oracle.
+// (The subtests keep the "/batch64" suffix from when the batch size was an
+// axis of the matrix.)
 func TestExecMatrix(t *testing.T) {
 	const n = 160
 	for _, engine := range []Engine{Sim, Concurrent} {
-		for _, batch := range []int{1, 64} {
-			name := fmt.Sprintf("%s/batch%d", [...]string{"sim", "concurrent"}[engine], batch)
-			t.Run(name, func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
-				q, rows := fixture(n)
-				want := oracle.Compute(q)
-				ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Batch: batch, Trace: true})
+		name := [...]string{"sim", "concurrent"}[engine] + "/batch64"
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			q, rows := fixture(n)
+			want := oracle.Compute(q)
+			ex, err := Build(Spec{Q: q, Engine: engine, Policy: "benefitcost", Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ex.Poolable(), engine == Concurrent; got != want {
+				t.Fatalf("Poolable() = %v, want %v", got, want)
+			}
+			run := func(what string) {
+				t.Helper()
+				streamed := 0
+				outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", what, err)
 				}
-				if got, want := ex.Poolable(), engine == Concurrent; got != want {
-					t.Fatalf("Poolable() = %v, want %v", got, want)
-				}
-				run := func(what string) {
-					t.Helper()
-					streamed := 0
-					outs, err := ex.Run(context.Background(), func(*tuple.Tuple, clock.Time) { streamed++ }, nil)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					got := make(oracle.Result)
-					collect(got, outs)
-					mustMatch(t, what, want, got)
-					if streamed != len(outs) {
-						t.Fatalf("%s: hook saw %d results, Run returned %d", what, streamed, len(outs))
-					}
-					st := ex.Stats()
-					if st.RoutingSteps == 0 || st.Builds == 0 {
-						t.Fatalf("%s: empty stats %+v", what, st)
-					}
-					if rec := ex.Record(true); rec.Results != uint64(len(outs)) || len(rec.Modules) == 0 {
-						t.Fatalf("%s: trace records %d results over %d modules, want %d", what, rec.Results, len(rec.Modules), len(outs))
-					}
-				}
-				reset := func() {
-					t.Helper()
-					if err := ex.Reset(); err != nil {
-						t.Fatal(err)
-					}
-				}
-
-				run("first run")
-				if _, err := ex.Run(context.Background(), nil, nil); err == nil {
-					t.Fatal("second Run without Reset succeeded")
-				}
-				builds := ex.Stats().Builds
-				reset()
-				run("after Reset")
-				if b := ex.Stats().Builds; b != builds {
-					t.Fatalf("Reset carried state over: %d builds, then %d", builds, b)
-				}
-
-				reset()
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
-				if _, err := ex.Run(ctx, nil, nil); err == nil {
-					t.Fatal("canceled Run returned no error")
-				}
-				if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
-					t.Fatal("RunDelta after a canceled round succeeded")
-				}
-				reset()
-				run("after canceled run and Reset")
-
-				// Snapshot ∪ deltas equals a batch run over the final rows.
-				reset()
 				got := make(oracle.Result)
-				outs, err := ex.Run(context.Background(), nil, nil)
-				if err != nil {
+				collect(got, outs)
+				mustMatch(t, what, want, got)
+				if streamed != len(outs) {
+					t.Fatalf("%s: hook saw %d results, Run returned %d", what, streamed, len(outs))
+				}
+				st := ex.Stats()
+				if st.RoutingSteps == 0 || st.Builds == 0 {
+					t.Fatalf("%s: empty stats %+v", what, st)
+				}
+				if rec := ex.Record(true); rec.Results != uint64(len(outs)) || len(rec.Modules) == 0 {
+					t.Fatalf("%s: trace records %d results over %d modules, want %d", what, rec.Results, len(rec.Modules), len(outs))
+				}
+			}
+			reset := func() {
+				t.Helper()
+				if err := ex.Reset(); err != nil {
 					t.Fatal(err)
+				}
+			}
+
+			run("first run")
+			if _, err := ex.Run(context.Background(), nil, nil); err == nil {
+				t.Fatal("second Run without Reset succeeded")
+			}
+			builds := ex.Stats().Builds
+			reset()
+			run("after Reset")
+			if b := ex.Stats().Builds; b != builds {
+				t.Fatalf("Reset carried state over: %d builds, then %d", builds, b)
+			}
+
+			reset()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := ex.Run(ctx, nil, nil); err == nil {
+				t.Fatal("canceled Run returned no error")
+			}
+			if _, err := ex.RunDelta(context.Background(), nil, nil, nil); err == nil {
+				t.Fatal("RunDelta after a canceled round succeeded")
+			}
+			reset()
+			run("after canceled run and Reset")
+
+			// Snapshot ∪ deltas equals a batch run over the final rows.
+			reset()
+			got := make(oracle.Result)
+			outs, err := ex.Run(context.Background(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			collect(got, outs)
+			for i, round := range deltas(n) {
+				var ts []*tuple.Tuple
+				for _, in := range round {
+					ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
+					rows[in.table] = append(rows[in.table], in.row)
+				}
+				outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
+				if err != nil {
+					t.Fatalf("delta round %d: %v", i, err)
+				}
+				if len(outs) == 0 {
+					t.Fatalf("delta round %d produced nothing", i)
 				}
 				collect(got, outs)
-				for i, round := range deltas(n) {
-					var ts []*tuple.Tuple
-					for _, in := range round {
-						ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
-						rows[in.table] = append(rows[in.table], in.row)
-					}
-					outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
-					if err != nil {
-						t.Fatalf("delta round %d: %v", i, err)
-					}
-					if len(outs) == 0 {
-						t.Fatalf("delta round %d produced nothing", i)
-					}
-					collect(got, outs)
-				}
-				mustMatch(t, "snapshot ∪ deltas", oracle.ComputeFromRows(q, rows), got)
+			}
+			mustMatch(t, "snapshot ∪ deltas", oracle.ComputeFromRows(q, rows), got)
 
-				ex.Release()
-				settle(t, baseline)
-			})
-		}
+			ex.Release()
+			settle(t, baseline)
+		})
 	}
 }
 
@@ -382,4 +380,59 @@ func TestColumnarSinkOwnsItsRows(t *testing.T) {
 		t.Errorf("tuple hook saw %d results, Run returned %d", streamed, len(outs))
 	}
 	ex.Release()
+}
+
+// TestDeltaRoundAllocs pins what one standing-query round allocates: a
+// concurrent 3-way join over fixturePaced(4000, 0), a snapshot run, then
+// rounds that each box four new R rows into singletons and inject them (each
+// joins one S row and one T row) — the shape of a 4-row POST /insert on a
+// subscribed table. Routing each row tuple with Route and probing the SteM
+// dictionary directly took the average from 85 to 67; the bound is that plus
+// 5 %, so a per-batch decision partition or probe cache coming back crosses
+// it.
+func TestDeltaRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const (
+		n      = 4000
+		warmup = 50
+		rounds = 2000
+		bound  = 67 * 1.05
+	)
+	q, _ := fixturePaced(n, 0)
+	ex, err := Build(Spec{Q: q, Engine: Concurrent, Policy: "benefitcost"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Release()
+	if _, err := ex.Run(context.Background(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	d := int64(n / 4)
+	rows := make([]tuple.Row, 4*(warmup+rounds+1))
+	for i := range rows {
+		key := int64(n + i)
+		rows[i] = row(key, key%d)
+	}
+	next := 0
+	round := func() {
+		ts := make([]*tuple.Tuple, 4)
+		for k := range ts {
+			ts[k] = tuple.NewSingleton(3, 0, rows[next])
+			next++
+		}
+		outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
+		if err != nil || len(outs) != 4 {
+			t.Fatalf("round ending at row %d: %d results, %v; want 4", next, len(outs), err)
+		}
+	}
+	for range warmup {
+		round()
+	}
+	avg := testing.AllocsPerRun(rounds, round)
+	t.Logf("%.1f allocations per 4-row delta round (bound %.1f)", avg, bound)
+	if avg > bound {
+		t.Errorf("a 4-row delta round makes %.1f allocations, want at most %.1f", avg, bound)
+	}
 }

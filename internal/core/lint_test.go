@@ -5,8 +5,9 @@
 // Build. Further checks keep the commands' catalogs unpaced, the serving
 // binary's import closure off the paper-figure / reference packages, the
 // engine and shared SteM state off the file system, the engine's
-// configuration structs free of fields nothing shipped sets, and the fields
-// SteM sharding left for the benchmark harness unused.
+// configuration structs free of fields nothing shipped sets, the fields SteM
+// sharding left for the benchmark harness unused, and the engine's coalescing
+// cap inside the engine.
 package core
 
 import (
@@ -232,7 +233,9 @@ func TestSharedStateTouchesNoDisk(t *testing.T) {
 // eddy.Options.Shards and stem.SharedConfig.Shards, which only the frozen
 // benchmark harness still sets — from turning back into a knob: no non-test
 // Go file outside bench/ may read or set anything named Shards, as a selector
-// or as a composite-literal key.
+// or as a composite-literal key. It keeps eddy.Concurrent.BatchSize, the
+// engine's coalescing cap, from becoming one again the same way: nothing named
+// BatchSize outside internal/eddy and bench/.
 func TestShardsStaysDead(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
@@ -264,8 +267,12 @@ func TestShardsStaysDead(t *testing.T) {
 			case *ast.KeyValueExpr:
 				id, _ = n.Key.(*ast.Ident)
 			}
-			if id != nil && id.Name == "Shards" {
+			switch {
+			case id == nil:
+			case id.Name == "Shards":
 				t.Errorf("%s: uses a field named Shards; SteMs have no shards (the field is kept only for the benchmark harness)", fset.Position(id.Pos()))
+			case id.Name == "BatchSize" && !strings.HasPrefix(rel, "internal/eddy/"):
+				t.Errorf("%s: uses a field named BatchSize; the coalescing cap is the engine's own, not a knob", fset.Position(id.Pos()))
 			}
 			return true
 		})

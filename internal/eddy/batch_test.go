@@ -7,113 +7,11 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/oracle"
-	"repro/internal/policy"
-	"repro/internal/tuple"
-	"repro/internal/value"
 )
 
-// mixedRoutingTuples builds a batch of tuples covering the router's paths:
-// unbuilt singletons (BuildFirst fast path), built singletons (policy-routed
-// probes, three per table so partitions have real width), and an EOT.
-func mixedRoutingTuples(tb *testing.T) []*tuple.Tuple {
-	tb.Helper()
-	n := 2
-	var out []*tuple.Tuple
-	for tab := 0; tab < n; tab++ {
-		for k := 0; k < 3; k++ {
-			row := tuple.Row{value.NewInt(int64(k)), value.NewInt(int64(10 * k))}
-			out = append(out, tuple.NewSingleton(n, tab, row))
-		}
-	}
-	for tab := 0; tab < n; tab++ {
-		for k := 0; k < 3; k++ {
-			row := tuple.Row{value.NewInt(int64(k)), value.NewInt(int64(10 * k))}
-			s := tuple.NewSingleton(n, tab, row)
-			s.Built = tuple.Single(tab)
-			s.CompTS[tab] = tuple.Timestamp(10*tab + k + 1)
-			out = append(out, s)
-		}
-	}
-	eotRow := tuple.Row{value.NewEOT(), value.NewEOT()}
-	out = append(out, tuple.NewEOT(n, 0, eotRow, nil))
-	return out
-}
-
-// TestRouteBatchMatchesPerTupleRoute routes the same mixed batch through one
-// RouteBatch call and through per-tuple Route calls on an identical router,
-// and requires identical decisions and identical BoundedRepetition
-// bookkeeping: partition grouping must be a pure amortization.
-func TestRouteBatchMatchesPerTupleRoute(t *testing.T) {
-	q := twoTableQuery(t)
-
-	r1, err := NewRouter(q, Options{Policy: policy.NewFixed()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewRouter(q, Options{Policy: policy.NewFixed()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := mixedRoutingTuples(t)
-	ts2 := mixedRoutingTuples(t)
-
-	want := make([]Decision, 0, len(ts1))
-	for _, tp := range ts1 {
-		want = append(want, r1.Route(tp, NewSim(r1)))
-	}
-	got := r2.RouteBatch(ts2, NewSim(r2), nil)
-
-	if len(got) != len(want) {
-		t.Fatalf("RouteBatch returned %d decisions, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("tuple %d (%s): batch decision %+v, per-tuple decision %+v", i, ts1[i], got[i], want[i])
-		}
-		v1, v2 := ts1[i].Visits, ts2[i].Visits
-		if len(v1) != len(v2) {
-			t.Errorf("tuple %d: visit vectors sized %d vs %d", i, len(v1), len(v2))
-			continue
-		}
-		for m := range v1 {
-			if v1[m] != v2[m] {
-				t.Errorf("tuple %d: visits[%d] = %d batch vs %d per-tuple", i, m, v2[m], v1[m])
-			}
-		}
-	}
-	if r1.Routed() != r2.Routed() {
-		t.Errorf("routed counters diverge: %d per-tuple vs %d batch", r1.Routed(), r2.Routed())
-	}
-	if r1.Stuck() != 0 || r2.Stuck() != 0 {
-		t.Errorf("stuck: %d per-tuple, %d batch; want 0", r1.Stuck(), r2.Stuck())
-	}
-}
-
-// TestRouteBatchSingleMatchesRoute pins the batch-of-one contract the
-// simulator relies on for bit-identical figure reproduction.
-func TestRouteBatchSingleMatchesRoute(t *testing.T) {
-	q := twoTableQuery(t)
-	for i, tp := range mixedRoutingTuples(t) {
-		r1, err := NewRouter(q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := NewRouter(q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		one := mixedRoutingTuples(t)[i]
-		want := r1.Route(tp, NewSim(r1))
-		got := r2.RouteBatch([]*tuple.Tuple{one}, NewSim(r2), nil)
-		if len(got) != 1 || got[0] != want {
-			t.Fatalf("tuple %d: RouteBatch(1) = %+v, Route = %+v", i, got, want)
-		}
-	}
-}
-
 // TestConcurrentBatchSizesAgainstOracle runs the random-query correctness
-// property on the concurrent engine across batch sizes, including the
-// tuple-at-a-time degenerate case and sizes that leave partial batches.
+// property on the concurrent engine across coalescing caps, including a cap
+// of 1, where nothing coalesces, and sizes that leave partial batches.
 func TestConcurrentBatchSizesAgainstOracle(t *testing.T) {
 	sizes := []int{1, 3, 64}
 	seeds := 6

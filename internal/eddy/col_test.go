@@ -164,12 +164,12 @@ func runConcurrentBatch(t *testing.T, q *query.Q, opts Options, batch int) oracl
 
 // TestColumnarRowEquivalence is the cross-representation property: for random
 // queries mixing Int, Str and Null values (EOT markers travel as completeness
-// tuples in every run), the columnar dataflow (batch sizes 3 and 64) and the
-// row dataflow (batch size 1, and the deterministic simulator as the
-// row-representation reference engine) produce the same result multiset —
-// all equal to the brute-force oracle.
-// Which representation carries a batch is the engine's choice, so the only
-// row-only concurrent point left to pin is the one it picks itself.
+// tuples in every run), the concurrent engine at coalescing caps 1, 3 and 64
+// and the deterministic simulator, the row-representation reference engine,
+// produce the same result multiset — all equal to the brute-force oracle.
+// Which representation carries a batch is the engine's choice (paced scans and
+// index AMs in the mix keep rows in play), so the only row-only concurrent
+// point left to pin is the one it picks itself.
 func TestColumnarRowEquivalence(t *testing.T) {
 	seeds := 8
 	if testing.Short() {

@@ -6,10 +6,11 @@
 // multi-minute runs elapses in milliseconds; a module's returned cost is a
 // floor on its service time, never a sleep added to the work it really did.
 //
-// Dataflow is batch-at-a-time: the eddy coalesces routed tuples into
-// per-module batches of up to BatchSize, so channel sends, inbox wakeups,
-// module locking, and policy decisions amortize across the batch. BatchSize
-// 1 reproduces the original tuple-at-a-time behavior exactly.
+// The eddy routes each row tuple on its own, as the paper's eddy does, and
+// each column-vector batch with one decision. Module service is
+// batch-at-a-time: the eddy coalesces routed tuples into per-module batches
+// of up to BatchSize, so channel sends, inbox wakeups and module locking
+// amortize across the batch.
 //
 // The engine is not deterministic (that is the simulator's job); it is the
 // deployment-shaped engine, and the race-exercising tests run the same
@@ -49,8 +50,8 @@ const (
 // batchPool recycles flow.Batch shells (and their tuple slices) between the
 // eddy and the module workers. A batch is returned to the pool by whichever
 // side consumes it: workers recycle inbox batches after processing, the eddy
-// loop recycles event batches after draining them into staging. Batches held
-// in a closed inbox at shutdown are simply dropped.
+// loop recycles event batches after routing their tuples. Batches held in a
+// closed inbox at shutdown are simply dropped.
 var batchPool = sync.Pool{New: func() any { return &flow.Batch{} }}
 
 func getBatch() *flow.Batch {
@@ -208,9 +209,9 @@ type Concurrent struct {
 	clk *clock.Real
 
 	// BatchSize caps the number of tuples the eddy coalesces into one
-	// channel send to a module; 0 defaults to DefaultBatchSize at Run, and
-	// 1 reproduces per-tuple dataflow exactly. Above 1, with a routing that
-	// can decide a whole batch at once (ColRouter), scan AMs emit typed
+	// channel send to a module; 0 defaults to DefaultBatchSize at Run, and 1
+	// sends every tuple and every column batch on its own. With a routing
+	// that can decide a whole batch at once (ColRouter), scan AMs emit typed
 	// column-vector batches, selection and SteM modules service them with
 	// vectorized kernels, and the eddy routes each with one decision; modules
 	// and SteM configurations that need row semantics fall back to rows on
@@ -254,24 +255,20 @@ type Concurrent struct {
 	colRouter ColRouter
 	colMod    []flow.ColModule
 
-	// pend, staging, and decisions are eddy-goroutine-only: the per-module
-	// coalescing buffers, the reused routing batch incoming tuples drain
-	// into, and the reused RouteBatch scratch. pend is keyed by the tuples'
-	// span within each module, so every released batch is span-homogeneous —
-	// its policy feedback attributes to one tuplestate signature. batchCap is
-	// the per-module coalescing limit: BatchSize for single-server modules, 1
-	// for modules with internal parallelism (batching those would serialize
-	// service their Parallel() worker pool is meant to overlap — e.g.
-	// asynchronous index lookups).
+	// pend holds the per-module coalescing buffers (eddy goroutine only),
+	// keyed by the tuples' span within each module, so every released batch
+	// is span-homogeneous — its policy feedback attributes to one tuplestate
+	// signature. batchCap is the per-module coalescing limit: BatchSize for
+	// single-server modules, 1 for modules with internal parallelism
+	// (batching those would serialize service their Parallel() worker pool is
+	// meant to overlap — e.g. asynchronous index lookups).
 	pend      []map[tuple.TableSet]*flow.Batch
 	pendCount []int
 	batchCap  []int
 	// pendCol holds the columnar coalescing buffers, keyed like pend; merging
 	// requires identical routing headers (SameHeader), and merged storage is
 	// the pooled destination batch's — the source returns to the pool.
-	pendCol   []map[tuple.TableSet]*flow.ColBatch
-	staging   *flow.Batch
-	decisions []Decision
+	pendCol []map[tuple.TableSet]*flow.ColBatch
 
 	mu      sync.Mutex
 	outputs []Output
@@ -350,9 +347,6 @@ func (c *Concurrent) Reset() {
 		}
 		c.pendCount[i] = 0
 	}
-	if c.staging != nil {
-		c.staging.Reset()
-	}
 	c.colRouter = nil
 	c.OnOutput, c.OnOutputCols, c.OnService = nil, nil, nil
 	c.outputs = nil
@@ -422,14 +416,8 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 		c.colMod = make([]flow.ColModule, len(mods))
 		c.pendCount = make([]int, len(mods))
 		c.batchCap = make([]int, len(mods))
-		c.staging = flow.NewBatch(c.BatchSize)
 	}
-	// Columnar capability is recomputed every run: BatchSize may change
-	// between a pooled shell's executions.
-	c.colRouter = nil
-	if c.BatchSize > 1 {
-		c.colRouter, _ = c.r.(ColRouter)
-	}
+	c.colRouter, _ = c.r.(ColRouter)
 	var wg sync.WaitGroup
 	for i, m := range mods {
 		if fresh {
@@ -481,11 +469,8 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				c.inflight.Load(), ctx.Err()))
 		}
 
-		// The eddy goroutine: the only caller of RouteBatch/Choose/Observe.
-		// Incoming tuples drain into the staging batch and are routed once
-		// it reaches BatchSize or the event channel momentarily empties, so
-		// routing (and the policy) sees the widest batches the current load
-		// can supply.
+		// The eddy goroutine: the only caller of Route/Choose/Observe. Row
+		// tuples are routed one by one as their event arrives.
 	loop:
 		for {
 			var ev eddyEvent
@@ -497,11 +482,9 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				canceled()
 				break loop
 			default:
-				// Nothing immediately pending: route what is staged, then
-				// release the coalescing buffers before blocking, so the
-				// tuples held there can produce the events we are about to
-				// wait for.
-				c.routeStaged()
+				// Nothing immediately pending: release the coalescing
+				// buffers before blocking, so the tuples held there can
+				// produce the events we are about to wait for.
 				c.flushAll()
 				if c.inflight.Load() == 0 {
 					break loop
@@ -535,12 +518,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				putBatch(ev.b)
 				c.routeColBatch(cb)
 			} else {
-				for _, t := range ev.b.Tuples {
-					c.staging.Add(t)
-					if c.staging.Len() >= c.BatchSize {
-						c.routeStaged()
-					}
-				}
+				c.routeRows(ev.b.Tuples)
 				putBatch(ev.b)
 			}
 			if c.inflight.Load() == 0 {
@@ -585,25 +563,19 @@ absorb:
 	return c.outputs, c.err
 }
 
-// routeStaged routes the staged tuples in one RouteBatch call, coalescing
-// module-bound tuples into the per-module pending buffers.
-func (c *Concurrent) routeStaged() {
-	if c.staging.Len() == 0 {
-		return
-	}
-	b := c.staging
-	unresolved := int64(b.Len())
+// routeRows routes the tuples of one row event, one Route call each,
+// coalescing module-bound tuples into the per-module pending buffers. A
+// routing panic fails the run and releases the tuples not yet routed.
+func (c *Concurrent) routeRows(ts []*tuple.Tuple) {
+	unrouted := int64(len(ts))
 	defer func() {
-		b.Reset()
 		if r := recover(); r != nil {
 			c.setErr(fmt.Errorf("eddy: routing panic: %v", r))
-			c.inflight.Add(-unresolved)
+			c.inflight.Add(-unrouted)
 		}
 	}()
-	c.decisions = c.r.RouteBatch(b.Tuples, c, c.decisions[:0])
-	for i, d := range c.decisions {
-		t := b.Tuples[i]
-		switch {
+	for _, t := range ts {
+		switch d := c.r.Route(t, c); {
 		case d.Output:
 			c.output(t, c.clk.Now())
 			c.inflight.Add(-1)
@@ -614,7 +586,7 @@ func (c *Concurrent) routeStaged() {
 		default:
 			c.enqueue(d.Module, t)
 		}
-		unresolved--
+		unrouted--
 	}
 }
 
@@ -871,19 +843,14 @@ func (c *Concurrent) finish(mod int, b *flow.Batch, inRows int, rowEms []flow.Em
 	var ready *flow.Batch
 	var delayed []flow.Emission
 	for _, em := range rowEms {
-		switch {
-		case em.Delay > 0:
+		if em.Delay > 0 {
 			delayed = append(delayed, em)
-		case c.BatchSize == 1:
-			// Tuple-at-a-time mode: every emission is its own event,
-			// exactly as the pre-batching engine sent them.
-			c.events <- eddyEvent{b: getBatchOf(em.T)}
-		default:
-			if ready == nil {
-				ready = getBatch()
-			}
-			ready.Add(em.T)
+			continue
 		}
+		if ready == nil {
+			ready = getBatch()
+		}
+		ready.Add(em.T)
 	}
 	if ready != nil {
 		c.events <- eddyEvent{b: ready}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/flow"
@@ -153,17 +155,15 @@ type arrivalLog struct {
 	atEOT int // rows seen when the EOT first arrived; -1 until then
 }
 
-func (a *arrivalLog) RouteBatch(ts []*tuple.Tuple, env policy.Env, dst []Decision) []Decision {
-	for _, t := range ts {
-		switch {
-		case t.Seed || t.Span != tuple.Single(a.tbl):
-		case t.EOT == nil:
-			a.seen[t] = struct{}{}
-		case a.atEOT < 0:
-			a.atEOT = len(a.seen)
-		}
+func (a *arrivalLog) Route(t *tuple.Tuple, env policy.Env) Decision {
+	switch {
+	case t.Seed || t.Span != tuple.Single(a.tbl):
+	case t.EOT == nil:
+		a.seen[t] = struct{}{}
+	case a.atEOT < 0:
+		a.atEOT = len(a.seen)
 	}
-	return a.Routing.RouteBatch(ts, env, dst)
+	return a.Routing.Route(t, env)
 }
 
 // TestPacedScanEOTArrivesLast: a paced scan's EOT is due together with its
@@ -242,5 +242,60 @@ func TestFlushModuleColumnsFirst(t *testing.T) {
 	}
 	if len(c.pend[0]) != 0 || len(c.pendCol[0]) != 0 || c.pendCount[0] != 0 {
 		t.Fatal("flushModule left buffered batches behind")
+	}
+}
+
+// burstModule answers every tuple with three fresh ones, which reach the eddy
+// as one row event.
+type burstModule struct{}
+
+func (burstModule) Name() string  { return "burst" }
+func (burstModule) Parallel() int { return 1 }
+func (burstModule) Process(*tuple.Tuple, clock.Time) ([]flow.Emission, clock.Duration) {
+	out := make([]flow.Emission, 3)
+	for i := range out {
+		out[i] = flow.Emit(tuple.NewSingleton(1, 0, tuple.Row{value.NewInt(int64(i))}))
+	}
+	return out, 0
+}
+
+// panicOnSecond routes its seed to the burst module, drops the first tuple of
+// the burst and panics on the second.
+type panicOnSecond struct {
+	oneModule
+	routed int
+}
+
+func (p *panicOnSecond) Route(t *tuple.Tuple, _ policy.Env) Decision {
+	if t.Seed {
+		return Decision{Module: 0}
+	}
+	if p.routed++; p.routed == 2 {
+		panic("boom")
+	}
+	return Decision{Drop: true}
+}
+
+// TestRoutingPanicFailsTheRun: a Route that panics midway through a row event
+// fails the run with a routing-panic error and releases exactly the event's
+// unrouted tuples, so the run still quiesces. Releasing one too few or one too
+// many leaves the in-flight count off zero, and the run never ends.
+func TestRoutingPanicFailsTheRun(t *testing.T) {
+	r := &panicOnSecond{oneModule: oneModule{mod: burstModule{}, n: 1, pol: policy.NewFixed()}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewConcurrent(r, clock.NewReal(0.00002)).Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "eddy: routing panic: boom") {
+			t.Fatalf("run error = %v, want the routing panic", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run never quiesced after a routing panic")
+	}
+	if r.routed != 2 {
+		t.Errorf("%d burst tuples were routed, want 2 (the panic ends the event)", r.routed)
 	}
 }

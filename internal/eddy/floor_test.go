@@ -47,11 +47,8 @@ type oneModule struct {
 }
 
 func (o *oneModule) Route(*tuple.Tuple, policy.Env) Decision { return Decision{Module: 0} }
-func (o *oneModule) RouteBatch(ts []*tuple.Tuple, _ policy.Env, dst []Decision) []Decision {
-	return append(dst, make([]Decision, len(ts))...)
-}
-func (o *oneModule) Modules() []flow.Module { return []flow.Module{o.mod} }
-func (o *oneModule) Policy() policy.Policy  { return o.pol }
+func (o *oneModule) Modules() []flow.Module                  { return []flow.Module{o.mod} }
+func (o *oneModule) Policy() policy.Policy                   { return o.pol }
 func (o *oneModule) Seeds() []*tuple.Tuple {
 	seeds := make([]*tuple.Tuple, o.n)
 	for i := range seeds {

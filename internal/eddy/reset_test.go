@@ -73,9 +73,6 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 			t.Errorf("module %d pendCount = %d, want 0", mod, eng.pendCount[mod])
 		}
 	}
-	if eng.staging != nil && eng.staging.Len() != 0 {
-		t.Errorf("staging holds %d tuples", eng.staging.Len())
-	}
 	select {
 	case <-eng.done:
 		t.Error("done channel still closed after Reset")

@@ -327,6 +327,11 @@ func (r *Router) Seeds() []*tuple.Tuple {
 // Route decides the fate of one tuple returned to the eddy.
 func (r *Router) Route(t *tuple.Tuple, env policy.Env) Decision {
 	r.routed.Add(1)
+	return r.decide(t, env)
+}
+
+// decide is Route's decision for t, without the routing count.
+func (r *Router) decide(t *tuple.Tuple, env policy.Env) Decision {
 	if d, ok := r.routeFast(t); ok {
 		return d
 	}
@@ -341,73 +346,11 @@ func (r *Router) Route(t *tuple.Tuple, env policy.Env) Decision {
 	return r.applyChoice(t, cands[choice])
 }
 
-// RouteBatch decides the fate of every tuple of one batch, appending one
-// Decision per tuple (in input order) to dst. Tuples that share routing
-// state — the lineage and readiness fields the Table 2 constraints and the
-// policies read — form one partition, whose constraint-legal moves are
-// computed and whose policy decision is made once; per-tuple bookkeeping
-// (BoundedRepetition visits, re-probe pacing) is still applied individually.
-// A batch of one routes exactly like Route.
-func (r *Router) RouteBatch(ts []*tuple.Tuple, env policy.Env, dst []Decision) []Decision {
-	if len(ts) == 1 {
-		return append(dst, r.Route(ts[0], env))
-	}
-	r.routed.Add(uint64(len(ts)))
-	base := len(dst)
-	for range ts {
-		dst = append(dst, Decision{})
-	}
-
-	// Pass 1: resolve constraint-forced moves per tuple and partition the
-	// rest by routing signature.
-	type group struct {
-		idxs []int
-	}
-	var order []routeSig
-	groups := make(map[routeSig]*group)
-	for i, t := range ts {
-		if d, ok := r.routeFast(t); ok {
-			dst[base+i] = d
-			continue
-		}
-		sig := sigOf(t)
-		g := groups[sig]
-		if g == nil {
-			g = &group{}
-			groups[sig] = g
-			order = append(order, sig)
-		}
-		g.idxs = append(g.idxs, i)
-	}
-
-	// Pass 2: one candidate computation and one policy decision per
-	// partition, applied to every member.
-	for _, sig := range order {
-		g := groups[sig]
-		rep := ts[g.idxs[0]]
-		cands := r.candidates(rep)
-		if len(cands) == 0 {
-			for _, i := range g.idxs {
-				dst[base+i] = r.noCandidates(ts[i])
-			}
-			continue
-		}
-		choice := r.pol.Choose(rep, cands, env)
-		if choice < 0 || choice >= len(cands) {
-			choice = 0
-		}
-		for _, i := range g.idxs {
-			dst[base+i] = r.applyChoice(ts[i], cands[choice])
-		}
-	}
-	return dst
-}
-
 // RouteCol decides the fate of a columnar batch as one unit. The batch's
 // routing header is uniform by construction — every row has routed together
 // its whole life, and the columnar module paths preserve that (SteMs split
-// bounced batches rather than let HasMatches diverge) — so it is one
-// RouteBatch partition: one constraint computation, one policy choice, one
+// bounced batches rather than let HasMatches diverge) — so every row would
+// get Route's decision: one constraint computation, one policy choice, one
 // shared visit increment, with no representative materialization beyond a
 // stack tuple carrying the header fields the constraints and policies read.
 func (r *Router) RouteCol(cb *flow.ColBatch, env policy.Env) Decision {
@@ -430,108 +373,11 @@ func (r *Router) RouteCol(cb *flow.ColBatch, env policy.Env) Decision {
 	if cb.HasMatches {
 		rep.LastProbeMatches = 1
 	}
-	t := &rep
-	var d Decision
-	if fd, ok := r.routeFast(t); ok {
-		d = fd
-	} else if cands := r.candidates(t); len(cands) == 0 {
-		d = r.noCandidates(t)
-	} else {
-		choice := r.pol.Choose(t, cands, env)
-		if choice < 0 || choice >= len(cands) {
-			choice = 0
-		}
-		d = r.applyChoice(t, cands[choice])
-	}
-	if t.Visits != nil {
-		cb.Visits = t.Visits // visit() may have lazily allocated the vector
+	d := r.decide(&rep, env)
+	if rep.Visits != nil {
+		cb.Visits = rep.Visits // visit() may have lazily allocated the vector
 	}
 	return d
-}
-
-// routeSig is the partition key of RouteBatch: two tuples with equal
-// signatures see identical constraint-legal moves and identical policy
-// inputs (up to the exact LastProbeMatches count, which policies read only
-// as a zero/nonzero signal). The visit-count vector is packed exactly into
-// two uint64 words in the common case (≤16 modules, counts ≤255), so
-// partitioning a batch allocates no key material; larger vectors fall back
-// to a string encoding. Both encodings are bijective — this is a partition
-// key, not a hash, and a collision would illegally share one policy
-// decision across differently-constrained tuples.
-type routeSig struct {
-	span       tuple.TableSet
-	done       tuple.PredSet
-	built      tuple.TableSet
-	probeTable int
-	flags      uint8
-	visitsLo   uint64
-	visitsHi   uint64
-	visits     string
-}
-
-const (
-	sigPriorProber uint8 = 1 << iota
-	sigAMProbed
-	sigHasMatches
-)
-
-// sigOf computes a tuple's routing signature.
-func sigOf(t *tuple.Tuple) routeSig {
-	sig := routeSig{span: t.Span, done: t.Done, built: t.Built}
-	if t.PriorProber {
-		sig.flags |= sigPriorProber
-		sig.probeTable = t.ProbeTable
-	}
-	if t.AMProbed {
-		sig.flags |= sigAMProbed
-	}
-	if t.LastProbeMatches > 0 {
-		sig.flags |= sigHasMatches
-	}
-	sig.visitsLo, sig.visitsHi, sig.visits = visitsKey(t.Visits)
-	return sig
-}
-
-// visitsKey encodes a visit-count vector compactly: one byte per module
-// packed into two uint64 words when it fits, a string otherwise. An
-// all-zero vector normalizes to the zero encoding so fresh and lazily-sized
-// tuples group together.
-func visitsKey(v []uint16) (lo, hi uint64, s string) {
-	allZero := true
-	for _, x := range v {
-		if x != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		return 0, 0, ""
-	}
-	if len(v) <= 16 {
-		packable := true
-		for _, x := range v {
-			if x > 0xff {
-				packable = false
-				break
-			}
-		}
-		if packable {
-			for i, x := range v {
-				if i < 8 {
-					lo |= uint64(x) << (8 * i)
-				} else {
-					hi |= uint64(x) << (8 * (i - 8))
-				}
-			}
-			return lo, hi, ""
-		}
-	}
-	b := make([]byte, 2*len(v))
-	for i, x := range v {
-		b[2*i] = byte(x)
-		b[2*i+1] = byte(x >> 8)
-	}
-	return 0, 0, string(b)
 }
 
 // routeFast resolves the moves Table 2 forces outright, before any policy

@@ -81,16 +81,12 @@ func (s *server) observeCost(c clock.Duration) {
 
 // Routing abstracts what the engines need from a router, so the baseline
 // executors (static plans and the eddy-with-join-modules architecture of
-// Figure 1) run on the same engines as the SteM eddy. Routing is
-// batch-at-a-time: engines hand back batches of returned tuples and receive
-// one Decision per tuple; Route is the batch-of-one special case, and
-// RouteBatch with a single tuple must decide exactly as Route.
+// Figure 1) run on the same engines as the SteM eddy. A row tuple is routed
+// on its own, as in the paper's eddy; a columnar batch is routed as one unit
+// by a Routing that also implements ColRouter.
 type Routing interface {
 	// Route decides the fate of a tuple returned to the eddy.
 	Route(t *tuple.Tuple, env policy.Env) Decision
-	// RouteBatch decides the fate of every tuple of a batch, appending one
-	// Decision per tuple (in input order) to dst and returning it.
-	RouteBatch(ts []*tuple.Tuple, env policy.Env, dst []Decision) []Decision
 	// Modules returns the module list; indexes are stable module IDs.
 	Modules() []flow.Module
 	// Seeds returns the initial tuples injected at time zero.
@@ -131,12 +127,6 @@ type Sim struct {
 
 	outputs []Output
 	events  uint64
-
-	// scratchT/scratchD are the reused batch-of-one buffers route feeds
-	// through RouteBatch: the simulator drives the batch dataflow at batch
-	// size 1, which reproduces tuple-at-a-time routing bit-identically.
-	scratchT []*tuple.Tuple
-	scratchD []Decision
 }
 
 // NewSim prepares a simulation run for the router's query.
@@ -246,9 +236,7 @@ func (s *Sim) loop() ([]Output, error) {
 func (s *Sim) Events() uint64 { return s.events }
 
 func (s *Sim) route(t *tuple.Tuple) {
-	s.scratchT = append(s.scratchT[:0], t)
-	s.scratchD = s.r.RouteBatch(s.scratchT, s, s.scratchD[:0])
-	d := s.scratchD[0]
+	d := s.r.Route(t, s)
 	switch {
 	case d.Output:
 		s.outputs = append(s.outputs, Output{T: t, At: s.now})

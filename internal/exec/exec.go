@@ -164,15 +164,6 @@ func (b *Baseline) Route(t *tuple.Tuple, env policy.Env) eddy.Decision {
 	return eddy.Decision{Module: c.Module, Kind: c.Kind}
 }
 
-// RouteBatch implements eddy.Routing by deciding per tuple: the baselines'
-// fixed pipelines have no partition fast path worth amortizing.
-func (b *Baseline) RouteBatch(ts []*tuple.Tuple, env policy.Env, dst []eddy.Decision) []eddy.Decision {
-	for _, t := range ts {
-		dst = append(dst, b.Route(t, env))
-	}
-	return dst
-}
-
 // LeftDeepSHJ builds the stages of a left-deep pipelined binary SHJ tree
 // over the given table order (Figure 2(i)): join i combines the accumulated
 // span of order[0..i] with order[i+1] on an equality predicate from the

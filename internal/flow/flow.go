@@ -77,11 +77,6 @@ type Batch struct {
 	Col *ColBatch
 }
 
-// NewBatch returns an empty batch with room for capacity tuples.
-func NewBatch(capacity int) *Batch {
-	return &Batch{Tuples: make([]*tuple.Tuple, 0, capacity)}
-}
-
 // BatchOf wraps the given tuples as a batch (sharing the slice).
 func BatchOf(ts ...*tuple.Tuple) *Batch { return &Batch{Tuples: ts} }
 
@@ -122,8 +117,8 @@ func (b *Batch) Contains(t *tuple.Tuple) bool {
 // one must behave exactly like Module.Process.
 //
 // Modules implement BatchModule natively when they can amortize work across
-// tuples (a SteM takes its lock once and reuses probe candidate lists, a
-// selection module vectorizes predicate evaluation); any other Module is
+// tuples (a SteM takes its lock once per batch, a selection module
+// vectorizes predicate evaluation); any other Module is
 // lifted by the Lift shim, so third-party per-tuple modules keep working
 // unchanged.
 type BatchModule interface {

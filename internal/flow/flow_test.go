@@ -20,9 +20,9 @@ func TestEmitConstructors(t *testing.T) {
 }
 
 func TestBatchHelpers(t *testing.T) {
-	b := NewBatch(4)
+	b := &Batch{}
 	if b.Len() != 0 {
-		t.Fatalf("NewBatch Len = %d, want 0", b.Len())
+		t.Fatalf("empty batch Len = %d, want 0", b.Len())
 	}
 	t1 := tuple.NewSingleton(2, 0, tuple.Row{})
 	t2 := tuple.NewSingleton(2, 1, tuple.Row{})

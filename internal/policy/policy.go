@@ -272,6 +272,16 @@ func ByName(name string, seed int64) (Policy, error) {
 	case "lottery":
 		return NewLottery(seed), nil
 	default:
-		return nil, fmt.Errorf("policy: unknown policy %q (want benefitcost, fixed, or lottery)", name)
+		return nil, CheckName(name)
 	}
+}
+
+// CheckName reports whether ByName knows name, without building a policy
+// (a randomized one carries a 4.9 kB source).
+func CheckName(name string) error {
+	switch name {
+	case "", "benefitcost", "fixed", "lottery":
+		return nil
+	}
+	return fmt.Errorf("policy: unknown policy %q (want benefitcost, fixed, or lottery)", name)
 }

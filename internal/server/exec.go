@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/pprof"
 	"slices"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/flow"
+	"repro/internal/policy"
 	"repro/internal/query"
 	"repro/internal/sql"
 	"repro/internal/trace"
@@ -218,6 +220,10 @@ func (e *deadlineError) Error() string {
 	return e.what + " deadline " + e.deadline.String() + " exceeded"
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration holds (about 292
+// years); a subscription asking for more is refused.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // spec is the part of a core.Spec bounded queries and subscriptions share:
 // the request's routing policy over the operator's process-wide settings.
 func (s *Server) spec(q *live, iq *query.Q) core.Spec {
@@ -226,7 +232,6 @@ func (s *Server) spec(q *live, iq *query.Q) core.Spec {
 		Engine: core.Concurrent,
 		Policy: q.policy,
 		Seed:   s.cfg.Seed,
-		Batch:  s.cfg.BatchSize,
 	}
 }
 
@@ -244,9 +249,8 @@ type live struct {
 	id    uint64
 	// policy is the request's routing policy, or the server default: the one
 	// execution setting a request can vary. It keys the plan, names the
-	// core.Spec's policy and is reported in the query record. Everything else
-	// that shapes a run (seed, batch size) is the operator's,
-	// fixed for the process in Config.
+	// core.Spec's policy and is reported in the query record. The seed is the
+	// operator's, fixed for the process in Config.
 	policy string
 
 	ctx context.Context
@@ -348,15 +352,22 @@ func (q *live) text() string {
 // canon is the statement's canonical text when the caller has it stored,
 // else "".
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequest, st *sql.Stmt, canon string) {
-	var shape string // what is wrong with the request's shape; such requests never take a slot
+	var shape error // what is wrong with the request's shape; such requests never take a slot
 	switch {
 	case !req.Subscribe && len(req.Window) > 0:
-		shape = `"window" requires "subscribe": true (a bounded query's results would depend on scan interleaving)`
+		shape = errors.New(`"window" requires "subscribe": true (a bounded query's results would depend on scan interleaving)`)
 	case req.Subscribe && req.Explain:
-		shape = "explain is not supported on subscriptions"
+		shape = errors.New("explain is not supported on subscriptions")
+	case req.Subscribe && req.DeadlineMS > maxDeadlineMS:
+		shape = fmt.Errorf(`"deadline_ms" %d does not fit a duration (at most %d)`, req.DeadlineMS, maxDeadlineMS)
+	default:
+		// Checked by name: binding a plan entry (or building a policy) for a
+		// name no policy answers to would fill the plan cache with plans
+		// that can never run.
+		shape = policy.CheckName(req.Policy)
 	}
-	if shape != "" {
-		writeJSONError(w, http.StatusBadRequest, errors.New(shape))
+	if shape != nil {
+		writeJSONError(w, http.StatusBadRequest, shape)
 		return
 	}
 	// Register with the drain barrier first: Shutdown flips draining before
@@ -381,15 +392,18 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req *QueryRequ
 	stopBase := context.AfterFunc(s.baseCtx, func() { cancel(context.Cause(s.baseCtx)) })
 	defer stopBase()
 
-	deadline, what := time.Duration(req.DeadlineMS)*time.Millisecond, "subscription"
-	if !req.Subscribe {
-		what = "query"
-		if deadline <= 0 {
-			deadline = s.cfg.DefaultDeadline
-		}
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
+	// The cap is compared in milliseconds, before converting: a larger
+	// deadline_ms would wrap around as a time.Duration.
+	deadline, what := time.Duration(0), "query"
+	switch {
+	case req.Subscribe:
+		deadline, what = time.Duration(req.DeadlineMS)*time.Millisecond, "subscription"
+	case req.DeadlineMS <= 0:
+		deadline = min(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
+	case req.DeadlineMS > s.cfg.MaxDeadline.Milliseconds():
+		deadline = s.cfg.MaxDeadline
+	default:
+		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 	if deadline > 0 {
 		var cancelT context.CancelFunc

@@ -247,8 +247,8 @@ func TestCompletedQueriesRing(t *testing.T) {
 	}
 
 	// A failed query lands in the ring with its status and error.
-	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "policy": "warp"}); res.status != http.StatusBadRequest {
-		t.Fatalf("bad policy status = %d", res.status)
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": "SELECT zz.k FROM zz"}); res.status != http.StatusBadRequest {
+		t.Fatalf("unknown table status = %d", res.status)
 	}
 	recs = fetchQueries(t, client, ts.URL, "")
 	if recs[0].Status != "error" || recs[0].Error == "" {

@@ -47,12 +47,9 @@ type Config struct {
 	// Policy is the default routing policy: "benefitcost" (default),
 	// "fixed", or "lottery".
 	Policy string
-	// Seed and BatchSize apply to every query — a request cannot override
-	// them, so no client sizes the engine. Seed feeds randomized policies
-	// (default 1); BatchSize is the concurrent engine's eddy batch size (0 is
-	// eddy.DefaultBatchSize).
-	Seed      int64
-	BatchSize int
+	// Seed feeds randomized policies (default 1). It applies to every query:
+	// a request cannot override it.
+	Seed int64
 	// PlanCacheSize bounds the plan cache (LRU-evicted). 0 takes the default
 	// of 128; negative: entries are transient, nothing is published or
 	// pooled — every statement re-binds and builds its handle.
@@ -397,7 +394,7 @@ func (s *Server) gauges() gauges {
 }
 
 // QueryRequest is the POST /query body. Its fields are what one tenant may
-// vary for its own query; seed and batch size are Config's.
+// vary for its own query; the seed is Config's.
 // Unknown fields are ignored.
 type QueryRequest struct {
 	// SQL is the statement: a SELECT, a REGISTER TABLE, a PREPARE, or an
@@ -407,9 +404,12 @@ type QueryRequest struct {
 	// collective cancellation; unknown IDs are created on first use.
 	Session string `json:"session,omitempty"`
 	// DeadlineMS bounds the query's wall time in milliseconds; 0 takes the
-	// server default, and values above the server maximum are capped.
+	// server default, and values above the server maximum are capped. A
+	// subscription has no deadline unless it names one, and one that does not
+	// fit a time.Duration (about 292 years) is refused.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Policy overrides the server's default routing policy.
+	// Policy overrides the server's default routing policy; an unknown name
+	// is refused.
 	Policy string `json:"policy,omitempty"`
 	// Explain streams the query normally, then appends one NDJSON trace
 	// record after the done trailer: per-module visits/outputs/selectivity

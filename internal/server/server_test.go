@@ -230,6 +230,43 @@ func TestParseAndBindErrorsAre400(t *testing.T) {
 	}
 }
 
+// TestUnknownPolicyTakesNoPlan: a request naming a routing policy the server
+// does not have is refused with 400 before admission, so it binds no plan,
+// caches none and evicts none. (Refused only after binding, five such
+// requests on a 4-entry cache used to leave four dead plans behind.)
+func TestUnknownPolicyTakesNoPlan(t *testing.T) {
+	_, ts, client := newTestServer(t, memCatalog(t), Config{PlanCacheSize: 4})
+	for i := 1; i <= 5; i++ {
+		policy := fmt.Sprintf("nope%d", i)
+		res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "policy": policy})
+		if res.status != http.StatusBadRequest {
+			t.Errorf("policy %q: status = %d, want 400", policy, res.status)
+		}
+	}
+	if _, plans := plansBody(t, client, ts.URL); len(plans) != 0 {
+		t.Errorf("/plans lists %d entries after unknown-policy requests: %v", len(plans), plans)
+	}
+	if n := metricValue(t, metricsBody(t, client, ts.URL), "stemsd_plan_cache_misses_total"); n != 0 {
+		t.Errorf("stemsd_plan_cache_misses_total = %d, want 0", n)
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin, "policy": "lottery"}); res.status != http.StatusOK || len(res.rows) != 5 {
+		t.Errorf("a known policy: status=%d rows=%d", res.status, len(res.rows))
+	}
+}
+
+// TestHugeDeadlineIsCapped: a deadline_ms whose nanoseconds overflow a
+// time.Duration is capped at MaxDeadline like any other large value, not
+// wrapped round into a tiny one (18446744073710 ms used to wrap to about
+// 448 µs). TestSubscribeRejections has the subscription case, which is
+// refused instead.
+func TestHugeDeadlineIsCapped(t *testing.T) {
+	_, ts, client := newTestServer(t, slowCatalog(t), Config{MaxDeadline: 200 * time.Millisecond})
+	res := postQuery(t, client, ts.URL, map[string]any{"sql": slowJoin, "deadline_ms": int64(18446744073710)})
+	if want := "query deadline 200ms exceeded"; res.errLine != want {
+		t.Errorf("error = %q (status %d), want %q", res.errLine, res.status, want)
+	}
+}
+
 // TestRegisterTableAtRuntime registers CSVs through the query endpoint and
 // immediately joins across them — the shared catalog is mutable while the
 // server runs.

@@ -701,7 +701,8 @@ func TestSubscribeRejections(t *testing.T) {
 		{"register", map[string]any{"sql": "REGISTER TABLE z FROM 'z.csv'", "subscribe": true}, false},
 		{"insert", map[string]any{"sql": "INSERT INTO r VALUES (1, 2)", "subscribe": true}, false},
 		{"explain", map[string]any{"sql": threeWayJoin, "subscribe": true, "explain": true}, false},
-		{"bad policy", map[string]any{"sql": threeWayJoin, "subscribe": true, "policy": "warp"}, true},
+		{"bad policy", map[string]any{"sql": threeWayJoin, "subscribe": true, "policy": "warp"}, false},
+		{"deadline beyond a duration", map[string]any{"sql": "SELECT r.key FROM r, s WHERE r.a = s.x", "subscribe": true, "deadline_ms": int64(18446744073710)}, false},
 		{"unknown table", map[string]any{"sql": "SELECT zz.k FROM zz", "subscribe": true}, true},
 		{"indexed table", map[string]any{"sql": "SELECT s.x, u.q FROM s, u WHERE s.y = u.p", "subscribe": true}, true},
 		{"window without subscribe", map[string]any{"sql": threeWayJoin, "window": map[string]int{"r": 2}}, false},

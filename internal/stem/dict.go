@@ -28,32 +28,6 @@ type Lookup struct {
 	EquiVals []value.V
 }
 
-// cacheKey hashes the lookup into a 64-bit key, so batched probes sharing a
-// key can reuse one candidate list. Hash collisions are resolved by the
-// cache, which verifies the full column/value lists.
-func (lk Lookup) cacheKey() uint64 {
-	h := value.HashSeed
-	for i, c := range lk.EquiCols {
-		h = value.MixUint64(h, uint64(c))
-		h = lk.EquiVals[i].HashInto(h)
-	}
-	return h
-}
-
-// equiEqual reports whether the lookup's equality constraints are exactly
-// (cols, vals): the verification half of the cache's hash-with-verify keys.
-func (lk Lookup) equiEqual(cols []int, vals []value.V) bool {
-	if len(lk.EquiCols) != len(cols) {
-		return false
-	}
-	for i, c := range lk.EquiCols {
-		if c != cols[i] || !lk.EquiVals[i].Equal(vals[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // chain is one hash bucket of one index: the entry positions stored under a
 // hash, threaded through HashDict.next in insertion order. n is kept so the
 // narrowest-index heuristic reads a bucket's length in O(1); it also ends the

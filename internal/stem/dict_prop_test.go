@@ -341,34 +341,3 @@ func TestDictEvictAlongChain(t *testing.T) {
 		t.Fatalf("the refilled hot chain holds %d rows, want 3", got)
 	}
 }
-
-// TestProbeCacheCollision pins the probeCache's hash-with-verify behavior:
-// two lookups sharing a 64-bit cache key must not share candidate lists.
-func TestProbeCacheCollision(t *testing.T) {
-	d := NewHashDict(nil) // no indexed column: every lookup is a full scan
-	d.Insert(tuple.Row{value.NewInt(1)}, 1)
-	d.Insert(tuple.Row{value.NewInt(2)}, 2)
-
-	lkA := Lookup{EquiCols: []int{0}, EquiVals: []value.V{value.NewInt(1)}}
-	lkB := Lookup{EquiCols: []int{0}, EquiVals: []value.V{value.NewInt(2)}}
-	key := lkA.cacheKey()
-
-	pc := &probeCache{}
-	// Force a collision: seed the cache so lkB's entry sits under lkA's key
-	// (same key, different constraints — the verify step must reject it).
-	pc.ents = []cachedCands{{cols: lkB.EquiCols, vals: lkB.EquiVals, es: []Entry{{Row: tuple.Row{value.NewInt(2)}, TS: 2}}}}
-	pc.m = map[uint64][]int{key: {0}}
-	es := pc.candidates(d, lkA)
-	// d's candidates are a full scan; the point is the cache must NOT
-	// have returned lkB's single-entry list for lkA.
-	if len(es) != 2 {
-		t.Fatalf("colliding cache entry leaked across lookups: got %d candidates, want full scan of 2", len(es))
-	}
-	if len(pc.m[key]) != 2 {
-		t.Fatalf("cache should hold both colliding entries, has %d", len(pc.m[key]))
-	}
-	// A repeated lkA probe must now hit its own verified entry.
-	if es2 := pc.candidates(d, lkA); len(es2) != 2 {
-		t.Fatalf("verified cache hit returned %d candidates, want 2", len(es2))
-	}
-}

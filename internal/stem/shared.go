@@ -37,7 +37,7 @@
 //     HashDict.Candidates, the columnar probe (col.go's probeCols, which an
 //     attached SteM takes whenever a private one would) by walking the bucket
 //     chains. Both skip the TimeStamp window, stamp 0 and never bounce.
-//     Per-query scratch (lookups, probe caches, stats) stays in the attaching
+//     Per-query scratch (lookups, probe buffers, stats) stays in the attaching
 //     SteM handle.
 //
 // The result is multiset-identical to a private-state run of the same query
@@ -136,7 +136,7 @@ func RowFootprint(row tuple.Row) int64 {
 func (ss *SharedState) Close() error { return nil }
 
 // newAttached builds a probe-only SteM handle over sealed shared state. The
-// handle owns per-query scratch, probe caches, and stats; the dictionary
+// handle owns per-query scratch, probe buffers, and stats; the dictionary
 // belongs to the SharedState and is never written.
 func newAttached(cfg Config) *SteM {
 	ss := cfg.Shared

@@ -22,7 +22,6 @@ import (
 	"repro/internal/pred"
 	"repro/internal/query"
 	"repro/internal/tuple"
-	"repro/internal/value"
 )
 
 // Counter issues the global, monotonically increasing build timestamps of
@@ -106,9 +105,6 @@ type probeScratch struct {
 	bindScratch tuple.Row
 	catScratch  *tuple.Tuple
 	predCache   map[tuple.TableSet][]pred.P
-	// pc is the per-batch probe cache; each batch invalidates it on entry
-	// and reuses its storage (see probeCache).
-	pc probeCache
 	// Columnar probe scratch (col.go): the equi-bind plan, the dictionary
 	// index position per plan entry, the verify predicate set, and per-row
 	// match flags — all reused across batches under the same lock.
@@ -273,107 +269,36 @@ func (s *SteM) Size() int {
 func (s *SteM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.processLocked(t, nil)
+	return s.processLocked(t)
 }
 
 // ProcessBatch implements flow.BatchModule: the lock is taken once for the
-// whole batch, and probes sharing a lookup key within the batch reuse one
-// candidate list (builds within the batch invalidate it, since they change
-// the dictionary). A batch of one behaves exactly like Process.
+// whole batch. A batch of one behaves exactly like Process.
 func (s *SteM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
 	var out []flow.Emission
 	var total clock.Duration
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scr.pc.invalidate()
 	for _, t := range b.Tuples {
-		ems, cost := s.processLocked(t, &s.scr.pc)
+		ems, cost := s.processLocked(t)
 		out = append(out, ems...)
 		total += cost
 	}
 	return out, total
 }
 
-// processLocked serves one tuple with s.mu held. pc, when non-nil, caches
-// probe candidate lists across the tuples of one batch.
-func (s *SteM) processLocked(t *tuple.Tuple, pc *probeCache) ([]flow.Emission, clock.Duration) {
+// processLocked serves one tuple with s.mu held.
+func (s *SteM) processLocked(t *tuple.Tuple) ([]flow.Emission, clock.Duration) {
 	switch {
 	case t.EOT != nil && t.EOT.Table == s.cfg.Table:
 		s.recordEOT(t)
 		return nil, s.cfg.BuildCost
 	case t.IsSingleton() && t.SingleTable() == s.cfg.Table && !t.Built.Has(s.cfg.Table):
-		if pc != nil {
-			pc.invalidate()
-		}
 		return s.build(t), s.cfg.BuildCost
 	default:
-		out := s.probeLocked(t, pc)
+		out := s.probeLocked(t)
 		return out, s.cfg.ProbeCost + clock.Duration(len(out))*s.cfg.PerMatchCost
 	}
-}
-
-// probeCache memoizes dictionary candidate lists by hashed lookup key within
-// one batch, so probes grouped on the same key hash once. Entries carry the
-// equality constraints they were computed for, verifying them on every hit
-// (hash-with-verify: two lookups colliding on the 64-bit key must not share
-// candidates). Builds and evictions invalidate the cache.
-//
-// The cache lives in the SteM's probeScratch and is invalidated — not
-// reallocated — between batches: the map keeps its buckets and the entry
-// arena keeps its slots (including each slot's cols/vals capacity), so
-// steady-state probing on a pooled router allocates only for genuinely new
-// keys.
-type probeCache struct {
-	m    map[uint64][]int // lookup-key hash -> indices into ents
-	ents []cachedCands
-}
-
-// cachedCands is one verified cache entry.
-type cachedCands struct {
-	cols []int
-	vals []value.V
-	es   []Entry
-}
-
-// invalidate empties the cache in place, keeping the map's buckets and the
-// arena's slots for reuse.
-func (pc *probeCache) invalidate() {
-	clear(pc.m)
-	pc.ents = pc.ents[:0]
-}
-
-// candidates returns d's candidates for lk, consulting and filling the
-// cache.
-func (pc *probeCache) candidates(d *HashDict, lk Lookup) []Entry {
-	if pc == nil {
-		return d.Candidates(lk)
-	}
-	key := lk.cacheKey()
-	for _, i := range pc.m[key] {
-		c := &pc.ents[i]
-		if lk.equiEqual(c.cols, c.vals) {
-			return c.es
-		}
-	}
-	es := d.Candidates(lk)
-	if pc.m == nil {
-		pc.m = make(map[uint64][]int)
-	}
-	// The lookup's slices are scratch reused by the next probe, so the cache
-	// keeps its own copies — written into a recycled arena slot when one is
-	// free, preserving its cols/vals capacity.
-	n := len(pc.ents)
-	if n < cap(pc.ents) {
-		pc.ents = pc.ents[:n+1]
-	} else {
-		pc.ents = append(pc.ents, cachedCands{})
-	}
-	c := &pc.ents[n]
-	c.cols = append(c.cols[:0], lk.EquiCols...)
-	c.vals = append(c.vals[:0], lk.EquiVals...)
-	c.es = es
-	pc.m[key] = append(pc.m[key], n)
-	return es
 }
 
 // build stores a singleton (s.mu held) and bounces it back (SteM
@@ -453,7 +378,7 @@ func (s *SteM) eotIdxFor(cols []int) *eotIdx {
 // concatenates them (verifying every newly applicable predicate and enforcing
 // the TimeStamp rule), and decides whether to bounce t back per the SteM
 // BounceBack constraint.
-func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache) []flow.Emission {
+func (s *SteM) probeLocked(t *tuple.Tuple) []flow.Emission {
 	scr := &s.scr
 	s.stats.Probes++
 
@@ -467,7 +392,7 @@ func (s *SteM) probeLocked(t *tuple.Tuple, pc *probeCache) []flow.Emission {
 	lastMatch := t.LastMatchTS
 
 	var out []flow.Emission
-	for _, e := range pc.candidates(s.dict, scr.lk) {
+	for _, e := range s.dict.Candidates(scr.lk) {
 		catTS := e.TS
 		if s.shared != nil {
 			// Attached probe: every shared entry was sealed before the

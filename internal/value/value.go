@@ -126,8 +126,8 @@ const (
 	hashPrime uint64 = 1099511628211
 )
 
-// MixUint64 folds the 8 little-endian bytes of u into FNV-1a state h.
-func MixUint64(h, u uint64) uint64 {
+// mixUint64 folds the 8 little-endian bytes of u into FNV-1a state h.
+func mixUint64(h, u uint64) uint64 {
 	for i := 0; i < 64; i += 8 {
 		h = (h ^ (u >> i & 0xff)) * hashPrime
 	}
@@ -142,7 +142,7 @@ func (v V) HashInto(h uint64) uint64 {
 	h = (h ^ uint64(v.K)) * hashPrime
 	switch v.K {
 	case Int:
-		h = MixUint64(h, uint64(v.I))
+		h = mixUint64(h, uint64(v.I))
 	case Str:
 		for i := 0; i < len(v.S); i++ {
 			h = (h ^ uint64(v.S[i])) * hashPrime

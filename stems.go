@@ -102,16 +102,6 @@ type Options struct {
 	Context context.Context
 	// Seed feeds the randomized policies; 0 means 1.
 	Seed int64
-	// BatchSize caps how many tuples the Concurrent engine's eddy coalesces
-	// into one module batch, amortizing channel sends, module locking, and
-	// policy decisions. 0 defaults to 64; 1 restores tuple-at-a-time
-	// dataflow. Above 1 the engine carries batches as typed column vectors
-	// (int64 arrays, dictionary-encoded strings, null/EOT bitmaps) with a
-	// selection vector wherever it can, and as row tuples where semantics
-	// require them; it decides by observation and results are identical. The
-	// simulation engine always runs batches of one (it is the deterministic
-	// reference) and ignores this option.
-	BatchSize int
 	// BounceForIndexChoice makes SteMs on tables with index AMs bounce
 	// incomplete probes so the eddy can hybridize index and hash joins
 	// (Section 4.3).
@@ -533,7 +523,6 @@ func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 		Engine:   opts.Engine,
 		Policy:   opts.Policy.String(),
 		Seed:     opts.Seed,
-		Batch:    opts.BatchSize,
 		Deadline: clock.Time(opts.Deadline),
 		Trace:    opts.Explain,
 	}

@@ -16,8 +16,8 @@ import (
 func sharedJoin() *Query { return sharedJoinPaced(20 * time.Microsecond) }
 
 // sharedJoinPaced is sharedJoin with the scans' inter-arrival time given. At 0
-// the scans are unpaced, as every table stemsd registers is, and above batch
-// size 1 their rows reach the SteMs as column vectors.
+// the scans are unpaced, as every table stemsd registers is, and their rows
+// reach the SteMs as column vectors.
 func sharedJoinPaced(pace time.Duration) *Query {
 	var r, s, u [][]int64
 	for i := 0; i < 30; i++ {
@@ -46,10 +46,8 @@ func sharedJoinPaced(pace time.Duration) *Query {
 
 // TestSharedStemsAgree proves the tentpole's correctness claim: N concurrent
 // queries attached to one shared build of S and U return results
-// multiset-identical to a private-state run, at the default batch size and at
-// BatchSize 1. (At the default batch size the private side of the dataflow
-// travels columnar; at 1 everything is row-at-a-time. The subtest labels keep
-// the spelling they had when rows were a knob and shared state took a spill
+// multiset-identical to a private-state run. (The subtest label keeps the
+// spelling it had when rows were a knob and shared state took a spill
 // budget.) Runs under -race in CI (root package, full race job), so the
 // lock-free shared-dictionary reads are exercised concurrently.
 func TestSharedStemsAgree(t *testing.T) {
@@ -58,64 +56,59 @@ func TestSharedStemsAgree(t *testing.T) {
 		t.Fatal("workload produced no rows; the equivalence check would be vacuous")
 	}
 	const concurrent = 4
-	for _, batch := range []int{0, 1} {
-		name := fmt.Sprintf("rowBatches=%v/budget=0", batch == 1)
-		t.Run(name, func(t *testing.T) {
-			base := sharedJoin()
-			sharedS, err := base.BuildSharedState("S")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharedU, err := base.BuildSharedState("U")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			errs := make([]error, concurrent)
-			for g := 0; g < concurrent; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					res, err := sharedJoin().Run(Options{
-						Engine:    Concurrent,
-						BatchSize: batch,
-						Shared:    map[string]*SharedState{"S": sharedS, "U": sharedU},
-					})
-					if err != nil {
-						errs[g] = err
-						return
-					}
-					got := keysOf(res.Rows)
-					if len(got) != len(want) {
-						errs[g] = fmt.Errorf("%d rows, want %d", len(got), len(want))
-						return
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							errs[g] = fmt.Errorf("row %d = %q, want %q", i, got[i], want[i])
-							return
-						}
-					}
-					if res.Stats.SteMBuilds == 0 {
-						errs[g] = fmt.Errorf("driver table R built nothing")
-					}
-				}(g)
-			}
-			wg.Wait()
-			for g, err := range errs {
+	t.Run("rowBatches=false/budget=0", func(t *testing.T) {
+		base := sharedJoin()
+		sharedS, err := base.BuildSharedState("S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharedU, err := base.BuildSharedState("U")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, concurrent)
+		for g := 0; g < concurrent; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				res, err := sharedJoin().Run(Options{
+					Engine: Concurrent,
+					Shared: map[string]*SharedState{"S": sharedS, "U": sharedU},
+				})
 				if err != nil {
-					t.Errorf("goroutine %d: %v", g, err)
+					errs[g] = err
+					return
 				}
+				got := keysOf(res.Rows)
+				if len(got) != len(want) {
+					errs[g] = fmt.Errorf("%d rows, want %d", len(got), len(want))
+					return
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						errs[g] = fmt.Errorf("row %d = %q, want %q", i, got[i], want[i])
+						return
+					}
+				}
+				if res.Stats.SteMBuilds == 0 {
+					errs[g] = fmt.Errorf("driver table R built nothing")
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSharedStemsAgreeUnpaced is TestSharedStemsAgree for the serving shape:
-// the driver table's scan is unpaced, so at the default batch size the
-// attached SteMs are probed with column vectors (stem/col.go's probeCols, which
-// reads the shared dictionaries lock-free from every concurrent query), and at
-// batch size 1 with rows — the exact row dataflow. Both must return what a
+// the driver table's scan is unpaced, so the attached SteMs are probed with
+// column vectors (stem/col.go's probeCols, which reads the shared dictionaries
+// lock-free from every concurrent query), and the runs must return what a
 // private-state run returns. Runs under -race in CI with the root package.
 func TestSharedStemsAgreeUnpaced(t *testing.T) {
 	want := keysOf(mustRun(t, sharedJoinPaced(0), Options{Engine: Concurrent}).Rows)
@@ -131,30 +124,28 @@ func TestSharedStemsAgreeUnpaced(t *testing.T) {
 		}
 		shared[tbl] = ss
 	}
-	for _, batch := range []int{1, 64} {
-		boxed := flow.MaterializedRows()
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, err := sharedJoinPaced(0).Run(Options{Engine: Concurrent, BatchSize: batch, Shared: shared})
-				if err != nil {
-					t.Errorf("batch=%d: %v", batch, err)
-					return
-				}
-				if got := keysOf(res.Rows); !slices.Equal(got, want) {
-					t.Errorf("batch=%d: %d rows, private run %d, or they differ", batch, len(got), len(want))
-				}
-			}()
-		}
-		wg.Wait()
-		// The facade reads tuples, so the output stage boxes each result
-		// once; an attached probe that left the column path would box its
-		// probe rows on top.
-		if moved := flow.MaterializedRows() - boxed; batch > 1 && moved != uint64(4*len(want)) {
-			t.Errorf("batch=%d: %d rows materialized by 4 runs of %d results", batch, moved, len(want))
-		}
+	boxed := flow.MaterializedRows()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := sharedJoinPaced(0).Run(Options{Engine: Concurrent, Shared: shared})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := keysOf(res.Rows); !slices.Equal(got, want) {
+				t.Errorf("%d rows, private run %d, or they differ", len(got), len(want))
+			}
+		}()
+	}
+	wg.Wait()
+	// The facade reads tuples, so the output stage boxes each result once; an
+	// attached probe that left the column path would box its probe rows on
+	// top.
+	if moved := flow.MaterializedRows() - boxed; moved != uint64(4*len(want)) {
+		t.Errorf("%d rows materialized by 4 runs of %d results", moved, len(want))
 	}
 }
 

@@ -69,9 +69,9 @@ func genStream(rng *rand.Rand) (initial map[string][][]int64, inserts []insBatch
 	return initial, inserts
 }
 
-// standingConfigs is the acceptance matrix: engines × representation. At its default batch size the concurrent engine carries
-// scans columnar and the injected delta singletons as rows ("columnar"); at
-// BatchSize 1 it is row-at-a-time throughout ("rows"), like the simulator.
+// standingConfigs is the acceptance matrix: both engines. The concurrent
+// engine carries scans columnar and the injected delta singletons as rows
+// ("columnar"); the simulator is row-at-a-time throughout.
 func standingConfigs() []struct {
 	name string
 	opts Options
@@ -82,7 +82,6 @@ func standingConfigs() []struct {
 	}{
 		{"sim", Options{Engine: Sim}},
 		{"concurrent/columnar", Options{Engine: Concurrent}},
-		{"concurrent/rows", Options{Engine: Concurrent, BatchSize: 1}},
 	}
 }
 

@@ -63,25 +63,6 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-func TestConcurrentBatchSizesAgree(t *testing.T) {
-	want := keysOf(mustRun(t, smallJoin(), Options{Engine: Sim}).Rows)
-	for _, bs := range []int{1, 2, 64} {
-		res, err := smallJoin().Run(Options{Engine: Concurrent, BatchSize: bs})
-		if err != nil {
-			t.Fatalf("BatchSize %d: %v", bs, err)
-		}
-		got := keysOf(res.Rows)
-		if len(got) != len(want) {
-			t.Fatalf("BatchSize %d: %d rows, want %d", bs, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("BatchSize %d: row %d = %q, want %q", bs, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func mustRun(t *testing.T, q *Query, opts Options) *Result {
 	t.Helper()
 	res, err := q.Run(opts)
@@ -208,10 +189,9 @@ func TestSkipBuildConcurrentComplete(t *testing.T) {
 		runs = 200
 	}
 	for name, opts := range map[string]Options{
-		"skipR":        {Engine: Concurrent, SkipBuildTable: "R"},
-		"skipR/batch1": {Engine: Concurrent, SkipBuildTable: "R", BatchSize: 1},
-		"skipS":        {Engine: Concurrent, SkipBuildTable: "S"},
-		"skipR/fixed":  {Engine: Concurrent, SkipBuildTable: "R", Policy: Fixed},
+		"skipR":       {Engine: Concurrent, SkipBuildTable: "R"},
+		"skipS":       {Engine: Concurrent, SkipBuildTable: "S"},
+		"skipR/fixed": {Engine: Concurrent, SkipBuildTable: "R", Policy: Fixed},
 	} {
 		t.Run(name, func(t *testing.T) {
 			short := 0
