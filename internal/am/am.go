@@ -138,11 +138,6 @@ func (a *AM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Dur
 // on overlapping, so the lock stays fine-grained inside probe/scan and a
 // native batch path would have nothing left to amortize.
 
-// colScanChunk bounds the rows per columnar scan batch, so one giant source
-// does not turn into one giant batch (downstream modules hold locks for a
-// whole batch).
-const colScanChunk = 1024
-
 // ProcessColBatch implements flow.ColModule. Seeds for an unpaced scan
 // produce columnar batches directly from the source rows — the entry point
 // of the columnar hot path. Everything else (paced scans, whose per-row
@@ -210,8 +205,8 @@ func (a *AM) scanCols() ([]flow.ColEmission, []flow.Emission) {
 	}
 	var cols []flow.ColEmission
 	rowsOut := uint64(0)
-	for lo := 0; lo < len(src); lo += colScanChunk {
-		hi := lo + colScanChunk
+	for lo := 0; lo < len(src); lo += flow.ChunkRows {
+		hi := lo + flow.ChunkRows
 		if hi > len(src) {
 			hi = len(src)
 		}

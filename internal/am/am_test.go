@@ -216,7 +216,7 @@ func TestScanWithStallDelaysTail(t *testing.T) {
 // table's own rows to whoever stores rows, chunk by chunk and without a copy.
 func TestScanColsCarriesSourceRows(t *testing.T) {
 	rT := schema.MustTable("R", schema.IntCol("k"), schema.IntCol("a"))
-	rows := make([]tuple.Row, colScanChunk+10)
+	rows := make([]tuple.Row, flow.ChunkRows+10)
 	for i := range rows {
 		rows[i] = row(int64(i), int64(i%7))
 	}

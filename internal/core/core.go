@@ -129,6 +129,8 @@ type Exec struct {
 	eng  *eddy.Concurrent
 	coll *trace.Collector
 	st   state
+	// cbs is a delta round's scratch list of injected batches.
+	cbs []*flow.ColBatch
 }
 
 // Build validates the Spec and instantiates the module graph, the engine and
@@ -209,26 +211,28 @@ func (e *Exec) Run(ctx context.Context, onOutput func(t *tuple.Tuple, at clock.T
 }
 
 // RunDelta runs one incremental round over the SteM state every earlier
-// round built: ts (fresh singletons for newly arrived rows) enter the
-// dataflow in place of the scans, and exactly the new join results come
-// back (see eddy.Concurrent.RunDelta for why rounds compose exactly). It
-// needs a handle whose earlier rounds all completed cleanly. The hooks are
-// Run's.
-func (e *Exec) RunDelta(ctx context.Context, ts []*tuple.Tuple, onOutput func(t *tuple.Tuple, at clock.Time), onCols func(cb *flow.ColBatch, at clock.Time)) ([]eddy.Output, error) {
+// round built: rows[pos] (nil for none) are the rows newly arrived at FROM
+// position pos, and they enter the dataflow in place of the scans, so
+// exactly the new join results come back (see eddy.Concurrent.RunDeltaCols
+// for why rounds compose exactly). The rows must not change afterwards: the
+// SteMs store them by reference. It needs a handle whose earlier rounds all
+// completed cleanly. The hooks are Run's.
+func (e *Exec) RunDelta(ctx context.Context, rows [][]tuple.Row, onOutput func(t *tuple.Tuple, at clock.Time), onCols func(cb *flow.ColBatch, at clock.Time)) ([]eddy.Output, error) {
 	if e.st != clean {
 		return nil, errors.New("core: RunDelta needs a handle whose earlier rounds completed cleanly")
 	}
 	if e.eng != nil {
 		e.eng.Reset() // rearms the round-scoped state; SteM state stays
 	}
-	return e.round(ctx, ts, true, onOutput, onCols)
+	return e.round(ctx, rows, true, onOutput, onCols)
 }
 
 // round installs the hooks, runs one round on whichever engine the handle
 // has, clears the hooks of an engine that may be kept (a pooled handle must
 // not pin its last caller's closures), and checks the invariants every
 // caller needs checked.
-func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutput func(*tuple.Tuple, clock.Time), onCols func(*flow.ColBatch, clock.Time)) ([]eddy.Output, error) {
+func (e *Exec) round(ctx context.Context, rows [][]tuple.Row, delta bool, onOutput func(*tuple.Tuple, clock.Time), onCols func(*flow.ColBatch, clock.Time)) ([]eddy.Output, error) {
+	q := e.spec.Q
 	var outs []eddy.Output
 	var err error
 	if eng := e.eng; eng != nil {
@@ -239,8 +243,19 @@ func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutpu
 		if e.coll != nil {
 			e.coll.AttachConcurrent(eng)
 		}
-		if delta {
-			outs, err = eng.RunDelta(ctx, ts)
+		if delta { // the rows enter as column batches, chunked as scans chunk
+			cbs := e.cbs[:0]
+			for pos, rs := range rows {
+				for lo := 0; lo < len(rs); lo += flow.ChunkRows {
+					cb := flow.GetColBatch(len(q.Tables))
+					cb.Span = tuple.Single(pos)
+					cb.LoadRows(pos, q.Tables[pos].Arity(), rs[lo:min(lo+flow.ChunkRows, len(rs))])
+					cbs = append(cbs, cb)
+				}
+			}
+			outs, err = eng.RunDeltaCols(ctx, cbs)
+			clear(cbs) // the engine pooled them
+			e.cbs = cbs[:0]
 		} else {
 			outs, err = eng.RunContext(ctx)
 		}
@@ -252,7 +267,13 @@ func (e *Exec) round(ctx context.Context, ts []*tuple.Tuple, delta bool, onOutpu
 		if e.coll != nil {
 			e.coll.Attach(sim)
 		}
-		if delta {
+		if delta { // the rows enter as singleton tuples
+			var ts []*tuple.Tuple
+			for pos, rs := range rows {
+				for _, row := range rs {
+					ts = append(ts, tuple.NewSingleton(len(q.Tables), pos, row))
+				}
+			}
 			outs, err = sim.RunDelta(ts)
 		} else {
 			outs, err = sim.Run()

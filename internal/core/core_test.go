@@ -177,12 +177,12 @@ func TestExecMatrix(t *testing.T) {
 			}
 			collect(got, outs)
 			for i, round := range deltas(n) {
-				var ts []*tuple.Tuple
+				delta := make([][]tuple.Row, q.NumTables())
 				for _, in := range round {
-					ts = append(ts, tuple.NewSingleton(q.NumTables(), in.table, in.row))
+					delta[in.table] = append(delta[in.table], in.row)
 					rows[in.table] = append(rows[in.table], in.row)
 				}
-				outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
+				outs, err := ex.RunDelta(context.Background(), delta, nil, nil)
 				if err != nil {
 					t.Fatalf("delta round %d: %v", i, err)
 				}
@@ -384,12 +384,12 @@ func TestColumnarSinkOwnsItsRows(t *testing.T) {
 
 // TestDeltaRoundAllocs pins what one standing-query round allocates: a
 // concurrent 3-way join over fixturePaced(4000, 0), a snapshot run, then
-// rounds that each box four new R rows into singletons and inject them (each
-// joins one S row and one T row) — the shape of a 4-row POST /insert on a
-// subscribed table. Routing each row tuple with Route and probing the SteM
-// dictionary directly took the average from 85 to 67; the bound is that plus
-// 5 %, so a per-batch decision partition or probe cache coming back crosses
-// it.
+// rounds that each hand four new R rows to RunDelta (each joins one S row and
+// one T row) with a columnar sink — the shape of a 4-row POST /insert on a
+// subscribed table. Loading the rows into one column batch instead of four
+// singleton tuples, and lifting each module once per shell instead of once
+// per worker run, took the average from 67 to 23; the bound is that plus 5 %,
+// so a delta round that boxes its rows again crosses it.
 func TestDeltaRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -398,7 +398,7 @@ func TestDeltaRoundAllocs(t *testing.T) {
 		n      = 4000
 		warmup = 50
 		rounds = 2000
-		bound  = 67 * 1.05
+		bound  = 23 * 1.05
 	)
 	q, _ := fixturePaced(n, 0)
 	ex, err := Build(Spec{Q: q, Engine: Concurrent, Policy: "benefitcost"})
@@ -406,7 +406,7 @@ func TestDeltaRoundAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Release()
-	if _, err := ex.Run(context.Background(), nil, nil); err != nil {
+	if _, err := ex.Run(context.Background(), nil, func(*flow.ColBatch, clock.Time) {}); err != nil {
 		t.Fatal(err)
 	}
 	d := int64(n / 4)
@@ -415,16 +415,16 @@ func TestDeltaRoundAllocs(t *testing.T) {
 		key := int64(n + i)
 		rows[i] = row(key, key%d)
 	}
-	next := 0
+	next, got := 0, 0
+	sink := func(cb *flow.ColBatch, _ clock.Time) { got += cb.Rows() }
+	delta := make([][]tuple.Row, 3)
 	round := func() {
-		ts := make([]*tuple.Tuple, 4)
-		for k := range ts {
-			ts[k] = tuple.NewSingleton(3, 0, rows[next])
-			next++
-		}
-		outs, err := ex.RunDelta(context.Background(), ts, nil, nil)
-		if err != nil || len(outs) != 4 {
-			t.Fatalf("round ending at row %d: %d results, %v; want 4", next, len(outs), err)
+		delta[0] = rows[next : next+4]
+		next += 4
+		got = 0
+		outs, err := ex.RunDelta(context.Background(), delta, nil, sink)
+		if err != nil || got+len(outs) != 4 {
+			t.Fatalf("round ending at row %d: %d results, %v; want 4", next, got+len(outs), err)
 		}
 	}
 	for range warmup {

@@ -251,9 +251,11 @@ type Concurrent struct {
 	// colRouter and colMod cache the columnar capabilities of the routing
 	// and of each module for this run: a nil colRouter means the whole
 	// dataflow is row-at-a-time, nil module entries materialize to rows at
-	// enqueue.
+	// enqueue. rowMod is each module lifted to a BatchModule, once per
+	// shell: the row service call of a module colMod does not cover.
 	colRouter ColRouter
 	colMod    []flow.ColModule
+	rowMod    []flow.BatchModule
 
 	// pend holds the per-module coalescing buffers (eddy goroutine only),
 	// keyed by the tuples' span within each module, so every released batch
@@ -378,26 +380,31 @@ func (c *Concurrent) Run() ([]Output, error) { return c.RunContext(context.Backg
 // results produced so far plus an error wrapping ctx.Err(). Every goroutine
 // the run started has exited by the time RunContext returns.
 func (c *Concurrent) RunContext(ctx context.Context) ([]Output, error) {
-	return c.run(ctx, c.r.Seeds())
+	return c.run(ctx, c.r.Seeds(), nil)
 }
 
-// RunDelta runs one incremental round over the module state earlier rounds
-// built: the given tuples (fresh singletons for newly arrived rows) are
-// injected into the dataflow instead of the routing's seeds, so no scan
-// re-runs, and the results are exactly this round's delta — an injected
-// tuple builds into its SteM with a fresh timestamp from the router's
-// persistent counter and its probes match every strictly-older build, so
-// each cross-round combination is produced once, by its last-arriving
-// component. Call it on a shell whose previous round completed and was
-// Reset (the engine's channels are rearmed, hooks must be re-set) WITHOUT
-// resetting the Routing — the SteM state is the standing query.
+// RunDeltaCols runs one incremental round over the module state earlier
+// rounds built. The column batches — new rows, each batch unbuilt singletons
+// of one table — enter in place of the routing's seeds and route and build as
+// scan chunks do: each row takes a fresh timestamp from the router's
+// persistent counter and probes match only strictly-older builds, so each
+// cross-round result is produced once, by its last-arriving component. The
+// engine owns the batches; the routing must be a ColRouter. Call it on a
+// Reset shell (hooks re-set) WITHOUT resetting the Routing.
+func (c *Concurrent) RunDeltaCols(ctx context.Context, cbs []*flow.ColBatch) ([]Output, error) {
+	return c.run(ctx, nil, cbs)
+}
+
+// RunDelta is RunDeltaCols with the new rows boxed as singleton tuples; only
+// the benchmark harness still calls it.
 func (c *Concurrent) RunDelta(ctx context.Context, ts []*tuple.Tuple) ([]Output, error) {
-	return c.run(ctx, ts)
+	return c.run(ctx, ts, nil)
 }
 
-// run executes one round: seeds (initial scan seeds or injected delta
-// tuples) enter the dataflow, and the call returns at quiescence.
-func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, error) {
+// run executes one round: row seeds (initial scan seeds or injected delta
+// tuples) and column seeds (injected delta batches) enter the dataflow, and
+// the call returns at quiescence.
+func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple, cols []*flow.ColBatch) ([]Output, error) {
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
@@ -414,6 +421,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 		c.pend = make([]map[tuple.TableSet]*flow.Batch, len(mods))
 		c.pendCol = make([]map[tuple.TableSet]*flow.ColBatch, len(mods))
 		c.colMod = make([]flow.ColModule, len(mods))
+		c.rowMod = make([]flow.BatchModule, len(mods))
 		c.pendCount = make([]int, len(mods))
 		c.batchCap = make([]int, len(mods))
 	}
@@ -424,6 +432,7 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 			c.pend[i] = make(map[tuple.TableSet]*flow.Batch)
 			c.pendCol[i] = make(map[tuple.TableSet]*flow.ColBatch)
 			c.inboxes[i] = newInbox()
+			c.rowMod[i] = flow.Lift(m)
 		}
 		c.colMod[i] = nil
 		if c.colRouter != nil {
@@ -446,14 +455,25 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 		}
 	}
 
-	c.inflight.Store(int64(len(seeds)))
-	if len(seeds) > 0 {
+	live := len(seeds)
+	for _, cb := range cols {
+		live += cb.Rows()
+	}
+	c.inflight.Store(int64(live))
+	if live > 0 {
 		c.senders.Add(1)
 		go func() {
 			defer c.senders.Done()
 			for _, s := range seeds {
 				select {
 				case c.events <- eddyEvent{b: getBatchOf(s)}:
+				case <-c.done:
+					return
+				}
+			}
+			for _, cb := range cols {
+				select {
+				case c.events <- eddyEvent{b: getColShell(cb)}:
 				case <-c.done:
 					return
 				}
@@ -742,8 +762,7 @@ func (c *Concurrent) flushAll() {
 // Each batch gets the widest service call the module offers this run.
 func (c *Concurrent) worker(mod int, wg *sync.WaitGroup) {
 	defer wg.Done()
-	colMod := c.colMod[mod]
-	rowMod := flow.Lift(c.r.Modules()[mod])
+	colMod, rowMod := c.colMod[mod], c.rowMod[mod]
 	ib := c.inboxes[mod]
 	for {
 		b, ok := ib.pop()

@@ -31,6 +31,10 @@ import (
 // outside the value.Kind enum on purpose.
 const KindBoxed value.Kind = 0xff
 
+// ChunkRows bounds a batch loaded from a row slice (a scan chunk, a delta
+// round's new rows): downstream modules hold locks for a whole batch.
+const ChunkRows = 1024
+
 // Vec is one typed column vector. The dominant Kind selects the backing
 // array (Ints for value.Int, Codes+Dict for value.Str); rows that are Null or
 // EOT markers are flagged in the bitmaps and hold a zero filler in the typed

@@ -62,7 +62,7 @@ func TestRecycledDictsAcrossQueries(t *testing.T) {
 		q := bound[qi].Q
 		got := make(oracle.Result, len(rows))
 		for _, r := range rows {
-			var out *tuple.Tuple
+			out := &tuple.Tuple{Comp: make([]tuple.Row, len(q.Tables))}
 			for ti, tab := range q.Tables {
 				comp := make(tuple.Row, tab.Arity())
 				for _, oc := range bound[qi].Output {
@@ -70,11 +70,7 @@ func TestRecycledDictsAcrossQueries(t *testing.T) {
 						comp[oc.Col] = value.NewInt(int64(r[oc.Name].(float64)))
 					}
 				}
-				if s := tuple.NewSingleton(len(q.Tables), ti, comp); out == nil {
-					out = s
-				} else {
-					out = out.Concat(s)
-				}
+				out.Comp[ti], out.Span = comp, out.Span.With(ti)
 			}
 			got[out.ResultKey()]++
 		}

@@ -443,6 +443,19 @@ func writeJSONError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// maxBody is the largest request body POST /query and POST /insert read.
+const maxBody = 1 << 20
+
+// bodyError answers a body that could not be read or decoded: 413 when it is
+// longer than maxBody, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	code, err := http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	if errors.As(err, new(*http.MaxBytesError)) {
+		code, err = http.StatusRequestEntityTooLarge, errors.New("request body exceeds the 1 MiB limit")
+	}
+	writeJSONError(w, code, err)
+}
+
 // handleHealthz is liveness: it answers 200 as long as the process serves
 // HTTP, draining or not, so orchestrators don't kill a pod that is cleanly
 // finishing its queries. Routability is /readyz's question.

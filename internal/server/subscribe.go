@@ -3,8 +3,8 @@
 // and then — instead of winding the engine down — keeps the execution
 // handle, and with it every SteM dictionary, resident on the open response.
 // Each INSERT into a subscribed table wakes the loop, which feeds the new
-// rows through the same eddy as singleton tuples and streams only the new
-// join results: the delta.
+// rows through the same eddy — as column batches, one set per FROM position
+// the table fills — and streams only the new join results: the delta.
 //
 // Delta exactness rests on the SteM timestamp constraint: a probe matches
 // only strictly-older builds, so each join result is produced exactly once,
@@ -134,27 +134,28 @@ func (s *Server) subscribe(q *live) (reason string, err error) {
 	// sleep. The Changed channel is taken BEFORE the state is read, so a
 	// mutation between read and select closes the already-held channel and
 	// the loop re-reads — no change can be missed.
+	delta := make([][]tuple.Row, len(bound.Q.Tables))
 	for {
 		changed := s.cat.Changed()
-		var ts []*tuple.Tuple
+		grew := false
 		for _, tb := range tabs {
 			src, gen, ok := s.cat.SourceGen(tb.source)
 			if !ok || gen != tb.gen {
 				return fmt.Sprintf("table %q replaced", tb.source), nil
 			}
 			rows := src.Data.Rows
-			for _, row := range rows[tb.seen:] {
-				for _, pos := range tb.positions {
-					ts = append(ts, tuple.NewSingleton(len(bound.Q.Tables), pos, row))
-				}
+			for _, pos := range tb.positions {
+				delta[pos] = rows[tb.seen:]
 			}
+			grew = grew || len(rows) > tb.seen
 			tb.seen = len(rows)
 		}
-		if len(ts) > 0 {
-			// Delta round: injected singletons take fresh timestamps from
-			// the router's persistent counter, so they join against every
-			// strictly-older build and nothing else.
-			if _, err := ex.RunDelta(q.ctx, ts, emit, emitCols); err != nil {
+		if grew {
+			// Delta round: the new rows build with fresh timestamps from the
+			// router's persistent counter, so they join against every
+			// strictly-older build and nothing else. The published rows are
+			// immutable, so the SteMs keep them by reference.
+			if _, err := ex.RunDelta(q.ctx, delta, emit, emitCols); err != nil {
 				return "", err
 			}
 			q.flush()

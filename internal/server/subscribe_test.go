@@ -564,6 +564,73 @@ func TestSubscribeWindowedDelta(t *testing.T) {
 	}
 }
 
+// TestSubscribeColumnarDeltaExact covers the two shapes where a delta round
+// on column batches works differently from a scan chunk's path and no other
+// subscription test reaches: a filtered subscription, whose new rows pass the
+// selection module's column kernels, and a self-join, whose new rows enter
+// as one batch per FROM position. Each compares snapshot ∪ deltas with a
+// batch run over the final rows, and no delta row is boxed into a tuple.
+func TestSubscribeColumnarDeltaExact(t *testing.T) {
+	for _, tc := range []struct {
+		name, sql string
+		inserts   []subInsert
+	}{
+		{"filtered", "SELECT r.key, s.y FROM r, s WHERE r.a = s.x AND r.key > 10", []subInsert{
+			{"r", [][]any{{11, 10}, {5, 10}, {12, 20}}},
+			{"s", [][]any{{10, 300}, {30, 400}}},
+			{"r", [][]any{{13, 30}, {4, 30}, {14, 30}}},
+		}},
+		{"self-join", "SELECT a.key, b.key FROM r a, r b WHERE a.a = b.a", []subInsert{
+			{"r", [][]any{{4, 10}}},
+			{"r", [][]any{{5, 20}, {6, 20}}},
+			{"s", [][]any{{10, 300}}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts, client := newTestServer(t, memCatalog(t), Config{})
+			sub := openSubscription(t, client, ts.URL, map[string]any{"sql": tc.sql, "subscribe": true})
+			defer sub.close()
+			var got []string
+			for obj := sub.next(t, 10*time.Second); obj["snapshot"] != true; obj = sub.next(t, 10*time.Second) {
+				got = append(got, rowKey(t, obj["row"].(map[string]any)))
+			}
+			boxed := metricValue(t, metricsBody(t, client, ts.URL), "stemsd_materialized_rows_total")
+			for _, in := range tc.inserts {
+				if st := postInsert(t, client, ts.URL, in.table, in.rows); st != http.StatusOK {
+					t.Fatalf("insert into %s: status %d", in.table, st)
+				}
+			}
+			oracle := postQuery(t, client, ts.URL, map[string]any{"sql": tc.sql})
+			var want []string
+			for _, row := range oracle.rows {
+				want = append(want, rowKey(t, row))
+			}
+			for len(got) < len(want) {
+				got = append(got, rowKey(t, sub.next(t, 10*time.Second)["row"].(map[string]any)))
+			}
+			select {
+			case obj := <-sub.lines:
+				t.Fatalf("a line beyond the batch run's %d rows: %v", len(want), obj)
+			case <-time.After(200 * time.Millisecond):
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("snapshot ∪ deltas:\n%v\nbatch run:\n%v", got, want)
+			}
+			if after := metricValue(t, metricsBody(t, client, ts.URL), "stemsd_materialized_rows_total"); after != boxed {
+				t.Errorf("the delta rounds boxed %d rows into tuples, want none", after-boxed)
+			}
+		})
+	}
+}
+
+// subInsert is one POST /insert of a subscription test.
+type subInsert struct {
+	table string
+	rows  [][]any
+}
+
 // TestInsertInvalidatesPlansAndSharedStems pins INSERT's interaction with
 // the caches: the catalog version bump invalidates cached plans (counter
 // moves), while the table's idle, resident shared SteM absorbs the new row in

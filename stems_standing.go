@@ -2,13 +2,13 @@
 // query is Run with the wind-down removed: Open executes an initial round
 // over the tables' current rows exactly like Run, but keeps the execution
 // handle (internal/core) — and therefore every SteM dictionary — resident.
-// Insert then feeds newly arrived rows through the same dataflow as
-// singleton tuples and returns only the results of that round — the delta.
+// Insert then feeds newly arrived rows through the same dataflow and returns
+// only the results of that round — the delta.
 //
 // Delta rounds compose exactly because of the SteM timestamp constraint
 // (paper Table 2, rule P1): a probe matches only strictly-older builds, so
 // every join result is produced exactly once, by its last-arriving
-// component. Injected singletons take fresh timestamps from the router's
+// component. Inserted rows take fresh timestamps from the router's
 // persistent counter when they build, making a row inserted in round 3
 // indistinguishable from one the scan would have delivered last in a batch
 // run over the final table state — the delta results across all rounds are
@@ -142,13 +142,10 @@ func (s *Standing) InsertValues(table string, rows [][]Value) (*Result, error) {
 	if _, err := source.NewTable(s.iq.Tables[ti], trows); err != nil {
 		return nil, err
 	}
-	n := len(s.iq.Tables)
-	ts := make([]*tuple.Tuple, len(trows))
-	for i, row := range trows {
-		ts[i] = tuple.NewSingleton(n, ti, row)
-	}
+	delta := make([][]tuple.Row, len(s.iq.Tables))
+	delta[ti] = trows
 
-	outs, err := s.ex.RunDelta(s.ctx, ts, s.hook, nil)
+	outs, err := s.ex.RunDelta(s.ctx, delta, s.hook, nil)
 	if err != nil {
 		s.closed = true
 		return nil, err
