@@ -142,19 +142,14 @@ func (a *AM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Dur
 // produce columnar batches directly from the source rows — the entry point
 // of the columnar hot path. Everything else (paced scans, whose per-row
 // delivery times differ; index probes, whose dedup and latency are per-key)
-// goes through the per-tuple path, materializing columnar probers first.
+// goes through the per-tuple path, materializing columnar probers first, into
+// b.Tuples, so the engine can tell a bounced probe from a match.
 func (a *AM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	var rows []flow.Emission
 	var cols []flow.ColEmission
 	var total clock.Duration
 	if b.Col != nil {
-		for _, t := range b.Col.Materialize() {
-			ems, cost := a.Process(t, now)
-			rows = append(rows, ems...)
-			total += cost
-			now = now.Add(cost)
-		}
-		return rows, nil, total
+		b.Tuples = b.Col.Materialize()
 	}
 	for _, t := range b.Tuples {
 		if a.colScannable(t) {

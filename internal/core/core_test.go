@@ -388,7 +388,8 @@ func TestColumnarSinkOwnsItsRows(t *testing.T) {
 // one T row) with a columnar sink — the shape of a 4-row POST /insert on a
 // subscribed table. Loading the rows into one column batch instead of four
 // singleton tuples, and lifting each module once per shell instead of once
-// per worker run, took the average from 67 to 23; the bound is that plus 5 %,
+// per worker run, took the average from 67 to 23; the eddy routing the seeds
+// itself, with no seeder goroutine, took it to 22. The bound is that plus 5 %,
 // so a delta round that boxes its rows again crosses it.
 func TestDeltaRoundAllocs(t *testing.T) {
 	if raceEnabled {
@@ -398,7 +399,7 @@ func TestDeltaRoundAllocs(t *testing.T) {
 		n      = 4000
 		warmup = 50
 		rounds = 2000
-		bound  = 23 * 1.05
+		bound  = 22 * 1.05
 	)
 	q, _ := fixturePaced(n, 0)
 	ex, err := Build(Spec{Q: q, Engine: Concurrent, Policy: "benefitcost"})

@@ -2,9 +2,11 @@ package eddy
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,30 +219,27 @@ func TestPacedScanEOTArrivesLast(t *testing.T) {
 // so this order is what keeps a SteM from seeing the EOT — and claiming
 // completeness — ahead of rows it has not built yet.
 func TestFlushModuleColumnsFirst(t *testing.T) {
-	c := &Concurrent{
-		inboxes:   []*inbox{newInbox()},
-		pend:      []map[tuple.TableSet]*flow.Batch{{}},
-		pendCol:   []map[tuple.TableSet]*flow.ColBatch{{}},
-		pendCount: []int{0},
-	}
+	c := &Concurrent{inboxes: []*inbox{newInbox()}}
+	c.s = c
+	c.bufs, c.pendCount, c.waiting = [][]pend{nil}, []int{0}, make([]atomic.Int64, 1)
 	for table := 0; table < 2; table++ {
 		span := tuple.Single(table)
-		c.pend[0][span] = flow.BatchOf(tuple.NewSingleton(2, table, tuple.Row{value.NewInt(1)}))
 		cb := flow.GetColBatch(2)
 		cb.Span = span
-		c.pendCol[0][span] = cb
+		c.bufs[0] = append(c.bufs[0], pend{span: span,
+			rows: flow.BatchOf(tuple.NewSingleton(2, table, tuple.Row{value.NewInt(1)})), col: cb})
 		c.pendCount[0] += 2
 	}
 	c.flushModule(0)
 	var order []bool // true for a columnar batch
 	for range 4 {
-		b, _ := c.inboxes[0].pop()
-		order = append(order, b.Col != nil)
+		j, _ := c.inboxes[0].pop()
+		order = append(order, j.b.Col != nil)
 	}
 	if want := []bool{true, true, false, false}; !slices.Equal(order, want) {
 		t.Fatalf("inbox order (columnar?) = %v, want %v", order, want)
 	}
-	if len(c.pend[0]) != 0 || len(c.pendCol[0]) != 0 || c.pendCount[0] != 0 {
+	if len(c.bufs[0]) != 0 || c.pendCount[0] != 0 {
 		t.Fatal("flushModule left buffered batches behind")
 	}
 }
@@ -297,5 +296,94 @@ func TestRoutingPanicFailsTheRun(t *testing.T) {
 	}
 	if r.routed != 2 {
 		t.Errorf("%d burst tuples were routed, want 2 (the panic ends the event)", r.routed)
+	}
+}
+
+// j2Selection is R(key,a) ⋈ S(x,y) on R.a = S.x with the selection R.key < 100,
+// 200 rows a table, both scans paced at pace (0: unpaced, columnar chunks),
+// each SteM bounded by window (0: unbounded).
+func j2Selection(pace clock.Duration, window int) (*query.Q, Options) {
+	rRows, sRows := make([][]int64, 200), make([][]int64, 200)
+	for i := range rRows {
+		rRows[i] = []int64{int64(i), int64(i % 50)}
+		sRows[i] = []int64{int64(i % 50), int64(i)}
+	}
+	rT := schema.MustTable("R", schema.IntCol("key"), schema.IntCol("a"))
+	sT := schema.MustTable("S", schema.IntCol("x"), schema.IntCol("y"))
+	q := query.MustNew([]*schema.Table{rT, sT},
+		[]pred.P{pred.EquiJoin(0, 1, 1, 0), pred.Selection(0, 0, pred.Lt, value.NewInt(100))},
+		[]query.AMDecl{scanAM(0, source.MustTable(rT, rowsOf(rRows)), pace), scanAM(1, source.MustTable(sT, rowsOf(sRows)), pace)})
+	var opts Options
+	if window > 0 {
+		opts.WindowFor = func(int) int { return window }
+	}
+	return q, opts
+}
+
+// kindLog records, per module, the move classes the policy is told about.
+type kindLog struct {
+	policy.Policy
+	kinds map[int]uint8 // module -> bit set of policy.Kind
+}
+
+func (k *kindLog) Observe(fb policy.Feedback) {
+	k.kinds[fb.Module] |= 1 << fb.Kind
+	k.Policy.Observe(fb)
+}
+
+// TestFeedbackKindsMatchSim: the concurrent engine tells the policy each
+// service's move class as the simulator does — a selection's feedback says
+// select, so the policy learns its pass rate from Emitted, and a SteM probe's
+// says probe-stem, so BenefitCost learns that SteM's hit rate.
+func TestFeedbackKindsMatchSim(t *testing.T) {
+	for _, pace := range []clock.Duration{0, clock.Millisecond} {
+		kinds := func(sim bool) map[int]uint8 {
+			q, opts := j2Selection(pace, 0)
+			log := &kindLog{Policy: policy.NewFixed(), kinds: make(map[int]uint8)}
+			opts.Policy = log
+			r, err := NewRouter(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sim {
+				_, err = NewSim(r).Run()
+			} else {
+				_, err = NewConcurrent(r, clock.NewReal(0.00002)).Run()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return log.kinds
+		}
+		if s, c := kinds(true), kinds(false); !maps.Equal(s, c) {
+			t.Errorf("pace %v: move classes per module: simulator %v, concurrent %v", pace, s, c)
+		}
+	}
+}
+
+// TestRowFallbackBouncesAreNotNew: a column batch a windowed SteM serves on
+// its row path bounces its builds back, and the policy must not be told they
+// are new tuples: a build produces none.
+func TestRowFallbackBouncesAreNotNew(t *testing.T) {
+	q, opts := j2Selection(0, 1000)
+	r, err := NewRouter(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewConcurrent(r, clock.NewReal(0.00002))
+	built := 0
+	eng.OnService = func(fb policy.Feedback) {
+		if fb.Module < 2 && fb.Sig == uint64(tuple.Single(fb.Module)) { // SteM(R) or SteM(S) building its own rows
+			built += fb.Visits
+			if fb.Outputs != 0 {
+				t.Errorf("SteM %d build feedback reports %d new tuples of %d emitted", fb.Module, fb.Outputs, fb.Emitted)
+			}
+		}
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if built == 0 {
+		t.Fatal("no build feedback observed; the test is vacuous")
 	}
 }

@@ -42,17 +42,14 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 		}
 	}
 
-	if got := eng.inflight.Load(); got != 0 {
-		t.Errorf("inflight = %d, want 0", got)
+	if eng.inflight != 0 {
+		t.Errorf("inflight = %d, want 0", eng.inflight)
 	}
 	if eng.outputs != nil {
 		t.Errorf("outputs not nil: %d entries", len(eng.outputs))
 	}
 	if eng.err != nil {
 		t.Errorf("err = %v, want nil", eng.err)
-	}
-	if eng.errSet.Load() {
-		t.Error("errSet still armed")
 	}
 	if eng.colRouter != nil {
 		t.Error("columnar run state survived Reset")
@@ -64,9 +61,12 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 		if got := eng.costEWMA[i].Load(); got != 0 {
 			t.Errorf("costEWMA[%d] = %d, want 0", i, got)
 		}
+		if got := eng.waiting[i].Load(); got != 0 {
+			t.Errorf("waiting[%d] = %d, want 0", i, got)
+		}
 	}
-	for mod := range eng.pend {
-		if len(eng.pend[mod]) != 0 || len(eng.pendCol[mod]) != 0 {
+	for mod := range eng.bufs {
+		if len(eng.bufs[mod]) != 0 {
 			t.Errorf("module %d coalescing buffers not empty", mod)
 		}
 		if eng.pendCount[mod] != 0 {
@@ -83,9 +83,8 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 	}
 	for mod, ib := range eng.inboxes {
 		ib.mu.Lock()
-		if ib.closed || len(ib.items) != 0 || ib.tuples != 0 {
-			t.Errorf("inbox %d not reopened empty (closed=%v items=%d tuples=%d)",
-				mod, ib.closed, len(ib.items), ib.tuples)
+		if ib.closed || len(ib.items) != 0 {
+			t.Errorf("inbox %d not reopened empty (closed=%v items=%d)", mod, ib.closed, len(ib.items))
 		}
 		ib.mu.Unlock()
 	}

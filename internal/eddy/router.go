@@ -26,6 +26,18 @@ import (
 	"repro/internal/tuple"
 )
 
+const (
+	// defaultMaxVisits caps routings of one tuple to one module
+	// (BoundedRepetition); relaxedMaxVisits is the cap under the Section 3.5
+	// BuildFirst relaxation, where a prober legitimately re-probes until the
+	// scans complete.
+	defaultMaxVisits = 3
+	relaxedMaxVisits = 64
+	// retryDelay paces the first relaxed-mode re-probe; later ones back off
+	// exponentially from it.
+	retryDelay = clock.Millisecond
+)
+
 // Profile holds the virtual service costs charged by each module class. The
 // defaults approximate the paper's setting: main-memory hash operations are
 // microseconds, remote index lookups (configured per source) are large.

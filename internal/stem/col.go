@@ -74,16 +74,16 @@ func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
 }
 
 // ProcessColBatch implements flow.ColModule: row payloads and gated
-// configurations run the exact row path (materializing columnar rows first);
-// qualifying columnar batches run the vectorized build/probe.
+// configurations run the exact row path (materializing columnar rows first,
+// into b.Tuples, so the engine can tell the inputs that bounce back from new
+// tuples); qualifying columnar batches run the vectorized build/probe.
 func (s *SteM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	cb := b.Col
+	if cb != nil && !s.colBatchOK(cb) {
+		b.Tuples, cb = cb.Materialize(), nil
+	}
 	if cb == nil {
 		out, cost := s.ProcessBatch(b, now)
-		return out, nil, cost
-	}
-	if !s.colBatchOK(cb) {
-		out, cost := s.ProcessBatch(flow.BatchOf(cb.Materialize()...), now)
 		return out, nil, cost
 	}
 	if s.isColBuild(cb) {
