@@ -300,17 +300,14 @@ func benchMultiwayQ(rows int) *query.Q {
 	)
 }
 
-func benchConcurrentBatch(b *testing.B, batch int) {
-	b.Helper()
+func BenchmarkConcurrentMultiway(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r, err := eddy.NewRouter(benchMultiwayQ(512), eddy.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := eddy.NewConcurrent(r, clock.NewReal(0.0000001))
-		eng.BatchSize = batch
-		outs, err := eng.Run()
+		outs, err := eddy.NewConcurrent(r, clock.NewReal(0.0000001)).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,9 +316,6 @@ func benchConcurrentBatch(b *testing.B, batch int) {
 		}
 	}
 }
-
-func BenchmarkConcurrentMultiway_Batch1(b *testing.B)  { benchConcurrentBatch(b, 1) }
-func BenchmarkConcurrentMultiway_Batch64(b *testing.B) { benchConcurrentBatch(b, 64) }
 
 // Micro-benches on the SteM itself.
 

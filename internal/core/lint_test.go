@@ -5,9 +5,8 @@
 // Build. Further checks keep the commands' catalogs unpaced, the serving
 // binary's import closure off the paper-figure / reference packages, the
 // engine and shared SteM state off the file system, the engine's
-// configuration structs free of fields nothing shipped sets, the fields SteM
-// sharding left for the benchmark harness unused, and the engine's coalescing
-// cap inside the engine.
+// configuration structs free of fields nothing shipped sets, and the names
+// kept only for the benchmark harness unused.
 package core
 
 import (
@@ -229,14 +228,18 @@ func TestSharedStateTouchesNoDisk(t *testing.T) {
 	}
 }
 
-// TestShardsStaysDead keeps the two fields SteM sharding left behind —
-// eddy.Options.Shards and stem.SharedConfig.Shards, which only the frozen
-// benchmark harness still sets — from turning back into a knob: no non-test
-// Go file outside bench/ may read or set anything named Shards, as a selector
-// or as a composite-literal key. It keeps eddy.Concurrent.BatchSize, the
-// engine's coalescing cap, from becoming one again the same way: nothing named
-// BatchSize outside internal/eddy and bench/.
-func TestShardsStaysDead(t *testing.T) {
+// harnessShims are the names kept only because the frozen benchmark harness
+// still reads or sets them: the fields SteM sharding left behind
+// (eddy.Options.Shards, stem.SharedConfig.Shards), the ignored coalescing cap
+// eddy.Concurrent.BatchSize, and eddy.DefaultBatchSize, the harness's own
+// batch size.
+var harnessShims = map[string]bool{"Shards": true, "BatchSize": true, "DefaultBatchSize": true}
+
+// TestHarnessShimsStayDead keeps the harness shims from turning back into
+// knobs: no non-test Go file outside bench/ may use anything so named — as a
+// selector, a composite-literal key or a bare identifier — beyond declaring
+// it.
+func TestHarnessShimsStayDead(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	files := 0
@@ -259,20 +262,23 @@ func TestShardsStaysDead(t *testing.T) {
 			return err
 		}
 		files++
+		declared := make(map[*ast.Ident]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
-			var id *ast.Ident
 			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				id = n.Sel
-			case *ast.KeyValueExpr:
-				id, _ = n.Key.(*ast.Ident)
+			case *ast.Field:
+				for _, id := range n.Names {
+					declared[id] = true
+				}
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					declared[id] = true
+				}
 			}
-			switch {
-			case id == nil:
-			case id.Name == "Shards":
-				t.Errorf("%s: uses a field named Shards; SteMs have no shards (the field is kept only for the benchmark harness)", fset.Position(id.Pos()))
-			case id.Name == "BatchSize" && !strings.HasPrefix(rel, "internal/eddy/"):
-				t.Errorf("%s: uses a field named BatchSize; the coalescing cap is the engine's own, not a knob", fset.Position(id.Pos()))
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && harnessShims[id.Name] && !declared[id] {
+				t.Errorf("%s: uses %s, which is kept only for the benchmark harness, not as a knob", fset.Position(id.Pos()), id.Name)
 			}
 			return true
 		})

@@ -138,22 +138,20 @@ func genMixedQuery(rng *rand.Rand) *query.Q {
 	return query.MustNew(tables, preds, ams)
 }
 
-// runConcurrentBatch executes q on the concurrent engine at one batch size
-// and returns the result multiset.
-func runConcurrentBatch(t *testing.T, q *query.Q, opts Options, batch int) oracle.Result {
+// runConcurrent executes q on the concurrent engine and returns the result
+// multiset.
+func runConcurrent(t *testing.T, q *query.Q, opts Options) oracle.Result {
 	t.Helper()
 	r, err := NewRouter(q, opts)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	eng := NewConcurrent(r, clock.NewReal(0.00002))
-	eng.BatchSize = batch
-	outs, err := eng.Run()
+	outs, err := NewConcurrent(r, clock.NewReal(0.00002)).Run()
 	if err != nil {
-		t.Fatalf("Run(batch=%d): %v", batch, err)
+		t.Fatalf("Run: %v", err)
 	}
 	if r.Stuck() != 0 {
-		t.Errorf("router stuck %d under batch=%d", r.Stuck(), batch)
+		t.Errorf("router stuck %d", r.Stuck())
 	}
 	got := make(oracle.Result)
 	for _, o := range outs {
@@ -164,18 +162,17 @@ func runConcurrentBatch(t *testing.T, q *query.Q, opts Options, batch int) oracl
 
 // TestColumnarRowEquivalence is the cross-representation property: for random
 // queries mixing Int, Str and Null values (EOT markers travel as completeness
-// tuples in every run), the concurrent engine at coalescing caps 1, 3 and 64
-// and the deterministic simulator, the row-representation reference engine,
-// produce the same result multiset — all equal to the brute-force oracle.
-// Which representation carries a batch is the engine's choice (paced scans and
-// index AMs in the mix keep rows in play), so the only row-only concurrent
-// point left to pin is the one it picks itself.
+// tuples in every run), the concurrent engine and the deterministic
+// simulator, the row-representation reference engine, produce the same result
+// multiset — all equal to the brute-force oracle. Which representation
+// carries a batch is the engine's choice (paced scans and index AMs in the
+// mix keep rows in play), so the only row-only concurrent point left to pin
+// is the one it picks itself.
 func TestColumnarRowEquivalence(t *testing.T) {
 	seeds := 8
 	if testing.Short() {
 		seeds = 3
 	}
-	batches := []int{1, 3, 64}
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -210,14 +207,10 @@ func TestColumnarRowEquivalence(t *testing.T) {
 				t.Fatalf("simulator: missing=%d extra=%d", len(missing), len(extra))
 			}
 
-			for _, bs := range batches {
-				t.Logf("running batch=%d", bs)
-				got := runConcurrentBatch(t, q, opts, bs)
-				missing, extra := oracle.Diff(want, got)
-				if len(missing) > 0 || len(extra) > 0 {
-					t.Errorf("batch=%d: missing=%d extra=%d (got %d want %d)",
-						bs, len(missing), len(extra), len(got), len(want))
-				}
+			got := runConcurrent(t, q, opts)
+			if missing, extra := oracle.Diff(want, got); len(missing) > 0 || len(extra) > 0 {
+				t.Errorf("concurrent: missing=%d extra=%d (got %d want %d)",
+					len(missing), len(extra), len(got), len(want))
 			}
 		})
 	}
@@ -252,19 +245,17 @@ func TestBandJoinsAgainstOracle(t *testing.T) {
 				t.Fatal("the band join matches nothing; the test is vacuous")
 			}
 			runAndCheck(t, q, Options{})
-			for _, bs := range []int{1, 64} {
-				got := runConcurrentBatch(t, q, Options{}, bs)
-				if missing, extra := oracle.Diff(want, got); len(missing) > 0 || len(extra) > 0 {
-					t.Errorf("batch=%d: missing=%d extra=%d (got %d want %d)", bs, len(missing), len(extra), len(got), len(want))
-				}
+			got := runConcurrent(t, q, Options{})
+			if missing, extra := oracle.Diff(want, got); len(missing) > 0 || len(extra) > 0 {
+				t.Errorf("concurrent: missing=%d extra=%d (got %d want %d)", len(missing), len(extra), len(got), len(want))
 			}
 		})
 	}
 }
 
 // TestColumnarPathActivates pins that the columnar dataflow actually engages
-// for the burst-scan multiway join (the configuration the batch benchmarks
-// measure): at batch size 64, the SteMs must service builds without the row
+// for the burst-scan multiway join (the configuration the multiway benchmark
+// measures): the SteMs must service builds without the row
 // path's per-tuple processing ever producing different statistics totals,
 // and the engine must produce the oracle multiset. The build counters double-check
 // the test is not vacuous: a silently disabled columnar path would still pass
@@ -276,9 +267,7 @@ func TestColumnarPathActivates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewConcurrent(r, clock.NewReal(0.00002))
-	eng.BatchSize = 64
-	outs, err := eng.Run()
+	outs, err := NewConcurrent(r, clock.NewReal(0.00002)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

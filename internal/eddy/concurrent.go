@@ -146,11 +146,11 @@ func (c *Concurrent) SetClock(clk *clock.Real) {
 // Reset returns a finished engine shell to its pre-run state so it can be
 // pooled and run again: RunContext after Reset behaves exactly like the
 // first RunContext on a fresh engine (the run-scoped scaffolding — inboxes,
-// coalescing buffers, scratch — is retained and reopened rather than
-// reallocated, which is the point of pooling). It must only be called after
-// RunContext has returned, which guarantees every goroutine of the previous
-// run has exited; the modules' own state (SteM dictionaries, AM dedup
-// caches, policy learners) belongs to the Routing and is reset through it.
+// scratch — is retained and reopened rather than reallocated, which is the
+// point of pooling). It must only be called after RunContext has returned,
+// which guarantees every goroutine of the previous run has exited; the
+// modules' own state (SteM dictionaries, AM dedup caches, policy learners)
+// belongs to the Routing and is reset through it.
 func (c *Concurrent) Reset() {
 	c.done = make(chan struct{})
 	for _, ib := range c.inboxes {
@@ -220,27 +220,18 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple, cols []*flow
 		}
 	}
 
-	// Background's Done channel is nil, so an un-cancelable run blocks on
-	// this case forever — exactly the pre-context behavior.
+	// The eddy waits on events and cancellation only: it holds nothing that
+	// an idle moment could release. Background's Done channel is nil, so an
+	// un-cancelable run never takes that case.
 	cancelCh := ctx.Done()
 loop:
 	for !c.quiescent() {
-		var ev eddyEvent
 		select {
-		case ev = <-c.events:
+		case ev := <-c.events:
+			c.deliver(ev)
 		case <-cancelCh:
-			// Checked here too so sustained event traffic cannot starve
-			// cancellation.
 			break loop
-		default:
-			c.flushAll()
-			select {
-			case ev = <-c.events:
-			case <-cancelCh:
-				break loop
-			}
 		}
-		c.deliver(ev)
 	}
 	if !c.quiescent() {
 		c.setErr(fmt.Errorf("eddy: run canceled with %d tuples in flight: %w", c.inflight, ctx.Err()))

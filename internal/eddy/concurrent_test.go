@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +20,7 @@ import (
 	"repro/internal/value"
 )
 
-// runConcurrent executes a query on the channel engine with a heavily
+// runConcurrentAndCheck executes a query on the channel engine with a heavily
 // compressed real clock and checks the result multiset against the oracle.
 func runConcurrentAndCheck(t *testing.T, seed int64) {
 	t.Helper()
@@ -211,36 +209,6 @@ func TestPacedScanEOTArrivesLast(t *testing.T) {
 	}
 	if early > 0 {
 		t.Errorf("the scan's EOT overtook its rows in %d of 200 runs", early)
-	}
-}
-
-// TestFlushModuleColumnsFirst: a module's coalescing buffers reach its inbox
-// columnar ones first. An AM's scan chunks are columnar and its EOT is a row,
-// so this order is what keeps a SteM from seeing the EOT — and claiming
-// completeness — ahead of rows it has not built yet.
-func TestFlushModuleColumnsFirst(t *testing.T) {
-	c := &Concurrent{inboxes: []*inbox{newInbox()}}
-	c.s = c
-	c.bufs, c.pendCount, c.waiting = [][]pend{nil}, []int{0}, make([]atomic.Int64, 1)
-	for table := 0; table < 2; table++ {
-		span := tuple.Single(table)
-		cb := flow.GetColBatch(2)
-		cb.Span = span
-		c.bufs[0] = append(c.bufs[0], pend{span: span,
-			rows: flow.BatchOf(tuple.NewSingleton(2, table, tuple.Row{value.NewInt(1)})), col: cb})
-		c.pendCount[0] += 2
-	}
-	c.flushModule(0)
-	var order []bool // true for a columnar batch
-	for range 4 {
-		j, _ := c.inboxes[0].pop()
-		order = append(order, j.b.Col != nil)
-	}
-	if want := []bool{true, true, false, false}; !slices.Equal(order, want) {
-		t.Fatalf("inbox order (columnar?) = %v, want %v", order, want)
-	}
-	if len(c.bufs[0]) != 0 || c.pendCount[0] != 0 {
-		t.Fatal("flushModule left buffered batches behind")
 	}
 }
 

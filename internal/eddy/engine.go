@@ -1,8 +1,7 @@
 // engine.go is the concurrent engine's core: every dataflow rule the eddy and
-// the module workers follow — routing, coalescing, the columns-before-rows
-// flush, the in-flight count and quiescence, module service and feedback
-// accounting — with no goroutine and no channel of its own. Whatever
-// schedules it is reached through sched: the goroutine driver
+// the module workers follow — routing, the in-flight count and quiescence,
+// module service and feedback accounting — with no goroutine and no channel of
+// its own. Whatever schedules it is reached through sched: the goroutine driver
 // (concurrent.go) in production; in the tests, a seeded interleaver that
 // picks every next step, so any interleaving of the paper's asynchronous
 // modules can be chosen and replayed.
@@ -21,13 +20,13 @@ import (
 	"repro/internal/tuple"
 )
 
-// DefaultBatchSize is the number of tuples the eddy coalesces into one
-// module batch when Concurrent.BatchSize is left zero.
+// DefaultBatchSize is the benchmark harness's own batch size; the engine
+// coalesces nothing and never reads it. It is kept because the harness does.
 const DefaultBatchSize = 64
 
 // sched is how the core reaches whatever schedules it. The eddy side of the
-// core (begin, deliver, flushAll, quiescent) runs on one goroutine; service
-// may run on several at once.
+// core (begin, deliver, quiescent) runs on one goroutine; service may run on
+// several at once.
 type sched interface {
 	// post hands one event to the eddy.
 	post(ev eddyEvent)
@@ -64,17 +63,6 @@ type delayed struct {
 type job struct {
 	b    *flow.Batch
 	kind policy.Kind
-}
-
-// pend is one coalescing buffer of a module: the row tuples and the column
-// batch (either may be nil) routed to it with one span and move class, so
-// every released batch is span-homogeneous and its policy feedback
-// attributes to one tuplestate signature.
-type pend struct {
-	span tuple.TableSet
-	kind policy.Kind
-	rows *flow.Batch
-	col  *flow.ColBatch
 }
 
 // batchPool recycles flow.Batch shells (and their tuple slices) between the
@@ -127,14 +115,9 @@ type engine struct {
 	r Routing
 	s sched
 
-	// BatchSize caps the number of tuples the eddy coalesces into one
-	// module batch; 0 defaults to DefaultBatchSize at Run, and 1 sends every
-	// tuple and every column batch on its own. With a routing that can decide
-	// a whole batch at once (ColRouter), scan AMs emit typed column-vector
-	// batches, selection and SteM modules service them with vectorized
-	// kernels, and the eddy routes each with one decision; modules and SteM
-	// configurations that need row semantics fall back to rows on their own
-	// (see ARCHITECTURE.md, "Columnar batches"). Set before Run.
+	// BatchSize is ignored: the eddy hands every routed tuple and column
+	// batch to its module at once. It is kept because the benchmark harness
+	// sets it.
 	BatchSize int
 	// OnOutput is called (on the eddy goroutine) for each result.
 	OnOutput func(t *tuple.Tuple, at clock.Time)
@@ -152,8 +135,8 @@ type engine struct {
 	OnService func(fb policy.Feedback)
 
 	// inflight counts the live rows of the run wherever they are: in an
-	// event, a buffer, an inbox or a service whose feedback the eddy has not
-	// consumed. Only the eddy writes it; zero is quiescence.
+	// event, an inbox or a service whose feedback the eddy has not consumed.
+	// Only the eddy writes it; zero is quiescence.
 	inflight int64
 	// costEWMA is each module's EWMA service cost per tuple, in ns; waiting
 	// counts the tuples queued on its inbox and not yet in service.
@@ -163,21 +146,11 @@ type engine struct {
 	// colRouter and colMod cache the columnar capabilities of the routing
 	// and of each module for this run: a nil colRouter means the whole
 	// dataflow is row-at-a-time, nil module entries materialize to rows at
-	// enqueue. rowMod is each module lifted to a BatchModule, once per
+	// push. rowMod is each module lifted to a BatchModule, once per
 	// shell: the row service call of a module colMod does not cover.
 	colRouter ColRouter
 	colMod    []flow.ColModule
 	rowMod    []flow.BatchModule
-
-	// bufs holds each module's coalescing buffers in first-use order, so a
-	// flush replays; pendCount is the rows they hold. batchCap is the
-	// per-module coalescing limit: BatchSize for single-server modules, 1 for
-	// modules with internal parallelism (batching those would serialize
-	// service their Parallel() worker pool is meant to overlap — e.g.
-	// asynchronous index lookups).
-	bufs      [][]pend
-	pendCount []int
-	batchCap  []int
 
 	outputs []Output
 	err     error
@@ -192,8 +165,7 @@ func (c *engine) Backlog(mod int) clock.Duration {
 	if par == 0 {
 		return 0
 	}
-	waiting := int64(c.pendCount[mod]) + c.waiting[mod].Load()
-	return clock.Duration(waiting * c.costEWMA[mod].Load() / int64(par))
+	return clock.Duration(c.waiting[mod].Load() * c.costEWMA[mod].Load() / int64(par))
 }
 
 // setErr records the first error of the current run; later calls lose.
@@ -209,14 +181,8 @@ func (c *engine) setErr(err error) {
 // its run-scoped scaffolding; the module list is a property of the Routing,
 // so a reused core's layout always matches.
 func (c *engine) begin(seeds []*tuple.Tuple, cols []*flow.ColBatch) {
-	if c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
 	mods := c.r.Modules()
-	if len(c.bufs) != len(mods) {
-		c.bufs = make([][]pend, len(mods))
-		c.pendCount = make([]int, len(mods))
-		c.batchCap = make([]int, len(mods))
+	if len(c.costEWMA) != len(mods) {
 		c.costEWMA = make([]atomic.Int64, len(mods))
 		c.waiting = make([]atomic.Int64, len(mods))
 		c.colMod = make([]flow.ColModule, len(mods))
@@ -230,10 +196,6 @@ func (c *engine) begin(seeds []*tuple.Tuple, cols []*flow.ColBatch) {
 		c.colMod[i] = nil
 		if c.colRouter != nil {
 			c.colMod[i], _ = m.(flow.ColModule)
-		}
-		c.batchCap[i] = 1
-		if m.Parallel() == 1 {
-			c.batchCap[i] = c.BatchSize
 		}
 	}
 	c.inflight = int64(len(seeds))
@@ -249,26 +211,12 @@ func (c *engine) begin(seeds []*tuple.Tuple, cols []*flow.ColBatch) {
 // quiescent reports whether the run is over: no live row is left anywhere.
 func (c *engine) quiescent() bool { return c.inflight == 0 }
 
-// reset empties the core for a pooled shell's next run. A canceled run can
-// abandon batches in the coalescing buffers; they go back to their pools.
+// reset empties the core for a pooled shell's next run.
 func (c *engine) reset() {
 	c.inflight = 0
 	for i := range c.costEWMA {
 		c.costEWMA[i].Store(0)
 		c.waiting[i].Store(0)
-	}
-	for mod, bufs := range c.bufs {
-		for _, p := range bufs {
-			if p.rows != nil {
-				putBatch(p.rows)
-			}
-			if p.col != nil {
-				flow.PutColBatch(p.col)
-			}
-		}
-		clear(bufs)
-		c.bufs[mod] = bufs[:0]
-		c.pendCount[mod] = 0
 	}
 	c.colRouter = nil
 	c.OnOutput, c.OnOutputCols, c.OnService = nil, nil, nil
@@ -291,10 +239,11 @@ func (c *engine) deliver(ev eddyEvent) {
 		}
 		fbPool.Put(ev.fb)
 		return
-	case ev.to.Delay > 0 && b.Col != nil:
-		c.enqueueCol(ev.to.Module, ev.to.Kind, b.Col)
 	case ev.to.Delay > 0:
-		c.enqueue(ev.to.Module, ev.to.Kind, b.Tuples[0])
+		// Routed before its delay, which has now elapsed: the event's batch
+		// becomes the module's job.
+		c.push(ev.to.Module, ev.to.Kind, b)
+		return
 	case b.Col != nil:
 		// A columnar batch is already a batch: it routes as one unit,
 		// keeping its place in the event stream relative to row events (an
@@ -307,8 +256,8 @@ func (c *engine) deliver(ev eddyEvent) {
 	putBatch(b)
 }
 
-// routeRows routes row tuples, one Route call each, coalescing module-bound
-// tuples into the per-module buffers. A routing panic fails the run and
+// routeRows routes row tuples, one Route call each; a module-bound tuple goes
+// to the module's inbox as a one-tuple job. A routing panic fails the run and
 // releases the tuples not yet routed.
 func (c *engine) routeRows(ts []*tuple.Tuple) {
 	unrouted := int64(len(ts))
@@ -328,7 +277,7 @@ func (c *engine) routeRows(ts []*tuple.Tuple) {
 		case d.Delay > 0:
 			c.s.postAfter([]delayed{{eddyEvent{b: getBatchOf(t), to: d}, d.Delay}})
 		default:
-			c.enqueue(d.Module, d.Kind, t)
+			c.push(d.Module, d.Kind, getBatchOf(t))
 		}
 		unrouted--
 	}
@@ -345,7 +294,8 @@ func (c *engine) output(t *tuple.Tuple, now clock.Time) {
 
 // routeColBatch routes one columnar batch: one decision covers every live
 // row, applied without materializing any of them except on the output path
-// of a run with no OnOutputCols, where rows become result tuples.
+// of a run with no OnOutputCols, where rows become result tuples. A
+// module-bound batch is its own job.
 func (c *engine) routeColBatch(cb *flow.ColBatch) {
 	n := int64(cb.Rows())
 	defer func() {
@@ -368,120 +318,23 @@ func (c *engine) routeColBatch(cb *flow.ColBatch) {
 		c.s.postAfter([]delayed{{eddyEvent{b: getColShell(cb), to: d}, d.Delay}})
 		return
 	default:
-		c.enqueueCol(d.Module, d.Kind, cb)
+		c.push(d.Module, d.Kind, getColShell(cb))
 		return
 	}
 	flow.PutColBatch(cb)
 	c.inflight -= n
 }
 
-// slot returns module mod's buffer for one span and move class, adding it
-// last (first-use order) if it is new.
-func (c *engine) slot(mod int, span tuple.TableSet, kind policy.Kind) *pend {
-	bufs := c.bufs[mod]
-	for i := range bufs {
-		if bufs[i].span == span && bufs[i].kind == kind {
-			return &bufs[i]
-		}
-	}
-	c.bufs[mod] = append(bufs, pend{span: span, kind: kind})
-	return &c.bufs[mod][len(bufs)]
-}
-
-// push hands a job to module mod's inbox.
-func (c *engine) push(mod int, j job) {
-	c.waiting[mod].Add(int64(j.b.Len()))
-	c.s.queue(mod, j)
-}
-
-// enqueue adds a tuple to its buffer at module mod, releasing the batch once
-// it reaches the module's coalescing cap. Parallel modules have cap 1, so
-// their tuples are pushed straight through and their worker pools keep
-// overlapping service.
-func (c *engine) enqueue(mod int, kind policy.Kind, t *tuple.Tuple) {
-	if c.batchCap[mod] <= 1 {
-		c.push(mod, job{getBatchOf(t), kind})
-		return
-	}
-	p := c.slot(mod, t.Span, kind)
-	if p.rows == nil {
-		p.rows = getBatch()
-	}
-	p.rows.Add(t)
-	c.pendCount[mod]++
-	if p.rows.Len() >= c.batchCap[mod] {
-		c.pendCount[mod] -= p.rows.Len()
-		c.push(mod, job{p.rows, kind})
-		p.rows = nil
-	}
-}
-
-// enqueueCol adds a columnar batch to its buffer at module mod. Modules
-// without a columnar path get the rows materialized into the row enqueue.
-// Merging is only legal between identical routing headers; a header change
-// (visit counts advanced, lineage flags set) releases the buffered batch and
-// starts a fresh one. Merged rows move into the buffered batch's pooled
-// vector storage and the source batch returns to the pool.
-func (c *engine) enqueueCol(mod int, kind policy.Kind, cb *flow.ColBatch) {
-	switch {
-	case c.colMod[mod] == nil:
-		for _, t := range cb.Materialize() {
-			c.enqueue(mod, kind, t)
-		}
+// push hands a routed batch to module mod's inbox as one job. A column batch
+// bound for a module with no columnar path goes as a row job holding its
+// materialized tuples.
+func (c *engine) push(mod int, kind policy.Kind, b *flow.Batch) {
+	if cb := b.Col; cb != nil && c.colMod[mod] == nil {
+		b.Tuples, b.Col = cb.Materialize(), nil
 		flow.PutColBatch(cb)
-		return
-	case c.batchCap[mod] <= 1:
-		c.push(mod, job{getColShell(cb), kind})
-		return
 	}
-	p := c.slot(mod, cb.Span, kind)
-	c.pendCount[mod] += cb.Rows()
-	switch {
-	case p.col == nil:
-		p.col = cb
-	case p.col.SameHeader(cb):
-		p.col.AppendAllFrom(cb)
-		flow.PutColBatch(cb)
-	default:
-		c.pendCount[mod] -= p.col.Rows()
-		c.push(mod, job{getColShell(p.col), kind})
-		p.col = cb
-	}
-	if p.col.Rows() >= c.batchCap[mod] {
-		c.pendCount[mod] -= p.col.Rows()
-		c.push(mod, job{getColShell(p.col), kind})
-		p.col = nil
-	}
-}
-
-// flushModule releases every non-empty buffer of one module, columnar ones
-// first: an AM's scan chunks are columnar and its EOT is a row, so this order
-// keeps the chunks ahead of the EOT in the SteM's inbox — a SteM that saw
-// the EOT first would claim completeness over rows it has not built (a
-// Theorem 2 loss).
-func (c *engine) flushModule(mod int) {
-	bufs := c.bufs[mod]
-	for _, p := range bufs {
-		if p.col != nil {
-			c.push(mod, job{getColShell(p.col), p.kind})
-		}
-	}
-	for _, p := range bufs {
-		if p.rows != nil {
-			c.push(mod, job{p.rows, p.kind})
-		}
-	}
-	clear(bufs)
-	c.bufs[mod] = bufs[:0]
-	c.pendCount[mod] = 0
-}
-
-// flushAll releases every non-empty buffer: the eddy's idle step, so the
-// tuples held there can produce the events it is about to wait for.
-func (c *engine) flushAll() {
-	for mod := range c.bufs {
-		c.flushModule(mod)
-	}
+	c.waiting[mod].Add(int64(b.Len()))
+	c.s.queue(mod, job{b, kind})
 }
 
 // service is everything a worker does with one job: the widest service call
@@ -493,10 +346,14 @@ func (c *engine) flushAll() {
 // nothing. What the policy, Backlog and the trace collector see is the
 // service time that elapsed on the engine clock. All counters are row counts
 // (a columnar emission contributes its live rows). Columnar emissions go
-// before row emissions (an AM's scan chunks must precede its row EOT), delayed
-// ones leave last, from one sender in delay order (a paced scan's EOT is due
-// with its last row and must not overtake it), and the input batch's columnar
-// payload returns to the pool unless the module re-emitted it (a bounce).
+// before row emissions: the eddy holds nothing back, so a module's inbox
+// receives work in the order the eddy routed it, and this rule alone keeps an
+// AM's scan chunks ahead of its row EOT at the SteM — a SteM that saw the EOT
+// first would claim completeness over rows it has not built (a Theorem 2
+// loss). Delayed emissions leave last, from one sender in delay order (a paced
+// scan's EOT is due with its last row and must not overtake it), and the input
+// batch's columnar payload returns to the pool unless the module re-emitted it
+// (a bounce).
 func (c *engine) service(mod int, j job) {
 	b, cb := j.b, j.b.Col
 	// Captured before the module runs: columnar modules filter the selection

@@ -64,7 +64,6 @@ func runFake(t *testing.T, n int, work time.Duration, cost clock.Duration) (*fak
 	clk := clock.NewReal(1)
 	mod := &fakeService{clk: clk, work: work, cost: cost}
 	eng := NewConcurrent(&oneModule{mod: mod, n: n, pol: policy.NewFixed()}, clk)
-	eng.BatchSize = 1
 	var fbs []policy.Feedback
 	eng.OnService = func(fb policy.Feedback) { fbs = append(fbs, fb) }
 	start := clk.Now()

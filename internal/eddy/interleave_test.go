@@ -77,19 +77,20 @@ func (il *interleaver) floor(start clock.Time, cost clock.Duration) clock.Time {
 func (il *interleaver) now() clock.Time { return il.clock }
 
 // The step kinds: the eddy takes the head of one sender's posts, a module
-// serves the head of its inbox, the eddy runs its idle flush, the eddy checks
-// for quiescence, or time jumps to the next due post.
+// serves the head of its inbox, the eddy checks for quiescence, or time jumps
+// to the next due post.
 const (
 	stepDeliver = iota
 	stepServe
-	stepFlush
 	stepCheck
 	stepTick
 )
 
 type step struct{ kind, i int }
 
-// run drives the core from begin to quiescence and returns the results.
+// run drives the core from begin to quiescence and returns the results. After
+// every step, each row counted in flight must be somewhere the interleaver can
+// see it (located): the eddy holds none itself.
 func (il *interleaver) run(seeds []*tuple.Tuple) ([]Output, error) {
 	e := il.e
 	e.begin(seeds, nil)
@@ -110,9 +111,6 @@ func (il *interleaver) run(seeds []*tuple.Tuple) ([]Output, error) {
 			if len(q) > 0 {
 				cands = append(cands, step{stepServe, m})
 			}
-		}
-		if slices.ContainsFunc(e.pendCount, func(n int) bool { return n > 0 }) {
-			cands = append(cands, step{kind: stepFlush})
 		}
 		if wake != math.MaxInt64 {
 			cands = append(cands, step{kind: stepTick})
@@ -144,8 +142,6 @@ func (il *interleaver) run(seeds []*tuple.Tuple) ([]Output, error) {
 			e.service(s.i, j)
 			il.cur = nil
 			il.senders = append(il.senders, f)
-		case stepFlush:
-			e.flushAll()
 		case stepTick:
 			il.clock = wake
 		case stepCheck:
@@ -153,8 +149,34 @@ func (il *interleaver) run(seeds []*tuple.Tuple) ([]Output, error) {
 				return e.outputs, e.err
 			}
 		}
+		if n := il.located(); n != e.inflight {
+			return nil, fmt.Errorf("step %d: %d rows counted in flight, %d located", il.steps, e.inflight, n)
+		}
 	}
 	return nil, fmt.Errorf("no quiescence after %d steps", il.steps)
+}
+
+// located counts the rows in the three places a live row can be: an
+// unconsumed event, an inbox, or the Visits − Emitted of an unconsumed
+// feedback (rows a finished service took in and the eddy has not yet seen
+// leave).
+func (il *interleaver) located() int64 {
+	var n int64
+	for _, f := range il.senders {
+		for _, ev := range f.evs {
+			if ev.fb != nil {
+				n += int64(ev.fb.Visits - ev.fb.Emitted)
+			} else {
+				n += int64(ev.b.Len())
+			}
+		}
+	}
+	for _, q := range il.inbox {
+		for _, j := range q {
+			n += int64(j.b.Len())
+		}
+	}
+	return n
 }
 
 // leftovers describes what a returned run left behind, "" for nothing.
@@ -169,8 +191,8 @@ func (il *interleaver) leftovers() string {
 		}
 	}
 	for m := range il.inbox {
-		if len(il.inbox[m]) > 0 || il.e.pendCount[m] > 0 {
-			s += fmt.Sprintf(" module %d holds %d queued jobs and %d buffered rows;", m, len(il.inbox[m]), il.e.pendCount[m])
+		if len(il.inbox[m]) > 0 {
+			s += fmt.Sprintf(" module %d holds %d queued jobs;", m, len(il.inbox[m]))
 		}
 		if il.fbs[m] != il.served[m] || il.visits[m] != il.rows[m] {
 			s += fmt.Sprintf(" module %d: %d feedback reports over %d rows for %d services of %d rows;",
@@ -242,7 +264,7 @@ func interleaveOnce(cfg interleaveConfig, seed int64) (*interleaver, []Output, e
 		return nil, nil, err
 	}
 	n := len(r.Modules())
-	e := &engine{r: r, BatchSize: []int{1, 2, 5, 64}[rng.Intn(4)]}
+	e := &engine{r: r}
 	il := &interleaver{e: e, rng: rng, inbox: make([][]job, n),
 		served: make([]int, n), rows: make([]int, n), fbs: make([]int, n), visits: make([]int, n)}
 	e.s = il

@@ -15,8 +15,8 @@ import (
 )
 
 // checkShellPristine asserts that a router+engine shell is indistinguishable
-// from a freshly constructed one: every run-scoped counter, buffer, and
-// error slot at its zero value, every module's state empty. It is the
+// from a freshly constructed one: every run-scoped counter and error slot at
+// its zero value, every module's state empty. It is the
 // contract the server's plan cache relies on when it pools shells across
 // EXECUTEs. An idle shell holds no events channel: a run borrows one from the
 // process-wide pool and wind-down hands it back empty.
@@ -63,14 +63,6 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 		}
 		if got := eng.waiting[i].Load(); got != 0 {
 			t.Errorf("waiting[%d] = %d, want 0", i, got)
-		}
-	}
-	for mod := range eng.bufs {
-		if len(eng.bufs[mod]) != 0 {
-			t.Errorf("module %d coalescing buffers not empty", mod)
-		}
-		if eng.pendCount[mod] != 0 {
-			t.Errorf("module %d pendCount = %d, want 0", mod, eng.pendCount[mod])
 		}
 	}
 	select {
@@ -189,7 +181,7 @@ func TestResetDetachesSharedState(t *testing.T) {
 }
 
 // TestResetAfterCanceledRun: a shell whose previous run was canceled
-// mid-flight (batches stranded in inboxes and coalescing buffers) must
+// mid-flight (batches stranded in inboxes) must
 // still reset to pristine and produce complete results on the next run —
 // the plan cache only pools clean shells, but Reset itself must not depend
 // on that.

@@ -432,24 +432,6 @@ func (cb *ColBatch) Value(t, col, i int) value.V {
 	return cb.Tabs[t].Cols[col].ValueAt(i)
 }
 
-// SameHeader reports whether two batches share identical routing state, the
-// precondition for merging them into one coalesced batch.
-func (cb *ColBatch) SameHeader(o *ColBatch) bool {
-	if cb.NTables != o.NTables || cb.Span != o.Span || cb.Done != o.Done ||
-		cb.Built != o.Built || cb.PriorProber != o.PriorProber ||
-		cb.ProbeTable != o.ProbeTable || cb.AMProbed != o.AMProbed ||
-		cb.HasMatches != o.HasMatches || cb.LastMatchTS != o.LastMatchTS ||
-		len(cb.Visits) != len(o.Visits) {
-		return false
-	}
-	for i, v := range cb.Visits {
-		if o.Visits[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // CopyHeaderFrom copies the routing-state header (not the rows) of src.
 func (cb *ColBatch) CopyHeaderFrom(src *ColBatch) {
 	cb.shape(src.NTables)
@@ -486,13 +468,6 @@ func (cb *ColBatch) AppendRowFrom(src *ColBatch, i int) {
 		cb.Sel = append(cb.Sel, int32(cb.n))
 	}
 	cb.n++
-}
-
-// AppendAllFrom gathers every live row of src onto cb (the coalescing merge).
-func (cb *ColBatch) AppendAllFrom(src *ColBatch) {
-	for k := 0; k < src.Rows(); k++ {
-		cb.AppendRowFrom(src, src.RowAt(k))
-	}
 }
 
 // materialized counts, process-wide, the rows Materialize has boxed: what fell

@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -97,7 +98,9 @@ func appendMemberJSON(buf []byte, k int, name string, v value.V) []byte {
 }
 
 // appendJSONString appends s as a JSON string literal, escaping quotes,
-// backslashes, and control characters (the only bytes JSON forbids raw).
+// backslashes, and control characters (the only bytes JSON forbids raw). An
+// NDJSON line must be UTF-8 (RFC 8259 §8.1), so each byte that is not part of
+// a valid UTF-8 sequence is written as \ufffd, as encoding/json does.
 func appendJSONString(buf []byte, s string) []byte {
 	buf = append(buf, '"')
 	for i := 0; i < len(s); i++ {
@@ -106,8 +109,16 @@ func appendJSONString(buf []byte, s string) []byte {
 			buf = append(buf, '\\', ch)
 		case ch < 0x20:
 			buf = append(buf, '\\', 'u', '0', '0', hexDigits[ch>>4], hexDigits[ch&0xf])
-		default:
+		case ch < utf8.RuneSelf:
 			buf = append(buf, ch)
+		default:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				buf = append(buf, `\ufffd`...)
+			} else {
+				buf = append(buf, s[i:i+size]...)
+			}
+			i += size - 1
 		}
 	}
 	return append(buf, '"')

@@ -17,9 +17,11 @@
 //     extension and eviction — and balance attaches against detaches.
 //   - REGISTER detaches lazily, INSERT extends: an entry remembers the
 //     catalog generation it was built at and how many of the table's rows it
-//     has absorbed. A different generation (REGISTER, a new index) drops it
-//     from the map; the next attach rebuilds, and running queries keep the
-//     old state until they release. The same generation with more rows is an
+//     has absorbed. A newer generation (REGISTER, a new index) drops it from
+//     the map; the next attach rebuilds, and running queries keep the old
+//     state until they release. An attacher whose snapshot holds an older
+//     generation than the entry runs on private SteMs and leaves the entry
+//     alone. The same generation with more rows is an
 //     append: the attacher inserts just the new rows into the existing state
 //     (stem.SharedState.Extend) — but only while no query is attached,
 //     otherwise the entry is dropped and rebuilt as above. An attacher whose
@@ -104,7 +106,8 @@ func newSharedStems(capBytes int64) *sharedStems {
 // exactly src's rows, building the shared state on first use and extending
 // it after an append. The caller must release the entry exactly once when its
 // query stops probing the state. A nil entry with a nil error means src is an
-// older snapshot than the state has absorbed: the query must run private.
+// older snapshot than the state has absorbed — an older generation, or fewer
+// rows of the same one: the query must run private.
 func (m *sharedStems) attach(table string, src sql.Source, keyCols []int) (*sharedEntry, error) {
 	key := sharedKey{table: table, cols: colsSig(keyCols)}
 	rows := src.Data.Rows
@@ -113,11 +116,11 @@ func (m *sharedStems) attach(table string, src sql.Source, keyCols []int) (*shar
 	e := m.entries[key]
 	switch {
 	case e == nil:
-	case e.gen != src.Gen:
+	case e.gen < src.Gen:
 		// REGISTER replaced the table since this entry was built: rebuild.
 		// Running queries keep the old state through their reference.
 		e = nil
-	case len(rows) < e.rows:
+	case e.gen > src.Gen || len(rows) < e.rows:
 		m.mu.Unlock()
 		return nil, nil
 	case len(rows) > e.rows && e.refs > 0:
@@ -286,7 +289,7 @@ func (p *sharedPlan) release() {
 // no join columns (nothing to key its dictionary on), a join graph
 // not connected from the driver (a cross-product leg would need the
 // attached table's scan, which attachments do not run), or a snapshot older
-// than the rows a table's state has already absorbed.
+// than the generation or the rows a table's state has already absorbed.
 func (m *sharedStems) planAttach(st *sql.Stmt, q *query.Q, snap sql.MapCatalog) (*sharedPlan, error) {
 	n := q.NumTables()
 	if m == nil || n < 2 || n != len(st.From) {

@@ -3,7 +3,8 @@
 // a -race lifecycle storm mixing concurrent attach/detach with REGISTER
 // invalidation and session cancellation mid-probe, capacity eviction, and
 // the INSERT rules — an idle state absorbs the new rows in place, while a
-// referenced one is rebuilt and an older snapshot runs private.
+// referenced one is rebuilt and an older snapshot runs private — and the
+// REGISTER rule: an older generation runs private too.
 package server
 
 import (
@@ -25,6 +26,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/source"
 	"repro/internal/sql"
+	"repro/internal/tuple"
 )
 
 // metricValue extracts one un-labeled metric's value from an exposition body.
@@ -504,5 +506,59 @@ func TestSharedStemsOlderSnapshotRunsPrivate(t *testing.T) {
 	}
 	if builds, _, _, _ := srv.shared.counts(); builds != 2 {
 		t.Errorf("builds = %d, want 2; refusing an older snapshot must not disturb the live state", builds)
+	}
+}
+
+// TestSharedStemsOlderGenerationRunsPrivate: a reader whose snapshot predates
+// a REGISTER gets the nil all-private plan, as an older-rows snapshot does,
+// and leaves the newer generation's state in place — the next current read
+// builds nothing.
+func TestSharedStemsOlderGenerationRunsPrivate(t *testing.T) {
+	cat := memCatalog(t)
+	srv, ts, client := newTestServer(t, cat, Config{SharedStems: true})
+	st, err := sql.Parse(threeWayJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := cat.Snapshot()
+	bound, err := sql.Bind(st, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); len(res.rows) != 5 {
+		t.Fatalf("warm-up join: %d rows, want 5", len(res.rows))
+	}
+	sch, err := schema.NewTable("u", schema.IntCol("p"), schema.IntCol("q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := source.NewTable(sch, []tuple.Row{intRow(100, 7), intRow(200, 8), intRow(100, 9), intRow(200, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Put("u", sql.Source{Data: data, Scan: &source.ScanSpec{}})
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); len(res.rows) != 6 {
+		t.Fatalf("post-REGISTER join: %d rows, want 6", len(res.rows))
+	}
+	builds, _, _, _ := srv.shared.counts()
+
+	plan, err := srv.shared.planAttach(st, bound.Q, old)
+	if err != nil || plan != nil {
+		plan.release()
+		t.Fatalf("planAttach on the pre-REGISTER snapshot = %v, %v; want the nil all-private plan", plan, err)
+	}
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": threeWayJoin}); len(res.rows) != 6 {
+		t.Errorf("join after the refused attach: %d rows, want 6", len(res.rows))
+	}
+	if after, _, _, _ := srv.shared.counts(); after != builds {
+		t.Errorf("builds %d -> %d; the stale attach evicted the current state", builds, after)
+	}
+	_, gen, _ := cat.SourceGen("u")
+	srv.shared.mu.Lock()
+	defer srv.shared.mu.Unlock()
+	for k, e := range srv.shared.entries {
+		if k.table == "u" && e.gen != gen {
+			t.Errorf("u's entry holds generation %d, want the newest, %d", e.gen, gen)
+		}
 	}
 }

@@ -2,7 +2,7 @@
 // encoded straight from a columnar batch and rows encoded from tuples are
 // the same bytes — and the serving path's claim to stay on columns: a
 // streaming join boxes no row (stemsd_materialized_rows_total does not move),
-// counts its rows in the trailer, the ring and the trace alike, and a client
+// band joins included, counts its rows in the trailer, the ring and the trace alike, and a client
 // that hangs up still stops the run.
 package server
 
@@ -11,13 +11,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
+	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/schema"
 	"repro/internal/source"
@@ -235,4 +238,93 @@ func TestClientHangUpCancelsColumnarStream(t *testing.T) {
 	ts.Close()
 	client.CloseIdleConnections()
 	waitForGoroutines(t, baseline)
+}
+
+// TestBandJoinsStayOnColumns: a band J(2) and a J(3) mixing an equi and a
+// band join stream from scan to socket without boxing a row — the SteM plans
+// a probe on its equi bindings alone, and scans when there are none — and
+// return the simulator's multiset.
+func TestBandJoinsStayOnColumns(t *testing.T) {
+	cat := memCatalog(t)
+	_, ts, client := newTestServer(t, cat, Config{})
+	for _, q := range []string{
+		"SELECT r.key, s.y FROM r, s WHERE r.a < s.x",
+		"SELECT r.key, u.q FROM r, s, u WHERE r.a = s.x AND s.y > u.p",
+	} {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := sql.Bind(st, cat.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := core.Build(core.Spec{Q: bound.Q, Engine: core.Sim, Policy: "lottery"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := ex.Run(context.Background(), nil, nil)
+		ex.Release()
+		if err != nil || len(outs) == 0 {
+			t.Fatalf("%s: the simulator returned %d rows (%v); the test is vacuous", q, len(outs), err)
+		}
+		want := make(map[string]int)
+		for _, o := range outs {
+			row := make(map[string]any)
+			for _, c := range bound.Output {
+				switch v := o.T.Comp[c.Table][c.Col]; v.K {
+				case value.Int:
+					row[c.Name] = float64(v.I)
+				case value.Str:
+					row[c.Name] = v.S
+				default:
+					row[c.Name] = nil
+				}
+			}
+			want[rowKey(t, row)]++
+		}
+
+		before := metricValue(t, metricsBody(t, client, ts.URL), "stemsd_materialized_rows_total")
+		res := postQuery(t, client, ts.URL, map[string]any{"sql": q})
+		if moved := metricValue(t, metricsBody(t, client, ts.URL), "stemsd_materialized_rows_total") - before; moved != 0 {
+			t.Errorf("%s: materialized %d rows; the band join fell off the column path", q, moved)
+		}
+		got := make(map[string]int)
+		for _, row := range res.rows {
+			got[rowKey(t, row)]++
+		}
+		if res.status != http.StatusOK || !maps.Equal(got, want) {
+			t.Errorf("%s: status %d, rows %v; want the simulator's %v", q, res.status, got, want)
+		}
+	}
+}
+
+// FuzzAppendJSONString holds the NDJSON string encoder to encoding/json: its
+// output is valid UTF-8 and valid JSON, and it decodes to the same string as
+// json.Marshal's output — an invalid byte included, which both write as
+// \ufffd.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range []string{"caf\xe9", "", "plain", "q\"b\\c\x00\x1f\x7f", "日本 😀", "\xed\xa0\x80", "\xef\xbf\xbd", "\xe6\x97", "\u2028<&>"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := appendJSONString(nil, s)
+		if !utf8.Valid(got) || !json.Valid(got) {
+			t.Fatalf("appendJSONString(%q) = %q: not valid UTF-8 JSON", s, got)
+		}
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotS, wantS string
+		if err := json.Unmarshal(got, &gotS); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(want, &wantS); err != nil {
+			t.Fatal(err)
+		}
+		if gotS != wantS {
+			t.Fatalf("appendJSONString(%q) decodes to %q, encoding/json's to %q", s, gotS, wantS)
+		}
+	})
 }

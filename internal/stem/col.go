@@ -44,9 +44,9 @@ func (s *SteM) isColBuild(cb *flow.ColBatch) bool {
 }
 
 // colBatchOK gates the columnar fast path for one batch. Builds qualify in
-// the plain symmetric-hash configuration; probes additionally require pure
-// equi-join bindings and no index AM on the table — index EOT completeness is
-// per bound value, so batches of probes could split between consumed and
+// the plain symmetric-hash configuration; probes additionally require at
+// least one join binding (equi or band) and no index AM on the table — index
+// EOT completeness is per bound value, so batches of probes could split between consumed and
 // bounced in ways the uniform header cannot express (and the completeness
 // index can grow concurrently). Windowed SteMs evict per row. Everything
 // gated materializes to rows — as does a build batch sent to an attached
@@ -66,7 +66,7 @@ func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
 		return false
 	}
 	for _, p := range preds {
-		if _, _, op, ok := p.BindSide(cb.Span, s.cfg.Table); !ok || op != pred.Eq {
+		if _, _, _, ok := p.BindSide(cb.Span, s.cfg.Table); !ok {
 			return false
 		}
 	}
@@ -176,11 +176,13 @@ func (s *SteM) probeCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission
 		preds = q.JoinPredsConnecting(cb.Span, table)
 		scr.predCache[cb.Span] = preds
 	}
-	// Bind plan: stored column <- probe-side column, all equi (gated).
+	// Bind plan: stored column <- probe-side column, equi bindings only. A
+	// band binding narrows no bucket; it is checked with the rest in verify.
 	plan := scr.colPlan[:0]
 	for _, p := range preds {
-		tCol, from, _, _ := p.BindSide(cb.Span, table)
-		plan = append(plan, colBind{tCol: tCol, src: colRef{from.Table, from.Col}})
+		if tCol, from, op, _ := p.BindSide(cb.Span, table); op == pred.Eq {
+			plan = append(plan, colBind{tCol: tCol, src: colRef{from.Table, from.Col}})
+		}
 	}
 	scr.colPlan = plan
 	// Dictionary index position per plan entry.
