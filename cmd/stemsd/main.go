@@ -76,6 +76,15 @@ import (
 	"repro/internal/server"
 )
 
+// A client that opens a connection and never finishes its request headers,
+// or keeps an idle keep-alive connection, would hold a goroutine and a file
+// descriptor forever. Neither timeout touches a streaming response: both end
+// before a handler starts or after it returns.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 type repeatable []string
 
 func (r *repeatable) String() string     { return strings.Join(*r, ",") }
@@ -199,7 +208,8 @@ func main() {
 		handler = mux
 		log.Printf("stemsd: pprof endpoints enabled at /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: handler,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("stemsd: serving on %s with %d tables %v", *addr, cat.Len(), cat.Tables())

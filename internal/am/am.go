@@ -173,11 +173,7 @@ func (a *AM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []
 // row representation: their semantics are per-row delivery times, which a
 // batch cannot carry.
 func (a *AM) colScannable(t *tuple.Tuple) bool {
-	if !t.Seed || a.decl.Kind != query.Scan {
-		return false
-	}
-	sp := a.decl.ScanSpec
-	return sp.StartDelay == 0 && sp.InterArrival == 0 && len(sp.Stalls) == 0
+	return t.Seed && a.decl.Kind == query.Scan && a.decl.ScanSpec.Unpaced()
 }
 
 // scanCols streams the source out as columnar batches followed by the scan's

@@ -82,7 +82,7 @@ func taxRound(tb testing.TB, ex *Exec) (steps, results uint64) {
 // BenchmarkAdaptivityTax reports each path's ns/op and allocs/op, and for the
 // engine paths tax_x (ns/op over the static join's) and steps/result.
 func BenchmarkAdaptivityTax(b *testing.B) {
-	for _, n := range []int{1000, 16000} {
+	for _, n := range []int{1000, 4000, 8000, 16000} {
 		q, rows := fixturePaced(n, 0)
 		b.Run(fmt.Sprintf("rows=%d/static", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -112,8 +112,9 @@ func BenchmarkAdaptivityTax(b *testing.B) {
 
 // TestAdaptivityTaxPins pins what is deterministic enough to pin of a warm
 // 1k-row run: its allocations and its routing steps per result, each at most
-// the maximum measured over repeated runs when the benchmark landed plus 5 %.
-// Time stays ungated.
+// the maximum measured over repeated runs plus 5 %. The run is inline (1,312
+// rows), so a round that went back to goroutines would cross the allocation
+// bound. Time stays ungated.
 func TestAdaptivityTaxPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -123,8 +124,8 @@ func TestAdaptivityTaxPins(t *testing.T) {
 		pol           string
 		allocs, steps float64
 	}{
-		{"benefitcost", 70, 4.87},
-		{"fixed", 70, 4.88},
+		{"benefitcost", 61, 4.872},
+		{"fixed", 56, 4.630},
 	} {
 		ex := warmExec(t, q, c.pol)
 		var steps, results uint64

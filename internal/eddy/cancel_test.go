@@ -83,20 +83,30 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestRunContextPreCanceled: a context canceled before Run starts still
-// returns an error and leaks nothing.
+// returns an error wrapping its cause and leaks nothing, on goroutines (paced
+// scans) and inline (unpaced).
 func TestRunContextPreCanceled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	q := twoTableQuery(t)
-	r, err := NewRouter(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := NewConcurrent(r, clock.NewReal(1)).RunContext(ctx); err == nil {
-		t.Fatal("want cancellation error")
+	for _, q := range []*query.Q{twoTableQuery(t), unpaced(twoTableQuery(t))} {
+		r, err := NewRouter(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := NewConcurrent(r, clock.NewReal(1)).RunContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+		}
 	}
 	waitGoroutines(t, baseline)
+}
+
+// unpaced takes the pacing off q's scans, so a small q runs inline.
+func unpaced(q *query.Q) *query.Q {
+	for i := range q.AMs {
+		q.AMs[i].ScanSpec = source.ScanSpec{}
+	}
+	return q
 }
 
 // bigTwoTableQuery joins a 400-row table against a 50-row one — enough

@@ -1,10 +1,13 @@
-// concurrent.go is the goroutine driver of the concurrent engine: it only
-// schedules the core (engine.go). Every module runs in its own goroutines (a
-// worker pool sized by Parallel()) behind an unbounded inbox, and one eddy
-// goroutine consumes the events channel — the paper's Telegraph setting,
-// where "each module runs asynchronously in a separate thread". Time is a
-// real clock, scaled (defaultScale) so a declared source latency of the
-// paper's multi-minute runs elapses in milliseconds.
+// concurrent.go is the concurrent engine's shell and its goroutine driver;
+// both of its drivers only schedule the core (engine.go). A round whose
+// modules declare time, or which brings in more than inlineRows rows, runs
+// on goroutines: every module runs in its own goroutines (a worker pool sized
+// by Parallel()) behind an unbounded inbox, and one eddy goroutine consumes
+// the events channel — the paper's Telegraph setting, where "each module runs
+// asynchronously in a separate thread". Any other round runs on the caller's
+// goroutine (inline.go). Time is a real clock, scaled (defaultScale) so a
+// declared source latency of the paper's multi-minute runs elapses in
+// milliseconds.
 //
 // The engine is not deterministic (that is the simulator's job); it is the
 // deployment-shaped engine, and the race-exercising tests run the same
@@ -16,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/flow"
@@ -101,15 +105,18 @@ func (b *inbox) reopen() {
 // reports before a worker blocks on the eddy goroutine).
 var eventsPool = sync.Pool{New: func() any { return make(chan eddyEvent, 1024) }}
 
-// Concurrent drives the core with goroutines and channels on a real clock.
+// Concurrent drives the core on a real clock, inline or on goroutines.
 type Concurrent struct {
 	engine
-	clk    *clock.Real
+	clk *clock.Real
+	in  inline
+	// The goroutine driver's state. done is made per goroutine run and closed
+	// when it winds down (quiescence or cancellation); service floors and
+	// delayed senders select on it so a canceled run never waits out pending
+	// virtual sleeps. inboxes are made the first time the shell runs on
+	// goroutines.
 	events chan eddyEvent
-	// done is closed when the run winds down (quiescence or cancellation);
-	// service floors and delayed senders select on it so a canceled run never
-	// waits out pending virtual sleeps.
-	done chan struct{}
+	done   chan struct{}
 	// senders tracks the delayed senders, the only goroutines besides the
 	// module workers that send on events; wind-down absorbs events until they
 	// and the workers have exited, so the run leaves zero goroutines behind
@@ -127,8 +134,8 @@ const defaultScale = 0.001
 // NewConcurrent prepares a concurrent run. clk nil means a fresh clock at
 // defaultScale.
 func NewConcurrent(r Routing, clk *clock.Real) *Concurrent {
-	c := &Concurrent{done: make(chan struct{})}
-	c.r, c.s = r, c
+	c := &Concurrent{}
+	c.r, c.s, c.in.Concurrent = r, c, c
 	c.SetClock(clk)
 	return c
 }
@@ -146,13 +153,12 @@ func (c *Concurrent) SetClock(clk *clock.Real) {
 // Reset returns a finished engine shell to its pre-run state so it can be
 // pooled and run again: RunContext after Reset behaves exactly like the
 // first RunContext on a fresh engine (the run-scoped scaffolding — inboxes,
-// scratch — is retained and reopened rather than reallocated, which is the
-// point of pooling). It must only be called after RunContext has returned,
-// which guarantees every goroutine of the previous run has exited; the
-// modules' own state (SteM dictionaries, AM dedup caches, policy learners)
-// belongs to the Routing and is reset through it.
+// inline queues, scratch — is retained and reopened rather than reallocated,
+// which is the point of pooling). It must only be called after RunContext
+// has returned, which guarantees every goroutine of the previous run has
+// exited; the modules' own state (SteM dictionaries, AM dedup caches, policy
+// learners) belongs to the Routing and is reset through it.
 func (c *Concurrent) Reset() {
-	c.done = make(chan struct{})
 	for _, ib := range c.inboxes {
 		ib.reopen()
 	}
@@ -170,7 +176,7 @@ func (c *Concurrent) Run() ([]Output, error) { return c.RunContext(context.Backg
 // results produced so far plus an error wrapping ctx.Err(). Every goroutine
 // the run started has exited by the time RunContext returns.
 func (c *Concurrent) RunContext(ctx context.Context) ([]Output, error) {
-	return c.run(ctx, c.r.Seeds(), nil)
+	return c.run(ctx, c.r.Seeds(), nil, -1)
 }
 
 // RunDeltaCols runs one incremental round over the module state earlier
@@ -182,19 +188,53 @@ func (c *Concurrent) RunContext(ctx context.Context) ([]Output, error) {
 // engine owns the batches; the routing must be a ColRouter. Call it on a
 // Reset shell (hooks re-set) WITHOUT resetting the Routing.
 func (c *Concurrent) RunDeltaCols(ctx context.Context, cbs []*flow.ColBatch) ([]Output, error) {
-	return c.run(ctx, nil, cbs)
+	rows := 0
+	for _, cb := range cbs {
+		rows += cb.Rows()
+	}
+	return c.run(ctx, nil, cbs, rows)
 }
 
 // RunDelta is RunDeltaCols with the new rows boxed as singleton tuples; only
 // the benchmark harness still calls it.
 func (c *Concurrent) RunDelta(ctx context.Context, ts []*tuple.Tuple) ([]Output, error) {
-	return c.run(ctx, ts, nil)
+	return c.run(ctx, ts, nil, len(ts))
 }
 
-// run executes one round: the eddy routes the seeds, then consumes events
-// until the core is quiescent or ctx is canceled, then winds down.
-func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple, cols []*flow.ColBatch) ([]Output, error) {
+// inlineRounds and goroutineRounds count the process's engine rounds by the
+// driver that ran them.
+var inlineRounds, goroutineRounds atomic.Uint64
+
+// Rounds reports how many engine rounds, delta rounds included, the process
+// has run inline and on goroutines.
+func Rounds() (inline, goroutines uint64) { return inlineRounds.Load(), goroutineRounds.Load() }
+
+// inlines reports whether a round bringing in rows (-1: a full run, whose
+// rows are the scans' source rows) runs inline: the routing is a Router
+// whose modules declare no time, and the rows are at most inlineRows.
+func (c *Concurrent) inlines(rows int) bool {
+	r, ok := c.r.(*Router)
+	if !ok || r.scanRows < 0 {
+		return false
+	}
+	if rows < 0 {
+		rows = r.scanRows
+	}
+	return rows <= inlineRows
+}
+
+// run executes one round on the driver the round calls for. On goroutines,
+// the eddy routes the seeds, then consumes events until the core is
+// quiescent or ctx is canceled, then winds down.
+func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple, cols []*flow.ColBatch, rows int) ([]Output, error) {
+	if c.inlines(rows) {
+		inlineRounds.Add(1)
+		c.in.run(ctx, seeds, cols)
+		return c.outputs, c.err
+	}
+	goroutineRounds.Add(1)
 	mods := c.r.Modules()
+	c.s, c.done = c, make(chan struct{})
 	c.events = eventsPool.Get().(chan eddyEvent)
 	if len(c.inboxes) != len(mods) {
 		c.inboxes = make([]*inbox, len(mods))
@@ -234,7 +274,7 @@ loop:
 		}
 	}
 	if !c.quiescent() {
-		c.setErr(fmt.Errorf("eddy: run canceled with %d tuples in flight: %w", c.inflight, ctx.Err()))
+		c.canceled(ctx.Err())
 	}
 
 	// Wind the dataflow down without leaking a single goroutine. Closing done
@@ -266,8 +306,13 @@ absorb:
 		<-c.events
 	}
 	eventsPool.Put(c.events)
-	c.events = nil
+	c.events, c.done = nil, nil
 	return c.outputs, c.err
+}
+
+// canceled fails the run on its context's error.
+func (c *Concurrent) canceled(err error) {
+	c.setErr(fmt.Errorf("eddy: run canceled with %d tuples in flight: %w", c.inflight, err))
 }
 
 // worker services a module's inbox, possibly beside Parallel()-1 siblings.
@@ -294,10 +339,20 @@ func (c *Concurrent) now() clock.Time { return c.clk.Now() }
 func (c *Concurrent) floor(start clock.Time, cost clock.Duration) clock.Time {
 	now := c.clk.Now()
 	if rest := cost - clock.Duration(now-start); rest > 0 {
-		c.clk.WaitOrDone(rest, c.done)
+		c.wait(rest)
 		now = c.clk.Now()
 	}
 	return now
+}
+
+// wait sleeps d on the engine clock, giving up when the goroutine run winds
+// down or the inline run's context ends.
+func (c *Concurrent) wait(d clock.Duration) {
+	if c.done != nil {
+		c.clk.WaitOrDone(d, c.done)
+	} else {
+		c.clk.WaitOrDone(d, c.in.ctx.Done())
+	}
 }
 
 // postAfter sends evs from one tracked sender goroutine, each once its delay

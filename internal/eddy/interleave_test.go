@@ -30,7 +30,7 @@ import (
 	"repro/internal/tuple"
 )
 
-var interleaveSeeds = flag.Int("interleave.seeds", 500, "seeds per configuration for TestInterleave")
+var interleaveSeeds = flag.Int("interleave.seeds", 500, "seeds per configuration for TestInterleave and TestInline")
 
 // fifo is one sender's posts to the eddy, in order. due holds each event's
 // due time for a delayed sender (nil otherwise); after, when set, is the
@@ -50,10 +50,49 @@ type interleaver struct {
 	senders []*fifo
 	inbox   [][]job
 	cur     *fifo // the sender of the service step in progress
-	// served and rows count each module's services and the rows they took;
-	// fbs and visits count the feedback the eddy consumed for them.
-	served, rows, fbs, visits []int
-	steps                     int
+	steps   int
+	tally
+}
+
+// tally counts, per module, the services a driver ran and the rows they took
+// (served, rows), and the feedback the eddy consumed for them (fbs, visits).
+type tally struct{ served, rows, fbs, visits []int }
+
+func newTally(mods int) tally {
+	return tally{make([]int, mods), make([]int, mods), make([]int, mods), make([]int, mods)}
+}
+
+func (tl *tally) serve(mod int, j job) {
+	tl.served[mod]++
+	tl.rows[mod] += j.b.Len()
+}
+
+func (tl *tally) observe(fb policy.Feedback) {
+	tl.fbs[fb.Module]++
+	tl.visits[fb.Module] += fb.Visits
+}
+
+// unbalanced describes every module whose feedback does not match its
+// services one for one, "" for none.
+func (tl *tally) unbalanced() string {
+	var s string
+	for m := range tl.served {
+		if tl.fbs[m] != tl.served[m] || tl.visits[m] != tl.rows[m] {
+			s += fmt.Sprintf(" module %d: %d feedback reports over %d rows for %d services of %d rows;",
+				m, tl.fbs[m], tl.visits[m], tl.served[m], tl.rows[m])
+		}
+	}
+	return s
+}
+
+// eventRows is the rows an undelivered event holds: a batch's, or the
+// Visits − Emitted of a feedback (rows a finished service took in and the
+// eddy has not yet seen leave).
+func eventRows(ev eddyEvent) int64 {
+	if ev.fb != nil {
+		return int64(ev.fb.Visits - ev.fb.Emitted)
+	}
+	return int64(ev.b.Len())
 }
 
 func (il *interleaver) post(ev eddyEvent) { il.cur.evs = append(il.cur.evs, ev) }
@@ -135,8 +174,7 @@ func (il *interleaver) run(seeds []*tuple.Tuple) ([]Output, error) {
 		case stepServe:
 			j := il.inbox[s.i][0]
 			il.inbox[s.i] = il.inbox[s.i][1:]
-			il.served[s.i]++
-			il.rows[s.i] += j.b.Len()
+			il.serve(s.i, j)
 			f := &fifo{}
 			il.cur = f
 			e.service(s.i, j)
@@ -156,19 +194,13 @@ func (il *interleaver) run(seeds []*tuple.Tuple) ([]Output, error) {
 	return nil, fmt.Errorf("no quiescence after %d steps", il.steps)
 }
 
-// located counts the rows in the three places a live row can be: an
-// unconsumed event, an inbox, or the Visits − Emitted of an unconsumed
-// feedback (rows a finished service took in and the eddy has not yet seen
-// leave).
+// located counts the rows in the places a live row can be: an unconsumed
+// event (a feedback's Visits − Emitted among them) or an inbox.
 func (il *interleaver) located() int64 {
 	var n int64
 	for _, f := range il.senders {
 		for _, ev := range f.evs {
-			if ev.fb != nil {
-				n += int64(ev.fb.Visits - ev.fb.Emitted)
-			} else {
-				n += int64(ev.b.Len())
-			}
+			n += eventRows(ev)
 		}
 	}
 	for _, q := range il.inbox {
@@ -194,12 +226,8 @@ func (il *interleaver) leftovers() string {
 		if len(il.inbox[m]) > 0 {
 			s += fmt.Sprintf(" module %d holds %d queued jobs;", m, len(il.inbox[m]))
 		}
-		if il.fbs[m] != il.served[m] || il.visits[m] != il.rows[m] {
-			s += fmt.Sprintf(" module %d: %d feedback reports over %d rows for %d services of %d rows;",
-				m, il.fbs[m], il.visits[m], il.served[m], il.rows[m])
-		}
 	}
-	return s
+	return s + il.unbalanced()
 }
 
 // interleaveConfig is one point of the interleaver's configuration space.
@@ -241,10 +269,10 @@ func interleaveQuery(rng *rand.Rand, pace clock.Duration) *query.Q {
 	return query.MustNew(tabs, []pred.P{pred.EquiJoin(0, 1, 1, 0), pred.EquiJoin(1, 1, 2, 0)}, ams)
 }
 
-// interleaveOnce runs one seed of a configuration and checks it: the result
-// multiset against the oracle (Theorems 1–2), no stuck tuple, nothing left in
-// flight, and every service's feedback consumed exactly once.
-func interleaveOnce(cfg interleaveConfig, seed int64) (*interleaver, []Output, error) {
+// interleaveCase builds one seed of a configuration: its query, and a router
+// under a seeded policy, with SkipBuild for cfg.skip of the seeds. The rng
+// goes on to drive the schedule.
+func interleaveCase(cfg interleaveConfig, seed int64) (*query.Q, *Router, *rand.Rand, error) {
 	rng := rand.New(rand.NewSource(seed))
 	q := interleaveQuery(rng, cfg.pace)
 	var opts Options
@@ -260,45 +288,60 @@ func interleaveOnce(cfg interleaveConfig, seed int64) (*interleaver, []Output, e
 		opts.SkipBuild, opts.SkipBuildTable = true, rng.Intn(3)
 	}
 	r, err := NewRouter(q, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(r.Modules())
-	e := &engine{r: r}
-	il := &interleaver{e: e, rng: rng, inbox: make([][]job, n),
-		served: make([]int, n), rows: make([]int, n), fbs: make([]int, n), visits: make([]int, n)}
-	e.s = il
-	e.OnService = func(fb policy.Feedback) {
-		il.fbs[fb.Module]++
-		il.visits[fb.Module] += fb.Visits
-	}
-	outs, err := il.run(r.Seeds())
-	if err != nil {
-		return il, nil, err
-	}
+	return q, r, rng, err
+}
+
+// checkOutcome checks a run's results against the oracle (Theorems 1–2) and
+// the router for stuck tuples.
+func checkOutcome(q *query.Q, r *Router, outs []Output) error {
 	got := make(oracle.Result)
 	for _, o := range outs {
 		got[o.T.ResultKey()]++
 	}
 	if missing, extra := oracle.Diff(oracle.Compute(q), got); len(missing) > 0 || len(extra) > 0 {
-		err = fmt.Errorf("%d results missing, %d extra (SkipBuild %v)", len(missing), len(extra), opts.SkipBuild)
-	} else if r.Stuck() != 0 {
-		err = fmt.Errorf("%d tuples stuck", r.Stuck())
-	} else if left := il.leftovers(); left != "" {
-		err = fmt.Errorf("returned with%s", left)
+		return fmt.Errorf("%d results missing, %d extra (SkipBuild %v)", len(missing), len(extra), r.opts.SkipBuild)
+	}
+	if r.Stuck() != 0 {
+		return fmt.Errorf("%d tuples stuck", r.Stuck())
+	}
+	return nil
+}
+
+// interleaveOnce runs one seed of a configuration and checks it: the result
+// multiset against the oracle, no stuck tuple, nothing left in flight, and
+// every service's feedback consumed exactly once.
+func interleaveOnce(cfg interleaveConfig, seed int64) (*interleaver, []Output, error) {
+	q, r, rng, err := interleaveCase(cfg, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := len(r.Modules())
+	e := &engine{r: r}
+	il := &interleaver{e: e, rng: rng, inbox: make([][]job, n), tally: newTally(n)}
+	e.s = il
+	e.OnService = il.observe
+	outs, err := il.run(r.Seeds())
+	if err != nil {
+		return il, nil, err
+	}
+	if err = checkOutcome(q, r, outs); err == nil {
+		if left := il.leftovers(); left != "" {
+			err = fmt.Errorf("returned with%s", left)
+		}
 	}
 	return il, outs, err
 }
 
-// TestInterleave runs -interleave.seeds seeds (500 by default) of every
-// configuration through the interleaver.
-func TestInterleave(t *testing.T) {
+// soak runs -interleave.seeds seeds (500 by default) of every configuration
+// through once, each seed a subtest of test whose failure prints the command
+// that replays it.
+func soak(t *testing.T, test string, once func(interleaveConfig, int64) error) {
 	for _, cfg := range interleaveConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			for seed := range *interleaveSeeds {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					if _, _, err := interleaveOnce(cfg, int64(seed)); err != nil {
-						replay := fmt.Sprintf("go test -run 'TestInterleave/%s/seed=%d$' ./internal/eddy", cfg.name, seed)
+					if err := once(cfg, int64(seed)); err != nil {
+						replay := fmt.Sprintf("go test -run '%s/%s/seed=%d$' ./internal/eddy", test, cfg.name, seed)
 						if seed >= 500 {
 							replay += fmt.Sprintf(" -interleave.seeds=%d", seed+1)
 						}
@@ -308,6 +351,14 @@ func TestInterleave(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInterleave soaks every configuration through the interleaver.
+func TestInterleave(t *testing.T) {
+	soak(t, "TestInterleave", func(cfg interleaveConfig, seed int64) error {
+		_, _, err := interleaveOnce(cfg, seed)
+		return err
+	})
 }
 
 // TestSeedReplaysSchedule: an interleaver seed is a schedule — running it

@@ -11,6 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/oracle"
 	"repro/internal/policy"
+	"repro/internal/query"
 	"repro/internal/stem"
 )
 
@@ -73,6 +74,9 @@ func checkShellPristine(t *testing.T, r *Router, eng *Concurrent) {
 	if eng.events != nil {
 		t.Errorf("idle shell holds an events channel (%d entries queued)", len(eng.events))
 	}
+	if d := &eng.in; len(d.jobs)+len(d.evs)+len(d.later) != 0 || d.head != 0 || d.ctx != nil {
+		t.Errorf("inline queues not empty: %d jobs, %d events, %d delayed", len(d.jobs), len(d.evs), len(d.later))
+	}
 	for mod, ib := range eng.inboxes {
 		ib.mu.Lock()
 		if ib.closed || len(ib.items) != 0 {
@@ -99,10 +103,16 @@ func resetShell(t *testing.T, r *Router, eng *Concurrent) {
 // TestResetShellIndistinguishableFromFresh runs one shell repeatedly —
 // Reset between runs — and asserts that after each Reset the shell's state
 // is pristine, each rerun reproduces the oracle result multiset, and no run
-// leaves a goroutine behind (the zero-leak contract extends to reuse).
+// leaves a goroutine behind (the zero-leak contract extends to reuse). The
+// paced query runs on goroutines, the unpaced one inline.
 func TestResetShellIndistinguishableFromFresh(t *testing.T) {
+	for _, q := range []*query.Q{twoTableQuery(t), unpaced(twoTableQuery(t))} {
+		resetShellRuns(t, q)
+	}
+}
+
+func resetShellRuns(t *testing.T, q *query.Q) {
 	baseline := runtime.NumGoroutine()
-	q := twoTableQuery(t)
 	want := oracle.Compute(q)
 	r, err := NewRouter(q, Options{})
 	if err != nil {

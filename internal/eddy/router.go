@@ -141,6 +141,10 @@ type Router struct {
 
 	counter   *stem.Counter
 	maxVisits uint16
+	// scanRows is the source rows the scan AMs bring into a full run, or -1
+	// when a module declares time (an index AM, or a paced scan): what
+	// Concurrent reads to pick its driver.
+	scanRows int
 
 	// stuck counts tuples dropped because no legal move existed; correctness
 	// tests assert it stays zero.
@@ -255,6 +259,13 @@ func NewRouter(q *query.Q, opts Options) (*Router, error) {
 			return nil, err
 		}
 		t := q.AMs[ai].Table
+		switch decl := q.AMs[ai]; {
+		case r.scanRows < 0:
+		case decl.Kind == query.Scan && decl.ScanSpec.Unpaced():
+			r.scanRows += len(decl.Data.Rows)
+		default:
+			r.scanRows = -1
+		}
 		r.amRefs[t] = append(r.amRefs[t], amRef{mod: len(r.modules), amIndex: ai, kind: q.AMs[ai].Kind})
 		r.modules = append(r.modules, a)
 		r.ams = append(r.ams, a)

@@ -127,6 +127,9 @@ type gauges struct {
 	dictRecycled uint64
 	dictNew      uint64
 	materialized uint64
+
+	inlineRounds    uint64
+	goroutineRounds uint64
 }
 
 // write renders the counters in the Prometheus text exposition format.
@@ -162,6 +165,9 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "stemsd_stem_dict_acquires_total{source=\"new\"} %d\n", g.dictNew)
 	counter("stemsd_materialized_rows_total", "Rows converted from column vectors back into tuples, process-wide: what fell off the columnar path (row-semantic SteM configurations, index AMs, buffered ORDER BY/LIMIT results). A query that stays on columns from scan to socket leaves it unmoved.")
 	fmt.Fprintf(w, "stemsd_materialized_rows_total %d\n", g.materialized)
+	counter("stemsd_eddy_runs_total", "Engine rounds, delta rounds included, process-wide, by driver: inline on the requesting goroutine (modules that declare no time, a small round), or on module worker goroutines.")
+	fmt.Fprintf(w, "stemsd_eddy_runs_total{driver=\"inline\"} %d\n", g.inlineRounds)
+	fmt.Fprintf(w, "stemsd_eddy_runs_total{driver=\"goroutines\"} %d\n", g.goroutineRounds)
 	counter("stemsd_index_probes_total", "Remote index lookups across all queries.")
 	fmt.Fprintf(w, "stemsd_index_probes_total %d\n", m.indexProbes)
 	counter("stemsd_plan_cache_hits_total", "Statements served from the plan cache without re-binding.")

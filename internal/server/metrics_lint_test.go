@@ -258,6 +258,19 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if f := fams["stemsd_materialized_rows_total"]; f == nil || f.typ != "counter" {
 		t.Error("stemsd_materialized_rows_total missing or not a counter")
 	}
+	// Every engine round is booked under the driver that ran it; the three
+	// small in-memory joins above ran inline.
+	if f := fams["stemsd_eddy_runs_total"]; f == nil || f.typ != "counter" {
+		t.Error("stemsd_eddy_runs_total missing or not a counter")
+	} else {
+		by := map[string]float64{}
+		for _, s := range f.samples {
+			by[s.labels["driver"]] = s.value
+		}
+		if _, ok := by["goroutines"]; len(by) != 2 || !ok || by["inline"] < 3 {
+			t.Errorf("stemsd_eddy_runs_total by driver = %v, want inline ≥ 3 and a goroutines series", by)
+		}
+	}
 }
 
 // lintHistogramFamily checks the cumulative-bucket contract: le values

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/eddy"
 	"repro/internal/flow"
 	"repro/internal/sql"
 	"repro/internal/stem"
@@ -380,6 +381,7 @@ func (s *Server) gauges() gauges {
 	}
 	g.dictRecycled, g.dictNew = stem.DictAcquires()
 	g.materialized = flow.MaterializedRows()
+	g.inlineRounds, g.goroutineRounds = eddy.Rounds()
 	if s.plans != nil {
 		g.planEntries = s.plans.size()
 		g.planHits, g.planMisses, g.planInvalidations, g.planEvictions = s.plans.counters()

@@ -77,6 +77,12 @@ type ScanSpec struct {
 	Stalls []Stall
 }
 
+// Unpaced reports whether the scan delivers every row at once: no start
+// delay, inter-arrival or stall.
+func (s ScanSpec) Unpaced() bool {
+	return s.StartDelay == 0 && s.InterArrival == 0 && len(s.Stalls) == 0
+}
+
 // RowTimes returns the delivery offset of every row and of the final EOT,
 // relative to the scan's seed time.
 func (s ScanSpec) RowTimes(n int) (rows []clock.Duration, eot clock.Duration) {
