@@ -182,7 +182,7 @@ func BenchmarkSteMBuildCols(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Reset()
 		cb.Built, cb.Sel = 0, nil
-		if _, ems, _ := s.ProcessColBatch(batch, 0); len(ems) != 1 || ems[0].B.Rows() != rows {
+		if _, ems, _ := s.ProcessColBatch(batch, 0, nil, nil); len(ems) != 1 || ems[0].B.Rows() != rows {
 			b.Fatalf("build bounced %d batches", len(ems))
 		}
 	}

@@ -9,6 +9,7 @@ package am
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/clock"
@@ -119,16 +120,21 @@ func (a *AM) Reset() {
 
 // Process implements flow.Module.
 func (a *AM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Duration) {
+	return a.process(t, nil)
+}
+
+// process is Process appending the emissions to out.
+func (a *AM) process(t *tuple.Tuple, out []flow.Emission) ([]flow.Emission, clock.Duration) {
 	if t.Seed {
 		if a.decl.Kind != query.Scan {
 			panic(fmt.Sprintf("am: seed tuple routed to index AM %s", a.name))
 		}
-		return a.scan(), a.cfg.DispatchCost
+		return a.scan(out), a.cfg.DispatchCost
 	}
 	if a.decl.Kind != query.Index {
 		panic(fmt.Sprintf("am: probe tuple routed to scan AM %s", a.name))
 	}
-	out, cost := a.probe(t)
+	out, cost := a.probe(t, out)
 	return out, a.cfg.DispatchCost + cost
 }
 
@@ -144,26 +150,19 @@ func (a *AM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Dur
 // delivery times differ; index probes, whose dedup and latency are per-key)
 // goes through the per-tuple path, materializing columnar probers first, into
 // b.Tuples, so the engine can tell a bounced probe from a match.
-func (a *AM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
-	var rows []flow.Emission
-	var cols []flow.ColEmission
+func (a *AM) ProcessColBatch(b *flow.Batch, now clock.Time, rows []flow.Emission, cols []flow.ColEmission) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	var total clock.Duration
 	if b.Col != nil {
 		b.Tuples = b.Col.Materialize()
 	}
 	for _, t := range b.Tuples {
+		cost := a.cfg.DispatchCost
 		if a.colScannable(t) {
-			cs, ems := a.scanCols()
-			cols = append(cols, cs...)
-			rows = append(rows, ems...)
-			total += a.cfg.DispatchCost
-			now = now.Add(a.cfg.DispatchCost)
-			continue
+			rows, cols = a.scanCols(rows, cols)
+		} else {
+			rows, cost = a.process(t, rows)
 		}
-		ems, cost := a.Process(t, now)
-		rows = append(rows, ems...)
 		total += cost
-		now = now.Add(cost)
 	}
 	return rows, cols, total
 }
@@ -176,12 +175,13 @@ func (a *AM) colScannable(t *tuple.Tuple) bool {
 	return t.Seed && a.decl.Kind == query.Scan && a.decl.ScanSpec.Unpaced()
 }
 
-// scanCols streams the source out as columnar batches followed by the scan's
-// row-representation EOT (EOT tuples always travel as rows; the engine
-// delivers the columnar batches first, preserving scan order). Pushed-down
-// selections are applied with the vectorized kernels against the selection
-// vector, exactly like passesSelections/markSelections on the row path.
-func (a *AM) scanCols() ([]flow.ColEmission, []flow.Emission) {
+// scanCols streams the source out as columnar batches appended to cols,
+// followed by the scan's row-representation EOT appended to rows (EOT tuples
+// always travel as rows; the engine delivers the columnar batches first,
+// preserving scan order). Pushed-down selections are applied with the
+// vectorized kernels against the selection vector, exactly like
+// passesSelections/markSelections on the row path.
+func (a *AM) scanCols(rows []flow.Emission, cols []flow.ColEmission) ([]flow.Emission, []flow.ColEmission) {
 	q := a.cfg.Q
 	n := len(q.Tables)
 	tbl := a.decl.Table
@@ -194,7 +194,6 @@ func (a *AM) scanCols() ([]flow.ColEmission, []flow.Emission) {
 			done = done.With(p.ID)
 		}
 	}
-	var cols []flow.ColEmission
 	rowsOut := uint64(0)
 	for lo := 0; lo < len(src); lo += flow.ChunkRows {
 		hi := lo + flow.ChunkRows
@@ -224,23 +223,23 @@ func (a *AM) scanCols() ([]flow.ColEmission, []flow.Emission) {
 		cols = append(cols, flow.ColEmission{B: cb})
 	}
 	eot := tuple.NewEOT(n, tbl, a.eotRow(nil, nil), nil)
-	ems := []flow.Emission{flow.Emit(eot)}
+	rows = append(rows, flow.Emit(eot))
 	a.mu.Lock()
 	a.stats.SeedsServed++
 	a.stats.RowsOut += rowsOut
 	a.stats.EOTsOut++
 	a.mu.Unlock()
-	return cols, ems
+	return rows, cols
 }
 
 // scan streams out the whole source, each row delayed per the ScanSpec, and
 // ends with a full EOT ("in the case of a scan AM, the predicate is simply
-// true"). The seed tuple is consumed.
-func (a *AM) scan() []flow.Emission {
+// true"), appended to out. The seed tuple is consumed.
+func (a *AM) scan(out []flow.Emission) []flow.Emission {
 	n := len(a.cfg.Q.Tables)
 	rows := a.decl.Data.Rows
 	times, eotAt := a.decl.ScanSpec.RowTimes(len(rows))
-	out := make([]flow.Emission, 0, len(rows)+1)
+	out = slices.Grow(out, len(rows)+1)
 	rowsOut := uint64(0)
 	for i, r := range rows {
 		if a.cfg.ApplySelections && !a.passesSelections(r) {
@@ -274,8 +273,9 @@ func (a *AM) scan() []flow.Emission {
 // the source's capacity for outstanding asynchronous lookups, so with
 // Parallel=1 lookups serialize at the source (the paper's bottleneck: "the
 // speed at which the S index can handle R probes") while excess probes queue
-// at the AM — not in front of anyone else's cache lookups.
-func (a *AM) probe(t *tuple.Tuple) ([]flow.Emission, clock.Duration) {
+// at the AM — not in front of anyone else's cache lookups. The emissions are
+// appended to out.
+func (a *AM) probe(t *tuple.Tuple, out []flow.Emission) ([]flow.Emission, clock.Duration) {
 	q := a.cfg.Q
 	bind, ok := q.BindValues(t, a.cfg.AMIndex)
 	if !ok {
@@ -303,14 +303,13 @@ func (a *AM) probe(t *tuple.Tuple) ([]flow.Emission, clock.Duration) {
 		a.stats.DedupProbes++
 		a.mu.Unlock()
 		t.AMProbed = true
-		return []flow.Emission{flow.Emit(t)}, 0
+		return append(out, flow.Emit(t)), 0
 	}
 	a.fetched[key] = append(a.fetched[key], vals)
 	a.stats.Probes++
 	a.mu.Unlock()
 
 	n := len(q.Tables)
-	var out []flow.Emission
 	rowsOut := uint64(0)
 	// scratch recycles the concatenation used only to filter matches, so
 	// non-qualifying rows cost no tuple allocation.

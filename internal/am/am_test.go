@@ -226,7 +226,7 @@ func TestScanColsCarriesSourceRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cols, _ := a.ProcessColBatch(flow.BatchOf(tuple.NewSeed(1, 0)), 0)
+	_, cols, _ := a.ProcessColBatch(flow.BatchOf(tuple.NewSeed(1, 0)), 0, nil, nil)
 	if len(cols) != 2 {
 		t.Fatalf("scan emitted %d columnar batches, want 2", len(cols))
 	}

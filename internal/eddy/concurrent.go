@@ -124,6 +124,8 @@ type Concurrent struct {
 	senders sync.WaitGroup
 	// inboxes holds one inbox per module, shared by all its workers.
 	inboxes []*inbox
+	// scr holds each worker's emission scratch, in start order.
+	scr []emissions
 }
 
 // defaultScale is the clock scale of an engine whose caller passes no clock —
@@ -246,17 +248,20 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple, cols []*flow
 		ib.reopen()
 	}
 	c.begin(seeds, cols)
+	total := 0
+	for _, m := range mods {
+		total += workers(m)
+	}
+	if len(c.scr) != total {
+		c.scr = make([]emissions, total)
+	}
 	var wg sync.WaitGroup
+	k := 0
 	for i, m := range mods {
-		// One inbox per module, shared by Parallel() workers (0, unbounded,
-		// runs 64).
-		workers := m.Parallel()
-		if workers == 0 {
-			workers = 64
-		}
-		for range workers {
+		for range workers(m) {
 			wg.Add(1)
-			go c.worker(i, &wg)
+			go c.worker(i, &c.scr[k], &wg)
+			k++
 		}
 	}
 
@@ -269,12 +274,13 @@ loop:
 		select {
 		case ev := <-c.events:
 			c.deliver(ev)
+			if ev.err != nil {
+				break loop // a module panicked: the run has failed
+			}
 		case <-cancelCh:
+			c.canceled(ctx.Err())
 			break loop
 		}
-	}
-	if !c.quiescent() {
-		c.canceled(ctx.Err())
 	}
 
 	// Wind the dataflow down without leaking a single goroutine. Closing done
@@ -315,8 +321,20 @@ func (c *Concurrent) canceled(err error) {
 	c.setErr(fmt.Errorf("eddy: run canceled with %d tuples in flight: %w", c.inflight, err))
 }
 
-// worker services a module's inbox, possibly beside Parallel()-1 siblings.
-func (c *Concurrent) worker(mod int, wg *sync.WaitGroup) {
+// workers is how many workers share module m's inbox: Parallel() of them, and
+// 64 for an unbounded module.
+func workers(m flow.Module) int {
+	if n := m.Parallel(); n > 0 {
+		return n
+	}
+	return 64
+}
+
+// worker services a module's inbox, possibly beside Parallel()-1 siblings,
+// with emission scratch of its own. A module that panics fails the run: the
+// worker hands the eddy the error and the job's rows, and serves no more (the
+// module may have unwound holding its lock); the eddy winds the run down.
+func (c *Concurrent) worker(mod int, scr *emissions, wg *sync.WaitGroup) {
 	defer wg.Done()
 	ib := c.inboxes[mod]
 	for {
@@ -324,7 +342,11 @@ func (c *Concurrent) worker(mod int, wg *sync.WaitGroup) {
 		if !ok {
 			return
 		}
-		c.service(mod, j)
+		in := j.b.Len()
+		if err := c.tryService(mod, j, scr); err != nil {
+			c.post(eddyEvent{err: err, lost: in})
+			return
+		}
 	}
 }
 

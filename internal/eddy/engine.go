@@ -43,13 +43,16 @@ type sched interface {
 }
 
 // eddyEvent is a message to the eddy: a batch to route (row tuples, or a
-// column batch in b.Col), or a service's feedback (fb set). A batch whose
-// to.Delay is set was already routed to module to.Module, and that delay has
-// now elapsed.
+// column batch in b.Col), a service's feedback (fb set), or a service that
+// failed (err set; lost is the rows its job took in). A batch whose to.Delay
+// is set was already routed to module to.Module, and that delay has now
+// elapsed.
 type eddyEvent struct {
-	b  *flow.Batch
-	fb *policy.Feedback
-	to Decision
+	b    *flow.Batch
+	fb   *policy.Feedback
+	to   Decision
+	err  error
+	lost int
 }
 
 // delayed is one event of a postAfter call, due after its delay.
@@ -63,6 +66,37 @@ type delayed struct {
 type job struct {
 	b    *flow.Batch
 	kind policy.Kind
+}
+
+// emissions is the scratch a columnar module service appends its emissions
+// to. Whoever runs service owns one and passes it to every call: each
+// goroutine-driver worker its own (siblings of a Parallel()>1 module never
+// share one), the inline driver one. service posts every emission before it
+// returns, so the scratch is dead between calls; it is cleared then too, so
+// its capacity pins no tuple or batch. The scratch lives on the shell, and a
+// pooled shell's next run appends into the same capacity.
+type emissions struct {
+	rows []flow.Emission
+	cols []flow.ColEmission
+}
+
+// keep takes back the slices a service appended to, emptied. A row slice
+// that grew past a scan chunk's worth (a paced scan's every row, a row-path
+// probe with that many matches) is let go, so a pooled shell keeps no more
+// than that.
+func (e *emissions) keep(rows []flow.Emission, cols []flow.ColEmission) {
+	clear(rows)
+	clear(cols)
+	e.rows, e.cols = rows[:0], cols[:0]
+	if cap(rows) > flow.ChunkRows {
+		e.rows = nil
+	}
+}
+
+// drop empties the scratch after a service that panicked, which may have
+// appended past the slices' lengths before it unwound.
+func (e *emissions) drop() {
+	e.keep(e.rows[:cap(e.rows)], e.cols[:cap(e.cols)])
 }
 
 // batchPool recycles flow.Batch shells (and their tuple slices) between the
@@ -227,6 +261,10 @@ func (c *engine) reset() {
 func (c *engine) deliver(ev eddyEvent) {
 	b := ev.b
 	switch {
+	case ev.err != nil:
+		c.setErr(ev.err)
+		c.inflight -= int64(ev.lost)
+		return
 	case ev.fb != nil:
 		// A service's feedback carries its in-flight change, rows out less
 		// rows in, and reaches the eddy ahead of the emissions it counts: so
@@ -353,8 +391,9 @@ func (c *engine) push(mod int, kind policy.Kind, b *flow.Batch) {
 // loss). Delayed emissions leave last, from one sender in delay order (a paced
 // scan's EOT is due with its last row and must not overtake it), and the input
 // batch's columnar payload returns to the pool unless the module re-emitted it
-// (a bounce).
-func (c *engine) service(mod int, j job) {
+// (a bounce). A columnar module appends its emissions to scr, which every
+// emission has left by the time service returns.
+func (c *engine) service(mod int, j job, scr *emissions) {
 	b, cb := j.b, j.b.Col
 	// Captured before the module runs: columnar modules filter the selection
 	// vector in place (predicate misses, duplicate builds, matched/unmatched
@@ -373,7 +412,8 @@ func (c *engine) service(mod int, j job) {
 	var cost clock.Duration
 	start := c.s.now()
 	if m := c.colMod[mod]; m != nil {
-		rowEms, colEms, cost = m.ProcessColBatch(b, start)
+		rowEms, colEms, cost = m.ProcessColBatch(b, start, scr.rows, scr.cols)
+		defer scr.keep(rowEms, colEms)
 	} else {
 		rowEms, cost = c.rowMod[mod].ProcessBatch(b, start)
 	}
@@ -427,6 +467,20 @@ func (c *engine) service(mod int, j job) {
 		slices.SortStableFunc(later, func(a, b delayed) int { return cmp.Compare(a.after, b.after) })
 		c.s.postAfter(later)
 	}
+}
+
+// tryService runs service, turning a module that panics into the error that
+// fails the run, instead of unwinding through whoever drives the core (an
+// HTTP handler, a subscription loop, a worker goroutine).
+func (c *engine) tryService(mod int, j job, scr *emissions) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			scr.drop()
+			err = fmt.Errorf("eddy: module %s panicked: %v", c.r.Modules()[mod].Name(), p)
+		}
+	}()
+	c.service(mod, j, scr)
+	return nil
 }
 
 // countNew counts the emissions that are not batch inputs bouncing back —

@@ -47,6 +47,8 @@ type inline struct {
 	evs []eddyEvent
 	// later holds the delayed posts in due order.
 	later []dueEvent
+	// scr is the driver's emission scratch: one service runs at a time.
+	scr emissions
 }
 
 type queuedJob struct {
@@ -132,16 +134,13 @@ func (d *inline) step() bool {
 }
 
 // serve services one job and turns its posts into a segment of the stack. A
-// module that panics fails the run with an error naming it, instead of
-// unwinding through the caller (an HTTP handler, a subscription loop).
-func (d *inline) serve(mod int, j job) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			d.setErr(fmt.Errorf("eddy: module %s panicked: %v", d.r.Modules()[mod].Name(), p))
-		}
-	}()
+// module that panics fails the run with an error naming it.
+func (d *inline) serve(mod int, j job) bool {
 	start := len(d.evs)
-	d.service(mod, j)
+	if err := d.tryService(mod, j, &d.scr); err != nil {
+		d.setErr(err)
+		return false
+	}
 	slices.Reverse(d.evs[start:])
 	return true
 }

@@ -209,3 +209,43 @@ func TestInlineModulePanicFailsTheRun(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGoroutineModulePanicFailsTheRun is the same failure on goroutines: the
+// worker recovers, the eddy releases the job's rows and fails only that run,
+// and the wind-down leaves no goroutine behind. The next query on the same
+// plan, on a fresh router, returns the right rows.
+func TestGoroutineModulePanicFailsTheRun(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	q, opts := j2Selection(0, 0)
+	r, err := NewRouter(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.scanRows = -1 // as if a module declared time: the round runs on goroutines
+	sm := len(r.modules) - 1
+	r.modules[sm] = panicky{r.modules[sm]}
+	eng := NewConcurrent(r, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	_, err = eng.RunContext(ctx)
+	if want := "eddy: module " + r.modules[sm].Name() + " panicked: boom"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("run error = %v, want %q", err, want)
+	}
+	if eng.inboxes == nil {
+		t.Fatal("the run went inline; the test is vacuous")
+	}
+	waitGoroutines(t, baseline)
+
+	r2, err := NewRouter(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2.scanRows = -1
+	outs, err := NewConcurrent(r2, nil).RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkOutcome(q, r2, outs); err != nil {
+		t.Error(err)
+	}
+}

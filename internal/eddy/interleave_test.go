@@ -50,6 +50,7 @@ type interleaver struct {
 	senders []*fifo
 	inbox   [][]job
 	cur     *fifo // the sender of the service step in progress
+	scr     emissions
 	steps   int
 	tally
 }
@@ -177,7 +178,7 @@ func (il *interleaver) run(seeds []*tuple.Tuple) ([]Output, error) {
 			il.serve(s.i, j)
 			f := &fifo{}
 			il.cur = f
-			e.service(s.i, j)
+			e.service(s.i, j, &il.scr)
 			il.cur = nil
 			il.senders = append(il.senders, f)
 		case stepTick:

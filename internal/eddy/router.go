@@ -156,6 +156,11 @@ type Router struct {
 	// loop, or the simulator's event loop) and no policy retains the slice
 	// past Choose, so one reused buffer serves every decision.
 	candScratch []policy.Candidate
+	// colRep is RouteCol's representative tuple, for the same reason: a
+	// per-call one escapes through the policy interface, one allocation per
+	// routed batch. It is zeroed after every decision, so it keeps no batch's
+	// visit vector.
+	colRep tuple.Tuple
 }
 
 // NewRouter builds the module graph for a query.
@@ -375,11 +380,19 @@ func (r *Router) decide(t *tuple.Tuple, env policy.Env) Decision {
 // bounced batches rather than let HasMatches diverge) — so every row would
 // get Route's decision: one constraint computation, one policy choice, one
 // shared visit increment, with no representative materialization beyond a
-// stack tuple carrying the header fields the constraints and policies read.
+// router-owned tuple carrying the header fields the constraints and policies
+// read. Only the eddy side calls it.
 func (r *Router) RouteCol(cb *flow.ColBatch, env policy.Env) Decision {
 	n := cb.Rows()
 	r.routed.Add(uint64(n))
-	rep := tuple.Tuple{
+	if len(cb.Visits) == 0 {
+		// The zero vector, sized once in the pooled batch's own capacity, so
+		// visit() never allocates one on the column path.
+		cb.Visits = slices.Grow(cb.Visits[:0], len(r.modules))[:len(r.modules)]
+		clear(cb.Visits)
+	}
+	rep := &r.colRep
+	*rep = tuple.Tuple{
 		Span:        cb.Span,
 		Done:        cb.Done,
 		Built:       cb.Built,
@@ -387,19 +400,13 @@ func (r *Router) RouteCol(cb *flow.ColBatch, env policy.Env) Decision {
 		ProbeTable:  cb.ProbeTable,
 		AMProbed:    cb.AMProbed,
 		LastMatchTS: cb.LastMatchTS,
-	}
-	if len(cb.Visits) > 0 {
-		// Pooled batches keep an empty non-nil Visits slice; visit() treats
-		// nil as the lazily-sized zero vector.
-		rep.Visits = cb.Visits
+		Visits:      cb.Visits,
 	}
 	if cb.HasMatches {
 		rep.LastProbeMatches = 1
 	}
-	d := r.decide(&rep, env)
-	if rep.Visits != nil {
-		cb.Visits = rep.Visits // visit() may have lazily allocated the vector
-	}
+	d := r.decide(rep, env)
+	*rep = tuple.Tuple{}
 	return d
 }
 

@@ -320,7 +320,9 @@ func (cb *ColBatch) Reset() {
 	cb.LastMatchTS = 0
 	cb.Visits = cb.Visits[:0]
 	cb.n = 0
-	cb.sel = cb.Sel[:0]
+	if cb.Sel != nil {
+		cb.sel = cb.Sel[:0]
+	}
 	cb.Sel = nil
 }
 
@@ -552,13 +554,16 @@ type ColEmission struct {
 
 // ColModule is a module that can exchange columnar batches with a
 // columnar-aware engine. ProcessColBatch services one batch whose payload is
-// either columnar (b.Col != nil) or rows, returning row emissions for
-// tuples whose state diverged plus columnar emissions for the bulk, with
-// the total sequential service cost. Engines that do not know about columns
-// simply call Process/ProcessBatch and never observe a difference.
+// either columnar (b.Col != nil) or rows, appending row emissions for tuples
+// whose state diverged to rows and columnar emissions for the bulk to cols,
+// in the style of strconv.AppendInt, and returns the extended slices with
+// the total sequential service cost. The module keeps no reference to either
+// slice: the caller owns them and reuses them for its next call. Engines that
+// do not know about columns simply call Process/ProcessBatch and never
+// observe a difference.
 type ColModule interface {
 	Module
-	ProcessColBatch(b *Batch, now clock.Time) (rows []Emission, cols []ColEmission, cost clock.Duration)
+	ProcessColBatch(b *Batch, now clock.Time, rows []Emission, cols []ColEmission) ([]Emission, []ColEmission, clock.Duration)
 }
 
 // colPool recycles ColBatch shells and their vector storage; Reset keeps

@@ -181,6 +181,31 @@ func TestColBatchPoolRetainsCapacity(t *testing.T) {
 	PutColBatch(cb2)
 }
 
+// TestColBatchResetKeepsSelection: a reset keeps the selection vector's
+// storage whether or not the cycle before it installed a selection, so a
+// batch that routes once without filtering does not lose it.
+func TestColBatchResetKeepsSelection(t *testing.T) {
+	var cb ColBatch
+	fill := func() {
+		cb.shape(1)
+		cb.Span = tuple.Single(0)
+		tab := cb.EnsureCols(0, 1)
+		for i := 0; i < 64; i++ {
+			tab.Cols[0].AppendV(value.NewInt(int64(i)))
+		}
+		cb.SetRowCount(64)
+	}
+	fill()
+	first := cb.EnsureSel()
+	cb.Reset()
+	fill() // no selection this cycle
+	cb.Reset()
+	fill()
+	if got := cb.EnsureSel(); &got[0] != &first[0] {
+		t.Error("EnsureSel after a cycle without a selection allocated a new vector")
+	}
+}
+
 func TestColBatchHeaderCopyAndMerge(t *testing.T) {
 	src := GetColBatch(2)
 	src.Span = tuple.Single(0)

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"context"
 	"log/slog"
 	"sync"
 	"time"
@@ -86,24 +87,29 @@ func (cr *completedRing) list(minMS float64) []queryRecord {
 }
 
 // logFinished emits the finished/slow-query structured logs. lg is non-nil.
+// The attributes are built on the stack, and not at all for a level the
+// logger drops.
 func logFinished(lg *slog.Logger, rec *queryRecord, slow time.Duration) {
-	attrs := []any{
-		slog.Uint64("query_id", rec.ID),
-		slog.String("status", rec.Status),
-		slog.Int("rows", rec.Rows),
-		slog.Float64("queue_ms", rec.QueueMS),
-		slog.Float64("elapsed_ms", rec.ElapsedMS),
-		slog.String("sql", rec.SQL),
+	ctx := context.Background()
+	if lg.Enabled(ctx, slog.LevelInfo) {
+		var buf [8]slog.Attr
+		attrs := append(buf[:0],
+			slog.Uint64("query_id", rec.ID),
+			slog.String("status", rec.Status),
+			slog.Int("rows", rec.Rows),
+			slog.Float64("queue_ms", rec.QueueMS),
+			slog.Float64("elapsed_ms", rec.ElapsedMS),
+			slog.String("sql", rec.SQL))
+		if rec.Session != "" {
+			attrs = append(attrs, slog.String("session", rec.Session))
+		}
+		if rec.Error != "" {
+			attrs = append(attrs, slog.String("error", rec.Error))
+		}
+		lg.LogAttrs(ctx, slog.LevelInfo, "query finished", attrs...)
 	}
-	if rec.Session != "" {
-		attrs = append(attrs, slog.String("session", rec.Session))
-	}
-	if rec.Error != "" {
-		attrs = append(attrs, slog.String("error", rec.Error))
-	}
-	lg.Info("query finished", attrs...)
 	if slow > 0 && rec.ElapsedMS >= float64(slow)/float64(time.Millisecond) {
-		lg.Warn("slow query",
+		lg.LogAttrs(ctx, slog.LevelWarn, "slow query",
 			slog.Uint64("query_id", rec.ID),
 			slog.Float64("elapsed_ms", rec.ElapsedMS),
 			slog.Float64("threshold_ms", float64(slow)/float64(time.Millisecond)),

@@ -370,3 +370,94 @@ func TestBuildInfoMetric(t *testing.T) {
 		t.Errorf("metrics missing build info with version label:\n%s", sb.String())
 	}
 }
+
+// logFinishedBoxed is how logFinished wrote its records before it built them
+// on the stack: the oracle for TestLogFinishedBytes.
+func logFinishedBoxed(lg *slog.Logger, rec *queryRecord, slow time.Duration) {
+	attrs := []any{
+		slog.Uint64("query_id", rec.ID),
+		slog.String("status", rec.Status),
+		slog.Int("rows", rec.Rows),
+		slog.Float64("queue_ms", rec.QueueMS),
+		slog.Float64("elapsed_ms", rec.ElapsedMS),
+		slog.String("sql", rec.SQL),
+	}
+	if rec.Session != "" {
+		attrs = append(attrs, slog.String("session", rec.Session))
+	}
+	if rec.Error != "" {
+		attrs = append(attrs, slog.String("error", rec.Error))
+	}
+	lg.Info("query finished", attrs...)
+	if slow > 0 && rec.ElapsedMS >= float64(slow)/float64(time.Millisecond) {
+		lg.Warn("slow query",
+			slog.Uint64("query_id", rec.ID),
+			slog.Float64("elapsed_ms", rec.ElapsedMS),
+			slog.Float64("threshold_ms", float64(slow)/float64(time.Millisecond)),
+			slog.String("sql", rec.SQL))
+	}
+}
+
+// TestLogFinishedBytes: the finished and slow-query lines are byte for byte
+// what the boxed implementation wrote, with and without a session and an
+// error, through the text and the JSON handler; a logger that drops Info
+// writes no finished line, still writes the slow one, and allocates nothing
+// for a fast query.
+func TestLogFinishedBytes(t *testing.T) {
+	noTime := func(groups []string, a slog.Attr) slog.Attr {
+		if len(groups) == 0 && a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}
+	handlers := map[string]func(io.Writer, slog.Level) slog.Handler{
+		"text": func(w io.Writer, l slog.Level) slog.Handler {
+			return slog.NewTextHandler(w, &slog.HandlerOptions{Level: l, ReplaceAttr: noTime})
+		},
+		"json": func(w io.Writer, l slog.Level) slog.Handler {
+			return slog.NewJSONHandler(w, &slog.HandlerOptions{Level: l, ReplaceAttr: noTime})
+		},
+	}
+	base := queryRecord{ID: 7, SQL: `SELECT r.a FROM r WHERE r.b = 'x y'`, Status: "ok", Rows: 3, QueueMS: 0.25, ElapsedMS: 12.5}
+	recs := map[string]queryRecord{"plain": base}
+	rec := base
+	rec.Session = "s1"
+	recs["session"] = rec
+	rec = base
+	rec.Status, rec.Error = "error", `eddy: module SM(r.b = "x") panicked: boom`
+	recs["error"] = rec
+	rec.Session = "s2"
+	recs["session+error"] = rec
+	for hname, h := range handlers {
+		for rname, rec := range recs {
+			for _, level := range []slog.Level{slog.LevelInfo, slog.LevelWarn} {
+				for _, slow := range []time.Duration{0, time.Millisecond} {
+					var got, want bytes.Buffer
+					logFinished(slog.New(h(&got, level)), &rec, slow)
+					logFinishedBoxed(slog.New(h(&want, level)), &rec, slow)
+					if got.String() != want.String() {
+						t.Errorf("%s/%s/%v/slow=%v:\ngot  %q\nwant %q", hname, rname, level, slow, got.String(), want.String())
+					}
+					if level == slog.LevelInfo && !strings.Contains(got.String(), "query finished") {
+						t.Errorf("%s/%s: no finished line at Info: %q", hname, rname, got.String())
+					}
+					if level == slog.LevelWarn && strings.Contains(got.String(), "query finished") {
+						t.Errorf("%s/%s: finished line at Warn: %q", hname, rname, got.String())
+					}
+					if (slow > 0) != strings.Contains(got.String(), "slow query") {
+						t.Errorf("%s/%s/%v/slow=%v: slow line %q", hname, rname, level, slow, got.String())
+					}
+				}
+			}
+		}
+	}
+
+	quiet := slog.New(handlers["text"](io.Discard, slog.LevelWarn))
+	if avg := testing.AllocsPerRun(100, func() { logFinished(quiet, &base, 0) }); avg != 0 {
+		t.Errorf("a dropped finished line makes %.1f allocations, want none", avg)
+	}
+	text := slog.New(handlers["text"](io.Discard, slog.LevelInfo))
+	rec = recs["session+error"]
+	t.Logf("%.1f allocations per finished line (text handler)",
+		testing.AllocsPerRun(100, func() { logFinished(text, &rec, 0) }))
+}

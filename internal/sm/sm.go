@@ -51,7 +51,11 @@ func (s *SM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Dur
 // the whole batch into one emission slice — allocated on the first passing
 // tuple, so a fully-filtered batch allocates nothing.
 func (s *SM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
-	var out []flow.Emission
+	return s.appendBatch(b, nil)
+}
+
+// appendBatch is ProcessBatch appending the emissions to out.
+func (s *SM) appendBatch(b *flow.Batch, out []flow.Emission) ([]flow.Emission, clock.Duration) {
 	for _, t := range b.Tuples {
 		if !s.p.Eval(t) {
 			continue // fails: removed from the dataflow
@@ -69,19 +73,19 @@ func (s *SM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock
 // place by the vectorized predicate kernel — failing rows drop out of the
 // selection vector, no tuple is materialized, no storage moves — and the
 // batch itself bounces back with the predicate's done bit set. Row batches
-// fall through to ProcessBatch.
-func (s *SM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
+// take ProcessBatch's path.
+func (s *SM) ProcessColBatch(b *flow.Batch, now clock.Time, rows []flow.Emission, cols []flow.ColEmission) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	cb := b.Col
 	if cb == nil {
-		out, cost := s.ProcessBatch(b, now)
-		return out, nil, cost
+		rows, cost := s.appendBatch(b, rows)
+		return rows, cols, cost
 	}
 	in := cb.Rows()
 	live := pred.FilterColConst(cb, s.p)
 	cost := clock.Duration(in) * s.cost
 	if live == 0 {
-		return nil, nil, cost // every row failed: batch removed from the dataflow
+		return rows, cols, cost // every row failed: batch removed from the dataflow
 	}
 	cb.Done = cb.Done.With(s.p.ID)
-	return nil, []flow.ColEmission{{B: cb}}, cost
+	return rows, append(cols, flow.ColEmission{B: cb}), cost
 }

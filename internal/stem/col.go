@@ -61,37 +61,40 @@ func (s *SteM) colBatchOK(cb *flow.ColBatch) bool {
 	if s.cfg.Q.HasIndexAM(s.cfg.Table) {
 		return false
 	}
-	preds := s.cfg.Q.JoinPredsConnecting(cb.Span, s.cfg.Table)
-	if len(preds) == 0 {
-		return false
-	}
-	for _, p := range preds {
+	bound := false
+	for _, p := range s.cfg.Q.Preds {
+		if !p.Connects(cb.Span, s.cfg.Table) {
+			continue
+		}
 		if _, _, _, ok := p.BindSide(cb.Span, s.cfg.Table); !ok {
 			return false
 		}
+		bound = true
 	}
-	return true
+	return bound
 }
 
 // ProcessColBatch implements flow.ColModule: row payloads and gated
 // configurations run the exact row path (materializing columnar rows first,
 // into b.Tuples, so the engine can tell the inputs that bounce back from new
 // tuples); qualifying columnar batches run the vectorized build/probe.
-func (s *SteM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
+func (s *SteM) ProcessColBatch(b *flow.Batch, now clock.Time, rows []flow.Emission, cols []flow.ColEmission) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
 	cb := b.Col
 	if cb != nil && !s.colBatchOK(cb) {
 		b.Tuples, cb = cb.Materialize(), nil
 	}
 	if cb == nil {
-		out, cost := s.ProcessBatch(b, now)
-		return out, nil, cost
+		rows, cost := s.appendBatch(b, rows)
+		return rows, cols, cost
 	}
 	if s.isColBuild(cb) {
-		return s.buildCols(cb)
+		cols, cost := s.buildCols(cb, cols)
+		return rows, cols, cost
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.probeCols(cb)
+	cols, cost := s.probeCols(cb, cols)
+	return rows, cols, cost
 }
 
 // buildCols stores every live row of a build batch under one lock
@@ -101,9 +104,9 @@ func (s *SteM) ProcessColBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, 
 // its rows slab-materialized, one backing array for the whole batch.
 // Duplicates are dropped from the selection vector (consumed, per Section
 // 3.2's set semantics), and the surviving batch bounces back in place with
-// its Built bit and per-row build timestamps set: the zero-copy analogue of
-// the per-tuple build bounce.
-func (s *SteM) buildCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
+// its Built bit and per-row build timestamps set, appended to cols: the
+// zero-copy analogue of the per-tuple build bounce.
+func (s *SteM) buildCols(cb *flow.ColBatch, cols []flow.ColEmission) ([]flow.ColEmission, clock.Duration) {
 	table := s.cfg.Table
 	tab := &cb.Tabs[table]
 	arity := len(tab.Cols)
@@ -149,10 +152,10 @@ func (s *SteM) buildCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission
 
 	cb.Sel = out
 	if len(out) == 0 {
-		return nil, nil, cost // every row was a duplicate: batch consumed
+		return cols, cost // every row was a duplicate: batch consumed
 	}
 	cb.Built = cb.Built.With(table)
-	return nil, []flow.ColEmission{{B: cb}}, cost
+	return append(cols, flow.ColEmission{B: cb}), cost
 }
 
 // probeCols probes every live row of a batch against the dictionary (s.mu
@@ -164,7 +167,8 @@ func (s *SteM) buildCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission
 // dictionary is only read here). The bounce decision is batch-uniform
 // (colBatchOK excluded per-row completeness); bounced batches split by
 // matched/unmatched so the HasMatches header stays truthful for policies.
-func (s *SteM) probeCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission, clock.Duration) {
+// The output batch and the bounce are appended to cols.
+func (s *SteM) probeCols(cb *flow.ColBatch, cols []flow.ColEmission) ([]flow.ColEmission, clock.Duration) {
 	q := s.cfg.Q
 	table := s.cfg.Table
 	scr, stats, hd := &s.scr, &s.stats, s.dict
@@ -293,7 +297,6 @@ func (s *SteM) probeCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission
 		}
 	}
 
-	var cols []flow.ColEmission
 	if outCB != nil {
 		cols = append(cols, flow.ColEmission{B: outCB})
 	}
@@ -342,7 +345,7 @@ func (s *SteM) probeCols(cb *flow.ColBatch) ([]flow.Emission, []flow.ColEmission
 	}
 
 	cost := clock.Duration(live)*s.cfg.ProbeCost + clock.Duration(totalMatches+bounced)*s.cfg.PerMatchCost
-	return nil, cols, cost
+	return cols, cost
 }
 
 // newProbeOutput prepares a pooled output batch for probe matches: the

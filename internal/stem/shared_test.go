@@ -157,7 +157,7 @@ func TestAttachedColProbeIsRowProbe(t *testing.T) {
 		colS := New(Config{Table: 1, Q: q, TS: c, Shared: ss})
 		boxed := flow.MaterializedRows()
 		var outs []*flow.ColBatch
-		rows, cols, _ := colS.ProcessColBatch(&flow.Batch{Col: cb}, 0)
+		rows, cols, _ := colS.ProcessColBatch(&flow.Batch{Col: cb}, 0, nil, nil)
 		if len(rows) != 0 {
 			t.Fatalf("columnar probe emitted %d rows", len(rows))
 		}
@@ -200,7 +200,7 @@ func TestAttachedColProbeIsRowProbe(t *testing.T) {
 				t.Fatalf("build batch on an attached SteM: recovered %v, want the build panic", r)
 			}
 		}()
-		colS.ProcessColBatch(&flow.Batch{Col: srcBatch(2, 1, stored[:4])}, 0)
+		colS.ProcessColBatch(&flow.Batch{Col: srcBatch(2, 1, stored[:4])}, 0, nil, nil)
 	})
 }
 

@@ -269,42 +269,49 @@ func (s *SteM) Size() int {
 func (s *SteM) Process(t *tuple.Tuple, now clock.Time) ([]flow.Emission, clock.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.processLocked(t)
+	return s.processLocked(t, nil)
 }
 
 // ProcessBatch implements flow.BatchModule: the lock is taken once for the
 // whole batch. A batch of one behaves exactly like Process.
 func (s *SteM) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
-	var out []flow.Emission
+	return s.appendBatch(b, nil)
+}
+
+// appendBatch is ProcessBatch appending the emissions to out.
+func (s *SteM) appendBatch(b *flow.Batch, out []flow.Emission) ([]flow.Emission, clock.Duration) {
 	var total clock.Duration
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, t := range b.Tuples {
-		ems, cost := s.processLocked(t)
-		out = append(out, ems...)
+		var cost clock.Duration
+		out, cost = s.processLocked(t, out)
 		total += cost
 	}
 	return out, total
 }
 
-// processLocked serves one tuple with s.mu held.
-func (s *SteM) processLocked(t *tuple.Tuple) ([]flow.Emission, clock.Duration) {
+// processLocked serves one tuple with s.mu held, appending its emissions to
+// out.
+func (s *SteM) processLocked(t *tuple.Tuple, out []flow.Emission) ([]flow.Emission, clock.Duration) {
 	switch {
 	case t.EOT != nil && t.EOT.Table == s.cfg.Table:
 		s.recordEOT(t)
-		return nil, s.cfg.BuildCost
+		return out, s.cfg.BuildCost
 	case t.IsSingleton() && t.SingleTable() == s.cfg.Table && !t.Built.Has(s.cfg.Table):
-		return s.build(t), s.cfg.BuildCost
+		return s.build(t, out), s.cfg.BuildCost
 	default:
-		out := s.probeLocked(t)
-		return out, s.cfg.ProbeCost + clock.Duration(len(out))*s.cfg.PerMatchCost
+		n := len(out)
+		out = s.probeLocked(t, out)
+		return out, s.cfg.ProbeCost + clock.Duration(len(out)-n)*s.cfg.PerMatchCost
 	}
 }
 
 // build stores a singleton (s.mu held) and bounces it back (SteM
 // BounceBack: "a SteM must bounce back a build tuple unless it is a
-// duplicate of another tuple already in the SteM").
-func (s *SteM) build(t *tuple.Tuple) []flow.Emission {
+// duplicate of another tuple already in the SteM"), appending the bounce to
+// out.
+func (s *SteM) build(t *tuple.Tuple, out []flow.Emission) []flow.Emission {
 	if s.shared != nil {
 		// Unreachable by construction: the router creates no access methods
 		// for attached tables, so no singleton of this table ever exists.
@@ -313,7 +320,7 @@ func (s *SteM) build(t *tuple.Tuple) []flow.Emission {
 	row := t.Comp[s.cfg.Table]
 	if s.dict.Contains(row) {
 		s.stats.DupBuilds++
-		return nil // duplicate from a competitive AM: consumed (Section 3.2)
+		return out // duplicate from a competitive AM: consumed (Section 3.2)
 	}
 	ts := s.cfg.TS.Next()
 	s.dict.Insert(row, ts)
@@ -328,7 +335,7 @@ func (s *SteM) build(t *tuple.Tuple) []flow.Emission {
 			s.stats.Evictions++
 		}
 	}
-	return []flow.Emission{flow.Emit(t)}
+	return append(out, flow.Emit(t))
 }
 
 // recordEOT applies an End-Of-Transmission tuple's effect (s.mu held; "an
@@ -377,8 +384,8 @@ func (s *SteM) eotIdxFor(cols []int) *eotIdx {
 // probeLocked finds matches for t among the stored rows (s.mu held),
 // concatenates them (verifying every newly applicable predicate and enforcing
 // the TimeStamp rule), and decides whether to bounce t back per the SteM
-// BounceBack constraint.
-func (s *SteM) probeLocked(t *tuple.Tuple) []flow.Emission {
+// BounceBack constraint. The matches and the bounce are appended to out.
+func (s *SteM) probeLocked(t *tuple.Tuple, out []flow.Emission) []flow.Emission {
 	scr := &s.scr
 	s.stats.Probes++
 
@@ -391,7 +398,7 @@ func (s *SteM) probeLocked(t *tuple.Tuple) []flow.Emission {
 	probeTS := t.TS()
 	lastMatch := t.LastMatchTS
 
-	var out []flow.Emission
+	n := len(out)
 	for _, e := range s.dict.Candidates(scr.lk) {
 		catTS := e.TS
 		if s.shared != nil {
@@ -419,7 +426,7 @@ func (s *SteM) probeLocked(t *tuple.Tuple) []flow.Emission {
 		out = append(out, flow.Emit(cat))
 	}
 
-	t.LastProbeMatches = len(out)
+	t.LastProbeMatches = len(out) - n
 	if s.shouldBounce(t) {
 		t.PriorProber = true
 		t.ProbeTable = s.cfg.Table
