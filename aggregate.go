@@ -101,15 +101,6 @@ func GroupCount(rows []Row, groupRef string) []GroupStats {
 	return a.Groups()
 }
 
-// GroupSum groups completed result rows and sums an integer column.
-func GroupSum(rows []Row, groupRef, sumRef string) []GroupStats {
-	a := NewAggregator([]string{groupRef}, sumRef)
-	for _, r := range rows {
-		a.Add(r)
-	}
-	return a.Groups()
-}
-
 // String renders the group stats compactly.
 func (g GroupStats) String() string {
 	return fmt.Sprintf("%s: count=%d sum=%d min=%d max=%d", g.Key, g.Count, g.Sum, g.Min, g.Max)

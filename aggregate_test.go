@@ -38,7 +38,11 @@ func TestGroupCount(t *testing.T) {
 
 func TestGroupSum(t *testing.T) {
 	rows := aggFixture(t)
-	groups := GroupSum(rows, "emp.dept", "emp.pay")
+	agg := NewAggregator([]string{"emp.dept"}, "emp.pay")
+	for _, r := range rows {
+		agg.Add(r)
+	}
+	groups := agg.Groups()
 	if groups[0].Sum != 250 || groups[0].Min != 100 || groups[0].Max != 150 {
 		t.Errorf("group 10 = %+v", groups[0])
 	}

@@ -7,6 +7,7 @@ package stems
 // virtual completion seconds and results produced.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -266,7 +267,7 @@ func BenchmarkEngine_Concurrent(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := eddy.NewConcurrent(r, clock.NewReal(0.0000001))
-		if _, err := eng.Run(); err != nil {
+		if _, err := eng.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +308,7 @@ func BenchmarkConcurrentMultiway(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		outs, err := eddy.NewConcurrent(r, clock.NewReal(0.0000001)).Run()
+		outs, err := eddy.NewConcurrent(r, clock.NewReal(0.0000001)).RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,10 +5,9 @@
 // step — policy, router, engine and trace collector, from a plain Spec value
 // — and hands back an Exec, which owns the four and is the only thing that
 // knows the order they are installed, reset and released in. The public
-// facade (Run, Prepare, Open), the stemsql CLI and the stemsd server each
-// translate their own options into a Spec and call Build; none of them
-// constructs a router or an engine (a lint test in this package keeps it that
-// way). The experiment harness and the baseline executors drive eddy.Routing
+// facade's Run, the stemsql CLI and the stemsd server each translate their
+// own options into a Spec and call Build; none of them constructs a router
+// or an engine (a lint test in this package keeps it that way). The experiment harness and the baseline executors drive eddy.Routing
 // directly: they also run non-SteM architectures, which a Spec cannot
 // describe.
 //
@@ -196,7 +195,7 @@ func (e *Exec) Shared() []*stem.SharedState { return e.spec.Shared }
 // returns the results in emission order. The two hooks, both optional and
 // both called on the eddy goroutine, differ in who owns a result. onOutput
 // streams each result tuple as it is produced, and the tuple is returned as
-// well — the facade reads both. onCols (Concurrent engine only) is a sink: it
+// well — the facade's Run reads both (Options.OnResult and Result.Rows). onCols (Concurrent engine only) is a sink: it
 // takes the results that reach the output stage as column vectors, which are
 // never boxed and are not returned — the return value covers only results
 // that travelled as tuples — and the batch is the engine's again when the hook

@@ -5,8 +5,9 @@
 // Build. Further checks keep the commands' catalogs unpaced, the serving
 // binary's import closure off the paper-figure / reference packages, the
 // engine and shared SteM state off the file system, the engine's
-// configuration structs free of fields nothing shipped sets, and the names
-// kept only for the benchmark harness unused.
+// configuration structs free of fields nothing shipped sets, the names kept
+// only for the benchmark harness unused, and every declared function linked
+// into some shipped binary.
 package core
 
 import (
@@ -14,6 +15,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -470,4 +474,200 @@ func TestEveryConfigFieldHasAShippedSetter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reachAllowlist names the functions no shipped binary links that stay
+// anyway, each with its reason. A key is a path.Match pattern over
+// "dir.Func" or "dir.Type.Method"; the root package's dir is "repro".
+var reachAllowlist = map[string]string{
+	"internal/oracle.*":          "the brute-force reference every engine test compares against",
+	"internal/policy.*Random*":   "the ablation floor the routing property tests measure the policies against",
+	"internal/sql.*.isStatement": "the markers that seal the sql.Statement interface; never called by design",
+}
+
+// shippedBinaries are the packages whose binaries the repository ships: the
+// commands, the examples and the benchmark harness.
+var shippedBinaries = []string{"./cmd/...", "./examples/...", "./bench"}
+
+// TestEveryFunctionReachesABinary asks the linker which functions declared
+// in non-test Go files outside bench/ survive dead-code elimination in some
+// shipped binary, and fails on any that survives in none and is not on the
+// allowlist. Inlining is off for the build, so a function that is only ever
+// inlined still shows. The linker keeps every method of a type converted to
+// an interface, so this finds unreached functions, not unreached interface
+// methods.
+func TestEveryFunctionReachesABinary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every shipped binary")
+	}
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("the go command is needed to build the shipped binaries: %v", err)
+	}
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	build := exec.Command(goCmd, append([]string{"build", "-gcflags=all=-l", "-o", out + string(filepath.Separator)}, shippedBinaries...)...)
+	build.Dir = root
+	if msg, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, msg)
+	}
+
+	// The text symbols of bench's binary and of the others, type arguments
+	// stripped, a command's own functions qualified by its binary's name:
+	// "repro/internal/eddy.(*Router).Reset", "stemsd:main.run".
+	bins, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked, benchLinked := map[string]bool{}, map[string]bool{}
+	for _, bin := range bins {
+		nm, err := exec.Command(goCmd, "tool", "nm", filepath.Join(out, bin.Name())).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin.Name(), err)
+		}
+		syms := linked
+		if bin.Name() == "bench" {
+			syms = benchLinked
+		}
+		for _, line := range strings.Split(string(nm), "\n") {
+			// address, kind, name; a generic's type arguments may hold spaces
+			if f := strings.Fields(line); len(f) >= 3 && (f[1] == "T" || f[1] == "t") {
+				name := strings.Join(f[2:], " ")
+				if strings.HasPrefix(name, "main.") {
+					name = bin.Name() + ":" + name
+				}
+				syms[stripTypeArgs(name)] = true
+			}
+		}
+	}
+	if len(bins) < 5 || len(benchLinked) == 0 {
+		t.Fatalf("built %d binaries, want the commands, the examples and bench", len(bins))
+	}
+
+	type fn struct {
+		key   string
+		lines int
+	}
+	var unreached, benchOnly []fn
+	decls, unreachedLines, allowed := 0, 0, 0
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || rel == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, pkg := filepath.ToSlash(filepath.Dir(rel)), "repro/"+filepath.ToSlash(filepath.Dir(rel))
+		switch {
+		case dir == ".":
+			dir, pkg = "repro", "repro"
+		case f.Name.Name == "main":
+			pkg = filepath.Base(dir) + ":main"
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Name.Name == "_" || (fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main")) {
+				continue
+			}
+			decls++
+			sym, recv := funcSymbol(fd)
+			key := dir + "." + fd.Name.Name
+			if recv != "" {
+				key = dir + "." + recv + "." + fd.Name.Name
+			}
+			u := fn{key, fset.Position(fd.End()).Line - fset.Position(fd.Pos()).Line + 1}
+			switch {
+			case linked[pkg+"."+sym]:
+			case benchLinked[pkg+"."+sym]:
+				benchOnly = append(benchOnly, u)
+			default:
+				unreached = append(unreached, u)
+				unreachedLines += u.lines
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decls < 500 {
+		t.Fatalf("parsed only %d function declarations; is the walk rooted at the module?", decls)
+	}
+	allowlisted := func(key string) bool {
+		for pat := range reachAllowlist {
+			if ok, _ := path.Match(pat, key); ok {
+				return true
+			}
+		}
+		return false
+	}
+	for _, u := range unreached {
+		if allowlisted(u.key) {
+			allowed++
+			continue
+		}
+		t.Errorf("%s (%d lines) reaches no shipped binary: delete it, move it into a _test.go file, or allowlist it with a reason", u.key, u.lines)
+	}
+	t.Logf("reachability: %d functions outside bench/, %d reach no shipped binary (%d lines), %d of them allowlisted; %d reached only by ./bench",
+		decls, len(unreached), unreachedLines, allowed, len(benchOnly))
+	for _, b := range benchOnly {
+		t.Logf("reached only by ./bench: %s (%d lines)", b.key, b.lines)
+	}
+}
+
+// funcSymbol returns the linker's name for fd within its package —
+// "Name", "T.Name" or "(*T).Name" — and its receiver's type name, if any.
+func funcSymbol(fd *ast.FuncDecl) (sym, recv string) {
+	if fd.Recv == nil {
+		return fd.Name.Name, ""
+	}
+	e, ptr := fd.Recv.List[0].Type, false
+	if s, ok := e.(*ast.StarExpr); ok {
+		e, ptr = s.X, true
+	}
+	switch x := e.(type) { // a generic type's receiver names its parameters
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	recv = e.(*ast.Ident).Name
+	if ptr {
+		return "(*" + recv + ")." + fd.Name.Name, recv
+	}
+	return recv + "." + fd.Name.Name, recv
+}
+
+// stripTypeArgs drops the bracketed type arguments from a generic
+// function's or type's symbol.
+func stripTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }

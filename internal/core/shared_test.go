@@ -1,24 +1,28 @@
-package stems
+package core
 
 import (
 	"fmt"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/flow"
+	"repro/internal/pred"
+	"repro/internal/query"
+	"repro/internal/stem"
+	"repro/internal/value"
 )
 
 // sharedJoin is the equivalence workload: a 3-way join with duplicate source
 // rows (set-semantics dedup must agree between private builds and the shared
 // build) and a selection on an attached table (verified at concatenation).
-func sharedJoin() *Query { return sharedJoinPaced(20 * time.Microsecond) }
+func sharedJoin() *query.Q { return sharedJoinPaced(20 * clock.Microsecond) }
 
 // sharedJoinPaced is sharedJoin with the scans' inter-arrival time given. At 0
 // the scans are unpaced, as every table stemsd registers is, and their rows
 // reach the SteMs as column vectors.
-func sharedJoinPaced(pace time.Duration) *Query {
+func sharedJoinPaced(pace clock.Duration) *query.Q {
 	var r, s, u [][]int64
 	for i := 0; i < 30; i++ {
 		r = append(r, []int64{int64(i), int64(i % 10)})
@@ -32,49 +36,60 @@ func sharedJoinPaced(pace time.Duration) *Query {
 		u = append(u, []int64{int64(i % 7), int64(i * 4)})
 	}
 	u = append(u, []int64{2, 8}, []int64{2, 8})
-	return NewQuery().
-		Table("R", Ints("key", "a"), r).
-		Table("S", Ints("x", "b", "sid"), s).
-		Table("U", Ints("c", "d"), u).
-		Scan("R", pace).
-		Scan("S", pace).
-		Scan("U", pace).
-		Where("R.a", "=", "S.x").
-		Where("S.b", "=", "U.c").
-		Where("U.d", "<", "90")
+	return scanQuery(pace, []pred.P{
+		pred.EquiJoin(0, 1, 1, 0),                       // R.a = S.x
+		pred.EquiJoin(1, 1, 2, 0),                       // S.b = U.c
+		pred.Selection(2, 1, pred.Lt, value.NewInt(90)), // U.d < 90
+	},
+		table{"R", []string{"key", "a"}, r},
+		table{"S", []string{"x", "b", "sid"}, s},
+		table{"U", []string{"c", "d"}, u})
 }
 
-// TestSharedStemsAgree proves the tentpole's correctness claim: N concurrent
-// queries attached to one shared build of S and U return results
+// smallJoin is R ⋈ S on R.a = S.x, three results.
+func smallJoin() *query.Q {
+	return scanQuery(clock.Millisecond, []pred.P{pred.EquiJoin(0, 1, 1, 0)},
+		table{"R", []string{"key", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 10}}},
+		table{"S", []string{"x", "y"}, [][]int64{{10, 100}, {20, 200}}})
+}
+
+// buildShared builds shared SteM state over table ti's rows, indexed on its
+// join columns in q — what the server's catalog does once per (table, join
+// columns) so that concurrent queries attach instead of rebuilding.
+func buildShared(t *testing.T, q *query.Q, ti int) *stem.SharedState {
+	t.Helper()
+	ss, err := stem.BuildShared(stem.SharedConfig{KeyCols: stem.JoinCols(q, ti)}, q.AMs[q.AMsOn(ti)[0]].Data.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// TestSharedStemsAgree proves the correctness claim of shared SteMs: N
+// concurrent queries attached to one shared build of S and U return results
 // multiset-identical to a private-state run. (The subtest label keeps the
 // spelling it had when rows were a knob and shared state took a spill
-// budget.) Runs under -race in CI (root package, full race job), so the
-// lock-free shared-dictionary reads are exercised concurrently.
+// budget.) Runs under -race in CI, so the lock-free shared-dictionary reads
+// are exercised concurrently.
 func TestSharedStemsAgree(t *testing.T) {
-	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Concurrent}).Rows)
+	want := keysOf(mustRun(t, sharedJoin(), Spec{Engine: Concurrent}).Rows)
 	if len(want) == 0 {
 		t.Fatal("workload produced no rows; the equivalence check would be vacuous")
 	}
 	const concurrent = 4
 	t.Run("rowBatches=false/budget=0", func(t *testing.T) {
 		base := sharedJoin()
-		sharedS, err := base.BuildSharedState("S")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharedU, err := base.BuildSharedState("U")
-		if err != nil {
-			t.Fatal(err)
-		}
+		sharedS := buildShared(t, base, 1)
+		sharedU := buildShared(t, base, 2)
 		var wg sync.WaitGroup
 		errs := make([]error, concurrent)
 		for g := 0; g < concurrent; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				res, err := sharedJoin().Run(Options{
+				res, err := run(sharedJoin(), Spec{
 					Engine: Concurrent,
-					Shared: map[string]*SharedState{"S": sharedS, "U": sharedU},
+					Shared: []*stem.SharedState{nil, sharedS, sharedU},
 				})
 				if err != nil {
 					errs[g] = err
@@ -109,28 +124,21 @@ func TestSharedStemsAgree(t *testing.T) {
 // the driver table's scan is unpaced, so the attached SteMs are probed with
 // column vectors (stem/col.go's probeCols, which reads the shared dictionaries
 // lock-free from every concurrent query), and the runs must return what a
-// private-state run returns. Runs under -race in CI with the root package.
+// private-state run returns. Runs under -race in CI.
 func TestSharedStemsAgreeUnpaced(t *testing.T) {
-	want := keysOf(mustRun(t, sharedJoinPaced(0), Options{Engine: Concurrent}).Rows)
+	want := keysOf(mustRun(t, sharedJoinPaced(0), Spec{Engine: Concurrent}).Rows)
 	if len(want) == 0 {
 		t.Fatal("workload produced no rows; the equivalence check would be vacuous")
 	}
 	base := sharedJoinPaced(0)
-	shared := map[string]*SharedState{}
-	for _, tbl := range []string{"S", "U"} {
-		ss, err := base.BuildSharedState(tbl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared[tbl] = ss
-	}
+	shared := []*stem.SharedState{nil, buildShared(t, base, 1), buildShared(t, base, 2)}
 	boxed := flow.MaterializedRows()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := sharedJoinPaced(0).Run(Options{Engine: Concurrent, Shared: shared})
+			res, err := run(sharedJoinPaced(0), Spec{Engine: Concurrent, Shared: shared})
 			if err != nil {
 				t.Error(err)
 				return
@@ -141,7 +149,7 @@ func TestSharedStemsAgreeUnpaced(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// The facade reads tuples, so the output stage boxes each result once; an
+	// With no column sink the output stage boxes each result once; an
 	// attached probe that left the column path would box its probe rows on
 	// top.
 	if moved := flow.MaterializedRows() - boxed; moved != uint64(4*len(want)) {
@@ -152,13 +160,9 @@ func TestSharedStemsAgreeUnpaced(t *testing.T) {
 // TestSharedStemsSimEngine pins that attachments also work on the
 // deterministic simulation engine (same results, same mechanism).
 func TestSharedStemsSimEngine(t *testing.T) {
-	want := keysOf(mustRun(t, sharedJoin(), Options{Engine: Sim}).Rows)
-	base := sharedJoin()
-	sharedU, err := base.BuildSharedState("U")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sharedJoin().Run(Options{Engine: Sim, Shared: map[string]*SharedState{"U": sharedU}})
+	want := keysOf(mustRun(t, sharedJoin(), Spec{Engine: Sim}).Rows)
+	sharedU := buildShared(t, sharedJoin(), 2)
+	res, err := run(sharedJoin(), Spec{Engine: Sim, Shared: []*stem.SharedState{nil, nil, sharedU}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +181,8 @@ func TestSharedStemsSimEngine(t *testing.T) {
 // whose every table is attached has nothing to drive the dataflow.
 func TestSharedStemsRejectsFullAttachment(t *testing.T) {
 	base := smallJoin()
-	sharedR, err := base.BuildSharedState("R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedS, err := base.BuildSharedState("S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = smallJoin().Run(Options{Shared: map[string]*SharedState{"R": sharedR, "S": sharedS}})
+	shared := []*stem.SharedState{buildShared(t, base, 0), buildShared(t, base, 1)}
+	_, err := run(smallJoin(), Spec{Shared: shared})
 	if err == nil {
 		t.Fatal("attaching every table must be rejected")
 	}

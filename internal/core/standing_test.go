@@ -1,35 +1,189 @@
-package stems
+package core
 
 // Standing-query (continuous) tests. The centerpiece is the delta-exactness
 // property: a standing multi-way join fed interleaved inserts from
 // concurrent writers must emit, across all rounds, exactly the multiset of
 // results an equivalent batch run over the final table state produces —
 // nothing missing, nothing duplicated. That is the observable consequence
-// of the SteM timestamp constraint composing across delta rounds.
+// of the SteM timestamp constraint (paper Table 2) composing across delta
+// rounds: a probe matches only strictly-older builds, so every join result
+// is produced once, by its last-arriving component.
+//
+// The handle is driven the way stemsd drives a subscription's: Run once,
+// keep it resident, RunDelta per insert, one round at a time.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/clock"
+	"repro/internal/eddy"
+	"repro/internal/pred"
+	"repro/internal/query"
+	"repro/internal/schema"
+	"repro/internal/source"
+	"repro/internal/tuple"
+	"repro/internal/value"
 )
 
-// streamQuery is the standing 3-way chain join R ⋈ S ⋈ T used throughout.
-func streamQuery(initial map[string][][]int64) *Query {
-	return NewQuery().
-		Table("R", Ints("rk", "b"), initial["R"]).
-		Table("S", Ints("b", "c"), initial["S"]).
-		Table("T", Ints("c", "tk"), initial["T"]).
-		Scan("R", time.Millisecond).
-		Scan("S", time.Millisecond).
-		Scan("T", time.Millisecond).
-		Where("R.b", "=", "S.b").
-		Where("S.c", "=", "T.c")
+// table is one base table of a test query: integer columns and their rows.
+type table struct {
+	name string
+	cols []string
+	rows [][]int64
 }
 
-// insBatch is one writer call: rows appended to a table in a single Insert.
+func intRows(rows [][]int64) []tuple.Row {
+	out := make([]tuple.Row, len(rows))
+	for i, r := range rows {
+		out[i] = make(tuple.Row, len(r))
+		for j, v := range r {
+			out[i][j] = value.NewInt(v)
+		}
+	}
+	return out
+}
+
+// scanQuery binds the tables, each scanned at one row per pace (0 is
+// unpaced), under preds.
+func scanQuery(pace clock.Duration, preds []pred.P, tabs ...table) *query.Q {
+	var schemas []*schema.Table
+	var ams []query.AMDecl
+	for i, tb := range tabs {
+		cols := make([]schema.Column, len(tb.cols))
+		for j, c := range tb.cols {
+			cols[j] = schema.IntCol(c)
+		}
+		sch := schema.MustTable(tb.name, cols...)
+		schemas = append(schemas, sch)
+		ams = append(ams, query.AMDecl{Table: i, Kind: query.Scan, Data: source.MustTable(sch, intRows(tb.rows)),
+			ScanSpec: source.ScanSpec{InterArrival: pace}})
+	}
+	return query.MustNew(schemas, preds, ams)
+}
+
+// result is one round's results and the handle's cumulative build count.
+type result struct {
+	Rows  []resultRow
+	Stats struct{ SteMBuilds uint64 }
+}
+
+// resultRow is one result tuple of query q.
+type resultRow struct {
+	q *query.Q
+	t *tuple.Tuple
+}
+
+// Get returns the value of "Table.column"; ok is false if the reference is
+// unknown.
+func (r resultRow) Get(ref string) (value.V, bool) {
+	name, col, _ := strings.Cut(ref, ".")
+	for ti, tb := range r.q.Tables {
+		if ci := tb.ColIndex(col); tb.Name == name && ci >= 0 && r.t.Span.Has(ti) {
+			return r.t.Value(ti, ci), true
+		}
+	}
+	return value.V{}, false
+}
+
+func (r resultRow) String() string { return r.t.String() }
+
+func newResult(q *query.Q, st Stats, outs []eddy.Output) *result {
+	res := &result{}
+	res.Stats.SteMBuilds = st.Builds
+	for _, o := range outs {
+		res.Rows = append(res.Rows, resultRow{q, o.T})
+	}
+	return res
+}
+
+func keysOf(rows []resultRow) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// run builds q under sp, runs it once and releases the handle.
+func run(q *query.Q, sp Spec) (*result, error) {
+	sp.Q = q
+	ex, err := Build(sp)
+	if err != nil {
+		return nil, err
+	}
+	defer ex.Release()
+	outs, err := ex.Run(context.Background(), nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(q, ex.Stats(), outs), nil
+}
+
+func mustRun(t *testing.T, q *query.Q, sp Spec) *result {
+	t.Helper()
+	res, err := run(q, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// standing is a resident handle whose delta rounds are serialized by mu.
+type standing struct {
+	mu   sync.Mutex
+	ex   *Exec
+	hook func(*tuple.Tuple, clock.Time)
+}
+
+// open runs q's initial round under sp and keeps the handle resident.
+func open(q *query.Q, sp Spec, hook func(*tuple.Tuple, clock.Time)) (*standing, *result, error) {
+	sp.Q = q
+	ex, err := Build(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	outs, err := ex.Run(context.Background(), hook, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &standing{ex: ex, hook: hook}, newResult(q, ex.Stats(), outs), nil
+}
+
+// insert runs one delta round with rows arriving at the named table and
+// returns exactly that round's new results.
+func (s *standing) insert(name string, rows [][]int64) (*result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q := s.ex.spec.Q
+	delta := make([][]tuple.Row, len(q.Tables))
+	for ti, tb := range q.Tables {
+		if tb.Name == name {
+			delta[ti] = intRows(rows)
+		}
+	}
+	outs, err := s.ex.RunDelta(context.Background(), delta, s.hook, nil)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(q, s.ex.Stats(), outs), nil
+}
+
+// streamQuery is the standing 3-way chain join R ⋈ S ⋈ T used throughout.
+func streamQuery(initial map[string][][]int64) *query.Q {
+	return scanQuery(clock.Millisecond, []pred.P{pred.EquiJoin(0, 1, 1, 0), pred.EquiJoin(1, 1, 2, 0)},
+		table{"R", []string{"rk", "b"}, initial["R"]},
+		table{"S", []string{"b", "c"}, initial["S"]},
+		table{"T", []string{"c", "tk"}, initial["T"]})
+}
+
+// insBatch is one writer call: rows appended to a table in a single round.
 type insBatch struct {
 	table string
 	rows  [][]int64
@@ -70,18 +224,18 @@ func genStream(rng *rand.Rand) (initial map[string][][]int64, inserts []insBatch
 }
 
 // standingConfigs is the acceptance matrix: both engines. The concurrent
-// engine carries scans columnar and the injected delta singletons as rows
+// engine carries scans and the injected delta rows as column batches
 // ("columnar"); the simulator is row-at-a-time throughout.
 func standingConfigs() []struct {
 	name string
-	opts Options
+	sp   Spec
 } {
 	return []struct {
 		name string
-		opts Options
+		sp   Spec
 	}{
-		{"sim", Options{Engine: Sim}},
-		{"concurrent/columnar", Options{Engine: Concurrent}},
+		{"sim", Spec{Engine: Sim}},
+		{"concurrent/columnar", Spec{Engine: Concurrent}},
 	}
 }
 
@@ -105,7 +259,7 @@ func TestStandingJoinDeltaExact(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				initial, inserts := genStream(rng)
 
-				st, res, err := streamQuery(initial).Open(cfg.opts)
+				st, res, err := open(streamQuery(initial), cfg.sp, nil)
 				if err != nil {
 					t.Fatalf("seed %d: Open: %v", seed, err)
 				}
@@ -124,7 +278,7 @@ func TestStandingJoinDeltaExact(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						for i := w; i < len(inserts); i += writers {
-							delta, err := st.Insert(inserts[i].table, inserts[i].rows)
+							delta, err := st.insert(inserts[i].table, inserts[i].rows)
 							if err != nil {
 								errCh <- fmt.Errorf("insert %d: %w", i, err)
 								return
@@ -142,9 +296,6 @@ func TestStandingJoinDeltaExact(t *testing.T) {
 				for err := range errCh {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if err := st.Close(); err != nil {
-					t.Fatalf("seed %d: Close: %v", seed, err)
-				}
 
 				final := make(map[string][][]int64)
 				for tb, rows := range initial {
@@ -153,7 +304,7 @@ func TestStandingJoinDeltaExact(t *testing.T) {
 				for _, b := range inserts {
 					final[b.table] = append(final[b.table], b.rows...)
 				}
-				oracle := mustRun(t, streamQuery(final), cfg.opts)
+				oracle := mustRun(t, streamQuery(final), cfg.sp)
 				want := keysOf(oracle.Rows)
 				sort.Strings(all)
 				if len(all) != len(want) {
@@ -183,16 +334,15 @@ func TestStandingDeltaBasics(t *testing.T) {
 				"S": {{5, 8}},
 				"T": {{8, 100}},
 			}
-			st, res, err := streamQuery(initial).Open(cfg.opts)
+			st, res, err := open(streamQuery(initial), cfg.sp, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer st.Close()
 			if len(res.Rows) != 1 {
 				t.Fatalf("round 0: %d rows, want 1", len(res.Rows))
 			}
 
-			delta, err := st.Insert("R", [][]int64{{2, 5}})
+			delta, err := st.insert("R", [][]int64{{2, 5}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +353,7 @@ func TestStandingDeltaBasics(t *testing.T) {
 				t.Fatalf("delta row = %s, want R.rk=2", delta.Rows[0])
 			}
 
-			delta, err = st.Insert("R", [][]int64{{3, 999}})
+			delta, err = st.insert("R", [][]int64{{3, 999}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +361,7 @@ func TestStandingDeltaBasics(t *testing.T) {
 				t.Fatalf("non-matching insert: %d delta rows, want 0", len(delta.Rows))
 			}
 
-			delta, err = st.Insert("R", [][]int64{{2, 5}})
+			delta, err = st.insert("R", [][]int64{{2, 5}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,14 +370,14 @@ func TestStandingDeltaBasics(t *testing.T) {
 			}
 
 			// A new S row joins both resident R rows (1,5) and (2,5) with T.
-			delta, err = st.Insert("S", [][]int64{{5, 8}, {5, 8}})
+			delta, err = st.insert("S", [][]int64{{5, 8}, {5, 8}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(delta.Rows) != 0 {
 				t.Fatalf("duplicate S insert: %d delta rows, want 0", len(delta.Rows))
 			}
-			delta, err = st.Insert("T", [][]int64{{8, 101}})
+			delta, err = st.insert("T", [][]int64{{8, 101}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,32 +395,28 @@ func TestStandingDeltaBasics(t *testing.T) {
 func TestStandingWindowedDelta(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
-		opts Options
+		sp   Spec
 	}{
-		{"sim", Options{Window: map[string]int{"R": 1}}},
-		{"concurrent", Options{Engine: Concurrent, Window: map[string]int{"R": 1}}},
+		{"sim", Spec{Windows: []int{1, 0}}},
+		{"concurrent", Spec{Engine: Concurrent, Windows: []int{1, 0}}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			q := NewQuery().
-				Table("R", Ints("rk", "b"), [][]int64{{1, 5}}).
-				Table("S", Ints("b", "sv"), nil).
-				Scan("R", time.Millisecond).
-				Scan("S", time.Millisecond).
-				Where("R.b", "=", "S.b")
-			st, res, err := q.Open(cfg.opts)
+			q := scanQuery(clock.Millisecond, []pred.P{pred.EquiJoin(0, 1, 1, 0)},
+				table{"R", []string{"rk", "b"}, [][]int64{{1, 5}}},
+				table{"S", []string{"b", "sv"}, nil})
+			st, res, err := open(q, cfg.sp, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer st.Close()
 			if len(res.Rows) != 0 {
 				t.Fatalf("round 0: %d rows, want 0 (S empty)", len(res.Rows))
 			}
 			// Evicts R(1,5) from the window-1 SteM.
-			if _, err := st.Insert("R", [][]int64{{2, 5}}); err != nil {
+			if _, err := st.insert("R", [][]int64{{2, 5}}); err != nil {
 				t.Fatal(err)
 			}
-			delta, err := st.Insert("S", [][]int64{{5, 50}})
+			delta, err := st.insert("S", [][]int64{{5, 50}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,33 +430,31 @@ func TestStandingWindowedDelta(t *testing.T) {
 	}
 }
 
-// TestStandingOnResult verifies the OnResult hook streams delta rows and is
-// re-installed across rounds on both engines (Concurrent's Reset clears it).
+// TestStandingOnResult verifies the output hook streams delta rows and is
+// re-installed across rounds on both engines (a concurrent round clears it).
 func TestStandingOnResult(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
-		opts Options
+		sp   Spec
 	}{
-		{"sim", Options{}},
-		{"concurrent", Options{Engine: Concurrent}},
+		{"sim", Spec{}},
+		{"concurrent", Spec{Engine: Concurrent}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			var mu sync.Mutex
 			var streamed []string
-			opts := cfg.opts
-			opts.OnResult = func(r Row) {
+			hook := func(tu *tuple.Tuple, _ clock.Time) {
 				mu.Lock()
-				streamed = append(streamed, r.String())
+				streamed = append(streamed, tu.String())
 				mu.Unlock()
 			}
 			initial := map[string][][]int64{"R": {{1, 5}}, "S": {{5, 8}}, "T": {{8, 9}}}
-			st, res, err := streamQuery(initial).Open(opts)
+			st, res, err := open(streamQuery(initial), cfg.sp, hook)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer st.Close()
-			delta, err := st.Insert("R", [][]int64{{2, 5}})
+			delta, err := st.insert("R", [][]int64{{2, 5}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,74 +464,5 @@ func TestStandingOnResult(t *testing.T) {
 				t.Fatalf("OnResult saw %d rows, want %d", len(streamed), want)
 			}
 		})
-	}
-}
-
-// TestStandingRejectsUnsupportedOptions pins the Open validation surface.
-func TestStandingRejectsUnsupportedOptions(t *testing.T) {
-	base := func() *Query {
-		return streamQuery(map[string][][]int64{"R": {{1, 2}}, "S": {{2, 3}}, "T": {{3, 4}}})
-	}
-	cases := []struct {
-		name string
-		q    *Query
-		opts Options
-	}{
-		{"skip build", base(), Options{SkipBuildTable: "R"}},
-		{"deadline", base(), Options{Deadline: time.Second}},
-		{"on partial", base(), Options{OnPartial: func(Row) {}}},
-		{"explain", base(), Options{Explain: true}},
-		{"index am", NewQuery().
-			Table("R", Ints("rk", "b"), [][]int64{{1, 2}}).
-			Table("S", Ints("b", "sv"), [][]int64{{2, 3}}).
-			Scan("R", time.Millisecond).
-			Index("S", []string{"b"}, time.Millisecond, 1).
-			Where("R.b", "=", "S.b"), Options{}},
-	}
-	for _, tc := range cases {
-		if st, _, err := tc.q.Open(tc.opts); err == nil {
-			st.Close()
-			t.Errorf("%s: Open accepted unsupported options", tc.name)
-		}
-	}
-	// Shared state rejection needs a built state to hand in.
-	shq := base()
-	ss, err := shq.BuildSharedState("S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _, err := base().Open(Options{Shared: map[string]*SharedState{"S": ss}}); err == nil {
-		st.Close()
-		t.Error("Open accepted Shared state")
-	}
-}
-
-// TestStandingInsertValidation pins Insert's error surface: unknown tables,
-// schema-invalid rows, and use after Close all fail without disturbing the
-// resident state.
-func TestStandingInsertValidation(t *testing.T) {
-	initial := map[string][][]int64{"R": {{1, 5}}, "S": {{5, 8}}, "T": {{8, 9}}}
-	st, _, err := streamQuery(initial).Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Insert("Z", [][]int64{{1}}); err == nil {
-		t.Error("Insert into unknown table succeeded")
-	}
-	if _, err := st.Insert("R", [][]int64{{1, 2, 3}}); err == nil {
-		t.Error("Insert with wrong arity succeeded")
-	}
-	if _, err := st.InsertValues("R", [][]Value{{Str("no"), Int(1)}}); err == nil {
-		t.Error("Insert with wrong column type succeeded")
-	}
-	// Validation failures must not have broken the round machinery.
-	if delta, err := st.Insert("R", [][]int64{{2, 5}}); err != nil || len(delta.Rows) != 1 {
-		t.Fatalf("post-validation insert: delta=%v err=%v, want 1 row", delta, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Insert("R", [][]int64{{3, 5}}); err == nil {
-		t.Error("Insert after Close succeeded")
 	}
 }

@@ -75,7 +75,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewConcurrent(r, clock.NewReal(0.00002)).Run(); err != nil {
+		if _, err := NewConcurrent(r, clock.NewReal(0.00002)).RunContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

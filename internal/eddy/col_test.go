@@ -1,6 +1,7 @@
 package eddy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -146,7 +147,7 @@ func runConcurrent(t *testing.T, q *query.Q, opts Options) oracle.Result {
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	outs, err := NewConcurrent(r, clock.NewReal(0.00002)).Run()
+	outs, err := NewConcurrent(r, clock.NewReal(0.00002)).RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -267,7 +268,7 @@ func TestColumnarPathActivates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := NewConcurrent(r, clock.NewReal(0.00002)).Run()
+	outs, err := NewConcurrent(r, clock.NewReal(0.00002)).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,16 +167,13 @@ func (c *Concurrent) Reset() {
 	c.reset()
 }
 
-// Run executes the query to completion and returns the results in output
-// order. It is safe to call once; to run a shell again, call Reset first
-// (and Router.Reset on the routing, which owns the module state).
-func (c *Concurrent) Run() ([]Output, error) { return c.RunContext(context.Background()) }
-
-// RunContext is Run under a cancellation context: when ctx is canceled (a
-// per-query deadline, a disconnected client, a server shutting down) the
-// eddy stops routing, the module workers stop, and the call returns the
-// results produced so far plus an error wrapping ctx.Err(). Every goroutine
-// the run started has exited by the time RunContext returns.
+// RunContext executes the query to completion and returns the results in
+// output order. It is safe to call once; to run a shell again, call Reset
+// first (and Router.Reset on the routing, which owns the module state). When
+// ctx is canceled (a per-query deadline, a disconnected client, a server
+// shutting down) the eddy stops routing, the module workers stop, and the
+// call returns the results produced so far plus an error wrapping ctx.Err().
+// Every goroutine the run started has exited by the time RunContext returns.
 func (c *Concurrent) RunContext(ctx context.Context) ([]Output, error) {
 	return c.run(ctx, c.r.Seeds(), nil, -1)
 }

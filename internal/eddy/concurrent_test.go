@@ -1,6 +1,7 @@
 package eddy
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -33,7 +34,7 @@ func runConcurrentAndCheck(t *testing.T, seed int64) {
 	}
 	// 1 virtual second = 20µs wall: a multi-minute paper run in ~ms.
 	eng := NewConcurrent(r, clock.NewReal(0.00002))
-	outs, err := eng.Run()
+	outs, err := eng.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("seed %d: Run: %v", seed, err)
 	}
@@ -92,7 +93,7 @@ func TestEnginesEquivalentOnRandomQueries(t *testing.T) {
 				if engine == "sim" {
 					outs, err = NewSim(r).Run()
 				} else {
-					outs, err = NewConcurrent(r, clock.NewReal(0.00002)).Run()
+					outs, err = NewConcurrent(r, clock.NewReal(0.00002)).RunContext(context.Background())
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", engine, err)
@@ -128,7 +129,7 @@ func TestConcurrentMatchesSimResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conOuts, err := NewConcurrent(r2, clock.NewReal(0.0001)).Run()
+	conOuts, err := NewConcurrent(r2, clock.NewReal(0.0001)).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestPacedScanEOTArrivesLast(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := &arrivalLog{Routing: r, tbl: 0, seen: make(map[*tuple.Tuple]struct{}), atEOT: -1}
-		outs, err := NewConcurrent(log, clock.NewReal(0.00002)).Run()
+		outs, err := NewConcurrent(log, clock.NewReal(0.00002)).RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestRoutingPanicFailsTheRun(t *testing.T) {
 	r := &panicOnSecond{oneModule: oneModule{mod: burstModule{}, n: 1, pol: policy.NewFixed()}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewConcurrent(r, clock.NewReal(0.00002)).Run()
+		_, err := NewConcurrent(r, clock.NewReal(0.00002)).RunContext(context.Background())
 		done <- err
 	}()
 	select {
@@ -316,7 +317,7 @@ func TestFeedbackKindsMatchSim(t *testing.T) {
 			if sim {
 				_, err = NewSim(r).Run()
 			} else {
-				_, err = NewConcurrent(r, clock.NewReal(0.00002)).Run()
+				_, err = NewConcurrent(r, clock.NewReal(0.00002)).RunContext(context.Background())
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -348,7 +349,7 @@ func TestRowFallbackBouncesAreNotNew(t *testing.T) {
 			}
 		}
 	}
-	if _, err := eng.Run(); err != nil {
+	if _, err := eng.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if built == 0 {

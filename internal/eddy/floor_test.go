@@ -6,6 +6,7 @@ package eddy
 // What the policy is told (Feedback.Cost) is the time that elapsed.
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func runFake(t *testing.T, n int, work time.Duration, cost clock.Duration) (*fak
 	var fbs []policy.Feedback
 	eng.OnService = func(fb policy.Feedback) { fbs = append(fbs, fb) }
 	start := clk.Now()
-	if _, err := eng.Run(); err != nil {
+	if _, err := eng.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wall := clock.Duration(clk.Now() - start)
@@ -151,7 +152,7 @@ func TestSerialIndexLatencyHolds(t *testing.T) {
 	}
 	clk := clock.NewReal(1)
 	start := clk.Now()
-	outs, err := NewConcurrent(r, clk).Run()
+	outs, err := NewConcurrent(r, clk).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestDriverByRows(t *testing.T) {
 		}
 		eng := NewConcurrent(r, nil)
 		in0, go0 := Rounds()
-		outs, err := eng.Run()
+		outs, err := eng.RunContext(context.Background())
 		if err != nil || len(outs) != c.rows {
 			t.Fatalf("%d rows: %d results, %v", c.rows, len(outs), err)
 		}
@@ -149,7 +149,7 @@ func TestParallelIndexLatencyOverlaps(t *testing.T) {
 	}
 	clk := clock.NewReal(1)
 	start := clk.Now()
-	outs, err := NewConcurrent(r, clk).Run()
+	outs, err := NewConcurrent(r, clk).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func resetShellRuns(t *testing.T, q *query.Q) {
 	}
 	eng := NewConcurrent(r, clock.NewReal(0.00002))
 	for run := 0; run < 3; run++ {
-		outs, err := eng.Run()
+		outs, err := eng.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -165,9 +165,13 @@ func TestResetDetachesSharedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	size := r.SteMs()[1].Size() // the attached SteM reads the shared dictionary
+	if size == 0 {
+		t.Fatal("attached SteM is empty before any run")
+	}
 	eng := NewConcurrent(r, clock.NewReal(0.00002))
 	for run := 0; run < 3; run++ {
-		outs, err := eng.Run()
+		outs, err := eng.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -181,8 +185,8 @@ func TestResetDetachesSharedState(t *testing.T) {
 		}
 		resetShell(t, r, eng)
 		attached := r.SteMs()[1]
-		if gotSize := attached.Size(); gotSize != ss.Rows() {
-			t.Fatalf("run %d: Reset cleared the shared dictionaries: size %d, want %d", run, gotSize, ss.Rows())
+		if gotSize := attached.Size(); gotSize != size {
+			t.Fatalf("run %d: Reset cleared the shared dictionaries: size %d, want %d", run, gotSize, size)
 		}
 		if gotStats := attached.Stats(); !reflect.DeepEqual(gotStats, stem.Stats{}) {
 			t.Errorf("run %d: attached stats = %+v, want zero after Reset", run, gotStats)
@@ -215,7 +219,7 @@ func TestResetAfterCanceledRun(t *testing.T) {
 	checkShellPristine(t, r, eng)
 
 	eng.SetClock(clock.NewReal(0.00002))
-	outs, err := eng.Run()
+	outs, err := eng.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package eddy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -36,7 +37,7 @@ func TestShardedConcurrentAgainstOracle(t *testing.T) {
 					t.Fatalf("NewRouter: %v", err)
 				}
 				eng := NewConcurrent(r, clock.NewReal(0.00002))
-				outs, err := eng.Run()
+				outs, err := eng.RunContext(context.Background())
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
@@ -68,7 +69,7 @@ func TestShardCountsEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := NewConcurrent(r, clock.NewReal(0.0001)).Run()
+		outs, err := NewConcurrent(r, clock.NewReal(0.0001)).RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

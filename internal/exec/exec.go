@@ -111,10 +111,6 @@ func (b *Baseline) Modules() []flow.Module { return b.modules }
 // Policy implements eddy.Routing.
 func (b *Baseline) Policy() policy.Policy { return b.pol }
 
-// Stuck returns the number of tuples dropped with no applicable stage other
-// than scan EOTs (which baselines discard by design).
-func (b *Baseline) Stuck() uint64 { return b.stuck.Load() }
-
 // Seeds implements eddy.Routing.
 func (b *Baseline) Seeds() []*tuple.Tuple {
 	n := b.q.NumTables()

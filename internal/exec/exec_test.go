@@ -16,6 +16,10 @@ import (
 	"repro/internal/value"
 )
 
+// Stuck returns the number of tuples dropped with no applicable stage other
+// than scan EOTs (which baselines discard by design).
+func (b *Baseline) Stuck() uint64 { return b.stuck.Load() }
+
 func row(vs ...int64) tuple.Row {
 	r := make(tuple.Row, len(vs))
 	for i, v := range vs {

@@ -79,14 +79,6 @@ func NewCatalog(scanInterval time.Duration, dir string) *Catalog {
 	}
 }
 
-// Source implements sql.Catalog.
-func (c *Catalog) Source(name string) (sql.Source, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s, ok := c.sources[name]
-	return s, ok
-}
-
 // Snapshot returns an immutable copy of the catalog for binding: every
 // lookup during one bind sees the same version regardless of concurrent
 // registrations. The copy shares the (immutable) source tables.

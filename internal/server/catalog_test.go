@@ -16,6 +16,14 @@ import (
 	"repro/internal/tuple"
 )
 
+// Source returns the named table's current source.
+func (c *Catalog) Source(name string) (sql.Source, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	s, ok := c.sources[name]
+	return s, ok
+}
+
 // putSeq registers table name(k, a) with rows (i, i%7) for i in [0, n) and
 // returns the *source.Table it registered.
 func putSeq(t testing.TB, cat *Catalog, name string, n int) *source.Table {

@@ -241,17 +241,6 @@ func (m *sharedStems) entryCount() int {
 	return len(m.entries)
 }
 
-// refSnapshot returns the per-entry refcounts, for lifecycle tests.
-func (m *sharedStems) refSnapshot() map[sharedKey]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[sharedKey]int, len(m.entries))
-	for k, e := range m.entries {
-		out[k] = e.refs
-	}
-	return out
-}
-
 // sharedPlan is one execution's set of shared-SteM attachments: states by
 // table position (nil = private) plus the referenced entries to release when
 // the execution stops probing. A nil *sharedPlan means "all private" and is
@@ -354,15 +343,4 @@ func (m *sharedStems) planAttach(st *sql.Stmt, q *query.Q, snap sql.MapCatalog) 
 		plan.states[t] = e.state
 	}
 	return plan, nil
-}
-
-// debugString renders the manager's state for error messages in tests.
-func (m *sharedStems) debugString() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	for k, e := range m.entries {
-		fmt.Fprintf(&b, "%v refs=%d ", k, e.refs)
-	}
-	return b.String()
 }

@@ -29,6 +29,28 @@ import (
 	"repro/internal/tuple"
 )
 
+// refSnapshot returns the per-entry refcounts.
+func (m *sharedStems) refSnapshot() map[sharedKey]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[sharedKey]int, len(m.entries))
+	for k, e := range m.entries {
+		out[k] = e.refs
+	}
+	return out
+}
+
+// debugString renders the manager's state for error messages.
+func (m *sharedStems) debugString() string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var b strings.Builder
+	for k, e := range m.entries {
+		fmt.Fprintf(&b, "%v refs=%d ", k, e.refs)
+	}
+	return b.String()
+}
+
 // metricValue extracts one un-labeled metric's value from an exposition body.
 func metricValue(t *testing.T, met, name string) uint64 {
 	t.Helper()

@@ -4,9 +4,10 @@ package server
 // delta-equivalence property, the subscription lifecycle under faults (slow
 // consumers, client disconnect mid-stream, server drain with live
 // subscribers), and INSERT's interaction with the plan cache and shared
-// SteMs. The facade-level equivalence harness lives in stems_stream_test.go;
-// this file asserts the same invariant through the HTTP surface, where
-// cancellation, admission, and metrics accounting can break it.
+// SteMs. The engine-level equivalence harness lives in
+// internal/core/standing_test.go; this file asserts the same invariant
+// through the HTTP surface, where cancellation, admission, and metrics
+// accounting can break it.
 
 import (
 	"bufio"

@@ -75,7 +75,6 @@ type SharedState struct {
 	dict    *HashDict
 
 	highWater tuple.Timestamp
-	rows      int
 	// residentBytes is atomic because the owner's footprint gauge reads it
 	// while an extension is in flight.
 	residentBytes atomic.Int64
@@ -106,15 +105,11 @@ func (ss *SharedState) Extend(rows []tuple.Row) {
 		ss.highWater++
 		ss.dict.Insert(row, ss.highWater)
 		ss.residentBytes.Add(RowFootprint(row))
-		ss.rows++
 	}
 }
 
 // KeyCols returns the indexed columns (attachers must join on exactly these).
 func (ss *SharedState) KeyCols() []int { return ss.keyCols }
-
-// Rows returns the number of distinct rows stored.
-func (ss *SharedState) Rows() int { return ss.rows }
 
 // ResidentBytes returns the state's footprint, for catalog accounting.
 func (ss *SharedState) ResidentBytes() int64 { return ss.residentBytes.Load() }

@@ -12,6 +12,9 @@ import (
 	"repro/internal/value"
 )
 
+// Rows returns the number of distinct rows stored.
+func (ss *SharedState) Rows() int { return ss.dict.Len() }
+
 // sharedProbeKeys attaches a probe-only SteM to ss (table S of twoTableQ,
 // keyed on S.x) and returns the multiset of concatenations R probes with
 // a = 0..keys-1 produce.

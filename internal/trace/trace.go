@@ -161,9 +161,6 @@ func (c *Collector) Reset() {
 	c.SpanHistogram = c.SpanHistogram[:0]
 }
 
-// Modules returns the per-module aggregates.
-func (c *Collector) Modules() []ModStats { return c.mods }
-
 // ModuleRecord is one module's aggregates in wire form.
 type ModuleRecord struct {
 	Name    string `json:"name"`

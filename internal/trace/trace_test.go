@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -15,6 +16,9 @@ import (
 	"repro/internal/tuple"
 	"repro/internal/value"
 )
+
+// Modules returns the per-module aggregates.
+func (c *Collector) Modules() []ModStats { return c.mods }
 
 func row(vs ...int64) tuple.Row {
 	r := make(tuple.Row, len(vs))
@@ -107,7 +111,7 @@ func TestAttachConcurrentGathersModuleStats(t *testing.T) {
 	eng.OnOutput = func(*tuple.Tuple, clock.Time) { streamed++ } // set first, must chain
 	c := NewCollector(r.Modules())
 	c.AttachConcurrent(eng)
-	outs, err := eng.Run()
+	outs, err := eng.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

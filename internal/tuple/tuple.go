@@ -172,9 +172,6 @@ func (s PredSet) With(i int) PredSet { return s | SinglePred(i) }
 // Union returns the union of two predicate sets.
 func (s PredSet) Union(o PredSet) PredSet { return s | o }
 
-// Contains reports whether every member of o is in s.
-func (s PredSet) Contains(o PredSet) bool { return s&o == o }
-
 // AllPreds returns the set of predicate IDs {0..n-1}.
 func AllPreds(n int) PredSet {
 	if n >= 64 {

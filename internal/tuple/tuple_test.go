@@ -7,6 +7,9 @@ import (
 	"repro/internal/value"
 )
 
+// Contains reports whether every member of o is in s.
+func (s PredSet) Contains(o PredSet) bool { return s&o == o }
+
 func row(vs ...int64) Row {
 	r := make(Row, len(vs))
 	for i, v := range vs {

@@ -97,8 +97,7 @@ type Options struct {
 	// Context, when non-nil, cancels the run: deadlines, client
 	// disconnects, and server shutdown stop the eddy mid-query instead of
 	// letting it route to completion. The run returns the results produced
-	// so far plus an error wrapping Context.Err(). RunContext sets this
-	// from its argument.
+	// so far plus an error wrapping Context.Err().
 	Context context.Context
 	// Seed feeds the randomized policies; 0 means 1.
 	Seed int64
@@ -113,15 +112,6 @@ type Options struct {
 	// Window bounds SteM sizes per table name for sliding-window streaming
 	// queries (0 or absent = unbounded).
 	Window map[string]int
-	// Shared attaches pre-built shared SteM state by table name (see
-	// Query.BuildSharedState): the named tables get probe-only attached
-	// SteMs over the sealed shared dictionary instead of private builds,
-	// and their access methods are not run — the state already holds every
-	// row. Results are multiset-identical to a run without attachments. At
-	// least one table must stay unattached (its scan drives the dataflow),
-	// and any number of concurrent Runs may attach the same state. Shared
-	// tables cannot be windowed.
-	Shared map[string]*SharedState
 	// Deadline stops the simulation engine at the given virtual time
 	// (for continuous queries); zero runs to completion.
 	Deadline time.Duration
@@ -154,24 +144,6 @@ func (r Row) Get(ref string) (Value, bool) {
 		return Value{}, false
 	}
 	return r.t.Value(ti, ci), true
-}
-
-// String renders the row as Table(v1,v2) pairs in FROM order; tables a
-// partial result does not span render as Table(?).
-func (r Row) String() string {
-	var b strings.Builder
-	for i, tb := range r.q.Tables {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(tb.Name)
-		if r.t.Span.Has(i) {
-			b.WriteString(r.t.Comp[i].String())
-		} else {
-			b.WriteString("(?)")
-		}
-	}
-	return b.String()
 }
 
 // Result is a completed (or deadline-stopped) query run.
@@ -431,51 +403,6 @@ func (q *Query) Build() (*query.Q, error) {
 	return query.New(q.tables, q.preds, q.ams)
 }
 
-// SharedState is catalog-style shared SteM state over one table's rows:
-// a sealed, immutable in-memory dictionary built once with
-// Query.BuildSharedState and attached by any number of concurrent Runs via
-// Options.Shared.
-type SharedState struct {
-	inner *stem.SharedState
-	table string
-}
-
-// Rows returns the number of distinct rows the state stores.
-func (s *SharedState) Rows() int { return s.inner.Rows() }
-
-// BuildSharedState builds sealed shared SteM state over the named table's
-// rows, indexed on the table's join columns in this query — what a server
-// catalog does once per (table, join columns) so concurrent queries attach
-// instead of rebuilding.
-func (q *Query) BuildSharedState(table string) (*SharedState, error) {
-	iq, err := q.Build()
-	if err != nil {
-		return nil, err
-	}
-	ti, ok := q.order[table]
-	if !ok {
-		return nil, fmt.Errorf("stems: BuildSharedState table %q unknown", table)
-	}
-	cols := stem.JoinCols(iq, ti)
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("stems: table %q has no join columns to index shared state on", table)
-	}
-	inner, err := stem.BuildShared(stem.SharedConfig{KeyCols: cols}, q.data[table].Rows)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedState{inner: inner, table: table}, nil
-}
-
-// RunContext executes the query under a cancellation context: when ctx is
-// canceled the engine stops routing and RunContext returns the results
-// produced so far plus an error wrapping ctx.Err(). It is Run with
-// Options.Context set.
-func (q *Query) RunContext(ctx context.Context, opts Options) (*Result, error) {
-	opts.Context = ctx
-	return q.Run(opts)
-}
-
 // Run executes the query and collects all results.
 func (q *Query) Run(opts Options) (*Result, error) {
 	iq, err := q.Build()
@@ -514,9 +441,8 @@ func (p Policy) String() string {
 	}
 }
 
-// spec is the one Options → core.Spec translation behind Run, Prepare and
-// Open: it resolves table names to FROM positions and unwraps shared
-// states; every default lives in core.
+// spec is Run's Options → core.Spec translation: it resolves table names to
+// FROM positions; every default lives in core.
 func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 	sp := core.Spec{
 		Q:        iq,
@@ -546,19 +472,6 @@ func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 			sp.Windows[ti] = w
 		}
 	}
-	if len(opts.Shared) > 0 {
-		sp.Shared = make([]*stem.SharedState, len(q.tables))
-		for name, ss := range opts.Shared {
-			ti, ok := q.order[name]
-			if !ok {
-				return sp, fmt.Errorf("stems: Shared table %q unknown", name)
-			}
-			if ss == nil || ss.inner == nil {
-				return sp, fmt.Errorf("stems: Shared state for %q is nil", name)
-			}
-			sp.Shared[ti] = ss.inner
-		}
-	}
 	if onPartial := opts.OnPartial; onPartial != nil {
 		if opts.Engine != Sim {
 			return sp, fmt.Errorf("stems: OnPartial requires the simulation engine")
@@ -584,8 +497,7 @@ func rowHook(iq *query.Q, onResult func(Row)) func(*tuple.Tuple, clock.Time) {
 	}
 }
 
-// newResult assembles a Result from one round's outputs and the handle's
-// cumulative counters.
+// newResult assembles a Result from a run's outputs and counters.
 func newResult(iq *query.Q, st core.Stats, outs []eddy.Output) *Result {
 	res := &Result{Stats: RunStats{
 		RoutingSteps: st.RoutingSteps,

@@ -18,7 +18,7 @@ func smallJoin() *Query {
 func keysOf(rows []Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		out[i] = r.String()
+		out[i] = r.t.String()
 	}
 	sort.Strings(out)
 	return out
